@@ -17,9 +17,12 @@ zero-test every classifier in this package ultimately rests on.
 
 Differentiation uses d(x)/dx = 1, d(exp(x))/dx = exp(x) and kills parameters;
 it is extended by linearity and the product/quotient rules.  Because atoms are
-independent, substituting independent random rationals for them (including the
-exponential atoms) is a sound Schwartz-Zippel style zero test; see
-``Expr.evaluate``.
+independent, substituting independent values for them (including the
+exponential atoms) is a sound Schwartz-Zippel style zero test.
+``evaluate_rational`` substitutes either exact rationals or residues modulo a
+prime p: reduction mod p is a ring homomorphism wherever the denominators it
+meets are units, so an identity that holds in the field holds mod p, and a
+nonzero value reads 0 only at a root of its numerator or when p divides it.
 
 Polynomial arithmetic and multivariate GCD are delegated to ``sympy.polys``
 sparse rings; everything above that level (grammar, canonicalization policy,
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from sympy.polys.domains import QQ
 from sympy.polys.rings import ring as _sympy_ring
@@ -491,14 +494,20 @@ def differentiate(e: Expr, coord: Union[int, str]) -> Expr:
     return _normalized(ctx, dnum * e.den - e.num * dden, e.den * e.den)
 
 
-def evaluate_rational(e: Expr, assignment: Mapping[Atom, Number]) -> Fraction:
-    """Evaluate at exact rational atom values.
+def evaluate_rational(e: Expr, assignment: Mapping[Atom, Number],
+                      modulus: Optional[int] = None) -> Union[Fraction, int]:
+    """Evaluate at exact rational atom values, or modulo a prime.
 
     The exponential atoms are substituted independently of their coordinates:
     atoms are algebraically independent, so this is exactly the substitution
-    a randomized zero test needs.  Raises EvaluationError when the denominator
-    vanishes at the point and ExpressionError when an occurring atom has no
-    value.
+    a randomized zero test needs.  Without a modulus the result is the exact
+    Fraction.  With a prime modulus p, the atom values and every coefficient
+    are reduced mod p and the result is the residue in [0, p); this is the
+    image of the exact value under the ring homomorphism Z_(p) -> F_p, so
+    equal expressions always give equal residues.  Raises EvaluationError
+    when a denominator vanishes at the point (mod p, when a modulus is given:
+    the point's, a coefficient's or the expression's) and ExpressionError
+    when an occurring atom has no value.
     """
     ctx = e.ctx
     values: list = [None] * len(ctx.atoms)
@@ -506,27 +515,58 @@ def evaluate_rational(e: Expr, assignment: Mapping[Atom, Number]) -> Fraction:
         if isinstance(atom, Atom):
             pos = _atom_position(ctx, atom)
             if pos is not None:
-                values[pos] = QQ(Fraction(val))
+                values[pos] = (QQ(Fraction(val)) if modulus is None
+                               else residue(val, modulus))
 
     def poly_value(poly):
-        total = QQ.zero
+        total = QQ.zero if modulus is None else 0
         for monom, coeff in poly.items():
-            term = coeff
+            term = (coeff if modulus is None else
+                    _ratio_residue(QQ.numer(coeff), QQ.denom(coeff), modulus))
             for pos, exp in enumerate(monom):
                 if exp:
                     v = values[pos]
                     if v is None:
                         raise ExpressionError(
                             f"no value assigned to atom {ctx.atoms[pos].name}")
-                    term = term * v ** exp
+                    if modulus is None:
+                        term = term * v ** exp
+                    else:
+                        term = term * pow(v, exp, modulus) % modulus
             total = total + term
         return total
 
+    if modulus is not None:
+        den_val = poly_value(e.den) % modulus
+        if not den_val:
+            raise EvaluationError(
+                "denominator vanishes modulo p at the given point")
+        return poly_value(e.num) * pow(den_val, -1, modulus) % modulus
     den_val = poly_value(e.den)
     if not den_val:
         raise EvaluationError("denominator vanishes at the given point")
     val = poly_value(e.num) / den_val
     return Fraction(int(QQ.numer(val)), int(QQ.denom(val)))
+
+
+def residue(value: Number, modulus: int) -> int:
+    """The image of a rational in F_p, as an int in [0, p).
+
+    Raises EvaluationError when p divides the denominator.
+    """
+    if isinstance(value, int):
+        return value % modulus
+    value = Fraction(value)
+    return _ratio_residue(value.numerator, value.denominator, modulus)
+
+
+def _ratio_residue(num, den, modulus: int) -> int:
+    if den == 1:
+        return int(num) % modulus
+    den = int(den) % modulus
+    if not den:
+        raise EvaluationError("denominator vanishes modulo p")
+    return int(num) * pow(den, -1, modulus) % modulus
 
 
 def _atom_position(ctx: Context, atom: Atom):
@@ -551,9 +591,15 @@ def _atom_position(ctx: Context, atom: Atom):
 #   expcall := "exp" "(" ["-"] [INT "*"] COORD ")"
 # Precedence: ^  >  unary -  >  * /  >  + -.  Rational literals like 7/2 are
 # covered by the division operator; exponents are integer literals only.
+# Parentheses nest at most MAX_NESTING deep: the parser recurses once per
+# level, and deeper input is rejected with a ParseError instead of exhausting
+# the interpreter's stack.
 # ---------------------------------------------------------------------------
 
 _TOKEN_OPS = set("+-*/^()")
+
+#: Deepest parenthesis nesting the parser accepts.
+MAX_NESTING = 100
 
 
 def _tokenize(src: str):
@@ -592,6 +638,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.ctx = ctx
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -634,11 +681,12 @@ class _Parser:
                 return value
 
     def parse_unary(self) -> Expr:
-        kind, op, _ = self.peek()
-        if kind == "op" and op == "-":
+        negate = False
+        while self.peek()[:2] == ("op", "-"):
             self.advance()
-            return -self.parse_unary()
-        return self.parse_power()
+            negate = not negate
+        value = self.parse_power()
+        return -value if negate else value
 
     def parse_power(self) -> Expr:
         base = self.parse_atom()
@@ -669,8 +717,13 @@ class _Parser:
         if kind == "int":
             return self.ctx.integer(value)
         if kind == "op" and value == "(":
+            if self.depth >= MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than "
+                                 f"{MAX_NESTING}", position)
+            self.depth += 1
             inner = self.parse_sum()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         if kind == "ident":
             if value == "exp":
@@ -711,8 +764,9 @@ def parse_expression(src: str, ctx: Context) -> Expr:
     """Parse source text into a canonical expression.
 
     Raises ParseError with the offending position on malformed input,
-    unknown identifiers, non-integer exponents, or exp() of anything other
-    than an integer multiple of a declared coordinate.
+    unknown identifiers, non-integer exponents, exp() of anything other
+    than an integer multiple of a declared coordinate, or parentheses nested
+    deeper than MAX_NESTING.
     """
     parser = _Parser(_tokenize(src), ctx)
     value = parser.parse_sum()

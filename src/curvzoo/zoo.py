@@ -3,10 +3,13 @@
 classify() runs a fixed, deterministic battery of classifiers on a chart and
 collects verdicts with symbolic witnesses.  Every positive verdict carries
 the linear identity that certifies it; oracle_crosscheck() re-evaluates those
-identities at seeded random rational points (atoms are algebraically
-independent, so independent substitution is a sound randomized zero test) and
-counts disagreements -- a nonzero count means a canonicalization or solver
-bug, never a sampling artifact.
+identities at seeded random rational points reduced modulo the prime
+p = 2^61 - 1 and counts disagreements.  Atoms are algebraically independent,
+so independent substitution is a sound randomized zero test, and reduction
+mod p is a ring homomorphism: a true identity never disagrees, so a nonzero
+count means a canonicalization or solver bug, never a sampling artifact.  A
+false identity escapes one sample only when the point is a root of its
+residual or p divides the residual's value (Schwartz-Zippel).
 
 Reports are plain data: rendering to text or JSON is stable and
 deterministic, so repeated runs with the same seed are byte-identical.
@@ -33,19 +36,23 @@ from .classifiers import (ClassifierVerdict, QuasiEinsteinResult,
                           solve_quasi_einstein, solve_recurrence,
                           solve_weak_Z, solve_weak_symmetry_04,
                           theorem_residual)
-from .exprs import Atom, EvaluationError, Expr
-from .linsolve import InternalInconsistencyError, SolutionSpace
+from .exprs import Atom, EvaluationError, Expr, evaluate_rational, residue
+from .linsolve import (InternalInconsistencyError, SolutionSpace,
+                       verify_solution_space)
 from .metrics import MetricSpec
 from .operators import (check_gct, check_second_bianchi, named_tensor,
                         walker_cyclic_check)
 
 #: Default oracle parameters: seeded random rational points with numerator
-#: and denominator drawn uniformly from [1, 10^6].
+#: and denominator drawn uniformly from [1, 10^6], compared modulo
+#: ORACLE_PRIME.
 DEFAULT_SAMPLES = 50
 DEFAULT_SEED = 42
 GRID_MAX = 10 ** 6
 MAX_DENOMINATOR_RETRIES = 1000
 MAX_IDENTITY_COMPONENTS = 48
+#: The Mersenne prime 2^61 - 1; the oracle compares both sides in F_p.
+ORACLE_PRIME = 2 ** 61 - 1
 
 ALL_TENSORS = ("R", "C", "K", "conh", "P", "S")
 DEFAULT_TENSORS = ("R", "S")
@@ -57,8 +64,8 @@ class Identity:
 
     rows hold (coefficient-map, rhs) pairs exactly as the generating linear
     system produced them; values is the certified solution vector.  The
-    oracle checks each retained row at random rational points by evaluating
-    coefficients, values and rhs independently.
+    oracle checks each retained row at random rational points, reduced mod
+    ORACLE_PRIME, by evaluating coefficients, values and rhs independently.
     """
 
     name: str
@@ -158,39 +165,6 @@ def _verdict_identity(verdict: ClassifierVerdict) -> Optional[Identity]:
     raise ValueError(f"unknown identity payload {kind!r}")
 
 
-def _verify_space_verdict(verdict: ClassifierVerdict) -> None:
-    """Universal back-substitution guard on solver-backed verdicts.
-
-    The particular solution must reproduce every stored row's rhs, and every
-    homogeneous basis vector must annihilate the coefficients; by linearity
-    this certifies the whole affine family.
-    """
-    payload = verdict.identity
-    if payload is None or payload[0] != "linear_rows":
-        return
-    _, rows, space = payload
-    if not space.consistent:
-        return
-    for coeffs, rhs in rows:
-        acc = -rhs
-        for j, c in coeffs.items():
-            if not space.particular[j].is_zero:
-                acc = acc + c * space.particular[j]
-        if not acc.is_zero:
-            raise InternalInconsistencyError(
-                f"{verdict.name}: particular solution fails back-substitution")
-        for b in space.basis:
-            acc = None
-            for j, c in coeffs.items():
-                if not b[j].is_zero:
-                    term = c * b[j]
-                    acc = term if acc is None else acc + term
-            if acc is not None and not acc.is_zero:
-                raise InternalInconsistencyError(
-                    f"{verdict.name}: homogeneous vector fails "
-                    "back-substitution")
-
-
 def _outcome_of(solver: SolverOutcome) -> Optional[bool]:
     if solver.degenerate:
         return None
@@ -214,7 +188,9 @@ def classify(spec_or_chart: Union[MetricSpec, Chart],
     checks filters verdicts by name prefix (None = everything); tensors
     selects which of R, C, K, conh, P, S the tensor-parameterized classifiers
     run on.  The oracle re-evaluates every positive identity at
-    oracle_samples seeded random rational points.
+    oracle_samples seeded random rational points, modulo ORACLE_PRIME.
+    Every solver-backed verdict is back-substituted into its rows first
+    (InternalInconsistencyError, naming the verdict, on failure).
     """
     chart = (spec_or_chart.to_chart()
              if isinstance(spec_or_chart, MetricSpec) else spec_or_chart)
@@ -226,7 +202,14 @@ def classify(spec_or_chart: Union[MetricSpec, Chart],
 
     def emit(verdict: ClassifierVerdict):
         if checks is None or any(verdict.name.startswith(c) for c in checks):
-            _verify_space_verdict(verdict)
+            payload = verdict.identity
+            if payload is not None and payload[0] == "linear_rows":
+                _, rows, space = payload
+                try:
+                    verify_solution_space(space, rows, chart.ctx)
+                except InternalInconsistencyError as err:
+                    raise InternalInconsistencyError(
+                        f"{verdict.name}: {err}") from None
             verdicts.append(verdict)
 
     from .classifiers import (_chaki_rows, _weak04_rows, _weakZ_rows,
@@ -379,13 +362,27 @@ def random_point(rng: random.Random, atoms: Sequence[Atom]
 
 def check_identity_at(identity: Identity,
                       point: dict[Atom, Fraction]) -> bool:
-    """Evaluate every retained row at the point; sides evaluated separately."""
-    values = [v.evaluate(point) for v in identity.values]
+    """Evaluate every retained row at the point modulo ORACLE_PRIME.
+
+    The two sides of a row are evaluated separately; each distinct Expr is
+    evaluated once.  Raises EvaluationError when a denominator vanishes mod p.
+    """
+    residues = {atom: residue(value, ORACLE_PRIME)
+                for atom, value in point.items()}
+    memo: dict[Expr, int] = {}
+
+    def value_of(e: Expr) -> int:
+        v = memo.get(e)
+        if v is None:
+            v = memo[e] = evaluate_rational(e, residues, ORACLE_PRIME)
+        return v
+
+    values = [value_of(v) for v in identity.values]
     for coeffs, rhs in identity.rows:
-        total = Fraction(0)
+        total = 0
         for j, c in coeffs.items():
-            total += c.evaluate(point) * values[j]
-        if total != rhs.evaluate(point):
+            total += value_of(c) * values[j]
+        if total % ORACLE_PRIME != value_of(rhs):
             return False
     return True
 
@@ -395,7 +392,9 @@ def oracle_crosscheck(report: Report, chart: Optional[Chart] = None,
                       seed: int = DEFAULT_SEED) -> OracleSummary:
     """Re-evaluate every certified identity at seeded random rational points.
 
-    Points are resampled on vanishing denominators, up to
+    Each point is reduced modulo ORACLE_PRIME and both sides of every row
+    are compared in F_p (see check_identity_at).  Points are resampled on
+    denominators that vanish mod p, up to
     MAX_DENOMINATOR_RETRIES per identity, after which that identity is marked
     inconclusive.  Deterministic for a fixed seed.  The chart argument is
     optional; the atom inventory is otherwise taken from the identities

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from curvzoo.exprs import (Context, EvaluationError, ExpressionError,
-                           ParseError, combine, differentiate,
-                           evaluate_rational, is_zero)
+from curvzoo.exprs import (MAX_NESTING, Context, EvaluationError,
+                           ExpressionError, ParseError, combine,
+                           differentiate, evaluate_rational, is_zero)
+
+MERSENNE_61 = 2 ** 61 - 1
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +35,18 @@ class TestParsing:
         t1 = ctx.exponential("x1")
         assert e.num == (t1 * t1).num
         assert e.den == (1 + t1).num
+
+    def test_nesting_limit(self, ctx):
+        ok = "(" * MAX_NESTING + "x1" + ")" * MAX_NESTING
+        assert ctx.parse(ok) == ctx.parse("x1")
+        deep = "(" * 3000 + "x1" + ")" * 3000
+        with pytest.raises(ParseError) as err:
+            ctx.parse(deep)
+        assert err.value.position == MAX_NESTING
+
+    def test_long_unary_minus_chain(self, ctx):
+        assert ctx.parse("-" * 3000 + "x1") == ctx.parse("x1")
+        assert ctx.parse("-" * 3001 + "x1^2") == -ctx.parse("x1^2")
 
     def test_polynomial_identity_collapses(self, ctx):
         e = ctx.parse("(x1+1)^2 - x1^2 - 2*x1 - 1")
@@ -214,6 +228,42 @@ class TestEvaluate:
                 assert lhs == rhs
             except EvaluationError:
                 continue
+
+    def test_modular_matches_exact(self, ctx):
+        # Reduction mod p commutes with evaluation, including non-unit
+        # rational coefficients, negative exp powers and parameters.
+        p = MERSENNE_61
+        rng = random.Random(23)
+        pool = [ctx.parse(s) for s in
+                ("7/2*exp(-x1)", "a/(x3+1) - 5/3*x2^2",
+                 "exp(-2*x2) * a^3 / (x1 - 2/7)",
+                 "(x4*exp(x3) + 11/13) / (a*x1 + exp(-x4))")]
+        checked = 0
+        for _ in range(60):
+            e = rng.choice(pool) * rng.choice(pool) - rng.choice(pool)
+            point = {a: Fraction(rng.randint(1, 10 ** 6),
+                                 rng.randint(1, 10 ** 6))
+                     for a in ctx.atoms}
+            exact = evaluate_rational(e, point)
+            expected = exact.numerator * pow(exact.denominator, -1, p) % p
+            assert evaluate_rational(e, point, p) == expected
+            checked += 1
+        assert checked == 60
+
+    def test_modular_denominator_hits(self, ctx):
+        # Each denominator that vanishes only mod p is a retry, not a value:
+        # the expression's, a coefficient's and the point's.
+        p = MERSENNE_61
+        x1 = atom(ctx, "coord", 0)
+        e = ctx.parse("1/(x1 - 1)")
+        point = {x1: 1 + p}
+        assert evaluate_rational(e, point) == Fraction(1, p)
+        with pytest.raises(EvaluationError):
+            evaluate_rational(e, point, p)
+        with pytest.raises(EvaluationError):
+            evaluate_rational(ctx.rational(1, p), {}, p)
+        with pytest.raises(EvaluationError):
+            evaluate_rational(ctx.parse("x1"), {x1: Fraction(1, p)}, p)
 
     def test_randomized_soundness(self, ctx):
         # A canonically nonzero value must not vanish on 200 random samples;

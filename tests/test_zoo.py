@@ -127,6 +127,25 @@ class TestReports:
                                        "inconclusive"}
 
 
+    def test_back_substitution_guard_names_verdict(self, monkeypatch):
+        # A doctored solver witness fails the guard in classify(), and the
+        # error names the verdict it came from.
+        from curvzoo import zoo
+        from curvzoo.linsolve import InternalInconsistencyError
+        solve = zoo.solve_chaki
+
+        def doctored(*args, **kwargs):
+            out = solve(*args, **kwargs)
+            if out.consistent:
+                out.space.particular[0] = out.space.particular[0] + 1
+            return out
+
+        monkeypatch.setattr(zoo, "solve_chaki", doctored)
+        with pytest.raises(InternalInconsistencyError,
+                           match=r"^chaki\[R\]: particular solution"):
+            classify(builtin("ex5_1").to_chart(), run_oracle=False)
+
+
 class TestOracle:
     def test_zero_disagreements_on_sound_report(self, ex52_report):
         assert ex52_report.oracle.disagreements == 0
@@ -199,6 +218,19 @@ class TestOracle:
         assert summary.inconclusive == 1
         assert summary.disagreements == 0
 
+    def test_denominator_vanishing_mod_p_marks_inconclusive(self):
+        # A coefficient 1/p has no image in F_p, whatever the point: after
+        # the retry bound the identity is inconclusive, not wrong.
+        chart = builtin("flat3").to_chart()
+        ctx = chart.ctx
+        coeff = ctx.rational(1, 2 ** 61 - 1)
+        identity = Identity("unreducible", [({0: coeff}, coeff)], [ctx.one])
+        report = classify(chart, run_oracle=False)
+        report.identities = [identity]
+        summary = oracle_crosscheck(report, chart, samples=5, seed=1)
+        assert summary.inconclusive == 1
+        assert summary.disagreements == 0
+
 
 class TestCLI:
     def test_list_builtins(self, capsys):
@@ -227,6 +259,20 @@ class TestCLI:
 
     def test_bad_tensor_exit_2(self, capsys):
         assert main(["classify", "flat3", "--tensor", "Q"]) == 2
+
+    def test_deeply_nested_entry_exit_2(self, tmp_path):
+        # Parenthesis depth far past the recursion limit: a ParseError with
+        # a position, not a traceback.
+        deep = "(" * 3000 + "x1" + ")" * 3000
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps({
+            "name": "deep", "dim": 3, "coords": ["x1", "x2", "x3"],
+            "metric": [[deep], ["0", "1"], ["0", "0", "1"]]}))
+        cmd = [sys.executable, "-m", "curvzoo.cli", "classify", str(path)]
+        proc = subprocess.run(cmd, capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "position" in proc.stderr
 
     def test_internal_inconsistency_exit_1(self, monkeypatch, capsys):
         from curvzoo.linsolve import InternalInconsistencyError
