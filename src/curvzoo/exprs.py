@@ -24,15 +24,23 @@ prime p: reduction mod p is a ring homomorphism wherever the denominators it
 meets are units, so an identity that holds in the field holds mod p, and a
 nonzero value reads 0 only at a root of its numerator or when p divides it.
 
-Polynomial arithmetic and multivariate GCD are delegated to ``sympy.polys``
-sparse rings; everything above that level (grammar, canonicalization policy,
-derivatives, evaluation, printing) lives here.
+Polynomial arithmetic is delegated to ``sympy.polys`` sparse rings.  Common
+factors are cancelled by ``_cancel``: when either side is a monomial the gcd
+is the exponent-wise minimum monomial and the cofactors follow by subtracting
+exponents, with no polynomial division; otherwise sympy's multivariate gcd
+and exact quotients run in a ring over only the generators that occur in the
+two polynomials (cached on the context), since its heuristic gcd recurses
+once per ring generator.  Everything above that level (grammar,
+canonicalization policy, derivatives, evaluation, printing) lives here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import comb
+from operator import itemgetter
 from typing import Mapping, Optional, Sequence, Union
 
 from sympy.polys.domains import QQ
@@ -80,7 +88,7 @@ class Context:
     """
 
     __slots__ = ("coords", "params", "ring", "atoms", "_coord_pos",
-                 "_param_pos", "_zero", "_one", "_ints")
+                 "_param_pos", "_zero", "_one", "_ints", "_subrings")
 
     def __init__(self, coords: Sequence[str], params: Sequence[str] = ()):
         coords = tuple(coords)
@@ -109,6 +117,7 @@ class Context:
         self._zero = Expr(self, self.ring.zero, self.ring.one)
         self._one = Expr(self, self.ring.one, self.ring.one)
         self._ints = {0: self._zero, 1: self._one}
+        self._subrings: dict = {}
 
     @property
     def n(self) -> int:
@@ -181,6 +190,61 @@ class Context:
     def atom_of_gen(self, position: int) -> Atom:
         return self.atoms[position]
 
+    def _subring(self, occurring: tuple[int, ...]):
+        """The ring over the generators at the given ring positions (the
+        full ring when all occur), with maps of exponent vectors into it and
+        back into the full ring."""
+        cached = self._subrings.get(occurring)
+        if cached is None:
+            sub = (self.ring if len(occurring) == self.ring.ngens else
+                   _sympy_ring([self.ring.symbols[i] for i in occurring], QQ,
+                               order="grevlex")[0])
+            down = (itemgetter(*occurring) if len(occurring) > 1
+                    else lambda monom, i=occurring[0]: (monom[i],))
+            # Positions outside the subring read the zero appended to a
+            # subring exponent vector.
+            where = {pos: k for k, pos in enumerate(occurring)}
+            up = itemgetter(*[where.get(pos, len(occurring))
+                              for pos in range(self.ring.ngens)])
+            cached = self._subrings[occurring] = (sub, down, up)
+        return cached
+
+
+def _cancel(ctx: Context, f, g):
+    """(h, f/h, g/h) for nonzero polynomials f, g, where h is a gcd of both.
+
+    h is some associate of the gcd; ring.one when f and g are coprime.
+    Callers make the final denominator monic, so the canonical form does not
+    depend on which associate.  A monomial on either side gives the
+    exponent-wise minimum monomial with coefficient 1, and the cofactors by
+    subtracting exponents.  Otherwise the gcd and both exact quotients are
+    computed in the ring over only the generators occurring in f or g.
+    """
+    ring = ctx.ring
+    if len(f) == 1 or len(g) == 1:
+        monomial, other = (f, g) if len(f) == 1 else (g, f)
+        monom_gcd = ring.monomial_gcd
+        zero = ring.zero_monom
+        h = next(iter(monomial))
+        for monom in other:
+            h = monom_gcd(h, monom)
+            if h == zero:
+                return ring.one, f, g
+        ldiv = ring.monomial_ldiv
+        return (ring.dtype([(h, QQ.one)]),
+                ring.dtype([(ldiv(m, h), c) for m, c in f.items()]),
+                ring.dtype([(ldiv(m, h), c) for m, c in g.items()]))
+    occurring = tuple(pos for pos, column in enumerate(zip(*f, *g))
+                      if any(column))
+    sub, down, up = ctx._subring(occurring)
+    fs = sub.dtype([(down(m), c) for m, c in f.items()])
+    gs = sub.dtype([(down(m), c) for m, c in g.items()])
+    h = fs.gcd(gs)
+    if h == sub.one:
+        return ring.one, f, g
+    return tuple(ring.dtype([(up(m + (0,)), c) for m, c in p.items()])
+                 for p in (h, fs.quo(h), gs.quo(h)))
+
 
 def _normalized(ctx: Context, num, den) -> "Expr":
     """Reduce num/den to canonical form (coprime, monic denominator)."""
@@ -189,10 +253,7 @@ def _normalized(ctx: Context, num, den) -> "Expr":
     if not den:
         raise ExpressionError("division by zero expression")
     if den != ctx.ring.one:
-        g = num.gcd(den)
-        if g != ctx.ring.one:
-            num = num.quo(g)
-            den = den.quo(g)
+        _, num, den = _cancel(ctx, num, den)
         lc = den.LC
         if lc != QQ.one:
             inv = QQ.one / lc
@@ -364,21 +425,13 @@ def _add(a: Expr, b: Expr) -> Expr:
     if a.den == b.den:
         return _normalized(ctx, a.num + b.num, a.den)
     # Henrici: split common denominator factor so only that factor can cancel.
-    g = a.den.gcd(b.den)
-    if g == one:
-        num = a.num * b.den + b.num * a.den
-        if not num:
-            return ctx._zero
-        return Expr(ctx, num, a.den * b.den)  # coprime by construction
-    da = a.den.quo(g)
-    db = b.den.quo(g)
+    g, da, db = _cancel(ctx, a.den, b.den)
     num = a.num * db + b.num * da
     if not num:
         return ctx._zero
-    h = num.gcd(g)
-    if h != one:
-        num = num.quo(h)
-        g = g.quo(h)
+    if g == one:
+        return Expr(ctx, num, a.den * b.den)  # coprime by construction
+    _, num, g = _cancel(ctx, num, g)
     den = g * da * db
     lc = den.LC
     if lc != QQ.one:
@@ -397,15 +450,9 @@ def _mul(a: Expr, b: Expr) -> Expr:
         return Expr(ctx, a.num * b.num, one)
     n1, d1, n2, d2 = a.num, a.den, b.num, b.den
     if d2 != one:
-        g = n1.gcd(d2)
-        if g != one:
-            n1 = n1.quo(g)
-            d2 = d2.quo(g)
+        _, n1, d2 = _cancel(ctx, n1, d2)
     if d1 != one:
-        g = n2.gcd(d1)
-        if g != one:
-            n2 = n2.quo(g)
-            d1 = d1.quo(g)
+        _, n2, d1 = _cancel(ctx, n2, d1)
     num = n1 * n2
     den = d1 * d2
     lc = den.LC
@@ -510,13 +557,12 @@ def evaluate_rational(e: Expr, assignment: Mapping[Atom, Number],
     when an occurring atom has no value.
     """
     ctx = e.ctx
-    values: list = [None] * len(ctx.atoms)
-    for atom, val in assignment.items():
-        if isinstance(atom, Atom):
-            pos = _atom_position(ctx, atom)
-            if pos is not None:
-                values[pos] = (QQ(Fraction(val)) if modulus is None
-                               else residue(val, modulus))
+    if isinstance(assignment, PointResidues):
+        if assignment.modulus != modulus:
+            raise ValueError("residues taken modulo another number")
+        values = assignment.table(ctx)
+    else:
+        values = _atom_values(ctx, assignment, modulus)
 
     def poly_value(poly):
         total = QQ.zero if modulus is None else 0
@@ -547,6 +593,45 @@ def evaluate_rational(e: Expr, assignment: Mapping[Atom, Number],
         raise EvaluationError("denominator vanishes at the given point")
     val = poly_value(e.num) / den_val
     return Fraction(int(QQ.numer(val)), int(QQ.denom(val)))
+
+
+def _atom_values(ctx: Context, assignment: Mapping[Atom, Number],
+                 modulus: Optional[int]) -> list:
+    """The assignment as a list indexed by ring position (None: no value)."""
+    values: list = [None] * len(ctx.atoms)
+    for atom, val in assignment.items():
+        if isinstance(atom, Atom):
+            pos = _atom_position(ctx, atom)
+            if pos is not None:
+                values[pos] = (QQ(Fraction(val)) if modulus is None
+                               else residue(val, modulus))
+    return values
+
+
+class PointResidues(dict):
+    """An atom assignment reduced modulo a prime, for evaluating many
+    expressions at one point.
+
+    ``evaluate_rational(e, residues, residues.modulus)`` returns what it
+    returns for the original assignment, but reads an atom table built once
+    per context instead of reducing every value again for each expression;
+    any other modulus raises ValueError.  Raises EvaluationError when p
+    divides a value's denominator.
+    """
+
+    __slots__ = ("modulus", "_tables")
+
+    def __init__(self, assignment: Mapping[Atom, Number], modulus: int):
+        super().__init__((atom, residue(val, modulus))
+                         for atom, val in assignment.items())
+        self.modulus = modulus
+        self._tables: dict = {}
+
+    def table(self, ctx: Context) -> list:
+        values = self._tables.get(ctx)
+        if values is None:
+            values = self._tables[ctx] = _atom_values(ctx, self, self.modulus)
+        return values
 
 
 def residue(value: Number, modulus: int) -> int:
@@ -593,13 +678,29 @@ def _atom_position(ctx: Context, atom: Atom):
 # covered by the division operator; exponents are integer literals only.
 # Parentheses nest at most MAX_NESTING deep: the parser recurses once per
 # level, and deeper input is rejected with a ParseError instead of exhausting
-# the interpreter's stack.
+# the interpreter's stack.  Products, quotients, powers and exp(k*x) are
+# checked against MAX_DEGREE, and those and sums of fractions against
+# MAX_TERMS, before they are computed.
 # ---------------------------------------------------------------------------
 
 _TOKEN_OPS = set("+-*/^()")
 
 #: Deepest parenthesis nesting the parser accepts.
 MAX_NESTING = 100
+
+#: Highest total degree, in all atoms, of a product, quotient or power the
+#: parser forms, and of exp(k*x) (the atom exp(x) to the k-th power).  The
+#: degree of a fraction is that of its numerator or denominator, whichever
+#: is higher, and an operation's degree is taken before cancellation.
+MAX_DEGREE = 32
+
+#: Most terms the numerator or the denominator of a product, quotient, power
+#: or sum of fractions may have, by a bound taken before it is computed: the
+#: product of the operands' term counts, or the number of monomials of the
+#: result's degree in the atoms that occur, whichever is smaller.  The degree
+#: bound alone does not bound size: (1+x1+x2+x3+x4)^k has about k^4/24 terms,
+#: and a power of a sum of the 8 atoms of a 4-dimensional chart about k^8/8!.
+MAX_TERMS = 10_000
 
 
 def _tokenize(src: str):
@@ -656,10 +757,19 @@ class _Parser:
     def parse_sum(self) -> Expr:
         value = self.parse_product()
         while True:
-            kind, op, _ = self.peek()
+            kind, op, position = self.peek()
             if kind == "op" and op in "+-":
                 self.advance()
                 rhs = self.parse_product()
+                if value.den != rhs.den:
+                    an, ad, bn, bd = value.num, value.den, rhs.num, rhs.den
+                    _check_terms(len(an) * len(bd) + len(bn) * len(ad),
+                                 max(_degree(an) + _degree(bd),
+                                     _degree(bn) + _degree(ad)),
+                                 (an, ad, bn, bd), position)
+                    _check_terms(len(ad) * len(bd),
+                                 _degree(ad) + _degree(bd), (ad, bd),
+                                 position)
                 value = value + rhs if op == "+" else value - rhs
             else:
                 return value
@@ -671,12 +781,16 @@ class _Parser:
             if kind == "op" and op in "*/":
                 self.advance()
                 rhs = self.parse_unary()
+                rnum, rden = rhs.num, rhs.den
                 if op == "/":
                     if rhs.is_zero:
                         raise ParseError("division by zero", position)
-                    value = value / rhs
-                else:
-                    value = value * rhs
+                    rnum, rden = rden, rnum
+                for f, g in ((value.num, rnum), (value.den, rden)):
+                    degree = _degree(f) + _degree(g)
+                    _check_degree(degree, position)
+                    _check_terms(len(f) * len(g), degree, (f, g), position)
+                value = value / rhs if op == "/" else value * rhs
             else:
                 return value
 
@@ -690,13 +804,19 @@ class _Parser:
 
     def parse_power(self) -> Expr:
         base = self.parse_atom()
-        kind, op, _ = self.peek()
+        kind, op, position = self.peek()
         if kind == "op" and op == "^":
             self.advance()
             k = self.parse_int_literal("integer literal exponent expected")
             if base.is_zero and k <= 0:
                 raise ParseError("zero base with non-positive exponent",
                                  self.tokens[self.pos - 1][2])
+            for p in (base.num, base.den):
+                # Two or more terms have degree >= 1, so |k| <= MAX_DEGREE
+                # once the degree passes.
+                degree = abs(k) * _degree(p)
+                _check_degree(degree, position)
+                _check_terms(len(p) ** abs(k), degree, (p,), position)
             return _int_pow(base, k)
         return base
 
@@ -757,7 +877,30 @@ class _Parser:
         if kind != "op" or close != ")":
             raise ParseError("exp() argument must be integer * coordinate",
                              position)
+        _check_degree(abs(k), start)
         return self.ctx.exponential(value, k)
+
+
+def _degree(p) -> int:
+    return max(map(sum, p), default=0)
+
+
+def _check_degree(degree: int, position: int) -> None:
+    if degree > MAX_DEGREE:
+        raise ParseError(f"total degree {degree} exceeds {MAX_DEGREE}",
+                         position)
+
+
+def _check_terms(products: int, degree: int, polys, position: int) -> None:
+    """Raise ParseError unless a result with at most `products` terms, of
+    total degree at most `degree` in the atoms occurring in `polys`, is
+    sure to have at most MAX_TERMS terms."""
+    if products <= MAX_TERMS:
+        return
+    atoms = sum(map(any, zip(*chain.from_iterable(polys))))
+    if comb(atoms + degree, atoms) > MAX_TERMS:
+        raise ParseError(f"result may have more than {MAX_TERMS} terms",
+                         position)
 
 
 def parse_expression(src: str, ctx: Context) -> Expr:
@@ -765,8 +908,10 @@ def parse_expression(src: str, ctx: Context) -> Expr:
 
     Raises ParseError with the offending position on malformed input,
     unknown identifiers, non-integer exponents, exp() of anything other
-    than an integer multiple of a declared coordinate, or parentheses nested
-    deeper than MAX_NESTING.
+    than an integer multiple of a declared coordinate, parentheses nested
+    deeper than MAX_NESTING, a product, quotient, power or exp(k*x) of
+    total degree above MAX_DEGREE, or a product, quotient, power or sum that
+    could have more than MAX_TERMS terms in its numerator or denominator.
     """
     parser = _Parser(_tokenize(src), ctx)
     value = parser.parse_sum()

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -36,7 +37,8 @@ from .classifiers import (ClassifierVerdict, QuasiEinsteinResult,
                           solve_quasi_einstein, solve_recurrence,
                           solve_weak_Z, solve_weak_symmetry_04,
                           theorem_residual)
-from .exprs import Atom, EvaluationError, Expr, evaluate_rational, residue
+from .exprs import (Atom, EvaluationError, Expr, PointResidues,
+                    evaluate_rational)
 from .linsolve import (InternalInconsistencyError, SolutionSpace,
                        verify_solution_space)
 from .metrics import MetricSpec
@@ -71,6 +73,22 @@ class Identity:
     name: str
     rows: list
     values: list
+
+    @cached_property
+    def _indexed(self) -> tuple[list, list, list]:
+        """(distinct Exprs, values, rows) with every Expr as its index in
+        the first list and each row as ([(coefficient, value position)],
+        rhs).  Built on first use, so rows and values must not change
+        after the oracle has seen the identity."""
+        index: dict[Expr, int] = {}
+
+        def slot(e: Expr) -> int:
+            return index.setdefault(e, len(index))
+
+        values = [slot(v) for v in self.values]
+        rows = [([(slot(c), j) for j, c in coeffs.items()], slot(rhs))
+                for coeffs, rhs in self.rows]
+        return list(index), values, rows
 
 
 @dataclass
@@ -365,23 +383,25 @@ def check_identity_at(identity: Identity,
     """Evaluate every retained row at the point modulo ORACLE_PRIME.
 
     The two sides of a row are evaluated separately; each distinct Expr is
-    evaluated once.  Raises EvaluationError when a denominator vanishes mod p.
+    evaluated once, when first needed.  Raises EvaluationError when a
+    denominator vanishes mod p.
     """
-    residues = {atom: residue(value, ORACLE_PRIME)
-                for atom, value in point.items()}
-    memo: dict[Expr, int] = {}
+    distinct, value_slots, rows = identity._indexed
+    residues = PointResidues(point, ORACLE_PRIME)
+    memo: list = [None] * len(distinct)
 
-    def value_of(e: Expr) -> int:
-        v = memo.get(e)
+    def value_of(k: int) -> int:
+        v = memo[k]
         if v is None:
-            v = memo[e] = evaluate_rational(e, residues, ORACLE_PRIME)
+            v = memo[k] = evaluate_rational(distinct[k], residues,
+                                            ORACLE_PRIME)
         return v
 
-    values = [value_of(v) for v in identity.values]
-    for coeffs, rhs in identity.rows:
+    values = [value_of(k) for k in value_slots]
+    for coeffs, rhs in rows:
         total = 0
-        for j, c in coeffs.items():
-            total += value_of(c) * values[j]
+        for k, j in coeffs:
+            total += value_of(k) * values[j]
         if total % ORACLE_PRIME != value_of(rhs):
             return False
     return True

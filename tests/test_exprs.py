@@ -4,10 +4,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.polys.domains import QQ
+from sympy.polys.rings import PolyElement
 
-from curvzoo.exprs import (MAX_NESTING, Context, EvaluationError,
-                           ExpressionError, ParseError, combine,
-                           differentiate, evaluate_rational, is_zero)
+from curvzoo.charts import riemann
+from curvzoo.exprs import (MAX_DEGREE, MAX_NESTING, MAX_TERMS, Context,
+                           EvaluationError, ExpressionError, ParseError,
+                           PointResidues,
+                           _normalized, combine, differentiate,
+                           evaluate_rational, is_zero)
+from curvzoo.metrics import builtin
 
 MERSENNE_61 = 2 ** 61 - 1
 
@@ -43,6 +51,40 @@ class TestParsing:
         with pytest.raises(ParseError) as err:
             ctx.parse(deep)
         assert err.value.position == MAX_NESTING
+
+    def test_size_limits(self, ctx):
+        assert ctx.parse(f"(1+x1)^{MAX_DEGREE}") == (
+            ctx.parse(f"(1+x1)^{MAX_DEGREE - 1}") * ctx.parse("1 + x1"))
+        # Numerator and denominator degrees add separately.
+        assert ctx.parse("x1^20/x2^20") == ctx.parse("x1^20 * x2^-20")
+        assert ctx.parse(f"exp(-{MAX_DEGREE}*x1)").den == (
+            ctx.exponential("x1", MAX_DEGREE).num)
+        # C(4 + 19, 4) = 8,855 monomials of degree <= 19 in 4 atoms; at
+        # degree 20 there are 10,626.
+        assert MAX_TERMS == 10_000
+        assert len(ctx.parse("(1+x1+x2+x3+x4)^19").num) == 8855
+        # Equal denominators add without multiplying.
+        s8 = "(1+x1+x2+x3+x4+exp(x1)+exp(x2)+exp(x3)+exp(x4))"
+        t8 = "(2+x1+x2+x3+x4+exp(x1)+exp(x2)+exp(x3)+exp(x4))"
+        assert ctx.parse(f"a/{s8}^4 + 1/{s8}^4") == ctx.parse(f"(a+1)/{s8}^4")
+        # Each case is rejected before its operator runs.  In the 8 atoms of
+        # the chart, degree 16 passes MAX_DEGREE, but the power could have
+        # C(8 + 16, 8) = 735,471 terms.
+        rejected = [("(1+x1+x2+x3+x4)^200", 15, "degree"),
+                    ("((x1)^32)^32", 9, "degree"),
+                    ("x1^20*x2^20", 5, "degree"),
+                    ("x1/x2^20/x2^20", 8, "degree"),
+                    (f"x1^-{MAX_DEGREE + 1}", 2, "degree"),
+                    (f"1 + exp({MAX_DEGREE + 1}*x1)", 4, "degree"),
+                    ("(1+x1+x2+x3+x4)^20", 15, "terms"),
+                    (f"{s8}^16", 47, "terms"), (f"{s8}^32", 47, "terms"),
+                    (f"{s8}^4 * {s8}^4", 50, "terms"),
+                    (f"1/{s8}^4 + 1/{t8}^4", 52, "terms"),
+                    (f"1/{s8}^4 - a/{t8}^4", 52, "terms")]
+        for src, position, reason in rejected:
+            with pytest.raises(ParseError, match=reason) as err:
+                ctx.parse(src)
+            assert err.value.position == position
 
     def test_long_unary_minus_chain(self, ctx):
         assert ctx.parse("-" * 3000 + "x1") == ctx.parse("x1")
@@ -143,6 +185,100 @@ class TestCombine:
             u, v, w = (rng.choice(pool) for _ in range(3))
             assert (u + v) + w == u + (v + w)
             assert (u * v) * w == u * (v * w)
+
+
+# Ring positions of CANCEL_CTX's generators: x1, x2, exp(x1), exp(x2), a.
+CANCEL_CTX = Context(["x1", "x2"], ["a"])
+ALL_GENERATORS = (0, 1, 2, 3, 4)
+GENERATOR_FAMILIES = [(2,), (0, 2), (1, 4), ALL_GENERATORS]
+
+
+@st.composite
+def polynomials(draw, positions):
+    """A nonzero polynomial of 1 to 3 terms in the given generators; one
+    term is a monomial.  Over every generator, each one occurs."""
+    ring = CANCEL_CTX.ring
+    terms = {}
+    for t in range(draw(st.integers(1, 3))):
+        monom = [0] * ring.ngens
+        for pos in positions:
+            low = 1 if positions == ALL_GENERATORS and t == 0 else 0
+            monom[pos] = draw(st.integers(low, 2))
+        terms[tuple(monom)] = QQ(draw(st.integers(-5, 5).filter(bool)),
+                                 draw(st.integers(1, 4)))
+    return ring.from_dict(terms)
+
+
+@st.composite
+def fractions_with_common_factor(draw):
+    """(f*h, g*h) for polynomials f, g, h in one family of generators."""
+    positions = draw(st.sampled_from(GENERATOR_FAMILIES))
+    f, g, h = (draw(polynomials(positions)) for _ in range(3))
+    return f * h, g * h
+
+
+def reference_canonical(num, den):
+    """Cancel with PolyElement.gcd and quo in the full ring, then make the
+    denominator monic."""
+    ring = CANCEL_CTX.ring
+    if not num:
+        return ring.zero, ring.one
+    g = num.gcd(den)
+    num, den = num.quo(g), den.quo(g)
+    lc = den.LC
+    return num.quo_ground(lc), den.quo_ground(lc)
+
+
+def assert_canonical(e, num, den):
+    assert (e.num, e.den) == (num, den)
+    assert e.den.LC == QQ.one
+    assert e.num.gcd(e.den).is_ground  # a unit: coprime over Q
+
+
+CANCEL_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
+                           database=None)
+
+
+class TestCancellation:
+    """Cancellation of common factors against a full-ring reference: by
+    monomials, in the ring of the occurring generators, and over every
+    generator."""
+
+    @CANCEL_SETTINGS
+    @given(fractions_with_common_factor())
+    def test_normalized_matches_reference(self, fraction):
+        num, den = fraction
+        assert_canonical(_normalized(CANCEL_CTX, num, den),
+                         *reference_canonical(num, den))
+
+    @CANCEL_SETTINGS
+    @given(fractions_with_common_factor(), fractions_with_common_factor())
+    def test_arithmetic_matches_reference(self, first, second):
+        a = _normalized(CANCEL_CTX, *first)
+        b = _normalized(CANCEL_CTX, *second)
+        assert_canonical(a + b, *reference_canonical(
+            a.num * b.den + b.num * a.den, a.den * b.den))
+        assert_canonical(a - b, *reference_canonical(
+            a.num * b.den - b.num * a.den, a.den * b.den))
+        assert_canonical(a * b, *reference_canonical(a.num * b.num,
+                                                     a.den * b.den))
+        assert_canonical(a / b, *reference_canonical(a.num * b.den,
+                                                     a.den * b.num))
+
+    def test_ex5_4_gcds_run_in_smaller_rings(self, monkeypatch):
+        # g11 = exp(x1) + 1: no gcd should need the chart's other atoms.
+        rings = []
+        gcd = PolyElement.gcd
+
+        def spy(f, g):
+            rings.append(f.ring.ngens)
+            return gcd(f, g)
+
+        monkeypatch.setattr(PolyElement, "gcd", spy)
+        chart = builtin("ex5_4").to_chart()
+        riemann(chart)
+        assert rings
+        assert max(rings) < chart.ctx.ring.ngens
 
 
 class TestZeroTest:
@@ -247,8 +383,21 @@ class TestEvaluate:
             exact = evaluate_rational(e, point)
             expected = exact.numerator * pow(exact.denominator, -1, p) % p
             assert evaluate_rational(e, point, p) == expected
+            residues = PointResidues(point, p)
+            assert evaluate_rational(e, residues, p) == expected
             checked += 1
         assert checked == 60
+
+    def test_residues_only_at_their_modulus(self, ctx):
+        # Residues read as plain values would give a wrong result silently.
+        e = ctx.parse("x1/3")
+        residues = PointResidues({atom(ctx, "coord", 0): Fraction(1, 2)},
+                                 MERSENNE_61)
+        assert evaluate_rational(e, residues, MERSENNE_61) == (
+            pow(6, -1, MERSENNE_61))
+        for modulus in (None, 2 ** 31 - 1):
+            with pytest.raises(ValueError):
+                evaluate_rational(e, residues, modulus)
 
     def test_modular_denominator_hits(self, ctx):
         # Each denominator that vanishes only mod p is a retry, not a value:

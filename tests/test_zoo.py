@@ -12,8 +12,9 @@ from curvzoo.metrics import (BUILTINS, MetricFileError, builtin,
                              list_builtins, load_metric_file,
                              metric_spec_from_dict, resolve_metric,
                              save_metric_file)
-from curvzoo.zoo import (Identity, classify, oracle_crosscheck, random_point,
-                         render_report, report_to_dict)
+from curvzoo.zoo import (Identity, check_identity_at, classify,
+                         oracle_crosscheck, random_point, render_report,
+                         report_to_dict)
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +188,31 @@ class TestOracle:
         summary = oracle_crosscheck(report, chart, samples=25, seed=3)
         assert summary.disagreements == 0
 
+    def test_each_distinct_value_evaluated_once_per_point(self, monkeypatch):
+        # Equal Exprs built separately are one value: two points cost two
+        # evaluations of each of x1, 1 + x2 and x1*(1 + x2).
+        import random
+        from curvzoo import zoo
+        chart = builtin("flat3").to_chart()
+        ctx = chart.ctx
+        x1, y = ctx.parse("x1"), ctx.parse("1 + x2")
+        identity = Identity("product", [({0: ctx.parse("x1")}, x1 * y),
+                                        ({0: ctx.parse("x1")}, y * x1)],
+                            [ctx.parse("1 + x2")])
+        calls = []
+        evaluate = zoo.evaluate_rational
+
+        def counting(e, assignment, modulus=None):
+            calls.append(e)
+            return evaluate(e, assignment, modulus)
+
+        monkeypatch.setattr(zoo, "evaluate_rational", counting)
+        rng = random.Random(5)
+        for _ in range(2):
+            assert check_identity_at(identity,
+                                     random_point(rng, ctx.atoms))
+        assert len(calls) == 6
+
     def test_random_point_range(self):
         import random
         chart = builtin("flat3").to_chart()
@@ -273,6 +299,24 @@ class TestCLI:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "position" in proc.stderr
+
+    @pytest.mark.parametrize("entry, reason", [
+        ("(1+x1+x2+x3+x4)^200", "degree"),
+        ("((x1)^32)^32", "degree"),
+        ("(1+x1+x2+x3+x4+exp(x1)+exp(x2)+exp(x3)+exp(x4))^32", "terms")])
+    def test_blowup_entry_exit_2(self, tmp_path, entry, reason):
+        # Rejected before the power is expanded, so the command returns at
+        # once; the timeout turns a hang into a failure.
+        path = tmp_path / "blowup.json"
+        path.write_text(json.dumps({
+            "name": "blowup", "dim": 4, "coords": ["x1", "x2", "x3", "x4"],
+            "metric": [[entry], ["0", "1"], ["0", "0", "1"],
+                       ["0", "0", "0", "1"]]}))
+        cmd = [sys.executable, "-m", "curvzoo.cli", "classify", str(path)]
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert reason in proc.stderr and "position" in proc.stderr
 
     def test_internal_inconsistency_exit_1(self, monkeypatch, capsys):
         from curvzoo.linsolve import InternalInconsistencyError
