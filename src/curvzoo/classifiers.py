@@ -17,6 +17,7 @@ determinant do not vanish.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
@@ -31,8 +32,8 @@ from .charts import (Chart, OneForm, Tensor, christoffel,
                      rank_at_most, ricci, ricci_square, riemann,
                      scalar_curvature, zeros)
 from .exprs import Expr
-from .linsolve import (InternalInconsistencyError, SolutionSpace,
-                       solve_linear_system)
+from .linsolve import (Identity, InternalInconsistencyError, SolutionSpace,
+                       certify, satisfies, solve_linear_system)
 from .operators import (dot_action, dot_named, kulkarni_nomizu,
                         named_tensor, oneform_dot, tachibana,
                         tachibana_named)
@@ -40,11 +41,15 @@ from .operators import (dot_action, dot_named, kulkarni_nomizu,
 
 @dataclass
 class SolverOutcome:
-    """Affine solution set plus degeneracy information for one condition."""
+    """Affine solution set plus degeneracy information for one condition.
+
+    rows are the rows the solver consumed: all of them when consistent.
+    """
 
     space: Optional[SolutionSpace] = None
     degenerate: bool = False
     degenerate_set: str = ""
+    rows: list = field(default_factory=list)
 
     @property
     def consistent(self) -> bool:
@@ -63,11 +68,27 @@ class ClassifierVerdict:
     outcome: Optional[bool]
     witness: object = None
     notes: str = ""
-    identity: Optional[tuple] = None  # payload for randomized cross-checking
+    identity: Optional[Identity] = None  # re-checked by the oracle
 
-    @property
-    def positive(self) -> bool:
-        return self.outcome is True
+
+def _outcome_verdict(name: str, out: SolverOutcome, *notes: str,
+                     witness: object = None,
+                     certified: bool = True) -> ClassifierVerdict:
+    """The verdict on a solved condition: None outside the condition's set,
+    else whether it is consistent.  Witnessed by its solution space (or the
+    given witness) and, when certified and consistent, carrying its identity
+    after the back-substitution guard."""
+    outcome = None if out.degenerate else out.consistent
+    if out.degenerate:
+        notes = (f"outside {out.degenerate_set}",) + notes
+    if witness is None and out.consistent:
+        witness = out.space
+    verdict = ClassifierVerdict(name, outcome, witness=witness,
+                                notes=" ".join(filter(None, notes)))
+    if certified and out.consistent:
+        verdict.identity = certify(name, out.rows, out.space.particular,
+                                   out.space)
+    return verdict
 
 
 # ---------------------------------------------------------------------------
@@ -75,11 +96,31 @@ class ClassifierVerdict:
 # ---------------------------------------------------------------------------
 
 
-def nabla_cached(chart: Chart, T: Tensor, key: Optional[str] = None) -> Tensor:
+def _keyed(chart: Chart, kind: str, key: Optional[str], compute):
+    """compute(), cached on the chart under kind:key when there is a key."""
     if key is None:
-        return covariant_derivative(chart, T)
-    return chart.cached(f"nabla:{key}",
-                        lambda: covariant_derivative(chart, T))
+        return compute()
+    return chart.cached(f"{kind}:{key}", compute)
+
+
+def nabla_cached(chart: Chart, T: Tensor, key: Optional[str] = None) -> Tensor:
+    return _keyed(chart, "nabla", key, lambda: covariant_derivative(chart, T))
+
+
+def _solve(chart: Chart, rows, names: Sequence[str],
+           outside: str = "") -> SolverOutcome:
+    """Solve rows for the named unknowns, keeping the rows the solver
+    consumed; a nonempty `outside` marks the input degenerate."""
+    consumed: list = []
+
+    def recorded():
+        for row in rows:
+            consumed.append(row)
+            yield row
+
+    space = solve_linear_system(recorded(), len(names), chart.ctx, names)
+    return SolverOutcome(space, degenerate=bool(outside),
+                         degenerate_set=outside, rows=consumed)
 
 
 def resolve_tensor(chart: Chart, T: Union[Tensor, str]) -> tuple[Tensor, str]:
@@ -178,8 +219,25 @@ def classify_deszcz(chart: Chart, T: Union[Tensor, str],
                                  notes="no proportionality over the "
                                        "function field")
     return ClassifierVerdict(label, True, witness=prop.coefficient,
-                             identity=("proportional", lhs, rhs,
-                                       prop.coefficient))
+                             identity=certify(label,
+                                              _combination_rows(lhs, [rhs]),
+                                              [prop.coefficient]))
+
+
+def deszcz_verdicts(chart: Chart, tname: str) -> list[ClassifierVerdict]:
+    """semisymmetric[T], then deszcz[T;g] and deszcz[T;S]."""
+    return [ClassifierVerdict(f"semisymmetric[{tname}]",
+                              check_semisymmetric(chart, tname)),
+            classify_deszcz(chart, tname, "g"),
+            classify_deszcz(chart, tname, "S")]
+
+
+def weyl_verdicts(chart: Chart, tensors) -> list[ClassifierVerdict]:
+    """Pseudosymmetric Weyl tensor, C.C = L Q(g,C), from dimension 4."""
+    if chart.n < 4:
+        return []
+    return [classify_deszcz(chart, "C", "g", acting="C",
+                            name="weyl_pseudosymmetric")]
 
 
 # ---------------------------------------------------------------------------
@@ -209,16 +267,24 @@ def solve_chaki(chart: Chart, T: Union[Tensor, str],
     """Chaki pseudosymmetry: nabla T = 2 phi (x) T - phi_X . T, solved for phi.
 
     Componentwise: nabla_x T_I = 2 phi_x T_I + sum_m phi_{I_m} T_{I[m->x]}.
-    Degenerate (outside U_L) when nabla T = 0.
+    Degenerate (outside U_L) when nabla T = 0.  Cached on the chart under
+    the key (default: the tensor's name).
     """
     T, Tname = resolve_tensor(chart, T)
-    nablaT = nabla_cached(chart, T, key or Tname or None)
-    names = tuple(f"phi_{c}" for c in chart.ctx.coords)
-    space = solve_linear_system(_chaki_rows(chart, T, nablaT),
-                                chart.n, chart.ctx, names)
-    if nablaT.is_zero():
-        return SolverOutcome(space, degenerate=True, degenerate_set="U_L")
-    return SolverOutcome(space)
+    key = key or Tname or None
+
+    def solve():
+        nablaT = nabla_cached(chart, T, key)
+        names = tuple(f"phi_{c}" for c in chart.ctx.coords)
+        return _solve(chart, _chaki_rows(chart, T, nablaT), names,
+                      "U_L" if nablaT.is_zero() else "")
+
+    return _keyed(chart, "chaki", key, solve)
+
+
+def chaki_verdicts(chart: Chart, tname: str) -> list[ClassifierVerdict]:
+    """chaki[T], witnessed by the 1-forms phi."""
+    return [_outcome_verdict(f"chaki[{tname}]", solve_chaki(chart, tname))]
 
 
 def chaki_residual_zero(chart: Chart, T: Tensor, phi: OneForm,
@@ -251,40 +317,60 @@ def _outer_first(chart: Chart, alpha: OneForm, T: Tensor) -> Tensor:
 
 def solve_recurrence(chart: Chart, T: Union[Tensor, str],
                      key: Optional[str] = None) -> SolverOutcome:
-    """T-recurrence nabla T = pi (x) T; degenerate (outside U_L) if nabla T = 0."""
+    """T-recurrence nabla T = pi (x) T; degenerate (outside U_L) if nabla T = 0.
+
+    Cached on the chart under the key (default: the tensor's name).
+    """
     T, Tname = resolve_tensor(chart, T)
-    nablaT = nabla_cached(chart, T, key or Tname or None)
-    names = tuple(f"pi_{c}" for c in chart.ctx.coords)
+    key = key or Tname or None
 
-    def rows():
-        for idx in np.ndindex(nablaT.array.shape):
-            x, I = idx[0], idx[1:]
-            base = T.array[I]
-            coeffs = {} if base.is_zero else {x: base}
-            yield coeffs, nablaT.array[idx]
+    def solve():
+        nablaT = nabla_cached(chart, T, key)
+        names = tuple(f"pi_{c}" for c in chart.ctx.coords)
 
-    space = solve_linear_system(rows(), chart.n, chart.ctx, names)
-    if nablaT.is_zero():
-        return SolverOutcome(space, degenerate=True, degenerate_set="U_L")
-    return SolverOutcome(space)
+        def rows():
+            for idx in np.ndindex(nablaT.array.shape):
+                x, I = idx[0], idx[1:]
+                base = T.array[I]
+                coeffs = {} if base.is_zero else {x: base}
+                yield coeffs, nablaT.array[idx]
+
+        return _solve(chart, rows(), names,
+                      "U_L" if nablaT.is_zero() else "")
+
+    return _keyed(chart, "recurrence", key, solve)
+
+
+def recurrence_verdicts(chart: Chart, tname: str) -> list[ClassifierVerdict]:
+    """recurrent[T], noting whether the recurrence 1-form is closed."""
+    rec = solve_recurrence(chart, tname)
+    closed = ""
+    if rec.consistent and not rec.degenerate:
+        pi = OneForm(chart, rec.space.particular[:chart.n])
+        closed = f"closed={is_closed(chart, pi)}"
+    return [_outcome_verdict(f"recurrent[{tname}]", rec, closed,
+                             certified=False)]
+
+
+def _sparse(zero: Expr, terms) -> dict[int, Expr]:
+    """{column: sum of its values} over (column, value) terms, skipping
+    zero values."""
+    coeffs: dict[int, Expr] = {}
+    for col, val in terms:
+        if not val.is_zero:
+            coeffs[col] = coeffs.get(col, zero) + val
+    return coeffs
 
 
 def _weak04_rows(chart: Chart, T: Tensor, nablaT: Tensor):
-    n = chart.n
-    zero = chart.ctx.zero
+    n, zero, A = chart.n, chart.ctx.zero, T.array
     for idx in np.ndindex(nablaT.array.shape):
         x, (i1, i2, i3, i4) = idx[0], idx[1:]
-        coeffs: dict[int, Expr] = {}
-
-        def add(col, val):
-            if not val.is_zero:
-                coeffs[col] = coeffs.get(col, zero) + val
-
-        add(x, T.array[i1, i2, i3, i4])                 # alpha
-        add(n + i1, T.array[x, i2, i3, i4])             # beta
-        add(2 * n + i2, T.array[i1, x, i3, i4])         # beta-bar
-        add(3 * n + i3, T.array[i1, i2, x, i4])         # gamma
-        add(4 * n + i4, T.array[i1, i2, i3, x])         # gamma-bar
+        coeffs = _sparse(zero, ((x, A[i1, i2, i3, i4]),          # alpha
+                                (n + i1, A[x, i2, i3, i4]),      # beta
+                                (2 * n + i2, A[i1, x, i3, i4]),  # beta-bar
+                                (3 * n + i3, A[i1, i2, x, i4]),  # gamma
+                                (4 * n + i4, A[i1, i2, i3, x])))  # gamma-bar
         yield coeffs, nablaT.array[idx]
 
 
@@ -301,30 +387,26 @@ def solve_weak_symmetry_04(chart: Chart, T: Union[Tensor, str],
     T, Tname = resolve_tensor(chart, T)
     if T.valence != (0, 4):
         raise ValueError("weak symmetry solver expects a (0,4) tensor")
-    nablaT = nabla_cached(chart, T, key or Tname or None)
+    key = key or Tname or None
+    nablaT = nabla_cached(chart, T, key)
     names = tuple(f"{block}_{c}" for block in
                   ("alpha", "beta", "betabar", "gamma", "gammabar")
                   for c in chart.ctx.coords)
-    space = solve_linear_system(_weak04_rows(chart, T, nablaT),
-                                5 * chart.n, chart.ctx, names)
-    recurrent = solve_recurrence(chart, T, key or Tname or None)
-    if recurrent.consistent or nablaT.is_zero():
-        return SolverOutcome(space, degenerate=True, degenerate_set="U_J")
-    return SolverOutcome(space)
+    recurrent = solve_recurrence(chart, T, key)
+    return _solve(chart, _weak04_rows(chart, T, nablaT), names,
+                  "U_J" if recurrent.consistent or nablaT.is_zero() else "")
 
 
-def weak04_solution_ok(chart: Chart, T: Tensor, nablaT: Tensor,
-                       vector: Sequence[Expr]) -> bool:
-    """Re-substitute a candidate (alpha, beta, beta', gamma, gamma')."""
-    for coeffs, rhs in _weak04_rows(chart, T, nablaT):
-        acc = -rhs
-        for col, c in coeffs.items():
-            v = vector[col]
-            if not v.is_zero:
-                acc = acc + c * v
-        if not acc.is_zero:
-            return False
-    return True
+def weak_symmetry_verdicts(chart: Chart, tname: str
+                           ) -> list[ClassifierVerdict]:
+    """weak_symmetry[T] with its normalized solution, then b1-b3 of T."""
+    ws = solve_weak_symmetry_04(chart, tname)
+    witness = None
+    if ws.consistent and not ws.degenerate:
+        witness = {"space": ws.space,
+                   "normalized": normalize_weak_solution(chart, ws, tname)}
+    return [_outcome_verdict(f"weak_symmetry[{tname}]", ws, witness=witness),
+            *form_recurrence_checks(chart, tname).values()]
 
 
 def blocks_of(chart: Chart, vector: Sequence[Expr],
@@ -355,15 +437,15 @@ def normalize_weak_solution(chart: Chart, outcome: SolverOutcome,
     when T also satisfies the differential Bianchi identity the point
     (2 eps, eps x4) with eps = (alpha + 2 sigma)/4 solves, tying weak symmetry
     to Chaki pseudosymmetry.  Every emitted representative is re-verified by
-    substitution; failure raises InternalInconsistencyError.
+    substitution into the solver's rows; failure raises
+    InternalInconsistencyError.
     """
     from .operators import is_proper_gct  # local: avoid cycle at import time
 
-    T, Tname = resolve_tensor(chart, T)
+    T, _ = resolve_tensor(chart, T)
     if outcome.space is None or not outcome.space.consistent:
         raise ValueError("no weak-symmetry solution to normalize")
     n = chart.n
-    nablaT = nabla_cached(chart, T, Tname or None)
 
     pair_ok = True
     for member in [outcome.space.particular] + outcome.space.basis:
@@ -379,7 +461,7 @@ def normalize_weak_solution(chart: Chart, outcome: SolverOutcome,
     half = Fraction(1, 2)
     sigma = [half * (b + g) for b, g in zip(beta, gamma)]
     rep1 = list(alpha) + sigma * 4
-    if not weak04_solution_ok(chart, T, nablaT, rep1):
+    if not satisfies(outcome.rows, rep1):
         raise InternalInconsistencyError(
             "symmetrized weak-symmetry representative fails re-verification")
     result = WeakSymmetryNormalization(
@@ -391,7 +473,7 @@ def normalize_weak_solution(chart: Chart, outcome: SolverOutcome,
         quarter = Fraction(1, 4)
         eps = [quarter * (a + 2 * s) for a, s in zip(alpha, sigma)]
         rep2 = [2 * e for e in eps] + eps * 4
-        if not weak04_solution_ok(chart, T, nablaT, rep2):
+        if not satisfies(outcome.rows, rep2):
             raise InternalInconsistencyError(
                 "Chaki-form weak-symmetry representative fails re-verification")
         result.chaki = blocks_of(chart, rep2, 5)
@@ -432,21 +514,12 @@ def is_cyclic_parallel(chart: Chart, Z: Union[Tensor, str],
 
 
 def _weakZ_rows(chart: Chart, Z: Tensor, nablaZ: Tensor):
-    n = chart.n
-    zero = chart.ctx.zero
-    for x in range(n):
-        for i in range(n):
-            for j in range(n):
-                coeffs: dict[int, Expr] = {}
-
-                def add(col, val):
-                    if not val.is_zero:
-                        coeffs[col] = coeffs.get(col, zero) + val
-
-                add(x, Z.array[i, j])          # delta
-                add(n + i, Z.array[x, j])      # eta
-                add(2 * n + j, Z.array[i, x])  # lambda
-                yield coeffs, nablaZ.array[x, i, j]
+    n, zero, A = chart.n, chart.ctx.zero, Z.array
+    for x, i, j in np.ndindex(nablaZ.array.shape):
+        coeffs = _sparse(zero, ((x, A[i, j]),            # delta
+                                (n + i, A[x, j]),        # eta
+                                (2 * n + j, A[i, x])))   # lambda
+        yield coeffs, nablaZ.array[x, i, j]
 
 
 @dataclass
@@ -474,36 +547,44 @@ def solve_weak_Z(chart: Chart, Z: Union[Tensor, str],
     nablaZ = nabla_cached(chart, Z, key)
     names = tuple(f"{blk}_{c}" for blk in ("delta", "eta", "lam")
                   for c in chart.ctx.coords)
-    space = solve_linear_system(_weakZ_rows(chart, Z, nablaZ),
-                                3 * chart.n, chart.ctx, names)
     rec = solve_recurrence(chart, Z, key)
-    outcome = SolverOutcome(space)
-    if rec.consistent or nablaZ.is_zero():
-        outcome = SolverOutcome(space, degenerate=True, degenerate_set="U_Q")
+    outcome = _solve(chart, _weakZ_rows(chart, Z, nablaZ), names,
+                     "U_Q" if rec.consistent or nablaZ.is_zero() else "")
     result = WeakZResult(outcome,
                          codazzi=is_codazzi(chart, Z, key),
                          cyclic_parallel=is_cyclic_parallel(chart, Z, key))
     symmetric = bool(np.all(Z.array == Z.array.T))
-    if space.consistent and symmetric and not Z.is_zero():
-        result.reductions = _weakZ_reductions(chart, Z, nablaZ, space,
+    if outcome.consistent and symmetric and not Z.is_zero():
+        result.reductions = _weakZ_reductions(chart, Z, outcome,
                                               result.codazzi,
                                               result.cyclic_parallel)
     return result
 
 
-def _weakZ_reductions(chart: Chart, Z: Tensor, nablaZ: Tensor,
-                      space: SolutionSpace, codazzi: bool,
-                      cyclic: bool) -> dict:
+def weak_Z_verdicts(chart: Chart, tname: str) -> list[ClassifierVerdict]:
+    """weak_Z[T] with its reductions, codazzi[T], cyclic_parallel[T], b4[T]."""
+    wz = solve_weak_Z(chart, tname)
+    reductions = ("reductions=" + json.dumps(wz.reductions, sort_keys=True)
+                  if wz.reductions else "")
+    return [_outcome_verdict(f"weak_Z[{tname}]", wz.outcome, reductions),
+            ClassifierVerdict(f"codazzi[{tname}]", wz.codazzi),
+            ClassifierVerdict(f"cyclic_parallel[{tname}]",
+                              wz.cyclic_parallel),
+            form_recurrence_b4(chart, tname)]
+
+
+def _weakZ_reductions(chart: Chart, Z: Tensor, outcome: SolverOutcome,
+                      codazzi: bool, cyclic: bool) -> dict:
     n = chart.n
     half = Fraction(1, 2)
+    space = outcome.space
     particular = space.particular
     delta = particular[:n]
     eta = particular[n:2 * n]
     lam = particular[2 * n:3 * n]
     nu = [half * (e + l) for e, l in zip(eta, lam)]
     averaged = list(delta) + nu + nu
-    reductions = {"averaged_point_solves":
-                  _weakZ_solution_ok(chart, Z, nablaZ, averaged)}
+    reductions = {"averaged_point_solves": satisfies(outcome.rows, averaged)}
     rank_gt_one = not rank_at_most(Z, 1)
     if rank_gt_one:
         reductions["eta_equals_lambda"] = all(
@@ -521,49 +602,19 @@ def _weakZ_reductions(chart: Chart, Z: Tensor, nablaZ: Tensor,
     return reductions
 
 
-def _weakZ_solution_ok(chart: Chart, Z: Tensor, nablaZ: Tensor,
-                       vector: Sequence[Expr]) -> bool:
-    for coeffs, rhs in _weakZ_rows(chart, Z, nablaZ):
-        acc = -rhs
-        for col, c in coeffs.items():
-            if not vector[col].is_zero:
-                acc = acc + c * vector[col]
-        if not acc.is_zero:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Recurrent curvature forms: the four classical conditions.
 # ---------------------------------------------------------------------------
 
 
-def _cyclic3_nabla(chart: Chart, T: Tensor, nablaT: Tensor):
-    """Components of the cyclic sum nabla_h T_ijkl + nabla_i T_jhkl + nabla_j T_hikl."""
-    n = chart.n
-    for h in range(n):
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for l in range(n):
-                        yield (h, i, j, k, l), (
-                            nablaT.array[h, i, j, k, l]
-                            + nablaT.array[i, j, h, k, l]
-                            + nablaT.array[j, h, i, k, l])
-
-
-def _cyclic3_alpha_coeffs(chart: Chart, T: Tensor, h, i, j, k, l):
-    zero = chart.ctx.zero
-    coeffs: dict[int, Expr] = {}
-
-    def add(col, val):
-        if not val.is_zero:
-            coeffs[col] = coeffs.get(col, zero) + val
-
-    add(h, T.array[i, j, k, l])
-    add(i, T.array[j, h, k, l])
-    add(j, T.array[h, i, k, l])
-    return coeffs
+def _cyclic3_rows(chart: Chart, T: Tensor, nablaT: Tensor):
+    """Rows alpha_h T_ijkl + alpha_i T_jhkl + alpha_j T_hikl
+    = nabla_h T_ijkl + nabla_i T_jhkl + nabla_j T_hikl."""
+    zero, A, N = chart.ctx.zero, T.array, nablaT.array
+    for h, i, j, k, l in np.ndindex(N.shape):
+        yield (_sparse(zero, ((h, A[i, j, k, l]), (i, A[j, h, k, l]),
+                              (j, A[h, i, k, l]))),
+               N[h, i, j, k, l] + N[i, j, h, k, l] + N[j, h, i, k, l])
 
 
 def form_recurrence_checks(chart: Chart, T: Union[Tensor, str],
@@ -584,32 +635,19 @@ def form_recurrence_checks(chart: Chart, T: Union[Tensor, str],
         return {name: ClassifierVerdict(f"{name}[{label}]", None, notes=note)
                 for name in ("b1", "b2", "b3")}
 
-    b1 = all(v.is_zero for _, v in _cyclic3_nabla(chart, T, nablaT))
-
-    def hom_rows():
-        for (h, i, j, k, l), _ in _cyclic3_nabla(chart, T, nablaT):
-            yield _cyclic3_alpha_coeffs(chart, T, h, i, j, k, l), chart.ctx.zero
-
+    rows = list(_cyclic3_rows(chart, T, nablaT))
     names = tuple(f"alpha_{c}" for c in chart.ctx.coords)
-    hom = solve_linear_system(hom_rows(), chart.n, chart.ctx, names)
+    zero = chart.ctx.zero
+    hom = solve_linear_system([(coeffs, zero) for coeffs, _ in rows],
+                              chart.n, chart.ctx, names)
     b2_holds = hom.consistent and hom.dimension >= 1
-
-    def inhom_rows():
-        for (h, i, j, k, l), rhs in _cyclic3_nabla(chart, T, nablaT):
-            yield _cyclic3_alpha_coeffs(chart, T, h, i, j, k, l), rhs
-
-    inhom = solve_linear_system(inhom_rows(), chart.n, chart.ctx, names)
-
-    verdicts = {
-        "b1": ClassifierVerdict(f"b1[{label}]", b1),
+    return {
+        "b1": ClassifierVerdict(f"b1[{label}]",
+                                all(rhs.is_zero for _, rhs in rows)),
         "b2": ClassifierVerdict(f"b2[{label}]", b2_holds,
                                 witness=hom if b2_holds else None),
-        "b3": ClassifierVerdict(f"b3[{label}]", inhom.consistent,
-                                witness=inhom if inhom.consistent else None),
+        "b3": _outcome_verdict(f"b3[{label}]", _solve(chart, rows, names)),
     }
-    if inhom.consistent:
-        verdicts["b3"].identity = ("linear_rows", list(inhom_rows()), inhom)
-    return verdicts
 
 
 def form_recurrence_b4(chart: Chart, Z: Union[Tensor, str],
@@ -639,12 +677,7 @@ def form_recurrence_b4(chart: Chart, Z: Union[Tensor, str],
                     yield coeffs, rhs
 
     names = tuple(f"alpha_{c}" for c in chart.ctx.coords)
-    space = solve_linear_system(rows(), n, chart.ctx, names)
-    verdict = ClassifierVerdict(f"b4[{label}]", space.consistent,
-                                witness=space if space.consistent else None)
-    if space.consistent:
-        verdict.identity = ("linear_rows", list(rows()), space)
-    return verdict
+    return _outcome_verdict(f"b4[{label}]", _solve(chart, rows(), names))
 
 
 # ---------------------------------------------------------------------------
@@ -666,14 +699,16 @@ def solve_linear_combination(target: Tensor, generators: Sequence[Tensor],
     for gen in generators:
         if gen.valence != target.valence:
             raise ValueError("generators must match the target valence")
+    return solve_linear_system(_combination_rows(target, generators),
+                               len(generators), chart.ctx, names)
 
-    def rows():
-        for idx in np.ndindex(target.array.shape):
-            coeffs = {i: g.array[idx] for i, g in enumerate(generators)
-                      if not g.array[idx].is_zero}
-            yield coeffs, target.array[idx]
 
-    return solve_linear_system(rows(), len(generators), chart.ctx, names)
+def _combination_rows(target: Tensor, generators: Sequence[Tensor]):
+    """Rows of target = sum_i c_i generator_i, one per component."""
+    for idx in np.ndindex(target.array.shape):
+        coeffs = {i: g.array[idx] for i, g in enumerate(generators)
+                  if not g.array[idx].is_zero}
+        yield coeffs, target.array[idx]
 
 
 def roter_generators(chart: Chart) -> tuple[list[Tensor], list[str]]:
@@ -695,26 +730,28 @@ def generalized_roter_generators(chart: Chart) -> tuple[list[Tensor], list[str]]
 
 def classify_roter(chart: Chart) -> ClassifierVerdict:
     """R = N1 g^g + N2 g^S + N3 S^S over the function field."""
-    gens, names = roter_generators(chart)
-    space = solve_linear_combination(riemann(chart), gens, names)
-    verdict = ClassifierVerdict("roter", space.consistent,
-                                witness=space if space.consistent else None)
-    if space.consistent:
-        verdict.identity = ("combination", riemann(chart), gens,
-                            space.particular)
-    return verdict
+    return _decomposition_verdict(chart, "roter", *roter_generators(chart))
 
 
 def classify_generalized_roter(chart: Chart) -> ClassifierVerdict:
     """R as a combination of S^S, S^S2, g^S, g^S2, g^g, S2^S2."""
-    gens, names = generalized_roter_generators(chart)
-    space = solve_linear_combination(riemann(chart), gens, names)
-    verdict = ClassifierVerdict("generalized_roter", space.consistent,
-                                witness=space if space.consistent else None)
-    if space.consistent:
-        verdict.identity = ("combination", riemann(chart), gens,
-                            space.particular)
+    return _decomposition_verdict(chart, "generalized_roter",
+                                  *generalized_roter_generators(chart))
+
+
+def _decomposition_verdict(chart: Chart, name: str,
+                           generators: Sequence[Tensor],
+                           names: Sequence[str]) -> ClassifierVerdict:
+    out = _solve(chart, _combination_rows(riemann(chart), generators), names)
+    verdict = _outcome_verdict(name, out, certified=False)
+    if out.consistent:  # certified without the back-substitution guard
+        verdict.identity = certify(name, out.rows, out.space.particular)
     return verdict
+
+
+def roter_verdicts(chart: Chart, tensors) -> list[ClassifierVerdict]:
+    """roter, then generalized_roter."""
+    return [classify_roter(chart), classify_generalized_roter(chart)]
 
 
 # ---------------------------------------------------------------------------
@@ -908,6 +945,24 @@ def solve_quasi_einstein(chart: Chart) -> QuasiEinsteinResult:
                                    roots=roots)
     return QuasiEinsteinResult(found=False, roots=roots,
                                notes="no root yields a factorable rank-1 part")
+
+
+def quasi_einstein_verdicts(chart: Chart, tensors) -> list[ClassifierVerdict]:
+    """quasi_einstein, certified by S = alpha g + beta eta (x) eta on the
+    upper triangle when the chart is quasi-Einstein but not Einstein."""
+    qe = solve_quasi_einstein(chart)
+    verdict = ClassifierVerdict("quasi_einstein", qe.found, witness=qe,
+                                notes=qe.notes)
+    if qe.found and not qe.einstein:
+        S, g, n = ricci(chart), chart.metric_tensor(), chart.n
+        rows = [({0: g.array[i, j], 1: qe.eta[i] * qe.eta[j]}, S.array[i, j])
+                for i in range(n) for j in range(i, n)]
+        values = [qe.alpha, qe.beta]
+        verdict.identity = certify(
+            "quasi_einstein", rows, values,
+            SolutionSpace(names=("alpha", "beta"), particular=values,
+                          ctx=chart.ctx))
+    return [verdict]
 
 
 # ---------------------------------------------------------------------------
@@ -1118,6 +1173,22 @@ def theorem_residual(chart: Chart, T: Union[Tensor, str], alpha: OneForm,
                     out[idx] = out[idx] - 2 * d * tval
     return Tensor(chart, (0, k + 2), out)
 
+
+def theorem_verdicts(chart: Chart, tensors) -> list[ClassifierVerdict]:
+    """theorem_identity[T] for each tensor with a Chaki solution phi: the
+    curvature identity for alpha = 2 phi, pi = phi."""
+    verdicts = []
+    for tname in tensors:
+        chaki = solve_chaki(chart, tname)
+        if not chaki.consistent or chaki.degenerate:
+            continue
+        phi = OneForm(chart, chaki.space.particular[:chart.n])
+        alpha = OneForm(chart, [2 * p for p in phi])
+        residual = theorem_residual(chart, tname, alpha, phi)
+        verdicts.append(ClassifierVerdict(
+            f"theorem_identity[{tname}]", residual.is_zero(),
+            notes="R.T = 2 d(2phi) (x) T + Q(J,T) for the Chaki 1-form"))
+    return verdicts
 
 
 @dataclass

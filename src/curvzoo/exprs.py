@@ -39,8 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import comb
-from operator import itemgetter
+from math import comb, lcm
+from operator import and_, itemgetter
 from typing import Mapping, Optional, Sequence, Union
 
 from sympy.polys.domains import QQ
@@ -217,8 +217,9 @@ def _cancel(ctx: Context, f, g):
     Callers make the final denominator monic, so the canonical form does not
     depend on which associate.  A monomial on either side gives the
     exponent-wise minimum monomial with coefficient 1, and the cofactors by
-    subtracting exponents.  Otherwise the gcd and both exact quotients are
-    computed in the ring over only the generators occurring in f or g.
+    subtracting exponents.  Polynomials with no generator in common are
+    coprime.  Otherwise the gcd and both exact quotients are computed in the
+    ring over only the generators occurring in f or g.
     """
     ring = ctx.ring
     if len(f) == 1 or len(g) == 1:
@@ -234,8 +235,12 @@ def _cancel(ctx: Context, f, g):
         return (ring.dtype([(h, QQ.one)]),
                 ring.dtype([(ldiv(m, h), c) for m, c in f.items()]),
                 ring.dtype([(ldiv(m, h), c) for m, c in g.items()]))
-    occurring = tuple(pos for pos, column in enumerate(zip(*f, *g))
-                      if any(column))
+    in_f = [any(column) for column in zip(*f)]
+    in_g = [any(column) for column in zip(*g)]
+    if not any(map(and_, in_f, in_g)):
+        return ring.one, f, g
+    occurring = tuple(pos for pos, (a, b) in enumerate(zip(in_f, in_g))
+                      if a or b)
     sub, down, up = ctx._subring(occurring)
     fs = sub.dtype([(down(m), c) for m, c in f.items()])
     gs = sub.dtype([(down(m), c) for m, c in g.items()])
@@ -680,7 +685,8 @@ def _atom_position(ctx: Context, atom: Atom):
 # level, and deeper input is rejected with a ParseError instead of exhausting
 # the interpreter's stack.  Products, quotients, powers and exp(k*x) are
 # checked against MAX_DEGREE, and those and sums of fractions against
-# MAX_TERMS, before they are computed.
+# MAX_TERMS, before they are computed; integer literals, and products,
+# quotients and powers, against MAX_COEFF_BITS.
 # ---------------------------------------------------------------------------
 
 _TOKEN_OPS = set("+-*/^()")
@@ -702,6 +708,17 @@ MAX_DEGREE = 32
 #: and a power of a sum of the 8 atoms of a 4-dimensional chart about k^8/8!.
 MAX_TERMS = 10_000
 
+#: Most bits of an integer literal, and of the coefficients of a product,
+#: quotient or power by a bound taken before it is computed.  Write a
+#: polynomial p as P/D, with D the common denominator of its coefficients,
+#: and let b(p) be the bits of its largest coefficient numerator plus those
+#: of D, which bounds the bits of P and of D.  A product's bound is
+#: b(f) + b(g) + log2(min(len(f), len(g))), a k-th power's k (b(p) +
+#: log2(len(p))).  Degree 0 escapes MAX_DEGREE, so without this bound
+#: ((2^32)^32)^32 would reach 32,769 bits, past the 4,300 decimal digits
+#: that Python converts to a string.
+MAX_COEFF_BITS = 1024
+
 
 def _tokenize(src: str):
     tokens = []  # (kind, value, position)
@@ -715,7 +732,15 @@ def _tokenize(src: str):
             j = i
             while j < size and src[j].isdigit():
                 j += 1
-            tokens.append(("int", int(src[i:j]), i))
+            # d significant digits make at least 10^(d-1) > 2^(3(d-1)), so
+            # only a literal that may be within the bound is converted.
+            digits = src[i:j].lstrip("0") or "0"
+            value = (int(digits) if 3 * (len(digits) - 1) < MAX_COEFF_BITS
+                     else None)
+            if value is None or value.bit_length() > MAX_COEFF_BITS:
+                raise ParseError(f"integer literal exceeds {MAX_COEFF_BITS} "
+                                 "bits", i)
+            tokens.append(("int", value, i))
             i = j
             continue
         if ch.isalpha() or ch == "_":
@@ -790,6 +815,9 @@ class _Parser:
                     degree = _degree(f) + _degree(g)
                     _check_degree(degree, position)
                     _check_terms(len(f) * len(g), degree, (f, g), position)
+                    _check_bits(_coeff_bits(f) + _coeff_bits(g)
+                                + (min(len(f), len(g)) - 1).bit_length(),
+                                position)
                 value = value / rhs if op == "/" else value * rhs
             else:
                 return value
@@ -817,6 +845,8 @@ class _Parser:
                 degree = abs(k) * _degree(p)
                 _check_degree(degree, position)
                 _check_terms(len(p) ** abs(k), degree, (p,), position)
+                _check_bits(abs(k) * (_coeff_bits(p)
+                                      + (len(p) - 1).bit_length()), position)
             return _int_pow(base, k)
         return base
 
@@ -891,6 +921,20 @@ def _check_degree(degree: int, position: int) -> None:
                          position)
 
 
+def _coeff_bits(p) -> int:
+    """b(p) of MAX_COEFF_BITS: the bits of the largest numerator among p's
+    coefficients plus those of their common denominator (0 for p = 0)."""
+    den = lcm(*(int(QQ.denom(c)) for c in p.values()))
+    return (max((int(QQ.numer(c)).bit_length() for c in p.values()),
+                default=0) + (den - 1).bit_length())
+
+
+def _check_bits(bits: int, position: int) -> None:
+    if bits > MAX_COEFF_BITS:
+        raise ParseError(f"coefficients may exceed {MAX_COEFF_BITS} bits",
+                         position)
+
+
 def _check_terms(products: int, degree: int, polys, position: int) -> None:
     """Raise ParseError unless a result with at most `products` terms, of
     total degree at most `degree` in the atoms occurring in `polys`, is
@@ -910,8 +954,10 @@ def parse_expression(src: str, ctx: Context) -> Expr:
     unknown identifiers, non-integer exponents, exp() of anything other
     than an integer multiple of a declared coordinate, parentheses nested
     deeper than MAX_NESTING, a product, quotient, power or exp(k*x) of
-    total degree above MAX_DEGREE, or a product, quotient, power or sum that
-    could have more than MAX_TERMS terms in its numerator or denominator.
+    total degree above MAX_DEGREE, a product, quotient, power or sum that
+    could have more than MAX_TERMS terms in its numerator or denominator, or
+    an integer literal, product, quotient or power whose coefficients could
+    exceed MAX_COEFF_BITS bits.
     """
     parser = _Parser(_tokenize(src), ctx)
     value = parser.parse_sum()

@@ -6,14 +6,22 @@ sparse and reduced incrementally against a maintained reduced echelon basis,
 which keeps intermediate expressions small; pivoting is by fixed column order
 so results are deterministic.  The solution set is returned as an affine
 space: one particular solution plus a basis of the homogeneous kernel.
+Every verdict that rests on a solve is certified by certify(): the solution
+is back-substituted into the rows it came from, and the rows are kept as an
+Identity for the randomized oracle (see zoo).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 from .exprs import Context, Expr
+
+#: Rows an Identity keeps for the oracle.
+MAX_IDENTITY_COMPONENTS = 48
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -59,13 +67,36 @@ class SolutionSpace:
         return solve_linear_system(rows(), len(self.basis),
                                    self.ctx).consistent
 
-    def members(self) -> Iterable[list[Expr]]:
-        """Particular solution followed by particular + each basis vector."""
-        if not self.consistent:
-            return
-        yield list(self.particular)
-        for b in self.basis:
-            yield [p + h for p, h in zip(self.particular, b)]
+
+@dataclass
+class Identity:
+    """One certified linear identity: sum_j coeff_j * value_j = rhs, per row.
+
+    rows hold (coefficient-map, rhs) pairs exactly as the generating linear
+    system produced them; values is the certified solution vector.  The
+    oracle checks each retained row at random rational points by evaluating
+    coefficients, values and rhs independently.
+    """
+
+    name: str
+    rows: list
+    values: list
+
+    @cached_property
+    def _indexed(self) -> tuple[list, list, list]:
+        """(distinct Exprs, values, rows) with every Expr as its index in
+        the first list and each row as ([(coefficient, value position)],
+        rhs).  Built on first use, so rows and values must not change
+        after the oracle has seen the identity."""
+        index: dict[Expr, int] = {}
+
+        def slot(e: Expr) -> int:
+            return index.setdefault(e, len(index))
+
+        values = [slot(v) for v in self.values]
+        rows = [([(slot(c), j) for j, c in coeffs.items()], slot(rhs))
+                for coeffs, rhs in self.rows]
+        return list(index), values, rows
 
 
 def solve_linear_system(rows: Iterable[tuple[dict[int, Expr], Expr]],
@@ -176,9 +207,23 @@ def solve_dense(matrix: Sequence[Sequence[Expr]], rhs: Sequence[Expr],
     return solve_linear_system(rows(), n_unknowns, ctx, names)
 
 
+def satisfies(rows: Iterable[tuple[dict[int, Expr], Expr]],
+              vector: Sequence[Expr], homogeneous: bool = False) -> bool:
+    """Back-substitution: every row's residual sum_j coeff_j vector_j - rhs
+    vanishes (with rhs taken as zero when homogeneous)."""
+    for coeffs, rhs in rows:
+        acc = rhs.ctx.zero if homogeneous else -rhs
+        for j, c in coeffs.items():
+            if not c.is_zero and not vector[j].is_zero:
+                acc = acc + c * vector[j]
+        if not acc.is_zero:
+            return False
+    return True
+
+
 def verify_solution_space(space: SolutionSpace,
-                          rows: Iterable[tuple[dict[int, Expr], Expr]],
-                          ctx: Context) -> None:
+                          rows: Iterable[tuple[dict[int, Expr], Expr]]
+                          ) -> None:
     """Back-substitute the particular solution and basis into the system.
 
     By linearity this certifies every member of the affine space.  Raises
@@ -186,19 +231,30 @@ def verify_solution_space(space: SolutionSpace,
     """
     if not space.consistent:
         return
-    for coeffs, rhs in rows:
-        acc = -rhs
-        for j, c in coeffs.items():
-            if not c.is_zero and not space.particular[j].is_zero:
-                acc = acc + c * space.particular[j]
-        if not acc.is_zero:
-            raise InternalInconsistencyError(
-                "particular solution fails back-substitution")
-        for vec in space.basis:
-            acc = ctx.zero
-            for j, c in coeffs.items():
-                if not c.is_zero and not vec[j].is_zero:
-                    acc = acc + c * vec[j]
-            if not acc.is_zero:
-                raise InternalInconsistencyError(
-                    "homogeneous basis vector fails back-substitution")
+    rows = list(rows)
+    if not satisfies(rows, space.particular):
+        raise InternalInconsistencyError(
+            "particular solution fails back-substitution")
+    if not all(satisfies(rows, vec, homogeneous=True) for vec in space.basis):
+        raise InternalInconsistencyError(
+            "homogeneous basis vector fails back-substitution")
+
+
+def certify(name: str, rows: Iterable[tuple[dict[int, Expr], Expr]],
+            values: Sequence[Expr],
+            guard: Optional[SolutionSpace] = None) -> Identity:
+    """The identity that certifies verdict `name`: its first
+    MAX_IDENTITY_COMPONENTS rows that are not 0 = 0, with values.
+
+    With a guard space, that space is first back-substituted into every row
+    (InternalInconsistencyError, naming the verdict, on failure).
+    """
+    if guard is not None:
+        rows = list(rows)
+        try:
+            verify_solution_space(guard, rows)
+        except InternalInconsistencyError as err:
+            raise InternalInconsistencyError(f"{name}: {err}") from None
+    kept = ((c, r) for c, r in rows if c or not r.is_zero)
+    return Identity(name, list(islice(kept, MAX_IDENTITY_COMPONENTS)),
+                    list(values))

@@ -16,6 +16,11 @@ from .charts import Chart, build_chart
 from .exprs import Context, ExpressionError
 
 
+#: Largest dimension a metric file may declare.  The battery's tensors are
+#: dense: R.R alone has n^6 components, 15,625 at n = 5 and 262,144 at n = 8.
+MAX_DIM = 8
+
+
 class MetricFileError(ValueError):
     """Malformed metric definition (schema or expression errors)."""
 
@@ -129,9 +134,9 @@ def metric_spec_from_dict(data: dict, origin: str = "metric") -> MetricSpec:
     if not isinstance(name, str) or not name:
         raise _schema_error(f"{origin}.name", "expected a nonempty string")
     dim = data["dim"]
-    if not isinstance(dim, int) or dim < 3:
-        raise _schema_error(f"{origin}.dim",
-                            "dimension must be an integer >= 3")
+    if not isinstance(dim, int) or not 3 <= dim <= MAX_DIM:
+        raise _schema_error(f"{origin}.dim", "dimension must be an integer "
+                                             f"from 3 to {MAX_DIM}")
     coords = data["coords"]
     if (not isinstance(coords, list) or len(coords) != dim
             or not all(isinstance(c, str) for c in coords)):

@@ -1,10 +1,11 @@
 """Classification reports and the randomized identity oracle.
 
-classify() runs a fixed, deterministic battery of classifiers on a chart and
-collects verdicts with symbolic witnesses.  Every positive verdict carries
-the linear identity that certifies it; oracle_crosscheck() re-evaluates those
-identities at seeded random rational points reduced modulo the prime
-p = 2^61 - 1 and counts disagreements.  Atoms are algebraically independent,
+classify() runs the classifier battery declared in BATTERY, in its fixed
+order, on a chart and collects verdicts with symbolic witnesses.  Every
+positive verdict carries the linear identity that certifies it (see
+linsolve.certify); oracle_crosscheck() re-evaluates those identities at
+seeded random rational points reduced modulo the prime p = 2^61 - 1 and
+counts disagreements.  Atoms are algebraically independent,
 so independent substitution is a sound randomized zero test, and reduction
 mod p is a ring homomorphism: a true identity never disagrees, so a nonzero
 count means a canonicalization or solver bug, never a sampling artifact.  A
@@ -20,27 +21,20 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-import numpy as np
-
-from .charts import (Chart, OneForm, Tensor, is_closed, ricci, riemann,
-                     scalar_curvature)
+from .charts import Chart, OneForm, riemann, scalar_curvature
+# The *_verdicts functions are the entries of BATTERY, looked up by name.
 from .classifiers import (ClassifierVerdict, QuasiEinsteinResult,
-                          SolverOutcome, WeakSymmetryNormalization,
-                          check_semisymmetric, classify_deszcz,
-                          classify_generalized_roter, classify_roter,
-                          form_recurrence_b4, form_recurrence_checks,
-                          normalize_weak_solution, solve_chaki,
-                          solve_quasi_einstein, solve_recurrence,
-                          solve_weak_Z, solve_weak_symmetry_04,
-                          theorem_residual)
+                          WeakSymmetryNormalization, chaki_verdicts,
+                          deszcz_verdicts, quasi_einstein_verdicts,
+                          recurrence_verdicts, roter_verdicts,
+                          theorem_verdicts, weak_symmetry_verdicts,
+                          weak_Z_verdicts, weyl_verdicts)
 from .exprs import (Atom, EvaluationError, Expr, PointResidues,
                     evaluate_rational)
-from .linsolve import (InternalInconsistencyError, SolutionSpace,
-                       verify_solution_space)
+from .linsolve import Identity, SolutionSpace
 from .metrics import MetricSpec
 from .operators import (check_gct, check_second_bianchi, named_tensor,
                         walker_cyclic_check)
@@ -52,43 +46,11 @@ DEFAULT_SAMPLES = 50
 DEFAULT_SEED = 42
 GRID_MAX = 10 ** 6
 MAX_DENOMINATOR_RETRIES = 1000
-MAX_IDENTITY_COMPONENTS = 48
 #: The Mersenne prime 2^61 - 1; the oracle compares both sides in F_p.
 ORACLE_PRIME = 2 ** 61 - 1
 
 ALL_TENSORS = ("R", "C", "K", "conh", "P", "S")
 DEFAULT_TENSORS = ("R", "S")
-
-
-@dataclass
-class Identity:
-    """One certified linear identity: sum_j coeff_j * value_j = rhs, per row.
-
-    rows hold (coefficient-map, rhs) pairs exactly as the generating linear
-    system produced them; values is the certified solution vector.  The
-    oracle checks each retained row at random rational points, reduced mod
-    ORACLE_PRIME, by evaluating coefficients, values and rhs independently.
-    """
-
-    name: str
-    rows: list
-    values: list
-
-    @cached_property
-    def _indexed(self) -> tuple[list, list, list]:
-        """(distinct Exprs, values, rows) with every Expr as its index in
-        the first list and each row as ([(coefficient, value position)],
-        rhs).  Built on first use, so rows and values must not change
-        after the oracle has seen the identity."""
-        index: dict[Expr, int] = {}
-
-        def slot(e: Expr) -> int:
-            return index.setdefault(e, len(index))
-
-        values = [slot(v) for v in self.values]
-        rows = [([(slot(c), j) for j, c in coeffs.items()], slot(rhs))
-                for coeffs, rhs in self.rows]
-        return list(index), values, rows
 
 
 @dataclass
@@ -128,71 +90,48 @@ class Report:
 # ---------------------------------------------------------------------------
 
 
-def _space_rows_identity(name: str, rows: list, space: SolutionSpace
-                         ) -> Optional[Identity]:
-    if not space.consistent:
-        return None
-    return Identity(name, rows, list(space.particular))
+def curvature_verdicts(chart: Chart, tensors) -> list[ClassifierVerdict]:
+    """kappa, then the algebraic (GCT) axioms, the second Bianchi identity
+    and Walker's cyclic identity of R."""
+    kappa = scalar_curvature(chart)
+    R = riemann(chart)
+    axioms = check_gct(R)
+    return [ClassifierVerdict("kappa", True, witness=kappa),
+            ClassifierVerdict("gct_axioms[R]", all(axioms.values()),
+                              witness=dict(axioms)),
+            ClassifierVerdict("second_bianchi[R]",
+                              check_second_bianchi(chart, R)),
+            ClassifierVerdict("walker[R]", walker_cyclic_check(chart, R))]
 
 
-def _proportional_identity(name: str, lhs: Tensor, rhs: Tensor,
-                           coefficient: Expr) -> Identity:
-    rows = []
-    for idx in np.ndindex(rhs.array.shape):
-        r, l = rhs.array[idx], lhs.array[idx]
-        if r.is_zero and l.is_zero:
-            continue
-        rows.append(({0: r}, l))
-        if len(rows) >= MAX_IDENTITY_COMPONENTS:
-            break
-    return Identity(name, rows, [coefficient])
+def gct_verdicts(chart: Chart, tname: str) -> list[ClassifierVerdict]:
+    """gct_axioms[T] of a (0,4) tensor other than R (whose axioms
+    curvature_verdicts reports)."""
+    if tname == "R":
+        return []
+    axioms = check_gct(named_tensor(chart, tname))
+    return [ClassifierVerdict(f"gct_axioms[{tname}]", all(axioms.values()),
+                              witness=dict(axioms))]
 
 
-def _combination_identity(name: str, target: Tensor,
-                          generators: Sequence[Tensor],
-                          coefficients: Sequence[Expr]) -> Identity:
-    rows = []
-    for idx in np.ndindex(target.array.shape):
-        coeffs = {j: g.array[idx] for j, g in enumerate(generators)
-                  if not g.array[idx].is_zero}
-        rhs = target.array[idx]
-        if not coeffs and rhs.is_zero:
-            continue
-        rows.append((coeffs, rhs))
-        if len(rows) >= MAX_IDENTITY_COMPONENTS:
-            break
-    return Identity(name, rows, list(coefficients))
-
-
-def _verdict_identity(verdict: ClassifierVerdict) -> Optional[Identity]:
-    payload = verdict.identity
-    if payload is None:
-        return None
-    kind = payload[0]
-    if kind == "proportional":
-        _, lhs, rhs, coeff = payload
-        return _proportional_identity(verdict.name, lhs, rhs, coeff)
-    if kind == "combination":
-        _, target, gens, coeffs = payload
-        return _combination_identity(verdict.name, target, gens, coeffs)
-    if kind == "linear_rows":
-        _, rows, space = payload
-        kept = [(c, r) for c, r in rows
-                if c or not r.is_zero][:MAX_IDENTITY_COMPONENTS]
-        return _space_rows_identity(verdict.name, kept, space)
-    raise ValueError(f"unknown identity payload {kind!r}")
-
-
-def _outcome_of(solver: SolverOutcome) -> Optional[bool]:
-    if solver.degenerate:
-        return None
-    return solver.consistent
-
-
-def _solver_notes(solver: SolverOutcome) -> str:
-    if solver.degenerate:
-        return f"outside {solver.degenerate_set}"
-    return ""
+#: The battery in report order: chart entries, then entries run for each
+#: selected tensor in turn (those whose valence matches; ANY matches every
+#: tensor), then chart entries again.  A chart entry is called as
+#: fn(chart, tensors), a tensor entry as fn(chart, tname); both return
+#: finished verdicts.  Functions are looked up by name in this module when
+#: classify() runs.
+ANY = "any"
+BATTERY = (
+    ("chart", ("curvature_verdicts",)),
+    ("tensor", (((0, 4), "gct_verdicts"),
+                (ANY, "deszcz_verdicts"),
+                (ANY, "chaki_verdicts"),
+                (ANY, "recurrence_verdicts"),
+                ((0, 4), "weak_symmetry_verdicts"),
+                ((0, 2), "weak_Z_verdicts"))),
+    ("chart", ("weyl_verdicts", "quasi_einstein_verdicts", "roter_verdicts",
+               "theorem_verdicts")),
+)
 
 
 def classify(spec_or_chart: Union[MetricSpec, Chart],
@@ -201,7 +140,7 @@ def classify(spec_or_chart: Union[MetricSpec, Chart],
              oracle_samples: int = DEFAULT_SAMPLES,
              seed: int = DEFAULT_SEED,
              run_oracle: bool = True) -> Report:
-    """Run the classifier battery in a fixed order and assemble a Report.
+    """Run the classifier battery (BATTERY) and assemble a Report.
 
     checks filters verdicts by name prefix (None = everything); tensors
     selects which of R, C, K, conh, P, S the tensor-parameterized classifiers
@@ -217,150 +156,23 @@ def classify(spec_or_chart: Union[MetricSpec, Chart],
             raise ValueError(f"unknown tensor selector {t!r}")
 
     verdicts: list[ClassifierVerdict] = []
-
-    def emit(verdict: ClassifierVerdict):
-        if checks is None or any(verdict.name.startswith(c) for c in checks):
-            payload = verdict.identity
-            if payload is not None and payload[0] == "linear_rows":
-                _, rows, space = payload
-                try:
-                    verify_solution_space(space, rows, chart.ctx)
-                except InternalInconsistencyError as err:
-                    raise InternalInconsistencyError(
-                        f"{verdict.name}: {err}") from None
-            verdicts.append(verdict)
-
-    from .classifiers import (_chaki_rows, _weak04_rows, _weakZ_rows,
-                              nabla_cached)
-
-    kappa = scalar_curvature(chart)
-    emit(ClassifierVerdict("kappa", True, witness=kappa))
-
-    R = riemann(chart)
-    axioms = check_gct(R)
-    emit(ClassifierVerdict("gct_axioms[R]", all(axioms.values()),
-                           witness=dict(axioms)))
-    emit(ClassifierVerdict("second_bianchi[R]",
-                           check_second_bianchi(chart, R)))
-    emit(ClassifierVerdict("walker[R]", walker_cyclic_check(chart, R)))
-
-    chaki_solutions: list[tuple[str, OneForm]] = []
-
-    for tname in tensors:
-        T = named_tensor(chart, tname)
-        if tname != "R" and T.valence == (0, 4):
-            ax = check_gct(T)
-            emit(ClassifierVerdict(f"gct_axioms[{tname}]", all(ax.values()),
-                                   witness=dict(ax)))
-        emit(ClassifierVerdict(f"semisymmetric[{tname}]",
-                               check_semisymmetric(chart, tname)))
-        for wname in ("g", "S"):
-            emit(classify_deszcz(chart, tname, wname,
-                                 name=f"deszcz[{tname};{wname}]"))
-
-        chaki = solve_chaki(chart, tname, key=tname)
-        verdict = ClassifierVerdict(
-            f"chaki[{tname}]", _outcome_of(chaki),
-            witness=chaki.space if chaki.consistent else None,
-            notes=_solver_notes(chaki))
-        if chaki.consistent:
-            rows = list(_chaki_rows(chart, T,
-                                    nabla_cached(chart, T, tname)))
-            verdict.identity = ("linear_rows", rows, chaki.space)
-        emit(verdict)
-        if chaki.consistent and not chaki.degenerate:
-            phi = OneForm(chart, chaki.space.particular[:chart.n])
-            chaki_solutions.append((tname, phi))
-
-        rec = solve_recurrence(chart, tname, key=tname)
-        notes = _solver_notes(rec)
-        if rec.consistent and not rec.degenerate:
-            pi = OneForm(chart, rec.space.particular[:chart.n])
-            notes = (notes + " " if notes else "") + \
-                f"closed={is_closed(chart, pi)}"
-        emit(ClassifierVerdict(f"recurrent[{tname}]", _outcome_of(rec),
-                               witness=rec.space if rec.consistent else None,
-                               notes=notes))
-
-        if T.valence == (0, 4):
-            ws = solve_weak_symmetry_04(chart, tname, key=tname)
-            notes = _solver_notes(ws)
-            witness: object = ws.space if ws.space.consistent else None
-            if ws.consistent and not ws.degenerate:
-                norm = normalize_weak_solution(chart, ws, tname)
-                witness = {"space": ws.space, "normalized": norm}
-            ws_verdict = ClassifierVerdict(f"weak_symmetry[{tname}]",
-                                           _outcome_of(ws), witness=witness,
-                                           notes=notes)
-            if ws.consistent:
-                rows = list(_weak04_rows(chart, T,
-                                         nabla_cached(chart, T, tname)))
-                ws_verdict.identity = ("linear_rows", rows, ws.space)
-            emit(ws_verdict)
-            bcs = form_recurrence_checks(chart, tname, key=tname)
-            for bname in ("b1", "b2", "b3"):
-                emit(bcs[bname])
-        else:
-            wz = solve_weak_Z(chart, tname, key=tname)
-            notes = _solver_notes(wz.outcome)
-            if wz.reductions:
-                notes = (notes + " " if notes else "") + \
-                    "reductions=" + json.dumps(wz.reductions, sort_keys=True)
-            wz_verdict = ClassifierVerdict(
-                f"weak_Z[{tname}]", _outcome_of(wz.outcome),
-                witness=wz.outcome.space if wz.outcome.consistent else None,
-                notes=notes)
-            if wz.outcome.consistent:
-                rows = list(_weakZ_rows(chart, T,
-                                        nabla_cached(chart, T, tname)))
-                wz_verdict.identity = ("linear_rows", rows, wz.outcome.space)
-            emit(wz_verdict)
-            emit(ClassifierVerdict(f"codazzi[{tname}]", wz.codazzi))
-            emit(ClassifierVerdict(f"cyclic_parallel[{tname}]",
-                                   wz.cyclic_parallel))
-            emit(form_recurrence_b4(chart, tname, key=tname))
-
-    if chart.n >= 4:
-        emit(classify_deszcz(chart, "C", "g", acting="C",
-                             name="weyl_pseudosymmetric"))
-
-    qe = solve_quasi_einstein(chart)
-    qe_verdict = ClassifierVerdict("quasi_einstein", qe.found, witness=qe,
-                                   notes=qe.notes)
-    if qe.found and not qe.einstein:
-        S = ricci(chart)
-        g = chart.metric_tensor()
-        rows = []
-        for i in range(chart.n):
-            for j in range(i, chart.n):
-                rows.append(({0: g.array[i, j],
-                              1: qe.eta[i] * qe.eta[j]}, S.array[i, j]))
-        qe_verdict.identity = (
-            "linear_rows", rows,
-            SolutionSpace(names=("alpha", "beta"),
-                          particular=[qe.alpha, qe.beta],
-                          ctx=chart.ctx))
-    emit(qe_verdict)
-
-    emit(classify_roter(chart))
-    emit(classify_generalized_roter(chart))
-
-    for tname, phi in chaki_solutions:
-        alpha = OneForm(chart, [2 * p for p in phi])
-        residual = theorem_residual(chart, tname, alpha, phi)
-        emit(ClassifierVerdict(f"theorem_identity[{tname}]",
-                               residual.is_zero(),
-                               notes="R.T = 2 d(2phi) (x) T + Q(J,T) for the "
-                                     "Chaki 1-form"))
-
-    identities = []
-    for v in verdicts:
-        ident = _verdict_identity(v)
-        if ident is not None:
-            identities.append(ident)
+    for scope, entries in BATTERY:
+        if scope == "chart":
+            for name in entries:
+                verdicts += globals()[name](chart, tensors)
+            continue
+        for tname in tensors:
+            valence = named_tensor(chart, tname).valence
+            for selector, name in entries:
+                if selector in (ANY, valence):
+                    verdicts += globals()[name](chart, tname)
+    if checks is not None:
+        verdicts = [v for v in verdicts
+                    if any(v.name.startswith(c) for c in checks)]
 
     report = Report(chart_name=chart.name, dim=chart.n, verdicts=verdicts,
-                    identities=identities)
+                    identities=[v.identity for v in verdicts
+                                if v.identity is not None])
     if run_oracle:
         report.oracle = oracle_crosscheck(report, chart,
                                           samples=oracle_samples, seed=seed)

@@ -10,7 +10,8 @@ from sympy.polys.domains import QQ
 from sympy.polys.rings import PolyElement
 
 from curvzoo.charts import riemann
-from curvzoo.exprs import (MAX_DEGREE, MAX_NESTING, MAX_TERMS, Context,
+from curvzoo.exprs import (MAX_COEFF_BITS, MAX_DEGREE, MAX_NESTING,
+                           MAX_TERMS, Context,
                            EvaluationError, ExpressionError, ParseError,
                            PointResidues,
                            _normalized, combine, differentiate,
@@ -67,9 +68,14 @@ class TestParsing:
         s8 = "(1+x1+x2+x3+x4+exp(x1)+exp(x2)+exp(x3)+exp(x4))"
         t8 = "(2+x1+x2+x3+x4+exp(x1)+exp(x2)+exp(x3)+exp(x4))"
         assert ctx.parse(f"a/{s8}^4 + 1/{s8}^4") == ctx.parse(f"(a+1)/{s8}^4")
-        # Each case is rejected before its operator runs.  In the 8 atoms of
-        # the chart, degree 16 passes MAX_DEGREE, but the power could have
-        # C(8 + 16, 8) = 735,471 terms.
+        assert MAX_COEFF_BITS == 1024
+        widest = 2 ** MAX_COEFF_BITS - 1
+        assert ctx.parse(str(widest)) == ctx.integer(widest)
+        assert ctx.parse("0" * 5000 + "7") == ctx.integer(7)
+        # Each case is rejected before its operator runs, or a literal
+        # before it is converted.  In the 8 atoms of the chart, degree 16
+        # passes MAX_DEGREE, but the power could have C(8 + 16, 8) = 735,471
+        # terms.
         rejected = [("(1+x1+x2+x3+x4)^200", 15, "degree"),
                     ("((x1)^32)^32", 9, "degree"),
                     ("x1^20*x2^20", 5, "degree"),
@@ -80,7 +86,12 @@ class TestParsing:
                     (f"{s8}^16", 47, "terms"), (f"{s8}^32", 47, "terms"),
                     (f"{s8}^4 * {s8}^4", 50, "terms"),
                     (f"1/{s8}^4 + 1/{t8}^4", 52, "terms"),
-                    (f"1/{s8}^4 - a/{t8}^4", 52, "terms")]
+                    (f"1/{s8}^4 - a/{t8}^4", 52, "terms"),
+                    ("((2^32)^32)^32 * x1", 7, "bits"),
+                    ("x1 + " + "1" * 5000, 5, "bits"),
+                    (str(widest + 1), 0, "bits"),
+                    ("2^512 * 2^512", 6, "bits"),
+                    ("x1 / (2^512 * x2 + 1) / (2^512 * x2 + 3)", 22, "bits")]
         for src, position, reason in rejected:
             with pytest.raises(ParseError, match=reason) as err:
                 ctx.parse(src)
@@ -191,6 +202,8 @@ class TestCombine:
 CANCEL_CTX = Context(["x1", "x2"], ["a"])
 ALL_GENERATORS = (0, 1, 2, 3, 4)
 GENERATOR_FAMILIES = [(2,), (0, 2), (1, 4), ALL_GENERATORS]
+#: Numerator and denominator generators with none in common.
+DISJOINT_FAMILIES = [((0,), (2,)), ((0, 2), (1, 3)), ((4,), (0, 1, 2, 3))]
 
 
 @st.composite
@@ -215,6 +228,17 @@ def fractions_with_common_factor(draw):
     positions = draw(st.sampled_from(GENERATOR_FAMILIES))
     f, g, h = (draw(polynomials(positions)) for _ in range(3))
     return f * h, g * h
+
+
+@st.composite
+def fractions_without_common_generator(draw):
+    """(f, g) for polynomials f, g in disjoint families of generators."""
+    num_positions, den_positions = draw(st.sampled_from(DISJOINT_FAMILIES))
+    return draw(polynomials(num_positions)), draw(polynomials(den_positions))
+
+
+FRACTIONS = st.one_of(fractions_with_common_factor(),
+                      fractions_without_common_generator())
 
 
 def reference_canonical(num, den):
@@ -245,14 +269,14 @@ class TestCancellation:
     generator."""
 
     @CANCEL_SETTINGS
-    @given(fractions_with_common_factor())
+    @given(FRACTIONS)
     def test_normalized_matches_reference(self, fraction):
         num, den = fraction
         assert_canonical(_normalized(CANCEL_CTX, num, den),
                          *reference_canonical(num, den))
 
     @CANCEL_SETTINGS
-    @given(fractions_with_common_factor(), fractions_with_common_factor())
+    @given(FRACTIONS, FRACTIONS)
     def test_arithmetic_matches_reference(self, first, second):
         a = _normalized(CANCEL_CTX, *first)
         b = _normalized(CANCEL_CTX, *second)
@@ -279,6 +303,23 @@ class TestCancellation:
         riemann(chart)
         assert rings
         assert max(rings) < chart.ctx.ring.ngens
+
+
+    def test_disjoint_operands_skip_gcd(self, ctx, monkeypatch):
+        # 2 and 495 terms in 9 generators with none in common: coprime
+        # without a gcd.
+        calls = []
+        gcd = PolyElement.gcd
+
+        def spy(f, g):
+            calls.append(f.ring.ngens)
+            return gcd(f, g)
+
+        monkeypatch.setattr(PolyElement, "gcd", spy)
+        s8 = "(1+x1+x2+x3+x4+exp(x1)+exp(x2)+exp(x3)+exp(x4))"
+        e = ctx.parse(f"(a+1)/{s8}^4")
+        assert calls == []
+        assert (len(e.num), len(e.den)) == (2, 495)
 
 
 class TestZeroTest:

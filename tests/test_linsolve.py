@@ -66,7 +66,7 @@ def test_random_systems_roundtrip(ctx):
         assert space.contains(solution)
         rows = [({j: c for j, c in enumerate(row)}, r)
                 for row, r in zip(matrix, rhs)]
-        verify_solution_space(space, rows, ctx)
+        verify_solution_space(space, rows)
 
 
 def test_verify_catches_corruption(ctx):
@@ -74,7 +74,7 @@ def test_verify_catches_corruption(ctx):
     space = solve_dense([[ctx.one]], [x1], ctx)
     space.particular[0] = x1 + 1
     with pytest.raises(InternalInconsistencyError):
-        verify_solution_space(space, [({0: ctx.one}, x1)], ctx)
+        verify_solution_space(space, [({0: ctx.one}, x1)])
 
 
 def test_duplicate_rows_skipped(ctx):

@@ -3,18 +3,21 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from curvzoo.charts import scalar_curvature
 from curvzoo.cli import main
-from curvzoo.metrics import (BUILTINS, MetricFileError, builtin,
+from curvzoo.metrics import (BUILTINS, MAX_DIM, MetricFileError, builtin,
                              list_builtins, load_metric_file,
                              metric_spec_from_dict, resolve_metric,
                              save_metric_file)
-from curvzoo.zoo import (Identity, check_identity_at, classify,
+from curvzoo.zoo import (ALL_TENSORS, Identity, check_identity_at, classify,
                          oracle_crosscheck, random_point, render_report,
                          report_to_dict)
+
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference"
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +41,12 @@ class TestMetricFiles:
         data = {"name": "bad", "dim": 2, "coords": ["x", "y"],
                 "metric": [["1"], ["0", "1"]]}
         with pytest.raises(MetricFileError, match="dim"):
+            metric_spec_from_dict(data)
+
+    def test_dimension_cap(self):
+        assert MAX_DIM == 8
+        data = {"name": "big", "dim": 1000, "coords": [], "metric": []}
+        with pytest.raises(MetricFileError, match=r"^metric\.dim: .* 3 to 8"):
             metric_spec_from_dict(data)
 
     def test_schema_violation_path(self):
@@ -130,10 +139,11 @@ class TestReports:
 
     def test_back_substitution_guard_names_verdict(self, monkeypatch):
         # A doctored solver witness fails the guard in classify(), and the
-        # error names the verdict it came from.
-        from curvzoo import zoo
+        # error names the verdict it came from.  The battery's Chaki entry
+        # looks the solver up in classifiers.
+        from curvzoo import classifiers
         from curvzoo.linsolve import InternalInconsistencyError
-        solve = zoo.solve_chaki
+        solve = classifiers.solve_chaki
 
         def doctored(*args, **kwargs):
             out = solve(*args, **kwargs)
@@ -141,10 +151,37 @@ class TestReports:
                 out.space.particular[0] = out.space.particular[0] + 1
             return out
 
-        monkeypatch.setattr(zoo, "solve_chaki", doctored)
+        monkeypatch.setattr(classifiers, "solve_chaki", doctored)
         with pytest.raises(InternalInconsistencyError,
                            match=r"^chaki\[R\]: particular solution"):
             classify(builtin("ex5_1").to_chart(), run_oracle=False)
+
+
+class TestBattery:
+    @pytest.mark.parametrize("name", ["ex5_1", "ex5_2", "flat4"])
+    def test_all_tensors_match_reference(self, name):
+        # Every branch of the battery: (0,4) and (0,2) tensors, gct_axioms
+        # of tensors other than R, weyl_pseudosymmetric.
+        report = classify(builtin(name), tensors=ALL_TENSORS,
+                          oracle_samples=1, seed=42)
+        expected = (REFERENCE / "zoo-all-tensors" / f"{name}.json").read_text(
+            encoding="utf-8")
+        assert render_report(report, "json") == expected
+
+    def test_checks_select_a_prefix_filtered_run(self):
+        chart = builtin("ex5_1").to_chart()
+        full = report_to_dict(classify(chart, run_oracle=False))["verdicts"]
+        for checks in (["chaki", "theorem"], ["theorem"]):
+            report = classify(builtin("ex5_1"), checks=checks,
+                              run_oracle=False)
+            assert report_to_dict(report)["verdicts"] == [
+                v for v in full
+                if any(v["classifier"].startswith(c) for c in checks)]
+            assert [i.name for i in report.identities] == [
+                v.name for v in report.verdicts if v.identity is not None]
+        # theorem_identity still finds the Chaki solutions it rests on.
+        assert [v.name for v in report.verdicts] == [
+            "theorem_identity[R]", "theorem_identity[S]"]
 
 
 class TestOracle:
@@ -285,6 +322,13 @@ class TestCLI:
 
     def test_bad_tensor_exit_2(self, capsys):
         assert main(["classify", "flat3", "--tensor", "Q"]) == 2
+
+    def test_dimension_past_cap_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"name": "big", "dim": 1000,
+                                    "coords": [], "metric": []}))
+        assert main(["classify", str(path)]) == 2
+        assert f"{path}.dim" in capsys.readouterr().err
 
     def test_deeply_nested_entry_exit_2(self, tmp_path):
         # Parenthesis depth far past the recursion limit: a ParseError with
