@@ -490,7 +490,8 @@ def covariant_derivative(chart: Chart, T: Tensor) -> Tensor:
 
 
 def nabla_riemann(chart: Chart) -> Tensor:
-    return chart.cached("nabla_riemann",
+    """nabla R, cached under the name R like any named tensor's nabla."""
+    return chart.cached("nabla:R",
                         lambda: covariant_derivative(chart, riemann(chart)))
 
 

@@ -34,9 +34,8 @@ from .charts import (Chart, OneForm, Tensor, christoffel,
 from .exprs import Expr
 from .linsolve import (Identity, InternalInconsistencyError, SolutionSpace,
                        certify, satisfies, solve_linear_system)
-from .operators import (dot_action, dot_named, kulkarni_nomizu,
-                        named_tensor, oneform_dot, tachibana,
-                        tachibana_named)
+from .operators import (dot_named, kulkarni_nomizu, named_tensor,
+                        oneform_dot, tachibana_named)
 
 
 @dataclass
@@ -96,15 +95,17 @@ def _outcome_verdict(name: str, out: SolverOutcome, *notes: str,
 # ---------------------------------------------------------------------------
 
 
-def _keyed(chart: Chart, kind: str, key: Optional[str], compute):
-    """compute(), cached on the chart under kind:key when there is a key."""
-    if key is None:
+def _keyed(chart: Chart, kind: str, T: Union[Tensor, str], compute):
+    """compute(), cached on the chart under kind:T when T is a tensor name."""
+    if not isinstance(T, str):
         return compute()
-    return chart.cached(f"{kind}:{key}", compute)
+    return chart.cached(f"{kind}:{T}", compute)
 
 
-def nabla_cached(chart: Chart, T: Tensor, key: Optional[str] = None) -> Tensor:
-    return _keyed(chart, "nabla", key, lambda: covariant_derivative(chart, T))
+def nabla_cached(chart: Chart, T: Union[Tensor, str]) -> Tensor:
+    """nabla T, cached on the chart when T is a tensor name."""
+    return _keyed(chart, "nabla", T, lambda: covariant_derivative(
+        chart, resolve_tensor(chart, T)[0]))
 
 
 def _solve(chart: Chart, rows, names: Sequence[str],
@@ -170,21 +171,14 @@ def solve_proportionality(lhs: Tensor, rhs: Tensor) -> ProportionalityResult:
 
 
 def check_semisymmetric(chart: Chart, T: Union[Tensor, str],
-                        acting: Union[Tensor, str, None] = None) -> bool:
+                        acting: Union[Tensor, str] = "R") -> bool:
     """B . T = 0 with B the acting curvature tensor (default R)."""
-    if isinstance(T, str):
-        aname = acting if isinstance(acting, str) else \
-            ("R" if acting is None else None)
-        if aname is not None:
-            return dot_named(chart, aname, T).is_zero()
-    T, _ = resolve_tensor(chart, T)
-    B = riemann(chart) if acting is None else resolve_tensor(chart, acting)[0]
-    return dot_action(B, T).is_zero()
+    return dot_named(chart, acting, T).is_zero()
 
 
 def classify_deszcz(chart: Chart, T: Union[Tensor, str],
                     W: Union[Tensor, str] = "g",
-                    acting: Union[Tensor, str, None] = None,
+                    acting: Union[Tensor, str] = "R",
                     name: str = "") -> ClassifierVerdict:
     """Deszcz-type pseudosymmetry: B.T = L * Q(W,T).
 
@@ -194,19 +188,8 @@ def classify_deszcz(chart: Chart, T: Union[Tensor, str],
     """
     Wname = W if isinstance(W, str) else "W"
     Tname = T if isinstance(T, str) else ""
-    aname = acting if isinstance(acting, str) else \
-        ("R" if acting is None else None)
-    if isinstance(T, str) and isinstance(W, str) and aname is not None:
-        lhs = dot_named(chart, aname, T)
-        rhs = tachibana_named(chart, W, T)
-    else:
-        if isinstance(W, str):
-            W = named_tensor(chart, W)
-        Tt, Tname = resolve_tensor(chart, T)
-        B = (riemann(chart) if acting is None
-             else resolve_tensor(chart, acting)[0])
-        lhs = dot_action(B, Tt)
-        rhs = tachibana(W, Tt)
+    lhs = dot_named(chart, acting, T)
+    rhs = tachibana_named(chart, W, T)
     prop = solve_proportionality(lhs, rhs)
     label = name or f"deszcz[{Tname or 'T'};{Wname}]"
     uset = "U_T" if Wname == "g" else "U_G"
@@ -241,45 +224,67 @@ def weyl_verdicts(chart: Chart, tensors) -> list[ClassifierVerdict]:
 
 
 # ---------------------------------------------------------------------------
-# Chaki pseudosymmetry, weak symmetry, recurrence.
+# The weak-symmetry family.  Chaki pseudosymmetry, recurrence, Tamassy-Binh
+# weak symmetry and weak Z symmetry are one condition,
+#   nabla_X T(X1..Xk) = A(X) T(X1..Xk) + sum_m B_m(X_m) T(X1..X..Xk),
+# with A = 2 phi, B_m = phi (Chaki); A = pi, no B_m (recurrence);
+# A = alpha, B = beta, beta-bar, gamma, gamma-bar (weak symmetry, (0,4));
+# A = delta, B = eta, lambda (weak Z, (0,2)).
 # ---------------------------------------------------------------------------
 
 
-def _chaki_rows(chart: Chart, T: Tensor, nablaT: Tensor):
-    k = T.valence[1]
-    two = chart.ctx.integer(2)
+def _sparse(terms) -> dict[int, Expr]:
+    """{column: sum of its values} over (column, value) terms, skipping
+    zero values."""
+    coeffs: dict[int, Expr] = {}
+    for col, val in terms:
+        if not val.is_zero:
+            coeffs[col] = coeffs[col] + val if col in coeffs else val
+    return coeffs
+
+
+def _slot_rows(chart: Chart, T: Tensor, nablaT: Tensor, first: int,
+               blocks: Sequence[int]):
+    """Rows of nabla_x T_I = first a_x T_I + sum_m b_{blocks[m]}(I_m)
+    T_{I[m->x]}, in unknowns of n columns per block; a is block 0."""
+    n, A = chart.n, T.array
     for idx in np.ndindex(nablaT.array.shape):
         x, I = idx[0], idx[1:]
-        coeffs: dict[int, Expr] = {}
-        base = T.array[I]
-        if not base.is_zero:
-            coeffs[x] = coeffs.get(x, chart.ctx.zero) + two * base
-        for m in range(k):
-            t = T.array[I[:m] + (x,) + I[m + 1:]]
-            if not t.is_zero:
-                j = I[m]
-                coeffs[j] = coeffs.get(j, chart.ctx.zero) + t
-        yield coeffs, nablaT.array[idx]
+        base = A[I]
+        if first != 1 and not base.is_zero:
+            base = first * base
+        terms = [(x, base)] + [(b * n + I[m], A[I[:m] + (x,) + I[m + 1:]])
+                               for m, b in enumerate(blocks)]
+        yield _sparse(terms), nablaT.array[idx]
 
 
-def solve_chaki(chart: Chart, T: Union[Tensor, str],
-                key: Optional[str] = None) -> SolverOutcome:
+def _solve_family(chart: Chart, T: Union[Tensor, str],
+                  prefixes: Sequence[str], first: int,
+                  blocks: Sequence[int], uset: str) -> SolverOutcome:
+    """Solve the family condition (see _slot_rows) for the 1-forms named by
+    prefixes.  Degenerate (outside uset) when nabla T = 0 for U_L, and when
+    T is recurrent (parallel included) for U_J and U_Q."""
+    nablaT = nabla_cached(chart, T)
+    names = tuple(f"{p}_{c}" for p in prefixes for c in chart.ctx.coords)
+    outside = (nablaT.is_zero() if uset == "U_L"
+               else solve_recurrence(chart, T).consistent)
+    return _solve(chart, _slot_rows(chart, resolve_tensor(chart, T)[0],
+                                    nablaT, first, blocks),
+                  names, uset if outside else "")
+
+
+def solve_chaki(chart: Chart, T: Union[Tensor, str]) -> SolverOutcome:
     """Chaki pseudosymmetry: nabla T = 2 phi (x) T - phi_X . T, solved for phi.
 
     Componentwise: nabla_x T_I = 2 phi_x T_I + sum_m phi_{I_m} T_{I[m->x]}.
     Degenerate (outside U_L) when nabla T = 0.  Cached on the chart under
-    the key (default: the tensor's name).
+    the tensor's name.
     """
-    T, Tname = resolve_tensor(chart, T)
-    key = key or Tname or None
-
     def solve():
-        nablaT = nabla_cached(chart, T, key)
-        names = tuple(f"phi_{c}" for c in chart.ctx.coords)
-        return _solve(chart, _chaki_rows(chart, T, nablaT), names,
-                      "U_L" if nablaT.is_zero() else "")
+        k = resolve_tensor(chart, T)[0].valence[1]
+        return _solve_family(chart, T, ("phi",), 2, (0,) * k, "U_L")
 
-    return _keyed(chart, "chaki", key, solve)
+    return _keyed(chart, "chaki", T, solve)
 
 
 def chaki_verdicts(chart: Chart, tname: str) -> list[ClassifierVerdict]:
@@ -315,30 +320,13 @@ def _outer_first(chart: Chart, alpha: OneForm, T: Tensor) -> Tensor:
     return Tensor(chart, (0, k + 1), out)
 
 
-def solve_recurrence(chart: Chart, T: Union[Tensor, str],
-                     key: Optional[str] = None) -> SolverOutcome:
+def solve_recurrence(chart: Chart, T: Union[Tensor, str]) -> SolverOutcome:
     """T-recurrence nabla T = pi (x) T; degenerate (outside U_L) if nabla T = 0.
 
-    Cached on the chart under the key (default: the tensor's name).
+    Cached on the chart under the tensor's name.
     """
-    T, Tname = resolve_tensor(chart, T)
-    key = key or Tname or None
-
-    def solve():
-        nablaT = nabla_cached(chart, T, key)
-        names = tuple(f"pi_{c}" for c in chart.ctx.coords)
-
-        def rows():
-            for idx in np.ndindex(nablaT.array.shape):
-                x, I = idx[0], idx[1:]
-                base = T.array[I]
-                coeffs = {} if base.is_zero else {x: base}
-                yield coeffs, nablaT.array[idx]
-
-        return _solve(chart, rows(), names,
-                      "U_L" if nablaT.is_zero() else "")
-
-    return _keyed(chart, "recurrence", key, solve)
+    return _keyed(chart, "recurrence", T, lambda: _solve_family(
+        chart, T, ("pi",), 1, (), "U_L"))
 
 
 def recurrence_verdicts(chart: Chart, tname: str) -> list[ClassifierVerdict]:
@@ -352,30 +340,8 @@ def recurrence_verdicts(chart: Chart, tname: str) -> list[ClassifierVerdict]:
                              certified=False)]
 
 
-def _sparse(zero: Expr, terms) -> dict[int, Expr]:
-    """{column: sum of its values} over (column, value) terms, skipping
-    zero values."""
-    coeffs: dict[int, Expr] = {}
-    for col, val in terms:
-        if not val.is_zero:
-            coeffs[col] = coeffs.get(col, zero) + val
-    return coeffs
-
-
-def _weak04_rows(chart: Chart, T: Tensor, nablaT: Tensor):
-    n, zero, A = chart.n, chart.ctx.zero, T.array
-    for idx in np.ndindex(nablaT.array.shape):
-        x, (i1, i2, i3, i4) = idx[0], idx[1:]
-        coeffs = _sparse(zero, ((x, A[i1, i2, i3, i4]),          # alpha
-                                (n + i1, A[x, i2, i3, i4]),      # beta
-                                (2 * n + i2, A[i1, x, i3, i4]),  # beta-bar
-                                (3 * n + i3, A[i1, i2, x, i4]),  # gamma
-                                (4 * n + i4, A[i1, i2, i3, x])))  # gamma-bar
-        yield coeffs, nablaT.array[idx]
-
-
-def solve_weak_symmetry_04(chart: Chart, T: Union[Tensor, str],
-                           key: Optional[str] = None) -> SolverOutcome:
+def solve_weak_symmetry_04(chart: Chart,
+                           T: Union[Tensor, str]) -> SolverOutcome:
     """Tamassy-Binh weak symmetry of a (0,4) tensor:
 
     nabla_X T(X1..X4) = alpha(X) T(..) + beta(X1) T(X,..) + beta'(X2) T(..X..)
@@ -384,17 +350,10 @@ def solve_weak_symmetry_04(chart: Chart, T: Union[Tensor, str],
     solved for the five 1-forms (5n unknowns).  Degenerate (outside U_J) when
     T is recurrent (including parallel): nabla T = xi (x) T for some xi.
     """
-    T, Tname = resolve_tensor(chart, T)
-    if T.valence != (0, 4):
+    if resolve_tensor(chart, T)[0].valence != (0, 4):
         raise ValueError("weak symmetry solver expects a (0,4) tensor")
-    key = key or Tname or None
-    nablaT = nabla_cached(chart, T, key)
-    names = tuple(f"{block}_{c}" for block in
-                  ("alpha", "beta", "betabar", "gamma", "gammabar")
-                  for c in chart.ctx.coords)
-    recurrent = solve_recurrence(chart, T, key)
-    return _solve(chart, _weak04_rows(chart, T, nablaT), names,
-                  "U_J" if recurrent.consistent or nablaT.is_zero() else "")
+    return _solve_family(chart, T, ("alpha", "beta", "betabar", "gamma",
+                                    "gammabar"), 1, (1, 2, 3, 4), "U_J")
 
 
 def weak_symmetry_verdicts(chart: Chart, tname: str
@@ -485,10 +444,8 @@ def normalize_weak_solution(chart: Chart, outcome: SolverOutcome,
 # ---------------------------------------------------------------------------
 
 
-def is_codazzi(chart: Chart, Z: Union[Tensor, str],
-               key: Optional[str] = None) -> bool:
-    Z, Zname = resolve_tensor(chart, Z)
-    nablaZ = nabla_cached(chart, Z, key or Zname or None)
+def is_codazzi(chart: Chart, Z: Union[Tensor, str]) -> bool:
+    nablaZ = nabla_cached(chart, Z)
     n = chart.n
     for i in range(n):
         for j in range(i + 1, n):
@@ -498,10 +455,8 @@ def is_codazzi(chart: Chart, Z: Union[Tensor, str],
     return True
 
 
-def is_cyclic_parallel(chart: Chart, Z: Union[Tensor, str],
-                       key: Optional[str] = None) -> bool:
-    Z, Zname = resolve_tensor(chart, Z)
-    nablaZ = nabla_cached(chart, Z, key or Zname or None)
+def is_cyclic_parallel(chart: Chart, Z: Union[Tensor, str]) -> bool:
+    nablaZ = nabla_cached(chart, Z)
     n = chart.n
     for i in range(n):
         for j in range(n):
@@ -513,15 +468,6 @@ def is_cyclic_parallel(chart: Chart, Z: Union[Tensor, str],
     return True
 
 
-def _weakZ_rows(chart: Chart, Z: Tensor, nablaZ: Tensor):
-    n, zero, A = chart.n, chart.ctx.zero, Z.array
-    for x, i, j in np.ndindex(nablaZ.array.shape):
-        coeffs = _sparse(zero, ((x, A[i, j]),            # delta
-                                (n + i, A[x, j]),        # eta
-                                (2 * n + j, A[i, x])))   # lambda
-        yield coeffs, nablaZ.array[x, i, j]
-
-
 @dataclass
 class WeakZResult:
     outcome: SolverOutcome
@@ -530,8 +476,7 @@ class WeakZResult:
     reductions: dict = field(default_factory=dict)
 
 
-def solve_weak_Z(chart: Chart, Z: Union[Tensor, str],
-                 key: Optional[str] = None) -> WeakZResult:
+def solve_weak_Z(chart: Chart, Z: Union[Tensor, str]) -> WeakZResult:
     """Weakly Z-symmetric solve for (delta, eta, lambda):
 
     nabla_X Z(X1,X2) = delta(X) Z(X1,X2) + eta(X1) Z(X,X2) + lambda(X2) Z(X1,X).
@@ -542,17 +487,12 @@ def solve_weak_Z(chart: Chart, Z: Union[Tensor, str],
     rank(Z) > 1; delta = eta = lambda for Codazzi Z of rank > 1; and
     delta + eta + lambda = 0 for cyclic parallel Z.
     """
-    Z, Zname = resolve_tensor(chart, Z)
-    key = key or Zname or None
-    nablaZ = nabla_cached(chart, Z, key)
-    names = tuple(f"{blk}_{c}" for blk in ("delta", "eta", "lam")
-                  for c in chart.ctx.coords)
-    rec = solve_recurrence(chart, Z, key)
-    outcome = _solve(chart, _weakZ_rows(chart, Z, nablaZ), names,
-                     "U_Q" if rec.consistent or nablaZ.is_zero() else "")
+    outcome = _solve_family(chart, Z, ("delta", "eta", "lam"), 1, (1, 2),
+                            "U_Q")
     result = WeakZResult(outcome,
-                         codazzi=is_codazzi(chart, Z, key),
-                         cyclic_parallel=is_cyclic_parallel(chart, Z, key))
+                         codazzi=is_codazzi(chart, Z),
+                         cyclic_parallel=is_cyclic_parallel(chart, Z))
+    Z = resolve_tensor(chart, Z)[0]
     symmetric = bool(np.all(Z.array == Z.array.T))
     if outcome.consistent and symmetric and not Z.is_zero():
         result.reductions = _weakZ_reductions(chart, Z, outcome,
@@ -610,15 +550,15 @@ def _weakZ_reductions(chart: Chart, Z: Tensor, outcome: SolverOutcome,
 def _cyclic3_rows(chart: Chart, T: Tensor, nablaT: Tensor):
     """Rows alpha_h T_ijkl + alpha_i T_jhkl + alpha_j T_hikl
     = nabla_h T_ijkl + nabla_i T_jhkl + nabla_j T_hikl."""
-    zero, A, N = chart.ctx.zero, T.array, nablaT.array
+    A, N = T.array, nablaT.array
     for h, i, j, k, l in np.ndindex(N.shape):
-        yield (_sparse(zero, ((h, A[i, j, k, l]), (i, A[j, h, k, l]),
-                              (j, A[h, i, k, l]))),
+        yield (_sparse(((h, A[i, j, k, l]), (i, A[j, h, k, l]),
+                        (j, A[h, i, k, l]))),
                N[h, i, j, k, l] + N[i, j, h, k, l] + N[j, h, i, k, l])
 
 
-def form_recurrence_checks(chart: Chart, T: Union[Tensor, str],
-                           key: Optional[str] = None) -> dict[str, ClassifierVerdict]:
+def form_recurrence_checks(chart: Chart, T: Union[Tensor, str]
+                           ) -> dict[str, ClassifierVerdict]:
     """Recurrent-curvature-2-form conditions for a (0,4) tensor:
 
     b1: the cyclic derivative sum vanishes;
@@ -628,7 +568,7 @@ def form_recurrence_checks(chart: Chart, T: Union[Tensor, str],
     T, Tname = resolve_tensor(chart, T)
     if T.valence != (0, 4):
         raise ValueError("form recurrence checks expect a (0,4) tensor")
-    nablaT = nabla_cached(chart, T, key or Tname or None)
+    nablaT = nabla_cached(chart, Tname or T)
     label = Tname or "T"
     if T.is_zero():
         note = "degenerate: T = 0"
@@ -650,34 +590,23 @@ def form_recurrence_checks(chart: Chart, T: Union[Tensor, str],
     }
 
 
-def form_recurrence_b4(chart: Chart, Z: Union[Tensor, str],
-                       key: Optional[str] = None) -> ClassifierVerdict:
+def form_recurrence_b4(chart: Chart,
+                       Z: Union[Tensor, str]) -> ClassifierVerdict:
     """Recurrent 1-form condition for a symmetric (0,2) tensor:
 
     nabla_i Z_kl - nabla_k Z_il = alpha_i Z_kl - alpha_k Z_il, solved for alpha.
     """
     Z, Zname = resolve_tensor(chart, Z)
-    nablaZ = nabla_cached(chart, Z, key or Zname or None)
+    nablaZ = nabla_cached(chart, Zname or Z).array
     label = Zname or "Z"
     if Z.is_zero():
         return ClassifierVerdict(f"b4[{label}]", None, notes="degenerate: Z = 0")
-    n = chart.n
-    zero = chart.ctx.zero
-
-    def rows():
-        for i in range(n):
-            for k in range(i + 1, n):
-                for l in range(n):
-                    coeffs: dict[int, Expr] = {}
-                    if not Z.array[k, l].is_zero:
-                        coeffs[i] = coeffs.get(i, zero) + Z.array[k, l]
-                    if not Z.array[i, l].is_zero:
-                        coeffs[k] = coeffs.get(k, zero) - Z.array[i, l]
-                    rhs = nablaZ.array[i, k, l] - nablaZ.array[k, i, l]
-                    yield coeffs, rhs
-
+    n, A = chart.n, Z.array
+    rows = ((_sparse(((i, A[k, l]), (k, -A[i, l]))),
+             nablaZ[i, k, l] - nablaZ[k, i, l])
+            for i in range(n) for k in range(i + 1, n) for l in range(n))
     names = tuple(f"alpha_{c}" for c in chart.ctx.coords)
-    return _outcome_verdict(f"b4[{label}]", _solve(chart, rows(), names))
+    return _outcome_verdict(f"b4[{label}]", _solve(chart, rows, names))
 
 
 # ---------------------------------------------------------------------------
@@ -1157,12 +1086,11 @@ def theorem_residual(chart: Chart, T: Union[Tensor, str], alpha: OneForm,
     nabla T = alpha (x) T - pi_X . T (with this package's exterior-derivative
     normalization).
     """
-    T, _ = resolve_tensor(chart, T)
-    k = T.valence[1]
-    RT = dot_action(riemann(chart), T)
+    RT = dot_named(chart, "R", T)
     da = exterior_derivative_oneform(chart, alpha)
-    QJT = tachibana(compute_J(chart, pi), T)
-    ctx, n = chart.ctx, chart.n
+    QJT = tachibana_named(chart, compute_J(chart, pi), T)
+    T, _ = resolve_tensor(chart, T)
+    k, n = T.valence[1], chart.n
     out = RT.array - QJT.array
     for I, tval in T.nonzero_items():
         for h in range(n):

@@ -5,7 +5,8 @@
     curvzoo list-builtins
 
 Exit codes: 0 on success, 1 on an internal consistency failure (a solver
-witness failing its own back-substitution), 2 on input errors.
+witness failing its own back-substitution) or any other unexpected error,
+reported on one line without a traceback, 2 on input errors.
 """
 
 from __future__ import annotations
@@ -60,13 +61,17 @@ def main(argv=None) -> int:
         tensors = tuple(t for t in args.tensor.split(",") if t)
         report = classify(spec, checks=checks, tensors=tensors,
                           oracle_samples=args.oracle_samples, seed=args.seed)
+        text = render_report(report, format=args.format)
     except InternalInconsistencyError as err:
         print(f"internal inconsistency: {err}", file=sys.stderr)
         return 1
     except (MetricFileError, ChartError, ExpressionError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    sys.stdout.write(render_report(report, format=args.format))
+    except Exception as err:  # any other failure: one line, no traceback
+        print(f"internal error: {err!r}", file=sys.stderr)
+        return 1
+    sys.stdout.write(text)
     if report.oracle and report.oracle.disagreements:
         print("oracle disagreements detected", file=sys.stderr)
         return 1

@@ -251,20 +251,26 @@ def _cancel(ctx: Context, f, g):
                  for p in (h, fs.quo(h), gs.quo(h)))
 
 
+def _monic(ctx: Context, num, den) -> "Expr":
+    """num/den, already coprime, with the denominator made monic."""
+    lc = den.LC
+    if lc != QQ.one:
+        inv = QQ.one / lc
+        num = num.mul_ground(inv)
+        den = den.mul_ground(inv)
+    return Expr(ctx, num, den)
+
+
 def _normalized(ctx: Context, num, den) -> "Expr":
     """Reduce num/den to canonical form (coprime, monic denominator)."""
     if not num:
         return ctx._zero
     if not den:
         raise ExpressionError("division by zero expression")
-    if den != ctx.ring.one:
-        _, num, den = _cancel(ctx, num, den)
-        lc = den.LC
-        if lc != QQ.one:
-            inv = QQ.one / lc
-            num = num.mul_ground(inv)
-            den = den.mul_ground(inv)
-    return Expr(ctx, num, den)
+    if den == ctx.ring.one:
+        return Expr(ctx, num, den)
+    _, num, den = _cancel(ctx, num, den)
+    return _monic(ctx, num, den)
 
 
 class Expr:
@@ -437,13 +443,7 @@ def _add(a: Expr, b: Expr) -> Expr:
     if g == one:
         return Expr(ctx, num, a.den * b.den)  # coprime by construction
     _, num, g = _cancel(ctx, num, g)
-    den = g * da * db
-    lc = den.LC
-    if lc != QQ.one:
-        inv = QQ.one / lc
-        num = num.mul_ground(inv)
-        den = den.mul_ground(inv)
-    return Expr(ctx, num, den)
+    return _monic(ctx, num, g * da * db)
 
 
 def _mul(a: Expr, b: Expr) -> Expr:
@@ -458,14 +458,7 @@ def _mul(a: Expr, b: Expr) -> Expr:
         _, n1, d2 = _cancel(ctx, n1, d2)
     if d1 != one:
         _, n2, d1 = _cancel(ctx, n2, d1)
-    num = n1 * n2
-    den = d1 * d2
-    lc = den.LC
-    if lc != QQ.one:
-        inv = QQ.one / lc
-        num = num.mul_ground(inv)
-        den = den.mul_ground(inv)
-    return Expr(ctx, num, den)
+    return _monic(ctx, n1 * n2, d1 * d2)
 
 
 def _div(a: Expr, b: Expr) -> Expr:
@@ -487,13 +480,7 @@ def _int_pow(a: Expr, k: int) -> Expr:
         return ctx._zero
     if k > 0:
         return Expr(ctx, a.num ** k, a.den ** k)
-    num, den = a.den ** (-k), a.num ** (-k)
-    lc = den.LC
-    if lc != QQ.one:
-        inv = QQ.one / lc
-        num = num.mul_ground(inv)
-        den = den.mul_ground(inv)
-    return Expr(ctx, num, den)
+    return _monic(ctx, a.den ** (-k), a.num ** (-k))
 
 
 _COMBINE = {"add": _add,
@@ -686,7 +673,7 @@ def _atom_position(ctx: Context, atom: Atom):
 # the interpreter's stack.  Products, quotients, powers and exp(k*x) are
 # checked against MAX_DEGREE, and those and sums of fractions against
 # MAX_TERMS, before they are computed; integer literals, and products,
-# quotients and powers, against MAX_COEFF_BITS.
+# quotients, powers and sums of fractions, against MAX_COEFF_BITS.
 # ---------------------------------------------------------------------------
 
 _TOKEN_OPS = set("+-*/^()")
@@ -709,14 +696,16 @@ MAX_DEGREE = 32
 MAX_TERMS = 10_000
 
 #: Most bits of an integer literal, and of the coefficients of a product,
-#: quotient or power by a bound taken before it is computed.  Write a
-#: polynomial p as P/D, with D the common denominator of its coefficients,
-#: and let b(p) be the bits of its largest coefficient numerator plus those
-#: of D, which bounds the bits of P and of D.  A product's bound is
-#: b(f) + b(g) + log2(min(len(f), len(g))), a k-th power's k (b(p) +
-#: log2(len(p))).  Degree 0 escapes MAX_DEGREE, so without this bound
-#: ((2^32)^32)^32 would reach 32,769 bits, past the 4,300 decimal digits
-#: that Python converts to a string.
+#: quotient, power or sum of fractions by a bound taken before it is
+#: computed.  Write a polynomial p as P/D, with D the common denominator of
+#: its coefficients, and let b(p) be the bits of its largest coefficient
+#: numerator plus those of D, which bounds the bits of P and of D.  A
+#: product's bound is b(f) + b(g) + log2(min(len(f), len(g))), a k-th
+#: power's k (b(p) + log2(len(p))), and a sum a/c + b/d is bounded as the
+#: products a d and b c (plus one bit) and c d.  Degree 0 escapes
+#: MAX_DEGREE, so without this bound ((2^32)^32)^32 would reach 32,769
+#: bits, past the 4,300 decimal digits that Python converts to a string;
+#: and without the sum bound, 30 terms 1/(2^500*x1 + i) reach b = 15,080.
 MAX_COEFF_BITS = 1024
 
 
@@ -795,6 +784,9 @@ class _Parser:
                     _check_terms(len(ad) * len(bd),
                                  _degree(ad) + _degree(bd), (ad, bd),
                                  position)
+                    _check_bits(max(_product_bits(an, bd),
+                                    _product_bits(bn, ad)) + 1, position)
+                    _check_bits(_product_bits(ad, bd), position)
                 value = value + rhs if op == "+" else value - rhs
             else:
                 return value
@@ -815,9 +807,7 @@ class _Parser:
                     degree = _degree(f) + _degree(g)
                     _check_degree(degree, position)
                     _check_terms(len(f) * len(g), degree, (f, g), position)
-                    _check_bits(_coeff_bits(f) + _coeff_bits(g)
-                                + (min(len(f), len(g)) - 1).bit_length(),
-                                position)
+                    _check_bits(_product_bits(f, g), position)
                 value = value / rhs if op == "/" else value * rhs
             else:
                 return value
@@ -929,6 +919,12 @@ def _coeff_bits(p) -> int:
                 default=0) + (den - 1).bit_length())
 
 
+def _product_bits(f, g) -> int:
+    """b(f g) <= b(f) + b(g) + log2(min(len(f), len(g)))."""
+    return (_coeff_bits(f) + _coeff_bits(g)
+            + (min(len(f), len(g)) - 1).bit_length())
+
+
 def _check_bits(bits: int, position: int) -> None:
     if bits > MAX_COEFF_BITS:
         raise ParseError(f"coefficients may exceed {MAX_COEFF_BITS} bits",
@@ -956,8 +952,8 @@ def parse_expression(src: str, ctx: Context) -> Expr:
     deeper than MAX_NESTING, a product, quotient, power or exp(k*x) of
     total degree above MAX_DEGREE, a product, quotient, power or sum that
     could have more than MAX_TERMS terms in its numerator or denominator, or
-    an integer literal, product, quotient or power whose coefficients could
-    exceed MAX_COEFF_BITS bits.
+    an integer literal, product, quotient, power or sum of fractions whose
+    coefficients could exceed MAX_COEFF_BITS bits.
     """
     parser = _Parser(_tokenize(src), ctx)
     value = parser.parse_sum()

@@ -197,7 +197,7 @@ def load_metric_file(path: str) -> MetricSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise MetricFileError(f"cannot read {path}: {err}") from err
     try:
         data = json.loads(text)

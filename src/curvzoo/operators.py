@@ -16,6 +16,7 @@ FOURTH slot, consistent with B(X1,X2,X3,X4) = g(B(X1,X2)X3, X4), and from
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Union
 
 import numpy as np
 
@@ -144,18 +145,27 @@ def named_tensor(chart: Chart, which: str) -> Tensor:
     return derived_tensor(chart, which)
 
 
-def dot_named(chart: Chart, acting: str, tname: str) -> Tensor:
-    """Chart-cached B.T for named tensors (the battery's hot path)."""
-    return chart.cached(f"dot:{acting}.{tname}",
-                        lambda: dot_action(named_tensor(chart, acting),
-                                           named_tensor(chart, tname)))
+def _action_named(chart: Chart, kind: str, action, A, T) -> Tensor:
+    """action(A, T) for tensors or tensor names, chart-cached under
+    kind:A.T when both are names."""
+    def compute():
+        return action(*(named_tensor(chart, X) if isinstance(X, str) else X
+                        for X in (A, T)))
+    if isinstance(A, str) and isinstance(T, str):
+        return chart.cached(f"{kind}:{A}.{T}", compute)
+    return compute()
 
 
-def tachibana_named(chart: Chart, aname: str, tname: str) -> Tensor:
-    """Chart-cached Q(A, T) for named tensors."""
-    return chart.cached(f"Q:{aname}.{tname}",
-                        lambda: tachibana(named_tensor(chart, aname),
-                                          named_tensor(chart, tname)))
+def dot_named(chart: Chart, acting: Union[Tensor, str],
+              T: Union[Tensor, str]) -> Tensor:
+    """B.T, chart-cached for named tensors (the battery's hot path)."""
+    return _action_named(chart, "dot", dot_action, acting, T)
+
+
+def tachibana_named(chart: Chart, A: Union[Tensor, str],
+                    T: Union[Tensor, str]) -> Tensor:
+    """Q(A, T), chart-cached for named tensors."""
+    return _action_named(chart, "Q", tachibana, A, T)
 
 
 def dot_action(B: Tensor, T: Tensor) -> Tensor:

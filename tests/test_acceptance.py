@@ -660,7 +660,7 @@ def test_criterion_6_theorem_residual_for_all_chaki_solutions(charts):
     for name in EX_NAMES:
         c = charts[name]
         for tname in ("R", "C", "K", "conh", "P", "S"):
-            out = solve_chaki(c, tname, key=tname)
+            out = solve_chaki(c, tname)
             if not out.consistent or out.degenerate:
                 continue
             found += 1

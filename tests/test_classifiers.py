@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from curvzoo.charts import (Tensor, build_chart, oneform, ricci, riemann,
@@ -16,8 +17,10 @@ from curvzoo.classifiers import (check_semisymmetric, check_torseforming,
                                  solve_proportionality, solve_quasi_einstein,
                                  solve_recurrence, solve_weak_Z,
                                  solve_weak_symmetry_04, theorem_residual)
-from curvzoo.metrics import builtin
-from curvzoo.operators import dot_action, kulkarni_nomizu, tachibana
+from curvzoo.linsolve import satisfies
+from curvzoo.metrics import builtin, list_builtins
+from curvzoo.operators import (dot_action, kulkarni_nomizu, projective,
+                               tachibana, weyl_conformal)
 
 
 def delta_entries(n):
@@ -142,6 +145,82 @@ class TestDeszcz:
     def test_flat_degenerate(self, flat4):
         assert classify_deszcz(flat4, "R", "g").outcome is None
 
+    def test_tensor_operands_match_names_uncached(self):
+        # Tensor operands take the same path as names but are not cached.
+        chart = builtin("ex5_5").to_chart()
+        named = classify_deszcz(chart, "S", "g", acting="P")
+        S, g = ricci(chart), chart.metric_tensor()
+        P, C = projective(chart), weyl_conformal(chart)
+        cached = set(chart._cache)
+        v = classify_deszcz(chart, S, g, acting=P)
+        assert (v.name, v.outcome, v.witness) == (
+            "deszcz[T;W]", named.outcome, named.witness)
+        v = classify_deszcz(chart, S, "g", acting="P")
+        assert (v.name, v.outcome, v.witness) == (
+            "deszcz[T;g]", named.outcome, named.witness)
+        assert check_semisymmetric(chart, S, acting=C)
+        assert set(chart._cache) == cached
+
+
+class TestFamilyInclusions:
+    """Chaki and recurrence solutions are weak-symmetry (R) and weak-Z (S)
+    solutions: (2 phi, phi, .., phi) and (pi, 0, .., 0)."""
+
+    @pytest.mark.parametrize("name", list_builtins())
+    @pytest.mark.parametrize("tname", ["R", "S"])
+    def test_chaki_and_recurrence_solve_the_weak_rows(self, name, tname):
+        chart = builtin(name).to_chart()
+        n, zero = chart.n, chart.ctx.zero
+        weak = (solve_weak_symmetry_04(chart, tname) if tname == "R"
+                else solve_weak_Z(chart, tname).outcome)
+        blocks = 5 if tname == "R" else 3
+        chaki = solve_chaki(chart, tname)
+        if chaki.consistent:
+            phi = chaki.space.particular
+            assert satisfies(weak.rows, [2 * p for p in phi]
+                             + phi * (blocks - 1))
+        rec = solve_recurrence(chart, tname)
+        if rec.consistent:
+            pi = rec.space.particular
+            assert satisfies(weak.rows, pi + [zero] * (n * (blocks - 1)))
+
+    def test_rows_follow_the_componentwise_conditions(self):
+        # Distinct constant components on a flat chart: nabla T = 0, so
+        # every row is consumed.  Each row, applied to distinct values of
+        # the unknowns, must give the right side of its condition.
+        chart = build_chart(["x1", "x2", "x3"], delta_entries(3))
+        n, ctx = 3, chart.ctx
+
+        def constant_tensor(k):
+            arr = zeros(ctx, (n,) * k)
+            for v, idx in enumerate(np.ndindex(arr.shape), start=1):
+                arr[idx] = ctx.integer(v)
+            return Tensor(chart, (0, k), arr)
+
+        T, Z = constant_tensor(4), constant_tensor(2)
+        u = list(range(2, 2 + 5 * n))
+        a, b1, b2, b3, b4 = (u[m * n:(m + 1) * n] for m in range(5))
+        cases = [
+            (solve_chaki(chart, T).rows, 5, lambda x, i, j, k, l: (
+                2 * a[x] * T[i, j, k, l] + a[i] * T[x, j, k, l]
+                + a[j] * T[i, x, k, l] + a[k] * T[i, j, x, l]
+                + a[l] * T[i, j, k, x])),
+            (solve_weak_symmetry_04(chart, T).rows, 5, lambda x, i, j, k, l: (
+                a[x] * T[i, j, k, l] + b1[i] * T[x, j, k, l]
+                + b2[j] * T[i, x, k, l] + b3[k] * T[i, j, x, l]
+                + b4[l] * T[i, j, k, x])),
+            (solve_weak_Z(chart, Z).outcome.rows, 3, lambda x, i, j: (
+                a[x] * Z[i, j] + b1[i] * Z[x, j] + b2[j] * Z[i, x])),
+            (solve_recurrence(chart, Z).rows, 3,
+             lambda x, i, j: a[x] * Z[i, j])]
+        for rows, rank, condition in cases:
+            indices = list(np.ndindex((n,) * rank))
+            assert len(rows) == len(indices)
+            for (coeffs, rhs), idx in zip(rows, indices):
+                assert rhs.is_zero
+                assert sum((c * u[j] for j, c in coeffs.items()),
+                           ctx.zero) == condition(*idx)
+
 
 class TestWeakSymmetry:
     def test_exponential5_contains_chaki_point(self, exp5):
@@ -221,7 +300,7 @@ class TestWeakZ:
         assert not wz.codazzi
         # cyclic parallel, not parallel; Codazzi would force parallel.
         from curvzoo.classifiers import nabla_cached
-        assert not nabla_cached(chart, ricci(chart), "S").is_zero()
+        assert not nabla_cached(chart, "S").is_zero()
 
     def test_weakly_ricci_symmetric_reductions(self, exp4):
         wz = solve_weak_Z(exp4, "S")

@@ -91,7 +91,14 @@ class TestParsing:
                     ("x1 + " + "1" * 5000, 5, "bits"),
                     (str(widest + 1), 0, "bits"),
                     ("2^512 * 2^512", 6, "bits"),
-                    ("x1 / (2^512 * x2 + 1) / (2^512 * x2 + 3)", 22, "bits")]
+                    ("x1 / (2^512 * x2 + 1) / (2^512 * x2 + 3)", 22, "bits"),
+                    (" + ".join(f"1/(2^500*x1 + {i})" for i in range(1, 31)),
+                     36, "bits"),
+                    # A sum's denominator bound, then its numerator bound,
+                    # each rejecting a case the other passes.
+                    ("1/(x1 + 2^400) + 1/(x1 + 2^400 + 1)"
+                     " + 1/(x1 + 2^400 + 2)", 36, "bits"),
+                    ("2^512*2^510*x1/(x1 + 1) + 1/(x1 + 3)", 24, "bits")]
         for src, position, reason in rejected:
             with pytest.raises(ParseError, match=reason) as err:
                 ctx.parse(src)

@@ -168,6 +168,13 @@ class TestBattery:
             encoding="utf-8")
         assert render_report(report, "json") == expected
 
+    @pytest.mark.parametrize("name", list_builtins())
+    def test_default_report_matches_reference(self, name):
+        # Reports stay byte-identical unless a change says otherwise.
+        expected = (REFERENCE / "zoo-default" / f"{name}.json").read_text(
+            encoding="utf-8")
+        assert render_report(classify(builtin(name)), "json") == expected
+
     def test_checks_select_a_prefix_filtered_run(self):
         chart = builtin("ex5_1").to_chart()
         full = report_to_dict(classify(chart, run_oracle=False))["verdicts"]
@@ -347,10 +354,12 @@ class TestCLI:
     @pytest.mark.parametrize("entry, reason", [
         ("(1+x1+x2+x3+x4)^200", "degree"),
         ("((x1)^32)^32", "degree"),
-        ("(1+x1+x2+x3+x4+exp(x1)+exp(x2)+exp(x3)+exp(x4))^32", "terms")])
+        ("(1+x1+x2+x3+x4+exp(x1)+exp(x2)+exp(x3)+exp(x4))^32", "terms"),
+        pytest.param(" + ".join(f"1/(2^500*x1 + {i})" for i in range(1, 31)),
+                     "bits", id="sum_of_30_fractions-bits")])
     def test_blowup_entry_exit_2(self, tmp_path, entry, reason):
-        # Rejected before the power is expanded, so the command returns at
-        # once; the timeout turns a hang into a failure.
+        # Rejected before the power or sum is expanded, so the command
+        # returns at once; the timeout turns a hang into a failure.
         path = tmp_path / "blowup.json"
         path.write_text(json.dumps({
             "name": "blowup", "dim": 4, "coords": ["x1", "x2", "x3", "x4"],
@@ -370,6 +379,23 @@ class TestCLI:
 
         monkeypatch.setattr("curvzoo.cli.classify", boom)
         assert main(["classify", "flat3"]) == 1
+
+    def test_unexpected_error_exit_1(self, monkeypatch, capsys):
+        def boom(*args, **kwargs):
+            raise RuntimeError("unexpected\nfailure")
+
+        monkeypatch.setattr("curvzoo.cli.classify", boom)
+        assert main(["classify", "flat3"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "RuntimeError" in err
+
+    def test_non_utf8_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(MetricFileError, match="binary.json"):
+            load_metric_file(str(path))
+        assert main(["classify", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
 
     def test_subprocess_determinism(self, tmp_path):
         # End-to-end: two separate processes, byte-identical reports.
