@@ -791,7 +791,7 @@ def expr_sqrt(e: Expr) -> Optional[Expr]:
     num_root = poly_sqrt(e.num)
     if num_root is None:
         return None
-    den_root = (ctx.ring.one if e.den == ctx.ring.one
+    den_root = (ctx.ring_one if e.den == ctx.ring_one
                 else poly_sqrt(e.den))
     if den_root is None:
         return None
@@ -996,7 +996,7 @@ def _exp_of(h: Expr) -> Optional[Expr]:
     """e^h within the expression field: h must be an integer-coefficient
     linear combination of coordinates."""
     ctx = h.ctx
-    if h.den != ctx.ring.one:
+    if h.den != ctx.ring_one:
         return None
     n = len(ctx.coords)
     out = ctx.one
@@ -1038,7 +1038,7 @@ def gradient_potential(chart: Chart, tau: OneForm) -> Optional[Expr]:
 
 def _integrate_single_coordinate(e: Expr, i: int) -> Optional[Expr]:
     ctx = e.ctx
-    if e.den != ctx.ring.one:
+    if e.den != ctx.ring_one:
         return None
     xpos, tpos = i, len(ctx.coords) + i
     acc = ctx.zero
@@ -1049,7 +1049,7 @@ def _integrate_single_coordinate(e: Expr, i: int) -> Optional[Expr]:
         rest = ctx.ring.from_dict(
             {tuple(0 if p in (xpos, tpos) else m
                    for p, m in enumerate(monom)): coeff})
-        rest_expr = Expr(ctx, rest, ctx.ring.one)
+        rest_expr = Expr(ctx, rest, ctx.ring_one)
         if kt:
             piece = rest_expr * ctx.exponential(i, kt) * Fraction(1, kt)
         else:

@@ -24,14 +24,21 @@ prime p: reduction mod p is a ring homomorphism wherever the denominators it
 meets are units, so an identity that holds in the field holds mod p, and a
 nonzero value reads 0 only at a root of its numerator or when p divides it.
 
-Polynomial arithmetic is delegated to ``sympy.polys`` sparse rings.  Common
-factors are cancelled by ``_cancel``: when either side is a monomial the gcd
-is the exponent-wise minimum monomial and the cofactors follow by subtracting
-exponents, with no polynomial division; otherwise sympy's multivariate gcd
-and exact quotients run in a ring over only the generators that occur in the
-two polynomials (cached on the context), since its heuristic gcd recurses
-once per ring generator.  Everything above that level (grammar,
-canonicalization policy, derivatives, evaluation, printing) lives here.
+Polynomial arithmetic is delegated to ``sympy.polys`` sparse rings; the
+chart ring has rational coefficients and grevlex order, which fixes the
+canonical form and the printed term order.  Common factors are cancelled by
+``_cancel``: when either side is a monomial the gcd is the exponent-wise
+minimum monomial and the cofactors follow by subtracting exponents, with no
+polynomial division; otherwise each side's coefficient denominators are
+cleared and sympy's multivariate gcd and exact quotients run over the
+integers, in lex order, in a ring over only the generators that occur in the
+two polynomials (cached on the context): its heuristic gcd recurses once per
+ring generator, works over the integers anyway, and finds leading terms
+fastest in lex order.  A gcd is unique up to a unit and the quotients are
+exact, so the result, once the denominator is made monic in the chart ring,
+does not depend on the ring it was computed in.  Everything above that level
+(grammar, canonicalization policy, derivatives, evaluation, printing) lives
+here.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ from math import comb, lcm
 from operator import and_, itemgetter
 from typing import Mapping, Optional, Sequence, Union
 
-from sympy.polys.domains import QQ
+from sympy.polys.domains import QQ, ZZ
 from sympy.polys.rings import ring as _sympy_ring
 
 
@@ -87,8 +94,9 @@ class Context:
     declarations produce interoperable expressions.
     """
 
-    __slots__ = ("coords", "params", "ring", "atoms", "_coord_pos",
-                 "_param_pos", "_zero", "_one", "_ints", "_subrings")
+    __slots__ = ("coords", "params", "ring", "ring_one", "atoms",
+                 "_coord_pos", "_param_pos", "_zero", "_one", "_ints",
+                 "_subrings")
 
     def __init__(self, coords: Sequence[str], params: Sequence[str] = ()):
         coords = tuple(coords)
@@ -108,14 +116,18 @@ class Context:
                      + [f"_exp_{c}" for c in coords]
                      + list(params))
         self.ring = _sympy_ring(gen_names, QQ, order="grevlex")[0]
+        # The ring's unit, built once: PolyRing.one builds a new element on
+        # every access.  Shared by every value with denominator 1, so it
+        # must never be mutated in place.
+        self.ring_one = self.ring.one
         atoms = [Atom("coord", i, c) for i, c in enumerate(coords)]
         atoms += [Atom("exp", i, f"exp({c})") for i, c in enumerate(coords)]
         atoms += [Atom("param", j, p) for j, p in enumerate(params)]
         self.atoms = tuple(atoms)
         self._coord_pos = {c: i for i, c in enumerate(coords)}
         self._param_pos = {p: j for j, p in enumerate(params)}
-        self._zero = Expr(self, self.ring.zero, self.ring.one)
-        self._one = Expr(self, self.ring.one, self.ring.one)
+        self._zero = Expr(self, self.ring.zero, self.ring_one)
+        self._one = Expr(self, self.ring_one, self.ring_one)
         self._ints = {0: self._zero, 1: self._one}
         self._subrings: dict = {}
 
@@ -158,7 +170,8 @@ class Context:
     def integer(self, k: int) -> "Expr":
         cached = self._ints.get(k)
         if cached is None:
-            cached = Expr(self, self.ring.ground_new(QQ(k)), self.ring.one)
+            cached = Expr(self, self.ring.ground_new(QQ(k)),
+                          self.ring_one)
             if -8 <= k <= 8:
                 self._ints[k] = cached
         return cached
@@ -166,23 +179,23 @@ class Context:
     def rational(self, p: int, q: int = 1) -> "Expr":
         if q == 0:
             raise ExpressionError("zero denominator in rational literal")
-        return Expr(self, self.ring.ground_new(QQ(p, q)), self.ring.one)
+        return Expr(self, self.ring.ground_new(QQ(p, q)), self.ring_one)
 
     def coordinate(self, which: Union[int, str]) -> "Expr":
         i = self._coord_pos[which] if isinstance(which, str) else which
-        return Expr(self, self.coord_gen(i), self.ring.one)
+        return Expr(self, self.coord_gen(i), self.ring_one)
 
     def exponential(self, which: Union[int, str], k: int = 1) -> "Expr":
         """exp(k * coordinate) as an expression; k may be negative."""
         i = self._coord_pos[which] if isinstance(which, str) else which
         t = self.exp_gen(i)
         if k >= 0:
-            return Expr(self, t ** k, self.ring.one)
-        return Expr(self, self.ring.one, t ** (-k))
+            return Expr(self, t ** k, self.ring_one)
+        return Expr(self, self.ring_one, t ** (-k))
 
     def parameter(self, which: Union[int, str]) -> "Expr":
         j = self._param_pos[which] if isinstance(which, str) else which
-        return Expr(self, self.param_gen(j), self.ring.one)
+        return Expr(self, self.param_gen(j), self.ring_one)
 
     def parse(self, src: str) -> "Expr":
         return parse_expression(src, self)
@@ -191,14 +204,19 @@ class Context:
         return self.atoms[position]
 
     def _subring(self, occurring: tuple[int, ...]):
-        """The ring over the generators at the given ring positions (the
-        full ring when all occur), with maps of exponent vectors into it and
-        back into the full ring."""
+        """The ring over the generators at the given ring positions, with
+        maps of exponent vectors into it and back into the chart ring;
+        cached per set of positions.
+
+        It has integer coefficients and lex order, also when every generator
+        occurs: lex finds a leading term with a plain max over exponent
+        tuples, and integer coefficients spare sympy's gcd its conversion
+        from Q on every call.  The chart ring itself stays over Q in grevlex,
+        the order that canonical forms are made monic and printed in."""
         cached = self._subrings.get(occurring)
         if cached is None:
-            sub = (self.ring if len(occurring) == self.ring.ngens else
-                   _sympy_ring([self.ring.symbols[i] for i in occurring], QQ,
-                               order="grevlex")[0])
+            sub = _sympy_ring([self.ring.symbols[i] for i in occurring], ZZ,
+                              order="lex")[0]
             down = (itemgetter(*occurring) if len(occurring) > 1
                     else lambda monom, i=occurring[0]: (monom[i],))
             # Positions outside the subring read the zero appended to a
@@ -213,13 +231,16 @@ class Context:
 def _cancel(ctx: Context, f, g):
     """(h, f/h, g/h) for nonzero polynomials f, g, where h is a gcd of both.
 
-    h is some associate of the gcd; ring.one when f and g are coprime.
-    Callers make the final denominator monic, so the canonical form does not
-    depend on which associate.  A monomial on either side gives the
-    exponent-wise minimum monomial with coefficient 1, and the cofactors by
-    subtracting exponents.  Polynomials with no generator in common are
-    coprime.  Otherwise the gcd and both exact quotients are computed in the
-    ring over only the generators occurring in f or g.
+    h is some associate of the gcd; ctx.ring_one when f and g are coprime.
+    Callers make the final denominator monic under grevlex in the chart
+    ring, so the canonical form does not depend on which associate.  A
+    monomial on either side gives the exponent-wise minimum monomial with
+    coefficient 1, and the cofactors by subtracting exponents.  Polynomials
+    with no generator in common are coprime.  Otherwise each side is
+    multiplied by the lcm of its coefficient denominators and mapped into
+    the integer, lex-ordered ring over only the generators occurring in f or
+    g, where the gcd and both exact quotients are computed; each cofactor is
+    divided by its side's cleared denominator on the way back.
     """
     ring = ctx.ring
     if len(f) == 1 or len(g) == 1:
@@ -230,7 +251,7 @@ def _cancel(ctx: Context, f, g):
         for monom in other:
             h = monom_gcd(h, monom)
             if h == zero:
-                return ring.one, f, g
+                return ctx.ring_one, f, g
         ldiv = ring.monomial_ldiv
         return (ring.dtype([(h, QQ.one)]),
                 ring.dtype([(ldiv(m, h), c) for m, c in f.items()]),
@@ -238,17 +259,25 @@ def _cancel(ctx: Context, f, g):
     in_f = [any(column) for column in zip(*f)]
     in_g = [any(column) for column in zip(*g)]
     if not any(map(and_, in_f, in_g)):
-        return ring.one, f, g
+        return ctx.ring_one, f, g
     occurring = tuple(pos for pos, (a, b) in enumerate(zip(in_f, in_g))
                       if a or b)
     sub, down, up = ctx._subring(occurring)
-    fs = sub.dtype([(down(m), c) for m, c in f.items()])
-    gs = sub.dtype([(down(m), c) for m, c in g.items()])
+    df = lcm(*[c.denominator for c in f.values()])
+    dg = lcm(*[c.denominator for c in g.values()])
+    fs = sub.dtype([(down(m), c.numerator * (df // c.denominator))
+                    for m, c in f.items()])
+    gs = sub.dtype([(down(m), c.numerator * (dg // c.denominator))
+                    for m, c in g.items()])
     h = fs.gcd(gs)
-    if h == sub.one:
-        return ring.one, f, g
-    return tuple(ring.dtype([(up(m + (0,)), c) for m, c in p.items()])
-                 for p in (h, fs.quo(h), gs.quo(h)))
+    if h.is_ground:
+        return ctx.ring_one, f, g
+    mpq = QQ.dtype
+
+    def back(p, den=1):
+        return ring.dtype([(up(m + (0,)), mpq(c, den)) for m, c in p.items()])
+
+    return back(h), back(fs.quo(h), df), back(gs.quo(h), dg)
 
 
 def _monic(ctx: Context, num, den) -> "Expr":
@@ -267,7 +296,7 @@ def _normalized(ctx: Context, num, den) -> "Expr":
         return ctx._zero
     if not den:
         raise ExpressionError("division by zero expression")
-    if den == ctx.ring.one:
+    if den == ctx.ring_one:
         return Expr(ctx, num, den)
     _, num, den = _cancel(ctx, num, den)
     return _monic(ctx, num, den)
@@ -299,11 +328,12 @@ class Expr:
 
     @property
     def is_one(self) -> bool:
-        return self.num == self.ctx.ring.one and self.den == self.ctx.ring.one
+        one = self.ctx.ring_one
+        return self.num == one and self.den == one
 
     @property
     def is_rational_constant(self) -> bool:
-        return self.num.is_ground and self.den == self.ctx.ring.one
+        return self.num.is_ground and self.den == self.ctx.ring_one
 
     def is_constant(self) -> bool:
         """True when no coordinate or exponential atom occurs (parameters ok)."""
@@ -425,7 +455,7 @@ def _neg(a: Expr) -> Expr:
 
 def _add(a: Expr, b: Expr) -> Expr:
     ctx = a.ctx
-    one = ctx.ring.one
+    one = ctx.ring_one
     if a.is_zero:
         return b
     if b.is_zero:
@@ -448,7 +478,7 @@ def _add(a: Expr, b: Expr) -> Expr:
 
 def _mul(a: Expr, b: Expr) -> Expr:
     ctx = a.ctx
-    one = ctx.ring.one
+    one = ctx.ring_one
     if a.is_zero or b.is_zero:
         return ctx._zero
     if a.den == one and b.den == one:
@@ -527,8 +557,8 @@ def differentiate(e: Expr, coord: Union[int, str]) -> Expr:
     if not 0 <= i < len(ctx.coords):
         raise ExpressionError(f"coordinate index {i} out of range")
     dnum = _poly_diff(ctx, e.num, i)
-    if e.den == ctx.ring.one:
-        return Expr(ctx, dnum, ctx.ring.one) if dnum else ctx._zero
+    if e.den == ctx.ring_one:
+        return Expr(ctx, dnum, ctx.ring_one) if dnum else ctx._zero
     dden = _poly_diff(ctx, e.den, i)
     return _normalized(ctx, dnum * e.den - e.num * dden, e.den * e.den)
 
@@ -1022,7 +1052,7 @@ def _format_expr(e: Expr) -> str:
     ctx = e.ctx
     if e.is_zero:
         return "0"
-    if e.den == ctx.ring.one:
+    if e.den == ctx.ring_one:
         return _poly_str(ctx, e.num)
     den_terms = list(e.den.items())
     if len(den_terms) == 1:

@@ -1,12 +1,14 @@
 """Expression kernel: parsing, canonical arithmetic, derivatives, evaluation."""
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
-from sympy.polys.domains import QQ
+from sympy.polys.domains import QQ, ZZ
+from sympy.polys.orderings import lex
 from sympy.polys.rings import PolyElement
 
 from curvzoo.charts import riemann
@@ -17,6 +19,7 @@ from curvzoo.exprs import (MAX_COEFF_BITS, MAX_DEGREE, MAX_NESTING,
                            _normalized, combine, differentiate,
                            evaluate_rational, is_zero)
 from curvzoo.metrics import builtin
+from curvzoo.zoo import ORACLE_PRIME
 
 MERSENNE_61 = 2 ** 61 - 1
 
@@ -230,9 +233,10 @@ def polynomials(draw, positions):
 
 
 @st.composite
-def fractions_with_common_factor(draw):
-    """(f*h, g*h) for polynomials f, g, h in one family of generators."""
-    positions = draw(st.sampled_from(GENERATOR_FAMILIES))
+def fractions_with_common_factor(draw, families=GENERATOR_FAMILIES):
+    """(f*h, g*h) for polynomials f, g, h in one of the families of
+    generators."""
+    positions = draw(st.sampled_from(families))
     f, g, h = (draw(polynomials(positions)) for _ in range(3))
     return f * h, g * h
 
@@ -270,10 +274,40 @@ CANCEL_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
                            database=None)
 
 
+@contextmanager
+def gcd_rings():
+    """The ring of every PolyElement.gcd call made inside the block."""
+    rings = []
+    gcd = PolyElement.gcd
+
+    def spy(f, g):
+        rings.append(f.ring)
+        return gcd(f, g)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(PolyElement, "gcd", spy)
+        yield rings
+
+
+def assert_integer_lex(rings):
+    assert all(r.domain == ZZ and r.order == lex for r in rings)
+
+
+#: Canonical values of FRACTIONS, and points for CANCEL_CTX's atoms.
+CANCEL_EXPRS = FRACTIONS.map(lambda fraction: _normalized(CANCEL_CTX,
+                                                          *fraction))
+CANCEL_POINTS = st.tuples(*[st.builds(Fraction, st.integers(-30, 30),
+                                      st.integers(1, 12))
+                            for _ in CANCEL_CTX.atoms]).map(
+    lambda values: dict(zip(CANCEL_CTX.atoms, values)))
+PROPERTY_SETTINGS = settings(max_examples=100, deadline=None,
+                             derandomize=True, database=None)
+
+
 class TestCancellation:
     """Cancellation of common factors against a full-ring reference: by
     monomials, in the ring of the occurring generators, and over every
-    generator."""
+    generator; gcds run over the integers in lex order."""
 
     @CANCEL_SETTINGS
     @given(FRACTIONS)
@@ -296,36 +330,31 @@ class TestCancellation:
         assert_canonical(a / b, *reference_canonical(a.num * b.den,
                                                      a.den * b.num))
 
-    def test_ex5_4_gcds_run_in_smaller_rings(self, monkeypatch):
+    def test_ex5_4_gcds_run_in_smaller_rings(self):
         # g11 = exp(x1) + 1: no gcd should need the chart's other atoms.
-        rings = []
-        gcd = PolyElement.gcd
-
-        def spy(f, g):
-            rings.append(f.ring.ngens)
-            return gcd(f, g)
-
-        monkeypatch.setattr(PolyElement, "gcd", spy)
-        chart = builtin("ex5_4").to_chart()
-        riemann(chart)
+        with gcd_rings() as rings:
+            chart = builtin("ex5_4").to_chart()
+            riemann(chart)
         assert rings
-        assert max(rings) < chart.ctx.ring.ngens
+        assert max(r.ngens for r in rings) < chart.ctx.ring.ngens
+        assert_integer_lex(rings)
 
+    @CANCEL_SETTINGS
+    @given(fractions_with_common_factor(families=[ALL_GENERATORS]))
+    def test_all_generator_gcds_run_over_integers_in_lex_order(self,
+                                                               fraction):
+        # Also when every generator occurs: not in the chart ring itself.
+        with gcd_rings() as rings:
+            _normalized(CANCEL_CTX, *fraction)
+        assert_integer_lex(rings)
 
-    def test_disjoint_operands_skip_gcd(self, ctx, monkeypatch):
+    def test_disjoint_operands_skip_gcd(self, ctx):
         # 2 and 495 terms in 9 generators with none in common: coprime
         # without a gcd.
-        calls = []
-        gcd = PolyElement.gcd
-
-        def spy(f, g):
-            calls.append(f.ring.ngens)
-            return gcd(f, g)
-
-        monkeypatch.setattr(PolyElement, "gcd", spy)
-        s8 = "(1+x1+x2+x3+x4+exp(x1)+exp(x2)+exp(x3)+exp(x4))"
-        e = ctx.parse(f"(a+1)/{s8}^4")
-        assert calls == []
+        with gcd_rings() as rings:
+            s8 = "(1+x1+x2+x3+x4+exp(x1)+exp(x2)+exp(x3)+exp(x4))"
+            e = ctx.parse(f"(a+1)/{s8}^4")
+        assert rings == []
         assert (len(e.num), len(e.den)) == (2, 495)
 
 
@@ -342,6 +371,14 @@ class TestZeroTest:
 
 
 class TestDifferentiate:
+    @PROPERTY_SETTINGS
+    @given(CANCEL_EXPRS, CANCEL_EXPRS)
+    def test_product_and_quotient_rules(self, a, b):
+        for i in range(CANCEL_CTX.n):
+            da, db = differentiate(a, i), differentiate(b, i)
+            assert differentiate(a * b, i) == da * b + a * db
+            assert differentiate(a / b, i) == (da * b - a * db) / (b * b)
+
     def test_exponential_rule(self, ctx):
         t1 = ctx.exponential("x1")
         assert differentiate(t1, 0) == t1
@@ -371,6 +408,35 @@ class TestDifferentiate:
 
 
 class TestEvaluate:
+    @PROPERTY_SETTINGS
+    @given(CANCEL_EXPRS, CANCEL_EXPRS, CANCEL_POINTS)
+    def test_exact_evaluation_is_a_homomorphism(self, a, b, point):
+        # Where a and b are defined, so are a + b, a * b and, unless b
+        # vanishes, a / b: their denominators divide a.den * b.den and
+        # a.den * b.num.
+        try:
+            va, vb = (evaluate_rational(e, point) for e in (a, b))
+        except EvaluationError:
+            reject()
+        assert evaluate_rational(a + b, point) == va + vb
+        assert evaluate_rational(a * b, point) == va * vb
+        if vb:
+            assert evaluate_rational(a / b, point) == va / vb
+
+    @PROPERTY_SETTINGS
+    @given(CANCEL_EXPRS, CANCEL_EXPRS, CANCEL_POINTS)
+    def test_modular_evaluation_is_a_homomorphism(self, a, b, point):
+        p = ORACLE_PRIME
+        try:
+            ra, rb = (evaluate_rational(e, point, p) for e in (a, b))
+        except EvaluationError:
+            reject()
+        assert evaluate_rational(a + b, point, p) == (ra + rb) % p
+        assert evaluate_rational(a * b, point, p) == ra * rb % p
+        if rb:
+            assert evaluate_rational(a / b, point, p) == (
+                ra * pow(rb, -1, p) % p)
+
     def test_direct_substitution(self, ctx):
         e = ctx.parse("exp(x1)/(1+x1)")
         point = {atom(ctx, "coord", 0): Fraction(1),

@@ -1,18 +1,25 @@
 """Metric files, builtins, classification reports, oracle, CLI."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from curvzoo.charts import scalar_curvature
+from curvzoo.charts import nabla_riemann, scalar_curvature
+from curvzoo.classifiers import classify_deszcz
 from curvzoo.cli import main
 from curvzoo.metrics import (BUILTINS, MAX_DIM, MetricFileError, builtin,
                              list_builtins, load_metric_file,
                              metric_spec_from_dict, resolve_metric,
                              save_metric_file)
+from curvzoo.operators import weyl_conformal
 from curvzoo.zoo import (ALL_TENSORS, Identity, check_identity_at, classify,
                          oracle_crosscheck, random_point, render_report,
                          report_to_dict)
@@ -23,6 +30,52 @@ REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference"
 @pytest.fixture(scope="module")
 def ex52_report():
     return classify(builtin("ex5_2"))
+
+
+#: Pieces of metric entries: names declared in FUZZ_DOCUMENT and others,
+#: operators, literals in and out of the grammar.
+ENTRY_TOKENS = ["x1", "x2", "x3", "a", "b", "exp(", "exp(x1)", "exp(-2*x3)",
+                "(", ")", "+", "-", "*", "/", "^", "^-1", "0", "1", "7",
+                "99999999999999999999", "1.5", " ", "#", "\u00e9"]
+ENTRIES = st.one_of(
+    st.lists(st.sampled_from(ENTRY_TOKENS), max_size=6).map("".join),
+    st.text(alphabet="x123a+-*/^() e.p", max_size=8))
+FUZZ_DOCUMENT = {"name": "fuzz", "dim": 3, "coords": ["x1", "x2", "x3"],
+                 "params": ["a"],
+                 "metric": [["1", "0", "0"], ["0", "1", "0"],
+                            ["0", "0", "1"]]}
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10, 10) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def entry_documents(draw):
+    """FUZZ_DOCUMENT with a drawn entry at a drawn place, mirrored or not."""
+    i, j = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    entry = draw(ENTRIES)
+    rows = [list(row) for row in FUZZ_DOCUMENT["metric"]]
+    rows[i][j] = entry
+    if draw(st.booleans()):
+        rows[j][i] = entry
+    return json.dumps(dict(FUZZ_DOCUMENT, metric=rows))
+
+
+@st.composite
+def malformed_documents(draw):
+    """FUZZ_DOCUMENT truncated, with a drawn value for one key, or with one
+    character replaced."""
+    text = json.dumps(FUZZ_DOCUMENT)
+    how = draw(st.sampled_from(["truncate", "value", "character"]))
+    if how == "truncate":
+        return text[:draw(st.integers(0, len(text) - 1))]
+    if how == "value":
+        key = draw(st.sampled_from(sorted(FUZZ_DOCUMENT) + ["extra"]))
+        return json.dumps(dict(FUZZ_DOCUMENT, **{key: draw(JSON_VALUES)}))
+    at = draw(st.integers(0, len(text) - 1))
+    return text[:at] + draw(st.characters()) + text[at + 1:]
 
 
 class TestMetricFiles:
@@ -397,6 +450,23 @@ class TestCLI:
         assert main(["classify", str(path)]) == 2
         assert str(path) in capsys.readouterr().err
 
+    @settings(max_examples=120, deadline=timedelta(seconds=20),
+              derandomize=True, database=None)
+    @given(st.one_of(entry_documents(), malformed_documents()))
+    def test_fuzzed_metric_file_exit_0_or_2(self, tmp_path_factory, text):
+        # Drawn entries and malformed JSON are accepted or rejected with an
+        # input error; none is an internal error or prints a traceback.
+        path = tmp_path_factory.mktemp("fuzz") / "metric.json"
+        path.write_text(text, encoding="utf-8", errors="surrogatepass")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(["classify", str(path)])
+        assert code in (0, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert err.getvalue().startswith("error: ")
+
     def test_subprocess_determinism(self, tmp_path):
         # End-to-end: two separate processes, byte-identical reports.
         cmd = [sys.executable, "-m", "curvzoo.cli", "classify", "ex5_2",
@@ -404,6 +474,33 @@ class TestCLI:
         p1 = subprocess.run(cmd, capture_output=True, text=True, check=True)
         p2 = subprocess.run(cmd, capture_output=True, text=True, check=True)
         assert p1.stdout == p2.stdout
+
+
+#: A metric with an exponential and a polynomial warp in one denominator.
+WARPED = {"name": "warped", "dim": 4, "coords": ["x1", "x2", "x3", "x4"],
+          "metric": [["1"], ["0", "3 + 2*exp(x1)"],
+                     ["0", "0", "1 + 5*x1^2"],
+                     ["0", "0", "0", "(1 + 5*x1^2)*exp(x1)"]]}
+
+
+class TestRingUnit:
+    def test_shared_unit_is_never_mutated(self, tmp_path):
+        # Every value with denominator 1 shares the context's unit
+        # polynomial; an in-place change to it would change them all.
+        path = tmp_path / "warped.json"
+        path.write_text(json.dumps(WARPED))
+        zoo_chart = builtin("ex5_4").to_chart()
+        warped = load_metric_file(str(path)).to_chart()
+        units = [(c.ctx, c.ctx.ring_one) for c in (zoo_chart, warped)]
+        classify(zoo_chart)
+        scalar_curvature(warped)
+        nabla_riemann(warped)
+        classify_deszcz(warped, "R", "g")
+        weyl_conformal(warped)
+        for ctx, unit in units:
+            assert ctx.ring_one is unit
+            assert dict(unit) == dict(ctx.ring.one) == {
+                ctx.ring.zero_monom: 1}
 
 
 class TestResolveMetric:
