@@ -12,8 +12,7 @@ from .charts import (Chart, ChartError, OneForm, Tensor, build_chart,
                      covariant_derivative_oneform, determinant,
                      exterior_derivative_oneform, generic_rank, is_closed,
                      nabla_riemann, oneform, rank_at_most, ricci,
-                     ricci_square, riemann, riemann_operator,
-                     scalar_curvature)
+                     ricci_square, riemann, scalar_curvature)
 from .classifiers import (ClassifierVerdict, ProportionalityResult,
                           QuasiEinsteinResult, RankOneDecomposition,
                           SolverOutcome, TorseformingResult,

@@ -200,11 +200,6 @@ class Chart:
             self._cache[key] = value
         return value
 
-    # Convenience accessors used across the package.
-    @property
-    def zero(self) -> Expr:
-        return self.ctx.zero
-
     def metric_tensor(self) -> Tensor:
         return self.cached("g_tensor",
                            lambda: Tensor(self, (0, 2), self.g))
@@ -373,12 +368,6 @@ def lowered_to_operator(B: Tensor) -> np.ndarray:
             if not gi.is_zero:
                 out[i, j, k, a] = out[i, j, k, a] + val * gi
     return out
-
-
-def riemann_operator(chart: Chart) -> np.ndarray:
-    """(1,3) curvature, contravariant index last: see lowered_to_operator."""
-    return chart.cached("riemann13",
-                        lambda: lowered_to_operator(riemann(chart)))
 
 
 def ricci(chart: Chart) -> Tensor:

@@ -27,15 +27,15 @@ import numpy as np
 from sympy.polys.domains import QQ as _QQ
 
 from .charts import (Chart, OneForm, Tensor, christoffel,
-                     covariant_derivative, covariant_derivative_oneform,
-                     exterior_derivative_oneform, is_closed, oneform,
-                     rank_at_most, ricci, ricci_square, riemann,
+                     covariant_derivative_oneform, exterior_derivative_oneform,
+                     is_closed, oneform, rank_at_most, ricci, riemann,
                      scalar_curvature, zeros)
 from .exprs import Expr
 from .linsolve import (Identity, InternalInconsistencyError, SolutionSpace,
                        certify, satisfies, solve_linear_system)
-from .operators import (dot_named, kulkarni_nomizu, named_tensor,
-                        oneform_dot, tachibana_named)
+from .operators import (_by_name, dot_named, is_proper_gct, kulkarni_nomizu,
+                        nabla_cached, named_tensor, oneform_dot,
+                        tachibana_named)
 
 
 @dataclass
@@ -90,24 +90,6 @@ def _outcome_verdict(name: str, out: SolverOutcome, *notes: str,
     return verdict
 
 
-# ---------------------------------------------------------------------------
-# Cached building blocks.
-# ---------------------------------------------------------------------------
-
-
-def _keyed(chart: Chart, kind: str, T: Union[Tensor, str], compute):
-    """compute(), cached on the chart under kind:T when T is a tensor name."""
-    if not isinstance(T, str):
-        return compute()
-    return chart.cached(f"{kind}:{T}", compute)
-
-
-def nabla_cached(chart: Chart, T: Union[Tensor, str]) -> Tensor:
-    """nabla T, cached on the chart when T is a tensor name."""
-    return _keyed(chart, "nabla", T, lambda: covariant_derivative(
-        chart, resolve_tensor(chart, T)[0]))
-
-
 def _solve(chart: Chart, rows, names: Sequence[str],
            outside: str = "") -> SolverOutcome:
     """Solve rows for the named unknowns, keeping the rows the solver
@@ -122,12 +104,6 @@ def _solve(chart: Chart, rows, names: Sequence[str],
     space = solve_linear_system(recorded(), len(names), chart.ctx, names)
     return SolverOutcome(space, degenerate=bool(outside),
                          degenerate_set=outside, rows=consumed)
-
-
-def resolve_tensor(chart: Chart, T: Union[Tensor, str]) -> tuple[Tensor, str]:
-    if isinstance(T, str):
-        return named_tensor(chart, T), T
-    return T, ""
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +244,8 @@ def _solve_family(chart: Chart, T: Union[Tensor, str],
     names = tuple(f"{p}_{c}" for p in prefixes for c in chart.ctx.coords)
     outside = (nablaT.is_zero() if uset == "U_L"
                else solve_recurrence(chart, T).consistent)
-    return _solve(chart, _slot_rows(chart, resolve_tensor(chart, T)[0],
-                                    nablaT, first, blocks),
+    return _solve(chart, _slot_rows(chart, named_tensor(chart, T), nablaT,
+                                    first, blocks),
                   names, uset if outside else "")
 
 
@@ -281,10 +257,10 @@ def solve_chaki(chart: Chart, T: Union[Tensor, str]) -> SolverOutcome:
     the tensor's name.
     """
     def solve():
-        k = resolve_tensor(chart, T)[0].valence[1]
+        k = named_tensor(chart, T).valence[1]
         return _solve_family(chart, T, ("phi",), 2, (0,) * k, "U_L")
 
-    return _keyed(chart, "chaki", T, solve)
+    return _by_name(chart, "chaki", solve, T)
 
 
 def chaki_verdicts(chart: Chart, tname: str) -> list[ClassifierVerdict]:
@@ -292,14 +268,13 @@ def chaki_verdicts(chart: Chart, tname: str) -> list[ClassifierVerdict]:
     return [_outcome_verdict(f"chaki[{tname}]", solve_chaki(chart, tname))]
 
 
-def chaki_residual_zero(chart: Chart, T: Tensor, phi: OneForm,
-                        nablaT: Optional[Tensor] = None) -> bool:
+def chaki_residual_zero(chart: Chart, T: Union[Tensor, str],
+                        phi: OneForm) -> bool:
     """Direct re-verification of the Chaki condition for a given 1-form."""
-    if nablaT is None:
-        nablaT = covariant_derivative(chart, T)
+    nablaT = nabla_cached(chart, T)
+    T = named_tensor(chart, T)
     two_phi_T = _outer_first(chart, phi, T).scaled(2)
     correction = oneform_dot(phi, T)
-    k = T.valence[1]
     for idx in np.ndindex(nablaT.array.shape):
         x, I = idx[0], idx[1:]
         val = nablaT.array[idx] - two_phi_T.array[idx] \
@@ -325,8 +300,8 @@ def solve_recurrence(chart: Chart, T: Union[Tensor, str]) -> SolverOutcome:
 
     Cached on the chart under the tensor's name.
     """
-    return _keyed(chart, "recurrence", T, lambda: _solve_family(
-        chart, T, ("pi",), 1, (), "U_L"))
+    return _by_name(chart, "recurrence", lambda: _solve_family(
+        chart, T, ("pi",), 1, (), "U_L"), T)
 
 
 def recurrence_verdicts(chart: Chart, tname: str) -> list[ClassifierVerdict]:
@@ -350,7 +325,7 @@ def solve_weak_symmetry_04(chart: Chart,
     solved for the five 1-forms (5n unknowns).  Degenerate (outside U_J) when
     T is recurrent (including parallel): nabla T = xi (x) T for some xi.
     """
-    if resolve_tensor(chart, T)[0].valence != (0, 4):
+    if named_tensor(chart, T).valence != (0, 4):
         raise ValueError("weak symmetry solver expects a (0,4) tensor")
     return _solve_family(chart, T, ("alpha", "beta", "betabar", "gamma",
                                     "gammabar"), 1, (1, 2, 3, 4), "U_J")
@@ -399,9 +374,6 @@ def normalize_weak_solution(chart: Chart, outcome: SolverOutcome,
     substitution into the solver's rows; failure raises
     InternalInconsistencyError.
     """
-    from .operators import is_proper_gct  # local: avoid cycle at import time
-
-    T, _ = resolve_tensor(chart, T)
     if outcome.space is None or not outcome.space.consistent:
         raise ValueError("no weak-symmetry solution to normalize")
     n = chart.n
@@ -492,7 +464,7 @@ def solve_weak_Z(chart: Chart, Z: Union[Tensor, str]) -> WeakZResult:
     result = WeakZResult(outcome,
                          codazzi=is_codazzi(chart, Z),
                          cyclic_parallel=is_cyclic_parallel(chart, Z))
-    Z = resolve_tensor(chart, Z)[0]
+    Z = named_tensor(chart, Z)
     symmetric = bool(np.all(Z.array == Z.array.T))
     if outcome.consistent and symmetric and not Z.is_zero():
         result.reductions = _weakZ_reductions(chart, Z, outcome,
@@ -565,17 +537,16 @@ def form_recurrence_checks(chart: Chart, T: Union[Tensor, str]
     b2: some nonzero 1-form alpha has vanishing cyclic alpha-sum against T;
     b3: cyclic derivative sum equals the cyclic alpha-sum for a solved alpha.
     """
-    T, Tname = resolve_tensor(chart, T)
-    if T.valence != (0, 4):
+    label = T if isinstance(T, str) else "T"
+    tensor = named_tensor(chart, T)
+    if tensor.valence != (0, 4):
         raise ValueError("form recurrence checks expect a (0,4) tensor")
-    nablaT = nabla_cached(chart, Tname or T)
-    label = Tname or "T"
-    if T.is_zero():
+    if tensor.is_zero():
         note = "degenerate: T = 0"
         return {name: ClassifierVerdict(f"{name}[{label}]", None, notes=note)
                 for name in ("b1", "b2", "b3")}
 
-    rows = list(_cyclic3_rows(chart, T, nablaT))
+    rows = list(_cyclic3_rows(chart, tensor, nabla_cached(chart, T)))
     names = tuple(f"alpha_{c}" for c in chart.ctx.coords)
     zero = chart.ctx.zero
     hom = solve_linear_system([(coeffs, zero) for coeffs, _ in rows],
@@ -596,9 +567,9 @@ def form_recurrence_b4(chart: Chart,
 
     nabla_i Z_kl - nabla_k Z_il = alpha_i Z_kl - alpha_k Z_il, solved for alpha.
     """
-    Z, Zname = resolve_tensor(chart, Z)
-    nablaZ = nabla_cached(chart, Zname or Z).array
-    label = Zname or "Z"
+    label = Z if isinstance(Z, str) else "Z"
+    nablaZ = nabla_cached(chart, Z).array
+    Z = named_tensor(chart, Z)
     if Z.is_zero():
         return ClassifierVerdict(f"b4[{label}]", None, notes="degenerate: Z = 0")
     n, A = chart.n, Z.array
@@ -641,20 +612,16 @@ def _combination_rows(target: Tensor, generators: Sequence[Tensor]):
 
 
 def roter_generators(chart: Chart) -> tuple[list[Tensor], list[str]]:
-    g = chart.metric_tensor()
-    S = ricci(chart)
-    return ([kulkarni_nomizu(g, g), kulkarni_nomizu(g, S),
-             kulkarni_nomizu(S, S)], ["N1", "N2", "N3"])
+    """g^g, g^S, S^S, named N1..N3."""
+    return ([named_tensor(chart, p) for p in ("g^g", "g^S", "S^S")],
+            ["N1", "N2", "N3"])
 
 
 def generalized_roter_generators(chart: Chart) -> tuple[list[Tensor], list[str]]:
-    g = chart.metric_tensor()
-    S = ricci(chart)
-    S2 = ricci_square(chart)
-    gens = [kulkarni_nomizu(S, S), kulkarni_nomizu(S, S2),
-            kulkarni_nomizu(g, S), kulkarni_nomizu(g, S2),
-            kulkarni_nomizu(g, g), kulkarni_nomizu(S2, S2)]
-    return gens, ["L1", "L2", "L3", "L4", "L5", "L6"]
+    """S^S, S^S2, g^S, g^S2, g^g, S2^S2, named L1..L6."""
+    products = ("S^S", "S^S2", "g^S", "g^S2", "g^g", "S2^S2")
+    return ([named_tensor(chart, p) for p in products],
+            ["L1", "L2", "L3", "L4", "L5", "L6"])
 
 
 def classify_roter(chart: Chart) -> ClassifierVerdict:
@@ -1089,7 +1056,7 @@ def theorem_residual(chart: Chart, T: Union[Tensor, str], alpha: OneForm,
     RT = dot_named(chart, "R", T)
     da = exterior_derivative_oneform(chart, alpha)
     QJT = tachibana_named(chart, compute_J(chart, pi), T)
-    T, _ = resolve_tensor(chart, T)
+    T = named_tensor(chart, T)
     k, n = T.valence[1], chart.n
     out = RT.array - QJT.array
     for I, tval in T.nonzero_items():
@@ -1142,7 +1109,7 @@ def corollary_decomposition(chart: Chart, B: Tensor, H: Tensor
                                     notes="degenerate: B = 0, any L2 with "
                                           "L1 = 0")
     g = chart.metric_tensor()
-    gens = [kulkarni_nomizu(g, g), kulkarni_nomizu(g, H),
+    gens = [named_tensor(chart, "g^g"), kulkarni_nomizu(g, H),
             kulkarni_nomizu(H, H)]
     space = solve_linear_combination(B, gens, names=("u", "v", "w"))
     if not space.consistent:

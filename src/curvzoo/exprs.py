@@ -200,9 +200,6 @@ class Context:
     def parse(self, src: str) -> "Expr":
         return parse_expression(src, self)
 
-    def atom_of_gen(self, position: int) -> Atom:
-        return self.atoms[position]
-
     def _subring(self, occurring: tuple[int, ...]):
         """The ring over the generators at the given ring positions, with
         maps of exponent vectors into it and back into the chart ring;
@@ -226,6 +223,12 @@ class Context:
                               for pos in range(self.ring.ngens)])
             cached = self._subrings[occurring] = (sub, down, up)
         return cached
+
+
+#: Equality of two polynomials of one chart ring.  PolyElement.__eq__ also
+#: checks the other operand's ring on every call, which costs more than the
+#: comparison; every caller compares elements of ctx.ring.
+_same = dict.__eq__
 
 
 def _cancel(ctx: Context, f, g):
@@ -296,7 +299,7 @@ def _normalized(ctx: Context, num, den) -> "Expr":
         return ctx._zero
     if not den:
         raise ExpressionError("division by zero expression")
-    if den == ctx.ring_one:
+    if _same(den, ctx.ring_one):
         return Expr(ctx, num, den)
     _, num, den = _cancel(ctx, num, den)
     return _monic(ctx, num, den)
@@ -460,17 +463,17 @@ def _add(a: Expr, b: Expr) -> Expr:
         return b
     if b.is_zero:
         return a
-    if a.den == one and b.den == one:
+    if _same(a.den, one) and _same(b.den, one):
         num = a.num + b.num
         return Expr(ctx, num, one) if num else ctx._zero
-    if a.den == b.den:
+    if _same(a.den, b.den):
         return _normalized(ctx, a.num + b.num, a.den)
     # Henrici: split common denominator factor so only that factor can cancel.
     g, da, db = _cancel(ctx, a.den, b.den)
     num = a.num * db + b.num * da
     if not num:
         return ctx._zero
-    if g == one:
+    if _same(g, one):
         return Expr(ctx, num, a.den * b.den)  # coprime by construction
     _, num, g = _cancel(ctx, num, g)
     return _monic(ctx, num, g * da * db)
@@ -481,12 +484,12 @@ def _mul(a: Expr, b: Expr) -> Expr:
     one = ctx.ring_one
     if a.is_zero or b.is_zero:
         return ctx._zero
-    if a.den == one and b.den == one:
+    if _same(a.den, one) and _same(b.den, one):
         return Expr(ctx, a.num * b.num, one)
     n1, d1, n2, d2 = a.num, a.den, b.num, b.den
-    if d2 != one:
+    if not _same(d2, one):
         _, n1, d2 = _cancel(ctx, n1, d2)
-    if d1 != one:
+    if not _same(d1, one):
         _, n2, d1 = _cancel(ctx, n2, d1)
     return _monic(ctx, n1 * n2, d1 * d2)
 

@@ -21,7 +21,7 @@ from typing import Union
 import numpy as np
 
 from .charts import (Chart, OneForm, Tensor, covariant_derivative,
-                     lowered_to_operator, nabla_riemann, ricci, riemann,
+                     lowered_to_operator, ricci, ricci_square, riemann,
                      scalar_curvature, zeros)
 
 
@@ -54,23 +54,19 @@ def kulkarni_nomizu(A: Tensor, D: Tensor) -> Tensor:
 
 def gaussian_tensor(chart: Chart) -> Tensor:
     """G = (1/2) g ^ g."""
-    def compute():
-        g = chart.metric_tensor()
-        return kulkarni_nomizu(g, g).scaled(Fraction(1, 2))
-    return chart.cached("G", compute)
+    return chart.cached("G", lambda: named_tensor(chart, "g^g").scaled(
+        Fraction(1, 2)))
 
 
 def weyl_conformal(chart: Chart) -> Tensor:
     """C = R - g^S/(n-2) + kappa g^g / (2(n-1)(n-2))."""
     def compute():
         n = chart.n
-        g = chart.metric_tensor()
-        R, S = riemann(chart), ricci(chart)
         kappa = scalar_curvature(chart)
-        gS = kulkarni_nomizu(g, S).scaled(Fraction(1, n - 2))
-        gg = kulkarni_nomizu(g, g).scaled(
+        gS = named_tensor(chart, "g^S").scaled(Fraction(1, n - 2))
+        gg = named_tensor(chart, "g^g").scaled(
             kappa * Fraction(1, 2 * (n - 1) * (n - 2)))
-        return R - gS + gg
+        return riemann(chart) - gS + gg
     return chart.cached("C", compute)
 
 
@@ -78,9 +74,9 @@ def concircular(chart: Chart) -> Tensor:
     """K = R - kappa g^g / (2 n (n-1))."""
     def compute():
         n = chart.n
-        g = chart.metric_tensor()
         kappa = scalar_curvature(chart)
-        gg = kulkarni_nomizu(g, g).scaled(kappa * Fraction(1, 2 * n * (n - 1)))
+        gg = named_tensor(chart, "g^g").scaled(
+            kappa * Fraction(1, 2 * n * (n - 1)))
         return riemann(chart) - gg
     return chart.cached("K", compute)
 
@@ -88,9 +84,8 @@ def concircular(chart: Chart) -> Tensor:
 def conharmonic(chart: Chart) -> Tensor:
     """conh(R) = R - g^S/(n-2)."""
     def compute():
-        n = chart.n
-        gS = kulkarni_nomizu(chart.metric_tensor(), ricci(chart))
-        return riemann(chart) - gS.scaled(Fraction(1, n - 2))
+        gS = named_tensor(chart, "g^S").scaled(Fraction(1, chart.n - 2))
+        return riemann(chart) - gS
     return chart.cached("conh", compute)
 
 
@@ -131,41 +126,68 @@ def derived_tensor(chart: Chart, which: str) -> Tensor:
     try:
         return _DERIVED[which](chart)
     except KeyError:
-        raise ValueError(f"unknown derived tensor {which!r}") from None
+        raise ValueError(f"unknown tensor name {which!r}") from None
 
 
-def named_tensor(chart: Chart, which: str) -> Tensor:
-    """Tensor lookup including R, S and g, used by classifier batteries."""
-    if which == "R":
+#: The factors A, B of the named Kulkarni-Nomizu products "A^B".
+_KN_FACTORS = ("g", "S", "S2")
+
+
+def named_tensor(chart: Chart, T: Union[Tensor, str]) -> Tensor:
+    """The tensor a name stands for, cached on the chart; a Tensor is
+    returned unchanged.
+
+    Names: R, S, S2 (the Ricci square), g, the derived tensors G, C, K,
+    conh, P, and "A^B", the Kulkarni-Nomizu product of A and B in
+    {g, S, S2}.  Unknown names raise ValueError.
+    """
+    if isinstance(T, Tensor):
+        return T
+    if T == "R":
         return riemann(chart)
-    if which == "S":
+    if T == "S":
         return ricci(chart)
-    if which == "g":
+    if T == "S2":
+        return ricci_square(chart)
+    if T == "g":
         return chart.metric_tensor()
-    return derived_tensor(chart, which)
+    A, hat, B = T.partition("^")
+    if not hat:
+        return derived_tensor(chart, T)
+    if A not in _KN_FACTORS or B not in _KN_FACTORS:
+        raise ValueError(f"unknown tensor name {T!r}")
+    return chart.cached(T, lambda: kulkarni_nomizu(named_tensor(chart, A),
+                                                   named_tensor(chart, B)))
 
 
-def _action_named(chart: Chart, kind: str, action, A, T) -> Tensor:
-    """action(A, T) for tensors or tensor names, chart-cached under
-    kind:A.T when both are names."""
-    def compute():
-        return action(*(named_tensor(chart, X) if isinstance(X, str) else X
-                        for X in (A, T)))
-    if isinstance(A, str) and isinstance(T, str):
-        return chart.cached(f"{kind}:{A}.{T}", compute)
+def _by_name(chart: Chart, kind: str, compute, *operands):
+    """compute(), cached on the chart under kind:A.B.. when every operand
+    is a tensor name; computed afresh otherwise."""
+    if all(isinstance(X, str) for X in operands):
+        return chart.cached(f"{kind}:{'.'.join(operands)}", compute)
     return compute()
+
+
+def nabla_cached(chart: Chart, T: Union[Tensor, str]) -> Tensor:
+    """nabla T, chart-cached for a tensor name and for the chart's R."""
+    if isinstance(T, Tensor) and T is riemann(chart):
+        T = "R"
+    return _by_name(chart, "nabla", lambda: covariant_derivative(
+        chart, named_tensor(chart, T)), T)
 
 
 def dot_named(chart: Chart, acting: Union[Tensor, str],
               T: Union[Tensor, str]) -> Tensor:
     """B.T, chart-cached for named tensors (the battery's hot path)."""
-    return _action_named(chart, "dot", dot_action, acting, T)
+    return _by_name(chart, "dot", lambda: dot_action(
+        named_tensor(chart, acting), named_tensor(chart, T)), acting, T)
 
 
 def tachibana_named(chart: Chart, A: Union[Tensor, str],
                     T: Union[Tensor, str]) -> Tensor:
     """Q(A, T), chart-cached for named tensors."""
-    return _action_named(chart, "Q", tachibana, A, T)
+    return _by_name(chart, "Q", lambda: tachibana(
+        named_tensor(chart, A), named_tensor(chart, T)), A, T)
 
 
 def dot_action(B: Tensor, T: Tensor) -> Tensor:
@@ -296,13 +318,12 @@ def is_gct(B: Tensor) -> bool:
     return all(check_gct(B).values())
 
 
-def check_second_bianchi(chart: Chart, B: Tensor) -> bool:
+def check_second_bianchi(chart: Chart, B: Union[Tensor, str]) -> bool:
     """Cyclic covariant-derivative identity making a GCT 'proper':
 
     (nabla_X1 B)(X2,X3,..) + (nabla_X2 B)(X3,X1,..) + (nabla_X3 B)(X1,X2,..) = 0.
     """
-    D = (nabla_riemann(chart) if B is riemann(chart)
-         else covariant_derivative(chart, B)).array
+    D = nabla_cached(chart, B).array
     for h, i, j, k, l in np.ndindex(D.shape):
         acc = D[h, i, j, k, l] + D[i, j, h, k, l] + D[j, h, i, k, l]
         if not acc.is_zero:
@@ -310,8 +331,8 @@ def check_second_bianchi(chart: Chart, B: Tensor) -> bool:
     return True
 
 
-def is_proper_gct(chart: Chart, B: Tensor) -> bool:
-    return is_gct(B) and check_second_bianchi(chart, B)
+def is_proper_gct(chart: Chart, B: Union[Tensor, str]) -> bool:
+    return is_gct(named_tensor(chart, B)) and check_second_bianchi(chart, B)
 
 
 def walker_cyclic_check(chart: Chart, B: Tensor) -> bool:

@@ -6,12 +6,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from curvzoo.charts import Tensor, build_chart, oneform, ricci, riemann, zeros
+from curvzoo import operators
+from curvzoo.charts import (Tensor, build_chart, nabla_riemann, oneform, ricci,
+                            riemann, zeros)
+from curvzoo.metrics import builtin
 from curvzoo.operators import (check_gct, check_second_bianchi,
                                derived_tensor, dot_action, gaussian_tensor,
-                               is_gct, kulkarni_nomizu, oneform_dot,
-                               projective, tachibana, walker_cyclic_check,
-                               weyl_conformal)
+                               is_gct, kulkarni_nomizu, named_tensor,
+                               oneform_dot, projective, tachibana,
+                               walker_cyclic_check, weyl_conformal)
+from curvzoo.zoo import classify
 
 
 def delta_entries(n):
@@ -107,6 +111,56 @@ class TestDerivedTensors:
     def test_unknown_name(self, flat4):
         with pytest.raises(ValueError):
             derived_tensor(flat4, "W")
+
+
+class TestNamedTensors:
+    FACTORS = ("g", "S", "S2")
+
+    def test_products_are_kulkarni_nomizu(self, godel):
+        for A in self.FACTORS:
+            for B in self.FACTORS:
+                assert named_tensor(godel, f"{A}^{B}") == kulkarni_nomizu(
+                    named_tensor(godel, A), named_tensor(godel, B))
+
+    def test_second_lookup_is_the_same_object(self, godel):
+        for name in ("R", "S", "S2", "g", "G", "C", "K", "conh", "P",
+                     "g^g", "S^S2"):
+            assert named_tensor(godel, name) is named_tensor(godel, name)
+
+    def test_tensor_returned_unchanged(self, conformal4):
+        T = random_symmetric(conformal4, random.Random(3))
+        assert named_tensor(conformal4, T) is T
+
+    @pytest.mark.parametrize("name", ["S^R", "x^g", "g^", "W"])
+    def test_unknown_names(self, flat4, name):
+        with pytest.raises(ValueError):
+            named_tensor(flat4, name)
+
+    def test_default_classify_builds_each_product_once(self, monkeypatch):
+        # ex5_5 needs g^g, g^S (Weyl, Roter), S^S, S^S2, g^S2 and S2^S2
+        # (generalized Roter): six distinct products.
+        calls = []
+
+        def counting(A, D):
+            calls.append((A, D))
+            return kulkarni_nomizu(A, D)
+
+        monkeypatch.setattr(operators, "kulkarni_nomizu", counting)
+        classify(builtin("ex5_5"), run_oracle=False)
+        assert len(calls) == 6
+
+    def test_second_bianchi_reuses_nabla_R(self, monkeypatch):
+        entries = [[("x2" if i == j else "0") for j in range(3)]
+                   for i in range(3)]
+        chart = build_chart(["x1", "x2", "x3"], entries)
+        nabla_riemann(chart)
+
+        def recompute(chart, T):
+            raise AssertionError("nabla R computed twice")
+
+        monkeypatch.setattr(operators, "covariant_derivative", recompute)
+        assert check_second_bianchi(chart, riemann(chart))
+        assert check_second_bianchi(chart, "R")
 
 
 class TestDotAction:
