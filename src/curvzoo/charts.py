@@ -7,7 +7,11 @@ chart's expression field and cached on the chart.
 
 Index conventions, fixed throughout the package:
 
-* (0,k) tensors are numpy object arrays T[i1, ..., ik] = T(e_i1, ..., e_ik).
+* A (0,k) tensor T has components T[i1, ..., ik] = T(e_i1, ..., e_ik).
+  They live in a numpy object array, but only this module knows that:
+  every other module reads them through Tensor (T[idx], items(),
+  nonzero_items()) and states identities through T.permuted(order) and
+  T.cyclic_sum(width).
 * The covariant derivative adds its index FIRST: (nabla T)[x, i1, ..., ik].
 * The curvature sign is calibrated so that the round-sphere family carries
   negative scalar curvature, i.e. R is the negative of the
@@ -110,27 +114,42 @@ class Tensor:
     def is_zero(self) -> bool:
         return all(e.is_zero for e in self.array.flat)
 
+    def items(self) -> Iterable[tuple[tuple[int, ...], Expr]]:
+        """Every (index, component) pair, zeros included, in index order."""
+        return zip(np.ndindex(self.array.shape), self.array.flat)
+
     def nonzero_items(self) -> Iterable[tuple[tuple[int, ...], Expr]]:
-        for idx in np.ndindex(self.array.shape):
-            e = self.array[idx]
-            if not e.is_zero:
-                yield idx, e
+        return ((idx, e) for idx, e in self.items() if not e.is_zero)
+
+    def permuted(self, order: Sequence[int]) -> "Tensor":
+        """The tensor P with P[i] = T[i[order[0]], ..., i[order[k-1]]]."""
+        return Tensor(self.chart, self.valence,
+                      self.array.transpose(np.argsort(order)))
+
+    def cyclic_sum(self, width: int = 1) -> "Tensor":
+        """T plus its two cyclic shifts of the first three slot groups, each
+        `width` slots wide; for width 1,
+        C[i, j, k, ..] = T[i, j, k, ..] + T[j, k, i, ..] + T[k, i, j, ..]."""
+        slots, w = tuple(range(self.rank)), width
+        g0, g1, g2, rest = (slots[:w], slots[w:2 * w], slots[2 * w:3 * w],
+                            slots[3 * w:])
+        return (self + self.permuted(g1 + g2 + g0 + rest)
+                + self.permuted(g2 + g0 + g1 + rest))
 
     def _symmetry_holds(self, sym: str) -> bool:
         # "skew:p,q"  "sym:p,q"  "block:p,q,r,s" (interchange of index pairs)
         kind, _, spec = sym.partition(":")
         slots = tuple(int(s) for s in spec.split(",")) if spec else ()
-        arr = self.array
-        if kind == "skew":
+        order = list(range(self.rank))
+        if kind in ("skew", "sym"):
             p, q = slots
-            return bool(np.all(arr == -np.swapaxes(arr, p, q)))
-        if kind == "sym":
-            p, q = slots
-            return bool(np.all(arr == np.swapaxes(arr, p, q)))
+            order[p], order[q] = q, p
+            swapped = self.permuted(order)
+            return self == (-swapped if kind == "skew" else swapped)
         if kind == "block":
             p, q, r, s = slots
-            permuted = np.moveaxis(arr, (p, q, r, s), (r, s, p, q))
-            return bool(np.all(arr == permuted))
+            order[p], order[q], order[r], order[s] = r, s, p, q
+            return self == self.permuted(order)
         raise ValueError(f"unknown symmetry spec {sym!r}")
 
 

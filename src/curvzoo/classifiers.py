@@ -23,7 +23,6 @@ from fractions import Fraction
 from math import isqrt
 from typing import Optional, Sequence, Union
 
-import numpy as np
 from sympy.polys.domains import QQ as _QQ
 
 from .charts import (Chart, OneForm, Tensor, christoffel,
@@ -139,9 +138,9 @@ def solve_proportionality(lhs: Tensor, rhs: Tensor) -> ProportionalityResult:
             return ProportionalityResult("degenerate")
         return ProportionalityResult("none")
     idx, val = pivot
-    L = lhs.array[idx] / val
-    for jdx in np.ndindex(rhs.array.shape):
-        if not (lhs.array[jdx] - L * rhs.array[jdx]).is_zero:
+    L = lhs[idx] / val
+    for jdx, r in rhs.items():
+        if not (lhs[jdx] - L * r).is_zero:
             return ProportionalityResult("none")
     return ProportionalityResult("proportional", L)
 
@@ -223,15 +222,15 @@ def _slot_rows(chart: Chart, T: Tensor, nablaT: Tensor, first: int,
                blocks: Sequence[int]):
     """Rows of nabla_x T_I = first a_x T_I + sum_m b_{blocks[m]}(I_m)
     T_{I[m->x]}, in unknowns of n columns per block; a is block 0."""
-    n, A = chart.n, T.array
-    for idx in np.ndindex(nablaT.array.shape):
+    n = chart.n
+    for idx, rhs in nablaT.items():
         x, I = idx[0], idx[1:]
-        base = A[I]
+        base = T[I]
         if first != 1 and not base.is_zero:
             base = first * base
-        terms = [(x, base)] + [(b * n + I[m], A[I[:m] + (x,) + I[m + 1:]])
+        terms = [(x, base)] + [(b * n + I[m], T[I[:m] + (x,) + I[m + 1:]])
                                for m, b in enumerate(blocks)]
-        yield _sparse(terms), nablaT.array[idx]
+        yield _sparse(terms), rhs
 
 
 def _solve_family(chart: Chart, T: Union[Tensor, str],
@@ -270,18 +269,15 @@ def chaki_verdicts(chart: Chart, tname: str) -> list[ClassifierVerdict]:
 
 def chaki_residual_zero(chart: Chart, T: Union[Tensor, str],
                         phi: OneForm) -> bool:
-    """Direct re-verification of the Chaki condition for a given 1-form."""
+    """Direct re-verification of the Chaki condition for a given 1-form:
+    nabla_x T_I - 2 phi_x T_I + (phi . T)(I; x) = 0."""
     nablaT = nabla_cached(chart, T)
     T = named_tensor(chart, T)
-    two_phi_T = _outer_first(chart, phi, T).scaled(2)
-    correction = oneform_dot(phi, T)
-    for idx in np.ndindex(nablaT.array.shape):
-        x, I = idx[0], idx[1:]
-        val = nablaT.array[idx] - two_phi_T.array[idx] \
-            + correction.array[I + (x,)]
-        if not val.is_zero:
-            return False
-    return True
+    k = T.valence[1]
+    # phi . T stores its derivative-direction slot last; move it first.
+    correction = oneform_dot(phi, T).permuted((*range(1, k + 1), 0))
+    return (nablaT - _outer_first(chart, phi, T).scaled(2)
+            + correction).is_zero()
 
 
 def _outer_first(chart: Chart, alpha: OneForm, T: Tensor) -> Tensor:
@@ -417,27 +413,14 @@ def normalize_weak_solution(chart: Chart, outcome: SolverOutcome,
 
 
 def is_codazzi(chart: Chart, Z: Union[Tensor, str]) -> bool:
+    """(nabla_X Z)(Y, W) = (nabla_Y Z)(X, W)."""
     nablaZ = nabla_cached(chart, Z)
-    n = chart.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                if nablaZ.array[i, j, k] != nablaZ.array[j, i, k]:
-                    return False
-    return True
+    return nablaZ == nablaZ.permuted((1, 0, 2))
 
 
 def is_cyclic_parallel(chart: Chart, Z: Union[Tensor, str]) -> bool:
-    nablaZ = nabla_cached(chart, Z)
-    n = chart.n
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                acc = (nablaZ.array[i, j, k] + nablaZ.array[j, k, i]
-                       + nablaZ.array[k, i, j])
-                if not acc.is_zero:
-                    return False
-    return True
+    """The cyclic sum of (nabla_X Z)(Y, W) vanishes."""
+    return nabla_cached(chart, Z).cyclic_sum().is_zero()
 
 
 @dataclass
@@ -465,7 +448,7 @@ def solve_weak_Z(chart: Chart, Z: Union[Tensor, str]) -> WeakZResult:
                          codazzi=is_codazzi(chart, Z),
                          cyclic_parallel=is_cyclic_parallel(chart, Z))
     Z = named_tensor(chart, Z)
-    symmetric = bool(np.all(Z.array == Z.array.T))
+    symmetric = Z == Z.permuted((1, 0))
     if outcome.consistent and symmetric and not Z.is_zero():
         result.reductions = _weakZ_reductions(chart, Z, outcome,
                                               result.codazzi,
@@ -522,11 +505,9 @@ def _weakZ_reductions(chart: Chart, Z: Tensor, outcome: SolverOutcome,
 def _cyclic3_rows(chart: Chart, T: Tensor, nablaT: Tensor):
     """Rows alpha_h T_ijkl + alpha_i T_jhkl + alpha_j T_hikl
     = nabla_h T_ijkl + nabla_i T_jhkl + nabla_j T_hikl."""
-    A, N = T.array, nablaT.array
-    for h, i, j, k, l in np.ndindex(N.shape):
-        yield (_sparse(((h, A[i, j, k, l]), (i, A[j, h, k, l]),
-                        (j, A[h, i, k, l]))),
-               N[h, i, j, k, l] + N[i, j, h, k, l] + N[j, h, i, k, l])
+    for (h, i, j, k, l), rhs in nablaT.cyclic_sum().items():
+        yield (_sparse(((h, T[i, j, k, l]), (i, T[j, h, k, l]),
+                        (j, T[h, i, k, l]))), rhs)
 
 
 def form_recurrence_checks(chart: Chart, T: Union[Tensor, str]
@@ -568,12 +549,12 @@ def form_recurrence_b4(chart: Chart,
     nabla_i Z_kl - nabla_k Z_il = alpha_i Z_kl - alpha_k Z_il, solved for alpha.
     """
     label = Z if isinstance(Z, str) else "Z"
-    nablaZ = nabla_cached(chart, Z).array
+    nablaZ = nabla_cached(chart, Z)
     Z = named_tensor(chart, Z)
     if Z.is_zero():
         return ClassifierVerdict(f"b4[{label}]", None, notes="degenerate: Z = 0")
-    n, A = chart.n, Z.array
-    rows = ((_sparse(((i, A[k, l]), (k, -A[i, l]))),
+    n = chart.n
+    rows = ((_sparse(((i, Z[k, l]), (k, -Z[i, l]))),
              nablaZ[i, k, l] - nablaZ[k, i, l])
             for i in range(n) for k in range(i + 1, n) for l in range(n))
     names = tuple(f"alpha_{c}" for c in chart.ctx.coords)
@@ -605,10 +586,10 @@ def solve_linear_combination(target: Tensor, generators: Sequence[Tensor],
 
 def _combination_rows(target: Tensor, generators: Sequence[Tensor]):
     """Rows of target = sum_i c_i generator_i, one per component."""
-    for idx in np.ndindex(target.array.shape):
-        coeffs = {i: g.array[idx] for i, g in enumerate(generators)
-                  if not g.array[idx].is_zero}
-        yield coeffs, target.array[idx]
+    for idx, val in target.items():
+        coeffs = {i: g[idx] for i, g in enumerate(generators)
+                  if not g[idx].is_zero}
+        yield coeffs, val
 
 
 def roter_generators(chart: Chart) -> tuple[list[Tensor], list[str]]:
@@ -668,15 +649,14 @@ class QuasiEinsteinResult:
 
 def _minor_quadratics(chart: Chart, S: Tensor):
     """2x2 minors of S - a g as quadratics [c0, c1, c2] in the unknown a."""
-    n, g = chart.n, chart.g
-    s = S.array
+    n, g = chart.n, chart.metric_tensor()
     for rows in itertools.combinations(range(n), 2):
         for cols in itertools.combinations(range(n), 2):
             i, k = rows
             j, l = cols
-            c0 = s[i, j] * s[k, l] - s[i, l] * s[k, j]
-            c1 = -(s[i, j] * g[k, l] + g[i, j] * s[k, l]
-                   - s[i, l] * g[k, j] - g[i, l] * s[k, j])
+            c0 = S[i, j] * S[k, l] - S[i, l] * S[k, j]
+            c1 = -(S[i, j] * g[k, l] + g[i, j] * S[k, l]
+                   - S[i, l] * g[k, j] - g[i, l] * S[k, j])
             c2 = g[i, j] * g[k, l] - g[i, l] * g[k, j]
             yield [c0, c1, c2]
 
@@ -794,9 +774,9 @@ def factor_rank_one(chart: Chart, Z: Tensor) -> Optional[tuple[Expr, OneForm]]:
     """
     n = chart.n
     for p in range(n):
-        if not Z.array[p, p].is_zero:
-            eta = OneForm(chart, [Z.array[p, i] for i in range(n)])
-            return 1 / Z.array[p, p], eta
+        if not Z[p, p].is_zero:
+            eta = OneForm(chart, [Z[p, i] for i in range(n)])
+            return 1 / Z[p, p], eta
     return None
 
 
@@ -851,7 +831,7 @@ def quasi_einstein_verdicts(chart: Chart, tensors) -> list[ClassifierVerdict]:
                                 notes=qe.notes)
     if qe.found and not qe.einstein:
         S, g, n = ricci(chart), chart.metric_tensor(), chart.n
-        rows = [({0: g.array[i, j], 1: qe.eta[i] * qe.eta[j]}, S.array[i, j])
+        rows = [({0: g[i, j], 1: qe.eta[i] * qe.eta[j]}, S[i, j])
                 for i in range(n) for j in range(i, n)]
         values = [qe.alpha, qe.beta]
         verdict.identity = certify(
@@ -880,7 +860,7 @@ class TorseformingResult:
     notes: str = ""
 
 
-def nabla_vector(chart: Chart, V: Sequence[Expr]) -> np.ndarray:
+def nabla_vector(chart: Chart, V: Sequence[Expr]):
     """(nabla V)[i, k] = d_i V^k + Gamma^k_{i a} V^a."""
     ctx, n = chart.ctx, chart.n
     gamma = christoffel(chart)
@@ -933,10 +913,8 @@ def check_torseforming(chart: Chart, V: Sequence[Expr]) -> TorseformingResult:
                                 recurrent=a.is_zero,
                                 proper_concircular=closed)
     norm = ctx.zero
-    for i in range(n):
-        for j in range(n):
-            if not chart.g[i, j].is_zero:
-                norm = norm + chart.g[i, j] * V[i] * V[j]
+    for (i, j), gij in chart.metric_tensor().nonzero_items():
+        norm = norm + gij * V[i] * V[j]
     result.isotropic = norm.is_zero
     if not closed:
         result.concircular = False
@@ -1057,15 +1035,13 @@ def theorem_residual(chart: Chart, T: Union[Tensor, str], alpha: OneForm,
     da = exterior_derivative_oneform(chart, alpha)
     QJT = tachibana_named(chart, compute_J(chart, pi), T)
     T = named_tensor(chart, T)
-    k, n = T.valence[1], chart.n
-    out = RT.array - QJT.array
+    k = T.valence[1]
+    out = zeros(chart.ctx, (chart.n,) * (k + 2))
+    for idx, rt in RT.items():
+        out[idx] = rt - QJT[idx]
     for I, tval in T.nonzero_items():
-        for h in range(n):
-            for l in range(n):
-                d = da.array[h, l]
-                if not d.is_zero:
-                    idx = I + (h, l)
-                    out[idx] = out[idx] - 2 * d * tval
+        for hl, d in da.nonzero_items():
+            out[I + hl] = out[I + hl] - 2 * d * tval
     return Tensor(chart, (0, k + 2), out)
 
 

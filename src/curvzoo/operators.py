@@ -15,10 +15,9 @@ FOURTH slot, consistent with B(X1,X2,X3,X4) = g(B(X1,X2)X3, X4), and from
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Union
-
-import numpy as np
 
 from .charts import (Chart, OneForm, Tensor, covariant_derivative,
                      lowered_to_operator, ricci, ricci_square, riemann,
@@ -33,21 +32,20 @@ def kulkarni_nomizu(A: Tensor, D: Tensor) -> Tensor:
     """
     chart = A.chart
     ctx, n = chart.ctx, chart.n
-    a, d = A.array, D.array
     out = zeros(ctx, (n, n, n, n))
     for i in range(n):
         for j in range(n):
             for k in range(n):
                 for l in range(n):
                     acc = ctx.zero
-                    if not a[i, l].is_zero and not d[j, k].is_zero:
-                        acc = acc + a[i, l] * d[j, k]
-                    if not a[j, k].is_zero and not d[i, l].is_zero:
-                        acc = acc + a[j, k] * d[i, l]
-                    if not a[i, k].is_zero and not d[j, l].is_zero:
-                        acc = acc - a[i, k] * d[j, l]
-                    if not a[j, l].is_zero and not d[i, k].is_zero:
-                        acc = acc - a[j, l] * d[i, k]
+                    if not A[i, l].is_zero and not D[j, k].is_zero:
+                        acc = acc + A[i, l] * D[j, k]
+                    if not A[j, k].is_zero and not D[i, l].is_zero:
+                        acc = acc + A[j, k] * D[i, l]
+                    if not A[i, k].is_zero and not D[j, l].is_zero:
+                        acc = acc - A[i, k] * D[j, l]
+                    if not A[j, l].is_zero and not D[i, k].is_zero:
+                        acc = acc - A[j, l] * D[i, k]
                     out[i, j, k, l] = acc
     return Tensor(chart, (0, 4), out)
 
@@ -99,7 +97,7 @@ def projective(chart: Chart) -> Tensor:
     reported as-is.
     """
     def compute():
-        ctx, n, g = chart.ctx, chart.n, chart.g
+        ctx, n, g = chart.ctx, chart.n, chart.metric_tensor()
         R, S = riemann(chart), ricci(chart)
         coeff = Fraction(1, n - 2)
         out = zeros(ctx, (n, n, n, n))
@@ -162,7 +160,10 @@ def named_tensor(chart: Chart, T: Union[Tensor, str]) -> Tensor:
 
 def _by_name(chart: Chart, kind: str, compute, *operands):
     """compute(), cached on the chart under kind:A.B.. when every operand
-    is a tensor name; computed afresh otherwise."""
+    is a tensor name or the chart's R (named "R"); computed afresh
+    otherwise."""
+    operands = tuple("R" if isinstance(X, Tensor) and X is riemann(chart)
+                     else X for X in operands)
     if all(isinstance(X, str) for X in operands):
         return chart.cached(f"{kind}:{'.'.join(operands)}", compute)
     return compute()
@@ -170,8 +171,6 @@ def _by_name(chart: Chart, kind: str, compute, *operands):
 
 def nabla_cached(chart: Chart, T: Union[Tensor, str]) -> Tensor:
     """nabla T, chart-cached for a tensor name and for the chart's R."""
-    if isinstance(T, Tensor) and T is riemann(chart):
-        T = "R"
     return _by_name(chart, "nabla", lambda: covariant_derivative(
         chart, named_tensor(chart, T)), T)
 
@@ -234,7 +233,6 @@ def tachibana(A: Tensor, T: Tensor) -> Tensor:
     r, k = T.valence
     if r != 0 or k < 1:
         raise ValueError("tachibana expects a covariant tensor of rank >= 1")
-    a = A.array
     out = zeros(ctx, (n,) * (k + 2))
     # -A(Y,Xm) T(..X@m..) + A(X,Xm) T(..Y@m..) contributes, for a nonzero
     # T[J], at trailing pairs where one member equals J[m].
@@ -245,7 +243,7 @@ def tachibana(A: Tensor, T: Tensor) -> Tensor:
                 for c in range(n):
                     if c == jm:
                         continue
-                    av = a[c, i]
+                    av = A[c, i]
                     if av.is_zero:
                         continue
                     contrib = av * tval
@@ -277,9 +275,9 @@ def oneform_dot(mu: OneForm, T: Tensor) -> Tensor:
     return Tensor(chart, (0, k + 1), out)
 
 
-def _reflect_last_pair(out: np.ndarray, n: int, k: int) -> None:
+def _reflect_last_pair(out, n: int, k: int) -> None:
     # Fill (.., l, h) = -(.., h, l) for h < l; diagonal stays zero.
-    for J in np.ndindex(out.shape[:k]):
+    for J in itertools.product(range(n), repeat=k):
         for h in range(n):
             for l in range(h + 1, n):
                 v = out[J + (h, l)]
@@ -294,23 +292,10 @@ def check_gct(B: Tensor) -> dict[str, bool]:
     (ii) skew-symmetry in the first pair,
     (iii) block interchange symmetry.
     """
-    arr = B.array
-    n = B.chart.n
-    first_bianchi = True
-    block = True
-    for i, j, k, l in np.ndindex(arr.shape):
-        if first_bianchi:
-            acc = arr[i, j, k, l] + arr[j, k, i, l] + arr[k, i, j, l]
-            if not acc.is_zero:
-                first_bianchi = False
-        if block and arr[i, j, k, l] != arr[k, l, i, j]:
-            block = False
-        if not first_bianchi and not block:
-            break
     return {
-        "first_bianchi": first_bianchi,
-        "skew_first_pair": bool(np.all(arr == -np.swapaxes(arr, 0, 1))),
-        "block_interchange": block,
+        "first_bianchi": B.cyclic_sum().is_zero(),
+        "skew_first_pair": B == -B.permuted((1, 0, 2, 3)),
+        "block_interchange": B == B.permuted((2, 3, 0, 1)),
     }
 
 
@@ -323,33 +308,20 @@ def check_second_bianchi(chart: Chart, B: Union[Tensor, str]) -> bool:
 
     (nabla_X1 B)(X2,X3,..) + (nabla_X2 B)(X3,X1,..) + (nabla_X3 B)(X1,X2,..) = 0.
     """
-    D = nabla_cached(chart, B).array
-    for h, i, j, k, l in np.ndindex(D.shape):
-        acc = D[h, i, j, k, l] + D[i, j, h, k, l] + D[j, h, i, k, l]
-        if not acc.is_zero:
-            return False
-    return True
+    return nabla_cached(chart, B).cyclic_sum().is_zero()
 
 
 def is_proper_gct(chart: Chart, B: Union[Tensor, str]) -> bool:
     return is_gct(named_tensor(chart, B)) and check_second_bianchi(chart, B)
 
 
-def walker_cyclic_check(chart: Chart, B: Tensor) -> bool:
+def walker_cyclic_check(chart: Chart, B: Union[Tensor, str]) -> bool:
     """Cyclic identity for the curvature action on a (0,4) tensor:
 
     (R(X1,X2).B)(X3,X4,X5,X6) + (R(X3,X4).B)(X5,X6,X1,X2)
                               + (R(X5,X6).B)(X1,X2,X3,X4) = 0,
 
-    the classical Walker identity when B = R.
+    the classical Walker identity when B = R.  R.B is stored with the
+    acting pair last, so this is its cyclic sum over slot pairs.
     """
-    RB = dot_action(riemann(chart), B).array  # indexed (i3,i4,i5,i6; i1,i2)
-    n = chart.n
-    for idx in np.ndindex((n,) * 6):
-        i1, i2, i3, i4, i5, i6 = idx
-        acc = RB[i3, i4, i5, i6, i1, i2]
-        acc = acc + RB[i5, i6, i1, i2, i3, i4]
-        acc = acc + RB[i1, i2, i3, i4, i5, i6]
-        if not acc.is_zero:
-            return False
-    return True
+    return dot_named(chart, "R", B).cyclic_sum(2).is_zero()

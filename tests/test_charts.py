@@ -1,5 +1,6 @@
 """Chart construction and the curvature pipeline."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -246,6 +247,69 @@ class TestDeclaredSymmetries:
         R = riemann(conformal4)
         Tensor(conformal4, (0, 4), R.array,
                declared_symmetries=("skew:0,1", "skew:2,3", "block:0,1,2,3"))
+
+    @pytest.mark.parametrize("sym", ["skew:0,1", "skew:2,3",
+                                     "block:0,1,2,3"])
+    def test_four_slot_violations_raise(self, conformal4, sym):
+        # R satisfies all three; adding 1 at (0,1,2,3) breaks each of them.
+        arr = riemann(conformal4).array.copy()
+        arr[0, 1, 2, 3] = arr[0, 1, 2, 3] + conformal4.ctx.one
+        with pytest.raises(ValueError, match="declared symmetry"):
+            Tensor(conformal4, (0, 4), arr, declared_symmetries=(sym,))
+
+    def test_unknown_spec_raises(self, flat4):
+        with pytest.raises(ValueError, match="unknown symmetry"):
+            Tensor(flat4, (0, 2), flat4.g, declared_symmetries=("hermitian:0,1",))
+
+
+def random_tensor(chart, rank, rng):
+    pool = ["0", "1", "x1", "exp(x2)", "-2", "x3", "x1*x2"]
+    arr = zeros(chart.ctx, (chart.n,) * rank)
+    for idx in np.ndindex(arr.shape):
+        arr[idx] = chart.ctx.parse(rng.choice(pool))
+    return Tensor(chart, (0, rank), arr)
+
+
+class TestPermutedAndCyclic:
+    """Tensor.permuted(order)[i] == T[i[order[0]], ..., i[order[k-1]]]."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_permuted_convention(self, seed, rank):
+        # Every order, the 3-cycles among them, on a random tensor.
+        rng = random.Random(seed)
+        chart = build_chart(["x1", "x2", "x3"], delta_entries(3))
+        T = random_tensor(chart, rank, rng)
+        for order in itertools.permutations(range(rank)):
+            for i, val in T.permuted(order).items():
+                assert val == T[tuple(i[o] for o in order)]
+
+    def test_three_cycle_is_not_its_inverse(self):
+        # A 3-cycle and its reverse give different tensors in general; only
+        # the cyclic sum cannot tell them apart.
+        chart = build_chart(["x1", "x2", "x3"], delta_entries(3))
+        T = random_tensor(chart, 3, random.Random(1))
+        assert T.permuted((1, 2, 0)) != T.permuted((2, 0, 1))
+        assert T.permuted((1, 2, 0))[0, 1, 2] == T[1, 2, 0]
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_cyclic_sum(self, width):
+        chart = build_chart(["x1", "x2", "x3"], delta_entries(3))
+        T = random_tensor(chart, 3 * width + 1, random.Random(width))
+        C = T.cyclic_sum(width)
+        w = width
+        for i, val in C.items():
+            a, b, c, rest = i[:w], i[w:2 * w], i[2 * w:3 * w], i[3 * w:]
+            assert val == T[a + b + c + rest] + T[b + c + a + rest] \
+                + T[c + a + b + rest]
+
+    def test_items_in_index_order(self, godel):
+        S = ricci(godel)
+        items = list(S.items())
+        assert [idx for idx, _ in items] == list(np.ndindex(4, 4))
+        assert all(val == S[idx] for idx, val in items)
+        assert list(S.nonzero_items()) == [(idx, val) for idx, val in items
+                                           if not val.is_zero]
 
 
 class TestOracleReproduction:

@@ -572,3 +572,17 @@ class TestCodazziCyclic:
         chart = builtin("ex5_5").to_chart()
         assert is_cyclic_parallel(chart, "S")
         assert not is_codazzi(chart, "S")
+
+    def test_hessian_is_codazzi_not_cyclic(self, flat4):
+        # Z = Hess(x1^3 / 6) on a flat chart: nabla Z = d^3 f is totally
+        # symmetric and nonzero, so its cyclic sum is 3 d^3 f.
+        ctx = flat4.ctx
+        arr = zeros(ctx, (4, 4))
+        arr[0, 0] = ctx.parse("x1")
+        Z = Tensor(flat4, (0, 2), arr)
+        assert is_codazzi(flat4, Z)
+        assert not is_cyclic_parallel(flat4, Z)
+
+    def test_conformal_ricci_neither(self, conformal4):
+        assert not is_codazzi(conformal4, "S")
+        assert not is_cyclic_parallel(conformal4, "S")

@@ -44,6 +44,25 @@ def godel():
         params=["a"], name="godel")
 
 
+def outer(A, D):
+    """(A (x) D)[i, j, k, l] = A[i, j] D[k, l]."""
+    chart = A.chart
+    n = chart.n
+    arr = zeros(chart.ctx, (n,) * 4)
+    for (i, j), a in A.nonzero_items():
+        for (k, l), d in D.nonzero_items():
+            arr[i, j, k, l] = a * d
+    return Tensor(chart, (0, 4), arr)
+
+
+def with_entries(T, added):
+    """T with the given integers added at the given indices."""
+    arr = T.array.copy()
+    for idx, v in added.items():
+        arr[idx] = arr[idx] + T.chart.ctx.integer(v)
+    return Tensor(T.chart, T.valence, arr)
+
+
 def random_symmetric(chart, rng):
     n = chart.n
     pool = ["0", "1", "x1", "exp(x1)", "2", "x2", "x3", "-1"]
@@ -161,6 +180,19 @@ class TestNamedTensors:
         monkeypatch.setattr(operators, "covariant_derivative", recompute)
         assert check_second_bianchi(chart, riemann(chart))
         assert check_second_bianchi(chart, "R")
+
+    def test_default_classify_builds_R_dot_R_once(self, monkeypatch):
+        # ex5_5 needs R.R (semisymmetry and Deszcz of R, and Walker's
+        # identity), C.C (Weyl pseudosymmetry) and R.S.
+        calls = []
+
+        def counting(B, T):
+            calls.append((B, T))
+            return dot_action(B, T)
+
+        monkeypatch.setattr(operators, "dot_action", counting)
+        classify(builtin("ex5_5"), run_oracle=False)
+        assert len(calls) == 3
 
 
 class TestDotAction:
@@ -287,13 +319,36 @@ class TestStructuralChecks:
             assert walker_cyclic_check(chart, riemann(chart))
 
     def test_walker_fails_for_generic_tensor(self, conformal4):
-        rng = random.Random(12)
-        A = random_symmetric(conformal4, rng)
-        B = kulkarni_nomizu(A, conformal4.metric_tensor())
-        # A generic Kulkarni-Nomizu square has no reason to satisfy the
-        # cyclic identity; guard against a vacuous check.
-        if not dot_action(riemann(conformal4), B).is_zero():
-            assert not walker_cyclic_check(conformal4, B) or True
+        # A generic Kulkarni-Nomizu product is a GCT with no reason to
+        # satisfy the cyclic identity of the action.
+        B = kulkarni_nomizu(random_symmetric(conformal4, random.Random(12)),
+                            conformal4.metric_tensor())
+        assert is_gct(B)
+        assert not walker_cyclic_check(conformal4, B)
+
+    def test_second_bianchi_fails_for_generic_gct(self, conformal4):
+        B = kulkarni_nomizu(random_symmetric(conformal4, random.Random(12)),
+                            conformal4.metric_tensor())
+        assert not check_second_bianchi(conformal4, B)
+
+    def test_each_gct_axiom_can_fail_alone(self, flat4):
+        # g (x) g: symmetric, not skew, in the first pair; block symmetric;
+        # its cyclic sum at (i, i, i, i) is 3.
+        g = flat4.metric_tensor()
+        gg = outer(g, g)
+        assert check_gct(gg) == {"first_bianchi": False,
+                                 "skew_first_pair": False,
+                                 "block_interchange": True}
+        # g^g satisfies all three; adding 1 at (0,1,2,3) and -1 at its skew
+        # partner (1,0,2,3) breaks the cyclic sum and the block interchange.
+        T = with_entries(named_tensor(flat4, "g^g"),
+                         {(0, 1, 2, 3): 1, (1, 0, 2, 3): -1})
+        assert check_gct(T) == {"first_bianchi": False,
+                                "skew_first_pair": True,
+                                "block_interchange": False}
+        # Adding 1 at (0,1,2,3) alone breaks the skew pair as well.
+        T = with_entries(named_tensor(flat4, "g^g"), {(0, 1, 2, 3): 1})
+        assert not any(check_gct(T).values())
 
     def test_second_bianchi_derived(self, conformal4):
         assert check_second_bianchi(conformal4, riemann(conformal4))
