@@ -8,10 +8,13 @@ chart's expression field and cached on the chart.
 Index conventions, fixed throughout the package:
 
 * A (0,k) tensor T has components T[i1, ..., ik] = T(e_i1, ..., e_ik).
-  They live in a numpy object array, but only this module knows that:
-  every other module reads them through Tensor (T[idx], items(),
-  nonzero_items()) and states identities through T.permuted(order) and
-  T.cyclic_sum(width).
+  They live in a frozen numpy object array, but only this module knows
+  that: every other module reads them through Tensor (T[idx], items(),
+  nonzero_items()), builds new ones with Tensor.from_terms and states
+  identities through T.permuted(order) and T.cyclic_sum(width).
+* Every tensor operation walks the cached nonzero support
+  (nonzero_items()), never the zero components, and forms each product of
+  two nonzero entries once, scattering it to every component it feeds.
 * The covariant derivative adds its index FIRST: (nabla T)[x, i1, ..., ik].
 * The curvature sign is calibrated so that the round-sphere family carries
   negative scalar curvature, i.e. R is the negative of the
@@ -27,7 +30,8 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from operator import itemgetter
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -58,11 +62,16 @@ class Tensor:
     """A covariant (or once-contravariant) tensor of expressions on a chart.
 
     valence (r, k) with r in {0, 1}; when r = 1 the contravariant index is
-    stored first.  Components live in a numpy object array so componentwise
-    arithmetic works through the Expr operators.
+    stored first.  Components live in a numpy object array that is frozen
+    at construction (writing into it raises), so the nonzero support, the
+    (index, component) pairs with a nonzero component in index order, is
+    computed once, on first use, and can never go stale.  Equality, sums,
+    negation, scaling, permutation and the zero test all walk that support
+    and never touch a zero component.
     """
 
-    __slots__ = ("chart", "valence", "array", "declared_symmetries")
+    __slots__ = ("chart", "valence", "array", "declared_symmetries",
+                 "_support")
 
     def __init__(self, chart: "Chart", valence: tuple[int, int],
                  array: np.ndarray,
@@ -77,10 +86,39 @@ class Tensor:
         self.chart = chart
         self.valence = valence
         self.array = array
+        self._support = None
         self.declared_symmetries = tuple(declared_symmetries)
         for sym in self.declared_symmetries:
             if not self._symmetry_holds(sym):
                 raise ValueError(f"declared symmetry {sym!r} does not hold")
+        array.flags.writeable = False
+
+    @classmethod
+    def from_terms(cls, chart: "Chart", valence: tuple[int, int],
+                   terms: Iterable[tuple[tuple[int, ...], Expr]]) -> "Tensor":
+        """The tensor whose component at each index is the sum of the values
+        that terms, (index, Expr) pairs, give for it; zero elsewhere."""
+        sums: dict = {}
+        for idx, val in terms:
+            prev = sums.get(idx)
+            sums[idx] = val if prev is None else prev + val
+        return cls._of_support(chart, valence, sorted(
+            ((idx, v) for idx, v in sums.items() if not v.is_zero),
+            key=itemgetter(0)))
+
+    @classmethod
+    def _of_support(cls, chart: "Chart", valence: tuple[int, int],
+                    support: Sequence[tuple[tuple[int, ...], Expr]],
+                    array: Optional[np.ndarray] = None) -> "Tensor":
+        # support: nonzero (index, component) pairs in index order; array,
+        # when given, already holds exactly those components.
+        if array is None:
+            array = zeros(chart.ctx, (chart.n,) * sum(valence))
+            for idx, val in support:
+                array[idx] = val
+        T = cls(chart, valence, array)
+        T._support = tuple(support)
+        return T
 
     @property
     def rank(self) -> int:
@@ -93,38 +131,51 @@ class Tensor:
         if not isinstance(other, Tensor):
             return NotImplemented
         return (self.valence == other.valence
-                and bool(np.all(self.array == other.array)))
+                and self.nonzero_items() == other.nonzero_items())
 
     def __add__(self, other: "Tensor") -> "Tensor":
-        return Tensor(self.chart, self.valence, self.array + other.array)
+        return Tensor.from_terms(self.chart, self.valence, itertools.chain(
+            self.nonzero_items(), other.nonzero_items()))
 
     def __sub__(self, other: "Tensor") -> "Tensor":
-        return Tensor(self.chart, self.valence, self.array - other.array)
+        return Tensor.from_terms(self.chart, self.valence, itertools.chain(
+            self.nonzero_items(),
+            ((idx, -v) for idx, v in other.nonzero_items())))
 
     def __neg__(self) -> "Tensor":
-        return Tensor(self.chart, self.valence, -self.array)
+        return Tensor._of_support(self.chart, self.valence,
+                                  [(idx, -v) for idx, v in
+                                   self.nonzero_items()])
 
     def scaled(self, factor) -> "Tensor":
-        out = self.array.copy()
-        flat = out.reshape(-1)
-        for i in range(flat.size):
-            flat[i] = factor * flat[i]
-        return Tensor(self.chart, self.valence, out)
+        products = ((idx, factor * v) for idx, v in self.nonzero_items())
+        return Tensor._of_support(self.chart, self.valence,
+                                  [(idx, v) for idx, v in products
+                                   if not v.is_zero])
 
     def is_zero(self) -> bool:
-        return all(e.is_zero for e in self.array.flat)
+        return not self.nonzero_items()
 
     def items(self) -> Iterable[tuple[tuple[int, ...], Expr]]:
         """Every (index, component) pair, zeros included, in index order."""
         return zip(np.ndindex(self.array.shape), self.array.flat)
 
-    def nonzero_items(self) -> Iterable[tuple[tuple[int, ...], Expr]]:
-        return ((idx, e) for idx, e in self.items() if not e.is_zero)
+    def nonzero_items(self) -> tuple[tuple[tuple[int, ...], Expr], ...]:
+        """The support: every (index, component) pair with a nonzero
+        component, in index order; computed on first use and cached."""
+        if self._support is None:
+            self._support = tuple((idx, e) for idx, e in self.items()
+                                  if not e.is_zero)
+        return self._support
 
     def permuted(self, order: Sequence[int]) -> "Tensor":
         """The tensor P with P[i] = T[i[order[0]], ..., i[order[k-1]]]."""
-        return Tensor(self.chart, self.valence,
-                      self.array.transpose(np.argsort(order)))
+        axes = tuple(int(a) for a in np.argsort(order))
+        support = sorted(((tuple(idx[a] for a in axes), v)
+                          for idx, v in self.nonzero_items()),
+                         key=itemgetter(0))
+        return Tensor._of_support(self.chart, self.valence, support,
+                                  self.array.transpose(axes))
 
     def cyclic_sum(self, width: int = 1) -> "Tensor":
         """T plus its two cyclic shifts of the first three slot groups, each
@@ -370,23 +421,20 @@ def riemann(chart: Chart) -> Tensor:
     return chart.cached("riemann", compute)
 
 
-def lowered_to_operator(B: Tensor) -> np.ndarray:
+def lowered_to_operator(B: Tensor) -> Tensor:
     """(1,3) lift of a (0,4) tensor on the fourth slot.
 
-    Returns Bhat[i, j, k, a] with B(e_i,e_j)e_k = Bhat[i,j,k,a] e_a, i.e. the
-    fourth slot is raised with the inverse metric:
-    Bhat[i,j,k,a] = B[i,j,k,b] g^{ba}.
+    Returns Bhat with B(e_i,e_j)e_k = Bhat[a,i,j,k] e_a (contravariant index
+    first, as in every (1,k) Tensor), i.e. the fourth slot is raised with
+    the inverse metric: Bhat[a,i,j,k] = g^{ab} B[i,j,k,b].
     """
     chart = B.chart
-    ctx, n, ginv = chart.ctx, chart.n, chart.g_inv
-    out = zeros(ctx, (n, n, n, n))
-    for idx, val in B.nonzero_items():
-        i, j, k, b = idx
-        for a in range(n):
-            gi = ginv[b, a]
-            if not gi.is_zero:
-                out[i, j, k, a] = out[i, j, k, a] + val * gi
-    return out
+    n, ginv = chart.n, chart.g_inv
+    raising = [[(a, ginv[b, a]) for a in range(n) if not ginv[b, a].is_zero]
+               for b in range(n)]
+    return Tensor.from_terms(chart, (1, 3), (
+        ((a, i, j, k), val * gi)
+        for (i, j, k, b), val in B.nonzero_items() for a, gi in raising[b]))
 
 
 def ricci(chart: Chart) -> Tensor:
@@ -474,27 +522,33 @@ def covariant_derivative(chart: Chart, T: Tensor) -> Tensor:
     """nabla T with the derivative index first:
 
     (nabla T)[x, j1..jk] = d_x T[j1..jk] - sum_m Gamma^a_{x jm} T[.. a at m ..].
+
+    Walks the support of T: an entry T[J] meets Gamma^a_{x j} wherever
+    J[m] = a, so each product Gamma^a_{x j} T[J] is formed once per distinct
+    index a in J and scattered to every slot m holding it.
     """
     r, k = T.valence
     if r != 0:
         raise ValueError("covariant_derivative expects a covariant tensor")
-    ctx, n = chart.ctx, chart.n
+    n = chart.n
     gamma = christoffel(chart)
-    out = zeros(ctx, (n,) * (k + 1))
-    for idx in np.ndindex(T.array.shape):
-        base = T.array[idx]
-        for x in range(n):
-            val = base.diff(x) if not base.is_zero else ctx.zero
-            for m in range(k):
-                for a in range(n):
-                    gam = gamma[a, x, idx[m]]
-                    if gam.is_zero:
-                        continue
-                    t = T.array[idx[:m] + (a,) + idx[m + 1:]]
-                    if not t.is_zero:
-                        val = val - gam * t
-            out[(x,) + idx] = val
-    return Tensor(chart, (0, k + 1), out)
+    by_upper = [[(x, j, gamma[a, x, j]) for x in range(n) for j in range(n)
+                 if not gamma[a, x, j].is_zero] for a in range(n)]
+
+    def terms():
+        for J, t in T.nonzero_items():
+            for x in range(n):
+                d = t.diff(x)
+                if not d.is_zero:
+                    yield (x,) + J, d
+            for a in dict.fromkeys(J):
+                slots = [m for m in range(k) if J[m] == a]
+                for x, j, gam in by_upper[a]:
+                    p = -(gam * t)
+                    for m in slots:
+                        yield (x,) + J[:m] + (j,) + J[m + 1:], p
+
+    return Tensor.from_terms(chart, (0, k + 1), terms())
 
 
 def nabla_riemann(chart: Chart) -> Tensor:

@@ -28,7 +28,7 @@ from sympy.polys.domains import QQ as _QQ
 from .charts import (Chart, OneForm, Tensor, christoffel,
                      covariant_derivative_oneform, exterior_derivative_oneform,
                      is_closed, oneform, rank_at_most, ricci, riemann,
-                     scalar_curvature, zeros)
+                     scalar_curvature)
 from .exprs import Expr
 from .linsolve import (Identity, InternalInconsistencyError, SolutionSpace,
                        certify, satisfies, solve_linear_system)
@@ -124,25 +124,26 @@ def solve_proportionality(lhs: Tensor, rhs: Tensor) -> ProportionalityResult:
     """Find L with lhs = L * rhs componentwise, if it exists.
 
     Pivots on the first canonically nonzero rhs component in index order and
-    verifies every component; both-zero input is degenerate (the condition's
-    defining set is empty).
+    verifies every component where either side is nonzero; both-zero input
+    is degenerate (the condition's defining set is empty).
     """
     if lhs.valence != rhs.valence:
         raise ValueError("tensors must have the same valence")
-    pivot = None
-    for idx, val in rhs.nonzero_items():
-        pivot = (idx, val)
-        break
-    if pivot is None:
+    if rhs.is_zero():
         if lhs.is_zero():
             return ProportionalityResult("degenerate")
         return ProportionalityResult("none")
-    idx, val = pivot
+    idx, val = rhs.nonzero_items()[0]
     L = lhs[idx] / val
-    for jdx, r in rhs.items():
-        if not (lhs[jdx] - L * r).is_zero:
+    for jdx in _support_union(lhs, rhs):
+        if not (lhs[jdx] - L * rhs[jdx]).is_zero:
             return ProportionalityResult("none")
     return ProportionalityResult("proportional", L)
+
+
+def _support_union(*tensors: Tensor) -> list[tuple[int, ...]]:
+    """Every index where some tensor is nonzero, in index order."""
+    return sorted({idx for T in tensors for idx, _ in T.nonzero_items()})
 
 
 def check_semisymmetric(chart: Chart, T: Union[Tensor, str],
@@ -221,16 +222,22 @@ def _sparse(terms) -> dict[int, Expr]:
 def _slot_rows(chart: Chart, T: Tensor, nablaT: Tensor, first: int,
                blocks: Sequence[int]):
     """Rows of nabla_x T_I = first a_x T_I + sum_m b_{blocks[m]}(I_m)
-    T_{I[m->x]}, in unknowns of n columns per block; a is block 0."""
+    T_{I[m->x]}, in unknowns of n columns per block; a is block 0.
+
+    Only rows that are not 0 = 0 are produced, in index order: those where
+    nabla T, T_I or some T_{I[m->x]} is nonzero."""
     n = chart.n
-    for idx, rhs in nablaT.items():
+    firstT = T if first == 1 else T.scaled(first)
+    live = {idx for idx, _ in nablaT.nonzero_items()}
+    for J, _ in T.nonzero_items():
+        live.update((x,) + J for x in range(n))
+        for m in range(len(blocks)):  # T_J = T_{I[m->x]} for x = J[m]
+            live.update((J[m],) + J[:m] + (y,) + J[m + 1:] for y in range(n))
+    for idx in sorted(live):
         x, I = idx[0], idx[1:]
-        base = T[I]
-        if first != 1 and not base.is_zero:
-            base = first * base
-        terms = [(x, base)] + [(b * n + I[m], T[I[:m] + (x,) + I[m + 1:]])
-                               for m, b in enumerate(blocks)]
-        yield _sparse(terms), rhs
+        terms = [(x, firstT[I])] + [(b * n + I[m], T[I[:m] + (x,) + I[m + 1:]])
+                                    for m, b in enumerate(blocks)]
+        yield _sparse(terms), nablaT[idx]
 
 
 def _solve_family(chart: Chart, T: Union[Tensor, str],
@@ -282,13 +289,9 @@ def chaki_residual_zero(chart: Chart, T: Union[Tensor, str],
 
 def _outer_first(chart: Chart, alpha: OneForm, T: Tensor) -> Tensor:
     """(alpha (x) T)[x, I] = alpha_x T_I (derivative-style slot first)."""
-    k = T.valence[1]
-    out = zeros(chart.ctx, (chart.n,) * (k + 1))
-    for I, tval in T.nonzero_items():
-        for x in range(chart.n):
-            if not alpha[x].is_zero:
-                out[(x,) + I] = alpha[x] * tval
-    return Tensor(chart, (0, k + 1), out)
+    return Tensor.from_terms(chart, (0, T.rank + 1), (
+        ((x,) + I, a * t) for x, a in enumerate(alpha) if not a.is_zero
+        for I, t in T.nonzero_items()))
 
 
 def solve_recurrence(chart: Chart, T: Union[Tensor, str]) -> SolverOutcome:
@@ -504,10 +507,16 @@ def _weakZ_reductions(chart: Chart, Z: Tensor, outcome: SolverOutcome,
 
 def _cyclic3_rows(chart: Chart, T: Tensor, nablaT: Tensor):
     """Rows alpha_h T_ijkl + alpha_i T_jhkl + alpha_j T_hikl
-    = nabla_h T_ijkl + nabla_i T_jhkl + nabla_j T_hikl."""
-    for (h, i, j, k, l), rhs in nablaT.cyclic_sum().items():
+    = nabla_h T_ijkl + nabla_i T_jhkl + nabla_j T_hikl, except 0 = 0, in
+    index order."""
+    cyclic = nablaT.cyclic_sum()
+    live = {idx for idx, _ in cyclic.nonzero_items()}
+    for (p, q, k, l), _ in T.nonzero_items():
+        for y in range(chart.n):  # T_pqkl as T_ijkl, T_jhkl and T_hikl
+            live.update(((y, p, q, k, l), (q, y, p, k, l), (p, q, y, k, l)))
+    for h, i, j, k, l in sorted(live):
         yield (_sparse(((h, T[i, j, k, l]), (i, T[j, h, k, l]),
-                        (j, T[h, i, k, l]))), rhs)
+                        (j, T[h, i, k, l]))), cyclic[h, i, j, k, l])
 
 
 def form_recurrence_checks(chart: Chart, T: Union[Tensor, str]
@@ -585,11 +594,12 @@ def solve_linear_combination(target: Tensor, generators: Sequence[Tensor],
 
 
 def _combination_rows(target: Tensor, generators: Sequence[Tensor]):
-    """Rows of target = sum_i c_i generator_i, one per component."""
-    for idx, val in target.items():
+    """Rows of target = sum_i c_i generator_i, one per component where
+    some operand is nonzero, in index order."""
+    for idx in _support_union(target, *generators):
         coeffs = {i: g[idx] for i, g in enumerate(generators)
                   if not g[idx].is_zero}
-        yield coeffs, val
+        yield coeffs, target[idx]
 
 
 def roter_generators(chart: Chart) -> tuple[list[Tensor], list[str]]:
@@ -860,19 +870,24 @@ class TorseformingResult:
     notes: str = ""
 
 
-def nabla_vector(chart: Chart, V: Sequence[Expr]):
-    """(nabla V)[i, k] = d_i V^k + Gamma^k_{i a} V^a."""
-    ctx, n = chart.ctx, chart.n
+def nabla_vector(chart: Chart, V: Sequence[Expr]) -> Tensor:
+    """The (1,1) tensor (nabla V)[k, i] = d_i V^k + Gamma^k_{i a} V^a,
+    contravariant index first."""
+    n = chart.n
     gamma = christoffel(chart)
-    out = zeros(ctx, (n, n))
-    for i in range(n):
+    nonzero_V = [(a, v) for a, v in enumerate(V) if not v.is_zero]
+
+    def terms():
         for k in range(n):
-            val = V[k].diff(i)
-            for a in range(n):
-                if not gamma[k, i, a].is_zero and not V[a].is_zero:
-                    val = val + gamma[k, i, a] * V[a]
-            out[i, k] = val
-    return out
+            for i in range(n):
+                d = V[k].diff(i)
+                if not d.is_zero:
+                    yield (k, i), d
+                for a, v in nonzero_V:
+                    if not gamma[k, i, a].is_zero:
+                        yield (k, i), gamma[k, i, a] * v
+
+    return Tensor.from_terms(chart, (1, 1), terms())
 
 
 def check_torseforming(chart: Chart, V: Sequence[Expr]) -> TorseformingResult:
@@ -896,7 +911,7 @@ def check_torseforming(chart: Chart, V: Sequence[Expr]) -> TorseformingResult:
                     coeffs[0] = ctx.one
                 if not V[k].is_zero:
                     coeffs[1 + i] = V[k]
-                yield coeffs, grad[i, k]
+                yield coeffs, grad[k, i]
 
     names = ("a",) + tuple(f"tau_{c}" for c in ctx.coords)
     space = solve_linear_system(rows(), n + 1, ctx, names)
@@ -1012,13 +1027,20 @@ def _integrate_single_coordinate(e: Expr, i: int) -> Optional[Expr]:
 
 def compute_J(chart: Chart, pi: OneForm) -> Tensor:
     """J = pi (x) pi - nabla pi as a (0,2) tensor."""
-    ctx, n = chart.ctx, chart.n
     grad = covariant_derivative_oneform(chart, pi)
-    arr = zeros(ctx, (n, n))
-    for i in range(n):
-        for j in range(n):
-            arr[i, j] = pi[i] * pi[j] - grad[i, j]
-    return Tensor(chart, (0, 2), arr)
+    nonzero = [(i, p) for i, p in enumerate(pi) if not p.is_zero]
+
+    def terms():
+        for pos, (i, p) in enumerate(nonzero):
+            for j, q in nonzero[pos:]:
+                pq = p * q
+                yield (i, j), pq
+                if i != j:
+                    yield (j, i), pq
+        for idx, v in grad.nonzero_items():
+            yield idx, -v
+
+    return Tensor.from_terms(chart, (0, 2), terms())
 
 
 def theorem_residual(chart: Chart, T: Union[Tensor, str], alpha: OneForm,
@@ -1032,17 +1054,13 @@ def theorem_residual(chart: Chart, T: Union[Tensor, str], alpha: OneForm,
     normalization).
     """
     RT = dot_named(chart, "R", T)
-    da = exterior_derivative_oneform(chart, alpha)
+    da2 = exterior_derivative_oneform(chart, alpha).scaled(2)
     QJT = tachibana_named(chart, compute_J(chart, pi), T)
     T = named_tensor(chart, T)
-    k = T.valence[1]
-    out = zeros(chart.ctx, (chart.n,) * (k + 2))
-    for idx, rt in RT.items():
-        out[idx] = rt - QJT[idx]
-    for I, tval in T.nonzero_items():
-        for hl, d in da.nonzero_items():
-            out[I + hl] = out[I + hl] - 2 * d * tval
-    return Tensor(chart, (0, k + 2), out)
+    daT = Tensor.from_terms(chart, (0, T.rank + 2), (
+        (I + hl, d * t) for I, t in T.nonzero_items()
+        for hl, d in da2.nonzero_items()))
+    return RT - QJT - daT
 
 
 def theorem_verdicts(chart: Chart, tensors) -> list[ClassifierVerdict]:

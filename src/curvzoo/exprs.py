@@ -309,8 +309,8 @@ class Expr:
     """A canonical rational function over a context's atoms.
 
     Immutable; all arithmetic returns new canonical values.  Supports the
-    usual operators against Expr, int and Fraction operands, so componentwise
-    tensor arithmetic over numpy object arrays works transparently.
+    usual operators against Expr, int and Fraction operands, so tensor
+    kernels combine components with plain arithmetic.
     """
 
     __slots__ = ("ctx", "num", "den", "_hash")

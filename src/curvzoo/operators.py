@@ -15,13 +15,12 @@ FOURTH slot, consistent with B(X1,X2,X3,X4) = g(B(X1,X2)X3, X4), and from
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import Union
 
 from .charts import (Chart, OneForm, Tensor, covariant_derivative,
                      lowered_to_operator, ricci, ricci_square, riemann,
-                     scalar_curvature, zeros)
+                     scalar_curvature)
 
 
 def kulkarni_nomizu(A: Tensor, D: Tensor) -> Tensor:
@@ -29,25 +28,21 @@ def kulkarni_nomizu(A: Tensor, D: Tensor) -> Tensor:
 
     (A ^ D)(X1,X2,Y1,Y2) = A(X1,Y2) D(X2,Y1) + A(X2,Y1) D(X1,Y2)
                          - A(X1,Y1) D(X2,Y2) - A(X2,Y2) D(X1,Y1).
+
+    Each product A[p,q] D[r,s] of nonzero entries is formed once and lands,
+    signed, on the four components it contributes to.
     """
-    chart = A.chart
-    ctx, n = chart.ctx, chart.n
-    out = zeros(ctx, (n, n, n, n))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    acc = ctx.zero
-                    if not A[i, l].is_zero and not D[j, k].is_zero:
-                        acc = acc + A[i, l] * D[j, k]
-                    if not A[j, k].is_zero and not D[i, l].is_zero:
-                        acc = acc + A[j, k] * D[i, l]
-                    if not A[i, k].is_zero and not D[j, l].is_zero:
-                        acc = acc - A[i, k] * D[j, l]
-                    if not A[j, l].is_zero and not D[i, k].is_zero:
-                        acc = acc - A[j, l] * D[i, k]
-                    out[i, j, k, l] = acc
-    return Tensor(chart, (0, 4), out)
+    def terms():
+        for (p, q), a in A.nonzero_items():
+            for (r, s), d in D.nonzero_items():
+                ad = a * d
+                yield (p, r, s, q), ad
+                yield (r, p, q, s), ad
+                neg = -ad
+                yield (p, r, q, s), neg
+                yield (r, p, s, q), neg
+
+    return Tensor.from_terms(A.chart, (0, 4), terms())
 
 
 def gaussian_tensor(chart: Chart) -> Tensor:
@@ -97,21 +92,18 @@ def projective(chart: Chart) -> Tensor:
     reported as-is.
     """
     def compute():
-        ctx, n, g = chart.ctx, chart.n, chart.metric_tensor()
-        R, S = riemann(chart), ricci(chart)
-        coeff = Fraction(1, n - 2)
-        out = zeros(ctx, (n, n, n, n))
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for l in range(n):
-                        val = R[i, j, k, l]
-                        if not S[j, k].is_zero and not g[i, l].is_zero:
-                            val = val - coeff * (S[j, k] * g[i, l])
-                        if not S[i, k].is_zero and not g[j, l].is_zero:
-                            val = val + coeff * (S[i, k] * g[j, l])
-                        out[i, j, k, l] = val
-        return Tensor(chart, (0, 4), out)
+        g, R = chart.metric_tensor(), riemann(chart)
+        S = ricci(chart).scaled(Fraction(1, chart.n - 2))  # S / (n-2)
+
+        def terms():
+            yield from R.nonzero_items()
+            for (a, b), s in S.nonzero_items():
+                for (p, q), gv in g.nonzero_items():
+                    sg = s * gv
+                    yield (a, p, b, q), sg
+                    yield (p, a, b, q), -sg
+
+        return Tensor.from_terms(chart, (0, 4), terms())
     return chart.cached("P", compute)
 
 
@@ -195,30 +187,29 @@ def dot_action(B: Tensor, T: Tensor) -> Tensor:
     (B.T)(X1..Xk; X, Y) = -sum_m T(X1, .., B(X,Y)X_m, .., Xk),
 
     skew in the trailing pair.  The endomorphism uses the fourth-slot lift.
+    An entry T[J] meets the endomorphism entries that contract into a =
+    J[m], so each product is formed once per distinct index a in J.
     """
-    chart = B.chart
-    ctx, n = chart.ctx, chart.n
     r, k = T.valence
     if r != 0 or k < 1:
         raise ValueError("dot_action expects a covariant tensor of rank >= 1")
-    Bhat = lowered_to_operator(B)  # Bhat[h,l,i,a]
-    # Index nonzero endomorphism entries by the contracted slot a, h < l only.
-    by_a: dict[int, list] = {a: [] for a in range(n)}
-    for h in range(n):
-        for l in range(h + 1, n):
-            for i in range(n):
-                for a in range(n):
-                    v = Bhat[h, l, i, a]
-                    if not v.is_zero:
-                        by_a[a].append((h, l, i, v))
-    out = zeros(ctx, (n,) * (k + 2))
-    for J, tval in T.nonzero_items():
-        for m in range(k):
-            for h, l, i, v in by_a[J[m]]:
-                idx = J[:m] + (i,) + J[m + 1:] + (h, l)
-                out[idx] = out[idx] - v * tval
-    _reflect_last_pair(out, n, k)
-    return Tensor(chart, (0, k + 2), out)
+    # Nonzero endomorphism entries by the contracted index a, h < l only.
+    by_a: dict[int, list] = {}
+    for (a, h, l, i), v in lowered_to_operator(B).nonzero_items():
+        if h < l:
+            by_a.setdefault(a, []).append((h, l, i, v))
+
+    def terms():  # of -(B.T), on its entries with h < l
+        for J, t in T.nonzero_items():
+            for a in dict.fromkeys(J):
+                slots = [m for m in range(k) if J[m] == a]
+                for h, l, i, v in by_a.get(a, ()):
+                    p = v * t
+                    for m in slots:
+                        yield J[:m] + (i,) + J[m + 1:] + (h, l), p
+
+    negated = Tensor.from_terms(B.chart, (0, k + 2), terms())
+    return negated.permuted((*range(k), k + 1, k)) - negated
 
 
 def tachibana(A: Tensor, T: Tensor) -> Tensor:
@@ -226,31 +217,32 @@ def tachibana(A: Tensor, T: Tensor) -> Tensor:
 
     Q(A,T)(X1..Xk; X, Y) = -sum_m T(X1, .., (X wedge_A Y)X_m, .., Xk),
 
-    skew in the trailing pair.
+    skew in the trailing pair.  Each product A[c,i] T[J] of nonzero entries
+    is formed once and serves every slot m.
     """
-    chart = A.chart
-    ctx, n = chart.ctx, chart.n
     r, k = T.valence
     if r != 0 or k < 1:
         raise ValueError("tachibana expects a covariant tensor of rank >= 1")
-    out = zeros(ctx, (n,) * (k + 2))
+
     # -A(Y,Xm) T(..X@m..) + A(X,Xm) T(..Y@m..) contributes, for a nonzero
-    # T[J], at trailing pairs where one member equals J[m].
-    for J, tval in T.nonzero_items():
-        for m in range(k):
-            jm = J[m]
-            for i in range(n):
-                for c in range(n):
-                    if c == jm:
-                        continue
-                    av = A[c, i]
-                    if av.is_zero:
-                        continue
-                    contrib = av * tval
-                    idx = J[:m] + (i,) + J[m + 1:]
-                    out[idx + (jm, c)] = out[idx + (jm, c)] - contrib
-                    out[idx + (c, jm)] = out[idx + (c, jm)] + contrib
-    return Tensor(chart, (0, k + 2), out)
+    # T[J], at trailing pairs where one member equals J[m]: +A[c,i] T[J] at
+    # (.. i@m .., c, J[m]), and its negative at (.., J[m], c).
+    def terms():
+        for J, t in T.nonzero_items():
+            products = []
+            for (c, i), av in A.nonzero_items():
+                p = av * t
+                products.append((c, i, p, -p))
+            for m, jm in enumerate(J):
+                head, tail = J[:m], J[m + 1:]
+                for c, i, p, neg in products:
+                    if c < jm:
+                        yield head + (i,) + tail + (c, jm), p
+                    elif c > jm:
+                        yield head + (i,) + tail + (jm, c), neg
+
+    return _reflect_last_pair(Tensor.from_terms(A.chart, (0, k + 2),
+                                                terms()))
 
 
 def oneform_dot(mu: OneForm, T: Tensor) -> Tensor:
@@ -258,31 +250,26 @@ def oneform_dot(mu: OneForm, T: Tensor) -> Tensor:
 
     (mu . T)(X1..Xk; X) = -sum_m mu(X_m) T(X1, .., X at slot m, .., Xk).
     """
-    chart = mu.chart
-    ctx, n = chart.ctx, chart.n
     r, k = T.valence
     if r != 0 or k < 1:
         raise ValueError("oneform_dot expects a covariant tensor of rank >= 1")
-    out = zeros(ctx, (n,) * (k + 1))
-    for J, tval in T.nonzero_items():
-        for m in range(k):
-            for i in range(n):
-                mv = mu[i]
-                if mv.is_zero:
-                    continue
-                idx = J[:m] + (i,) + J[m + 1:] + (J[m],)
-                out[idx] = out[idx] - mv * tval
-    return Tensor(chart, (0, k + 1), out)
+    nonzero_mu = [(i, mv) for i, mv in enumerate(mu) if not mv.is_zero]
+
+    def terms():
+        for J, t in T.nonzero_items():
+            for i, mv in nonzero_mu:
+                p = -(mv * t)
+                for m, jm in enumerate(J):
+                    yield J[:m] + (i,) + J[m + 1:] + (jm,), p
+
+    return Tensor.from_terms(mu.chart, (0, k + 1), terms())
 
 
-def _reflect_last_pair(out, n: int, k: int) -> None:
-    # Fill (.., l, h) = -(.., h, l) for h < l; diagonal stays zero.
-    for J in itertools.product(range(n), repeat=k):
-        for h in range(n):
-            for l in range(h + 1, n):
-                v = out[J + (h, l)]
-                if not v.is_zero:
-                    out[J + (l, h)] = -v
+def _reflect_last_pair(half: Tensor) -> Tensor:
+    """The tensor skew in its trailing pair that agrees with half, which
+    holds entries (.., h, l) with h < l only: (.., l, h) = -(.., h, l)."""
+    k = half.rank
+    return half - half.permuted((*range(k - 2), k - 1, k - 2))
 
 
 def check_gct(B: Tensor) -> dict[str, bool]:

@@ -144,13 +144,15 @@ def classify(spec_or_chart: Union[MetricSpec, Chart],
 
     checks filters verdicts by name prefix (None = everything); tensors
     selects which of R, C, K, conh, P, S the tensor-parameterized classifiers
-    run on.  The oracle re-evaluates every positive identity at
-    oracle_samples seeded random rational points, modulo ORACLE_PRIME.
+    run on, each once however often it is named.  The oracle re-evaluates
+    every positive identity at oracle_samples seeded random rational points,
+    modulo ORACLE_PRIME.
     Every solver-backed verdict is back-substituted into its rows first
     (InternalInconsistencyError, naming the verdict, on failure).
     """
     chart = (spec_or_chart.to_chart()
              if isinstance(spec_or_chart, MetricSpec) else spec_or_chart)
+    tensors = tuple(dict.fromkeys(tensors))  # first occurrences, in order
     for t in tensors:
         if t not in ALL_TENSORS:
             raise ValueError(f"unknown tensor selector {t!r}")

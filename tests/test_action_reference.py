@@ -1,9 +1,10 @@
-"""Dual-route check of the optimized curvature actions.
+"""Dual-route check of the sparse tensor kernels.
 
-The shipped dot_action/tachibana/oneform_dot iterate over nonzero entries
-with rearranged index loops.  These reference implementations transcribe the
-defining displays directly (slot by slot, no rearrangement); agreement on
-random tensors over a curved chart certifies the optimization.
+The shipped kulkarni_nomizu, covariant_derivative, dot_action, tachibana
+and oneform_dot walk nonzero supports, form each product once and scatter
+it.  These reference implementations transcribe the defining displays
+directly (component by component, slot by slot, no rearrangement);
+agreement on random tensors over a curved chart certifies the kernels.
 """
 
 import random
@@ -11,8 +12,11 @@ import random
 import numpy as np
 import pytest
 
-from curvzoo.charts import Tensor, build_chart, lowered_to_operator, oneform, zeros
-from curvzoo.operators import dot_action, oneform_dot, tachibana
+from curvzoo.charts import (Tensor, build_chart, christoffel,
+                            covariant_derivative, lowered_to_operator,
+                            oneform, zeros)
+from curvzoo.operators import (dot_action, kulkarni_nomizu, oneform_dot,
+                               tachibana)
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +38,7 @@ def random_tensor(chart, k, rng):
 
 
 def endomorphism_of(B):
-    """(B(e_h, e_l) e_i)^a from the fourth-slot lift."""
+    """(B(e_h, e_l) e_i)^a = Bhat[a, h, l, i], the fourth-slot lift."""
     return lowered_to_operator(B)
 
 
@@ -49,7 +53,7 @@ def reference_dot(B, T):
         acc = ctx.zero
         for m in range(k):
             for a in range(n):
-                acc = acc - Bhat[h, l, I[m], a] * \
+                acc = acc - Bhat[a, h, l, I[m]] * \
                     T.array[I[:m] + (a,) + I[m + 1:]]
         out[idx] = acc
     return Tensor(chart, (0, k + 2), out)
@@ -84,6 +88,52 @@ def reference_oneform_dot(mu, T):
             acc = acc - mu[I[m]] * T.array[I[:m] + (h,) + I[m + 1:]]
         out[idx] = acc
     return Tensor(chart, (0, k + 1), out)
+
+
+def reference_kulkarni_nomizu(A, D):
+    """(A ^ D)(X1,X2,Y1,Y2) = A(X1,Y2) D(X2,Y1) + A(X2,Y1) D(X1,Y2)
+                            - A(X1,Y1) D(X2,Y2) - A(X2,Y2) D(X1,Y1)."""
+    chart = A.chart
+    out = zeros(chart.ctx, (chart.n,) * 4)
+    for i, j, k, l in np.ndindex(out.shape):
+        out[i, j, k, l] = (A[i, l] * D[j, k] + A[j, k] * D[i, l]
+                           - A[i, k] * D[j, l] - A[j, l] * D[i, k])
+    return Tensor(chart, (0, 4), out)
+
+
+def reference_nabla(T):
+    """(nabla T)[x, J] = d_x T[J] - sum_m sum_a Gamma^a_{x J_m} T[J: a at m].
+    """
+    chart = T.chart
+    n, k = chart.n, T.valence[1]
+    gamma = christoffel(chart)
+    out = zeros(chart.ctx, (n,) * (k + 1))
+    for idx in np.ndindex(out.shape):
+        x, J = idx[0], idx[1:]
+        acc = T[J].diff(x)
+        for m in range(k):
+            for a in range(n):
+                acc = acc - gamma[a, x, J[m]] * T[J[:m] + (a,) + J[m + 1:]]
+        out[idx] = acc
+    return Tensor(chart, (0, k + 1), out)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_kulkarni_nomizu_matches_reference(chart, seed):
+    # Non-symmetric factors: the four terms are not interchangeable.
+    rng = random.Random(400 + seed)
+    A, D = random_tensor(chart, 2, rng), random_tensor(chart, 2, rng)
+    assert A != A.permuted((1, 0))
+    assert kulkarni_nomizu(A, D) == reference_kulkarni_nomizu(A, D)
+    assert kulkarni_nomizu(A, A) == reference_kulkarni_nomizu(A, A)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_covariant_derivative_matches_reference(chart, k):
+    rng = random.Random(500 + k)
+    for _ in range(2):
+        T = random_tensor(chart, k, rng)
+        assert covariant_derivative(chart, T) == reference_nabla(T)
 
 
 @pytest.mark.parametrize("k", [2, 3])

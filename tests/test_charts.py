@@ -312,6 +312,70 @@ class TestPermutedAndCyclic:
                                            if not val.is_zero]
 
 
+class TestSupport:
+    """nonzero_items() is the cached support, and every operation keeps it
+    equal to a scan of the components."""
+
+    @staticmethod
+    def scan(T):
+        return [(idx, val) for idx, val in T.items() if not val.is_zero]
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_difference_with_itself_is_zero(self, rank):
+        chart = build_chart(["x1", "x2", "x3"], delta_entries(3))
+        T = random_tensor(chart, rank, random.Random(rank))
+        assert T.nonzero_items()
+        zero = T - T
+        assert zero.is_zero()
+        assert list(zero.nonzero_items()) == []
+        assert T.scaled(0).is_zero()
+        assert T.scaled(chart.ctx.zero).is_zero()
+
+    def test_components_are_read_only(self, godel):
+        T = random_tensor(godel, 2, random.Random(5))
+        for tensor in (T, riemann(godel), T + T, T.permuted((1, 0)),
+                       godel.metric_tensor()):
+            with pytest.raises(ValueError):
+                tensor.array[0, 0] = godel.ctx.one
+
+    def test_construction_freezes_only_on_success(self, flat4):
+        arr = zeros(flat4.ctx, (4, 4))
+        arr[0, 1] = flat4.ctx.one
+        with pytest.raises(ValueError, match="declared symmetry"):
+            Tensor(flat4, (0, 2), arr, declared_symmetries=("sym:0,1",))
+        arr[1, 0] = flat4.ctx.one
+        T = Tensor(flat4, (0, 2), arr, declared_symmetries=("sym:0,1",))
+        with pytest.raises(ValueError):
+            arr[2, 2] = flat4.ctx.one
+        assert list(T.nonzero_items()) == self.scan(T)
+
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_operations_keep_support_equal_to_a_scan(self, rank):
+        rng = random.Random(10 + rank)
+        chart = build_chart(["x1", "x2", "x3"], delta_entries(3))
+        T, U = random_tensor(chart, rank, rng), random_tensor(chart, rank, rng)
+        f = chart.ctx.parse("x1 - 1")
+        results = [T + U, T - U, -T, T.scaled(f), T.scaled(Fraction(1, 3)),
+                   T.cyclic_sum() if rank >= 3 else T]
+        results += [T.permuted(order)
+                    for order in itertools.permutations(range(rank))]
+        for R in results:
+            support = list(R.nonzero_items())
+            assert support == self.scan(R)
+            assert [idx for idx, _ in support] == sorted(
+                idx for idx, _ in support)
+
+    def test_from_terms_sums_and_drops_cancelled_terms(self, flat4):
+        ctx = flat4.ctx
+        x1 = ctx.parse("x1")
+        T = Tensor.from_terms(flat4, (0, 2), [
+            ((1, 0), x1), ((0, 1), ctx.one), ((1, 0), x1), ((2, 2), x1),
+            ((2, 2), -x1)])
+        assert list(T.nonzero_items()) == [((0, 1), ctx.one),
+                                           ((1, 0), ctx.parse("2*x1"))]
+        assert list(T.nonzero_items()) == self.scan(T)
+
+
 class TestOracleReproduction:
     def test_pipeline_outputs_at_200_points(self, conformal4):
         # Reproduce curvature-pipeline identities under randomized rational

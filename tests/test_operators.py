@@ -1,12 +1,15 @@
 """Kulkarni-Nomizu products, derived tensors and the curvature actions."""
 
 import random
+from datetime import timedelta
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from curvzoo import operators
+from curvzoo import exprs, operators
 from curvzoo.charts import (Tensor, build_chart, nabla_riemann, oneform, ricci,
                             riemann, zeros)
 from curvzoo.metrics import builtin
@@ -90,6 +93,83 @@ class TestKulkarniNomizu:
         A = random_symmetric(conformal4, rng)
         D = random_symmetric(conformal4, rng)
         assert is_gct(kulkarni_nomizu(A, D))
+
+
+#: Entries drawn for symmetric (0,2) tensors on a curved chart.
+ENTRY_POOL = ("0", "1", "-2", "x1", "x2*x3", "exp(x1)", "1/x2", "x1 + x3")
+
+
+@pytest.fixture(scope="module")
+def curved3():
+    return build_chart(["x1", "x2", "x3"],
+                       [["x1", "1", "0"],
+                        ["1", "x1", "0"],
+                        ["0", "0", "exp(x1)"]], name="curved3")
+
+
+def symmetric_from(chart, picks):
+    """The symmetric (0,2) tensor with ENTRY_POOL[picks[.]] on and above
+    the diagonal, row by row."""
+    n = chart.n
+    arr = zeros(chart.ctx, (n, n))
+    upper = [(i, j) for i in range(n) for j in range(i, n)]
+    for (i, j), pick in zip(upper, picks):
+        arr[i, j] = arr[j, i] = chart.ctx.parse(ENTRY_POOL[pick])
+    return Tensor(chart, (0, 2), arr)
+
+
+class TestKulkarniNomizuProperties:
+    PICKS = st.lists(st.integers(0, len(ENTRY_POOL) - 1), min_size=6,
+                     max_size=6)
+
+    @settings(max_examples=25, deadline=timedelta(seconds=10),
+              derandomize=True, database=None)
+    @given(PICKS, PICKS)
+    def test_gct_and_symmetric_in_factors(self, curved3, a, d):
+        A, D = symmetric_from(curved3, a), symmetric_from(curved3, d)
+        AD = kulkarni_nomizu(A, D)
+        assert all(check_gct(AD).values())
+        assert AD == kulkarni_nomizu(D, A)
+
+
+class TestKernelWork:
+    """Each product of two nonzero entries is formed once."""
+
+    @pytest.fixture
+    def mul_calls(self, monkeypatch):
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return original(a, b)
+
+        original = exprs._mul
+        monkeypatch.setattr(exprs, "_mul", counting)
+        return calls
+
+    @staticmethod
+    def support_size(T):
+        return len(T.nonzero_items())
+
+    def test_kulkarni_nomizu_multiplies_each_pair_once(self, godel,
+                                                       mul_calls):
+        for A, D in ((godel.metric_tensor(), ricci(godel)),
+                     (ricci(godel), ricci(godel)),
+                     (random_symmetric(godel, random.Random(8)),
+                      godel.metric_tensor())):
+            del mul_calls[:]
+            kulkarni_nomizu(A, D)
+            assert len(mul_calls) == (self.support_size(A)
+                                      * self.support_size(D))
+
+    def test_tachibana_multiplies_each_pair_once(self, godel, mul_calls):
+        g, R, S = godel.metric_tensor(), riemann(godel), ricci(godel)
+        for A, T in ((g, R), (S, R), (g, S),
+                     (random_symmetric(godel, random.Random(9)), S)):
+            del mul_calls[:]
+            tachibana(A, T)
+            assert len(mul_calls) == (self.support_size(A)
+                                      * self.support_size(T))
 
 
 class TestDerivedTensors:

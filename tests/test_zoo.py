@@ -244,6 +244,17 @@ class TestBattery:
             "theorem_identity[R]", "theorem_identity[S]"]
 
 
+    def test_repeated_tensor_selector_runs_once(self):
+        # ("R", "R") names R twice; its verdicts and identities appear once.
+        once = classify(builtin("flat3"), tensors=("R",), run_oracle=False)
+        twice = classify(builtin("flat3"), tensors=("R", "R"),
+                         run_oracle=False)
+        assert [v.name for v in twice.verdicts] == [
+            v.name for v in once.verdicts]
+        assert [i.name for i in twice.identities] == [
+            i.name for i in once.identities]
+
+
 class TestOracle:
     def test_zero_disagreements_on_sound_report(self, ex52_report):
         assert ex52_report.oracle.disagreements == 0
@@ -379,6 +390,13 @@ class TestCLI:
 
     def test_unknown_source_exit_2(self, capsys):
         assert main(["classify", "missing_builtin"]) == 2
+
+    def test_repeated_tensor_prints_each_verdict_once(self, capsys):
+        assert main(["classify", "flat3", "--tensor", "R,R",
+                     "--oracle-samples", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines.count("  semisymmetric[R]: yes") == 1
+        assert len(lines) == len(set(lines))
 
     def test_bad_tensor_exit_2(self, capsys):
         assert main(["classify", "flat3", "--tensor", "Q"]) == 2
