@@ -15,6 +15,16 @@ Index conventions, fixed throughout the package:
 * Every tensor operation walks the cached nonzero support
   (nonzero_items()), never the zero components, and forms each product of
   two nonzero entries once, scattering it to every component it feeds.
+* A tensor may carry a slot-symmetry group, generated by the specs in
+  T.declared_symmetries ("skew:p,q", "sym:p,q", "block:p,q,r,s").  Specs
+  given to the constructor are checked on the components: riemann declares
+  CURVATURE_SYMMETRIES, ricci and ricci_square "sym:0,1", the exterior
+  derivative "skew:0,1".  Results inherit groups and are filled, not
+  checked: nabla T has the group of T shifted one slot, the actions B.T and
+  Q(A,T) (operators) that of T plus skew in the trailing pair, and sums and
+  scalings of tensors sharing a group keep it.  Those kernels compute each
+  orbit's representative (its least index) only and fill the rest by sign
+  (Tensor.from_representative_terms); permuted() drops the group.
 * The covariant derivative adds its index FIRST: (nabla T)[x, i1, ..., ik].
 * The curvature sign is calibrated so that the round-sphere family carries
   negative scalar curvature, i.e. R is the negative of the
@@ -58,6 +68,106 @@ def zeros(ctx: Context, shape) -> np.ndarray:
     return arr
 
 
+#: The slot symmetries of an algebraic curvature tensor: skew in each pair
+#: and symmetric under interchange of the pairs.
+CURVATURE_SYMMETRIES = ("skew:0,1", "skew:2,3", "block:0,1,2,3")
+
+
+def _spec_generator(spec: str, rank: int) -> tuple[tuple[int, ...], int]:
+    # "skew:p,q"  "sym:p,q"  "block:p,q,r,s" (interchange of index pairs),
+    # as (order, sign) with T.permuted(order) == sign * T.
+    kind, _, body = spec.partition(":")
+    slots = tuple(int(s) for s in body.split(",")) if body else ()
+    order = list(range(rank))
+    if kind in ("skew", "sym"):
+        p, q = slots
+        order[p], order[q] = q, p
+        return tuple(order), -1 if kind == "skew" else 1
+    if kind == "block":
+        p, q, r, s = slots
+        order[p], order[q], order[r], order[s] = r, s, p, q
+        return tuple(order), 1
+    raise ValueError(f"unknown symmetry spec {spec!r}")
+
+
+def _shifted_spec(spec: str, by: int) -> str:
+    kind, _, body = spec.partition(":")
+    return f"{kind}:" + ",".join(str(int(s) + by) for s in body.split(","))
+
+
+class _SlotGroup:
+    """The group that slot-symmetry specs generate on rank-k index tuples.
+
+    An element (order, sign) says T[idx[order[0]], .., idx[order[k-1]]] =
+    sign * T[idx].  An index is its orbit's representative when it is the
+    orbit's least tuple and no element fixes it with sign -1 (such orbits
+    are forced to zero and have no representative).  Both answers are
+    memoized per index.
+    """
+
+    __slots__ = ("elements", "_representative", "_orbit")
+
+    def __init__(self, rank: int, specs: tuple[str, ...]):
+        generators = [_spec_generator(spec, rank) for spec in specs]
+        signs = {tuple(range(rank)): 1}
+        frontier = list(signs.items())
+        while frontier:
+            order, sign = frontier.pop()
+            for g_order, g_sign in generators:
+                new = tuple(order[m] for m in g_order)
+                new_sign = sign * g_sign
+                known = signs.get(new)
+                if known is None:
+                    signs[new] = new_sign
+                    frontier.append((new, new_sign))
+                elif known != new_sign:
+                    raise ValueError(f"symmetries {specs} force every "
+                                     "component to vanish")
+        self.elements = tuple(signs.items())
+        self._representative: dict = {}
+        self._orbit: dict = {}
+
+    def is_representative(self, idx: tuple[int, ...]) -> bool:
+        rep = self._representative.get(idx)
+        if rep is None:
+            rep = True
+            for order, sign in self.elements:
+                image = tuple(idx[m] for m in order)
+                if image < idx or (sign < 0 and image == idx):
+                    rep = False
+                    break
+            self._representative[idx] = rep
+        return rep
+
+    def orbit(self, idx: tuple[int, ...]) -> tuple:
+        """The distinct (image, sign) pairs of idx, idx itself included."""
+        orbit = self._orbit.get(idx)
+        if orbit is None:
+            images = {}
+            for order, sign in self.elements:
+                images.setdefault(tuple(idx[m] for m in order), sign)
+            orbit = self._orbit[idx] = tuple(images.items())
+        return orbit
+
+
+_GROUPS: dict = {}
+
+
+def _slot_group(rank: int, specs: tuple[str, ...]) -> _SlotGroup:
+    group = _GROUPS.get((rank, specs))
+    if group is None:
+        group = _GROUPS[rank, specs] = _SlotGroup(rank, specs)
+    return group
+
+
+def _summed(terms: Iterable[tuple[tuple[int, ...], Expr]]) -> dict:
+    sums: dict = {}
+    for idx, val in terms:
+        prev = sums.get(idx)
+        sums[idx] = val if prev is None else prev + val
+    return sums
+
+
 class Tensor:
     """A covariant (or once-contravariant) tensor of expressions on a chart.
 
@@ -68,6 +178,11 @@ class Tensor:
     computed once, on first use, and can never go stale.  Equality, sums,
     negation, scaling, permutation and the zero test all walk that support
     and never touch a zero component.
+
+    declared_symmetries holds slot-symmetry specs ("skew:p,q", "sym:p,q",
+    "block:p,q,r,s") that generate the tensor's symmetry_group.  Specs
+    passed to the constructor are checked on the components; tensors that
+    inherit specs (from_representative_terms) are filled from them.
     """
 
     __slots__ = ("chart", "valence", "array", "declared_symmetries",
@@ -98,31 +213,77 @@ class Tensor:
                    terms: Iterable[tuple[tuple[int, ...], Expr]]) -> "Tensor":
         """The tensor whose component at each index is the sum of the values
         that terms, (index, Expr) pairs, give for it; zero elsewhere."""
-        sums: dict = {}
-        for idx, val in terms:
-            prev = sums.get(idx)
-            sums[idx] = val if prev is None else prev + val
         return cls._of_support(chart, valence, sorted(
-            ((idx, v) for idx, v in sums.items() if not v.is_zero),
+            ((idx, v) for idx, v in _summed(terms).items() if not v.is_zero),
             key=itemgetter(0)))
+
+    @classmethod
+    def from_representative_terms(
+            cls, chart: "Chart", valence: tuple[int, int],
+            symmetries: Sequence[str],
+            terms: Iterable[tuple[tuple[int, ...], Expr]]) -> "Tensor":
+        """The tensor with the slot symmetries `symmetries` whose component
+        at each orbit representative is the sum of the values terms give for
+        it; every other index of the orbit gets that sum times its sign.
+        Terms may sit at representatives only (ValueError otherwise).  The
+        symmetries are inherited, not checked."""
+        symmetries = tuple(symmetries)
+        if not symmetries:
+            return cls.from_terms(chart, valence, terms)
+        group = _slot_group(sum(valence), symmetries)
+        support = []
+        for idx, v in _summed(terms).items():
+            if not group.is_representative(idx):
+                raise ValueError(f"index {idx} is not a representative of "
+                                 f"its orbit under {symmetries}")
+            if v.is_zero:
+                continue
+            neg = None
+            for image, sign in group.orbit(idx):
+                if sign < 0:
+                    neg = -v if neg is None else neg
+                support.append((image, v if sign > 0 else neg))
+        support.sort(key=itemgetter(0))
+        return cls._of_support(chart, valence, support, symmetries=symmetries)
 
     @classmethod
     def _of_support(cls, chart: "Chart", valence: tuple[int, int],
                     support: Sequence[tuple[tuple[int, ...], Expr]],
-                    array: Optional[np.ndarray] = None) -> "Tensor":
+                    array: Optional[np.ndarray] = None,
+                    symmetries: tuple[str, ...] = ()) -> "Tensor":
         # support: nonzero (index, component) pairs in index order; array,
-        # when given, already holds exactly those components.
+        # when given, already holds exactly those components.  The
+        # symmetries are taken as given, not checked.
         if array is None:
             array = zeros(chart.ctx, (chart.n,) * sum(valence))
             for idx, val in support:
                 array[idx] = val
         T = cls(chart, valence, array)
+        T.declared_symmetries = symmetries
         T._support = tuple(support)
+        return T
+
+    def with_symmetries(self, specs: Sequence[str]) -> "Tensor":
+        """This tensor declaring specs through the constructor, which checks
+        them (ValueError when one does not hold)."""
+        T = Tensor(self.chart, self.valence, self.array, specs)
+        T._support = self._support
         return T
 
     @property
     def rank(self) -> int:
         return sum(self.valence)
+
+    @property
+    def symmetry_group(self) -> _SlotGroup:
+        return _slot_group(self.rank, self.declared_symmetries)
+
+    def representative_items(self) -> Iterable[tuple[tuple[int, ...], Expr]]:
+        """The support at orbit representatives, in index order."""
+        if not self.declared_symmetries:
+            return self.nonzero_items()
+        rep = self.symmetry_group.is_representative
+        return [(idx, v) for idx, v in self.nonzero_items() if rep(idx)]
 
     def __getitem__(self, idx):
         return self.array[idx]
@@ -133,25 +294,38 @@ class Tensor:
         return (self.valence == other.valence
                 and self.nonzero_items() == other.nonzero_items())
 
+    def _combined(self, other: "Tensor", sign: int) -> "Tensor":
+        # self + sign * other, computed on representatives when both share
+        # their symmetries.
+        symmetries = self.declared_symmetries
+        if symmetries == other.declared_symmetries:
+            mine = self.representative_items()
+            theirs = other.representative_items()
+        else:
+            symmetries = ()
+            mine, theirs = self.nonzero_items(), other.nonzero_items()
+        if sign < 0:
+            theirs = ((idx, -v) for idx, v in theirs)
+        return Tensor.from_representative_terms(
+            self.chart, self.valence, symmetries,
+            itertools.chain(mine, theirs))
+
     def __add__(self, other: "Tensor") -> "Tensor":
-        return Tensor.from_terms(self.chart, self.valence, itertools.chain(
-            self.nonzero_items(), other.nonzero_items()))
+        return self._combined(other, 1)
 
     def __sub__(self, other: "Tensor") -> "Tensor":
-        return Tensor.from_terms(self.chart, self.valence, itertools.chain(
-            self.nonzero_items(),
-            ((idx, -v) for idx, v in other.nonzero_items())))
+        return self._combined(other, -1)
 
     def __neg__(self) -> "Tensor":
         return Tensor._of_support(self.chart, self.valence,
                                   [(idx, -v) for idx, v in
-                                   self.nonzero_items()])
+                                   self.nonzero_items()],
+                                  symmetries=self.declared_symmetries)
 
     def scaled(self, factor) -> "Tensor":
-        products = ((idx, factor * v) for idx, v in self.nonzero_items())
-        return Tensor._of_support(self.chart, self.valence,
-                                  [(idx, v) for idx, v in products
-                                   if not v.is_zero])
+        return Tensor.from_representative_terms(
+            self.chart, self.valence, self.declared_symmetries,
+            ((idx, factor * v) for idx, v in self.representative_items()))
 
     def is_zero(self) -> bool:
         return not self.nonzero_items()
@@ -188,20 +362,9 @@ class Tensor:
                 + self.permuted(g2 + g0 + g1 + rest))
 
     def _symmetry_holds(self, sym: str) -> bool:
-        # "skew:p,q"  "sym:p,q"  "block:p,q,r,s" (interchange of index pairs)
-        kind, _, spec = sym.partition(":")
-        slots = tuple(int(s) for s in spec.split(",")) if spec else ()
-        order = list(range(self.rank))
-        if kind in ("skew", "sym"):
-            p, q = slots
-            order[p], order[q] = q, p
-            swapped = self.permuted(order)
-            return self == (-swapped if kind == "skew" else swapped)
-        if kind == "block":
-            p, q, r, s = slots
-            order[p], order[q], order[r], order[s] = r, s, p, q
-            return self == self.permuted(order)
-        raise ValueError(f"unknown symmetry spec {sym!r}")
+        order, sign = _spec_generator(sym, self.rank)
+        swapped = self.permuted(order)
+        return self == (-swapped if sign < 0 else swapped)
 
 
 class OneForm:
@@ -416,7 +579,8 @@ def riemann(chart: Chart) -> Tensor:
                         val = CURVATURE_SIGN * acc
                         arr[i, j, k, l] = val
                         arr[j, i, k, l] = -val
-        return Tensor(chart, (0, 4), arr)
+        return Tensor(chart, (0, 4), arr,
+                      declared_symmetries=CURVATURE_SYMMETRIES)
 
     return chart.cached("riemann", compute)
 
@@ -523,32 +687,49 @@ def covariant_derivative(chart: Chart, T: Tensor) -> Tensor:
 
     (nabla T)[x, j1..jk] = d_x T[j1..jk] - sum_m Gamma^a_{x jm} T[.. a at m ..].
 
-    Walks the support of T: an entry T[J] meets Gamma^a_{x j} wherever
-    J[m] = a, so each product Gamma^a_{x j} T[J] is formed once per distinct
-    index a in J and scattered to every slot m holding it.
+    nabla T inherits the slot symmetries of T, shifted one slot, and is
+    computed at orbit representatives only.  Walks the support of T: an
+    entry T[J] meets Gamma^a_{x j} wherever J[m] = a, so each product
+    Gamma^a_{x j} T[J] is formed once per distinct index a in J, when J
+    with j at some such slot m is a representative, and scattered to every
+    such slot.
     """
     r, k = T.valence
     if r != 0:
         raise ValueError("covariant_derivative expects a covariant tensor")
     n = chart.n
     gamma = christoffel(chart)
-    by_upper = [[(x, j, gamma[a, x, j]) for x in range(n) for j in range(n)
-                 if not gamma[a, x, j].is_zero] for a in range(n)]
+    # by_upper[a]: (j, [(x, Gamma^a_{x j}) nonzero]) for each j that has any.
+    by_upper = []
+    for a in range(n):
+        columns = ([(x, gamma[a, x, j]) for x in range(n)
+                    if not gamma[a, x, j].is_zero] for j in range(n))
+        by_upper.append([(j, col) for j, col in enumerate(columns) if col])
+    rep = T.symmetry_group.is_representative
 
     def terms():
         for J, t in T.nonzero_items():
-            for x in range(n):
-                d = t.diff(x)
-                if not d.is_zero:
-                    yield (x,) + J, d
+            if rep(J):
+                for x in range(n):
+                    d = t.diff(x)
+                    if not d.is_zero:
+                        yield (x,) + J, d
             for a in dict.fromkeys(J):
                 slots = [m for m in range(k) if J[m] == a]
-                for x, j, gam in by_upper[a]:
-                    p = -(gam * t)
-                    for m in slots:
-                        yield (x,) + J[:m] + (j,) + J[m + 1:], p
+                for j, column in by_upper[a]:
+                    targets = [I for I in (J[:m] + (j,) + J[m + 1:]
+                                           for m in slots) if rep(I)]
+                    if not targets:
+                        continue
+                    for x, gam in column:
+                        p = -(gam * t)
+                        for I in targets:
+                            yield (x,) + I, p
 
-    return Tensor.from_terms(chart, (0, k + 1), terms())
+    return Tensor.from_representative_terms(
+        chart, (0, k + 1),
+        tuple(_shifted_spec(spec, 1) for spec in T.declared_symmetries),
+        terms())
 
 
 def nabla_riemann(chart: Chart) -> Tensor:

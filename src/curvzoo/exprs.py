@@ -453,7 +453,7 @@ def _coerce(ctx: Context, value):
 def _neg(a: Expr) -> Expr:
     if a.is_zero:
         return a
-    return Expr(a.ctx, a.num.mul_ground(-QQ.one), a.den)
+    return Expr(a.ctx, -a.num, a.den)
 
 
 def _add(a: Expr, b: Expr) -> Expr:

@@ -18,9 +18,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-from .charts import (Chart, OneForm, Tensor, covariant_derivative,
-                     lowered_to_operator, ricci, ricci_square, riemann,
-                     scalar_curvature)
+from .charts import (CURVATURE_SYMMETRIES, Chart, OneForm, Tensor,
+                     covariant_derivative, lowered_to_operator, ricci,
+                     ricci_square, riemann, scalar_curvature)
 
 
 def kulkarni_nomizu(A: Tensor, D: Tensor) -> Tensor:
@@ -146,8 +146,11 @@ def named_tensor(chart: Chart, T: Union[Tensor, str]) -> Tensor:
         return derived_tensor(chart, T)
     if A not in _KN_FACTORS or B not in _KN_FACTORS:
         raise ValueError(f"unknown tensor name {T!r}")
-    return chart.cached(T, lambda: kulkarni_nomizu(named_tensor(chart, A),
-                                                   named_tensor(chart, B)))
+    # A product of two symmetric tensors is an algebraic curvature tensor;
+    # the constructor checks the declared symmetries on the full product.
+    return chart.cached(T, lambda: kulkarni_nomizu(
+        named_tensor(chart, A), named_tensor(chart, B)).with_symmetries(
+            CURVATURE_SYMMETRIES))
 
 
 def _by_name(chart: Chart, kind: str, compute, *operands):
@@ -181,35 +184,52 @@ def tachibana_named(chart: Chart, A: Union[Tensor, str],
         named_tensor(chart, A), named_tensor(chart, T)), A, T)
 
 
+def _acted_symmetries(T: Tensor) -> tuple[str, ...]:
+    # The slot symmetries of B.T and Q(A,T): those of T, and skew in the
+    # trailing pair.
+    k = T.rank
+    return T.declared_symmetries + (f"skew:{k},{k + 1}",)
+
+
 def dot_action(B: Tensor, T: Tensor) -> Tensor:
     """Derivation action of a (0,4) curvature tensor on a (0,k) tensor:
 
     (B.T)(X1..Xk; X, Y) = -sum_m T(X1, .., B(X,Y)X_m, .., Xk),
 
     skew in the trailing pair.  The endomorphism uses the fourth-slot lift.
-    An entry T[J] meets the endomorphism entries that contract into a =
-    J[m], so each product is formed once per distinct index a in J.
+    B.T inherits the slot symmetries of T and is computed at orbit
+    representatives only: trailing pairs h < l, and leading indices that
+    are representatives for T.  An entry T[J] meets the endomorphism
+    entries that contract into a = J[m], so each product is formed once per
+    distinct index a in J, when it lands on some representative.
     """
     r, k = T.valence
     if r != 0 or k < 1:
         raise ValueError("dot_action expects a covariant tensor of rank >= 1")
-    # Nonzero endomorphism entries by the contracted index a, h < l only.
-    by_a: dict[int, list] = {}
+    # -B(e_h, e_l) for h < l, by the contracted index a, then by the index i
+    # it puts in place of a: by_a[a][i] = [(h, l, -Bhat[a, h, l, i]), ..].
+    by_a: dict[int, dict[int, list]] = {}
     for (a, h, l, i), v in lowered_to_operator(B).nonzero_items():
         if h < l:
-            by_a.setdefault(a, []).append((h, l, i, v))
+            by_a.setdefault(a, {}).setdefault(i, []).append((h, l, -v))
+    rep = T.symmetry_group.is_representative
 
-    def terms():  # of -(B.T), on its entries with h < l
+    def terms():
         for J, t in T.nonzero_items():
             for a in dict.fromkeys(J):
                 slots = [m for m in range(k) if J[m] == a]
-                for h, l, i, v in by_a.get(a, ()):
-                    p = v * t
-                    for m in slots:
-                        yield J[:m] + (i,) + J[m + 1:] + (h, l), p
+                for i, entries in by_a.get(a, {}).items():
+                    targets = [I for I in (J[:m] + (i,) + J[m + 1:]
+                                           for m in slots) if rep(I)]
+                    if not targets:
+                        continue
+                    for h, l, w in entries:
+                        p = w * t
+                        for I in targets:
+                            yield I + (h, l), p
 
-    negated = Tensor.from_terms(B.chart, (0, k + 2), terms())
-    return negated.permuted((*range(k), k + 1, k)) - negated
+    return Tensor.from_representative_terms(B.chart, (0, k + 2),
+                                            _acted_symmetries(T), terms())
 
 
 def tachibana(A: Tensor, T: Tensor) -> Tensor:
@@ -217,32 +237,45 @@ def tachibana(A: Tensor, T: Tensor) -> Tensor:
 
     Q(A,T)(X1..Xk; X, Y) = -sum_m T(X1, .., (X wedge_A Y)X_m, .., Xk),
 
-    skew in the trailing pair.  Each product A[c,i] T[J] of nonzero entries
-    is formed once and serves every slot m.
+    skew in the trailing pair.  Q(A,T) inherits the slot symmetries of T
+    and is computed at orbit representatives only.  Each product
+    A[c,i] T[J] of nonzero entries is formed once, when it lands on some
+    representative, and serves every slot m.
     """
     r, k = T.valence
     if r != 0 or k < 1:
         raise ValueError("tachibana expects a covariant tensor of rank >= 1")
+    by_i: dict[int, list] = {}
+    for (c, i), av in A.nonzero_items():
+        by_i.setdefault(i, []).append((c, av))
+    rep = T.symmetry_group.is_representative
 
     # -A(Y,Xm) T(..X@m..) + A(X,Xm) T(..Y@m..) contributes, for a nonzero
     # T[J], at trailing pairs where one member equals J[m]: +A[c,i] T[J] at
-    # (.. i@m .., c, J[m]), and its negative at (.., J[m], c).
+    # (.. i@m .., c, J[m]), and its negative at (.., J[m], c).  Each term is
+    # stored at its ordered trailing pair; the fill gives the reflections.
     def terms():
         for J, t in T.nonzero_items():
-            products = []
-            for (c, i), av in A.nonzero_items():
-                p = av * t
-                products.append((c, i, p, -p))
-            for m, jm in enumerate(J):
-                head, tail = J[:m], J[m + 1:]
-                for c, i, p, neg in products:
-                    if c < jm:
-                        yield head + (i,) + tail + (c, jm), p
-                    elif c > jm:
-                        yield head + (i,) + tail + (jm, c), neg
+            for i, column in by_i.items():
+                targets = [(jm, I) for jm, I in (
+                    (J[m], J[:m] + (i,) + J[m + 1:]) for m in range(k))
+                    if rep(I)]
+                if not targets:
+                    continue
+                for c, av in column:
+                    hits = [(jm, I) for jm, I in targets if jm != c]
+                    if not hits:
+                        continue
+                    p, neg = av * t, None
+                    for jm, I in hits:
+                        if c < jm:
+                            yield I + (c, jm), p
+                        else:
+                            neg = -p if neg is None else neg
+                            yield I + (jm, c), neg
 
-    return _reflect_last_pair(Tensor.from_terms(A.chart, (0, k + 2),
-                                                terms()))
+    return Tensor.from_representative_terms(A.chart, (0, k + 2),
+                                            _acted_symmetries(T), terms())
 
 
 def oneform_dot(mu: OneForm, T: Tensor) -> Tensor:
@@ -263,13 +296,6 @@ def oneform_dot(mu: OneForm, T: Tensor) -> Tensor:
                     yield J[:m] + (i,) + J[m + 1:] + (jm,), p
 
     return Tensor.from_terms(mu.chart, (0, k + 1), terms())
-
-
-def _reflect_last_pair(half: Tensor) -> Tensor:
-    """The tensor skew in its trailing pair that agrees with half, which
-    holds entries (.., h, l) with h < l only: (.., l, h) = -(.., h, l)."""
-    k = half.rank
-    return half - half.permuted((*range(k - 2), k - 1, k - 2))
 
 
 def check_gct(B: Tensor) -> dict[str, bool]:

@@ -5,6 +5,10 @@ and oneform_dot walk nonzero supports, form each product once and scatter
 it.  These reference implementations transcribe the defining displays
 directly (component by component, slot by slot, no rearrangement);
 agreement on random tensors over a curved chart certifies the kernels.
+For operands that declare slot symmetries, covariant_derivative,
+dot_action and tachibana compute orbit representatives only and fill the
+rest by sign; agreement with the reference loops on such operands
+certifies that the results inherit those symmetries.
 """
 
 import random
@@ -12,9 +16,9 @@ import random
 import numpy as np
 import pytest
 
-from curvzoo.charts import (Tensor, build_chart, christoffel,
-                            covariant_derivative, lowered_to_operator,
-                            oneform, zeros)
+from curvzoo.charts import (CURVATURE_SYMMETRIES, Tensor, build_chart,
+                            christoffel, covariant_derivative,
+                            lowered_to_operator, oneform, riemann, zeros)
 from curvzoo.operators import (dot_action, kulkarni_nomizu, oneform_dot,
                                tachibana)
 
@@ -177,3 +181,43 @@ def test_dot_action_on_synthetic_curvature(chart):
                         chart.metric_tensor())
     T = random_tensor(chart, 2, rng)
     assert dot_action(B, T) == reference_dot(B, T)
+
+
+def random_symmetric(chart, rng):
+    T = random_tensor(chart, 2, rng)
+    arr = zeros(chart.ctx, (chart.n,) * 2)
+    for (i, j), v in T.items():
+        arr[i, j] = v + T[j, i]
+    return Tensor(chart, (0, 2), arr, declared_symmetries=("sym:0,1",))
+
+
+def declared_curvature(chart, rng):
+    """An algebraic curvature tensor from random symmetric tensors, built
+    with the reference product and declared through the constructor."""
+    A, D, E = (random_symmetric(chart, rng) for _ in range(3))
+    return (reference_kulkarni_nomizu(A, D)
+            + reference_kulkarni_nomizu(E, E)).with_symmetries(
+                CURVATURE_SYMMETRIES)
+
+
+def operands_with_groups(chart, rng):
+    return {"R": riemann(chart), "curvature": declared_curvature(chart, rng),
+            "symmetric": random_symmetric(chart, rng)}
+
+
+@pytest.mark.parametrize("which", ["R", "curvature", "symmetric"])
+def test_kernels_on_operands_with_groups(chart, which):
+    rng = random.Random(600)
+    T = operands_with_groups(chart, rng)[which]
+    assert T.declared_symmetries and not T.is_zero()
+    k = T.rank
+    nabla = covariant_derivative(chart, T)
+    assert nabla == reference_nabla(T)
+    assert nabla.declared_symmetries  # filled, not computed in full
+    B, A = riemann(chart), random_tensor(chart, 2, rng)
+    assert A != A.permuted((1, 0))
+    for filled, reference in ((dot_action(B, T), reference_dot(B, T)),
+                              (tachibana(A, T), reference_tachibana(A, T))):
+        assert filled.declared_symmetries == (
+            T.declared_symmetries + (f"skew:{k},{k + 1}",))
+        assert filled == reference

@@ -7,7 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from curvzoo.charts import (Chart, ChartError, Tensor, build_chart,
+from curvzoo.charts import (CURVATURE_SYMMETRIES, Chart, ChartError,
+                            Tensor, build_chart,
                             christoffel, covariant_derivative,
                             covariant_derivative_oneform, determinant,
                             exterior_derivative_oneform, generic_rank,
@@ -260,6 +261,93 @@ class TestDeclaredSymmetries:
     def test_unknown_spec_raises(self, flat4):
         with pytest.raises(ValueError, match="unknown symmetry"):
             Tensor(flat4, (0, 2), flat4.g, declared_symmetries=("hermitian:0,1",))
+
+
+class TestSlotSymmetries:
+    """The slot-symmetry group of a tensor, its orbit representatives and
+    the fill from representatives."""
+
+    def test_constructor_checks_declared_groups(self, monkeypatch):
+        # R, S, S2 and the exterior derivative declare their symmetries
+        # through the constructor, which checks each on the components.
+        checked = []
+        original = Tensor._symmetry_holds
+
+        def recording(T, sym):
+            checked.append((T.rank, sym))
+            return original(T, sym)
+
+        monkeypatch.setattr(Tensor, "_symmetry_holds", recording)
+        chart = build_chart(["x1", "x2", "x3"], [["x1", "1", "0"],
+                                                 ["1", "x1", "0"],
+                                                 ["0", "0", "exp(x1)"]])
+        R = riemann(chart)
+        ricci_square(chart)
+        exterior_derivative_oneform(chart, oneform(chart, ["x2", "0", "0"]))
+        assert checked == [(4, sym) for sym in CURVATURE_SYMMETRIES] + [
+            (2, "sym:0,1"), (2, "sym:0,1"), (2, "skew:0,1")]
+        assert R.declared_symmetries == CURVATURE_SYMMETRIES
+        assert len(R.symmetry_group.elements) == 8
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_curvature_representatives(self, n):
+        # One representative per unordered pair of ordered pairs i < j:
+        # N(N+1)/2 with N = n(n-1)/2; orbits with i = j are forced to zero.
+        chart = build_chart([f"x{i + 1}" for i in range(n)], delta_entries(n))
+        T = Tensor.from_representative_terms(chart, (0, 4),
+                                             CURVATURE_SYMMETRIES, ())
+        reps = [idx for idx in itertools.product(range(n), repeat=4)
+                if T.symmetry_group.is_representative(idx)]
+        pairs = n * (n - 1) // 2
+        assert len(reps) == pairs * (pairs + 1) // 2
+        for i, j, k, l in reps:
+            assert i < j and k < l and (i, j) <= (k, l)
+
+    def test_fill_matches_a_full_computation(self, godel):
+        R = riemann(godel)
+        filled = Tensor.from_representative_terms(
+            godel, (0, 4), CURVATURE_SYMMETRIES, R.representative_items())
+        assert filled == R
+        assert list(filled.nonzero_items()) == [
+            (idx, v) for idx, v in R.items() if not v.is_zero]
+        assert filled.declared_symmetries == CURVATURE_SYMMETRIES
+
+    def test_fill_sums_terms_and_rejects_non_representatives(self, flat4):
+        ctx = flat4.ctx
+        x1 = ctx.parse("x1")
+        T = Tensor.from_representative_terms(
+            flat4, (0, 2), ("skew:0,1",),
+            [((0, 1), x1), ((0, 1), x1), ((1, 2), x1), ((1, 2), -x1)])
+        assert list(T.nonzero_items()) == [((0, 1), ctx.parse("2*x1")),
+                                           ((1, 0), ctx.parse("-2*x1"))]
+        for idx in ((1, 0), (2, 2)):
+            with pytest.raises(ValueError, match="not a representative"):
+                Tensor.from_representative_terms(flat4, (0, 2),
+                                                 ("skew:0,1",), [(idx, x1)])
+
+    def test_contradictory_specs_raise(self, flat4):
+        with pytest.raises(ValueError, match="force every component"):
+            Tensor.from_representative_terms(
+                flat4, (0, 2), ("skew:0,1", "sym:0,1"), ())
+
+    def test_operations_keep_or_drop_the_group(self, godel):
+        R, S = riemann(godel), ricci(godel)
+        f = godel.ctx.parse("x1 - 1")
+        for T in (R + R, R - R.scaled(f), -R, R.scaled(Fraction(1, 3))):
+            assert T.declared_symmetries == CURVATURE_SYMMETRIES
+        plain = Tensor.from_terms(godel, (0, 4), R.nonzero_items())
+        for T in (R + plain, plain - R, R.permuted((1, 0, 2, 3)),
+                  R.cyclic_sum()):
+            assert not T.declared_symmetries
+        assert R + plain == plain + plain
+        assert (S - S.scaled(f)).declared_symmetries == ("sym:0,1",)
+
+    def test_with_symmetries_checks(self, godel):
+        R = riemann(godel)
+        plain = Tensor.from_terms(godel, (0, 4), R.nonzero_items())
+        assert plain.with_symmetries(CURVATURE_SYMMETRIES) == R
+        with pytest.raises(ValueError, match="declared symmetry"):
+            plain.with_symmetries(("sym:0,1",))
 
 
 def random_tensor(chart, rank, rng):

@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvzoo import exprs, operators
-from curvzoo.charts import (Tensor, build_chart, nabla_riemann, oneform, ricci,
-                            riemann, zeros)
-from curvzoo.metrics import builtin
+from curvzoo.charts import (CURVATURE_SYMMETRIES, Tensor, build_chart,
+                            christoffel, covariant_derivative,
+                            lowered_to_operator, nabla_riemann, oneform,
+                            ricci, riemann, scalar_curvature, zeros)
+from curvzoo.metrics import BUILTINS, builtin
 from curvzoo.operators import (check_gct, check_second_bianchi,
                                derived_tensor, dot_action, gaussian_tensor,
                                is_gct, kulkarni_nomizu, named_tensor,
@@ -162,14 +164,111 @@ class TestKernelWork:
             assert len(mul_calls) == (self.support_size(A)
                                       * self.support_size(D))
 
+    @staticmethod
+    def lands(T, J, m, i):
+        """Whether J with i at slot m is a representative for T."""
+        return T.symmetry_group.is_representative(J[:m] + (i,) + J[m + 1:])
+
     def test_tachibana_multiplies_each_pair_once(self, godel, mul_calls):
+        # A product A[c,i] T[J] is formed once, and only when some slot m
+        # with J[m] != c puts i on a representative of T's symmetries.
         g, R, S = godel.metric_tensor(), riemann(godel), ricci(godel)
         for A, T in ((g, R), (S, R), (g, S),
                      (random_symmetric(godel, random.Random(9)), S)):
+            expected = sum(
+                1 for J, _ in T.nonzero_items()
+                for (c, i), _ in A.nonzero_items()
+                if any(J[m] != c and self.lands(T, J, m, i)
+                       for m in range(T.rank)))
             del mul_calls[:]
             tachibana(A, T)
-            assert len(mul_calls) == (self.support_size(A)
-                                      * self.support_size(T))
+            assert len(mul_calls) == expected
+        assert expected < self.support_size(A) * self.support_size(T)
+
+    def test_covariant_derivative_multiplies_each_pair_once(self, godel,
+                                                            mul_calls):
+        # A product Gamma^a_{xj} T[J] is formed once per distinct a in J,
+        # and only when some slot m with J[m] = a puts j on a representative.
+        n, gamma = godel.n, christoffel(godel)
+        for T in (riemann(godel), ricci(godel)):
+            expected = sum(
+                1 for J, _ in T.nonzero_items() for a in set(J)
+                for x in range(n) for j in range(n)
+                if not gamma[a, x, j].is_zero
+                and any(J[m] == a and self.lands(T, J, m, j)
+                        for m in range(T.rank)))
+            del mul_calls[:]
+            covariant_derivative(godel, T)
+            assert len(mul_calls) == expected
+
+    def test_dot_action_multiplies_each_pair_once(self, godel, mul_calls):
+        # The fourth-slot lift forms R[i,j,k,b] g^{ba} once per nonzero
+        # g^{ba}; the action forms Rhat[a,h,l,i] T[J] (h < l) once per
+        # distinct a in J, when some slot m with J[m] = a puts i on a
+        # representative.
+        R = riemann(godel)
+        lift = lowered_to_operator(R).nonzero_items()
+        lift_products = sum(1 for (i, j, k, b), _ in R.nonzero_items()
+                            for a in range(godel.n)
+                            if not godel.g_inv[b, a].is_zero)
+        for T in (R, ricci(godel)):
+            expected = lift_products + sum(
+                1 for J, _ in T.nonzero_items() for a in set(J)
+                for (a2, h, l, i), _ in lift
+                if a2 == a and h < l
+                and any(J[m] == a and self.lands(T, J, m, i)
+                        for m in range(T.rank)))
+            del mul_calls[:]
+            dot_action(R, T)
+            assert len(mul_calls) == expected
+
+
+class TestSymmetricKernels:
+    """Kernels fill inherited symmetries; the filled tensors equal the same
+    kernels run on a copy of the operand that declares no symmetries."""
+
+    @pytest.mark.parametrize("name", sorted(BUILTINS))
+    def test_builtins_filled_equals_group_free(self, name):
+        chart = builtin(name).to_chart()
+        g, R, S = chart.metric_tensor(), riemann(chart), ricci(chart)
+        assert R.declared_symmetries == CURVATURE_SYMMETRIES
+        for T in (R, S):
+            k = T.rank
+            plain = Tensor.from_terms(chart, T.valence, T.nonzero_items())
+            assert plain == T and not plain.declared_symmetries
+            nabla, nabla_plain = (covariant_derivative(chart, T),
+                                  covariant_derivative(chart, plain))
+            assert nabla == nabla_plain
+            assert len(nabla.declared_symmetries) == len(
+                T.declared_symmetries)
+            assert not nabla_plain.declared_symmetries
+            skew = (f"skew:{k},{k + 1}",)
+            for action in (lambda X: dot_action(R, X),
+                           lambda X: tachibana(g, X)):
+                filled, full = action(T), action(plain)
+                assert filled == full
+                assert filled.declared_symmetries == (
+                    T.declared_symmetries + skew)
+                assert full.declared_symmetries == skew
+
+    def test_sums_of_curvature_tensors_keep_the_group(self, godel):
+        # C, K, conh and G are sums and scalings of R and of the declared
+        # Kulkarni-Nomizu products, so they carry R's symmetries; P does not.
+        for name in ("g^g", "g^S", "S^S2", "C", "K", "conh", "G"):
+            T = named_tensor(godel, name)
+            assert T.declared_symmetries == CURVATURE_SYMMETRIES
+            assert is_gct(T)
+        assert not projective(godel).declared_symmetries
+        C, plain = weyl_conformal(godel), Tensor.from_terms(
+            godel, (0, 4), riemann(godel).nonzero_items())
+        n = godel.n
+        gS = Tensor.from_terms(godel, (0, 4), kulkarni_nomizu(
+            godel.metric_tensor(), ricci(godel)).nonzero_items())
+        gg = Tensor.from_terms(godel, (0, 4), kulkarni_nomizu(
+            godel.metric_tensor(), godel.metric_tensor()).nonzero_items())
+        kappa = scalar_curvature(godel)
+        assert C == (plain - gS.scaled(Fraction(1, n - 2))
+                     + gg.scaled(kappa * Fraction(1, 2 * (n - 1) * (n - 2))))
 
 
 class TestDerivedTensors:
