@@ -362,9 +362,17 @@ class Tensor:
                 + self.permuted(g2 + g0 + g1 + rest))
 
     def _symmetry_holds(self, sym: str) -> bool:
+        # T == sign * T.permuted(order) entrywise.  The permutation is a
+        # bijection of indices, so checking the support suffices: if every
+        # support entry maps onto sign times itself, the support maps onto
+        # itself and every zero entry onto a zero entry.
         order, sign = _spec_generator(sym, self.rank)
-        swapped = self.permuted(order)
-        return self == (-swapped if sign < 0 else swapped)
+        array = self.array
+        for idx, v in self.nonzero_items():
+            image = array[tuple(idx[a] for a in order)]
+            if image != (v if sign > 0 else -v):
+                return False
+        return True
 
 
 class OneForm:

@@ -23,6 +23,9 @@ exponential atoms) is a sound Schwartz-Zippel style zero test.
 prime p: reduction mod p is a ring homomorphism wherever the denominators it
 meets are units, so an identity that holds in the field holds mod p, and a
 nonzero value reads 0 only at a root of its numerator or when p divides it.
+Its modular branch is ``ModularExpr``, which reduces an expression's
+coefficients once so that it can be evaluated at many points, each given as
+per-atom power tables (``residue_powers``).
 
 Polynomial arithmetic is delegated to ``sympy.polys`` sparse rings; the
 chart ring has rational coefficients and grevlex order, which fixes the
@@ -573,46 +576,36 @@ def evaluate_rational(e: Expr, assignment: Mapping[Atom, Number],
     The exponential atoms are substituted independently of their coordinates:
     atoms are algebraically independent, so this is exactly the substitution
     a randomized zero test needs.  Without a modulus the result is the exact
-    Fraction.  With a prime modulus p, the atom values and every coefficient
-    are reduced mod p and the result is the residue in [0, p); this is the
-    image of the exact value under the ring homomorphism Z_(p) -> F_p, so
-    equal expressions always give equal residues.  Raises EvaluationError
-    when a denominator vanishes at the point (mod p, when a modulus is given:
-    the point's, a coefficient's or the expression's) and ExpressionError
-    when an occurring atom has no value.
+    Fraction.  With a prime modulus p, the result is the residue in [0, p)
+    that ModularExpr computes: the image of the exact value under the ring
+    homomorphism Z_(p) -> F_p, so equal expressions always give equal
+    residues.  Raises EvaluationError when a denominator vanishes at the
+    point (mod p, when a modulus is given: the point's, a coefficient's or
+    the expression's) and ExpressionError when an occurring atom has no
+    value.
     """
     ctx = e.ctx
-    if isinstance(assignment, PointResidues):
-        if assignment.modulus != modulus:
-            raise ValueError("residues taken modulo another number")
-        values = assignment.table(ctx)
-    else:
-        values = _atom_values(ctx, assignment, modulus)
+    if modulus is not None:
+        compiled = ModularExpr(e, modulus)
+        num, den = compiled.at(
+            residue_powers(ctx, assignment, modulus, compiled.degrees))
+        return num * pow(den, -1, modulus) % modulus
+    values = _atom_values(ctx, assignment, None)
 
     def poly_value(poly):
-        total = QQ.zero if modulus is None else 0
+        total = QQ.zero
         for monom, coeff in poly.items():
-            term = (coeff if modulus is None else
-                    _ratio_residue(QQ.numer(coeff), QQ.denom(coeff), modulus))
+            term = coeff
             for pos, exp in enumerate(monom):
                 if exp:
                     v = values[pos]
                     if v is None:
                         raise ExpressionError(
                             f"no value assigned to atom {ctx.atoms[pos].name}")
-                    if modulus is None:
-                        term = term * v ** exp
-                    else:
-                        term = term * pow(v, exp, modulus) % modulus
+                    term = term * v ** exp
             total = total + term
         return total
 
-    if modulus is not None:
-        den_val = poly_value(e.den) % modulus
-        if not den_val:
-            raise EvaluationError(
-                "denominator vanishes modulo p at the given point")
-        return poly_value(e.num) * pow(den_val, -1, modulus) % modulus
     den_val = poly_value(e.den)
     if not den_val:
         raise EvaluationError("denominator vanishes at the given point")
@@ -633,30 +626,105 @@ def _atom_values(ctx: Context, assignment: Mapping[Atom, Number],
     return values
 
 
-class PointResidues(dict):
-    """An atom assignment reduced modulo a prime, for evaluating many
-    expressions at one point.
+class ModularExpr:
+    """An Expr compiled for evaluation modulo a prime p.
 
-    ``evaluate_rational(e, residues, residues.modulus)`` returns what it
-    returns for the original assignment, but reads an atom table built once
-    per context instead of reducing every value again for each expression;
-    any other modulus raises ValueError.  Raises EvaluationError when p
-    divides a value's denominator.
+    Numerator and denominator each become a tuple of (coefficient residue,
+    ((ring position, exponent), ...)) terms, so every rational coefficient
+    is reduced once, not at every point.  A coefficient whose denominator p
+    divides has no residue: its polynomial keeps the terms before it and
+    raises EvaluationError after evaluating them, where the term-by-term
+    reduction would have raised.  degrees holds the highest exponent of
+    each ring position, the length of the power tables at() reads.
     """
 
-    __slots__ = ("modulus", "_tables")
+    __slots__ = ("ctx", "modulus", "num", "den", "degrees")
 
-    def __init__(self, assignment: Mapping[Atom, Number], modulus: int):
-        super().__init__((atom, residue(val, modulus))
-                         for atom, val in assignment.items())
+    def __init__(self, e: Expr, modulus: int):
+        self.ctx = e.ctx
         self.modulus = modulus
-        self._tables: dict = {}
+        degrees = [0] * len(e.ctx.atoms)
+        self.num = _compiled_poly(e.num, modulus, degrees)
+        self.den = (None if _same(e.den, e.ctx.ring_one)
+                    else _compiled_poly(e.den, modulus, degrees))
+        self.degrees = tuple(degrees)
 
-    def table(self, ctx: Context) -> list:
-        values = self._tables.get(ctx)
-        if values is None:
-            values = self._tables[ctx] = _atom_values(ctx, self, self.modulus)
-        return values
+    def at(self, powers: Sequence) -> tuple[int, int]:
+        """(numerator, denominator) residues at one point, the denominator
+        nonzero; powers is the point's residue_powers table.  Raises
+        EvaluationError when the denominator vanishes mod p or a coefficient
+        has no residue, ExpressionError when an occurring atom has no
+        value."""
+        p = self.modulus
+        den = 1 if self.den is None else _poly_residue(self.den, powers, p)
+        if not den:
+            raise EvaluationError(
+                "denominator vanishes modulo p at the given point")
+        return _poly_residue(self.num, powers, p), den
+
+
+def _compiled_poly(poly, modulus: int, degrees: list) -> tuple:
+    # (terms, reducible): terms up to the first coefficient without a
+    # residue; degrees is raised to cover every kept exponent.
+    terms = []
+    for monom, coeff in poly.items():
+        try:
+            c = _ratio_residue(QQ.numer(coeff), QQ.denom(coeff), modulus)
+        except EvaluationError:
+            return tuple(terms), False
+        factors = tuple((pos, exp) for pos, exp in enumerate(monom) if exp)
+        for pos, exp in factors:
+            degrees[pos] = max(degrees[pos], exp)
+        terms.append((c, factors))
+    return tuple(terms), True
+
+
+def _poly_residue(compiled: tuple, powers: Sequence, p: int) -> int:
+    terms, reducible = compiled
+    total = 0
+    for term, factors in terms:
+        for pos, exp in factors:
+            term = term * powers[pos][exp] % p
+        total += term
+    if not reducible:
+        raise EvaluationError("denominator vanishes modulo p")
+    return total % p
+
+
+class _NoValue:
+    """The power table of an atom without a value: reading it raises."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __getitem__(self, exp: int):
+        raise ExpressionError(f"no value assigned to atom {self.name}")
+
+
+def residue_powers(ctx: Context, assignment: Mapping[Atom, Number],
+                   modulus: int, degrees: Sequence[int]) -> list:
+    """The power tables of a point modulo a prime, by ring position of ctx:
+    entry pos lists the residues of v^0 .. v^degrees[pos] for the atom's
+    value v (None where degrees[pos] is 0).  Every assigned value is
+    reduced, so EvaluationError is raised when p divides one's
+    denominator; an atom with no value gets a table that raises
+    ExpressionError when an expression reads it."""
+    values = _atom_values(ctx, assignment, modulus)
+    tables: list = []
+    for pos, top in enumerate(degrees):
+        v = values[pos]
+        if not top:
+            tables.append(None)
+        elif v is None:
+            tables.append(_NoValue(ctx.atoms[pos].name))
+        else:
+            table = [1, v]
+            for _ in range(top - 1):
+                table.append(table[-1] * v % modulus)
+            tables.append(table)
+    return tables
 
 
 def residue(value: Number, modulus: int) -> int:

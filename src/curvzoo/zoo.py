@@ -5,7 +5,10 @@ order, on a chart and collects verdicts with symbolic witnesses.  Every
 positive verdict carries the linear identity that certifies it (see
 linsolve.certify); oracle_crosscheck() re-evaluates those identities at
 seeded random rational points reduced modulo the prime p = 2^61 - 1 and
-counts disagreements.  Atoms are algebraically independent,
+counts disagreements.  It compiles each distinct value once per call
+(exprs.ModularExpr: every coefficient reduced mod p), draws each point
+straight as residues, and inverts all the denominators of a point with a
+single modular inversion.  Atoms are algebraically independent,
 so independent substitution is a sound randomized zero test, and reduction
 mod p is a ring homomorphism: a true identity never disagrees, so a nonzero
 count means a canonicalization or solver bug, never a sampling artifact.  A
@@ -21,8 +24,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .charts import Chart, OneForm, riemann, scalar_curvature
 # The *_verdicts functions are the entries of BATTERY, looked up by name.
@@ -32,8 +34,8 @@ from .classifiers import (ClassifierVerdict, QuasiEinsteinResult,
                           recurrence_verdicts, roter_verdicts,
                           theorem_verdicts, weak_symmetry_verdicts,
                           weak_Z_verdicts, weyl_verdicts)
-from .exprs import (Atom, EvaluationError, Expr, PointResidues,
-                    evaluate_rational)
+from .exprs import (Atom, EvaluationError, Expr, ExpressionError,
+                    ModularExpr, Number, residue_powers)
 from .linsolve import Identity, SolutionSpace
 from .metrics import MetricSpec
 from .operators import (check_gct, check_second_bianchi, named_tensor,
@@ -186,37 +188,124 @@ def classify(spec_or_chart: Union[MetricSpec, Chart],
 # ---------------------------------------------------------------------------
 
 
-def random_point(rng: random.Random, atoms: Sequence[Atom]
-                 ) -> dict[Atom, Fraction]:
-    return {a: Fraction(rng.randint(1, GRID_MAX), rng.randint(1, GRID_MAX))
-            for a in atoms}
+@dataclass
+class _CompiledIdentity:
+    """An Identity with every distinct value compiled mod ORACLE_PRIME.
+
+    values[k] is the ModularExpr of the k-th distinct Expr of
+    identity._indexed and layout[k] the position of its context in
+    contexts; degrees[c] is the highest exponent of each ring position of
+    contexts[c] over those values."""
+
+    identity: Identity
+    values: list
+    layout: list
+    contexts: list
+    degrees: list
 
 
-def check_identity_at(identity: Identity,
-                      point: dict[Atom, Fraction]) -> bool:
+def _compile(identity: Identity, compiled: dict) -> _CompiledIdentity:
+    """Compile each distinct value of identity once, sharing the entries of
+    compiled (Expr -> ModularExpr) with the other identities of one
+    oracle_crosscheck call."""
+    values = []
+    for e in identity._indexed[0]:
+        m = compiled.get(e)
+        if m is None:
+            m = compiled[e] = ModularExpr(e, ORACLE_PRIME)
+        values.append(m)
+    positions: dict = {}
+    layout = [positions.setdefault(m.ctx, len(positions)) for m in values]
+    contexts = list(positions)
+    degrees = [[0] * len(ctx.atoms) for ctx in contexts]
+    for m, c in zip(values, layout):
+        degrees[c] = list(map(max, degrees[c], m.degrees))
+    return _CompiledIdentity(identity, values, layout, contexts, degrees)
+
+
+def _inverses(residues: Sequence[int]) -> list[int]:
+    """The inverses mod ORACLE_PRIME of nonzero residues, with a single
+    modular inversion (Montgomery's trick: invert the product, then peel
+    the factors off it one at a time)."""
+    p = ORACLE_PRIME
+    prefix = []
+    product = 1
+    for r in residues:
+        prefix.append(product)
+        product = product * r % p
+    inverse = pow(product, -1, p)
+    out = [0] * len(residues)
+    for i in range(len(residues) - 1, -1, -1):
+        out[i] = inverse * prefix[i] % p
+        inverse = inverse * residues[i] % p
+    return out
+
+
+def _draw_point(rng: random.Random, atoms: Sequence[Atom]) -> dict[Atom, int]:
+    """A seeded random point as residues mod ORACLE_PRIME: atom by atom, a
+    numerator and a denominator uniform in [1, GRID_MAX], drawn in that
+    order, give the residue of their quotient."""
+    pairs = [(rng.randint(1, GRID_MAX), rng.randint(1, GRID_MAX))
+             for _ in atoms]
+    inverses = _inverses([den for _, den in pairs])
+    return {a: num * inv % ORACLE_PRIME
+            for a, (num, _), inv in zip(atoms, pairs, inverses)}
+
+
+def check_identity_at(identity: Union[Identity, _CompiledIdentity],
+                      point: Mapping[Atom, Number]) -> bool:
     """Evaluate every retained row at the point modulo ORACLE_PRIME.
 
-    The two sides of a row are evaluated separately; each distinct Expr is
-    evaluated once, when first needed.  Raises EvaluationError when a
-    denominator vanishes mod p.
+    identity is an Identity, compiled here, or one compiled by
+    oracle_crosscheck; the point gives atom values, rationals or residues
+    mod p.  Each distinct Expr is evaluated once, from its compiled form and
+    power tables of the point's residues, and the denominators other than 1
+    are inverted together with one modular inversion.  The rows are then
+    compared in order, stopping at the first disagreement.  The result is
+    the one lazy evaluation would give: when a value fails (its denominator
+    vanishes mod p, or it reads an atom without a value), the rows are still
+    checked in order, and the failure is raised only at the first row that
+    needs that value; a row that disagrees before it makes the result False.
+    Raises EvaluationError when a denominator vanishes mod p.
     """
-    distinct, value_slots, rows = identity._indexed
-    residues = PointResidues(point, ORACLE_PRIME)
-    memo: list = [None] * len(distinct)
-
-    def value_of(k: int) -> int:
-        v = memo[k]
-        if v is None:
-            v = memo[k] = evaluate_rational(distinct[k], residues,
-                                            ORACLE_PRIME)
-        return v
-
-    values = [value_of(k) for k in value_slots]
+    if isinstance(identity, Identity):
+        identity = _compile(identity, {})
+    _, value_slots, rows = identity.identity._indexed
+    p = ORACLE_PRIME
+    tables = [residue_powers(ctx, point, p, degrees)
+              for ctx, degrees in zip(identity.contexts, identity.degrees)]
+    residues = []
+    fractions = []      # (position, numerator, denominator != 1)
+    failure = None
+    for m, c in zip(identity.values, identity.layout):
+        try:
+            num, den = m.at(tables[c])
+        except ExpressionError as exc:
+            failure = exc
+            break
+        if den != 1:
+            fractions.append((len(residues), num, den))
+        residues.append(num)
+    if fractions:
+        inverses = _inverses([den for _, _, den in fractions])
+        for (k, num, _), inv in zip(fractions, inverses):
+            residues[k] = num * inv % p
+    # Distinct values are numbered in the order lazy evaluation first
+    # needs them, so the values before a failure are exactly those a lazy
+    # check computes before it reaches the failing one.
+    known = len(residues)
+    if any(k >= known for k in value_slots):
+        raise failure
+    values = [residues[k] for k in value_slots]
     for coeffs, rhs in rows:
         total = 0
         for k, j in coeffs:
-            total += value_of(k) * values[j]
-        if total % ORACLE_PRIME != value_of(rhs):
+            if k >= known:
+                raise failure
+            total += residues[k] * values[j]
+        if rhs >= known:
+            raise failure
+        if total % p != residues[rhs]:
             return False
     return True
 
@@ -226,13 +315,17 @@ def oracle_crosscheck(report: Report, chart: Optional[Chart] = None,
                       seed: int = DEFAULT_SEED) -> OracleSummary:
     """Re-evaluate every certified identity at seeded random rational points.
 
-    Each point is reduced modulo ORACLE_PRIME and both sides of every row
-    are compared in F_p (see check_identity_at).  Points are resampled on
-    denominators that vanish mod p, up to
-    MAX_DENOMINATOR_RETRIES per identity, after which that identity is marked
-    inconclusive.  Deterministic for a fixed seed.  The chart argument is
-    optional; the atom inventory is otherwise taken from the identities
-    themselves.
+    Each distinct value of the report's identities is compiled mod
+    ORACLE_PRIME once per call (its coefficients reduced, shared between
+    identities by Expr); the compiled forms are dropped when the call
+    returns.  Points are drawn straight as residues (_draw_point: the
+    seeded sequence of numerator and denominator pairs of the rational
+    points), and both sides of every row are compared in F_p (see
+    check_identity_at, called once per point).  Points are resampled on
+    denominators that vanish mod p, up to MAX_DENOMINATOR_RETRIES per
+    identity, after which that identity is marked inconclusive.
+    Deterministic for a fixed seed.  The chart argument is optional; the
+    atom inventory is otherwise taken from the identities themselves.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -250,13 +343,15 @@ def oracle_crosscheck(report: Report, chart: Optional[Chart] = None,
     disagreements = 0
     inconclusive = 0
     checked = 0
+    compiled: dict = {}
     for identity in report.identities:
+        program = _compile(identity, compiled)
         retries = 0
         done = 0
         while done < samples:
-            point = random_point(rng, atoms)
+            point = _draw_point(rng, atoms)
             try:
-                ok = check_identity_at(identity, point)
+                ok = check_identity_at(program, point)
             except EvaluationError:
                 retries += 1
                 if retries >= MAX_DENOMINATOR_RETRIES:

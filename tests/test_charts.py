@@ -349,6 +349,32 @@ class TestSlotSymmetries:
         with pytest.raises(ValueError, match="declared symmetry"):
             plain.with_symmetries(("sym:0,1",))
 
+    @pytest.mark.parametrize("spec, order", [("skew:0,1", (1, 0, 2, 3)),
+                                             ("skew:2,3", (0, 1, 3, 2)),
+                                             ("block:0,1,2,3", (2, 3, 0, 1))])
+    def test_constructor_rejects_a_single_broken_entry(self, godel, spec,
+                                                       order):
+        # R with one entry changed breaks the spec: a support entry moved
+        # off its image, one zeroed (its image now maps onto a zero), a
+        # zero entry made nonzero where its image stays zero and, for a
+        # skew spec, a nonzero entry that the swap fixes.
+        R = riemann(godel)
+        x1 = godel.ctx.parse("x1")
+        image = lambda idx: tuple(idx[a] for a in order)     # noqa: E731
+        moved = next(idx for idx, _ in R.nonzero_items()
+                     if image(idx) != idx)
+        lone = next(idx for idx, v in R.items() if v.is_zero
+                    and image(idx) != idx and R[image(idx)].is_zero)
+        cases = [(moved, R[moved] + x1), (moved, 0 * x1), (lone, x1)]
+        if spec.startswith("skew"):
+            cases.append(((0, 0, 0, 0), x1))
+        Tensor(godel, (0, 4), R.array.copy(), (spec,))
+        for idx, value in cases:
+            broken = R.array.copy()
+            broken[idx] = value
+            with pytest.raises(ValueError, match="declared symmetry"):
+                Tensor(godel, (0, 4), broken, (spec,))
+
 
 def random_tensor(chart, rank, rng):
     pool = ["0", "1", "x1", "exp(x2)", "-2", "x3", "x1*x2"]

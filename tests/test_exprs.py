@@ -14,10 +14,10 @@ from sympy.polys.rings import PolyElement
 from curvzoo.charts import riemann
 from curvzoo.exprs import (MAX_COEFF_BITS, MAX_DEGREE, MAX_NESTING,
                            MAX_TERMS, Context,
-                           EvaluationError, ExpressionError, ParseError,
-                           PointResidues,
-                           _normalized, combine, differentiate,
-                           evaluate_rational, is_zero)
+                           EvaluationError, ExpressionError, ModularExpr,
+                           ParseError, _normalized, combine, differentiate,
+                           evaluate_rational, is_zero, residue,
+                           residue_powers)
 from curvzoo.metrics import builtin
 from curvzoo.zoo import ORACLE_PRIME
 
@@ -497,21 +497,47 @@ class TestEvaluate:
             exact = evaluate_rational(e, point)
             expected = exact.numerator * pow(exact.denominator, -1, p) % p
             assert evaluate_rational(e, point, p) == expected
-            residues = PointResidues(point, p)
-            assert evaluate_rational(e, residues, p) == expected
+            # The oracle's path: the value compiled once, the point drawn
+            # as residues.
+            residues = {a: residue(v, p) for a, v in point.items()}
+            compiled = ModularExpr(e, p)
+            num, den = compiled.at(
+                residue_powers(ctx, residues, p, compiled.degrees))
+            assert num * pow(den, -1, p) % p == expected
             checked += 1
         assert checked == 60
 
-    def test_residues_only_at_their_modulus(self, ctx):
-        # Residues read as plain values would give a wrong result silently.
-        e = ctx.parse("x1/3")
-        residues = PointResidues({atom(ctx, "coord", 0): Fraction(1, 2)},
-                                 MERSENNE_61)
-        assert evaluate_rational(e, residues, MERSENNE_61) == (
-            pow(6, -1, MERSENNE_61))
-        for modulus in (None, 2 ** 31 - 1):
-            with pytest.raises(ValueError):
-                evaluate_rational(e, residues, modulus)
+    def test_compiled_coefficients_are_residues(self, ctx):
+        # Each coefficient is reduced when the value is compiled; the power
+        # tables reach each atom's highest exponent and no further.
+        p = MERSENNE_61
+        compiled = ModularExpr(ctx.parse("(x1^3/3 + 2*x2) / (x1 + 7/2)"), p)
+        assert compiled.num[1] and compiled.den[1]   # every term reducible
+        assert sorted(compiled.num[0]) == [(2, ((1, 1),)), (
+            residue(Fraction(1, 3), p), ((0, 3),))]
+        assert sorted(compiled.den[0]) == [(1, ((0, 1),)),
+                                           (residue(Fraction(7, 2), p), ())]
+        assert compiled.degrees[:2] == (3, 1)
+        assert not any(compiled.degrees[2:])
+        assert ModularExpr(ctx.parse("x1^2 + 1"), p).den is None
+
+    def test_compiled_failures_in_term_order(self, ctx):
+        # A coefficient without a residue fails only when its polynomial is
+        # evaluated, after the terms before it: a missing atom read first
+        # is still the error reported, as in term-by-term reduction.
+        p = MERSENNE_61
+        x1, x2 = atom(ctx, "coord", 0), atom(ctx, "coord", 1)
+        unreducible = ctx.parse("x1") + ctx.rational(1, p) * ctx.parse("x2")
+        compiled = ModularExpr(unreducible, p)
+        with pytest.raises(EvaluationError):
+            compiled.at(residue_powers(ctx, {x1: 2, x2: 3}, p,
+                                       compiled.degrees))
+        with pytest.raises(ExpressionError, match="no value") as info:
+            compiled.at(residue_powers(ctx, {x2: 3}, p, compiled.degrees))
+        assert not isinstance(info.value, EvaluationError)
+        for e in (unreducible, ctx.parse("x1 + x2")):
+            with pytest.raises(ExpressionError, match="no value"):
+                evaluate_rational(e, {}, p)
 
     def test_modular_denominator_hits(self, ctx):
         # Each denominator that vanishes only mod p is a retry, not a value:

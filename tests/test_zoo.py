@@ -3,9 +3,11 @@
 import contextlib
 import io
 import json
+import random
 import subprocess
 import sys
 from datetime import timedelta
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,13 +17,17 @@ from hypothesis import strategies as st
 from curvzoo.charts import nabla_riemann, scalar_curvature
 from curvzoo.classifiers import classify_deszcz
 from curvzoo.cli import main
+from curvzoo.exprs import (EvaluationError, ModularExpr, evaluate_rational,
+                           residue)
 from curvzoo.metrics import (BUILTINS, MAX_DIM, MetricFileError, builtin,
                              list_builtins, load_metric_file,
                              metric_spec_from_dict, resolve_metric,
                              save_metric_file)
 from curvzoo.operators import weyl_conformal
-from curvzoo.zoo import (ALL_TENSORS, Identity, check_identity_at, classify,
-                         oracle_crosscheck, random_point, render_report,
+from curvzoo.zoo import (ALL_TENSORS, DEFAULT_TENSORS, GRID_MAX,
+                         MAX_DENOMINATOR_RETRIES, ORACLE_PRIME, Identity,
+                         OracleSummary, _draw_point, check_identity_at,
+                         classify, oracle_crosscheck, render_report,
                          report_to_dict)
 
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference"
@@ -298,9 +304,7 @@ class TestOracle:
 
     def test_each_distinct_value_evaluated_once_per_point(self, monkeypatch):
         # Equal Exprs built separately are one value: two points cost two
-        # evaluations of each of x1, 1 + x2 and x1*(1 + x2).
-        import random
-        from curvzoo import zoo
+        # evaluations of each compiled x1, 1 + x2 and x1*(1 + x2).
         chart = builtin("flat3").to_chart()
         ctx = chart.ctx
         x1, y = ctx.parse("x1"), ctx.parse("1 + x2")
@@ -308,27 +312,30 @@ class TestOracle:
                                         ({0: ctx.parse("x1")}, y * x1)],
                             [ctx.parse("1 + x2")])
         calls = []
-        evaluate = zoo.evaluate_rational
+        evaluate = ModularExpr.at
 
-        def counting(e, assignment, modulus=None):
-            calls.append(e)
-            return evaluate(e, assignment, modulus)
+        def counting(compiled, powers):
+            calls.append(compiled)
+            return evaluate(compiled, powers)
 
-        monkeypatch.setattr(zoo, "evaluate_rational", counting)
+        monkeypatch.setattr(ModularExpr, "at", counting)
         rng = random.Random(5)
         for _ in range(2):
-            assert check_identity_at(identity,
-                                     random_point(rng, ctx.atoms))
+            assert check_identity_at(identity, _draw_point(rng, ctx.atoms))
         assert len(calls) == 6
 
     def test_random_point_range(self):
-        import random
+        # Each atom's residue is that of a numerator and a denominator drawn
+        # in [1, GRID_MAX], in that order, atom by atom.
         chart = builtin("flat3").to_chart()
-        rng = random.Random(0)
-        point = random_point(rng, chart.ctx.atoms)
+        rng, twin = random.Random(0), random.Random(0)
+        point = _draw_point(rng, chart.ctx.atoms)
+        assert list(point) == list(chart.ctx.atoms)
         for val in point.values():
-            assert 0 < val.numerator if val.numerator else True
-            assert 1 <= val.denominator <= 10 ** 6
+            num, den = twin.randint(1, GRID_MAX), twin.randint(1, GRID_MAX)
+            assert 0 < val < ORACLE_PRIME
+            assert val == residue(Fraction(num, den), ORACLE_PRIME)
+        assert rng.random() == twin.random()
 
     def test_invalid_samples(self, ex52_report):
         chart = builtin("ex5_2").to_chart()
@@ -338,19 +345,52 @@ class TestOracle:
     def test_persistent_denominator_hits_mark_inconclusive(self, monkeypatch):
         # Force every sampled point onto the pole of 1/(x1 - x2): after the
         # retry bound the identity is marked inconclusive, not wrong.
-        from fractions import Fraction
         chart = builtin("flat3").to_chart()
         ctx = chart.ctx
         pole = ctx.parse("1/(x1 - x2)")
         identity = Identity("poleful", [({0: pole}, pole)], [ctx.one])
         report = classify(chart, run_oracle=False)
         report.identities = [identity]
-        monkeypatch.setattr(
-            "curvzoo.zoo.random_point",
-            lambda rng, atoms: {a: Fraction(1) for a in atoms})
+        draws = []
+
+        def on_the_pole(rng, atoms):
+            draws.append(rng)
+            return {a: 1 for a in atoms}
+
+        monkeypatch.setattr("curvzoo.zoo._draw_point", on_the_pole)
         summary = oracle_crosscheck(report, chart, samples=5, seed=1)
         assert summary.inconclusive == 1
         assert summary.disagreements == 0
+        assert len(draws) == MAX_DENOMINATOR_RETRIES
+
+    def test_disagreement_before_a_pole_is_a_disagreement(self, monkeypatch):
+        # Values are evaluated together, but the verdict is the lazy one: a
+        # row that disagrees before any row needs the vanishing 1/(x1 - x2)
+        # decides the point; a pole reached first, or in the solution
+        # values, makes it a retry.
+        chart = builtin("flat3").to_chart()
+        ctx = chart.ctx
+        pole = ctx.parse("1/(x1 - x2)")
+        wrong = ({0: ctx.one}, ctx.integer(2))      # 1 * 1 != 2
+        poleful = ({0: pole}, pole)
+        point = {a: 1 for a in ctx.atoms}
+        cases = [([wrong, poleful], [ctx.one], False),
+                 ([poleful, wrong], [ctx.one], None),
+                 ([wrong], [pole], None)]
+        monkeypatch.setattr("curvzoo.zoo._draw_point",
+                            lambda rng, atoms: dict(point))
+        report = classify(chart, run_oracle=False)
+        for rows, values, verdict in cases:
+            identity = Identity("lazy", rows, values)
+            if verdict is None:
+                with pytest.raises(EvaluationError):
+                    check_identity_at(identity, point)
+            else:
+                assert check_identity_at(identity, point) is verdict
+            report.identities = [identity]
+            summary = oracle_crosscheck(report, chart, samples=5, seed=1)
+            assert (summary.disagreements, summary.inconclusive) == (
+                (5, 0) if verdict is False else (0, 1))
 
     def test_denominator_vanishing_mod_p_marks_inconclusive(self):
         # A coefficient 1/p has no image in F_p, whatever the point: after
@@ -364,6 +404,104 @@ class TestOracle:
         summary = oracle_crosscheck(report, chart, samples=5, seed=1)
         assert summary.inconclusive == 1
         assert summary.disagreements == 0
+
+
+def reference_oracle(report, chart, samples, seed):
+    """The oracle as exact arithmetic states it: each value evaluated at
+    the rational point with evaluate_rational's Fraction branch, when first
+    needed, then reduced mod p with residue()."""
+    rng = random.Random(seed)
+    disagreements = inconclusive = checked = 0
+    for identity in report.identities:
+        retries = done = 0
+        while done < samples:
+            point = {a: Fraction(rng.randint(1, GRID_MAX),
+                                 rng.randint(1, GRID_MAX))
+                     for a in chart.ctx.atoms}
+            memo = {}
+
+            def value(e):
+                if e not in memo:
+                    memo[e] = residue(evaluate_rational(e, point),
+                                      ORACLE_PRIME)
+                return memo[e]
+
+            try:
+                values = [value(v) for v in identity.values]
+                ok = all(
+                    sum(value(c) * values[j] for j, c in coeffs.items())
+                    % ORACLE_PRIME == value(rhs)
+                    for coeffs, rhs in identity.rows)
+            except EvaluationError:
+                retries += 1
+                if retries >= MAX_DENOMINATOR_RETRIES:
+                    inconclusive += 1
+                    break
+                continue
+            done += 1
+            disagreements += not ok
+        checked += len(identity.rows)
+    return OracleSummary(samples, seed, len(report.identities), checked,
+                         disagreements, inconclusive)
+
+
+SEEDS = (1, 7, 42)
+
+
+@pytest.fixture(scope="module")
+def unchecked_reports():
+    """(chart, report without oracle) per builtin and tensor selection."""
+    out = {}
+    for name in list_builtins():
+        chart = builtin(name).to_chart()
+        for tensors in (DEFAULT_TENSORS, ALL_TENSORS):
+            out[name, tensors] = (chart, classify(chart, tensors=tensors,
+                                                  run_oracle=False))
+    return out
+
+
+class TestOracleDifferential:
+    """The compiled oracle against exact evaluation at the same points."""
+
+    @pytest.mark.parametrize("tensors", [DEFAULT_TENSORS, ALL_TENSORS],
+                             ids=["default", "all"])
+    @pytest.mark.parametrize("name", list_builtins())
+    def test_summaries_match_exact_evaluation(self, unchecked_reports, name,
+                                              tensors):
+        chart, report = unchecked_reports[name, tensors]
+        for seed in SEEDS:
+            assert oracle_crosscheck(report, chart, 50, seed) == \
+                reference_oracle(report, chart, 50, seed), seed
+
+    def test_corrupted_identities_match_exact_evaluation(
+            self, unchecked_reports):
+        # One corrupted value per identity of ex5_2: the same disagreement
+        # count as exact evaluation, seed by seed.
+        chart, report = unchecked_reports["ex5_2", DEFAULT_TENSORS]
+        for identity in report.identities:
+            j = min(j for coeffs, _ in identity.rows
+                    for j, c in coeffs.items() if not c.is_zero)
+            values = list(identity.values)
+            values[j] = values[j] + 1
+            fake = classify(chart, run_oracle=False)
+            fake.identities = [Identity(identity.name + "~corrupt",
+                                        identity.rows, values)]
+            for seed in SEEDS:
+                compiled = oracle_crosscheck(fake, chart, 50, seed)
+                assert compiled.disagreements >= 1, identity.name
+                assert compiled == reference_oracle(fake, chart, 50, seed)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_point_stream_is_pinned(self, seed):
+        # The first residues drawn from Random(seed) are those of the
+        # rational points the oracle always drew.
+        atoms = builtin("ex5_5").to_chart().ctx.atoms
+        rng, twin = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            assert _draw_point(rng, atoms) == {
+                a: residue(Fraction(twin.randint(1, GRID_MAX),
+                                    twin.randint(1, GRID_MAX)), ORACLE_PRIME)
+                for a in atoms}
 
 
 class TestCLI:
