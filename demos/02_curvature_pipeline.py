@@ -19,11 +19,8 @@ print("g^11  =", chart.g_inv[0, 0])
 
 gamma = christoffel(chart)
 print("\nnonzero Christoffel symbols Gamma^k_ij (k;ij):")
-for k in range(4):
-    for i in range(4):
-        for j in range(i, 4):
-            if not gamma[k, i, j].is_zero:
-                print(f"  Gamma^{k+1}_{i+1}{j+1} = {gamma[k, i, j]}")
+for (k, i, j), value in gamma.representative_items():   # i <= j
+    print(f"  Gamma^{k+1}_{i+1}{j+1} = {value}")
 
 R = riemann(chart)
 print("\nsample curvature components R[i,j,k,l]:")

@@ -3,7 +3,9 @@
 A Chart holds a symmetric metric of expressions on n >= 3 coordinates with a
 generically nonvanishing determinant; everything downstream (Christoffel
 symbols, curvature, covariant derivatives) is computed exactly over the
-chart's expression field and cached on the chart.
+chart's expression field and cached on the chart.  The metric, its inverse
+and its determinant are the only component arrays outside Tensor: the
+pipeline reads g^-1 through the row index chart.g_inv_rows.
 
 Index conventions, fixed throughout the package:
 
@@ -15,16 +17,22 @@ Index conventions, fixed throughout the package:
 * Every tensor operation walks the cached nonzero support
   (nonzero_items()), never the zero components, and forms each product of
   two nonzero entries once, scattering it to every component it feeds.
+  So does the curvature pipeline: the Christoffel symbols are the (1,2)
+  Tensor Gamma[k, i, j] = Gamma^k_ij, built from the support of g, and R,
+  S, kappa and S2 are walks over the supports of Gamma, R and S.
 * A tensor may carry a slot-symmetry group, generated by the specs in
   T.declared_symmetries ("skew:p,q", "sym:p,q", "block:p,q,r,s").  Specs
   given to the constructor are checked on the components: riemann declares
-  CURVATURE_SYMMETRIES, ricci and ricci_square "sym:0,1", the exterior
-  derivative "skew:0,1".  Results inherit groups and are filled, not
-  checked: nabla T has the group of T shifted one slot, the actions B.T and
-  Q(A,T) (operators) that of T plus skew in the trailing pair, and sums and
-  scalings of tensors sharing a group keep it.  Those kernels compute each
-  orbit's representative (its least index) only and fill the rest by sign
-  (Tensor.from_representative_terms); permuted() drops the group.
+  CURVATURE_SYMMETRIES (computing i < j and filling the skew first pair, so
+  the (k, l) skew and the pair interchange are tested on computed values),
+  ricci and ricci_square "sym:0,1", the exterior derivative "skew:0,1".
+  Results inherit groups and are filled, not checked: Gamma is filled from
+  i <= j ("sym:1,2"), nabla T has the group of T shifted one slot, the
+  actions B.T and Q(A,T) (operators) that of T plus skew in the trailing
+  pair, and sums and scalings of tensors sharing a group keep it.  Those
+  kernels compute each orbit's representative (its least index) only and
+  fill the rest by sign (Tensor.from_representative_terms); permuted()
+  drops the group.
 * The covariant derivative adds its index FIRST: (nabla T)[x, i1, ..., ik].
 * The curvature sign is calibrated so that the round-sphere family carries
   negative scalar curvature, i.e. R is the negative of the
@@ -432,6 +440,9 @@ class Chart:
             raise ChartError("metric is identically singular")
         self.det_g = det
         self.g_inv = _adjugate_inverse(metric, det, ctx)
+        #: g_inv_rows[b] maps a to g^{ba} over the nonzero entries of row b.
+        self.g_inv_rows = tuple({a: e for a, e in enumerate(row)
+                                 if not e.is_zero} for row in self.g_inv)
         self._cache: dict = {}
 
     def cached(self, key: str, fn):
@@ -518,174 +529,166 @@ def build_chart(ctx_or_coords, metric_entries, params=(),
 # ---------------------------------------------------------------------------
 
 
-def christoffel(chart: Chart) -> np.ndarray:
-    """Levi-Civita connection coefficients Gamma[k, i, j] (symmetric in i, j)."""
+def _both_orders(p: int, q: int) -> tuple[tuple[int, int], ...]:
+    """(p, q) and (q, p), once when p == q."""
+    return ((p, q), (q, p)) if p != q else ((p, q),)
+
+
+def christoffel(chart: Chart) -> Tensor:
+    """Levi-Civita connection coefficients as the (1,2) tensor
+    Gamma[k, i, j] = Gamma^k_ij, symmetric in i, j.
+
+    Walks the support of g for the first kind, 2 Gamma_{l,ij} = d_i g_jl +
+    d_j g_il - d_l g_ij at i <= j, differentiating each entry g_ab (a <= b)
+    once, and raises l through the rows of g^-1, halved.
+    """
 
     def compute():
-        ctx, n, g, ginv = chart.ctx, chart.n, chart.g, chart.g_inv
-        dg = _object_array((n, n, n))  # dg[l, i, j] = d_l g_ij
-        for l in range(n):
-            for i in range(n):
-                for j in range(i, n):
-                    dg[l, i, j] = dg[l, j, i] = g[i, j].diff(l)
-        gamma = zeros(ctx, (n, n, n))
+        def doubled_first_kind():
+            for (a, b), gab in chart.metric_tensor().nonzero_items():
+                if a > b:
+                    continue
+                for x in range(chart.n):
+                    d = gab.diff(x)
+                    if d.is_zero:
+                        continue
+                    # d_x g_pl is d_i g_jl at (i, j) = (x, p) and d_j g_il
+                    # at (i, j) = (p, x).
+                    for p, l in _both_orders(a, b):
+                        idx = (l, x, p) if x <= p else (l, p, x)
+                        yield idx, d
+                        if x == p:
+                            yield idx, d
+                    yield (x, a, b), -d
+
         half = Fraction(1, 2)
-        for i in range(n):
-            for j in range(i, n):
-                for k in range(n):
-                    acc = ctx.zero
-                    for l in range(n):
-                        if ginv[k, l].is_zero:
-                            continue
-                        term = dg[i, j, l] + dg[j, i, l] - dg[l, i, j]
-                        if not term.is_zero:
-                            acc = acc + ginv[k, l] * term
-                    val = half * acc
-                    gamma[k, i, j] = val
-                    gamma[k, j, i] = val
-        return gamma
+        raising = [[(k, half * gi) for k, gi in row.items()]
+                   for row in chart.g_inv_rows]
+        return Tensor.from_representative_terms(
+            chart, (1, 2), ("sym:1,2",), (
+                ((k, i, j), hg * v)
+                for (l, i, j), v in _summed(doubled_first_kind()).items()
+                if not v.is_zero for k, hg in raising[l]))
 
     return chart.cached("christoffel", compute)
 
 
 def riemann(chart: Chart) -> Tensor:
-    """Curvature tensor as a (0,4) tensor R[i,j,k,l] = g(R(e_i,e_j)e_k, e_l)."""
+    """Curvature tensor as a (0,4) tensor R[i,j,k,l] = g(R(e_i,e_j)e_k, e_l).
+
+    Walks the support of Gamma for the upper-index curvature (commutator
+    convention) at i < j only,
+        R(e_i, e_j)e_k = ( d_i G^m_jk - d_j G^m_ik
+                           + G^m_ia G^a_jk - G^m_ja G^a_ik ) e_m,
+    differentiating each G^m_pq (p <= q) once and forming each product of
+    two nonzero symbols once, then lowers m with g and fills j < i by skew
+    symmetry.  The other curvature symmetries are declared through the
+    checking constructor, so they are tested on computed components.
+    """
 
     def compute():
-        ctx, n, g = chart.ctx, chart.n, chart.g
+        n = chart.n
         gamma = christoffel(chart)
-        dgamma = _object_array((n, n, n, n))  # dgamma[p, k, i, j] = d_p Gamma^k_ij
-        for p in range(n):
-            for k in range(n):
-                for i in range(n):
-                    for j in range(i, n):
-                        d = gamma[k, i, j].diff(p)
-                        dgamma[p, k, i, j] = dgamma[p, k, j, i] = d
-        arr = zeros(ctx, (n, n, n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(n):
-                    # Upper-index curvature (commutator convention), slot m:
-                    # R(e_i, e_j)e_k = ( d_i G^m_jk - d_j G^m_ik
-                    #                    + G^m_ia G^a_jk - G^m_ja G^a_ik ) e_m
-                    upper = [None] * n
-                    for m in range(n):
-                        acc = dgamma[i, m, j, k] - dgamma[j, m, i, k]
-                        for a in range(n):
-                            t1 = gamma[a, j, k]
-                            if not t1.is_zero and not gamma[m, i, a].is_zero:
-                                acc = acc + gamma[m, i, a] * t1
-                            t2 = gamma[a, i, k]
-                            if not t2.is_zero and not gamma[m, j, a].is_zero:
-                                acc = acc - gamma[m, j, a] * t2
-                        upper[m] = acc
-                    for l in range(n):
-                        acc = ctx.zero
-                        for m in range(n):
-                            if not upper[m].is_zero and not g[l, m].is_zero:
-                                acc = acc + g[l, m] * upper[m]
-                        val = CURVATURE_SIGN * acc
-                        arr[i, j, k, l] = val
-                        arr[j, i, k, l] = -val
-        return Tensor(chart, (0, 4), arr,
-                      declared_symmetries=CURVATURE_SYMMETRIES)
+        by_upper = [[] for _ in range(n)]   # by_upper[a]: ((t, k), G^a_tk)
+        for (a, t, k), w in gamma.nonzero_items():
+            by_upper[a].append(((t, k), w))
+
+        def upper():
+            for (m, p, q), v in gamma.representative_items():
+                for x in range(n):
+                    d = v.diff(x)
+                    if d.is_zero:
+                        continue
+                    for s, k in _both_orders(p, q):
+                        if x < s:
+                            yield (m, x, s, k), d
+                        elif s < x:
+                            yield (m, s, x, k), -d
+            for (m, s, a), v in gamma.nonzero_items():
+                for (t, k), w in by_upper[a]:
+                    if s < t:
+                        yield (m, s, t, k), v * w
+                    elif t < s:
+                        yield (m, t, s, k), -(v * w)
+
+        lowering = [[] for _ in range(n)]   # lowering[m]: (l, sign * g_lm)
+        for (m, l), e in chart.metric_tensor().nonzero_items():
+            lowering[m].append((l, CURVATURE_SIGN * e))
+        return Tensor.from_representative_terms(
+            chart, (0, 4), ("skew:0,1",), (
+                ((i, j, k, l), ge * u)
+                for (m, i, j, k), u in _summed(upper()).items()
+                if not u.is_zero for l, ge in lowering[m])
+        ).with_symmetries(CURVATURE_SYMMETRIES)
 
     return chart.cached("riemann", compute)
 
 
 def lowered_to_operator(B: Tensor) -> Tensor:
-    """(1,3) lift of a (0,4) tensor on the fourth slot.
+    """(1,k-1) lift of a (0,k) tensor on its last slot.
 
-    Returns Bhat with B(e_i,e_j)e_k = Bhat[a,i,j,k] e_a (contravariant index
-    first, as in every (1,k) Tensor), i.e. the fourth slot is raised with
-    the inverse metric: Bhat[a,i,j,k] = g^{ab} B[i,j,k,b].
+    Returns Bhat[a, I] = g^{ab} B[I, b] (contravariant index first, as in
+    every (1,k) Tensor).  For a (0,4) tensor, B(e_i,e_j)e_k = Bhat[a,i,j,k]
+    e_a; for a symmetric (0,2) tensor, Bhat is its endomorphism.
     """
     chart = B.chart
-    n, ginv = chart.n, chart.g_inv
-    raising = [[(a, ginv[b, a]) for a in range(n) if not ginv[b, a].is_zero]
-               for b in range(n)]
-    return Tensor.from_terms(chart, (1, 3), (
-        ((a, i, j, k), val * gi)
-        for (i, j, k, b), val in B.nonzero_items() for a, gi in raising[b]))
+    rows = chart.g_inv_rows
+    return Tensor.from_terms(chart, (1, B.rank - 1), (
+        ((a,) + idx[:-1], val * gi)
+        for idx, val in B.nonzero_items() for a, gi in rows[idx[-1]].items()))
 
 
 def ricci(chart: Chart) -> Tensor:
-    """Ricci tensor S[i,j] = g^{ab} R[a,i,j,b]."""
+    """Ricci tensor S[i,j] = g^{ab} R[a,i,j,b], from the support of R.
+
+    Both S[i,j] and S[j,i] are computed, so declaring "sym:0,1" through the
+    checking constructor tests the pair symmetry of R once more.
+    """
 
     def compute():
-        ctx, n, ginv = chart.ctx, chart.n, chart.g_inv
-        R = riemann(chart)
-        arr = zeros(ctx, (n, n))
-        for i in range(n):
-            for j in range(i, n):
-                acc = ctx.zero
-                for a in range(n):
-                    for b in range(n):
-                        gi = ginv[a, b]
-                        if gi.is_zero:
-                            continue
-                        r = R[a, i, j, b]
-                        if not r.is_zero:
-                            acc = acc + gi * r
-                arr[i, j] = arr[j, i] = acc
-        return Tensor(chart, (0, 2), arr, declared_symmetries=("sym:0,1",))
+        rows = chart.g_inv_rows
+
+        def terms():
+            for (a, i, j, b), r in riemann(chart).nonzero_items():
+                gi = rows[a].get(b)
+                if gi is not None:
+                    yield (i, j), gi * r
+
+        return Tensor.from_terms(chart, (0, 2), terms()).with_symmetries(
+            ("sym:0,1",))
 
     return chart.cached("ricci", compute)
 
 
 def scalar_curvature(chart: Chart) -> Expr:
-    """kappa = g^{ij} S_ij."""
+    """kappa = g^{ij} S_ij, from the support of S."""
 
     def compute():
-        ctx, n, ginv = chart.ctx, chart.n, chart.g_inv
-        S = ricci(chart)
-        acc = ctx.zero
-        for i in range(n):
-            for j in range(n):
-                gi = ginv[i, j]
-                if not gi.is_zero and not S[i, j].is_zero:
-                    acc = acc + gi * S[i, j]
-        return acc
+        rows = chart.g_inv_rows
+        kappa = chart.ctx.zero
+        for (i, j), s in ricci(chart).nonzero_items():
+            gi = rows[i].get(j)
+            if gi is not None:
+                kappa = kappa + gi * s
+        return kappa
 
     return chart.cached("kappa", compute)
 
 
-def ricci_operator(chart: Chart) -> np.ndarray:
-    """Ricci endomorphism matrix: (S X)^a = Sop[a, i] X^i, Sop = g^{ab} S_bi."""
-
-    def compute():
-        ctx, n, ginv = chart.ctx, chart.n, chart.g_inv
-        S = ricci(chart)
-        op = zeros(ctx, (n, n))
-        for a in range(n):
-            for i in range(n):
-                acc = ctx.zero
-                for b in range(n):
-                    gi = ginv[a, b]
-                    if not gi.is_zero and not S[b, i].is_zero:
-                        acc = acc + gi * S[b, i]
-                op[a, i] = acc
-        return op
-
-    return chart.cached("ricci_op", compute)
-
-
 def ricci_square(chart: Chart) -> Tensor:
-    """S2(X,Y) = S(SX, Y), i.e. S2[i,j] = S[i,a] g^{ab} S[b,j]."""
+    """S2(X,Y) = S(SX, Y), i.e. S2[i,j] = Shat[a,i] S[a,j] with the Ricci
+    endomorphism Shat[a,i] = g^{ab} S[b,i], from their supports.  Every
+    component is computed, so "sym:0,1" is checked, not filled."""
 
     def compute():
-        ctx, n = chart.ctx, chart.n
         S = ricci(chart)
-        Sop = ricci_operator(chart)
-        arr = zeros(ctx, (n, n))
-        for i in range(n):
-            for j in range(i, n):
-                acc = ctx.zero
-                for a in range(n):
-                    if not Sop[a, i].is_zero and not S[a, j].is_zero:
-                        acc = acc + Sop[a, i] * S[a, j]
-                arr[i, j] = arr[j, i] = acc
-        return Tensor(chart, (0, 2), arr, declared_symmetries=("sym:0,1",))
+        by_row = [[] for _ in range(chart.n)]   # by_row[a]: (j, S[a, j])
+        for (a, j), s in S.nonzero_items():
+            by_row[a].append((j, s))
+        return Tensor.from_terms(chart, (0, 2), (
+            ((i, j), o * s)
+            for (a, i), o in lowered_to_operator(S).nonzero_items()
+            for j, s in by_row[a])).with_symmetries(("sym:0,1",))
 
     return chart.cached("ricci_square", compute)
 
@@ -706,13 +709,10 @@ def covariant_derivative(chart: Chart, T: Tensor) -> Tensor:
     if r != 0:
         raise ValueError("covariant_derivative expects a covariant tensor")
     n = chart.n
-    gamma = christoffel(chart)
-    # by_upper[a]: (j, [(x, Gamma^a_{x j}) nonzero]) for each j that has any.
-    by_upper = []
-    for a in range(n):
-        columns = ([(x, gamma[a, x, j]) for x in range(n)
-                    if not gamma[a, x, j].is_zero] for j in range(n))
-        by_upper.append([(j, col) for j, col in enumerate(columns) if col])
+    # by_upper[a]: j -> [(x, Gamma^a_{x j}) nonzero] for each j that has any.
+    by_upper = [{} for _ in range(n)]
+    for (a, x, j), gam in christoffel(chart).nonzero_items():
+        by_upper[a].setdefault(j, []).append((x, gam))
     rep = T.symmetry_group.is_representative
 
     def terms():
@@ -724,7 +724,7 @@ def covariant_derivative(chart: Chart, T: Tensor) -> Tensor:
                         yield (x,) + J, d
             for a in dict.fromkeys(J):
                 slots = [m for m in range(k) if J[m] == a]
-                for j, column in by_upper[a]:
+                for j, column in by_upper[a].items():
                     targets = [I for I in (J[:m] + (j,) + J[m + 1:]
                                            for m in slots) if rep(I)]
                     if not targets:
@@ -747,15 +747,13 @@ def nabla_riemann(chart: Chart) -> Tensor:
 
 
 def exterior_derivative_oneform(chart: Chart, alpha: OneForm) -> Tensor:
-    """(d alpha)[i,j] = DALPHA_COEFF * (d_i alpha_j - d_j alpha_i), skew."""
-    ctx, n = chart.ctx, chart.n
-    arr = zeros(ctx, (n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            val = DALPHA_COEFF * (alpha[j].diff(i) - alpha[i].diff(j))
-            arr[i, j] = val
-            arr[j, i] = -val
-    return Tensor(chart, (0, 2), arr, declared_symmetries=("skew:0,1",))
+    """(d alpha)[i,j] = DALPHA_COEFF * (d_i alpha_j - d_j alpha_i), skew;
+    every component is computed, so "skew:0,1" is checked, not filled."""
+    n = chart.n
+    return Tensor.from_terms(chart, (0, 2), (
+        ((i, j), DALPHA_COEFF * (alpha[j].diff(i) - alpha[i].diff(j)))
+        for i in range(n) for j in range(n) if i != j)
+    ).with_symmetries(("skew:0,1",))
 
 
 def is_closed(chart: Chart, alpha: OneForm) -> bool:
@@ -763,19 +761,10 @@ def is_closed(chart: Chart, alpha: OneForm) -> bool:
 
 
 def covariant_derivative_oneform(chart: Chart, alpha: OneForm) -> Tensor:
-    """(nabla alpha)[i,j] = d_i alpha_j - Gamma^a_{ij} alpha_a."""
-    ctx, n = chart.ctx, chart.n
-    gamma = christoffel(chart)
-    arr = zeros(ctx, (n, n))
-    for i in range(n):
-        for j in range(n):
-            val = alpha[j].diff(i)
-            for a in range(n):
-                gam = gamma[a, i, j]
-                if not gam.is_zero and not alpha[a].is_zero:
-                    val = val - gam * alpha[a]
-            arr[i, j] = val
-    return Tensor(chart, (0, 2), arr)
+    """(nabla alpha)[i,j] = d_i alpha_j - Gamma^a_{ij} alpha_a: the covariant
+    derivative of alpha taken as a (0,1) tensor."""
+    return covariant_derivative(chart, Tensor.from_terms(
+        chart, (0, 1), (((i,), a) for i, a in enumerate(alpha))))
 
 
 def rank_at_most(Z: Tensor, r: int) -> bool:

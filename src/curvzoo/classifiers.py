@@ -874,8 +874,6 @@ def nabla_vector(chart: Chart, V: Sequence[Expr]) -> Tensor:
     """The (1,1) tensor (nabla V)[k, i] = d_i V^k + Gamma^k_{i a} V^a,
     contravariant index first."""
     n = chart.n
-    gamma = christoffel(chart)
-    nonzero_V = [(a, v) for a, v in enumerate(V) if not v.is_zero]
 
     def terms():
         for k in range(n):
@@ -883,9 +881,9 @@ def nabla_vector(chart: Chart, V: Sequence[Expr]) -> Tensor:
                 d = V[k].diff(i)
                 if not d.is_zero:
                     yield (k, i), d
-                for a, v in nonzero_V:
-                    if not gamma[k, i, a].is_zero:
-                        yield (k, i), gamma[k, i, a] * v
+        for (k, i, a), gam in christoffel(chart).nonzero_items():
+            if not V[a].is_zero:
+                yield (k, i), gam * V[a]
 
     return Tensor.from_terms(chart, (1, 1), terms())
 

@@ -363,6 +363,11 @@ class Expr:
 
     def __eq__(self, other):
         if isinstance(other, Expr):
+            if self.ctx is other.ctx:
+                return (_same(self.num, other.num)
+                        and _same(self.den, other.den))
+            # Other contexts may have other rings: PolyElement.__eq__
+            # compares the rings, so x1 never equals y1 of another chart.
             return self.num == other.num and self.den == other.den
         if isinstance(other, (int, Fraction)):
             return self == _coerce(self.ctx, other)

@@ -165,20 +165,21 @@ def metric_spec_from_dict(data: dict, origin: str = "metric") -> MetricSpec:
         ctx = spec.context()
     except ExpressionError as err:
         raise _schema_error(f"{origin}.coords/params", str(err)) from err
-    for i in range(dim):
-        for j in range(i + 1):
-            try:
-                ctx.parse(spec.lower_triangle[i][j])
-            except ExpressionError as err:
-                raise _schema_error(
-                    f"{origin}.metric[{i}][{j}]", str(err)) from err
+    # The lower triangle first, then a square matrix's upper entries.
+    cells = [(i, j) for i in range(dim) for j in range(i + 1)]
     if square:
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                if ctx.parse(rows[i][j]) != ctx.parse(rows[j][i]):
-                    raise _schema_error(
-                        f"{origin}.metric[{i}][{j}]",
-                        "square matrix input is not symmetric")
+        cells += [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    parsed = {}
+    for i, j in cells:
+        try:
+            parsed[i, j] = ctx.parse(rows[i][j])
+        except ExpressionError as err:
+            raise _schema_error(
+                f"{origin}.metric[{i}][{j}]", str(err)) from err
+    for i, j in cells:
+        if j > i and parsed[i, j] != parsed[j, i]:
+            raise _schema_error(f"{origin}.metric[{i}][{j}]",
+                                "square matrix input is not symmetric")
     return spec
 
 

@@ -5,6 +5,9 @@ and oneform_dot walk nonzero supports, form each product once and scatter
 it.  These reference implementations transcribe the defining displays
 directly (component by component, slot by slot, no rearrangement);
 agreement on random tensors over a curved chart certifies the kernels.
+The curvature pipeline (Gamma, R, S, kappa, S2) walks supports as well and
+is checked against dense index loops over the metric's component arrays on
+every builtin and on two charts with off-diagonal metrics.
 For operands that declare slot symmetries, covariant_derivative,
 dot_action and tachibana compute orbit representatives only and fill the
 rest by sign; agreement with the reference loops on such operands
@@ -12,13 +15,16 @@ certifies that the results inherit those symmetries.
 """
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from curvzoo.charts import (CURVATURE_SYMMETRIES, Tensor, build_chart,
-                            christoffel, covariant_derivative,
-                            lowered_to_operator, oneform, riemann, zeros)
+from curvzoo.charts import (CURVATURE_SIGN, CURVATURE_SYMMETRIES, Tensor,
+                            build_chart, christoffel, covariant_derivative,
+                            lowered_to_operator, oneform, ricci,
+                            ricci_square, riemann, scalar_curvature, zeros)
+from curvzoo.metrics import builtin, list_builtins
 from curvzoo.operators import (dot_action, kulkarni_nomizu, oneform_dot,
                                tachibana)
 
@@ -221,3 +227,101 @@ def test_kernels_on_operands_with_groups(chart, which):
         assert filled.declared_symmetries == (
             T.declared_symmetries + (f"skew:{k},{k + 1}",))
         assert filled == reference
+
+
+def reference_christoffel(chart):
+    """Gamma[k, i, j] = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)."""
+    ctx, n, g, ginv = chart.ctx, chart.n, chart.g, chart.g_inv
+    gamma = zeros(ctx, (n, n, n))
+    for k, i, j in np.ndindex(gamma.shape):
+        acc = ctx.zero
+        for l in range(n):
+            acc = acc + ginv[k, l] * (g[j, l].diff(i) + g[i, l].diff(j)
+                                      - g[i, j].diff(l))
+        gamma[k, i, j] = Fraction(1, 2) * acc
+    return Tensor(chart, (1, 2), gamma)
+
+
+def reference_riemann(chart, gamma):
+    """R[i,j,k,l] = CURVATURE_SIGN g_lm (d_i G^m_jk - d_j G^m_ik
+    + G^m_ia G^a_jk - G^m_ja G^a_ik)."""
+    ctx, n, g = chart.ctx, chart.n, chart.g
+    out = zeros(ctx, (n,) * 4)
+    for i, j, k, l in np.ndindex(out.shape):
+        acc = ctx.zero
+        for m in range(n):
+            upper = gamma[m, j, k].diff(i) - gamma[m, i, k].diff(j)
+            for a in range(n):
+                upper = upper + (gamma[m, i, a] * gamma[a, j, k]
+                                 - gamma[m, j, a] * gamma[a, i, k])
+            acc = acc + g[l, m] * upper
+        out[i, j, k, l] = CURVATURE_SIGN * acc
+    return Tensor(chart, (0, 4), out)
+
+
+def reference_ricci(chart, R):
+    """S[i,j] = g^{ab} R[a,i,j,b]."""
+    ctx, n, ginv = chart.ctx, chart.n, chart.g_inv
+    out = zeros(ctx, (n, n))
+    for i, j in np.ndindex(out.shape):
+        acc = ctx.zero
+        for a in range(n):
+            for b in range(n):
+                acc = acc + ginv[a, b] * R[a, i, j, b]
+        out[i, j] = acc
+    return Tensor(chart, (0, 2), out)
+
+
+def reference_scalar_curvature(chart, S):
+    """kappa = g^{ij} S_ij."""
+    acc = chart.ctx.zero
+    for i, j in np.ndindex(chart.n, chart.n):
+        acc = acc + chart.g_inv[i, j] * S[i, j]
+    return acc
+
+
+def reference_ricci_square(chart, S):
+    """S2[i,j] = S[i,a] g^{ab} S[b,j]."""
+    ctx, n, ginv = chart.ctx, chart.n, chart.g_inv
+    out = zeros(ctx, (n, n))
+    for i, j in np.ndindex(out.shape):
+        acc = ctx.zero
+        for a in range(n):
+            for b in range(n):
+                acc = acc + S[i, a] * ginv[a, b] * S[b, j]
+        out[i, j] = acc
+    return Tensor(chart, (0, 2), out)
+
+
+#: Charts beyond the builtins: coordinates, metric rows and parameters.
+OFF_DIAGONAL_CHARTS = {
+    "godel": (["x1", "x2", "x3", "x4"],
+              [["-a^2", "0", "0", "0"],
+               ["0", "1/2*a^2*exp(2*x1)", "0", "a^2*exp(x1)"],
+               ["0", "0", "-a^2", "0"],
+               ["0", "a^2*exp(x1)", "0", "a^2"]], ["a"]),
+    # Exponential and polynomial atoms in one off-diagonal block.
+    "mixed_block": (["x1", "x2", "x3", "x4"],
+                    [["1", "x3*exp(x1)", "0", "0"],
+                     ["x3*exp(x1)", "x2", "0", "0"],
+                     ["0", "0", "x1", "0"],
+                     ["0", "0", "0", "1"]], []),
+}
+
+
+@pytest.mark.parametrize("name", list_builtins() + list(OFF_DIAGONAL_CHARTS))
+def test_curvature_pipeline_matches_dense_loops(name):
+    if name in OFF_DIAGONAL_CHARTS:
+        coords, metric, params = OFF_DIAGONAL_CHARTS[name]
+        chart = build_chart(coords, metric, params=params, name=name)
+    else:
+        chart = builtin(name).to_chart()
+    gamma = reference_christoffel(chart)
+    assert christoffel(chart) == gamma
+    R = reference_riemann(chart, gamma)
+    assert riemann(chart) == R
+    S = reference_ricci(chart, R)
+    assert ricci(chart) == S
+    assert scalar_curvature(chart) == reference_scalar_curvature(chart, S)
+    assert ricci_square(chart) == reference_ricci_square(chart, S)
+    assert R.is_zero() == name.startswith("flat")

@@ -89,8 +89,7 @@ class TestBuildChart:
 
 class TestChristoffel:
     def test_flat_vanishes(self, flat4):
-        gamma = christoffel(flat4)
-        assert all(e.is_zero for e in gamma.flat)
+        assert christoffel(flat4).is_zero()
 
     def test_conformal_factor_values(self, conformal4):
         # Hand evaluation of the coordinate formula for g = x1 * delta.

@@ -625,3 +625,23 @@ class TestContext:
         c2 = Context(["u", "v", "w"])
         assert c1 == c2
         assert c1.parse("u + v") == c2.parse("u + v")
+        assert c1.parse("exp(u)/(1 + w)") == c2.parse("exp(u)/(1 + w)")
+
+    def test_same_position_in_other_contexts_differs(self):
+        # x1 and y1 are the first generator of their rings, with equal
+        # monomial dicts; only the rings tell them apart.
+        x1 = Context(["x1", "x2", "x3"]).parse("x1")
+        y1 = Context(["y1", "y2", "y3"]).parse("y1")
+        assert dict(x1.num) == dict(y1.num)
+        assert x1 != y1 and not x1 == y1
+
+    def test_one_context_compares_without_ring_check(self, ctx,
+                                                     monkeypatch):
+        a, b = ctx.parse("x1/(1 + x2)"), ctx.parse("x1/(1 + x2)")
+        c = ctx.parse("x1/(2 + x2)")
+
+        def ring_check(*_):
+            raise AssertionError("PolyElement.__eq__ called")
+
+        monkeypatch.setattr(PolyElement, "__eq__", ring_check)
+        assert a == b and a != c and not a == ctx.parse("x1")

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from curvzoo.charts import nabla_riemann, scalar_curvature
 from curvzoo.classifiers import classify_deszcz
 from curvzoo.cli import main
-from curvzoo.exprs import (EvaluationError, ModularExpr, evaluate_rational,
-                           residue)
+from curvzoo.exprs import (MAX_DEGREE, EvaluationError, ModularExpr,
+                           evaluate_rational, residue)
 from curvzoo.metrics import (BUILTINS, MAX_DIM, MetricFileError, builtin,
                              list_builtins, load_metric_file,
                              metric_spec_from_dict, resolve_metric,
@@ -597,6 +597,23 @@ class TestCLI:
         assert main(["classify", "flat3"]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "RuntimeError" in err
+
+    @pytest.mark.parametrize("entry, reason", [
+        ("x1 $ 2", "unexpected character '$'"),
+        (f"x1^{MAX_DEGREE + 1}", f"exceeds {MAX_DEGREE}")])
+    def test_square_upper_entry_error_names_its_location(self, tmp_path,
+                                                        capsys, entry,
+                                                        reason):
+        # An upper-triangle entry of a square matrix is parsed under the
+        # same location wrapper as a lower-triangle one.
+        path = tmp_path / "square.json"
+        path.write_text(json.dumps({
+            "name": "square", "dim": 3, "coords": ["x1", "x2", "x3"],
+            "metric": [["1", entry, "0"], ["x1", "1", "0"],
+                       ["0", "0", "1"]]}))
+        assert main(["classify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}.metric[0][1]: " in err and reason in err
 
     def test_non_utf8_file_exit_2(self, tmp_path, capsys):
         path = tmp_path / "binary.json"
