@@ -15,7 +15,7 @@ chart = build_chart(
     name="conformal")
 
 print("det g =", chart.det_g)
-print("g^11  =", chart.g_inv[0, 0])
+print("g^11  =", chart.g_inv_rows[0][0])  # row 1 of g^-1, nonzero entries
 
 gamma = christoffel(chart)
 print("\nnonzero Christoffel symbols Gamma^k_ij (k;ij):")

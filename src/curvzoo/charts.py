@@ -3,18 +3,18 @@
 A Chart holds a symmetric metric of expressions on n >= 3 coordinates with a
 generically nonvanishing determinant; everything downstream (Christoffel
 symbols, curvature, covariant derivatives) is computed exactly over the
-chart's expression field and cached on the chart.  The metric, its inverse
-and its determinant are the only component arrays outside Tensor: the
-pipeline reads g^-1 through the row index chart.g_inv_rows.
+chart's expression field and cached on the chart.  The pipeline reads
+g^-1 through the row index chart.g_inv_rows.
 
 Index conventions, fixed throughout the package:
 
 * A (0,k) tensor T has components T[i1, ..., ik] = T(e_i1, ..., e_ik).
-  They live in a frozen numpy object array, but only this module knows
+  They live in one dict from index tuples to the nonzero components, in
+  index order and frozen at construction, but only this module knows
   that: every other module reads them through Tensor (T[idx], items(),
   nonzero_items()), builds new ones with Tensor.from_terms and states
   identities through T.permuted(order) and T.cyclic_sum(width).
-* Every tensor operation walks the cached nonzero support
+* Every tensor operation walks the nonzero support
   (nonzero_items()), never the zero components, and forms each product of
   two nonzero entries once, scattering it to every component it feeds.
   So does the curvature pipeline: the Christoffel symbols are the (1,2)
@@ -49,9 +49,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence, Union
-
-import numpy as np
+from typing import ItemsView, Iterable, Mapping, Sequence, Union
 
 from .exprs import Context, Expr
 
@@ -64,16 +62,6 @@ DALPHA_COEFF = Fraction(-1, 2)
 
 class ChartError(ValueError):
     """Invalid metric data (asymmetric or identically singular)."""
-
-
-def _object_array(shape) -> np.ndarray:
-    return np.empty(shape, dtype=object)
-
-
-def zeros(ctx: Context, shape) -> np.ndarray:
-    arr = _object_array(shape)
-    arr[...] = ctx.zero
-    return arr
 
 
 #: The slot symmetries of an algebraic curvature tensor: skew in each pair
@@ -180,12 +168,12 @@ class Tensor:
     """A covariant (or once-contravariant) tensor of expressions on a chart.
 
     valence (r, k) with r in {0, 1}; when r = 1 the contravariant index is
-    stored first.  Components live in a numpy object array that is frozen
-    at construction (writing into it raises), so the nonzero support, the
-    (index, component) pairs with a nonzero component in index order, is
-    computed once, on first use, and can never go stale.  Equality, sums,
-    negation, scaling, permutation and the zero test all walk that support
-    and never touch a zero component.
+    stored first.  The components are one dict from index tuples to nonzero
+    Exprs, in index order and never changed after construction, which the
+    constructor builds from a mapping, dropping zeros and rejecting indices
+    that do not fit the valence and chart (ValueError).  T[idx] looks an
+    index up (zero when absent); equality, sums, negation, scaling,
+    permutation and the zero test walk the dict, never a zero component.
 
     declared_symmetries holds slot-symmetry specs ("skew:p,q", "sym:p,q",
     "block:p,q,r,s") that generate the tensor's symmetry_group.  Specs
@@ -193,28 +181,31 @@ class Tensor:
     inherit specs (from_representative_terms) are filled from them.
     """
 
-    __slots__ = ("chart", "valence", "array", "declared_symmetries",
-                 "_support")
+    __slots__ = ("chart", "valence", "declared_symmetries", "_components")
 
     def __init__(self, chart: "Chart", valence: tuple[int, int],
-                 array: np.ndarray,
+                 components: Mapping[tuple[int, ...], Expr],
                  declared_symmetries: Sequence[str] = ()):
         r, k = valence
         if r not in (0, 1):
             raise ValueError("valence r must be 0 or 1")
-        expected = (chart.n,) * (r + k)
-        if array.shape != expected:
-            raise ValueError(f"component array shape {array.shape} does not "
-                             f"match valence {valence}")
+        rank, n = r + k, chart.n
+        support = []
+        for idx, val in components.items():
+            if not (isinstance(idx, tuple) and len(idx) == rank and all(
+                    isinstance(i, int) and 0 <= i < n for i in idx)):
+                raise ValueError(f"index {idx!r} is not a tuple of {rank} "
+                                 f"entries in range({n}) (valence {valence})")
+            if not val.is_zero:
+                support.append((idx, val))
+        support.sort(key=itemgetter(0))
         self.chart = chart
         self.valence = valence
-        self.array = array
-        self._support = None
+        self._components = dict(support)
         self.declared_symmetries = tuple(declared_symmetries)
         for sym in self.declared_symmetries:
             if not self._symmetry_holds(sym):
                 raise ValueError(f"declared symmetry {sym!r} does not hold")
-        array.flags.writeable = False
 
     @classmethod
     def from_terms(cls, chart: "Chart", valence: tuple[int, int],
@@ -252,31 +243,24 @@ class Tensor:
                     neg = -v if neg is None else neg
                 support.append((image, v if sign > 0 else neg))
         support.sort(key=itemgetter(0))
-        return cls._of_support(chart, valence, support, symmetries=symmetries)
+        return cls._of_support(chart, valence, support, symmetries)
 
     @classmethod
     def _of_support(cls, chart: "Chart", valence: tuple[int, int],
-                    support: Sequence[tuple[tuple[int, ...], Expr]],
-                    array: Optional[np.ndarray] = None,
+                    support: Iterable[tuple[tuple[int, ...], Expr]],
                     symmetries: tuple[str, ...] = ()) -> "Tensor":
-        # support: nonzero (index, component) pairs in index order; array,
-        # when given, already holds exactly those components.  The
-        # symmetries are taken as given, not checked.
-        if array is None:
-            array = zeros(chart.ctx, (chart.n,) * sum(valence))
-            for idx, val in support:
-                array[idx] = val
-        T = cls(chart, valence, array)
-        T.declared_symmetries = symmetries
-        T._support = tuple(support)
+        # support: nonzero (index, component) pairs in index order, which
+        # the kernels build from valid indices.  Neither the indices nor the
+        # symmetries are checked.
+        T = cls.__new__(cls)
+        T.chart, T.valence, T.declared_symmetries = chart, valence, symmetries
+        T._components = dict(support)
         return T
 
     def with_symmetries(self, specs: Sequence[str]) -> "Tensor":
         """This tensor declaring specs through the constructor, which checks
         them (ValueError when one does not hold)."""
-        T = Tensor(self.chart, self.valence, self.array, specs)
-        T._support = self._support
-        return T
+        return Tensor(self.chart, self.valence, self._components, specs)
 
     @property
     def rank(self) -> int:
@@ -293,14 +277,14 @@ class Tensor:
         rep = self.symmetry_group.is_representative
         return [(idx, v) for idx, v in self.nonzero_items() if rep(idx)]
 
-    def __getitem__(self, idx):
-        return self.array[idx]
+    def __getitem__(self, idx: tuple[int, ...]) -> Expr:
+        return self._components.get(idx, self.chart.ctx.zero)
 
     def __eq__(self, other):
         if not isinstance(other, Tensor):
             return NotImplemented
         return (self.valence == other.valence
-                and self.nonzero_items() == other.nonzero_items())
+                and self._components == other._components)
 
     def _combined(self, other: "Tensor", sign: int) -> "Tensor":
         # self + sign * other, computed on representatives when both share
@@ -328,7 +312,7 @@ class Tensor:
         return Tensor._of_support(self.chart, self.valence,
                                   [(idx, -v) for idx, v in
                                    self.nonzero_items()],
-                                  symmetries=self.declared_symmetries)
+                                  self.declared_symmetries)
 
     def scaled(self, factor) -> "Tensor":
         return Tensor.from_representative_terms(
@@ -336,28 +320,36 @@ class Tensor:
             ((idx, factor * v) for idx, v in self.representative_items()))
 
     def is_zero(self) -> bool:
-        return not self.nonzero_items()
+        return not self._components
 
     def items(self) -> Iterable[tuple[tuple[int, ...], Expr]]:
         """Every (index, component) pair, zeros included, in index order."""
-        return zip(np.ndindex(self.array.shape), self.array.flat)
+        return ((idx, self[idx]) for idx in
+                itertools.product(range(self.chart.n), repeat=self.rank))
 
-    def nonzero_items(self) -> tuple[tuple[tuple[int, ...], Expr], ...]:
+    def nonzero_items(self) -> ItemsView[tuple[int, ...], Expr]:
         """The support: every (index, component) pair with a nonzero
-        component, in index order; computed on first use and cached."""
-        if self._support is None:
-            self._support = tuple((idx, e) for idx, e in self.items()
-                                  if not e.is_zero)
-        return self._support
+        component, in index order (a view of the component dict)."""
+        return self._components.items()
+
+    @property
+    def array(self):
+        """A read-only numpy object array of every component, built on each
+        read; nothing in the package reads it or imports numpy elsewhere."""
+        import numpy as np
+        arr = np.empty((self.chart.n,) * self.rank, dtype=object)
+        arr[...] = self.chart.ctx.zero
+        for idx, val in self._components.items():
+            arr[idx] = val
+        arr.flags.writeable = False
+        return arr
 
     def permuted(self, order: Sequence[int]) -> "Tensor":
         """The tensor P with P[i] = T[i[order[0]], ..., i[order[k-1]]]."""
-        axes = tuple(int(a) for a in np.argsort(order))
-        support = sorted(((tuple(idx[a] for a in axes), v)
-                          for idx, v in self.nonzero_items()),
-                         key=itemgetter(0))
-        return Tensor._of_support(self.chart, self.valence, support,
-                                  self.array.transpose(axes))
+        axes = sorted(range(len(order)), key=order.__getitem__)
+        return Tensor._of_support(self.chart, self.valence, sorted(
+            ((tuple(idx[a] for a in axes), v)
+             for idx, v in self.nonzero_items()), key=itemgetter(0)))
 
     def cyclic_sum(self, width: int = 1) -> "Tensor":
         """T plus its two cyclic shifts of the first three slot groups, each
@@ -375,10 +367,10 @@ class Tensor:
         # support entry maps onto sign times itself, the support maps onto
         # itself and every zero entry onto a zero entry.
         order, sign = _spec_generator(sym, self.rank)
-        array = self.array
-        for idx, v in self.nonzero_items():
-            image = array[tuple(idx[a] for a in order)]
-            if image != (v if sign > 0 else -v):
+        components = self._components
+        for idx, v in components.items():
+            image = components.get(tuple(idx[a] for a in order))
+            if image is None or image != (v if sign > 0 else -v):
                 return False
         return True
 
@@ -415,34 +407,35 @@ class OneForm:
 class Chart:
     """Dimension, coordinates, parameters and metric, with cached curvature.
 
+    The metric is given as a sequence of n rows of Exprs and kept as the
+    (0,2) Tensor g; g^-1 is kept as its row index g_inv_rows, where
+    g_inv_rows[b] maps a to g^{ba} over the nonzero entries of row b.
     Immutable after construction; derived objects are computed lazily and
     memoized, so repeated classifier runs on one chart share the pipeline.
     """
 
-    def __init__(self, ctx: Context, metric: np.ndarray,
+    def __init__(self, ctx: Context, metric: Sequence[Sequence[Expr]],
                  name: str = "chart"):
         n = len(ctx.coords)
         if n < 3:
             raise ChartError("dimension must be at least 3")
-        if metric.shape != (n, n):
+        if len(metric) != n or any(len(row) != n for row in metric):
             raise ChartError("metric must be an n by n matrix")
         for i in range(n):
             for j in range(i):
-                if metric[i, j] != metric[j, i]:
+                if metric[i][j] != metric[j][i]:
                     raise ChartError(
                         f"metric not symmetric at entry ({i+1},{j+1})")
         self.ctx = ctx
         self.name = name
         self.n = n
-        self.g = metric
+        self.g = Tensor(self, (0, 2), {(i, j): metric[i][j]
+                                       for i in range(n) for j in range(n)})
         det = determinant(metric, ctx)
         if det.is_zero:
             raise ChartError("metric is identically singular")
         self.det_g = det
-        self.g_inv = _adjugate_inverse(metric, det, ctx)
-        #: g_inv_rows[b] maps a to g^{ba} over the nonzero entries of row b.
-        self.g_inv_rows = tuple({a: e for a, e in enumerate(row)
-                                 if not e.is_zero} for row in self.g_inv)
+        self.g_inv_rows = _adjugate_inverse(metric, det, ctx)
         self._cache: dict = {}
 
     def cached(self, key: str, fn):
@@ -453,56 +446,60 @@ class Chart:
         return value
 
     def metric_tensor(self) -> Tensor:
-        return self.cached("g_tensor",
-                           lambda: Tensor(self, (0, 2), self.g))
+        return self.g
 
     def __repr__(self):
         return f"Chart({self.name}, n={self.n})"
 
 
-def determinant(matrix: np.ndarray, ctx: Context) -> Expr:
-    """Cofactor-expansion determinant with zero skipping (n <= 5 scale)."""
-    n = matrix.shape[0]
-    if n == 1:
-        return matrix[0, 0]
-
-    def det_rec(rows: tuple[int, ...], cols: tuple[int, ...]) -> Expr:
-        if len(rows) == 1:
-            return matrix[rows[0], cols[0]]
-        # Expand along the row with the most zeros among remaining columns.
-        best_row, best_zeros = rows[0], -1
-        for r in rows:
-            z = sum(1 for c in cols if matrix[r, c].is_zero)
-            if z > best_zeros:
-                best_row, best_zeros = r, z
-        acc = ctx.zero
-        sub_rows = tuple(r for r in rows if r != best_row)
-        sign = 1 if rows.index(best_row) % 2 == 0 else -1
-        for pos, c in enumerate(cols):
-            entry = matrix[best_row, c]
-            if entry.is_zero:
-                continue
-            minor = det_rec(sub_rows, cols[:pos] + cols[pos + 1:])
-            term = entry * minor
-            acc = acc + (term if (sign > 0) == (pos % 2 == 0) else -term)
-        return acc
-
-    return det_rec(tuple(range(n)), tuple(range(n)))
+def _minor(matrix: Sequence[Sequence[Expr]], rows: tuple[int, ...],
+           cols: tuple[int, ...], ctx: Context) -> Expr:
+    """The determinant of the submatrix of matrix (a sequence of rows) on
+    rows x cols, by cofactor expansion with zero skipping (n <= 5 scale)."""
+    if len(rows) == 1:
+        return matrix[rows[0]][cols[0]]
+    # Expand along the row with the most zeros among remaining columns.
+    best_row, best_zeros = rows[0], -1
+    for r in rows:
+        z = sum(1 for c in cols if matrix[r][c].is_zero)
+        if z > best_zeros:
+            best_row, best_zeros = r, z
+    acc = ctx.zero
+    sub_rows = tuple(r for r in rows if r != best_row)
+    sign = 1 if rows.index(best_row) % 2 == 0 else -1
+    for pos, c in enumerate(cols):
+        entry = matrix[best_row][c]
+        if entry.is_zero:
+            continue
+        minor = _minor(matrix, sub_rows, cols[:pos] + cols[pos + 1:], ctx)
+        term = entry * minor
+        acc = acc + (term if (sign > 0) == (pos % 2 == 0) else -term)
+    return acc
 
 
-def _adjugate_inverse(matrix: np.ndarray, det: Expr, ctx: Context) -> np.ndarray:
-    n = matrix.shape[0]
-    inv = _object_array((n, n))
+def determinant(matrix: Sequence[Sequence[Expr]], ctx: Context) -> Expr:
+    """The determinant of a square matrix given as a sequence of rows."""
+    indices = tuple(range(len(matrix)))
+    return _minor(matrix, indices, indices, ctx)
+
+
+def _adjugate_inverse(matrix: Sequence[Sequence[Expr]], det: Expr,
+                      ctx: Context) -> tuple[dict, ...]:
+    # The inverse of a symmetric matrix as rows: inverse[i] maps j to the
+    # (i, j) entry over the nonzero entries, in increasing j.
+    n = len(matrix)
+    inverse: tuple[dict, ...] = tuple({} for _ in range(n))
     indices = tuple(range(n))
     for i in range(n):
         rows = indices[:i] + indices[i + 1:]
         for j in range(i, n):
-            cols = indices[:j] + indices[j + 1:]
-            minor = determinant(matrix[np.ix_(rows, cols)], ctx)
+            minor = _minor(matrix, rows, indices[:j] + indices[j + 1:], ctx)
             cof = minor if (i + j) % 2 == 0 else -minor
-            # Symmetric metric: adjugate is symmetric as well.
-            inv[j, i] = inv[i, j] = cof / det
-    return inv
+            # Symmetric matrix: the adjugate is symmetric as well.
+            value = cof / det
+            if not value.is_zero:
+                inverse[j][i] = inverse[i][j] = value
+    return inverse
 
 
 def build_chart(ctx_or_coords, metric_entries, params=(),
@@ -515,12 +512,8 @@ def build_chart(ctx_or_coords, metric_entries, params=(),
     ctx = (ctx_or_coords if isinstance(ctx_or_coords, Context)
            else Context(ctx_or_coords, params))
     n = len(ctx.coords)
-    g = _object_array((n, n))
-    for i in range(n):
-        row = metric_entries[i]
-        for j in range(n):
-            entry = row[j]
-            g[i, j] = ctx.parse(entry) if isinstance(entry, str) else entry
+    g = [[ctx.parse(e) if isinstance(e, str) else e for e in row[:n]]
+         for row in metric_entries[:n]]
     return Chart(ctx, g, name=name)
 
 
@@ -775,11 +768,11 @@ def rank_at_most(Z: Tensor, r: int) -> bool:
     if r == n:
         return True
     ctx = Z.chart.ctx
+    matrix = [[Z[i, j] for j in range(n)] for i in range(n)]
     size = r + 1
     for rows in itertools.combinations(range(n), size):
         for cols in itertools.combinations(range(n), size):
-            sub = Z.array[np.ix_(rows, cols)]
-            if not determinant(sub, ctx).is_zero:
+            if not _minor(matrix, rows, cols, ctx).is_zero:
                 return False
     return True
 

@@ -133,7 +133,7 @@ def solve_proportionality(lhs: Tensor, rhs: Tensor) -> ProportionalityResult:
         if lhs.is_zero():
             return ProportionalityResult("degenerate")
         return ProportionalityResult("none")
-    idx, val = rhs.nonzero_items()[0]
+    idx, val = next(iter(rhs.nonzero_items()))
     L = lhs[idx] / val
     for jdx in _support_union(lhs, rhs):
         if not (lhs[jdx] - L * rhs[jdx]).is_zero:

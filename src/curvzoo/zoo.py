@@ -149,8 +149,12 @@ def classify(spec_or_chart: Union[MetricSpec, Chart],
     run on, each once however often it is named.  The oracle re-evaluates
     every positive identity at oracle_samples seeded random rational points,
     modulo ORACLE_PRIME.
-    Every solver-backed verdict is back-substituted into its rows first
-    (InternalInconsistencyError, naming the verdict, on failure).
+    The solution spaces of chaki, weak_symmetry, weak_Z, b3, b4 and
+    quasi_einstein are back-substituted into their rows before their
+    identities are attached (InternalInconsistencyError, naming the
+    verdict, on failure); roter and generalized_roter attach theirs without
+    that guard, and recurrent and b2 carry none.  Deszcz pseudosymmetry is
+    checked component by component in solve_proportionality.
     """
     chart = (spec_or_chart.to_chart()
              if isinstance(spec_or_chart, MetricSpec) else spec_or_chart)

@@ -2,9 +2,9 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from curvzoo.charts import (CURVATURE_SYMMETRIES, Chart, ChartError,
@@ -13,13 +13,18 @@ from curvzoo.charts import (CURVATURE_SYMMETRIES, Chart, ChartError,
                             covariant_derivative_oneform, determinant,
                             exterior_derivative_oneform, generic_rank,
                             is_closed, nabla_riemann, oneform, rank_at_most,
-                            ricci, ricci_square, riemann, scalar_curvature,
-                            zeros)
+                            ricci, ricci_square, riemann, scalar_curvature)
 from curvzoo.exprs import Context
+from curvzoo.metrics import builtin
 
 
 def delta_entries(n):
     return [[str(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def g_inv(chart, i, j):
+    """(g^-1)[i, j], read from the chart's row index of nonzero entries."""
+    return chart.g_inv_rows[i].get(j, chart.ctx.zero)
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +54,7 @@ class TestBuildChart:
         assert flat4.det_g == flat4.ctx.one
         for i in range(4):
             for j in range(4):
-                assert flat4.g_inv[i, j] == int(i == j)
+                assert g_inv(flat4, i, j) == int(i == j)
 
     def test_diagonal_inverse(self, conformal4):
         ctx = conformal4.ctx
@@ -57,7 +62,8 @@ class TestBuildChart:
         inv = ctx.parse("1/x1")
         for i in range(4):
             for j in range(4):
-                assert conformal4.g_inv[i, j] == (inv if i == j else ctx.zero)
+                assert g_inv(conformal4, i, j) == (inv if i == j
+                                                   else ctx.zero)
 
     def test_lorentzian_cross_terms_invertible(self, godel):
         assert not godel.det_g.is_zero
@@ -67,7 +73,7 @@ class TestBuildChart:
             for j in range(n):
                 acc = godel.ctx.zero
                 for k in range(n):
-                    acc = acc + godel.g_inv[i, k] * godel.g[k, j]
+                    acc = acc + g_inv(godel, i, k) * godel.g[k, j]
                 assert acc == int(i == j)
 
     def test_asymmetric_rejected(self):
@@ -132,20 +138,19 @@ class TestCurvature:
     def test_ricci_square_definition(self, godel):
         # S2(X,Y) = S(SX, Y) where g(SX, Y) = S(X,Y).
         S, S2 = ricci(godel), ricci_square(godel)
-        n, ginv, ctx = godel.n, godel.g_inv, godel.ctx
+        n, ctx = godel.n, godel.ctx
         for i in range(n):
             for j in range(n):
                 acc = ctx.zero
                 for a in range(n):
                     for b in range(n):
-                        acc = acc + S[i, a] * ginv[a, b] * S[b, j]
+                        acc = acc + S[i, a] * g_inv(godel, a, b) * S[b, j]
                 assert acc == S2[i, j]
 
     def test_first_pair_skew(self, conformal4):
         R = riemann(conformal4)
         n = conformal4.n
-        for idx in np.ndindex(R.array.shape):
-            i, j, k, l = idx
+        for i, j, k, l in itertools.product(range(n), repeat=4):
             assert R[i, j, k, l] == -R[j, i, k, l]
 
 
@@ -158,10 +163,7 @@ class TestCovariantDerivative:
         # Z = exp(x1) * delta in a flat chart: nabla_i Z_jk = delta_i1 e^x1 d_jk.
         ctx = flat4.ctx
         e = ctx.parse("exp(x1)")
-        arr = zeros(ctx, (4, 4))
-        for i in range(4):
-            arr[i, i] = e
-        Z = Tensor(flat4, (0, 2), arr)
+        Z = Tensor(flat4, (0, 2), {(i, i): e for i in range(4)})
         nablaZ = covariant_derivative(flat4, Z)
         for x in range(4):
             for j in range(4):
@@ -194,7 +196,7 @@ class TestExteriorDerivative:
         c = DALPHA_COEFF * flat4.ctx.one
         assert da[0, 1] == c
         assert da[1, 0] == -c
-        assert sum(1 for e in da.array.flat if not e.is_zero) == 2
+        assert sum(1 for _, e in da.items() if not e.is_zero) == 2
 
     def test_single_variable_form_closed(self):
         chart = build_chart(["x1", "x2", "x3", "x4"],
@@ -236,30 +238,32 @@ class TestRank:
 class TestDeclaredSymmetries:
     def test_violations_raise(self, flat4):
         ctx = flat4.ctx
-        arr = zeros(ctx, (4, 4))
-        arr[0, 1] = ctx.one  # not symmetric
+        components = {(0, 1): ctx.one}  # not symmetric
         with pytest.raises(ValueError, match="declared symmetry"):
-            Tensor(flat4, (0, 2), arr, declared_symmetries=("sym:0,1",))
-        arr[1, 0] = ctx.one
-        Tensor(flat4, (0, 2), arr, declared_symmetries=("sym:0,1",))
+            Tensor(flat4, (0, 2), components,
+                   declared_symmetries=("sym:0,1",))
+        components[1, 0] = ctx.one
+        Tensor(flat4, (0, 2), components, declared_symmetries=("sym:0,1",))
 
     def test_skew_and_block(self, conformal4):
         R = riemann(conformal4)
-        Tensor(conformal4, (0, 4), R.array,
+        Tensor(conformal4, (0, 4), dict(R.nonzero_items()),
                declared_symmetries=("skew:0,1", "skew:2,3", "block:0,1,2,3"))
 
     @pytest.mark.parametrize("sym", ["skew:0,1", "skew:2,3",
                                      "block:0,1,2,3"])
     def test_four_slot_violations_raise(self, conformal4, sym):
         # R satisfies all three; adding 1 at (0,1,2,3) breaks each of them.
-        arr = riemann(conformal4).array.copy()
-        arr[0, 1, 2, 3] = arr[0, 1, 2, 3] + conformal4.ctx.one
+        R = riemann(conformal4)
+        components = dict(R.nonzero_items())
+        components[0, 1, 2, 3] = R[0, 1, 2, 3] + conformal4.ctx.one
         with pytest.raises(ValueError, match="declared symmetry"):
-            Tensor(conformal4, (0, 4), arr, declared_symmetries=(sym,))
+            Tensor(conformal4, (0, 4), components, declared_symmetries=(sym,))
 
     def test_unknown_spec_raises(self, flat4):
         with pytest.raises(ValueError, match="unknown symmetry"):
-            Tensor(flat4, (0, 2), flat4.g, declared_symmetries=("hermitian:0,1",))
+            Tensor(flat4, (0, 2), dict(flat4.g.nonzero_items()),
+                   declared_symmetries=("hermitian:0,1",))
 
 
 class TestSlotSymmetries:
@@ -367,9 +371,9 @@ class TestSlotSymmetries:
         cases = [(moved, R[moved] + x1), (moved, 0 * x1), (lone, x1)]
         if spec.startswith("skew"):
             cases.append(((0, 0, 0, 0), x1))
-        Tensor(godel, (0, 4), R.array.copy(), (spec,))
+        Tensor(godel, (0, 4), dict(R.nonzero_items()), (spec,))
         for idx, value in cases:
-            broken = R.array.copy()
+            broken = dict(R.nonzero_items())
             broken[idx] = value
             with pytest.raises(ValueError, match="declared symmetry"):
                 Tensor(godel, (0, 4), broken, (spec,))
@@ -377,10 +381,9 @@ class TestSlotSymmetries:
 
 def random_tensor(chart, rank, rng):
     pool = ["0", "1", "x1", "exp(x2)", "-2", "x3", "x1*x2"]
-    arr = zeros(chart.ctx, (chart.n,) * rank)
-    for idx in np.ndindex(arr.shape):
-        arr[idx] = chart.ctx.parse(rng.choice(pool))
-    return Tensor(chart, (0, rank), arr)
+    return Tensor(chart, (0, rank), {
+        idx: chart.ctx.parse(rng.choice(pool))
+        for idx in itertools.product(range(chart.n), repeat=rank)})
 
 
 class TestPermutedAndCyclic:
@@ -419,7 +422,8 @@ class TestPermutedAndCyclic:
     def test_items_in_index_order(self, godel):
         S = ricci(godel)
         items = list(S.items())
-        assert [idx for idx, _ in items] == list(np.ndindex(4, 4))
+        assert [idx for idx, _ in items] == list(
+            itertools.product(range(4), repeat=2))
         assert all(val == S[idx] for idx, val in items)
         assert list(S.nonzero_items()) == [(idx, val) for idx, val in items
                                            if not val.is_zero]
@@ -445,21 +449,33 @@ class TestSupport:
         assert T.scaled(chart.ctx.zero).is_zero()
 
     def test_components_are_read_only(self, godel):
+        # Neither the tensor nor its dense array view can be written into.
         T = random_tensor(godel, 2, random.Random(5))
         for tensor in (T, riemann(godel), T + T, T.permuted((1, 0)),
                        godel.metric_tensor()):
+            with pytest.raises(TypeError):
+                tensor[0, 0] = godel.ctx.one
+            view = tensor.array
+            assert view.shape == (godel.n,) * tensor.rank
+            assert list(view.flat) == [e for _, e in tensor.items()]
             with pytest.raises(ValueError):
-                tensor.array[0, 0] = godel.ctx.one
+                view[0, 0] = godel.ctx.one
 
     def test_construction_freezes_only_on_success(self, flat4):
-        arr = zeros(flat4.ctx, (4, 4))
-        arr[0, 1] = flat4.ctx.one
+        # A failed construction leaves the caller's mapping usable, and a
+        # tensor keeps its own copy: later writes into the mapping do not
+        # reach it.
+        one = flat4.ctx.one
+        components = {(0, 1): one}
         with pytest.raises(ValueError, match="declared symmetry"):
-            Tensor(flat4, (0, 2), arr, declared_symmetries=("sym:0,1",))
-        arr[1, 0] = flat4.ctx.one
-        T = Tensor(flat4, (0, 2), arr, declared_symmetries=("sym:0,1",))
-        with pytest.raises(ValueError):
-            arr[2, 2] = flat4.ctx.one
+            Tensor(flat4, (0, 2), components,
+                   declared_symmetries=("sym:0,1",))
+        components[1, 0] = one
+        T = Tensor(flat4, (0, 2), components,
+                   declared_symmetries=("sym:0,1",))
+        components[2, 2] = one
+        assert T[2, 2].is_zero
+        assert list(T.nonzero_items()) == [((0, 1), one), ((1, 0), one)]
         assert list(T.nonzero_items()) == self.scan(T)
 
     @pytest.mark.parametrize("rank", [2, 3, 4])
@@ -477,6 +493,38 @@ class TestSupport:
             assert support == self.scan(R)
             assert [idx for idx, _ in support] == sorted(
                 idx for idx, _ in support)
+
+    def test_constructor_drops_zero_components(self, flat4):
+        ctx = flat4.ctx
+        x1 = ctx.parse("x1")
+        T = Tensor(flat4, (0, 2), {(2, 0): x1, (0, 3): ctx.zero,
+                                   (1, 1): x1 - x1, (0, 2): -x1})
+        assert list(T.nonzero_items()) == [((0, 2), -x1), ((2, 0), x1)]
+        assert T[0, 3] == ctx.zero
+        assert Tensor(flat4, (0, 2), {(0, 0): ctx.zero}).is_zero()
+
+    @pytest.mark.parametrize("idx", [(0,), (0, 1, 2), (), (0, 4), (-1, 0),
+                                     (4, 4), (0, 1.0), 3])
+    def test_constructor_rejects_bad_indices(self, flat4, idx):
+        # Wrong length for the valence, or an entry outside range(n); the
+        # index is named, and a zero component at it is rejected as well.
+        for value in (flat4.ctx.one, flat4.ctx.zero):
+            with pytest.raises(ValueError, match=re.escape(repr(idx))):
+                Tensor(flat4, (0, 2), {(0, 0): flat4.ctx.one, idx: value})
+
+    def test_pipeline_never_enumerates_zero_entries(self, monkeypatch):
+        # R, S, S2 and d alpha declare their symmetries through the checking
+        # constructor, which reads only the components it is given.
+        def enumerating(T):
+            raise AssertionError(f"items() of a rank-{T.rank} tensor")
+
+        monkeypatch.setattr(Tensor, "items", enumerating)
+        chart = builtin("ex5_1").to_chart()
+        riemann(chart)
+        ricci(chart)
+        ricci_square(chart)
+        alpha = oneform(chart, [f"x{i + 1}^2" for i in range(chart.n)][::-1])
+        assert not exterior_derivative_oneform(chart, alpha).is_zero()
 
     def test_from_terms_sums_and_drops_cancelled_terms(self, flat4):
         ctx = flat4.ctx
@@ -507,11 +555,11 @@ class TestOracleReproduction:
             i, j, k, l = idx
             checks.append([R[i, j, k, l], R[j, k, i, l], R[k, i, j, l]])
         # trace of Ricci against the inverse metric reproduces kappa
-        trace = [conformal4.g_inv[i, j] * S[i, j]
+        trace = [g_inv(conformal4, i, j) * S[i, j]
                  for i in range(4) for j in range(4)]
         checks.append(trace + [-kappa])
         # g . g_inv = identity on one off-diagonal entry
-        checks.append([conformal4.g[0, k] * conformal4.g_inv[k, 1]
+        checks.append([conformal4.g[0, k] * g_inv(conformal4, k, 1)
                        for k in range(4)])
         done = 0
         while done < 200:
@@ -532,11 +580,8 @@ class TestDeterminant:
         ctx = Context(["x1", "x2", "x3"])
         rng = random.Random(3)
         for _ in range(15):
-            mat = zeros(ctx, (3, 3))
             ints = [[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)]
-            for i in range(3):
-                for j in range(3):
-                    mat[i, j] = ctx.integer(ints[i][j])
+            mat = [[ctx.integer(v) for v in row] for row in ints]
             expected = (ints[0][0] * (ints[1][1] * ints[2][2] - ints[1][2] * ints[2][1])
                         - ints[0][1] * (ints[1][0] * ints[2][2] - ints[1][2] * ints[2][0])
                         + ints[0][2] * (ints[1][0] * ints[2][1] - ints[1][1] * ints[2][0]))

@@ -1,65 +1,101 @@
-"""Only curvzoo.charts knows how tensor components are stored.
+"""curvzoo keeps tensor components in dicts and does not need numpy.
 
-Every other module reads components through Tensor (T[idx], items(),
-nonzero_items()) and builds tensors with Tensor.from_terms, so a Tensor's
-cached support can rely on its frozen component array.  This static check
-fails when a module other than charts.py imports numpy or reads an
-`.array` attribute.  Inside charts.py, numpy and the component-array
-helpers are confined to Tensor, the helpers themselves and the metric's
-determinant and inverse: the curvature pipeline walks Tensor supports like
-every other kernel.
+Every module reads components through Tensor (T[idx], items(),
+nonzero_items()) and builds tensors with Tensor.from_terms, so only
+curvzoo.charts knows that a Tensor's components are one dict from index
+tuples to nonzero Exprs.  numpy is confined to Tensor.array, the dense
+read-only view built on demand, which imports it inside itself.  These
+static checks fail when a module imports numpy at module level, uses `np.`
+outside that view or reads `.array` outside charts.py, and when tests or
+demos read the view outside its own test; a subprocess check confirms that
+a fresh `import curvzoo` and a classification leave numpy unloaded.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "curvzoo"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "curvzoo"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "charts.py")
+#: Test and demo files that must not read the `.array` view.
+READERS = sorted(p for p in [*(ROOT / "tests").glob("*.py"),
+                             *(ROOT / "demos").glob("*.py")]
+                 if p.name != Path(__file__).name)
 
-#: The top-level definitions of charts.py that may use numpy: `np.` and
-#: the component-array helpers that wrap it.
-NUMPY_SCOPES = {"Tensor", "_object_array", "zeros", "Chart", "build_chart",
-                "determinant", "_adjugate_inverse", "rank_at_most"}
-ARRAY_HELPERS = {"_object_array", "zeros"}
+#: The only definition in charts.py that may use numpy.
+NUMPY_SCOPE = {"Tensor.array"}
+#: The only definition in tests and demos that may read `.array`: the test
+#: of the view itself.
+ARRAY_READERS = {"test_charts.py":
+                 {"TestSupport.test_components_are_read_only"}}
+
+
+def _is_numpy_import(node: ast.AST) -> list[str]:
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        names = [node.module or ""]
+    else:
+        return []
+    return [name for name in names if name.split(".")[0] == "numpy"]
+
+
+def _uses_numpy(node: ast.AST) -> bool:
+    if isinstance(node, ast.Attribute):
+        return (isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy"))
+    return bool(_is_numpy_import(node))
+
+
+def _scoped(tree: ast.AST, qualname: str = ""):
+    """(node, qualified name of its innermost enclosing definition, '' at
+    module level) for every node below tree."""
+    for child in ast.iter_child_nodes(tree):
+        inner = qualname
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            inner = f"{qualname}.{child.name}" if qualname else child.name
+        yield child, inner
+        yield from _scoped(child, inner)
 
 
 def storage_uses(source: str) -> list[str]:
     """numpy imports and `.array` reads in source, as 'line: what'."""
     found = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            names = [node.module or ""]
-        elif isinstance(node, ast.Attribute) and node.attr == "array":
+        if isinstance(node, ast.Attribute) and node.attr == "array":
             found.append(f"{node.lineno}: .array")
-            continue
-        else:
-            continue
-        found += [f"{node.lineno}: import {name}" for name in names
-                  if name.split(".")[0] == "numpy"]
+        found += [f"{node.lineno}: import {name}"
+                  for name in _is_numpy_import(node)]
     return found
 
 
-def _uses_numpy(node: ast.AST) -> bool:
-    if isinstance(node, ast.Attribute):
-        return isinstance(node.value, ast.Name) and node.value.id == "np"
-    if isinstance(node, ast.ImportFrom):
-        return (node.module or "").split(".")[0] == "numpy"
-    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id in ARRAY_HELPERS)
+def _outside(source: str, scopes: set, found) -> list[str]:
+    # The nodes of source that found(node) picks, outside the definitions
+    # named in scopes, as 'line: enclosing definition' in line order.
+    return [f"{line}: {qualname or 'module'}" for line, qualname in sorted(
+        (node.lineno, qualname)
+        for node, qualname in _scoped(ast.parse(source))
+        if found(node) and qualname not in scopes)]
 
 
 def numpy_uses_outside(source: str, scopes: set) -> list[str]:
-    """`np.` reads, `from numpy` imports and array-helper calls outside the
-    top-level definitions named in scopes, as 'line: enclosing definition'.
+    """numpy imports and `np.` reads outside the definitions named in
+    scopes (qualified, as "Class.method"), as 'line: enclosing definition'.
     """
-    return [f"{node.lineno}: {getattr(top, 'name', 'module')}"
-            for top in ast.parse(source).body
-            if getattr(top, "name", None) not in scopes
-            for node in ast.walk(top) if _uses_numpy(node)]
+    return _outside(source, scopes, _uses_numpy)
+
+
+def array_reads_outside(source: str, scopes: set) -> list[str]:
+    """`.array` reads outside the definitions named in scopes, as
+    'line: enclosing definition'."""
+    return _outside(source, scopes, lambda node: isinstance(
+        node, ast.Attribute) and node.attr == "array")
 
 
 def test_the_check_sees_both_kinds_of_use():
@@ -72,6 +108,8 @@ def test_the_check_sees_both_kinds_of_use():
 def test_every_module_is_checked():
     assert {p.name for p in MODULES} >= {"classifiers.py", "operators.py",
                                          "zoo.py", "exprs.py"}
+    assert {p.name for p in READERS} >= {"test_charts.py",
+                                         "02_curvature_pipeline.py"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -85,21 +123,63 @@ def test_the_numpy_scope_check_sees_every_use_outside_its_scopes():
               "class Tensor:\n"
               "    def items(self) -> np.ndarray:\n"
               "        return np.ndindex(2)\n"
-              "def pipeline(x: np.ndarray):\n    return np.zeros(x)\n"
+              "    @property\n"
+              "    def array(self):\n"
+              "        import numpy as np\n"
+              "        return np.empty(2)\n"
+              "def pipeline(x):\n    return numpy.zeros(x)\n"
               "LIMIT = np.int64(3)\n"
               "from numpy import ndindex\n"
-              "def dense(n):\n    return zeros(ctx, (n, n))\n"
               "def walk(T):\n    return T.nonzero_items()\n")
-    assert numpy_uses_outside(source, {"helper", "Tensor"}) == [
-        "7: pipeline", "8: pipeline", "9: module", "10: module",
-        "12: dense"]
-    assert numpy_uses_outside(source, {"helper", "Tensor", "pipeline",
-                                       "dense"}) == ["9: module",
-                                                     "10: module"]
+    assert numpy_uses_outside(source, {"Tensor.array"}) == [
+        "1: module", "3: helper", "5: Tensor.items", "6: Tensor.items",
+        "12: pipeline", "13: module", "14: module"]
+    assert numpy_uses_outside(source, {"Tensor.array", "Tensor.items",
+                                       "helper", "pipeline"}) == [
+        "1: module", "13: module", "14: module"]
 
 
 def test_numpy_stays_in_its_scopes_in_charts():
+    # charts.py imports numpy only inside Tensor.array, never at module
+    # level, and uses `np.` nowhere else; the other modules do not import
+    # it at all (test_no_storage_access_outside_charts).
     source = (PACKAGE / "charts.py").read_text(encoding="utf-8")
-    defined = {getattr(top, "name", None) for top in ast.parse(source).body}
-    assert NUMPY_SCOPES <= defined
-    assert numpy_uses_outside(source, NUMPY_SCOPES) == []
+    defined = {qualname for _, qualname in _scoped(ast.parse(source))}
+    assert NUMPY_SCOPE <= defined
+    assert numpy_uses_outside(source, NUMPY_SCOPE) == []
+
+
+def test_the_array_check_sees_reads_outside_its_scopes():
+    source = ("x = T.array\n"
+              "class TestSupport:\n"
+              "    def test_view(self, T):\n"
+              "        assert T.array.shape\n"
+              "    def test_other(self, T):\n"
+              "        return T.arrays, T.array\n")
+    assert array_reads_outside(source, {"TestSupport.test_view"}) == [
+        "1: module", "6: TestSupport.test_other"]
+
+
+@pytest.mark.parametrize("path", READERS, ids=lambda p: p.name)
+def test_tests_and_demos_do_not_read_the_array_view(path):
+    source = path.read_text(encoding="utf-8")
+    scopes = ARRAY_READERS.get(path.name, set())
+    assert array_reads_outside(source, scopes) == []
+
+
+def test_classify_leaves_numpy_unloaded():
+    # A fresh interpreter: importing curvzoo and classifying a builtin
+    # loads no numpy; reading the array view then does.
+    code = ("import sys\n"
+            "import curvzoo\n"
+            "report = curvzoo.classify(curvzoo.builtin('ex5_4'))\n"
+            "print('numpy' in sys.modules)\n"
+            "curvzoo.riemann(curvzoo.builtin('ex5_4').to_chart()).array\n"
+            "print('numpy' in sys.modules)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True"]
