@@ -164,6 +164,12 @@ def _summed(terms: Iterable[tuple[tuple[int, ...], Expr]]) -> dict:
     return sums
 
 
+def _index_fits(idx, rank: int, n: int) -> bool:
+    """Whether idx is a tuple of rank ints in range(n)."""
+    return (isinstance(idx, tuple) and len(idx) == rank
+            and all(isinstance(i, int) and 0 <= i < n for i in idx))
+
+
 class Tensor:
     """A covariant (or once-contravariant) tensor of expressions on a chart.
 
@@ -172,8 +178,9 @@ class Tensor:
     Exprs, in index order and never changed after construction, which the
     constructor builds from a mapping, dropping zeros and rejecting indices
     that do not fit the valence and chart (ValueError).  T[idx] looks an
-    index up (zero when absent); equality, sums, negation, scaling,
-    permutation and the zero test walk the dict, never a zero component.
+    index up (zero when absent, IndexError when it does not fit); equality,
+    sums, negation, scaling, permutation and the zero test walk the dict,
+    never a zero component.
 
     declared_symmetries holds slot-symmetry specs ("skew:p,q", "sym:p,q",
     "block:p,q,r,s") that generate the tensor's symmetry_group.  Specs
@@ -192,8 +199,7 @@ class Tensor:
         rank, n = r + k, chart.n
         support = []
         for idx, val in components.items():
-            if not (isinstance(idx, tuple) and len(idx) == rank and all(
-                    isinstance(i, int) and 0 <= i < n for i in idx)):
+            if not _index_fits(idx, rank, n):
                 raise ValueError(f"index {idx!r} is not a tuple of {rank} "
                                  f"entries in range({n}) (valence {valence})")
             if not val.is_zero:
@@ -278,7 +284,15 @@ class Tensor:
         return [(idx, v) for idx, v in self.nonzero_items() if rep(idx)]
 
     def __getitem__(self, idx: tuple[int, ...]) -> Expr:
-        return self._components.get(idx, self.chart.ctx.zero)
+        value = self._components.get(idx)
+        if value is None:
+            # Only a miss is checked, so reading the support costs no more.
+            rank, n = self.rank, self.chart.n
+            if not _index_fits(idx, rank, n):
+                raise IndexError(f"index {idx!r} is not a tuple of {rank} "
+                                 f"entries in range({n})")
+            return self.chart.ctx.zero
+        return value
 
     def __eq__(self, other):
         if not isinstance(other, Tensor):

@@ -42,6 +42,15 @@ exact, so the result, once the denominator is made monic in the chart ring,
 does not depend on the ring it was computed in.  Everything above that level
 (grammar, canonicalization policy, derivatives, evaluation, printing) lives
 here.
+
+The gcd path of ``_cancel`` is memoized on the ``Context``, so there is one
+memo per chart and it is freed with the chart: the key is the ordered pair
+of operand polynomials, compared by value, and the value is the cancelled
+triple.  Only pairs with at most ``CANCEL_MEMO_TERMS`` terms together are
+kept, which bounds the memo's memory by that of the chart's small values.  A
+hit shares polynomials between expressions, as ``Context.ring_one`` does, so
+no code may mutate a polynomial in place; every operation here builds a new
+one.
 """
 
 from __future__ import annotations
@@ -99,7 +108,7 @@ class Context:
 
     __slots__ = ("coords", "params", "ring", "ring_one", "atoms",
                  "_coord_pos", "_param_pos", "_zero", "_one", "_ints",
-                 "_subrings")
+                 "_subrings", "_cancelled", "__weakref__")
 
     def __init__(self, coords: Sequence[str], params: Sequence[str] = ()):
         coords = tuple(coords)
@@ -133,6 +142,8 @@ class Context:
         self._one = Expr(self, self.ring_one, self.ring_one)
         self._ints = {0: self._zero, 1: self._one}
         self._subrings: dict = {}
+        # _cancel's memo: (f, g) -> (h, f/h, g/h).
+        self._cancelled: dict = {}
 
     @property
     def n(self) -> int:
@@ -234,6 +245,13 @@ class Context:
 _same = dict.__eq__
 
 
+#: Most terms that the two operands of a polynomial-path cancellation may
+#: have together for _cancel to keep its result in the context's memo.
+#: Larger operands occur in few repeated cancellations and would hold much
+#: memory for the chart's lifetime.
+CANCEL_MEMO_TERMS = 32
+
+
 def _cancel(ctx: Context, f, g):
     """(h, f/h, g/h) for nonzero polynomials f, g, where h is a gcd of both.
 
@@ -247,6 +265,15 @@ def _cancel(ctx: Context, f, g):
     the integer, lex-ordered ring over only the generators occurring in f or
     g, where the gcd and both exact quotients are computed; each cofactor is
     divided by its side's cleared denominator on the way back.
+
+    That last path is memoized on the context, so each pair is cancelled
+    once per chart: the key is the ordered pair (f, g), compared by value
+    (the swapped pair is not looked up), and the value is the returned
+    triple.  Only pairs with at most CANCEL_MEMO_TERMS terms together are
+    kept.  The memo lives and dies with the context.  A hit returns
+    polynomials equal to those a fresh computation would return, and
+    shares them with the earlier caller, which is sound because no code
+    mutates a polynomial in place.
     """
     ring = ctx.ring
     if len(f) == 1 or len(g) == 1:
@@ -266,6 +293,11 @@ def _cancel(ctx: Context, f, g):
     in_g = [any(column) for column in zip(*g)]
     if not any(map(and_, in_f, in_g)):
         return ctx.ring_one, f, g
+    key = (f, g) if len(f) + len(g) <= CANCEL_MEMO_TERMS else None
+    if key is not None:
+        cached = ctx._cancelled.get(key)
+        if cached is not None:
+            return cached
     occurring = tuple(pos for pos, (a, b) in enumerate(zip(in_f, in_g))
                       if a or b)
     sub, down, up = ctx._subring(occurring)
@@ -277,13 +309,18 @@ def _cancel(ctx: Context, f, g):
                     for m, c in g.items()])
     h = fs.gcd(gs)
     if h.is_ground:
-        return ctx.ring_one, f, g
-    mpq = QQ.dtype
+        result = ctx.ring_one, f, g
+    else:
+        mpq = QQ.dtype
 
-    def back(p, den=1):
-        return ring.dtype([(up(m + (0,)), mpq(c, den)) for m, c in p.items()])
+        def back(p, den=1):
+            return ring.dtype([(up(m + (0,)), mpq(c, den))
+                               for m, c in p.items()])
 
-    return back(h), back(fs.quo(h), df), back(gs.quo(h), dg)
+        result = back(h), back(fs.quo(h), df), back(gs.quo(h), dg)
+    if key is not None:
+        ctx._cancelled[key] = result
+    return result
 
 
 def _monic(ctx: Context, num, den) -> "Expr":

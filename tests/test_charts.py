@@ -461,6 +461,19 @@ class TestSupport:
             with pytest.raises(ValueError):
                 view[0, 0] = godel.ctx.one
 
+    @pytest.mark.parametrize("name, idx", [
+        ("R", (9, 9, 9, 9)), ("R", (0, 4, 0, 0)),  # out of range
+        ("S", (-1, 0)), ("R", (0, 1, -3, 2)),       # negative
+        ("R", (0, 1)), ("S", (0,)),                 # too short
+        ("S", (0, 1, 2)), ("R", (0, 1, 0, 1, 0)),   # too long
+    ])
+    def test_index_that_does_not_fit_raises(self, conformal4, name, idx):
+        T = {"R": riemann, "S": ricci}[name](conformal4)
+        with pytest.raises(IndexError, match=re.escape(repr(idx))):
+            T[idx]
+        # An index that fits but is off the support still reads zero.
+        assert T[(0, 1) + (0,) * (T.rank - 2)].is_zero
+
     def test_construction_freezes_only_on_success(self, flat4):
         # A failed construction leaves the caller's mapping usable, and a
         # tensor keeps its own copy: later writes into the mapping do not

@@ -1,6 +1,8 @@
 """Expression kernel: parsing, canonical arithmetic, derivatives, evaluation."""
 
+import gc
 import random
+import weakref
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -12,12 +14,12 @@ from sympy.polys.orderings import lex
 from sympy.polys.rings import PolyElement
 
 from curvzoo.charts import riemann
-from curvzoo.exprs import (MAX_COEFF_BITS, MAX_DEGREE, MAX_NESTING,
-                           MAX_TERMS, Context,
+from curvzoo.exprs import (CANCEL_MEMO_TERMS, MAX_COEFF_BITS, MAX_DEGREE,
+                           MAX_NESTING, MAX_TERMS, Context,
                            EvaluationError, ExpressionError, ModularExpr,
-                           ParseError, _normalized, combine, differentiate,
-                           evaluate_rational, is_zero, residue,
-                           residue_powers)
+                           ParseError, _cancel, _normalized, combine,
+                           differentiate, evaluate_rational, is_zero,
+                           residue, residue_powers)
 from curvzoo.metrics import builtin
 from curvzoo.zoo import ORACLE_PRIME
 
@@ -208,8 +210,13 @@ class TestCombine:
             assert (u * v) * w == u * (v * w)
 
 
+def cancel_context():
+    """A context with CANCEL_CTX's atoms and an empty cancellation memo."""
+    return Context(["x1", "x2"], ["a"])
+
+
 # Ring positions of CANCEL_CTX's generators: x1, x2, exp(x1), exp(x2), a.
-CANCEL_CTX = Context(["x1", "x2"], ["a"])
+CANCEL_CTX = cancel_context()
 ALL_GENERATORS = (0, 1, 2, 3, 4)
 GENERATOR_FAMILIES = [(2,), (0, 2), (1, 4), ALL_GENERATORS]
 #: Numerator and denominator generators with none in common.
@@ -293,6 +300,13 @@ def assert_integer_lex(rings):
     assert all(r.domain == ZZ and r.order == lex for r in rings)
 
 
+def on_gcd_path(f, g):
+    """Whether _cancel(ctx, f, g) reaches the subring gcd: neither side is a
+    monomial and the two share a generator."""
+    shared = [any(a) and any(b) for a, b in zip(zip(*f), zip(*g))]
+    return len(f) > 1 and len(g) > 1 and any(shared)
+
+
 #: Canonical values of FRACTIONS, and points for CANCEL_CTX's atoms.
 CANCEL_EXPRS = FRACTIONS.map(lambda fraction: _normalized(CANCEL_CTX,
                                                           *fraction))
@@ -344,8 +358,10 @@ class TestCancellation:
     def test_all_generator_gcds_run_over_integers_in_lex_order(self,
                                                                fraction):
         # Also when every generator occurs: not in the chart ring itself.
+        # A fresh context, so that no earlier example's memo entry answers.
         with gcd_rings() as rings:
-            _normalized(CANCEL_CTX, *fraction)
+            _normalized(cancel_context(), *fraction)
+        assert len(rings) == on_gcd_path(*fraction)
         assert_integer_lex(rings)
 
     def test_disjoint_operands_skip_gcd(self, ctx):
@@ -356,6 +372,63 @@ class TestCancellation:
             e = ctx.parse(f"(a+1)/{s8}^4")
         assert rings == []
         assert (len(e.num), len(e.den)) == (2, 495)
+
+
+class TestCancellationMemo:
+    """Each context memoizes the polynomial-path cancellations of operand
+    pairs with at most CANCEL_MEMO_TERMS terms together."""
+
+    def test_repeated_pair_runs_one_gcd(self):
+        ctx = cancel_context()
+        x1, x2, e1, _, a = ctx.ring.gens
+        f, g = (x1 + a) * (x2 + 1), (x1 + a) * (e1 - 2)
+        with gcd_rings() as rings:
+            first = _cancel(ctx, f, g)
+            second = _cancel(ctx, f * 1, g * 1)  # equal, not identical
+        assert len(rings) == 1
+        assert second == first == (x1 + a, x2 + 1, e1 - 2)
+
+    @CANCEL_SETTINGS
+    @given(FRACTIONS)
+    def test_memo_hit_matches_reference_and_fresh_context(self, fraction):
+        num, den = fraction
+        ctx = cancel_context()
+        _cancel(ctx, num, den)
+        with gcd_rings() as rings:
+            hit = _normalized(ctx, num, den)
+        assert rings == []
+        assert ((num, den) in ctx._cancelled) == on_gcd_path(num, den)
+        fresh = _normalized(cancel_context(), num, den)
+        assert (hit.num, hit.den) == (fresh.num, fresh.den)
+        assert_canonical(hit, *reference_canonical(num, den))
+
+    def test_memo_bound(self):
+        # (x1 + 1) * (1 + x2 + ... + x2^(m-1)) has 2m terms; against x1 + 1
+        # the pair has 2m + 2.  Stored up to CANCEL_MEMO_TERMS terms.
+        ctx = cancel_context()
+        x1, x2 = ctx.ring.gens[:2]
+
+        def pair(total):
+            m = (total - 2) // 2
+            f = (x1 + 1) * sum((x2 ** k for k in range(m)), ctx.ring.zero)
+            assert len(f) + 2 == total
+            return f, x1 + 1
+
+        within = pair(CANCEL_MEMO_TERMS)
+        _cancel(ctx, *within)
+        assert list(ctx._cancelled) == [within]
+        h, _, unit = _cancel(ctx, *pair(CANCEL_MEMO_TERMS + 2))
+        assert (h, unit) == (x1 + 1, ctx.ring.one)
+        assert list(ctx._cancelled) == [within]
+
+    def test_memo_dies_with_its_chart(self):
+        chart = builtin("ex5_4").to_chart()
+        riemann(chart)
+        assert chart.ctx._cancelled
+        ref = weakref.ref(chart.ctx)
+        del chart
+        gc.collect()
+        assert ref() is None
 
 
 class TestZeroTest:

@@ -234,6 +234,19 @@ class TestBattery:
             encoding="utf-8")
         assert render_report(classify(builtin(name)), "json") == expected
 
+    @pytest.mark.parametrize("name", list_builtins())
+    def test_warm_chart_report_matches_reference(self, name):
+        # The chart's cancellation memo, warmed by the whole battery on
+        # every tensor, changes no byte of the default report.  Of the
+        # builtins, only ex5_4 has denominators that are not monomials, so
+        # only its memo fills.
+        chart = builtin(name).to_chart()
+        classify(chart, tensors=ALL_TENSORS, run_oracle=False)
+        assert bool(chart.ctx._cancelled) == (name == "ex5_4")
+        expected = (REFERENCE / "zoo-default" / f"{name}.json").read_text(
+            encoding="utf-8")
+        assert render_report(classify(chart), "json") == expected
+
     def test_checks_select_a_prefix_filtered_run(self):
         chart = builtin("ex5_1").to_chart()
         full = report_to_dict(classify(chart, run_oracle=False))["verdicts"]
