@@ -37,5 +37,5 @@ print("generic rank of Ricci:", generic_rank(S))
 print("scalar curvature:", scalar_curvature(chart))
 
 # The Levi-Civita connection is metric: nabla g = 0, exactly.
-assert covariant_derivative(chart, chart.metric_tensor()).is_zero()
+assert covariant_derivative(chart, chart.g).is_zero()
 print("\nnabla g = 0 verified componentwise")

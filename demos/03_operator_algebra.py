@@ -16,7 +16,7 @@ chart = build_chart(
     ["x1", "x2", "x3", "x4"],
     [["x1" if i == j else "0" for j in range(4)] for i in range(4)],
     name="conformal")
-g = chart.metric_tensor()
+g = chart.g
 S = ricci(chart)
 R = riemann(chart)
 

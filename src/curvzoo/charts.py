@@ -460,6 +460,7 @@ class Chart:
         return value
 
     def metric_tensor(self) -> Tensor:
+        """The metric tensor, the attribute g."""
         return self.g
 
     def __repr__(self):
@@ -552,7 +553,7 @@ def christoffel(chart: Chart) -> Tensor:
 
     def compute():
         def doubled_first_kind():
-            for (a, b), gab in chart.metric_tensor().nonzero_items():
+            for (a, b), gab in chart.g.nonzero_items():
                 if a > b:
                     continue
                 for x in range(chart.n):
@@ -619,7 +620,7 @@ def riemann(chart: Chart) -> Tensor:
                         yield (m, t, s, k), -(v * w)
 
         lowering = [[] for _ in range(n)]   # lowering[m]: (l, sign * g_lm)
-        for (m, l), e in chart.metric_tensor().nonzero_items():
+        for (m, l), e in chart.g.nonzero_items():
             lowering[m].append((l, CURVATURE_SIGN * e))
         return Tensor.from_representative_terms(
             chart, (0, 4), ("skew:0,1",), (

@@ -20,10 +20,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
 from typing import Optional, Sequence, Union
-
-from sympy.polys.domains import QQ as _QQ
 
 from .charts import (Chart, OneForm, Tensor, christoffel,
                      covariant_derivative_oneform, exterior_derivative_oneform,
@@ -659,7 +656,7 @@ class QuasiEinsteinResult:
 
 def _minor_quadratics(chart: Chart, S: Tensor):
     """2x2 minors of S - a g as quadratics [c0, c1, c2] in the unknown a."""
-    n, g = chart.n, chart.metric_tensor()
+    n, g = chart.n, chart.g
     for rows in itertools.combinations(range(n), 2):
         for cols in itertools.combinations(range(n), 2):
             i, k = rows
@@ -712,48 +709,11 @@ def _poly_gcd_univariate(polys, ctx) -> list[Expr]:
     return [c / lead for c in g[:dg + 1]]
 
 
-def _fraction_sqrt(value) -> Optional[Fraction]:
-    f = Fraction(value)
-    if f < 0:
-        return None
-    pn, pd = isqrt(f.numerator), isqrt(f.denominator)
-    if pn * pn == f.numerator and pd * pd == f.denominator:
-        return Fraction(pn, pd)
-    return None
-
-
 def expr_sqrt(e: Expr) -> Optional[Expr]:
     """Exact square root within the expression field, or None.
 
-    A polynomial is a square iff its square-free decomposition has even
-    multiplicities throughout and a square rational content.
-    """
-    ctx = e.ctx
-    if e.is_zero:
-        return ctx.zero
-
-    def poly_sqrt(p):
-        content, factors = p.sqf_list()
-        c = _fraction_sqrt(Fraction(int(content.numerator),
-                                    int(content.denominator)))
-        if c is None:
-            return None
-        root = ctx.ring.ground_new(_QQ(c.numerator, c.denominator))
-        for base, mult in factors:
-            if mult % 2:
-                return None
-            root = root * base ** (mult // 2)
-        return root
-
-    num_root = poly_sqrt(e.num)
-    if num_root is None:
-        return None
-    den_root = (ctx.ring_one if e.den == ctx.ring_one
-                else poly_sqrt(e.den))
-    if den_root is None:
-        return None
-    from .exprs import _normalized
-    return _normalized(ctx, num_root, den_root)
+    The package's exported name for Expr.sqrt."""
+    return e.sqrt()
 
 
 def solve_scalar_roots(coeffs: list[Expr]) -> list[Expr]:
@@ -766,7 +726,7 @@ def solve_scalar_roots(coeffs: list[Expr]) -> list[Expr]:
         return [-coeffs[0] / coeffs[1]]
     c0, c1, c2 = coeffs[0], coeffs[1], coeffs[2]
     disc = c1 * c1 - 4 * c2 * c0
-    root = expr_sqrt(disc)
+    root = disc.sqrt()
     if root is None:
         return []
     half = 1 / (2 * c2)
@@ -801,7 +761,7 @@ def solve_quasi_einstein(chart: Chart) -> QuasiEinsteinResult:
     kappa = scalar_curvature(chart)
     n = chart.n
     einstein_a = kappa / n
-    shifted = S - chart.metric_tensor().scaled(einstein_a)
+    shifted = S - chart.g.scaled(einstein_a)
     if shifted.is_zero():
         return QuasiEinsteinResult(found=True, einstein=True, alpha=einstein_a,
                                    beta=chart.ctx.zero,
@@ -820,7 +780,7 @@ def solve_quasi_einstein(chart: Chart) -> QuasiEinsteinResult:
             notes="minor-system roots are not in the expression field")
     roots.sort(key=str)
     for a in roots:
-        Z = S - chart.metric_tensor().scaled(a)
+        Z = S - chart.g.scaled(a)
         if not rank_at_most(Z, 1):
             continue
         factored = factor_rank_one(chart, Z)
@@ -840,7 +800,7 @@ def quasi_einstein_verdicts(chart: Chart, tensors) -> list[ClassifierVerdict]:
     verdict = ClassifierVerdict("quasi_einstein", qe.found, witness=qe,
                                 notes=qe.notes)
     if qe.found and not qe.einstein:
-        S, g, n = ricci(chart), chart.metric_tensor(), chart.n
+        S, g, n = ricci(chart), chart.g, chart.n
         rows = [({0: g[i, j], 1: qe.eta[i] * qe.eta[j]}, S[i, j])
                 for i in range(n) for j in range(i, n)]
         values = [qe.alpha, qe.beta]
@@ -926,7 +886,7 @@ def check_torseforming(chart: Chart, V: Sequence[Expr]) -> TorseformingResult:
                                 recurrent=a.is_zero,
                                 proper_concircular=closed)
     norm = ctx.zero
-    for (i, j), gij in chart.metric_tensor().nonzero_items():
+    for (i, j), gij in chart.g.nonzero_items():
         norm = norm + gij * V[i] * V[j]
     result.isotropic = norm.is_zero
     if not closed:
@@ -954,15 +914,15 @@ def _exp_of(h: Expr) -> Optional[Expr]:
     """e^h within the expression field: h must be an integer-coefficient
     linear combination of coordinates."""
     ctx = h.ctx
-    if h.den != ctx.ring_one:
+    terms = h.polynomial_terms()
+    if terms is None:
         return None
     n = len(ctx.coords)
     out = ctx.one
-    for monom, coeff in h.num.items():
+    for monom, k in terms:
         active = [pos for pos, e in enumerate(monom) if e]
         if len(active) != 1 or active[0] >= n or monom[active[0]] != 1:
             return None
-        k = Fraction(int(_QQ.numer(coeff)), int(_QQ.denom(coeff)))
         if k.denominator != 1:
             return None
         out = out * ctx.exponential(active[0], int(k))
@@ -996,18 +956,17 @@ def gradient_potential(chart: Chart, tau: OneForm) -> Optional[Expr]:
 
 def _integrate_single_coordinate(e: Expr, i: int) -> Optional[Expr]:
     ctx = e.ctx
-    if e.den != ctx.ring_one:
+    terms = e.polynomial_terms()
+    if terms is None:
         return None
     xpos, tpos = i, len(ctx.coords) + i
     acc = ctx.zero
-    for monom, coeff in e.num.items():
+    for monom, coeff in terms:
         kx, kt = monom[xpos], monom[tpos]
         if kx and kt:
             return None  # mixed x * exp(x) monomials need integration by parts
-        rest = ctx.ring.from_dict(
-            {tuple(0 if p in (xpos, tpos) else m
-                   for p, m in enumerate(monom)): coeff})
-        rest_expr = Expr(ctx, rest, ctx.ring_one)
+        rest_expr = ctx.term([0 if p in (xpos, tpos) else m
+                              for p, m in enumerate(monom)], coeff)
         if kt:
             piece = rest_expr * ctx.exponential(i, kt) * Fraction(1, kt)
         else:
@@ -1100,7 +1059,7 @@ def corollary_decomposition(chart: Chart, B: Tensor, H: Tensor
         return RankOneDecomposition(True, L1=ctx.zero, L2=None,
                                     notes="degenerate: B = 0, any L2 with "
                                           "L1 = 0")
-    g = chart.metric_tensor()
+    g = chart.g
     gens = [named_tensor(chart, "g^g"), kulkarni_nomizu(g, H),
             kulkarni_nomizu(H, H)]
     space = solve_linear_combination(B, gens, names=("u", "v", "w"))

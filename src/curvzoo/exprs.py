@@ -9,11 +9,17 @@ rational coefficients, in a fixed finite set of *atoms* attached to a chart:
 * one atom per named constant parameter.
 
 The atoms are algebraically independent, so an expression is canonically a
-reduced fraction of multivariate polynomials over Q.  Canonical form means:
-numerator and denominator share no common factor, the denominator is monic
-under the ring's monomial order, and zero is ``0/1``.  Structural equality of
-canonical forms therefore decides mathematical equality, which is the
-zero-test every classifier in this package ultimately rests on.
+reduced fraction of multivariate polynomials.  An ``Expr`` stores it as
+``content * num / den``: ``content`` is a rational (0 for zero), and ``num``
+and ``den`` are polynomials with integer coefficients, primitive (the gcd of
+each one's coefficients is 1), coprime, and each with a positive coefficient
+at its lex-largest exponent tuple; zero is ``0 * 0 / 1``.  By Gauss's lemma
+this form is unique, so structural equality of canonical forms decides
+mathematical equality, which is the zero-test every classifier in this
+package ultimately rests on.  The same value over Q with a denominator that
+is monic under grevlex (``_rational_form``) is rebuilt on demand for
+printing, for evaluation and for the parser's coefficient-size bound; it is
+never stored.
 
 Differentiation uses d(x)/dx = 1, d(exp(x))/dx = exp(x) and kills parameters;
 it is extended by linearity and the product/quotient rules.  Because atoms are
@@ -28,20 +34,23 @@ coefficients once so that it can be evaluated at many points, each given as
 per-atom power tables (``residue_powers``).
 
 Polynomial arithmetic is delegated to ``sympy.polys`` sparse rings; the
-chart ring has rational coefficients and grevlex order, which fixes the
-canonical form and the printed term order.  Common factors are cancelled by
+chart ring has integer coefficients and grevlex order, the order that terms
+are printed in.  Rational coefficients live only in the content: a negation
+flips it, a quotient swaps numerator and denominator, a product of canonical
+parts multiplies contents and polynomials and needs no content pass, and a
+sum scales each side by its integer cofactor of the gcd of the two contents
+before it takes the content of the result.  Common factors are cancelled by
 ``_cancel``: when either side is a monomial the gcd is the exponent-wise
 minimum monomial and the cofactors follow by subtracting exponents, with no
-polynomial division; otherwise each side's coefficient denominators are
-cleared and sympy's multivariate gcd and exact quotients run over the
-integers, in lex order, in a ring over only the generators that occur in the
+polynomial division; otherwise sympy's multivariate gcd and exact quotients
+run in a lex-ordered integer ring over only the generators that occur in the
 two polynomials (cached on the context): its heuristic gcd recurses once per
-ring generator, works over the integers anyway, and finds leading terms
-fastest in lex order.  A gcd is unique up to a unit and the quotients are
-exact, so the result, once the denominator is made monic in the chart ring,
-does not depend on the ring it was computed in.  Everything above that level
-(grammar, canonicalization policy, derivatives, evaluation, printing) lives
-here.
+ring generator and finds leading terms fastest in lex order.  A lex-ordered
+subring keeps lex-largest terms, so the gcd of two operands with positive
+lex-leading coefficients has one too, and so do both quotients; quotients
+of primitive polynomials by a primitive gcd are primitive.  Everything above
+that level (grammar, canonicalization policy, derivatives, evaluation,
+printing) lives here.
 
 The gcd path of ``_cancel`` is memoized on the ``Context``, so there is one
 memo per chart and it is freed with the chart: the key is the ordered pair
@@ -58,12 +67,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import comb, lcm
+from math import comb, gcd, isqrt, lcm
 from operator import and_, itemgetter
 from typing import Mapping, Optional, Sequence, Union
 
 from sympy.polys.domains import QQ, ZZ
 from sympy.polys.rings import ring as _sympy_ring
+
+#: The type of an Expr's content and of the rational form's coefficients:
+#: sympy's rational, the coefficient type of its QQ domain.
+_mpq = QQ.dtype
 
 
 class ExpressionError(ValueError):
@@ -102,8 +115,9 @@ class Context:
     """Declared coordinate and parameter names plus the polynomial ring.
 
     Ring generators are ordered: coordinates, exponential atoms (one per
-    coordinate, in coordinate order), parameters.  Contexts with equal
-    declarations produce interoperable expressions.
+    coordinate, in coordinate order), parameters.  ``ring`` has integer
+    coefficients and grevlex order.  Contexts with equal declarations
+    produce interoperable expressions.
     """
 
     __slots__ = ("coords", "params", "ring", "ring_one", "atoms",
@@ -127,7 +141,7 @@ class Context:
         gen_names = (list(coords)
                      + [f"_exp_{c}" for c in coords]
                      + list(params))
-        self.ring = _sympy_ring(gen_names, QQ, order="grevlex")[0]
+        self.ring = _sympy_ring(gen_names, ZZ, order="grevlex")[0]
         # The ring's unit, built once: PolyRing.one builds a new element on
         # every access.  Shared by every value with denominator 1, so it
         # must never be mutated in place.
@@ -138,8 +152,8 @@ class Context:
         self.atoms = tuple(atoms)
         self._coord_pos = {c: i for i, c in enumerate(coords)}
         self._param_pos = {p: j for j, p in enumerate(params)}
-        self._zero = Expr(self, self.ring.zero, self.ring_one)
-        self._one = Expr(self, self.ring_one, self.ring_one)
+        self._zero = Expr(self, QQ.zero, self.ring.zero, self.ring_one)
+        self._one = Expr(self, QQ.one, self.ring_one, self.ring_one)
         self._ints = {0: self._zero, 1: self._one}
         self._subrings: dict = {}
         # _cancel's memo: (f, g) -> (h, f/h, g/h).
@@ -184,8 +198,7 @@ class Context:
     def integer(self, k: int) -> "Expr":
         cached = self._ints.get(k)
         if cached is None:
-            cached = Expr(self, self.ring.ground_new(QQ(k)),
-                          self.ring_one)
+            cached = self._constant(QQ(k))
             if -8 <= k <= 8:
                 self._ints[k] = cached
         return cached
@@ -193,23 +206,36 @@ class Context:
     def rational(self, p: int, q: int = 1) -> "Expr":
         if q == 0:
             raise ExpressionError("zero denominator in rational literal")
-        return Expr(self, self.ring.ground_new(QQ(p, q)), self.ring_one)
+        return self._constant(QQ(p, q))
+
+    def _constant(self, c) -> "Expr":
+        if not c:
+            return self._zero
+        return Expr(self, c, self.ring_one, self.ring_one)
+
+    def term(self, exponents: Sequence[int], coeff: Number = 1) -> "Expr":
+        """coeff times the product of the atoms raised to the exponents,
+        which are listed by ring position (coordinates, exponential atoms,
+        parameters)."""
+        monomial = self.ring.dtype([(tuple(exponents), 1)])
+        return _mul(Expr(self, QQ.one, monomial, self.ring_one),
+                    _coerce(self, coeff))
 
     def coordinate(self, which: Union[int, str]) -> "Expr":
         i = self._coord_pos[which] if isinstance(which, str) else which
-        return Expr(self, self.coord_gen(i), self.ring_one)
+        return Expr(self, QQ.one, self.coord_gen(i), self.ring_one)
 
     def exponential(self, which: Union[int, str], k: int = 1) -> "Expr":
         """exp(k * coordinate) as an expression; k may be negative."""
         i = self._coord_pos[which] if isinstance(which, str) else which
         t = self.exp_gen(i)
         if k >= 0:
-            return Expr(self, t ** k, self.ring_one)
-        return Expr(self, self.ring_one, t ** (-k))
+            return Expr(self, QQ.one, t ** k, self.ring_one)
+        return Expr(self, QQ.one, self.ring_one, t ** (-k))
 
     def parameter(self, which: Union[int, str]) -> "Expr":
         j = self._param_pos[which] if isinstance(which, str) else which
-        return Expr(self, self.param_gen(j), self.ring_one)
+        return Expr(self, QQ.one, self.param_gen(j), self.ring_one)
 
     def parse(self, src: str) -> "Expr":
         return parse_expression(src, self)
@@ -219,11 +245,9 @@ class Context:
         maps of exponent vectors into it and back into the chart ring;
         cached per set of positions.
 
-        It has integer coefficients and lex order, also when every generator
-        occurs: lex finds a leading term with a plain max over exponent
-        tuples, and integer coefficients spare sympy's gcd its conversion
-        from Q on every call.  The chart ring itself stays over Q in grevlex,
-        the order that canonical forms are made monic and printed in."""
+        It has integer coefficients, as the chart ring does, and lex order,
+        also when every generator occurs: lex finds a leading term with a
+        plain max over exponent tuples."""
         cached = self._subrings.get(occurring)
         if cached is None:
             sub = _sympy_ring([self.ring.symbols[i] for i in occurring], ZZ,
@@ -253,18 +277,16 @@ CANCEL_MEMO_TERMS = 32
 
 
 def _cancel(ctx: Context, f, g):
-    """(h, f/h, g/h) for nonzero polynomials f, g, where h is a gcd of both.
+    """(h, f/h, g/h) for nonzero polynomials f, g of the chart ring, where h
+    is a gcd of both; ctx.ring_one when f and g are coprime.
 
-    h is some associate of the gcd; ctx.ring_one when f and g are coprime.
-    Callers make the final denominator monic under grevlex in the chart
-    ring, so the canonical form does not depend on which associate.  A
-    monomial on either side gives the exponent-wise minimum monomial with
-    coefficient 1, and the cofactors by subtracting exponents.  Polynomials
-    with no generator in common are coprime.  Otherwise each side is
-    multiplied by the lcm of its coefficient denominators and mapped into
-    the integer, lex-ordered ring over only the generators occurring in f or
-    g, where the gcd and both exact quotients are computed; each cofactor is
-    divided by its side's cleared denominator on the way back.
+    When f and g are primitive with positive lex-leading coefficients, so
+    are h and both quotients.  A monomial on either side gives the
+    exponent-wise minimum monomial with coefficient 1, and the cofactors by
+    subtracting exponents.  Polynomials with no generator in common are
+    coprime.  Otherwise both are mapped into the integer, lex-ordered ring
+    over only the generators occurring in f or g, where the gcd and both
+    exact quotients are computed.
 
     That last path is memoized on the context, so each pair is cancelled
     once per chart: the key is the ordered pair (f, g), compared by value
@@ -286,7 +308,7 @@ def _cancel(ctx: Context, f, g):
             if h == zero:
                 return ctx.ring_one, f, g
         ldiv = ring.monomial_ldiv
-        return (ring.dtype([(h, QQ.one)]),
+        return (ring.dtype([(h, 1)]),
                 ring.dtype([(ldiv(m, h), c) for m, c in f.items()]),
                 ring.dtype([(ldiv(m, h), c) for m, c in g.items()]))
     in_f = [any(column) for column in zip(*f)]
@@ -301,48 +323,95 @@ def _cancel(ctx: Context, f, g):
     occurring = tuple(pos for pos, (a, b) in enumerate(zip(in_f, in_g))
                       if a or b)
     sub, down, up = ctx._subring(occurring)
-    df = lcm(*[c.denominator for c in f.values()])
-    dg = lcm(*[c.denominator for c in g.values()])
-    fs = sub.dtype([(down(m), c.numerator * (df // c.denominator))
-                    for m, c in f.items()])
-    gs = sub.dtype([(down(m), c.numerator * (dg // c.denominator))
-                    for m, c in g.items()])
+    fs = sub.dtype([(down(m), c) for m, c in f.items()])
+    gs = sub.dtype([(down(m), c) for m, c in g.items()])
     h = fs.gcd(gs)
     if h.is_ground:
         result = ctx.ring_one, f, g
     else:
-        mpq = QQ.dtype
+        def back(p):
+            return ring.dtype([(up(m + (0,)), c) for m, c in p.items()])
 
-        def back(p, den=1):
-            return ring.dtype([(up(m + (0,)), mpq(c, den))
-                               for m, c in p.items()])
-
-        result = back(h), back(fs.quo(h), df), back(gs.quo(h), dg)
+        result = back(h), back(fs.quo(h)), back(gs.quo(h))
     if key is not None:
         ctx._cancelled[key] = result
     return result
 
 
-def _monic(ctx: Context, num, den) -> "Expr":
-    """num/den, already coprime, with the denominator made monic."""
-    lc = den.LC
-    if lc != QQ.one:
-        inv = QQ.one / lc
-        num = num.mul_ground(inv)
-        den = den.mul_ground(inv)
-    return Expr(ctx, num, den)
+def _primitive(p):
+    """(k, p/k) for a nonzero integer polynomial p: k is the gcd of p's
+    coefficients, signed so that p/k has a positive coefficient at its
+    lex-largest exponent tuple."""
+    k = gcd(*p.values())
+    if p[max(p)] < 0:
+        k = -k
+    if k == 1:
+        return 1, p
+    return k, p.new([(m, c // k) for m, c in p.items()])
+
+
+def _lincomb(ca, f, cb, g):
+    """(c, P) with ca f + cb g = c P, for rationals ca, cb and integer
+    polynomials f, g: P is primitive with a positive lex-leading coefficient,
+    or zero.  P's terms are in the order of f's followed by g's others."""
+    pa, qa, pb, qb = ca.numerator, ca.denominator, cb.numerator, \
+        cb.denominator
+    if qa == qb and (pa == pb or pa == -pb):
+        c, ua, ub = ca, 1, (1 if pa == pb else -1)
+    else:
+        # Each side scaled by its integer cofactor of the gcd of the two
+        # contents, n/d.
+        n, d = gcd(pa, pb), lcm(qa, qb)
+        c, ua, ub = _mpq(n, d), pa // n * (d // qa), pb // n * (d // qb)
+    s = f.copy() if ua == 1 else f.new([(m, ua * x) for m, x in f.items()])
+    get = s.get
+    for m, x in g.items():
+        x = get(m, 0) + ub * x
+        if x:
+            s[m] = x
+        else:
+            del s[m]
+    if not s:
+        return c, s
+    k, s = _primitive(s)
+    return (c if k == 1 else c * k), s
+
+
+def _times(f, g, one):
+    """f * g for polynomials of the chart ring with unit one; a unit factor
+    is not multiplied out."""
+    if _same(g, one):
+        return f
+    if _same(f, one):
+        return g
+    return f * g
 
 
 def _normalized(ctx: Context, num, den) -> "Expr":
-    """Reduce num/den to canonical form (coprime, monic denominator)."""
+    """num/den in canonical form, for integer polynomials num and den of the
+    chart ring."""
     if not num:
         return ctx._zero
     if not den:
         raise ExpressionError("division by zero expression")
-    if _same(den, ctx.ring_one):
-        return Expr(ctx, num, den)
-    _, num, den = _cancel(ctx, num, den)
-    return _monic(ctx, num, den)
+    kn, num = _primitive(num)
+    kd, den = _primitive(den)
+    if not _same(den, ctx.ring_one):
+        _, num, den = _cancel(ctx, num, den)
+    return Expr(ctx, _mpq(kn, kd), num, den)
+
+
+def _rational_form(e: "Expr") -> tuple[dict, dict]:
+    """(num, den) of e over Q as dicts from exponent tuples to rational
+    coefficients, coprime, with den monic under grevlex: the form that
+    printing, evaluation (exact and modular) and the parser's
+    coefficient-size bound read.  Built on each call, in the term order of
+    e's polynomials."""
+    den = e.den
+    lc = den.LC
+    scale = e.content / lc
+    return ({m: scale * c for m, c in e.num.items()},
+            {m: _mpq(c, lc) for m, c in den.items()})
 
 
 class Expr:
@@ -353,12 +422,13 @@ class Expr:
     kernels combine components with plain arithmetic.
     """
 
-    __slots__ = ("ctx", "num", "den", "_hash")
+    __slots__ = ("ctx", "content", "num", "den", "_hash")
 
-    def __init__(self, ctx: Context, num, den):
-        # Callers must supply canonical (num, den); use combine()/_normalized
-        # to build values from raw polynomials.
+    def __init__(self, ctx: Context, content, num, den):
+        # Callers must supply a canonical (content, num, den); use
+        # combine()/_normalized to build values from raw polynomials.
         self.ctx = ctx
+        self.content = content
         self.num = num
         self.den = den
         self._hash = None
@@ -372,11 +442,12 @@ class Expr:
     @property
     def is_one(self) -> bool:
         one = self.ctx.ring_one
-        return self.num == one and self.den == one
+        return (self.content == 1 and _same(self.num, one)
+                and _same(self.den, one))
 
     @property
     def is_rational_constant(self) -> bool:
-        return self.num.is_ground and self.den == self.ctx.ring_one
+        return self.num.is_ground and _same(self.den, self.ctx.ring_one)
 
     def is_constant(self) -> bool:
         """True when no coordinate or exponential atom occurs (parameters ok)."""
@@ -396,23 +467,58 @@ class Expr:
                         present.add(self.ctx.atoms[pos])
         return present
 
+    def polynomial_terms(self) -> Optional[list]:
+        """The terms of a polynomial value as (exponents by ring position,
+        Fraction coefficient) pairs; None when the denominator is not 1."""
+        if not _same(self.den, self.ctx.ring_one):
+            return None
+        p, q = self.content.numerator, self.content.denominator
+        return [(monom, Fraction(p * c, q)) for monom, c in self.num.items()]
+
+    def sqrt(self) -> Optional["Expr"]:
+        """Exact square root within the expression field, or None.
+
+        A value is a square iff its content is the square of a rational and
+        its numerator and denominator have square-free decompositions with
+        even multiplicities throughout.  The root is the one with a positive
+        content."""
+        if self.is_zero:
+            return self
+        c = self.content
+        if c < 0:
+            return None
+        pn, pd = isqrt(c.numerator), isqrt(c.denominator)
+        if pn * pn != c.numerator or pd * pd != c.denominator:
+            return None
+        num = _poly_sqrt(self.num)
+        if num is None:
+            return None
+        den = self.den
+        if not _same(den, self.ctx.ring_one):
+            den = _poly_sqrt(den)
+            if den is None:
+                return None
+        return Expr(self.ctx, _mpq(pn, pd), num, den)
+
     # -- equality / hashing ----------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, Expr):
             if self.ctx is other.ctx:
-                return (_same(self.num, other.num)
+                return (self.content == other.content
+                        and _same(self.num, other.num)
                         and _same(self.den, other.den))
             # Other contexts may have other rings: PolyElement.__eq__
             # compares the rings, so x1 never equals y1 of another chart.
-            return self.num == other.num and self.den == other.den
+            return (self.content == other.content and self.num == other.num
+                    and self.den == other.den)
         if isinstance(other, (int, Fraction)):
             return self == _coerce(self.ctx, other)
         return NotImplemented
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((frozenset(self.num.items()),
+            self._hash = hash((self.content, frozenset(self.num.items()),
                                frozenset(self.den.items())))
         return self._hash
 
@@ -485,6 +591,21 @@ class Expr:
         return not self.is_zero
 
 
+def _poly_sqrt(p):
+    """The square root of a primitive integer polynomial p with a positive
+    lex-leading coefficient, with the same two properties; None when p is
+    not a square."""
+    content, factors = p.sqf_list()
+    if content != 1:
+        return None
+    root = p.ring.one
+    for base, mult in factors:
+        if mult % 2:
+            return None
+        root = root * base ** (mult // 2)
+    return root
+
+
 def _coerce(ctx: Context, value):
     if isinstance(value, Expr):
         return value
@@ -498,30 +619,35 @@ def _coerce(ctx: Context, value):
 def _neg(a: Expr) -> Expr:
     if a.is_zero:
         return a
-    return Expr(a.ctx, -a.num, a.den)
+    return Expr(a.ctx, -a.content, a.num, a.den)
 
 
 def _add(a: Expr, b: Expr) -> Expr:
-    ctx = a.ctx
-    one = ctx.ring_one
     if a.is_zero:
         return b
     if b.is_zero:
         return a
-    if _same(a.den, one) and _same(b.den, one):
-        num = a.num + b.num
-        return Expr(ctx, num, one) if num else ctx._zero
+    ctx = a.ctx
+    one = ctx.ring_one
     if _same(a.den, b.den):
-        return _normalized(ctx, a.num + b.num, a.den)
+        c, num = _lincomb(a.content, a.num, b.content, b.num)
+        if not num:
+            return ctx._zero
+        den = a.den
+        if not _same(den, one):
+            _, num, den = _cancel(ctx, num, den)
+        return Expr(ctx, c, num, den)
     # Henrici: split common denominator factor so only that factor can cancel.
     g, da, db = _cancel(ctx, a.den, b.den)
-    num = a.num * db + b.num * da
+    c, num = _lincomb(a.content, _times(a.num, db, one),
+                      b.content, _times(b.num, da, one))
     if not num:
         return ctx._zero
     if _same(g, one):
-        return Expr(ctx, num, a.den * b.den)  # coprime by construction
+        # Coprime by construction.
+        return Expr(ctx, c, num, _times(a.den, b.den, one))
     _, num, g = _cancel(ctx, num, g)
-    return _monic(ctx, num, g * da * db)
+    return Expr(ctx, c, num, _times(_times(g, da, one), db, one))
 
 
 def _mul(a: Expr, b: Expr) -> Expr:
@@ -529,21 +655,19 @@ def _mul(a: Expr, b: Expr) -> Expr:
     one = ctx.ring_one
     if a.is_zero or b.is_zero:
         return ctx._zero
-    if _same(a.den, one) and _same(b.den, one):
-        return Expr(ctx, a.num * b.num, one)
     n1, d1, n2, d2 = a.num, a.den, b.num, b.den
     if not _same(d2, one):
         _, n1, d2 = _cancel(ctx, n1, d2)
     if not _same(d1, one):
         _, n2, d1 = _cancel(ctx, n2, d1)
-    return _monic(ctx, n1 * n2, d1 * d2)
+    return Expr(ctx, a.content * b.content, _times(n1, n2, one),
+                _times(d1, d2, one))
 
 
 def _div(a: Expr, b: Expr) -> Expr:
     if b.is_zero:
         raise ExpressionError("division by zero expression")
-    inv = _normalized(b.ctx, b.den, b.num)
-    return _mul(a, inv)
+    return _mul(a, Expr(b.ctx, 1 / b.content, b.den, b.num))
 
 
 def _int_pow(a: Expr, k: int) -> Expr:
@@ -557,8 +681,8 @@ def _int_pow(a: Expr, k: int) -> Expr:
             raise ExpressionError("division by zero expression")
         return ctx._zero
     if k > 0:
-        return Expr(ctx, a.num ** k, a.den ** k)
-    return _monic(ctx, a.den ** (-k), a.num ** (-k))
+        return Expr(ctx, a.content ** k, a.num ** k, a.den ** k)
+    return Expr(ctx, (1 / a.content) ** (-k), a.den ** (-k), a.num ** (-k))
 
 
 _COMBINE = {"add": _add,
@@ -571,9 +695,9 @@ def combine(a: Expr, b: Union[Expr, int], op: str) -> Expr:
     """Apply one of {add, sub, mul, div, int_pow} canonically."""
     if op == "int_pow":
         if isinstance(b, Expr):
-            if not b.is_rational_constant or QQ.denom(b.num.LC) != 1:
+            if not b.is_rational_constant or b.content.denominator != 1:
                 raise ExpressionError("int_pow exponent must be an integer")
-            b = int(QQ.numer(b.num.LC))
+            b = int(b.content.numerator)
         return _int_pow(a, b)
     try:
         fn = _COMBINE[op]
@@ -604,11 +728,19 @@ def differentiate(e: Expr, coord: Union[int, str]) -> Expr:
     i = ctx._coord_pos[coord] if isinstance(coord, str) else coord
     if not 0 <= i < len(ctx.coords):
         raise ExpressionError(f"coordinate index {i} out of range")
-    dnum = _poly_diff(ctx, e.num, i)
-    if e.den == ctx.ring_one:
-        return Expr(ctx, dnum, ctx.ring_one) if dnum else ctx._zero
-    dden = _poly_diff(ctx, e.den, i)
-    return _normalized(ctx, dnum * e.den - e.num * dden, e.den * e.den)
+    num, den = e.num, e.den
+    dnum = _poly_diff(ctx, num, i)
+    if _same(den, ctx.ring_one):
+        if not dnum:
+            return ctx._zero
+        k, dnum = _primitive(dnum)
+        return Expr(ctx, e.content * k, dnum, den)
+    num = dnum * den - num * _poly_diff(ctx, den, i)
+    if not num:
+        return ctx._zero
+    k, num = _primitive(num)
+    _, num, den = _cancel(ctx, num, den * den)
+    return Expr(ctx, e.content * k, num, den)
 
 
 def evaluate_rational(e: Expr, assignment: Mapping[Atom, Number],
@@ -648,10 +780,11 @@ def evaluate_rational(e: Expr, assignment: Mapping[Atom, Number],
             total = total + term
         return total
 
-    den_val = poly_value(e.den)
+    num, den = _rational_form(e)
+    den_val = poly_value(den)
     if not den_val:
         raise EvaluationError("denominator vanishes at the given point")
-    val = poly_value(e.num) / den_val
+    val = poly_value(num) / den_val
     return Fraction(int(QQ.numer(val)), int(QQ.denom(val)))
 
 
@@ -673,11 +806,12 @@ class ModularExpr:
 
     Numerator and denominator each become a tuple of (coefficient residue,
     ((ring position, exponent), ...)) terms, so every rational coefficient
-    is reduced once, not at every point.  A coefficient whose denominator p
-    divides has no residue: its polynomial keeps the terms before it and
-    raises EvaluationError after evaluating them, where the term-by-term
-    reduction would have raised.  degrees holds the highest exponent of
-    each ring position, the length of the power tables at() reads.
+    of the rational form (see _rational_form) is reduced once, not at every
+    point.  A coefficient whose denominator p divides has no residue: its
+    polynomial keeps the terms before it and raises EvaluationError after
+    evaluating them, where the term-by-term reduction would have raised.
+    degrees holds the highest exponent of each ring position, the length
+    of the power tables at() reads.
     """
 
     __slots__ = ("ctx", "modulus", "num", "den", "degrees")
@@ -686,9 +820,10 @@ class ModularExpr:
         self.ctx = e.ctx
         self.modulus = modulus
         degrees = [0] * len(e.ctx.atoms)
-        self.num = _compiled_poly(e.num, modulus, degrees)
+        num, den = _rational_form(e)
+        self.num = _compiled_poly(num, modulus, degrees)
         self.den = (None if _same(e.den, e.ctx.ring_one)
-                    else _compiled_poly(e.den, modulus, degrees))
+                    else _compiled_poly(den, modulus, degrees))
         self.degrees = tuple(degrees)
 
     def at(self, powers: Sequence) -> tuple[int, int]:
@@ -918,8 +1053,9 @@ class _Parser:
             if kind == "op" and op in "+-":
                 self.advance()
                 rhs = self.parse_product()
-                if value.den != rhs.den:
-                    an, ad, bn, bd = value.num, value.den, rhs.num, rhs.den
+                if not _same(value.den, rhs.den):
+                    an, ad = _rational_form(value)
+                    bn, bd = _rational_form(rhs)
                     _check_terms(len(an) * len(bd) + len(bn) * len(ad),
                                  max(_degree(an) + _degree(bd),
                                      _degree(bn) + _degree(ad)),
@@ -941,12 +1077,13 @@ class _Parser:
             if kind == "op" and op in "*/":
                 self.advance()
                 rhs = self.parse_unary()
-                rnum, rden = rhs.num, rhs.den
+                if op == "/" and rhs.is_zero:
+                    raise ParseError("division by zero", position)
+                vnum, vden = _rational_form(value)
+                rnum, rden = _rational_form(rhs)
                 if op == "/":
-                    if rhs.is_zero:
-                        raise ParseError("division by zero", position)
                     rnum, rden = rden, rnum
-                for f, g in ((value.num, rnum), (value.den, rden)):
+                for f, g in ((vnum, rnum), (vden, rden)):
                     degree = _degree(f) + _degree(g)
                     _check_degree(degree, position)
                     _check_terms(len(f) * len(g), degree, (f, g), position)
@@ -972,7 +1109,7 @@ class _Parser:
             if base.is_zero and k <= 0:
                 raise ParseError("zero base with non-positive exponent",
                                  self.tokens[self.pos - 1][2])
-            for p in (base.num, base.den):
+            for p in _rational_form(base):
                 # Two or more terms have degree >= 1, so |k| <= MAX_DEGREE
                 # once the degree passes.
                 degree = abs(k) * _degree(p)
@@ -1055,8 +1192,9 @@ def _check_degree(degree: int, position: int) -> None:
 
 
 def _coeff_bits(p) -> int:
-    """b(p) of MAX_COEFF_BITS: the bits of the largest numerator among p's
-    coefficients plus those of their common denominator (0 for p = 0)."""
+    """b(p) of MAX_COEFF_BITS, for a polynomial of a rational form: the bits
+    of the largest numerator among p's coefficients plus those of their
+    common denominator (0 for p = 0)."""
     den = lcm(*(int(QQ.denom(c)) for c in p.values()))
     return (max((int(QQ.numer(c)).bit_length() for c in p.values()),
                 default=0) + (den - 1).bit_length())
@@ -1108,7 +1246,8 @@ def parse_expression(src: str, ctx: Context) -> Expr:
 
 # ---------------------------------------------------------------------------
 # Printing.  The printer emits strings inside the grammar above, and printing
-# then re-parsing reproduces the same canonical value.  Exponential atoms in a
+# then re-parsing reproduces the same canonical value.  It prints the rational
+# form (_rational_form), whose denominator is monic.  Exponential atoms in a
 # one-term denominator are folded into exp(-k*x) factors, so e.g. the value
 # (7/2)/exp(x1) renders as "7/2 * exp(-x1)".
 # ---------------------------------------------------------------------------
@@ -1165,16 +1304,15 @@ def _format_expr(e: Expr) -> str:
     ctx = e.ctx
     if e.is_zero:
         return "0"
-    if e.den == ctx.ring_one:
-        return _poly_str(ctx, e.num)
-    den_terms = list(e.den.items())
-    if len(den_terms) == 1:
+    num, den = _rational_form(e)
+    if _same(e.den, ctx.ring_one):
+        return _poly_str(ctx, num)
+    if len(den) == 1:
         # Monic single-term denominator: fold exponential atoms into the
         # numerator as negative exponents, divide by the rest.
-        monom, _ = den_terms[0]
+        monom = next(iter(den))
         exp_factors: list[str] = []
         plain_factors: list[str] = []
-        ncoords = len(ctx.coords)
         for pos, k in enumerate(monom):
             if not k:
                 continue
@@ -1184,8 +1322,8 @@ def _format_expr(e: Expr) -> str:
             else:
                 plain_factors.append(atom.name if k == 1
                                      else f"{atom.name}^{k}")
-        num_str = _poly_str(ctx, e.num)
-        if len(e.num.items()) > 1:
+        num_str = _poly_str(ctx, num)
+        if len(num) > 1:
             num_str = f"({num_str})"
         if exp_factors:
             if num_str == "1":
@@ -1198,7 +1336,7 @@ def _format_expr(e: Expr) -> str:
             else:
                 num_str = f"{num_str} / ({' * '.join(plain_factors)})"
         return num_str
-    num_str = _poly_str(ctx, e.num)
-    if len(e.num.items()) > 1:
+    num_str = _poly_str(ctx, num)
+    if len(num) > 1:
         num_str = f"({num_str})"
-    return f"{num_str} / ({_poly_str(ctx, e.den)})"
+    return f"{num_str} / ({_poly_str(ctx, den)})"

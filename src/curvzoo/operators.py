@@ -92,7 +92,7 @@ def projective(chart: Chart) -> Tensor:
     reported as-is.
     """
     def compute():
-        g, R = chart.metric_tensor(), riemann(chart)
+        g, R = chart.g, riemann(chart)
         S = ricci(chart).scaled(Fraction(1, chart.n - 2))  # S / (n-2)
 
         def terms():
@@ -140,7 +140,7 @@ def named_tensor(chart: Chart, T: Union[Tensor, str]) -> Tensor:
     if T == "S2":
         return ricci_square(chart)
     if T == "g":
-        return chart.metric_tensor()
+        return chart.g
     A, hat, B = T.partition("^")
     if not hat:
         return derived_tensor(chart, T)

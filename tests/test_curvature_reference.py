@@ -1,0 +1,146 @@
+"""Gamma, R, S and kappa recomputed with sympy's symbolic cancel.
+
+The reference below shares nothing with curvzoo's expression kernel: each
+metric entry is read into a sympy expression (every exp(k*x) becomes E_x^k,
+a symbol for the exponential atom, differentiated by the chain rule
+d/dx E_x = E_x), the inverse metric and the curvature formulas are written
+out with sympy, and every component is cancelled with sympy.cancel.  Each
+reference component is then printed in the package grammar and read back
+with ctx.parse, and the parsed value must equal curvzoo's component
+exactly.  Covered: the 8 builtins and one metric of each generated template
+(warped, off-diagonal, conformal), written out here.
+
+The formulas, in the conventions of curvzoo.charts:
+
+    Gamma^k_ij = 1/2 g^kl (d_i g_jl + d_j g_il - d_l g_ij)
+    R(e_i, e_j) e_k = (d_i G^m_jk - d_j G^m_ik + G^m_ia G^a_jk
+                       - G^m_ja G^a_ik) e_m
+    R[i, j, k, l] = -g_lm R(e_i, e_j) e_k ^m
+    S[i, j] = g^ab R[a, i, j, b],   kappa = g^ij S[i, j]
+"""
+
+import re
+import time
+
+import pytest
+import sympy
+
+from curvzoo.charts import christoffel, ricci, riemann, scalar_curvature
+from curvzoo.metrics import MetricSpec, builtin, list_builtins
+
+#: One chart per generated template, written out.
+WRITTEN = {
+    "warped": MetricSpec(
+        name="warped", dim=4, coords=("x1", "x2", "x3", "x4"), params=(),
+        lower_triangle=(("1",), ("0", "7+1*exp(x1)"),
+                        ("0", "0", "2+9*x1^2"),
+                        ("0", "0", "0", "(2+9*x1^2)*exp(x1)"))),
+    "off_diagonal": MetricSpec(
+        name="off_diagonal", dim=4, coords=("x1", "x2", "x3", "x4"),
+        params=(), lower_triangle=(("1+7*x3^2",), ("1*x3", "1"),
+                                   ("0", "0", "3"), ("0", "0", "0", "1"))),
+    "conformal": MetricSpec(
+        name="conformal", dim=4, coords=("x1", "x2", "x3", "x4"), params=(),
+        lower_triangle=(("6+3*x1^2",), ("0", "6+3*x1^2"),
+                        ("0", "0", "6+3*x1^2"),
+                        ("0", "0", "0", "6+3*x1^2"))),
+}
+
+SPECS = [builtin(name) for name in list_builtins()] + list(WRITTEN.values())
+
+#: Most seconds the whole comparison may take for one metric: the slowest,
+#: a five-dimensional builtin, takes about 2 s on a 2-core machine.
+TIME_LIMIT_S = 60
+
+_EXP = re.compile(r"exp\((-?)(?:(\d+)\*)?(\w+)\)")
+
+
+class Reference:
+    """A metric's curvature, computed with sympy alone."""
+
+    def __init__(self, spec: MetricSpec):
+        self.coords = [sympy.Symbol(c) for c in spec.coords]
+        self.exps = [sympy.Symbol(f"E_{c}") for c in spec.coords]
+        names = {str(s): s for s in self.coords + self.exps}
+        names.update({p: sympy.Symbol(p) for p in spec.params})
+        n = self.n = spec.dim
+
+        def read(src):
+            text = _EXP.sub(lambda m: f"(E_{m[3]}**({m[1]}{m[2] or 1}))",
+                            src).replace("^", "**")
+            return sympy.sympify(text, locals=names)
+
+        self.g = sympy.Matrix(n, n, lambda i, j: read(spec.entry(i, j)))
+        self.ginv = self.g.inv(method="LU").applyfunc(sympy.cancel)
+        half = sympy.Rational(1, 2)
+        self.gamma = {
+            (k, i, j): sympy.cancel(half * sum(
+                self.ginv[k, l] * (self.d(self.g[j, l], i)
+                                   + self.d(self.g[i, l], j)
+                                   - self.d(self.g[i, j], l))
+                for l in range(n)))
+            for k in range(n) for i in range(n) for j in range(n)}
+        G = self.gamma
+        self.riemann = {}
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    up = [self.d(G[m, j, k], i) - self.d(G[m, i, k], j)
+                          + sum(G[m, i, a] * G[a, j, k]
+                                - G[m, j, a] * G[a, i, k] for a in range(n))
+                          for m in range(n)]
+                    for l in range(n):
+                        self.riemann[i, j, k, l] = sympy.cancel(-sum(
+                            self.g[l, m] * up[m] for m in range(n)))
+        R = self.riemann
+        self.ricci = {(i, j): sympy.cancel(sum(
+            self.ginv[a, b] * R[a, i, j, b]
+            for a in range(n) for b in range(n)))
+            for i in range(n) for j in range(n)}
+        self.kappa = sympy.cancel(sum(self.ginv[i, j] * self.ricci[i, j]
+                                      for i in range(n) for j in range(n)))
+
+    def d(self, f, i):
+        """d/dx_i, with d/dx_i E_x_i = E_x_i."""
+        return (sympy.diff(f, self.coords[i])
+                + self.exps[i] * sympy.diff(f, self.exps[i]))
+
+    def text(self, value) -> str:
+        """value in the package grammar."""
+        num, den = sympy.fraction(sympy.cancel(value))
+        text = f"({num}) / ({den})"
+        for c, e in zip(self.coords, self.exps):
+            text = re.sub(rf"\b{e}\b", f"exp({c})", text)
+        return text.replace("**", "^")
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
+def test_curvature_matches_sympy_cancel(spec):
+    start = time.perf_counter()
+    reference = Reference(spec)
+    chart = spec.to_chart()
+    parse = chart.ctx.parse
+    pairs = [(christoffel(chart), reference.gamma),
+             (riemann(chart), reference.riemann),
+             (ricci(chart), reference.ricci)]
+    for tensor, expected in pairs:
+        for idx, value in expected.items():
+            assert tensor[idx] == parse(reference.text(value)), idx
+    assert scalar_curvature(chart) == parse(reference.text(reference.kappa))
+    assert time.perf_counter() - start < TIME_LIMIT_S
+
+
+def test_the_reference_reads_exponentials_and_prints_the_grammar():
+    spec = MetricSpec(name="probe", dim=3, coords=("x", "y", "z"),
+                      params=("a",),
+                      lower_triangle=(("exp(-2*x)*a^2",), ("0", "7/2"),
+                                      ("0", "0", "exp(y)")))
+    reference = Reference(spec)
+    E_x, E_y = reference.exps[:2]
+    a = sympy.Symbol("a")
+    assert reference.g[0, 0] == a ** 2 / E_x ** 2
+    assert reference.g[1, 1] == sympy.Rational(7, 2)
+    assert reference.d(reference.g[0, 0], 0) == -2 * a ** 2 / E_x ** 2
+    ctx = spec.to_chart().ctx
+    assert (ctx.parse(reference.text(reference.g[0, 0] / E_y))
+            == ctx.parse("a^2 * exp(-2*x) * exp(-y)"))

@@ -11,15 +11,16 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import QQ, ZZ
 from sympy.polys.orderings import lex
-from sympy.polys.rings import PolyElement
+from sympy.polys.rings import PolyElement, ring
 
 from curvzoo.charts import riemann
 from curvzoo.exprs import (CANCEL_MEMO_TERMS, MAX_COEFF_BITS, MAX_DEGREE,
                            MAX_NESTING, MAX_TERMS, Context,
                            EvaluationError, ExpressionError, ModularExpr,
-                           ParseError, _cancel, _normalized, combine,
-                           differentiate, evaluate_rational, is_zero,
-                           residue, residue_powers)
+                           ParseError, _cancel, _normalized, _primitive,
+                           _rational_form, combine, differentiate,
+                           evaluate_rational, is_zero, residue,
+                           residue_powers)
 from curvzoo.metrics import builtin
 from curvzoo.zoo import ORACLE_PRIME
 
@@ -217,6 +218,10 @@ def cancel_context():
 
 # Ring positions of CANCEL_CTX's generators: x1, x2, exp(x1), exp(x2), a.
 CANCEL_CTX = cancel_context()
+#: CANCEL_CTX's generators over Q, in grevlex order: the ring of the
+#: reference, built here rather than taken from the kernel.
+REFERENCE_RING = ring([str(s) for s in CANCEL_CTX.ring.symbols], QQ,
+                      order="grevlex")[0]
 ALL_GENERATORS = (0, 1, 2, 3, 4)
 GENERATOR_FAMILIES = [(2,), (0, 2), (1, 4), ALL_GENERATORS]
 #: Numerator and denominator generators with none in common.
@@ -225,18 +230,19 @@ DISJOINT_FAMILIES = [((0,), (2,)), ((0, 2), (1, 3)), ((4,), (0, 1, 2, 3))]
 
 @st.composite
 def polynomials(draw, positions):
-    """A nonzero polynomial of 1 to 3 terms in the given generators; one
-    term is a monomial.  Over every generator, each one occurs."""
-    ring = CANCEL_CTX.ring
+    """A nonzero integer polynomial of 1 to 3 terms in the given generators;
+    one term is a monomial.  Over every generator, each one occurs.  The
+    coefficients need not be coprime, and any of them may be negative."""
+    chart_ring = CANCEL_CTX.ring
     terms = {}
     for t in range(draw(st.integers(1, 3))):
-        monom = [0] * ring.ngens
+        monom = [0] * chart_ring.ngens
         for pos in positions:
             low = 1 if positions == ALL_GENERATORS and t == 0 else 0
             monom[pos] = draw(st.integers(low, 2))
-        terms[tuple(monom)] = QQ(draw(st.integers(-5, 5).filter(bool)),
-                                 draw(st.integers(1, 4)))
-    return ring.from_dict(terms)
+        terms[tuple(monom)] = draw(st.sampled_from([1, 2, 3, 4, 6, 12])) \
+            * draw(st.integers(-5, 5).filter(bool))
+    return chart_ring.from_dict(terms)
 
 
 @st.composite
@@ -259,22 +265,50 @@ FRACTIONS = st.one_of(fractions_with_common_factor(),
                       fractions_without_common_generator())
 
 
+def over_q(p):
+    """A chart-ring polynomial or a rational form's dict, in
+    REFERENCE_RING."""
+    return REFERENCE_RING.from_dict(dict(p))
+
+
 def reference_canonical(num, den):
-    """Cancel with PolyElement.gcd and quo in the full ring, then make the
-    denominator monic."""
-    ring = CANCEL_CTX.ring
+    """Cancel with PolyElement.gcd and quo in the full ring over Q, then make
+    the denominator monic: num and den may be chart-ring or REFERENCE_RING
+    polynomials."""
+    num, den = over_q(num), over_q(den)
     if not num:
-        return ring.zero, ring.one
+        return REFERENCE_RING.zero, REFERENCE_RING.one
     g = num.gcd(den)
     num, den = num.quo(g), den.quo(g)
     lc = den.LC
     return num.quo_ground(lc), den.quo_ground(lc)
 
 
+def assert_invariants(e):
+    """e is stored as content * num / den with num and den integer
+    polynomials of the chart ring, primitive, coprime and with positive
+    coefficients at their lex-largest exponent tuples; zero is 0 * 0 / 1."""
+    ctx = e.ctx
+    assert e.num.ring == e.den.ring == ctx.ring and ctx.ring.domain == ZZ
+    assert isinstance(e.content, QQ.dtype)
+    if not e.num:
+        assert (e.content, e.den) == (0, ctx.ring.one)
+        return
+    assert e.content
+    for p in (e.num, e.den):
+        assert all(ZZ.of_type(c) for c in p.values())
+        assert p.content() == 1                        # primitive
+        assert p[max(p)] > 0                           # lex-leading > 0
+    assert e.num.gcd(e.den) == ctx.ring.one            # coprime over Z
+
+
 def assert_canonical(e, num, den):
-    assert (e.num, e.den) == (num, den)
-    assert e.den.LC == QQ.one
-    assert e.num.gcd(e.den).is_ground  # a unit: coprime over Q
+    """e satisfies the kernel's invariants, and its rational form (den monic
+    under grevlex) is (num, den)."""
+    assert_invariants(e)
+    form = _rational_form(e)
+    assert form == (dict(num), dict(den))
+    assert over_q(form[1]).LC == QQ.one
 
 
 CANCEL_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
@@ -307,9 +341,11 @@ def on_gcd_path(f, g):
     return len(f) > 1 and len(g) > 1 and any(shared)
 
 
-#: Canonical values of FRACTIONS, and points for CANCEL_CTX's atoms.
-CANCEL_EXPRS = FRACTIONS.map(lambda fraction: _normalized(CANCEL_CTX,
-                                                          *fraction))
+#: Canonical values of FRACTIONS times rational constants, and points for
+#: CANCEL_CTX's atoms.
+CANCEL_EXPRS = st.builds(
+    lambda fraction, p, q: _normalized(CANCEL_CTX, *fraction) * Fraction(p, q),
+    FRACTIONS, st.integers(-6, 6).filter(bool), st.integers(1, 6))
 CANCEL_POINTS = st.tuples(*[st.builds(Fraction, st.integers(-30, 30),
                                       st.integers(1, 12))
                             for _ in CANCEL_CTX.atoms]).map(
@@ -331,18 +367,29 @@ class TestCancellation:
                          *reference_canonical(num, den))
 
     @CANCEL_SETTINGS
-    @given(FRACTIONS, FRACTIONS)
-    def test_arithmetic_matches_reference(self, first, second):
-        a = _normalized(CANCEL_CTX, *first)
-        b = _normalized(CANCEL_CTX, *second)
-        assert_canonical(a + b, *reference_canonical(
-            a.num * b.den + b.num * a.den, a.den * b.den))
-        assert_canonical(a - b, *reference_canonical(
-            a.num * b.den - b.num * a.den, a.den * b.den))
-        assert_canonical(a * b, *reference_canonical(a.num * b.num,
-                                                     a.den * b.den))
-        assert_canonical(a / b, *reference_canonical(a.num * b.den,
-                                                     a.den * b.num))
+    @given(CANCEL_EXPRS, CANCEL_EXPRS)
+    def test_arithmetic_matches_reference(self, a, b):
+        an, ad = map(over_q, _rational_form(a))
+        bn, bd = map(over_q, _rational_form(b))
+        assert_canonical(a + b, *reference_canonical(an * bd + bn * ad,
+                                                     ad * bd))
+        assert_canonical(a - b, *reference_canonical(an * bd - bn * ad,
+                                                     ad * bd))
+        assert_canonical(a * b, *reference_canonical(an * bn, ad * bd))
+        assert_canonical(a / b, *reference_canonical(an * bd, ad * bn))
+
+    @PROPERTY_SETTINGS
+    @given(CANCEL_EXPRS, CANCEL_EXPRS, st.integers(-3, 3))
+    def test_every_operation_returns_canonical_values(self, a, b, k):
+        ctx = CANCEL_CTX
+        results = [a + b, a - b, b - a, a * b, a / b, b / a, -a, a ** k,
+                   a + ctx.rational(3, 7), a * Fraction(-5, 2), 2 - a,
+                   (a * a).sqrt(), a.sqrt() or ctx.zero]
+        results += [differentiate(a, i) for i in range(ctx.n)]
+        results += [combine(a, b, op) for op in ("add", "sub", "mul", "div")]
+        for e in results:
+            assert_invariants(e)
+        assert (a * a).sqrt() in (a, -a)
 
     def test_ex5_4_gcds_run_in_smaller_rings(self):
         # g11 = exp(x1) + 1: no gcd should need the chart's other atoms.
@@ -393,11 +440,13 @@ class TestCancellationMemo:
     def test_memo_hit_matches_reference_and_fresh_context(self, fraction):
         num, den = fraction
         ctx = cancel_context()
-        _cancel(ctx, num, den)
+        # _normalized cancels the primitive parts.
+        key = _primitive(num)[1], _primitive(den)[1]
+        _cancel(ctx, *key)
         with gcd_rings() as rings:
             hit = _normalized(ctx, num, den)
         assert rings == []
-        assert ((num, den) in ctx._cancelled) == on_gcd_path(num, den)
+        assert (key in ctx._cancelled) == on_gcd_path(num, den)
         fresh = _normalized(cancel_context(), num, den)
         assert (hit.num, hit.den) == (fresh.num, fresh.den)
         assert_canonical(hit, *reference_canonical(num, den))

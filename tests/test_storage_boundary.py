@@ -9,6 +9,10 @@ static checks fail when a module imports numpy at module level, uses `np.`
 outside that view or reads `.array` outside charts.py, and when tests or
 demos read the view outside its own test; a subprocess check confirms that
 a fresh `import curvzoo` and a classification leave numpy unloaded.
+
+Polynomial storage is confined the same way: only curvzoo.exprs imports
+sympy, so the other modules reach polynomials only through Expr and
+Context methods.
 """
 
 import ast
@@ -43,6 +47,18 @@ def _is_numpy_import(node: ast.AST) -> list[str]:
     else:
         return []
     return [name for name in names if name.split(".")[0] == "numpy"]
+
+
+def imported_packages(source: str) -> set[str]:
+    """The top-level packages that source imports, anywhere in it; relative
+    imports count as the empty name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            found.add("" if node.level else (node.module or "").split(".")[0])
+    return found
 
 
 def _uses_numpy(node: ast.AST) -> bool:
@@ -110,6 +126,23 @@ def test_every_module_is_checked():
                                          "zoo.py", "exprs.py"}
     assert {p.name for p in READERS} >= {"test_charts.py",
                                          "02_curvature_pipeline.py"}
+
+
+def test_the_import_check_sees_every_form():
+    assert imported_packages("import sympy\n"
+                             "from sympy.polys.domains import QQ\n"
+                             "def f():\n    import sympy.polys as sp\n"
+                             "from .exprs import Expr\n"
+                             "import json, numbers\n") == {
+        "sympy", "", "json", "numbers"}
+    assert "sympy" not in imported_packages("import sympyx\nx = sympy\n")
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_only_exprs_imports_sympy(path):
+    uses = "sympy" in imported_packages(path.read_text(encoding="utf-8"))
+    assert uses == (path.name == "exprs.py")
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
