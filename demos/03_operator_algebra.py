@@ -8,7 +8,7 @@ about proportionality between these actions.
 """
 
 from curvzoo import (build_chart, check_gct, check_second_bianchi,
-                     derived_tensor, dot_action, kulkarni_nomizu, ricci,
+                     dot_action, kulkarni_nomizu, named_tensor, ricci,
                      riemann, solve_proportionality, tachibana,
                      walker_cyclic_check)
 
@@ -30,7 +30,7 @@ print("S^S =", "0" if kulkarni_nomizu(S, S).is_zero() else "nonzero",
 
 print("\n== derived curvature tensors ==")
 for name in ("G", "C", "K", "conh", "P"):
-    T = derived_tensor(chart, name)
+    T = named_tensor(chart, name)
     axioms = check_gct(T)
     print(f"  {name:4} zero={T.is_zero()!s:5} "
           f"first_bianchi={axioms['first_bianchi']!s:5} "

@@ -20,24 +20,24 @@ from .classifiers import (ClassifierVerdict, ProportionalityResult,
                           check_semisymmetric, check_torseforming,
                           classify_deszcz, classify_generalized_roter,
                           classify_roter, compute_J, corollary_decomposition,
-                          expr_sqrt, form_recurrence_b4,
-                          form_recurrence_checks, is_codazzi,
-                          is_cyclic_parallel, normalize_weak_solution,
+                          form_recurrence_b4, form_recurrence_checks,
+                          is_codazzi, is_cyclic_parallel,
+                          normalize_weak_solution,
                           solve_chaki, solve_linear_combination,
                           solve_proportionality, solve_quasi_einstein,
                           solve_recurrence, solve_weak_Z,
                           solve_weak_symmetry_04, theorem_residual)
 from .exprs import (Atom, Context, EvaluationError, ExpressionError, Expr,
-                    ParseError, combine, differentiate, evaluate_rational,
-                    is_zero, parse_expression)
-from .linsolve import (InternalInconsistencyError, SolutionSpace, solve_dense,
-                       solve_linear_system, verify_solution_space)
+                    ParseError, differentiate, evaluate_rational,
+                    parse_expression)
+from .linsolve import (InternalInconsistencyError, SolutionSpace,
+                       solve_linear_system)
 from .metrics import (BUILTINS, MetricFileError, MetricSpec, builtin,
                       list_builtins, load_metric_file, resolve_metric,
                       save_metric_file)
 from .operators import (check_gct, check_second_bianchi, concircular,
-                        conharmonic, derived_tensor, dot_action,
-                        gaussian_tensor, is_gct, is_proper_gct,
+                        conharmonic, dot_action, gaussian_tensor, is_gct,
+                        is_proper_gct,
                         kulkarni_nomizu, named_tensor, oneform_dot,
                         projective, tachibana, walker_cyclic_check,
                         weyl_conformal)

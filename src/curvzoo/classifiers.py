@@ -280,15 +280,17 @@ def chaki_residual_zero(chart: Chart, T: Union[Tensor, str],
     k = T.valence[1]
     # phi . T stores its derivative-direction slot last; move it first.
     correction = oneform_dot(phi, T).permuted((*range(1, k + 1), 0))
-    return (nablaT - _outer_first(chart, phi, T).scaled(2)
-            + correction).is_zero()
+    return (nablaT - _outer(phi, T).scaled(2) + correction).is_zero()
 
 
-def _outer_first(chart: Chart, alpha: OneForm, T: Tensor) -> Tensor:
-    """(alpha (x) T)[x, I] = alpha_x T_I (derivative-style slot first)."""
-    return Tensor.from_terms(chart, (0, T.rank + 1), (
-        ((x,) + I, a * t) for x, a in enumerate(alpha) if not a.is_zero
-        for I, t in T.nonzero_items()))
+def _outer(A: Union[Tensor, OneForm], B: Union[Tensor, OneForm]) -> Tensor:
+    """(A (x) B)[I, J] = A_I B_J, over the supports of two covariant
+    tensors; a 1-form is taken as a (0,1) tensor."""
+    A, B = (Tensor(X.chart, (0, 1), {(i,): c for i, c in enumerate(X)})
+            if isinstance(X, OneForm) else X for X in (A, B))
+    return Tensor.from_terms(A.chart, (0, A.rank + B.rank), (
+        (I + J, a * b) for I, a in A.nonzero_items()
+        for J, b in B.nonzero_items()))
 
 
 def solve_recurrence(chart: Chart, T: Union[Tensor, str]) -> SolverOutcome:
@@ -668,63 +670,35 @@ def _minor_quadratics(chart: Chart, S: Tensor):
             yield [c0, c1, c2]
 
 
-def _poly_degree(coeffs: list[Expr]) -> int:
-    deg = -1
-    for d, c in enumerate(coeffs):
-        if not c.is_zero:
-            deg = d
-    return deg
+def _common_roots(quadratics) -> Optional[list[Expr]]:
+    """The common roots in the expression field of quadratics [c0, c1, c2]
+    in a, or None when they have no common root or all of them vanish.
 
-
-def _poly_mod(a: list[Expr], b: list[Expr], ctx) -> list[Expr]:
-    a = list(a)
-    db = _poly_degree(b)
-    lead = b[db]
-    while _poly_degree(a) >= db:
-        da = _poly_degree(a)
-        factor = a[da] / lead
-        for i in range(db + 1):
-            a[da - db + i] = a[da - db + i] - factor * b[i]
-        a[da] = ctx.zero  # force exact cancellation of the leading term
-    return a
-
-
-def _poly_gcd_univariate(polys, ctx) -> list[Expr]:
-    """Monic GCD of univariate polynomials with Expr coefficients."""
-    g: Optional[list[Expr]] = None
-    for p in polys:
-        if _poly_degree(p) < 0:
-            continue
-        g = list(p) if g is None else g
-        a, b = g, list(p)
-        while _poly_degree(b) >= 0:
-            a, b = b, _poly_mod(a, b, ctx)
-        g = a
-        if _poly_degree(g) == 0:
-            break
-    if g is None:
-        return []
-    dg = _poly_degree(g)
-    lead = g[dg]
-    return [c / lead for c in g[:dg + 1]]
-
-
-def expr_sqrt(e: Expr) -> Optional[Expr]:
-    """Exact square root within the expression field, or None.
-
-    The package's exported name for Expr.sqrt."""
-    return e.sqrt()
+    A common root a gives the solution (u, v) = (a, a^2) of the rows
+    c1 u + c2 v = -c0.  An inconsistent system has no common root.  A
+    unique solution gives one exactly when v = u^2.  A one-dimensional
+    family means every quadratic is a multiple of one, whose roots these
+    are ([] when they are not in the expression field).
+    """
+    quadratics = [q for q in quadratics if not all(c.is_zero for c in q)]
+    if not quadratics:
+        return None
+    ctx = quadratics[0][0].ctx
+    space = solve_linear_system((({0: c1, 1: c2}, -c0)
+                                 for c0, c1, c2 in quadratics), 2, ctx)
+    if not space.consistent:
+        return None
+    if space.is_unique:
+        u, v = space.particular
+        return [u] if (v - u * u).is_zero else None
+    return solve_scalar_roots(quadratics[0])
 
 
 def solve_scalar_roots(coeffs: list[Expr]) -> list[Expr]:
-    """Roots, within the expression field, of a polynomial of degree <= 2."""
-    ctx = coeffs[0].ctx
-    deg = _poly_degree(coeffs)
-    if deg <= 0:
-        return []
-    if deg == 1:
-        return [-coeffs[0] / coeffs[1]]
-    c0, c1, c2 = coeffs[0], coeffs[1], coeffs[2]
+    """Roots, within the expression field, of c0 + c1 a + c2 a^2."""
+    c0, c1, c2 = coeffs
+    if c2.is_zero:
+        return [] if c1.is_zero else [-c0 / c1]
     disc = c1 * c1 - 4 * c2 * c0
     root = disc.sqrt()
     if root is None:
@@ -754,8 +728,8 @@ def solve_quasi_einstein(chart: Chart) -> QuasiEinsteinResult:
     """Find a scalar a with rank(S - a g) <= 1 and factor the remainder.
 
     The vanishing of all 2x2 minors of S - a g is a family of quadratics in
-    a; their univariate GCD over the expression field carries the common
-    roots.  Roots outside the expression field are reported as absent.
+    a; their common roots come from one linear solve (_common_roots).
+    Roots outside the expression field are reported as absent.
     """
     S = ricci(chart)
     kappa = scalar_curvature(chart)
@@ -768,12 +742,10 @@ def solve_quasi_einstein(chart: Chart) -> QuasiEinsteinResult:
                                    eta=oneform(chart, [0] * n),
                                    roots=[einstein_a],
                                    notes="Einstein: S = (kappa/n) g")
-    quadratics = list(_minor_quadratics(chart, S))
-    gcd = _poly_gcd_univariate(quadratics, chart.ctx)
-    if not gcd or _poly_degree(gcd) == 0:
+    roots = _common_roots(_minor_quadratics(chart, S))
+    if roots is None:
         return QuasiEinsteinResult(found=False,
                                    notes="no common root of the minor system")
-    roots = solve_scalar_roots(gcd)
     if not roots:
         return QuasiEinsteinResult(
             found=False, roots=[],
@@ -984,20 +956,7 @@ def _integrate_single_coordinate(e: Expr, i: int) -> Optional[Expr]:
 
 def compute_J(chart: Chart, pi: OneForm) -> Tensor:
     """J = pi (x) pi - nabla pi as a (0,2) tensor."""
-    grad = covariant_derivative_oneform(chart, pi)
-    nonzero = [(i, p) for i, p in enumerate(pi) if not p.is_zero]
-
-    def terms():
-        for pos, (i, p) in enumerate(nonzero):
-            for j, q in nonzero[pos:]:
-                pq = p * q
-                yield (i, j), pq
-                if i != j:
-                    yield (j, i), pq
-        for idx, v in grad.nonzero_items():
-            yield idx, -v
-
-    return Tensor.from_terms(chart, (0, 2), terms())
+    return _outer(pi, pi) - covariant_derivative_oneform(chart, pi)
 
 
 def theorem_residual(chart: Chart, T: Union[Tensor, str], alpha: OneForm,
@@ -1013,11 +972,7 @@ def theorem_residual(chart: Chart, T: Union[Tensor, str], alpha: OneForm,
     RT = dot_named(chart, "R", T)
     da2 = exterior_derivative_oneform(chart, alpha).scaled(2)
     QJT = tachibana_named(chart, compute_J(chart, pi), T)
-    T = named_tensor(chart, T)
-    daT = Tensor.from_terms(chart, (0, T.rank + 2), (
-        (I + hl, d * t) for I, t in T.nonzero_items()
-        for hl, d in da2.nonzero_items()))
-    return RT - QJT - daT
+    return RT - QJT - _outer(named_tensor(chart, T), da2)
 
 
 def theorem_verdicts(chart: Chart, tensors) -> list[ClassifierVerdict]:

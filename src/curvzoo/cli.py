@@ -47,6 +47,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _name_list(value: str, flag: str) -> list[str]:
+    """The names in a comma-separated flag value; ValueError when there
+    are none."""
+    names = [name for name in value.split(",") if name]
+    if not names:
+        raise ValueError(f"{flag} needs at least one name")
+    return names
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "list-builtins":
@@ -56,9 +65,9 @@ def main(argv=None) -> int:
 
     try:
         spec = resolve_metric(args.source)
-        checks = ([c for c in args.check.split(",") if c]
-                  if args.check else None)
-        tensors = tuple(t for t in args.tensor.split(",") if t)
+        checks = (None if args.check is None
+                  else _name_list(args.check, "--check"))
+        tensors = _name_list(args.tensor, "--tensor")
         report = classify(spec, checks=checks, tensors=tensors,
                           oracle_samples=args.oracle_samples, seed=args.seed)
         text = render_report(report, format=args.format)

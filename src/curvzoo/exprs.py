@@ -16,7 +16,9 @@ each one's coefficients is 1), coprime, and each with a positive coefficient
 at its lex-largest exponent tuple; zero is ``0 * 0 / 1``.  By Gauss's lemma
 this form is unique, so structural equality of canonical forms decides
 mathematical equality, which is the zero-test every classifier in this
-package ultimately rests on.  The same value over Q with a denominator that
+package ultimately rests on: ``e.is_zero``.  Values are combined only
+through the arithmetic operators (``+ - * /`` and integer ``**``), against
+Expr, int and Fraction operands.  The same value over Q with a denominator that
 is monic under grevlex (``_rational_form``) is rebuilt on demand for
 printing, for evaluation and for the parser's coefficient-size bound; it is
 never stored.
@@ -426,7 +428,7 @@ class Expr:
 
     def __init__(self, ctx: Context, content, num, den):
         # Callers must supply a canonical (content, num, den); use
-        # combine()/_normalized to build values from raw polynomials.
+        # _normalized to build values from raw polynomials.
         self.ctx = ctx
         self.content = content
         self.num = num
@@ -444,10 +446,6 @@ class Expr:
         one = self.ctx.ring_one
         return (self.content == 1 and _same(self.num, one)
                 and _same(self.den, one))
-
-    @property
-    def is_rational_constant(self) -> bool:
-        return self.num.is_ground and _same(self.den, self.ctx.ring_one)
 
     def is_constant(self) -> bool:
         """True when no coordinate or exponential atom occurs (parameters ok)."""
@@ -578,9 +576,6 @@ class Expr:
     def diff(self, coord: Union[int, str]) -> "Expr":
         return differentiate(self, coord)
 
-    def evaluate(self, assignment: Mapping[Atom, Number]) -> Fraction:
-        return evaluate_rational(self, assignment)
-
     def __str__(self):
         return _format_expr(self)
 
@@ -683,33 +678,6 @@ def _int_pow(a: Expr, k: int) -> Expr:
     if k > 0:
         return Expr(ctx, a.content ** k, a.num ** k, a.den ** k)
     return Expr(ctx, (1 / a.content) ** (-k), a.den ** (-k), a.num ** (-k))
-
-
-_COMBINE = {"add": _add,
-            "sub": lambda a, b: _add(a, _neg(b)),
-            "mul": _mul,
-            "div": _div}
-
-
-def combine(a: Expr, b: Union[Expr, int], op: str) -> Expr:
-    """Apply one of {add, sub, mul, div, int_pow} canonically."""
-    if op == "int_pow":
-        if isinstance(b, Expr):
-            if not b.is_rational_constant or b.content.denominator != 1:
-                raise ExpressionError("int_pow exponent must be an integer")
-            b = int(b.content.numerator)
-        return _int_pow(a, b)
-    try:
-        fn = _COMBINE[op]
-    except KeyError:
-        raise ExpressionError(f"unknown operation {op!r}") from None
-    b = _coerce(a.ctx, b)
-    return fn(a, b)
-
-
-def is_zero(e: Expr) -> bool:
-    """True iff the canonical numerator is the zero polynomial."""
-    return e.is_zero
 
 
 def _poly_diff(ctx: Context, poly, i: int):

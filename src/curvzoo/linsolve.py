@@ -2,19 +2,19 @@
 
 Every pseudosymmetry-type classifier reduces to an (often very overdetermined)
 linear system whose coefficients are canonical expressions.  Rows are kept
-sparse and reduced incrementally against a maintained reduced echelon basis,
-which keeps intermediate expressions small; pivoting is by fixed column order
-so results are deterministic.  The solution set is returned as an affine
-space: one particular solution plus a basis of the homogeneous kernel.
-Every verdict that rests on a solve is certified by certify(): the solution
-is back-substituted into the rows it came from, and the rows are kept as an
-Identity for the randomized oracle (see zoo).
+sparse and reduced incrementally against a maintained, fully reduced echelon
+basis, so one pass over a new row's pivot columns reduces it; pivoting is by
+fixed column order so results are deterministic.  solve_linear_system is the
+one solver.  The solution set is returned as an affine space: one particular
+solution plus a basis of the homogeneous kernel.  Every verdict that rests on
+a solve is certified by certify(), the one back-substitution guard: the
+solution is back-substituted into the rows it came from, and the rows are
+kept as an Identity for the randomized oracle (see zoo).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import islice
 from typing import Iterable, Optional, Sequence
 
@@ -81,22 +81,6 @@ class Identity:
     name: str
     rows: list
     values: list
-
-    @cached_property
-    def _indexed(self) -> tuple[list, list, list]:
-        """(distinct Exprs, values, rows) with every Expr as its index in
-        the first list and each row as ([(coefficient, value position)],
-        rhs).  Built on first use, so rows and values must not change
-        after the oracle has seen the identity."""
-        index: dict[Expr, int] = {}
-
-        def slot(e: Expr) -> int:
-            return index.setdefault(e, len(index))
-
-        values = [slot(v) for v in self.values]
-        rows = [([(slot(c), j) for j, c in coeffs.items()], slot(rhs))
-                for coeffs, rhs in self.rows]
-        return list(index), values, rows
 
 
 def solve_linear_system(rows: Iterable[tuple[dict[int, Expr], Expr]],
@@ -173,38 +157,22 @@ def solve_linear_system(rows: Iterable[tuple[dict[int, Expr], Expr]],
 
 def _reduce_row(row: dict[int, Expr], pivots: dict[int, dict[int, Expr]],
                 rhs_col: int) -> dict[int, Expr]:
-    changed = True
-    while changed:
-        changed = False
-        for col in list(row):
-            if col == rhs_col:
-                continue
-            prow = pivots.get(col)
-            if prow is None:
-                continue
-            factor = row[col]
-            for j, v in prow.items():
-                upd = row.get(j)
-                upd = -factor * v if upd is None else upd - factor * v
-                if upd.is_zero:
-                    row.pop(j, None)
-                else:
-                    row[j] = upd
-            changed = True
+    """row minus its multiples of the pivot rows, in one pass: the basis is
+    fully reduced, so subtracting a pivot row brings in no other pivot
+    column."""
+    for col in list(row):
+        prow = pivots.get(col) if col != rhs_col else None
+        if prow is None:
+            continue
+        factor = row[col]
+        for j, v in prow.items():
+            upd = row.get(j)
+            upd = -factor * v if upd is None else upd - factor * v
+            if upd.is_zero:
+                row.pop(j, None)
+            else:
+                row[j] = upd
     return row
-
-
-def solve_dense(matrix: Sequence[Sequence[Expr]], rhs: Sequence[Expr],
-                ctx: Context,
-                names: Optional[Sequence[str]] = None) -> SolutionSpace:
-    """Dense-matrix convenience wrapper around solve_linear_system."""
-    n_unknowns = len(matrix[0]) if matrix else 0
-
-    def rows():
-        for mrow, r in zip(matrix, rhs):
-            yield {j: c for j, c in enumerate(mrow)}, r
-
-    return solve_linear_system(rows(), n_unknowns, ctx, names)
 
 
 def satisfies(rows: Iterable[tuple[dict[int, Expr], Expr]],
@@ -221,40 +189,26 @@ def satisfies(rows: Iterable[tuple[dict[int, Expr], Expr]],
     return True
 
 
-def verify_solution_space(space: SolutionSpace,
-                          rows: Iterable[tuple[dict[int, Expr], Expr]]
-                          ) -> None:
-    """Back-substitute the particular solution and basis into the system.
-
-    By linearity this certifies every member of the affine space.  Raises
-    InternalInconsistencyError on any nonzero residual.
-    """
-    if not space.consistent:
-        return
-    rows = list(rows)
-    if not satisfies(rows, space.particular):
-        raise InternalInconsistencyError(
-            "particular solution fails back-substitution")
-    if not all(satisfies(rows, vec, homogeneous=True) for vec in space.basis):
-        raise InternalInconsistencyError(
-            "homogeneous basis vector fails back-substitution")
-
-
 def certify(name: str, rows: Iterable[tuple[dict[int, Expr], Expr]],
             values: Sequence[Expr],
             guard: Optional[SolutionSpace] = None) -> Identity:
     """The identity that certifies verdict `name`: its first
     MAX_IDENTITY_COMPONENTS rows that are not 0 = 0, with values.
 
-    With a guard space, that space is first back-substituted into every row
-    (InternalInconsistencyError, naming the verdict, on failure).
+    With a guard space (a consistent one), its particular solution and
+    every basis vector are first back-substituted into every row, which by
+    linearity certifies every member of the space
+    (InternalInconsistencyError, naming the verdict, on a nonzero residual).
     """
     if guard is not None:
         rows = list(rows)
-        try:
-            verify_solution_space(guard, rows)
-        except InternalInconsistencyError as err:
-            raise InternalInconsistencyError(f"{name}: {err}") from None
+        if not satisfies(rows, guard.particular):
+            raise InternalInconsistencyError(
+                f"{name}: particular solution fails back-substitution")
+        if not all(satisfies(rows, vec, homogeneous=True)
+                   for vec in guard.basis):
+            raise InternalInconsistencyError(
+                f"{name}: homogeneous basis vector fails back-substitution")
     kept = ((c, r) for c, r in rows if c or not r.is_zero)
     return Identity(name, list(islice(kept, MAX_IDENTITY_COMPONENTS)),
                     list(values))

@@ -18,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
+# ricci_square is reached only through _NAMED, looked up by name.
 from .charts import (CURVATURE_SYMMETRIES, Chart, OneForm, Tensor,
                      covariant_derivative, lowered_to_operator, ricci,
                      ricci_square, riemann, scalar_curvature)
@@ -107,18 +108,12 @@ def projective(chart: Chart) -> Tensor:
     return chart.cached("P", compute)
 
 
-_DERIVED = {"G": gaussian_tensor, "C": weyl_conformal, "K": concircular,
-            "conh": conharmonic, "P": projective}
-
-
-def derived_tensor(chart: Chart, which: str) -> Tensor:
-    """One of the named curvature tensors: G, C, K, conh, P (R via riemann)."""
-    try:
-        return _DERIVED[which](chart)
-    except KeyError:
-        raise ValueError(f"unknown tensor name {which!r}") from None
-
-
+#: The function of the chart that computes each plainly named tensor other
+#: than g.  It is looked up by name in this module when named_tensor() runs,
+#: as a direct call would be, so a replaced module attribute takes effect.
+_NAMED = {"R": "riemann", "S": "ricci", "S2": "ricci_square",
+          "G": "gaussian_tensor", "C": "weyl_conformal", "K": "concircular",
+          "conh": "conharmonic", "P": "projective"}
 #: The factors A, B of the named Kulkarni-Nomizu products "A^B".
 _KN_FACTORS = ("g", "S", "S2")
 
@@ -133,18 +128,12 @@ def named_tensor(chart: Chart, T: Union[Tensor, str]) -> Tensor:
     """
     if isinstance(T, Tensor):
         return T
-    if T == "R":
-        return riemann(chart)
-    if T == "S":
-        return ricci(chart)
-    if T == "S2":
-        return ricci_square(chart)
     if T == "g":
         return chart.g
+    if T in _NAMED:
+        return globals()[_NAMED[T]](chart)
     A, hat, B = T.partition("^")
-    if not hat:
-        return derived_tensor(chart, T)
-    if A not in _KN_FACTORS or B not in _KN_FACTORS:
+    if not hat or A not in _KN_FACTORS or B not in _KN_FACTORS:
         raise ValueError(f"unknown tensor name {T!r}")
     # A product of two symmetric tensors is an algebraic curvature tensor;
     # the constructor checks the declared symmetries on the full product.

@@ -5,15 +5,17 @@ order, on a chart and collects verdicts with symbolic witnesses.  Every
 positive verdict carries the linear identity that certifies it (see
 linsolve.certify); oracle_crosscheck() re-evaluates those identities at
 seeded random rational points reduced modulo the prime p = 2^61 - 1 and
-counts disagreements.  It compiles each distinct value once per call
-(exprs.ModularExpr: every coefficient reduced mod p), draws each point
-straight as residues, and inverts all the denominators of a point with a
-single modular inversion.  Atoms are algebraically independent,
-so independent substitution is a sound randomized zero test, and reduction
-mod p is a ring homomorphism: a true identity never disagrees, so a nonzero
-count means a canonicalization or solver bug, never a sampling artifact.  A
-false identity escapes one sample only when the point is a root of its
-residual or p divides the residual's value (Schwartz-Zippel).
+counts disagreements.  The values of every identity lie in the chart's
+context; the oracle numbers the distinct ones and compiles each once per
+call (exprs.ModularExpr: every coefficient reduced mod p), draws each point
+straight as residues over the chart's atoms, and inverts all the
+denominators of a point with a single modular inversion.  Atoms are
+algebraically independent, so independent substitution is a sound
+randomized zero test, and reduction mod p is a ring homomorphism: a true
+identity never disagrees, so a nonzero count means a canonicalization or
+solver bug, never a sampling artifact.  A false identity escapes one sample
+only when the point is a root of its residual or p divides the residual's
+value (Schwartz-Zippel).
 
 Reports are plain data: rendering to text or JSON is stable and
 deterministic, so repeated runs with the same seed are byte-identical.
@@ -194,37 +196,43 @@ def classify(spec_or_chart: Union[MetricSpec, Chart],
 
 @dataclass
 class _CompiledIdentity:
-    """An Identity with every distinct value compiled mod ORACLE_PRIME.
+    """An Identity with every distinct Expr numbered and compiled mod
+    ORACLE_PRIME.
 
-    values[k] is the ModularExpr of the k-th distinct Expr of
-    identity._indexed and layout[k] the position of its context in
-    contexts; degrees[c] is the highest exponent of each ring position of
-    contexts[c] over those values."""
+    values[k] is the ModularExpr of the k-th distinct Expr, numbered in
+    the order lazy evaluation first needs them: the solution values, then
+    each row's coefficients and rhs.  slots gives the number of each
+    solution value, and rows each row as ([(coefficient number, value
+    position)], rhs number).  degrees is the highest exponent of each ring
+    position of the chart's context over values."""
 
-    identity: Identity
     values: list
-    layout: list
-    contexts: list
+    slots: list
+    rows: list
     degrees: list
 
 
 def _compile(identity: Identity, compiled: dict) -> _CompiledIdentity:
-    """Compile each distinct value of identity once, sharing the entries of
-    compiled (Expr -> ModularExpr) with the other identities of one
-    oracle_crosscheck call."""
+    """Number and compile the distinct Exprs of identity, each compiled
+    once; compiled (Expr -> ModularExpr) is shared with the other
+    identities of one oracle_crosscheck call.  Every value lies in the
+    context of one chart."""
+    index: dict[Expr, int] = {}
+
+    def slot(e: Expr) -> int:
+        return index.setdefault(e, len(index))
+
+    slots = [slot(v) for v in identity.values]
+    rows = [([(slot(c), j) for j, c in coeffs.items()], slot(rhs))
+            for coeffs, rhs in identity.rows]
     values = []
-    for e in identity._indexed[0]:
+    for e in index:
         m = compiled.get(e)
         if m is None:
             m = compiled[e] = ModularExpr(e, ORACLE_PRIME)
         values.append(m)
-    positions: dict = {}
-    layout = [positions.setdefault(m.ctx, len(positions)) for m in values]
-    contexts = list(positions)
-    degrees = [[0] * len(ctx.atoms) for ctx in contexts]
-    for m, c in zip(values, layout):
-        degrees[c] = list(map(max, degrees[c], m.degrees))
-    return _CompiledIdentity(identity, values, layout, contexts, degrees)
+    degrees = [max(column) for column in zip(*(m.degrees for m in values))]
+    return _CompiledIdentity(values, slots, rows, degrees)
 
 
 def _inverses(residues: Sequence[int]) -> list[int]:
@@ -274,16 +282,17 @@ def check_identity_at(identity: Union[Identity, _CompiledIdentity],
     """
     if isinstance(identity, Identity):
         identity = _compile(identity, {})
-    _, value_slots, rows = identity.identity._indexed
+    if not identity.values:
+        return True     # no Exprs, so no rows
     p = ORACLE_PRIME
-    tables = [residue_powers(ctx, point, p, degrees)
-              for ctx, degrees in zip(identity.contexts, identity.degrees)]
+    table = residue_powers(identity.values[0].ctx, point, p,
+                           identity.degrees)
     residues = []
     fractions = []      # (position, numerator, denominator != 1)
     failure = None
-    for m, c in zip(identity.values, identity.layout):
+    for m in identity.values:
         try:
-            num, den = m.at(tables[c])
+            num, den = m.at(table)
         except ExpressionError as exc:
             failure = exc
             break
@@ -298,10 +307,10 @@ def check_identity_at(identity: Union[Identity, _CompiledIdentity],
     # needs them, so the values before a failure are exactly those a lazy
     # check computes before it reaches the failing one.
     known = len(residues)
-    if any(k >= known for k in value_slots):
+    if any(k >= known for k in identity.slots):
         raise failure
-    values = [residues[k] for k in value_slots]
-    for coeffs, rhs in rows:
+    values = [residues[k] for k in identity.slots]
+    for coeffs, rhs in identity.rows:
         total = 0
         for k, j in coeffs:
             if k >= known:
@@ -314,7 +323,7 @@ def check_identity_at(identity: Union[Identity, _CompiledIdentity],
     return True
 
 
-def oracle_crosscheck(report: Report, chart: Optional[Chart] = None,
+def oracle_crosscheck(report: Report, chart: Chart,
                       samples: int = DEFAULT_SAMPLES,
                       seed: int = DEFAULT_SEED) -> OracleSummary:
     """Re-evaluate every certified identity at seeded random rational points.
@@ -328,22 +337,13 @@ def oracle_crosscheck(report: Report, chart: Optional[Chart] = None,
     check_identity_at, called once per point).  Points are resampled on
     denominators that vanish mod p, up to MAX_DENOMINATOR_RETRIES per
     identity, after which that identity is marked inconclusive.
-    Deterministic for a fixed seed.  The chart argument is optional; the
-    atom inventory is otherwise taken from the identities themselves.
+    Deterministic for a fixed seed.  Points assign every atom of the
+    chart, whose context holds every identity's values.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = random.Random(seed)
-    if chart is not None:
-        atoms = chart.ctx.atoms
-    else:
-        atoms = ()
-        for identity in report.identities:
-            for value in identity.values:
-                atoms = value.ctx.atoms
-                break
-            if atoms:
-                break
+    atoms = chart.ctx.atoms
     disagreements = 0
     inconclusive = 0
     checked = 0

@@ -7,9 +7,10 @@ import pytest
 
 from curvzoo.charts import (Tensor, build_chart, oneform, ricci, riemann,
                             scalar_curvature)
-from curvzoo.classifiers import (check_semisymmetric, check_torseforming,
+from curvzoo.classifiers import (_common_roots, check_semisymmetric,
+                                 check_torseforming,
                                  classify_deszcz, compute_J,
-                                 corollary_decomposition, expr_sqrt,
+                                 corollary_decomposition,
                                  form_recurrence_b4, form_recurrence_checks,
                                  is_codazzi, is_cyclic_parallel,
                                  normalize_weak_solution, solve_chaki,
@@ -383,20 +384,69 @@ class TestQuasiEinstein:
         assert not result.found
 
 
+class TestCommonRoots:
+    """Common roots of minor quadratics [c0, c1, c2] = c0 + c1 a + c2 a^2,
+    through one linear solve in (u, v) = (a, a^2)."""
+
+    @pytest.fixture
+    def x(self, conformal4):
+        return conformal4.ctx.parse("x1"), conformal4.ctx.parse("x2")
+
+    def test_proportional_square_root_not_in_field(self, x):
+        # a^2 - x1 three times over: a one-dimensional family, no root.
+        x1, x2 = x
+        one, zero = x1.ctx.one, x1.ctx.zero
+        family = [[-x1, zero, one], [-2 * x1, zero, 2 * one],
+                  [-x1 * x2, zero, x2]]
+        assert _common_roots(family) == []
+
+    def test_proportional_product_gives_both_roots(self, x):
+        # (a - x1)(a - x2), scaled by 1, -3 and exp(x1).
+        x1, x2 = x
+        base = [x1 * x2, -(x1 + x2), x1.ctx.one]
+        t = x1.ctx.exponential("x1")
+        family = [base, [-3 * c for c in base], [t * c for c in base]]
+        roots = _common_roots(family)
+        assert len(roots) == 2 and set(roots) == {x1, x2}
+
+    def test_two_quadratics_share_one_root(self, x):
+        # (a - x1)(a - x2) and (a - x1)(a + 1): a unique solution, v = u^2.
+        x1, x2 = x
+        one = x1.ctx.one
+        family = [[x1 * x2, -(x1 + x2), one], [-x1, one - x1, one]]
+        assert _common_roots(family) == [x1]
+
+    def test_linear_factors_without_common_root(self, x):
+        # a - x1 and a - x2: u = x1 and u = x2 are inconsistent.
+        x1, x2 = x
+        one, zero = x1.ctx.one, x1.ctx.zero
+        assert _common_roots([[-x1, one, zero], [-x2, one, zero]]) is None
+
+    def test_unique_solution_off_the_parabola(self, x):
+        # a^2 - x1 and a - x2: u = x2, v = x1, and x1 != x2^2.
+        x1, x2 = x
+        one, zero = x1.ctx.one, x1.ctx.zero
+        assert _common_roots([[-x1, zero, one], [-x2, one, zero]]) is None
+
+    def test_vanishing_family(self, x):
+        zero = x[0].ctx.zero
+        assert _common_roots([[zero] * 3] * 2) is None
+
+
 class TestExprSqrt:
     def test_square_detection(self, conformal4):
         ctx = conformal4.ctx
         e = ctx.parse("(x1+1)^2/(4*exp(2*x2))")
-        root = expr_sqrt(e)
+        root = e.sqrt()
         assert root is not None and root * root == e
 
     def test_non_square(self, conformal4):
-        assert expr_sqrt(conformal4.ctx.parse("x1")) is None
-        assert expr_sqrt(conformal4.ctx.parse("2")) is None
+        assert conformal4.ctx.parse("x1").sqrt() is None
+        assert conformal4.ctx.parse("2").sqrt() is None
 
     def test_rational_square(self, conformal4):
         ctx = conformal4.ctx
-        assert expr_sqrt(ctx.parse("9/4")) == ctx.parse("3/2")
+        assert ctx.parse("9/4").sqrt() == ctx.parse("3/2")
 
 
 class TestTorseforming:

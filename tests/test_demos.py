@@ -1,7 +1,11 @@
-"""Every demo script runs to completion and prints something.
+"""Every demo script runs to completion and prints its committed output.
 
 Each script in demos/ runs in its own interpreter with the package
-sources on PYTHONPATH, as a user would run it from a checkout.
+sources on PYTHONPATH, as a user would run it from a checkout, and its
+stdout must equal tests/demo_output/<script name>.txt byte for byte.  After
+a deliberate change to what a demo prints, rewrite its file with
+
+    PYTHONPATH=src python demos/<name>.py > tests/demo_output/<name>.txt
 """
 
 import os
@@ -13,10 +17,13 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+OUTPUT = Path(__file__).resolve().parent / "demo_output"
 
 
 def test_demos_are_found():
     assert DEMOS
+    assert sorted(p.stem for p in OUTPUT.glob("*.txt")) == \
+        [p.stem for p in DEMOS]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
@@ -25,6 +32,7 @@ def test_demo_runs(demo):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     done = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
+                          capture_output=True, timeout=300)
+    assert done.returncode == 0, done.stderr.decode(errors="replace")
     assert done.stdout.strip()
+    assert done.stdout == (OUTPUT / f"{demo.stem}.txt").read_bytes()

@@ -4,14 +4,26 @@ import random
 
 import pytest
 
+from curvzoo import linsolve
 from curvzoo.exprs import Context
-from curvzoo.linsolve import (InternalInconsistencyError, solve_dense,
-                              solve_linear_system, verify_solution_space)
+from curvzoo.linsolve import (InternalInconsistencyError, certify,
+                              solve_linear_system)
 
 
 @pytest.fixture(scope="module")
 def ctx():
     return Context(["x1", "x2"])
+
+
+def dense_rows(matrix, rhs):
+    """The sparse rows of the dense system matrix . u = rhs."""
+    return [({j: c for j, c in enumerate(mrow)}, r)
+            for mrow, r in zip(matrix, rhs)]
+
+
+def solve_dense(matrix, rhs, ctx):
+    return solve_linear_system(dense_rows(matrix, rhs),
+                               len(matrix[0]) if matrix else 0, ctx)
 
 
 def test_identity_system(ctx):
@@ -64,17 +76,18 @@ def test_random_systems_roundtrip(ctx):
         space = solve_dense(matrix, rhs, ctx)
         assert space.consistent
         assert space.contains(solution)
-        rows = [({j: c for j, c in enumerate(row)}, r)
-                for row, r in zip(matrix, rhs)]
-        verify_solution_space(space, rows)
+        certify("roundtrip", dense_rows(matrix, rhs), space.particular,
+                space)
 
 
 def test_verify_catches_corruption(ctx):
     x1 = ctx.parse("x1")
     space = solve_dense([[ctx.one]], [x1], ctx)
     space.particular[0] = x1 + 1
-    with pytest.raises(InternalInconsistencyError):
-        verify_solution_space(space, [({0: ctx.one}, x1)])
+    with pytest.raises(InternalInconsistencyError,
+                       match="^corrupt: particular solution fails "
+                             "back-substitution$"):
+        certify("corrupt", [({0: ctx.one}, x1)], space.particular, space)
 
 
 def test_duplicate_rows_skipped(ctx):
@@ -84,3 +97,31 @@ def test_duplicate_rows_skipped(ctx):
     assert space.is_unique
     assert space.particular == [ctx.zero, ctx.one]
     assert space.names == ("u", "v")
+
+
+def test_one_pass_clears_every_pivot_column(ctx, monkeypatch):
+    # The basis is kept fully reduced, so a single pass of _reduce_row over
+    # a new row leaves none of the basis's pivot columns in it.
+    reduce_row = linsolve._reduce_row
+    passes = []
+
+    def checked(row, pivots, rhs_col):
+        row = reduce_row(row, pivots, rhs_col)
+        passes.append(len(pivots))
+        assert not [j for j in row if j in pivots]
+        return row
+
+    monkeypatch.setattr(linsolve, "_reduce_row", checked)
+    rng = random.Random(31)
+    pool = [ctx.parse(s) for s in
+            ("1", "-1", "x1", "exp(x2)", "x1+1", "2", "x2", "1/(x1+2)",
+             "x1*x2 - 3")]
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        rows = [({j: rng.choice(pool) for j in range(n)
+                  if rng.random() < 0.7}, rng.choice(pool + [ctx.zero]))
+                for _ in range(rng.randint(1, 8))]
+        space = solve_linear_system(rows, n, ctx)
+        if space.consistent:
+            certify("random", rows, space.particular, space)
+    assert max(passes) >= 3

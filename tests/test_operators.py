@@ -16,7 +16,7 @@ from curvzoo.charts import (CURVATURE_SYMMETRIES, Tensor, build_chart,
                             ricci, riemann, scalar_curvature)
 from curvzoo.metrics import BUILTINS, builtin
 from curvzoo.operators import (check_gct, check_second_bianchi,
-                               derived_tensor, dot_action, gaussian_tensor,
+                               dot_action, gaussian_tensor,
                                is_gct, kulkarni_nomizu, named_tensor,
                                oneform_dot, projective, tachibana,
                                walker_cyclic_check, weyl_conformal)
@@ -282,7 +282,7 @@ class TestSymmetricKernels:
 class TestDerivedTensors:
     def test_flat_all_vanish(self, flat4):
         for name in ("C", "K", "conh", "P"):
-            assert derived_tensor(flat4, name).is_zero()
+            assert named_tensor(flat4, name).is_zero()
         G = gaussian_tensor(flat4)
         g = flat4.metric_tensor()
         assert G == kulkarni_nomizu(g, g).scaled(Fraction(1, 2))
@@ -310,13 +310,13 @@ class TestDerivedTensors:
     def test_gct_axioms(self, conformal4, godel):
         for chart in (conformal4, godel):
             for name in ("C", "K", "conh"):
-                assert is_gct(derived_tensor(chart, name))
+                assert is_gct(named_tensor(chart, name))
             axioms = check_gct(projective(chart))
             assert not axioms["block_interchange"]
 
     def test_unknown_name(self, flat4):
         with pytest.raises(ValueError):
-            derived_tensor(flat4, "W")
+            named_tensor(flat4, "W")
 
 
 class TestNamedTensors:

@@ -552,6 +552,14 @@ class TestCLI:
     def test_bad_tensor_exit_2(self, capsys):
         assert main(["classify", "flat3", "--tensor", "Q"]) == 2
 
+    @pytest.mark.parametrize("flag", ["--check", "--tensor"])
+    @pytest.mark.parametrize("value", [",", ""], ids=["comma", "empty"])
+    def test_empty_name_list_exit_2(self, capsys, flag, value):
+        assert main(["classify", "flat3", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} needs at least one name\n"
+
     def test_dimension_past_cap_exit_2(self, tmp_path, capsys):
         path = tmp_path / "big.json"
         path.write_text(json.dumps({"name": "big", "dim": 1000,
