@@ -9,7 +9,7 @@ about proportionality between these actions.
 
 from curvzoo import (build_chart, check_gct, check_second_bianchi,
                      dot_action, kulkarni_nomizu, named_tensor, ricci,
-                     riemann, solve_proportionality, tachibana,
+                     riemann, solve_linear_combination, tachibana,
                      walker_cyclic_check)
 
 chart = build_chart(
@@ -42,8 +42,8 @@ print("\n== actions and pseudosymmetry ==")
 RR = dot_action(R, R)
 QgR = tachibana(g, R)
 QSR = tachibana(S, R)
-prop = solve_proportionality(RR, QgR)
-print("R.R = L Q(g,R) with L =", prop.coefficient)
+L, = solve_linear_combination(RR, [QgR]).particular
+print("R.R = L Q(g,R) with L =", L)
 print("R.R = Q(S,R):", (RR - QSR).is_zero())
 
 print("\n== structural identities ==")

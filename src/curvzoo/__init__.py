@@ -13,10 +13,10 @@ from .charts import (Chart, ChartError, OneForm, Tensor, build_chart,
                      exterior_derivative_oneform, generic_rank, is_closed,
                      nabla_riemann, oneform, rank_at_most, ricci,
                      ricci_square, riemann, scalar_curvature)
-from .classifiers import (ClassifierVerdict, ProportionalityResult,
-                          QuasiEinsteinResult, RankOneDecomposition,
-                          SolverOutcome, TorseformingResult,
-                          WeakSymmetryNormalization, WeakZResult,
+from .classifiers import (ClassifierVerdict, QuasiEinsteinResult,
+                          RankOneDecomposition, SolverOutcome,
+                          TorseformingResult, WeakSymmetryNormalization,
+                          WeakZResult,
                           check_semisymmetric, check_torseforming,
                           classify_deszcz, classify_generalized_roter,
                           classify_roter, compute_J, corollary_decomposition,
@@ -24,9 +24,9 @@ from .classifiers import (ClassifierVerdict, ProportionalityResult,
                           is_codazzi, is_cyclic_parallel,
                           normalize_weak_solution,
                           solve_chaki, solve_linear_combination,
-                          solve_proportionality, solve_quasi_einstein,
-                          solve_recurrence, solve_weak_Z,
-                          solve_weak_symmetry_04, theorem_residual)
+                          solve_quasi_einstein, solve_recurrence,
+                          solve_weak_Z, solve_weak_symmetry_04,
+                          theorem_residual)
 from .exprs import (Atom, Context, EvaluationError, ExpressionError, Expr,
                     ParseError, differentiate, evaluate_rational,
                     parse_expression)

@@ -52,6 +52,7 @@ from operator import itemgetter
 from typing import ItemsView, Iterable, Mapping, Sequence, Union
 
 from .exprs import Context, Expr
+from .linsolve import solve_linear_system
 
 #: Global curvature sign relative to the commutator convention.
 CURVATURE_SIGN = -1
@@ -776,27 +777,27 @@ def covariant_derivative_oneform(chart: Chart, alpha: OneForm) -> Tensor:
 
 
 def rank_at_most(Z: Tensor, r: int) -> bool:
-    """Generic rank test: all (r+1) x (r+1) minors are canonically zero."""
-    n = Z.chart.n
-    if not 0 <= r <= n:
+    """Generic rank test: rank Z <= r over the expression field (see
+    generic_rank; ValueError when r is not in 0..n)."""
+    if not 0 <= r <= Z.chart.n:
         raise ValueError("rank bound out of range")
-    if r == n:
-        return True
-    ctx = Z.chart.ctx
-    matrix = [[Z[i, j] for j in range(n)] for i in range(n)]
-    size = r + 1
-    for rows in itertools.combinations(range(n), size):
-        for cols in itertools.combinations(range(n), size):
-            if not _minor(matrix, rows, cols, ctx).is_zero:
-                return False
-    return True
+    return generic_rank(Z) <= r
 
 
 def generic_rank(Z: Tensor) -> int:
-    for r in range(Z.chart.n + 1):
-        if rank_at_most(Z, r):
-            return r
-    return Z.chart.n
+    """The rank over the expression field of a rank-2 tensor read as the
+    matrix Z[i, j]: n minus the dimension of the kernel that one
+    solve_linear_system call finds over its rows (ValueError when Z is not
+    of rank 2)."""
+    if Z.rank != 2:
+        raise ValueError(f"generic rank needs a rank-2 tensor, not rank "
+                         f"{Z.rank}")
+    n, ctx = Z.chart.n, Z.chart.ctx
+    rows: list[dict[int, Expr]] = [{} for _ in range(n)]
+    for (i, j), value in Z.nonzero_items():
+        rows[i][j] = value
+    kernel = solve_linear_system(((row, ctx.zero) for row in rows), n, ctx)
+    return n - kernel.dimension
 
 
 def oneform(chart: Chart, entries: Sequence[Union[str, Expr, int]]) -> OneForm:

@@ -107,37 +107,6 @@ def _solve(chart: Chart, rows, names: Sequence[str],
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ProportionalityResult:
-    kind: str                      # "proportional" | "none" | "degenerate"
-    coefficient: Optional[Expr] = None
-
-    @property
-    def found(self) -> bool:
-        return self.kind == "proportional"
-
-
-def solve_proportionality(lhs: Tensor, rhs: Tensor) -> ProportionalityResult:
-    """Find L with lhs = L * rhs componentwise, if it exists.
-
-    Pivots on the first canonically nonzero rhs component in index order and
-    verifies every component where either side is nonzero; both-zero input
-    is degenerate (the condition's defining set is empty).
-    """
-    if lhs.valence != rhs.valence:
-        raise ValueError("tensors must have the same valence")
-    if rhs.is_zero():
-        if lhs.is_zero():
-            return ProportionalityResult("degenerate")
-        return ProportionalityResult("none")
-    idx, val = next(iter(rhs.nonzero_items()))
-    L = lhs[idx] / val
-    for jdx in _support_union(lhs, rhs):
-        if not (lhs[jdx] - L * rhs[jdx]).is_zero:
-            return ProportionalityResult("none")
-    return ProportionalityResult("proportional", L)
-
-
 def _support_union(*tensors: Tensor) -> list[tuple[int, ...]]:
     """Every index where some tensor is nonzero, in index order."""
     return sorted({idx for T in tensors for idx, _ in T.nonzero_items()})
@@ -163,21 +132,20 @@ def classify_deszcz(chart: Chart, T: Union[Tensor, str],
     Tname = T if isinstance(T, str) else ""
     lhs = dot_named(chart, acting, T)
     rhs = tachibana_named(chart, W, T)
-    prop = solve_proportionality(lhs, rhs)
+    out = _solve(chart, _combination_rows(lhs, [rhs]), ("L",))
     label = name or f"deszcz[{Tname or 'T'};{Wname}]"
     uset = "U_T" if Wname == "g" else "U_G"
-    if prop.kind == "degenerate":
-        return ClassifierVerdict(label, None,
-                                 notes=f"outside {uset}: Q({Wname},T) = 0 "
-                                       "and B.T = 0 identically")
-    if prop.kind == "none":
+    if not out.consistent:
         return ClassifierVerdict(label, False,
                                  notes="no proportionality over the "
                                        "function field")
-    return ClassifierVerdict(label, True, witness=prop.coefficient,
-                             identity=certify(label,
-                                              _combination_rows(lhs, [rhs]),
-                                              [prop.coefficient]))
+    if not out.space.is_unique:  # no rows: B.T = Q(W,T) = 0
+        return ClassifierVerdict(label, None,
+                                 notes=f"outside {uset}: Q({Wname},T) = 0 "
+                                       "and B.T = 0 identically")
+    values = out.space.particular
+    return ClassifierVerdict(label, True, witness=values[0],
+                             identity=certify(label, out.rows, values))
 
 
 def deszcz_verdicts(chart: Chart, tname: str) -> list[ClassifierVerdict]:
@@ -657,17 +625,20 @@ class QuasiEinsteinResult:
 
 
 def _minor_quadratics(chart: Chart, S: Tensor):
-    """2x2 minors of S - a g as quadratics [c0, c1, c2] in the unknown a."""
+    """2x2 minors of S - a g as quadratics [c0, c1, c2] in the unknown a.
+
+    S and g are symmetric, so the minor on rows (i, k) and columns (j, l)
+    equals the one on rows (j, l) and columns (i, k): only the minors with
+    (i, k) <= (j, l) are built, in the order of a loop over rows, then
+    columns."""
     n, g = chart.n, chart.g
-    for rows in itertools.combinations(range(n), 2):
-        for cols in itertools.combinations(range(n), 2):
-            i, k = rows
-            j, l = cols
-            c0 = S[i, j] * S[k, l] - S[i, l] * S[k, j]
-            c1 = -(S[i, j] * g[k, l] + g[i, j] * S[k, l]
-                   - S[i, l] * g[k, j] - g[i, l] * S[k, j])
-            c2 = g[i, j] * g[k, l] - g[i, l] * g[k, j]
-            yield [c0, c1, c2]
+    pairs = itertools.combinations(range(n), 2)
+    for (i, k), (j, l) in itertools.combinations_with_replacement(pairs, 2):
+        c0 = S[i, j] * S[k, l] - S[i, l] * S[k, j]
+        c1 = -(S[i, j] * g[k, l] + g[i, j] * S[k, l]
+               - S[i, l] * g[k, j] - g[i, l] * S[k, j])
+        c2 = g[i, j] * g[k, l] - g[i, l] * g[k, j]
+        yield [c0, c1, c2]
 
 
 def _common_roots(quadratics) -> Optional[list[Expr]]:

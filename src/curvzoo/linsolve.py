@@ -5,7 +5,13 @@ linear system whose coefficients are canonical expressions.  Rows are kept
 sparse and reduced incrementally against a maintained, fully reduced echelon
 basis, so one pass over a new row's pivot columns reduces it; pivoting is by
 fixed column order so results are deterministic.  solve_linear_system is the
-one solver.  The solution set is returned as an affine space: one particular
+one solver and the program's one elimination.  It answers Deszcz
+proportionality (the one unknown L), Roter-type and other linear
+combinations of tensors, the 1-forms of the weak-symmetry family, the common
+roots of the quasi-Einstein minor quadratics, the generic rank of a rank-2
+tensor (n minus the dimension of its kernel) and membership in a solution
+space; only the metric's determinant and inverse are cofactor expansions
+(charts).  The solution set is returned as an affine space: one particular
 solution plus a basis of the homogeneous kernel.  Every verdict that rests on
 a solve is certified by certify(), the one back-substitution guard: the
 solution is back-substituted into the rows it came from, and the rows are

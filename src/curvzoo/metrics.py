@@ -133,6 +133,11 @@ def metric_spec_from_dict(data: dict, origin: str = "metric") -> MetricSpec:
     name = data["name"]
     if not isinstance(name, str) or not name:
         raise _schema_error(f"{origin}.name", "expected a nonempty string")
+    try:
+        name.encode("utf-8")  # the text report prints it
+    except UnicodeEncodeError as err:
+        raise _schema_error(f"{origin}.name", "contains a lone surrogate, "
+                            "which UTF-8 cannot encode") from err
     dim = data["dim"]
     if not isinstance(dim, int) or not 3 <= dim <= MAX_DIM:
         raise _schema_error(f"{origin}.dim", "dimension must be an integer "
@@ -204,6 +209,9 @@ def load_metric_file(path: str) -> MetricSpec:
         data = json.loads(text)
     except json.JSONDecodeError as err:
         raise MetricFileError(f"{path}: invalid JSON: {err}") from err
+    except RecursionError as err:
+        raise MetricFileError(f"{path}: invalid JSON: nested too "
+                              "deeply") from err
     return metric_spec_from_dict(data, origin=path)
 
 

@@ -154,9 +154,10 @@ def classify(spec_or_chart: Union[MetricSpec, Chart],
     The solution spaces of chaki, weak_symmetry, weak_Z, b3, b4 and
     quasi_einstein are back-substituted into their rows before their
     identities are attached (InternalInconsistencyError, naming the
-    verdict, on failure); roter and generalized_roter attach theirs without
-    that guard, and recurrent and b2 carry none.  Deszcz pseudosymmetry is
-    checked component by component in solve_proportionality.
+    verdict, on failure); roter, generalized_roter and the Deszcz verdicts
+    attach theirs without that guard, and recurrent and b2 carry none.
+    Deszcz pseudosymmetry, B.T = L Q(W,T), is a solve for the one unknown
+    L.
     """
     chart = (spec_or_chart.to_chart()
              if isinstance(spec_or_chart, MetricSpec) else spec_or_chart)

@@ -28,7 +28,7 @@ from curvzoo.classifiers import (classify_deszcz, classify_generalized_roter,
                                  form_recurrence_b4, form_recurrence_checks,
                                  check_semisymmetric, solve_chaki,
                                  solve_linear_combination,
-                                 solve_proportionality, solve_quasi_einstein,
+                                 solve_quasi_einstein,
                                  theorem_residual)
 from curvzoo.metrics import builtin, list_builtins
 from curvzoo.operators import (check_gct, check_second_bianchi, dot_named,
@@ -399,9 +399,9 @@ def test_criterion_4_corollary_decompositions(charts):
     assert dec.L1 == ctx.parse("2*(exp(x1)+1)^3/(exp(x1)-1)^2")
     assert dec.L2 == ctx.parse("1/(4*(1+exp(x1))^2)")
     D2 = ricci(c) - H
-    prop = solve_proportionality(riemann(c), kulkarni_nomizu(D2, D2))
-    assert prop.found
-    assert prop.coefficient == ctx.parse("2*(exp(x1)+1)^3/(3+exp(x1))^2")
+    space = solve_linear_combination(riemann(c), [kulkarni_nomizu(D2, D2)])
+    assert space.is_unique
+    assert space.particular == [ctx.parse("2*(exp(x1)+1)^3/(3+exp(x1))^2")]
 
 
 def test_criterion_4_roter_family_as_printed(charts):
@@ -557,8 +557,10 @@ def test_criterion_5_weyl_actions(charts):
 def test_criterion_5_no_proportionality(charts):
     c = charts["ex5_5"]
     QgR = tachibana_named(c, "g", "R")
-    assert solve_proportionality(dot_named(c, "P", "R"), QgR).kind == "none"
-    assert solve_proportionality(dot_named(c, "conh", "R"), QgR).kind == "none"
+    assert not solve_linear_combination(dot_named(c, "P", "R"),
+                                        [QgR]).consistent
+    assert not solve_linear_combination(dot_named(c, "conh", "R"),
+                                        [QgR]).consistent
 
 
 def test_criterion_5_linear_combinations(charts):

@@ -14,8 +14,9 @@ from curvzoo.charts import (CURVATURE_SYMMETRIES, Chart, ChartError,
                             exterior_derivative_oneform, generic_rank,
                             is_closed, nabla_riemann, oneform, rank_at_most,
                             ricci, ricci_square, riemann, scalar_curvature)
+from curvzoo.classifiers import solve_quasi_einstein
 from curvzoo.exprs import Context
-from curvzoo.metrics import builtin
+from curvzoo.metrics import builtin, list_builtins
 
 
 def delta_entries(n):
@@ -233,6 +234,61 @@ class TestRank:
     def test_metric_full_rank(self, conformal4):
         g = conformal4.metric_tensor()
         assert not rank_at_most(g, conformal4.n - 1)
+
+    @staticmethod
+    def assert_rank_matches_minors(Z):
+        expected = minors_rank(Z)
+        assert generic_rank(Z) == expected
+        assert [rank_at_most(Z, r) for r in range(Z.chart.n + 1)] == [
+            expected <= r for r in range(Z.chart.n + 1)]
+
+    @pytest.mark.parametrize("name", list_builtins())
+    def test_builtin_ranks_match_minors(self, name):
+        chart = builtin(name).to_chart()
+        S = ricci(chart)
+        for Z in (chart.g, S, ricci_square(chart)):
+            self.assert_rank_matches_minors(Z)
+        for a in solve_quasi_einstein(chart).roots:
+            self.assert_rank_matches_minors(S - chart.g.scaled(a))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_outer_product_sums_match_minors(self, n):
+        chart = build_chart([f"x{i + 1}" for i in range(n)],
+                            delta_entries(n))
+        ctx, rng = chart.ctx, random.Random(n)
+        for terms in range(4):
+            for _ in range(3):
+                Z = Tensor(chart, (0, 2), {})
+                for _ in range(terms):
+                    u, v = ([rng.randint(-2, 2) for _ in range(n)]
+                            for _ in range(2))
+                    Z = Z + Tensor(chart, (0, 2), {
+                        (i, j): ctx.integer(u[i] * v[j])
+                        for i in range(n) for j in range(n)})
+                assert generic_rank(Z) <= terms
+                self.assert_rank_matches_minors(Z)
+
+    def test_rank_needs_rank_two_tensor(self, conformal4):
+        R = riemann(conformal4)
+        with pytest.raises(ValueError, match="rank-2"):
+            generic_rank(R)
+        with pytest.raises(ValueError, match="rank-2"):
+            rank_at_most(R, 1)
+        with pytest.raises(ValueError, match="out of range"):
+            rank_at_most(ricci(conformal4), conformal4.n + 1)
+
+
+def minors_rank(Z):
+    """The rank of Z[i, j] as the size of its largest nonzero minor, each
+    minor by cofactor expansion (the reference for generic_rank)."""
+    n, ctx = Z.chart.n, Z.chart.ctx
+    for size in range(n, 0, -1):
+        for rows in itertools.combinations(range(n), size):
+            for cols in itertools.combinations(range(n), size):
+                minor = [[Z[i, j] for j in cols] for i in rows]
+                if not determinant(minor, ctx).is_zero:
+                    return size
+    return 0
 
 
 class TestDeclaredSymmetries:

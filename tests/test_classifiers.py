@@ -7,7 +7,8 @@ import pytest
 
 from curvzoo.charts import (Tensor, build_chart, oneform, ricci, riemann,
                             scalar_curvature)
-from curvzoo.classifiers import (_common_roots, check_semisymmetric,
+from curvzoo.classifiers import (_common_roots, _minor_quadratics,
+                                 check_semisymmetric,
                                  check_torseforming,
                                  classify_deszcz, compute_J,
                                  corollary_decomposition,
@@ -15,13 +16,15 @@ from curvzoo.classifiers import (_common_roots, check_semisymmetric,
                                  is_codazzi, is_cyclic_parallel,
                                  normalize_weak_solution, solve_chaki,
                                  solve_linear_combination,
-                                 solve_proportionality, solve_quasi_einstein,
+                                 solve_quasi_einstein,
                                  solve_recurrence, solve_weak_Z,
                                  solve_weak_symmetry_04, theorem_residual)
 from curvzoo.linsolve import satisfies
 from curvzoo.metrics import builtin, list_builtins
-from curvzoo.operators import (dot_action, kulkarni_nomizu, projective,
-                               tachibana, weyl_conformal)
+from curvzoo.operators import (dot_action, dot_named, kulkarni_nomizu,
+                               projective, tachibana, tachibana_named,
+                               weyl_conformal)
+from curvzoo.zoo import ALL_TENSORS
 
 
 def delta_entries(n):
@@ -48,25 +51,41 @@ def exp5():
     return builtin("ex5_1").to_chart()
 
 
+def componentwise_proportionality(lhs, rhs):
+    """(outcome, L) of lhs = L rhs the way classify_deszcz reports it,
+    found by pivoting on the first nonzero rhs component and checking the
+    others: (None, None) when both vanish (the reference for
+    classify_deszcz)."""
+    if rhs.is_zero():
+        return (None, None) if lhs.is_zero() else (False, None)
+    idx, value = next(iter(rhs.nonzero_items()))
+    L = lhs[idx] / value
+    support = {i for T in (lhs, rhs) for i, _ in T.nonzero_items()}
+    if all((lhs[i] - L * rhs[i]).is_zero for i in support):
+        return True, L
+    return False, None
+
+
 class TestProportionality:
     def test_conformal_coefficient(self, conformal4):
         R = riemann(conformal4)
         g = conformal4.metric_tensor()
-        prop = solve_proportionality(dot_action(R, R), tachibana(g, R))
-        assert prop.found
-        assert prop.coefficient == conformal4.ctx.parse("-1/(2*x1^3)")
+        space = solve_linear_combination(dot_action(R, R), [tachibana(g, R)])
+        assert space.is_unique
+        assert space.particular == [conformal4.ctx.parse("-1/(2*x1^3)")]
 
     def test_degenerate_and_none(self, flat4):
         ctx = flat4.ctx
         R = riemann(flat4)
         g = flat4.metric_tensor()
-        both_zero = solve_proportionality(dot_action(R, R), tachibana(g, R))
-        assert both_zero.kind == "degenerate"
+        both_zero = solve_linear_combination(dot_action(R, R),
+                                             [tachibana(g, R)])
+        assert both_zero.consistent and both_zero.dimension == 1  # L free
         D = Tensor(flat4, (0, 2), {(0, 0): ctx.parse("x1")})
         lhs = tachibana(g, kulkarni_nomizu(g, D))  # nonzero (0,6)
         assert not lhs.is_zero()
-        prop = solve_proportionality(lhs, dot_action(R, R))
-        assert prop.kind == "none"
+        assert not solve_linear_combination(lhs,
+                                            [dot_action(R, R)]).consistent
 
     def test_every_component_verified(self, conformal4):
         # A tensor proportional at the pivot but not elsewhere is rejected.
@@ -77,7 +96,7 @@ class TestProportionality:
         idx = (0, 1, 0, 2)
         components[idx] = rhs[idx] + ctx.one
         lhs = Tensor(conformal4, (0, 4), components)
-        assert solve_proportionality(lhs, rhs).kind == "none"
+        assert not solve_linear_combination(lhs, [rhs]).consistent
 
 
 class TestSemisymmetric:
@@ -143,6 +162,18 @@ class TestDeszcz:
 
     def test_flat_degenerate(self, flat4):
         assert classify_deszcz(flat4, "R", "g").outcome is None
+
+    @pytest.mark.parametrize("name", list_builtins())
+    def test_matches_componentwise_proportionality(self, name):
+        chart = builtin(name).to_chart()
+        cases = [(t, w, "R", "") for t in ALL_TENSORS for w in ("g", "S")]
+        if chart.n >= 4:
+            cases.append(("C", "g", "C", "weyl_pseudosymmetric"))
+        for T, W, acting, label in cases:
+            v = classify_deszcz(chart, T, W, acting=acting, name=label)
+            expected = componentwise_proportionality(
+                dot_named(chart, acting, T), tachibana_named(chart, W, T))
+            assert (v.outcome, v.witness) == expected, (T, W, acting)
 
     def test_tensor_operands_match_names_uncached(self):
         # Tensor operands take the same path as names but are not cached.
@@ -432,6 +463,28 @@ class TestCommonRoots:
         zero = x[0].ctx.zero
         assert _common_roots([[zero] * 3] * 2) is None
 
+    @pytest.mark.parametrize("name", list_builtins())
+    def test_symmetric_half_of_the_minors(self, name):
+        # The minors with row pair <= column pair keep every distinct
+        # quadratic of all of them, the first nonzero one, and the roots.
+        chart = builtin(name).to_chart()
+        S, g, n = ricci(chart), chart.g, chart.n
+        pairs = list(itertools.combinations(range(n), 2))
+        every = [[S[i, j] * S[k, l] - S[i, l] * S[k, j],
+                  -(S[i, j] * g[k, l] + g[i, j] * S[k, l]
+                    - S[i, l] * g[k, j] - g[i, l] * S[k, j]),
+                  g[i, j] * g[k, l] - g[i, l] * g[k, j]]
+                 for i, k in pairs for j, l in pairs]
+        half = list(_minor_quadratics(chart, S))
+        assert len(half) == len(pairs) * (len(pairs) + 1) // 2
+        assert {tuple(q) for q in half} == {tuple(q) for q in every}
+
+        def nonzero(qs):
+            return [q for q in qs if not all(c.is_zero for c in q)]
+
+        assert nonzero(half)[:1] == nonzero(every)[:1]
+        assert _common_roots(half) == _common_roots(every)
+
 
 class TestExprSqrt:
     def test_square_detection(self, conformal4):
@@ -535,11 +588,11 @@ class TestCorollaryDecomposition:
         phi = oneform(exp4, out.space.particular)
         H = compute_J(exp4, phi)
         D2 = ricci(exp4) - H
-        prop = solve_proportionality(riemann(exp4),
-                                     kulkarni_nomizu(D2, D2))
-        assert prop.found
-        assert prop.coefficient == ctx.parse(
-            "2*(exp(x1)+1)^3/(3+exp(x1))^2")
+        space = solve_linear_combination(riemann(exp4),
+                                         [kulkarni_nomizu(D2, D2)])
+        assert space.is_unique
+        assert space.particular == [ctx.parse(
+            "2*(exp(x1)+1)^3/(3+exp(x1))^2")]
 
     def test_flat_degenerate(self, flat4):
         H = flat4.metric_tensor()

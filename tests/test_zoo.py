@@ -581,6 +581,30 @@ class TestCLI:
         assert "Traceback" not in proc.stderr
         assert "position" in proc.stderr
 
+    def test_deeply_nested_json_exit_2(self, tmp_path):
+        # JSON nesting past the recursion limit is an input error naming
+        # the file, not an internal error.
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000)
+        cmd = [sys.executable, "-m", "curvzoo.cli", "classify", str(path)]
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"error: {path}: invalid JSON")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_lone_surrogate_name_exit_2(self, tmp_path, fmt):
+        # "\ud800" is valid JSON but cannot be written to a UTF-8 stdout.
+        path = tmp_path / "surrogate.json"
+        path.write_text(json.dumps(dict(FUZZ_DOCUMENT, name="\ud800")))
+        cmd = [sys.executable, "-m", "curvzoo.cli", "classify", str(path),
+               "--format", fmt, "--oracle-samples", "1"]
+        proc = subprocess.run(cmd, capture_output=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert b"Traceback" not in proc.stderr
+        assert f"error: {path}.name: ".encode() in proc.stderr
+
     @pytest.mark.parametrize("entry, reason", [
         ("(1+x1+x2+x3+x4)^200", "degree"),
         ("((x1)^32)^32", "degree"),
@@ -653,7 +677,11 @@ class TestCLI:
         path = tmp_path_factory.mktemp("fuzz") / "metric.json"
         path.write_text(text, encoding="utf-8", errors="surrogatepass")
         err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), \
+        # Encoded strictly, as a real stdout is: a StringIO would accept
+        # text that a UTF-8 terminal or pipe cannot take.
+        out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8",
+                               errors="strict")
+        with contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(err):
             code = main(["classify", str(path)])
         assert code in (0, 2), err.getvalue()
