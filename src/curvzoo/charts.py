@@ -28,11 +28,15 @@ Index conventions, fixed throughout the package:
   ricci and ricci_square "sym:0,1", the exterior derivative "skew:0,1".
   Results inherit groups and are filled, not checked: Gamma is filled from
   i <= j ("sym:1,2"), nabla T has the group of T shifted one slot, the
-  actions B.T and Q(A,T) (operators) that of T plus skew in the trailing
-  pair, and sums and scalings of tensors sharing a group keep it.  Those
-  kernels compute each orbit's representative (its least index) only and
-  fill the rest by sign (Tensor.from_representative_terms); permuted()
-  drops the group.
+  1-form action mu.T (operators) that of T, the actions B.T and Q(A,T)
+  (operators) that of T plus skew in the trailing pair, and sums and
+  scalings of tensors sharing a group keep it.  Those kernels compute each
+  orbit's representative (its least index) only and fill the rest by sign
+  (Tensor.from_representative_terms); permuted() drops the group.
+* nabla T, B.T, Q(A,T) and mu.T are derivations acting on one slot of T
+  at a time.  They share one walk over the support of T,
+  _derivation_terms; each operator only lists, for each index a, the
+  indices i it puts in place of a with their weights and extra indices.
 * The covariant derivative adds its index FIRST: (nabla T)[x, i1, ..., ik].
 * The curvature sign is calibrated so that the round-sphere family carries
   negative scalar curvature, i.e. R is the negative of the
@@ -527,9 +531,8 @@ def build_chart(ctx_or_coords, metric_entries, params=(),
     """
     ctx = (ctx_or_coords if isinstance(ctx_or_coords, Context)
            else Context(ctx_or_coords, params))
-    n = len(ctx.coords)
-    g = [[ctx.parse(e) if isinstance(e, str) else e for e in row[:n]]
-         for row in metric_entries[:n]]
+    g = [[ctx.parse(e) if isinstance(e, str) else e for e in row]
+         for row in metric_entries]
     return Chart(ctx, g, name=name)
 
 
@@ -702,51 +705,72 @@ def ricci_square(chart: Chart) -> Tensor:
     return chart.cached("ricci_square", compute)
 
 
+def _derivation_terms(T: Tensor, columns: Sequence[Mapping[int, list]],
+                      extra_first: bool = False):
+    """The terms of a derivation acting on one slot of the (0,k) tensor T
+    at a time, at the representatives of T's symmetry group.
+
+    columns[a][i] lists entries (e, sign, key, w): for each nonzero T[J],
+    each distinct index a in J and each such entry, sign * w T[J] sits at
+    I + e (e + I when extra_first) for every I that is J with i in place
+    of a at a slot holding a and is a representative for T.  Each product
+    w T[J] is formed, and negated, at most once per key and J, and only
+    when it lands on some I; entries that read the same w share a key.
+    """
+    k = T.rank
+    rep = T.symmetry_group.is_representative
+    for J, t in T.nonzero_items():
+        products: dict = {}
+        negated: dict = {}
+        for a in dict.fromkeys(J):
+            slots = [m for m in range(k) if J[m] == a]
+            for i, entries in columns[a].items():
+                targets = [I for I in (J[:m] + (i,) + J[m + 1:]
+                                       for m in slots) if rep(I)]
+                if not targets:
+                    continue
+                for e, sign, key, w in entries:
+                    p = products.get(key)
+                    if p is None:
+                        p = products[key] = w * t
+                    if sign < 0:
+                        neg = negated.get(key)
+                        if neg is None:
+                            neg = negated[key] = -p
+                        p = neg
+                    for I in targets:
+                        yield (e + I if extra_first else I + e), p
+
+
 def covariant_derivative(chart: Chart, T: Tensor) -> Tensor:
     """nabla T with the derivative index first:
 
     (nabla T)[x, j1..jk] = d_x T[j1..jk] - sum_m Gamma^a_{x jm} T[.. a at m ..].
 
     nabla T inherits the slot symmetries of T, shifted one slot, and is
-    computed at orbit representatives only.  Walks the support of T: an
-    entry T[J] meets Gamma^a_{x j} wherever J[m] = a, so each product
-    Gamma^a_{x j} T[J] is formed once per distinct index a in J, when J
-    with j at some such slot m is a representative, and scattered to every
-    such slot.
+    computed at orbit representatives only.  The connection term forms
+    each product Gamma^a_{x j} T[J] once per distinct index a in J.
     """
     r, k = T.valence
     if r != 0:
         raise ValueError("covariant_derivative expects a covariant tensor")
     n = chart.n
-    # by_upper[a]: j -> [(x, Gamma^a_{x j}) nonzero] for each j that has any.
-    by_upper = [{} for _ in range(n)]
+    columns: list[dict] = [{} for _ in range(n)]
     for (a, x, j), gam in christoffel(chart).nonzero_items():
-        by_upper[a].setdefault(j, []).append((x, gam))
-    rep = T.symmetry_group.is_representative
+        columns[a].setdefault(j, []).append(((x,), -1, (a, x, j), gam))
 
-    def terms():
-        for J, t in T.nonzero_items():
-            if rep(J):
-                for x in range(n):
-                    d = t.diff(x)
-                    if not d.is_zero:
-                        yield (x,) + J, d
-            for a in dict.fromkeys(J):
-                slots = [m for m in range(k) if J[m] == a]
-                for j, column in by_upper[a].items():
-                    targets = [I for I in (J[:m] + (j,) + J[m + 1:]
-                                           for m in slots) if rep(I)]
-                    if not targets:
-                        continue
-                    for x, gam in column:
-                        p = -(gam * t)
-                        for I in targets:
-                            yield (x,) + I, p
+    def derivatives():
+        for J, t in T.representative_items():
+            for x in range(n):
+                d = t.diff(x)
+                if not d.is_zero:
+                    yield (x,) + J, d
 
     return Tensor.from_representative_terms(
         chart, (0, k + 1),
         tuple(_shifted_spec(spec, 1) for spec in T.declared_symmetries),
-        terms())
+        itertools.chain(derivatives(),
+                        _derivation_terms(T, columns, extra_first=True)))
 
 
 def nabla_riemann(chart: Chart) -> Tensor:

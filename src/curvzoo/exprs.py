@@ -123,8 +123,8 @@ class Context:
     """
 
     __slots__ = ("coords", "params", "ring", "ring_one", "atoms",
-                 "_coord_pos", "_param_pos", "_zero", "_one", "_ints",
-                 "_subrings", "_cancelled", "__weakref__")
+                 "_atom_pos", "_coord_pos", "_param_pos", "_zero", "_one",
+                 "_ints", "_subrings", "_cancelled", "__weakref__")
 
     def __init__(self, coords: Sequence[str], params: Sequence[str] = ()):
         coords = tuple(coords)
@@ -152,6 +152,7 @@ class Context:
         atoms += [Atom("exp", i, f"exp({c})") for i, c in enumerate(coords)]
         atoms += [Atom("param", j, p) for j, p in enumerate(params)]
         self.atoms = tuple(atoms)
+        self._atom_pos = {atom: pos for pos, atom in enumerate(atoms)}
         self._coord_pos = {c: i for i, c in enumerate(coords)}
         self._param_pos = {p: j for j, p in enumerate(params)}
         self._zero = Expr(self, QQ.zero, self.ring.zero, self.ring_one)
@@ -693,7 +694,9 @@ def _poly_diff(ctx: Context, poly, i: int):
 def differentiate(e: Expr, coord: Union[int, str]) -> Expr:
     """Partial derivative with respect to a coordinate, in canonical form."""
     ctx = e.ctx
-    i = ctx._coord_pos[coord] if isinstance(coord, str) else coord
+    i = ctx._coord_pos.get(coord) if isinstance(coord, str) else coord
+    if i is None:
+        raise ExpressionError(f"{coord!r} is not a coordinate")
     if not 0 <= i < len(ctx.coords):
         raise ExpressionError(f"coordinate index {i} out of range")
     num, den = e.num, e.den
@@ -761,11 +764,10 @@ def _atom_values(ctx: Context, assignment: Mapping[Atom, Number],
     """The assignment as a list indexed by ring position (None: no value)."""
     values: list = [None] * len(ctx.atoms)
     for atom, val in assignment.items():
-        if isinstance(atom, Atom):
-            pos = _atom_position(ctx, atom)
-            if pos is not None:
-                values[pos] = (QQ(Fraction(val)) if modulus is None
-                               else residue(val, modulus))
+        pos = ctx._atom_pos.get(atom)
+        if pos is not None:
+            values[pos] = (QQ(Fraction(val)) if modulus is None
+                           else residue(val, modulus))
     return values
 
 
@@ -890,16 +892,6 @@ def _ratio_residue(num, den, modulus: int) -> int:
     if not den:
         raise EvaluationError("denominator vanishes modulo p")
     return int(num) * pow(den, -1, modulus) % modulus
-
-
-def _atom_position(ctx: Context, atom: Atom):
-    if atom.kind == "coord":
-        return atom.index if atom.index < len(ctx.coords) else None
-    if atom.kind == "exp":
-        return len(ctx.coords) + atom.index
-    if atom.kind == "param":
-        return 2 * len(ctx.coords) + atom.index
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -128,7 +128,7 @@ def solve_linear_system(rows: Iterable[tuple[dict[int, Expr], Expr]],
             break
         col = min(j for j in row if j != RHS)
         inv = 1 / row[col]
-        row = {j: c * inv for j, c in row.items()}
+        row = {j: ctx.one if j == col else c * inv for j, c in row.items()}
         # Keep the basis fully reduced.
         for prow in pivots.values():
             c = prow.get(col)

@@ -16,8 +16,9 @@ from .charts import Chart, build_chart
 from .exprs import Context, ExpressionError
 
 
-#: Largest dimension a metric file may declare.  The battery's tensors are
-#: dense: R.R alone has n^6 components, 15,625 at n = 5 and 262,144 at n = 8.
+#: Largest dimension a metric file may declare.  Tensors store only their
+#: nonzero components, but R.R has up to n^6 of them, 15,625 at n = 5 and
+#: 262,144 at n = 8, and a metric with few zero entries can fill them.
 MAX_DIM = 8
 
 

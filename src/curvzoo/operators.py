@@ -5,6 +5,9 @@ conformal, concircular, conharmonic, projective), the derivation action
 B . T of a curvature endomorphism, the Tachibana action Q(A, T) of the
 metric-like endomorphism X wedge_A Y, and the 1-form action.
 
+The three actions, like the covariant derivative, take their terms from
+one walk over T's support, charts._derivation_terms.
+
 Slot conventions: the actions produce (0, k+2) tensors whose two extra
 arguments are stored LAST, i.e. components are indexed (i1..ik, h, l)
 matching (X1,...,Xk; X, Y); the 1-form action stores its extra argument
@@ -20,8 +23,9 @@ from typing import Union
 
 # ricci_square is reached only through _NAMED, looked up by name.
 from .charts import (CURVATURE_SYMMETRIES, Chart, OneForm, Tensor,
-                     covariant_derivative, lowered_to_operator, ricci,
-                     ricci_square, riemann, scalar_curvature)
+                     _derivation_terms, covariant_derivative,
+                     lowered_to_operator, ricci, ricci_square, riemann,
+                     scalar_curvature)
 
 
 def kulkarni_nomizu(A: Tensor, D: Tensor) -> Tensor:
@@ -188,37 +192,19 @@ def dot_action(B: Tensor, T: Tensor) -> Tensor:
     skew in the trailing pair.  The endomorphism uses the fourth-slot lift.
     B.T inherits the slot symmetries of T and is computed at orbit
     representatives only: trailing pairs h < l, and leading indices that
-    are representatives for T.  An entry T[J] meets the endomorphism
-    entries that contract into a = J[m], so each product is formed once per
-    distinct index a in J, when it lands on some representative.
+    are representatives for T.
     """
     r, k = T.valence
     if r != 0 or k < 1:
         raise ValueError("dot_action expects a covariant tensor of rank >= 1")
-    # -B(e_h, e_l) for h < l, by the contracted index a, then by the index i
-    # it puts in place of a: by_a[a][i] = [(h, l, -Bhat[a, h, l, i]), ..].
-    by_a: dict[int, dict[int, list]] = {}
+    # -B(e_h, e_l) for h < l puts i in place of a with weight -Bhat[a,h,l,i].
+    columns: list[dict] = [{} for _ in range(B.chart.n)]
     for (a, h, l, i), v in lowered_to_operator(B).nonzero_items():
         if h < l:
-            by_a.setdefault(a, {}).setdefault(i, []).append((h, l, -v))
-    rep = T.symmetry_group.is_representative
-
-    def terms():
-        for J, t in T.nonzero_items():
-            for a in dict.fromkeys(J):
-                slots = [m for m in range(k) if J[m] == a]
-                for i, entries in by_a.get(a, {}).items():
-                    targets = [I for I in (J[:m] + (i,) + J[m + 1:]
-                                           for m in slots) if rep(I)]
-                    if not targets:
-                        continue
-                    for h, l, w in entries:
-                        p = w * t
-                        for I in targets:
-                            yield I + (h, l), p
-
-    return Tensor.from_representative_terms(B.chart, (0, k + 2),
-                                            _acted_symmetries(T), terms())
+            columns[a].setdefault(i, []).append(((h, l), 1, (a, h, l, i), -v))
+    return Tensor.from_representative_terms(
+        B.chart, (0, k + 2), _acted_symmetries(T),
+        _derivation_terms(T, columns))
 
 
 def tachibana(A: Tensor, T: Tensor) -> Tensor:
@@ -234,57 +220,43 @@ def tachibana(A: Tensor, T: Tensor) -> Tensor:
     r, k = T.valence
     if r != 0 or k < 1:
         raise ValueError("tachibana expects a covariant tensor of rank >= 1")
-    by_i: dict[int, list] = {}
+    # -(e_h wedge_A e_l)^a_i = -(delta^a_h A[l,i] - delta^a_l A[h,i]) puts
+    # i in place of a with weight +A[c,i] at the trailing pair (c, a) and
+    # -A[c,i] at (a, c), stored at the ordered pair; the fill gives the
+    # reflections.  Every a shares the key (c, i).
+    n = A.chart.n
+    columns: list[dict] = [{} for _ in range(n)]
     for (c, i), av in A.nonzero_items():
-        by_i.setdefault(i, []).append((c, av))
-    rep = T.symmetry_group.is_representative
-
-    # -A(Y,Xm) T(..X@m..) + A(X,Xm) T(..Y@m..) contributes, for a nonzero
-    # T[J], at trailing pairs where one member equals J[m]: +A[c,i] T[J] at
-    # (.. i@m .., c, J[m]), and its negative at (.., J[m], c).  Each term is
-    # stored at its ordered trailing pair; the fill gives the reflections.
-    def terms():
-        for J, t in T.nonzero_items():
-            for i, column in by_i.items():
-                targets = [(jm, I) for jm, I in (
-                    (J[m], J[:m] + (i,) + J[m + 1:]) for m in range(k))
-                    if rep(I)]
-                if not targets:
-                    continue
-                for c, av in column:
-                    hits = [(jm, I) for jm, I in targets if jm != c]
-                    if not hits:
-                        continue
-                    p, neg = av * t, None
-                    for jm, I in hits:
-                        if c < jm:
-                            yield I + (c, jm), p
-                        else:
-                            neg = -p if neg is None else neg
-                            yield I + (jm, c), neg
-
-    return Tensor.from_representative_terms(A.chart, (0, k + 2),
-                                            _acted_symmetries(T), terms())
+        for a in range(n):
+            if a != c:
+                pair, sign = ((c, a), 1) if c < a else ((a, c), -1)
+                columns[a].setdefault(i, []).append((pair, sign, (c, i), av))
+    return Tensor.from_representative_terms(
+        A.chart, (0, k + 2), _acted_symmetries(T),
+        _derivation_terms(T, columns))
 
 
 def oneform_dot(mu: OneForm, T: Tensor) -> Tensor:
     """1-form action, extra slot last:
 
     (mu . T)(X1..Xk; X) = -sum_m mu(X_m) T(X1, .., X at slot m, .., Xk).
+
+    mu.T inherits the slot symmetries of T and is computed at orbit
+    representatives only; each product mu_i T[J] is formed once.
     """
     r, k = T.valence
     if r != 0 or k < 1:
         raise ValueError("oneform_dot expects a covariant tensor of rank >= 1")
-    nonzero_mu = [(i, mv) for i, mv in enumerate(mu) if not mv.is_zero]
-
-    def terms():
-        for J, t in T.nonzero_items():
-            for i, mv in nonzero_mu:
-                p = -(mv * t)
-                for m, jm in enumerate(J):
-                    yield J[:m] + (i,) + J[m + 1:] + (jm,), p
-
-    return Tensor.from_terms(mu.chart, (0, k + 1), terms())
+    # -mu_i puts i in place of a and a in the extra slot, under the key i.
+    n = mu.chart.n
+    columns: list[dict] = [{} for _ in range(n)]
+    for i, mv in enumerate(mu):
+        if not mv.is_zero:
+            for a in range(n):
+                columns[a][i] = [((a,), -1, i, mv)]
+    return Tensor.from_representative_terms(
+        mu.chart, (0, k + 1), T.declared_symmetries,
+        _derivation_terms(T, columns))
 
 
 def check_gct(B: Tensor) -> dict[str, bool]:

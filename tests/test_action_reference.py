@@ -9,9 +9,9 @@ The curvature pipeline (Gamma, R, S, kappa, S2) walks supports as well and
 is checked against dense index loops over every component of the metric
 and its inverse on every builtin and on two charts with off-diagonal metrics.
 For operands that declare slot symmetries, covariant_derivative,
-dot_action and tachibana compute orbit representatives only and fill the
-rest by sign; agreement with the reference loops on such operands
-certifies that the results inherit those symmetries.
+dot_action, tachibana and oneform_dot compute orbit representatives only
+and fill the rest by sign; agreement with the reference loops on such
+operands certifies that the results inherit those symmetries.
 """
 
 import itertools
@@ -231,6 +231,10 @@ def test_kernels_on_operands_with_groups(chart, which):
         assert filled.declared_symmetries == (
             T.declared_symmetries + (f"skew:{k},{k + 1}",))
         assert filled == reference
+    mu = oneform(chart, ["x1", "0", "exp(x1)"])
+    acted = oneform_dot(mu, T)
+    assert acted.declared_symmetries == T.declared_symmetries
+    assert acted == reference_oneform_dot(mu, T)
 
 
 def reference_christoffel(chart):

@@ -93,6 +93,16 @@ class TestBuildChart:
         with pytest.raises(ChartError, match="at least 3"):
             build_chart(["x1", "x2"], delta_entries(2))
 
+    @pytest.mark.parametrize("entries", [
+        [["1", "0", "0", "x1"], ["0", "1", "0", "0"], ["0", "0", "1", "0"],
+         ["x1", "0", "0", "1"]],                      # too many rows
+        [row + ["0"] for row in delta_entries(3)],    # rows too long
+    ])
+    def test_wrong_shape_rejected(self, entries):
+        # An oversized matrix is an error, not cut down to n by n.
+        with pytest.raises(ChartError, match="metric must be an n by n"):
+            build_chart(["x1", "x2", "x3"], entries)
+
 
 class TestChristoffel:
     def test_flat_vanishes(self, flat4):

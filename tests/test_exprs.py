@@ -517,6 +517,12 @@ class TestDifferentiate:
     def test_parameters_are_constant(self, ctx):
         assert differentiate(ctx.parameter("a") ** 3, 0).is_zero
 
+    @pytest.mark.parametrize("name", ["a", "zz"])
+    def test_non_coordinate_name_rejected(self, ctx, name):
+        with pytest.raises(ExpressionError,
+                           match=f"^'{name}' is not a coordinate"):
+            ctx.parse("a*x1").diff(name)
+
     def test_mixed_partials_commute(self, ctx):
         rng = random.Random(5)
         pool = [ctx.parse(s) for s in
@@ -582,6 +588,20 @@ class TestEvaluate:
     def test_missing_atom(self, ctx):
         with pytest.raises(ExpressionError, match="no value"):
             evaluate_rational(ctx.parse("x2"), {})
+
+    @pytest.mark.parametrize("modulus", [None, MERSENNE_61])
+    def test_foreign_atoms_have_no_position(self, modulus):
+        # Atoms of a larger context are not atoms of a smaller one: the exp
+        # of x4 must not stand in for parameter a, which sits at the same
+        # ring position, and a second parameter must not read past the end.
+        small = Context(["x1", "x2", "x3"], ["a"])
+        large = Context(["x1", "x2", "x3", "x4"], ["a", "b"])
+        point = {atom(small, "coord", 0): 2}
+        for foreign in (atom(large, "exp", 3), atom(large, "param", 1)):
+            with pytest.raises(ExpressionError,
+                               match="^no value assigned to atom a$"):
+                evaluate_rational(small.parse("a + x1"),
+                                  {**point, foreign: 9}, modulus)
 
     def test_respects_arithmetic(self, ctx):
         rng = random.Random(11)

@@ -230,6 +230,21 @@ class TestKernelWork:
             dot_action(R, T)
             assert len(mul_calls) == expected
 
+    def test_oneform_dot_multiplies_each_pair_once(self, godel, mul_calls):
+        # A product mu_i T[J] is formed once, and only when some slot m
+        # puts i on a representative of T's symmetries.
+        mu = oneform(godel, ["x1", "0", "exp(x1)", "a"])
+        nonzero_mu = [i for i, mv in enumerate(mu) if not mv.is_zero]
+        for T in (riemann(godel), ricci(godel), godel.metric_tensor()):
+            expected = sum(
+                1 for J, _ in T.nonzero_items() for i in nonzero_mu
+                if any(self.lands(T, J, m, i) for m in range(T.rank)))
+            del mul_calls[:]
+            oneform_dot(mu, T)
+            assert len(mul_calls) == expected
+            if T.declared_symmetries:
+                assert expected < len(nonzero_mu) * self.support_size(T)
+
 
 class TestSymmetricKernels:
     """Kernels fill inherited symmetries; the filled tensors equal the same

@@ -217,7 +217,7 @@ class TestReports:
 
 
 class TestBattery:
-    @pytest.mark.parametrize("name", ["ex5_1", "ex5_2", "flat4"])
+    @pytest.mark.parametrize("name", list_builtins())
     def test_all_tensors_match_reference(self, name):
         # Every branch of the battery: (0,4) and (0,2) tensors, gct_axioms
         # of tensors other than R, weyl_pseudosymmetric.
