@@ -176,12 +176,12 @@ def weyl_verdicts(chart: Chart, tensors) -> list[ClassifierVerdict]:
 
 def _sparse(terms) -> dict[int, Expr]:
     """{column: sum of its values} over (column, value) terms, skipping
-    zero values."""
+    zero values, without the columns whose sum cancels."""
     coeffs: dict[int, Expr] = {}
     for col, val in terms:
         if not val.is_zero:
             coeffs[col] = coeffs[col] + val if col in coeffs else val
-    return coeffs
+    return {col: c for col, c in coeffs.items() if not c.is_zero}
 
 
 def _slot_rows(chart: Chart, T: Tensor, nablaT: Tensor, first: int,
@@ -189,8 +189,9 @@ def _slot_rows(chart: Chart, T: Tensor, nablaT: Tensor, first: int,
     """Rows of nabla_x T_I = first a_x T_I + sum_m b_{blocks[m]}(I_m)
     T_{I[m->x]}, in unknowns of n columns per block; a is block 0.
 
-    Only rows that are not 0 = 0 are produced, in index order: those where
-    nabla T, T_I or some T_{I[m->x]} is nonzero."""
+    Rows are produced in index order, only where nabla T, T_I or some
+    T_{I[m->x]} is nonzero; columns whose terms cancel are dropped
+    (_sparse), so a row whose terms all cancel has no coefficient."""
     n = chart.n
     firstT = T if first == 1 else T.scaled(first)
     live = {idx for idx, _ in nablaT.nonzero_items()}
@@ -326,8 +327,7 @@ class WeakSymmetryNormalization:
 
 
 def normalize_weak_solution(chart: Chart, outcome: SolverOutcome,
-                            T: Union[Tensor, str],
-                            proper: Optional[bool] = None
+                            T: Union[Tensor, str]
                             ) -> WeakSymmetryNormalization:
     """Reduce a weak-symmetry solution along the standard chain:
 
@@ -364,9 +364,7 @@ def normalize_weak_solution(chart: Chart, outcome: SolverOutcome,
     result = WeakSymmetryNormalization(
         symmetrized=blocks_of(chart, rep1, 5), pair_equalities_hold=pair_ok)
 
-    if proper is None:
-        proper = is_proper_gct(chart, T)
-    if proper:
+    if is_proper_gct(chart, T):
         quarter = Fraction(1, 4)
         eps = [quarter * (a + 2 * s) for a, s in zip(alpha, sigma)]
         rep2 = [2 * e for e in eps] + eps * 4
@@ -474,8 +472,9 @@ def _weakZ_reductions(chart: Chart, Z: Tensor, outcome: SolverOutcome,
 
 def _cyclic3_rows(chart: Chart, T: Tensor, nablaT: Tensor):
     """Rows alpha_h T_ijkl + alpha_i T_jhkl + alpha_j T_hikl
-    = nabla_h T_ijkl + nabla_i T_jhkl + nabla_j T_hikl, except 0 = 0, in
-    index order."""
+    = nabla_h T_ijkl + nabla_i T_jhkl + nabla_j T_hikl, in index order,
+    only where some term is nonzero; columns whose terms cancel are
+    dropped (_sparse)."""
     cyclic = nablaT.cyclic_sum()
     live = {idx for idx, _ in cyclic.nonzero_items()}
     for (p, q, k, l), _ in T.nonzero_items():

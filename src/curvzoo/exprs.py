@@ -20,20 +20,21 @@ package ultimately rests on: ``e.is_zero``.  Values are combined only
 through the arithmetic operators (``+ - * /`` and integer ``**``), against
 Expr, int and Fraction operands.  The same value over Q with a denominator that
 is monic under grevlex (``_rational_form``) is rebuilt on demand for
-printing, for evaluation and for the parser's coefficient-size bound; it is
-never stored.
+printing, for the exact reference evaluation and for the parser's
+coefficient-size bound; it is never stored.
 
 Differentiation uses d(x)/dx = 1, d(exp(x))/dx = exp(x) and kills parameters;
 it is extended by linearity and the product/quotient rules.  Because atoms are
 independent, substituting independent values for them (including the
 exponential atoms) is a sound Schwartz-Zippel style zero test.
-``evaluate_rational`` substitutes either exact rationals or residues modulo a
-prime p: reduction mod p is a ring homomorphism wherever the denominators it
-meets are units, so an identity that holds in the field holds mod p, and a
+``evaluate_rational`` substitutes exact rationals, and is the reference.
+``ModularExpr`` substitutes residues modulo a prime p: it reduces the
+integer coefficients of the stored form once, with the content's residue
+folded into the numerator, so that the value can be evaluated at many
+points, each given as per-atom power tables (``residue_powers``).
+Reduction mod p is a ring homomorphism wherever the denominators it meets
+are units, so an identity that holds in the field holds mod p, and a
 nonzero value reads 0 only at a root of its numerator or when p divides it.
-Its modular branch is ``ModularExpr``, which reduces an expression's
-coefficients once so that it can be evaluated at many points, each given as
-per-atom power tables (``residue_powers``).
 
 Polynomial arithmetic is delegated to ``sympy.polys`` sparse rings; the
 chart ring has integer coefficients and grevlex order, the order that terms
@@ -407,7 +408,7 @@ def _normalized(ctx: Context, num, den) -> "Expr":
 def _rational_form(e: "Expr") -> tuple[dict, dict]:
     """(num, den) of e over Q as dicts from exponent tuples to rational
     coefficients, coprime, with den monic under grevlex: the form that
-    printing, evaluation (exact and modular) and the parser's
+    printing, exact evaluation (evaluate_rational) and the parser's
     coefficient-size bound read.  Built on each call, in the term order of
     e's polynomials."""
     den = e.den
@@ -714,27 +715,16 @@ def differentiate(e: Expr, coord: Union[int, str]) -> Expr:
     return Expr(ctx, e.content * k, num, den)
 
 
-def evaluate_rational(e: Expr, assignment: Mapping[Atom, Number],
-                      modulus: Optional[int] = None) -> Union[Fraction, int]:
-    """Evaluate at exact rational atom values, or modulo a prime.
+def evaluate_rational(e: Expr, assignment: Mapping[Atom, Number]) -> Fraction:
+    """Evaluate at exact rational atom values: the exact reference.
 
     The exponential atoms are substituted independently of their coordinates:
     atoms are algebraically independent, so this is exactly the substitution
-    a randomized zero test needs.  Without a modulus the result is the exact
-    Fraction.  With a prime modulus p, the result is the residue in [0, p)
-    that ModularExpr computes: the image of the exact value under the ring
-    homomorphism Z_(p) -> F_p, so equal expressions always give equal
-    residues.  Raises EvaluationError when a denominator vanishes at the
-    point (mod p, when a modulus is given: the point's, a coefficient's or
-    the expression's) and ExpressionError when an occurring atom has no
-    value.
+    a randomized zero test needs.  Reads the rational form (_rational_form).
+    Raises EvaluationError when the denominator vanishes at the point and
+    ExpressionError when an occurring atom has no value.
     """
     ctx = e.ctx
-    if modulus is not None:
-        compiled = ModularExpr(e, modulus)
-        num, den = compiled.at(
-            residue_powers(ctx, assignment, modulus, compiled.degrees))
-        return num * pow(den, -1, modulus) % modulus
     values = _atom_values(ctx, assignment, None)
 
     def poly_value(poly):
@@ -774,35 +764,43 @@ def _atom_values(ctx: Context, assignment: Mapping[Atom, Number],
 class ModularExpr:
     """An Expr compiled for evaluation modulo a prime p.
 
-    Numerator and denominator each become a tuple of (coefficient residue,
-    ((ring position, exponent), ...)) terms, so every rational coefficient
-    of the rational form (see _rational_form) is reduced once, not at every
-    point.  A coefficient whose denominator p divides has no residue: its
-    polynomial keeps the terms before it and raises EvaluationError after
-    evaluating them, where the term-by-term reduction would have raised.
-    degrees holds the highest exponent of each ring position, the length
-    of the power tables at() reads.
+    Reads the stored form content * num / den: numerator and denominator
+    each become a tuple of (coefficient residue, ((ring position,
+    exponent), ...)) terms, every integer coefficient reduced once, not at
+    every point, and the residue of the content folded into the
+    numerator's coefficients.  The value is then the image of the exact
+    value under the ring homomorphism Z_(p) -> F_p wherever the denominator
+    is a unit there, so equal expressions always give equal residues.  When
+    p divides the content's denominator the value has no residue: num is
+    None and at() raises EvaluationError at every point.  den is None for
+    a denominator 1.  degrees holds the highest exponent of each ring
+    position, the length of the power tables at() reads.
     """
 
     __slots__ = ("ctx", "modulus", "num", "den", "degrees")
 
     def __init__(self, e: Expr, modulus: int):
-        self.ctx = e.ctx
+        ctx = self.ctx = e.ctx
         self.modulus = modulus
-        degrees = [0] * len(e.ctx.atoms)
-        num, den = _rational_form(e)
-        self.num = _compiled_poly(num, modulus, degrees)
-        self.den = (None if _same(e.den, e.ctx.ring_one)
-                    else _compiled_poly(den, modulus, degrees))
-        self.degrees = tuple(degrees)
+        self.degrees = tuple(map(max, zip(*e.num, *e.den)))
+        try:
+            scale = _ratio_residue(QQ.numer(e.content), QQ.denom(e.content),
+                                   modulus)
+        except EvaluationError:
+            self.num = None
+        else:
+            self.num = _compiled_poly(e.num, scale, modulus)
+        self.den = (None if _same(e.den, ctx.ring_one)
+                    else _compiled_poly(e.den, 1, modulus))
 
     def at(self, powers: Sequence) -> tuple[int, int]:
         """(numerator, denominator) residues at one point, the denominator
         nonzero; powers is the point's residue_powers table.  Raises
-        EvaluationError when the denominator vanishes mod p or a coefficient
-        has no residue, ExpressionError when an occurring atom has no
-        value."""
+        EvaluationError when the value has no residue or its denominator
+        vanishes mod p at the point."""
         p = self.modulus
+        if self.num is None:
+            raise EvaluationError("the value has no residue modulo p")
         den = 1 if self.den is None else _poly_residue(self.den, powers, p)
         if not den:
             raise EvaluationError(
@@ -810,44 +808,20 @@ class ModularExpr:
         return _poly_residue(self.num, powers, p), den
 
 
-def _compiled_poly(poly, modulus: int, degrees: list) -> tuple:
-    # (terms, reducible): terms up to the first coefficient without a
-    # residue; degrees is raised to cover every kept exponent.
-    terms = []
-    for monom, coeff in poly.items():
-        try:
-            c = _ratio_residue(QQ.numer(coeff), QQ.denom(coeff), modulus)
-        except EvaluationError:
-            return tuple(terms), False
-        factors = tuple((pos, exp) for pos, exp in enumerate(monom) if exp)
-        for pos, exp in factors:
-            degrees[pos] = max(degrees[pos], exp)
-        terms.append((c, factors))
-    return tuple(terms), True
+def _compiled_poly(poly, scale: int, modulus: int) -> tuple:
+    # The terms of an integer polynomial, each coefficient times scale.
+    return tuple((c * scale % modulus,
+                  tuple((pos, exp) for pos, exp in enumerate(monom) if exp))
+                 for monom, c in poly.items())
 
 
-def _poly_residue(compiled: tuple, powers: Sequence, p: int) -> int:
-    terms, reducible = compiled
+def _poly_residue(terms: tuple, powers: Sequence, p: int) -> int:
     total = 0
     for term, factors in terms:
         for pos, exp in factors:
             term = term * powers[pos][exp] % p
         total += term
-    if not reducible:
-        raise EvaluationError("denominator vanishes modulo p")
     return total % p
-
-
-class _NoValue:
-    """The power table of an atom without a value: reading it raises."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __getitem__(self, exp: int):
-        raise ExpressionError(f"no value assigned to atom {self.name}")
 
 
 def residue_powers(ctx: Context, assignment: Mapping[Atom, Number],
@@ -856,21 +830,22 @@ def residue_powers(ctx: Context, assignment: Mapping[Atom, Number],
     entry pos lists the residues of v^0 .. v^degrees[pos] for the atom's
     value v (None where degrees[pos] is 0).  Every assigned value is
     reduced, so EvaluationError is raised when p divides one's
-    denominator; an atom with no value gets a table that raises
-    ExpressionError when an expression reads it."""
+    denominator, and ExpressionError for the first atom with a positive
+    degree and no value."""
     values = _atom_values(ctx, assignment, modulus)
     tables: list = []
     for pos, top in enumerate(degrees):
         v = values[pos]
         if not top:
             tables.append(None)
-        elif v is None:
-            tables.append(_NoValue(ctx.atoms[pos].name))
-        else:
-            table = [1, v]
-            for _ in range(top - 1):
-                table.append(table[-1] * v % modulus)
-            tables.append(table)
+            continue
+        if v is None:
+            raise ExpressionError(
+                f"no value assigned to atom {ctx.atoms[pos].name}")
+        table = [1, v]
+        for _ in range(top - 1):
+            table.append(table[-1] * v % modulus)
+        tables.append(table)
     return tables
 
 

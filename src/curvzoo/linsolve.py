@@ -199,7 +199,10 @@ def certify(name: str, rows: Iterable[tuple[dict[int, Expr], Expr]],
             values: Sequence[Expr],
             guard: Optional[SolutionSpace] = None) -> Identity:
     """The identity that certifies verdict `name`: its first
-    MAX_IDENTITY_COMPONENTS rows that are not 0 = 0, with values.
+    MAX_IDENTITY_COMPONENTS rows that have a coefficient or a nonzero rhs,
+    with values.  A stored zero coefficient counts, so a kept row reads
+    0 = 0 only when its builder stores zero coefficients: the solver rows
+    of the classifiers store none, the dense quasi_einstein rows do.
 
     With a guard space (a consistent one), its particular solution and
     every basis vector are first back-substituted into every row, which by

@@ -47,6 +47,10 @@ from .operators import (check_gct, check_second_bianchi, named_tensor,
 #: and denominator drawn uniformly from [1, 10^6], compared modulo
 #: ORACLE_PRIME.
 DEFAULT_SAMPLES = 50
+#: Most samples per identity that oracle_crosscheck accepts.  One sample of
+#: every identity of ex5_4 with every tensor takes 1.5-2.3 ms of CPU, so the
+#: limit bounds that oracle at about 15-23 s.
+MAX_SAMPLES = 10_000
 DEFAULT_SEED = 42
 GRID_MAX = 10 ** 6
 MAX_DENOMINATOR_RETRIES = 1000
@@ -275,11 +279,12 @@ def check_identity_at(identity: Union[Identity, _CompiledIdentity],
     power tables of the point's residues, and the denominators other than 1
     are inverted together with one modular inversion.  The rows are then
     compared in order, stopping at the first disagreement.  The result is
-    the one lazy evaluation would give: when a value fails (its denominator
-    vanishes mod p, or it reads an atom without a value), the rows are still
-    checked in order, and the failure is raised only at the first row that
-    needs that value; a row that disagrees before it makes the result False.
-    Raises EvaluationError when a denominator vanishes mod p.
+    the one lazy evaluation would give: when a value fails (it has no
+    residue, or its denominator vanishes mod p), the rows are still checked
+    in order, and the failure is raised only at the first row that needs
+    that value; a row that disagrees before it makes the result False.
+    Raises EvaluationError when a denominator vanishes mod p, and
+    ExpressionError before any row when an occurring atom has no value.
     """
     if isinstance(identity, Identity):
         identity = _compile(identity, {})
@@ -341,8 +346,8 @@ def oracle_crosscheck(report: Report, chart: Chart,
     Deterministic for a fixed seed.  Points assign every atom of the
     chart, whose context holds every identity's values.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise ValueError(f"samples must be between 1 and {MAX_SAMPLES}")
     rng = random.Random(seed)
     atoms = chart.ctx.atoms
     disagreements = 0

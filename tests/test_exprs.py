@@ -5,6 +5,7 @@ import random
 import weakref
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, reject, settings
@@ -41,6 +42,14 @@ def atom(ctx, kind, index):
         if a.kind == kind and a.index == index:
             return a
     raise AssertionError
+
+
+def modular_value(e, point, p):
+    """e at a point, rationals or residues, modulo p by the oracle's path:
+    compiled once, then read at the point's power tables."""
+    compiled = ModularExpr(e, p)
+    num, den = compiled.at(residue_powers(e.ctx, point, p, compiled.degrees))
+    return num * pow(den, -1, p) % p
 
 
 class TestParsing:
@@ -556,14 +565,13 @@ class TestEvaluate:
     def test_modular_evaluation_is_a_homomorphism(self, a, b, point):
         p = ORACLE_PRIME
         try:
-            ra, rb = (evaluate_rational(e, point, p) for e in (a, b))
+            ra, rb = (modular_value(e, point, p) for e in (a, b))
         except EvaluationError:
             reject()
-        assert evaluate_rational(a + b, point, p) == (ra + rb) % p
-        assert evaluate_rational(a * b, point, p) == ra * rb % p
+        assert modular_value(a + b, point, p) == (ra + rb) % p
+        assert modular_value(a * b, point, p) == ra * rb % p
         if rb:
-            assert evaluate_rational(a / b, point, p) == (
-                ra * pow(rb, -1, p) % p)
+            assert modular_value(a / b, point, p) == ra * pow(rb, -1, p) % p
 
     def test_direct_substitution(self, ctx):
         e = ctx.parse("exp(x1)/(1+x1)")
@@ -597,11 +605,12 @@ class TestEvaluate:
         small = Context(["x1", "x2", "x3"], ["a"])
         large = Context(["x1", "x2", "x3", "x4"], ["a", "b"])
         point = {atom(small, "coord", 0): 2}
+        evaluate = (evaluate_rational if modulus is None
+                    else partial(modular_value, p=modulus))
         for foreign in (atom(large, "exp", 3), atom(large, "param", 1)):
             with pytest.raises(ExpressionError,
                                match="^no value assigned to atom a$"):
-                evaluate_rational(small.parse("a + x1"),
-                                  {**point, foreign: 9}, modulus)
+                evaluate(small.parse("a + x1"), {**point, foreign: 9})
 
     def test_respects_arithmetic(self, ctx):
         rng = random.Random(11)
@@ -638,48 +647,43 @@ class TestEvaluate:
                      for a in ctx.atoms}
             exact = evaluate_rational(e, point)
             expected = exact.numerator * pow(exact.denominator, -1, p) % p
-            assert evaluate_rational(e, point, p) == expected
-            # The oracle's path: the value compiled once, the point drawn
-            # as residues.
+            assert modular_value(e, point, p) == expected
+            # The point drawn as residues, as the oracle draws it.
             residues = {a: residue(v, p) for a, v in point.items()}
-            compiled = ModularExpr(e, p)
-            num, den = compiled.at(
-                residue_powers(ctx, residues, p, compiled.degrees))
-            assert num * pow(den, -1, p) % p == expected
+            assert modular_value(e, residues, p) == expected
             checked += 1
         assert checked == 60
 
     def test_compiled_coefficients_are_residues(self, ctx):
-        # Each coefficient is reduced when the value is compiled; the power
-        # tables reach each atom's highest exponent and no further.
+        # The stored form is (2/3) (x1^3 + 6 x2) / (2 x1 + 7): each integer
+        # coefficient is reduced when the value is compiled, the content's
+        # residue folded into the numerator's.  The power tables reach each
+        # atom's highest exponent and no further.
         p = MERSENNE_61
         compiled = ModularExpr(ctx.parse("(x1^3/3 + 2*x2) / (x1 + 7/2)"), p)
-        assert compiled.num[1] and compiled.den[1]   # every term reducible
-        assert sorted(compiled.num[0]) == [(2, ((1, 1),)), (
-            residue(Fraction(1, 3), p), ((0, 3),))]
-        assert sorted(compiled.den[0]) == [(1, ((0, 1),)),
-                                           (residue(Fraction(7, 2), p), ())]
+        assert sorted(compiled.num) == [(4, ((1, 1),)), (
+            residue(Fraction(2, 3), p), ((0, 3),))]
+        assert sorted(compiled.den) == [(2, ((0, 1),)), (7, ())]
         assert compiled.degrees[:2] == (3, 1)
         assert not any(compiled.degrees[2:])
         assert ModularExpr(ctx.parse("x1^2 + 1"), p).den is None
 
-    def test_compiled_failures_in_term_order(self, ctx):
-        # A coefficient without a residue fails only when its polynomial is
-        # evaluated, after the terms before it: a missing atom read first
-        # is still the error reported, as in term-by-term reduction.
+    def test_missing_atom_reported_before_no_residue(self, ctx):
+        # x1 + x2/p is (1/p) (p x1 + x2): its content has no residue, so it
+        # fails at every point, but a missing atom is reported first.
         p = MERSENNE_61
         x1, x2 = atom(ctx, "coord", 0), atom(ctx, "coord", 1)
         unreducible = ctx.parse("x1") + ctx.rational(1, p) * ctx.parse("x2")
         compiled = ModularExpr(unreducible, p)
+        assert compiled.num is None
         with pytest.raises(EvaluationError):
             compiled.at(residue_powers(ctx, {x1: 2, x2: 3}, p,
                                        compiled.degrees))
-        with pytest.raises(ExpressionError, match="no value") as info:
-            compiled.at(residue_powers(ctx, {x2: 3}, p, compiled.degrees))
-        assert not isinstance(info.value, EvaluationError)
         for e in (unreducible, ctx.parse("x1 + x2")):
-            with pytest.raises(ExpressionError, match="no value"):
-                evaluate_rational(e, {}, p)
+            with pytest.raises(ExpressionError,
+                               match="^no value assigned to atom x1$") as info:
+                modular_value(e, {x2: 3}, p)
+            assert not isinstance(info.value, EvaluationError)
 
     def test_modular_denominator_hits(self, ctx):
         # Each denominator that vanishes only mod p is a retry, not a value:
@@ -690,11 +694,22 @@ class TestEvaluate:
         point = {x1: 1 + p}
         assert evaluate_rational(e, point) == Fraction(1, p)
         with pytest.raises(EvaluationError):
-            evaluate_rational(e, point, p)
+            modular_value(e, point, p)
         with pytest.raises(EvaluationError):
-            evaluate_rational(ctx.rational(1, p), {}, p)
+            modular_value(ctx.rational(1, p), {}, p)
         with pytest.raises(EvaluationError):
-            evaluate_rational(ctx.parse("x1"), {x1: Fraction(1, p)}, p)
+            modular_value(ctx.parse("x1"), {x1: Fraction(1, p)}, p)
+
+    def test_leading_coefficient_divisible_by_p(self, ctx):
+        # p divides the denominator's leading coefficient but not its
+        # value: 1/(p x1 + 1) reads 1 mod p wherever x1 has a residue.
+        p = MERSENNE_61
+        x1 = atom(ctx, "coord", 0)
+        e = ctx.parse(f"1/({p}*x1 + 1)")
+        for value in (Fraction(3), Fraction(-5, 7), Fraction(10 ** 6, 3)):
+            exact = evaluate_rational(e, {x1: value})
+            expected = exact.numerator * pow(exact.denominator, -1, p) % p
+            assert modular_value(e, {x1: value}, p) == expected == 1
 
     def test_randomized_soundness(self, ctx):
         # A canonically nonzero value must not vanish on 200 random samples;

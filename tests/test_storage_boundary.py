@@ -12,7 +12,10 @@ a fresh `import curvzoo` and a classification leave numpy unloaded.
 
 Polynomial storage is confined the same way: only curvzoo.exprs imports
 sympy, so the other modules reach polynomials only through Expr and
-Context methods.
+Context methods.  Within exprs, the rational form that is rebuilt on
+demand (_rational_form) is read only by the printer, the parser's size
+bounds and the exact reference evaluation; modular evaluation reads the
+stored form.
 """
 
 import ast
@@ -33,6 +36,10 @@ READERS = sorted(p for p in [*(ROOT / "tests").glob("*.py"),
 
 #: The only definition in charts.py that may use numpy.
 NUMPY_SCOPE = {"Tensor.array"}
+#: The only definitions in exprs.py that may reference _rational_form.
+RATIONAL_FORM_READERS = {"_format_expr", "evaluate_rational",
+                         "_Parser.parse_sum", "_Parser.parse_product",
+                         "_Parser.parse_power"}
 #: The only definition in tests and demos that may read `.array`: the test
 #: of the view itself.
 ARRAY_READERS = {"test_charts.py":
@@ -105,6 +112,20 @@ def numpy_uses_outside(source: str, scopes: set) -> list[str]:
     scopes (qualified, as "Class.method"), as 'line: enclosing definition'.
     """
     return _outside(source, scopes, _uses_numpy)
+
+
+def _names_rational_form(node: ast.AST) -> bool:
+    return ((isinstance(node, ast.Name) and node.id == "_rational_form")
+            or (isinstance(node, ast.Attribute)
+                and node.attr == "_rational_form")
+            or (isinstance(node, ast.alias)
+                and node.name == "_rational_form"))
+
+
+def rational_form_uses_outside(source: str, scopes: set) -> list[str]:
+    """References to _rational_form (names, attributes and imports) outside
+    the definitions named in scopes, as 'line: enclosing definition'."""
+    return _outside(source, scopes, _names_rational_form)
 
 
 def array_reads_outside(source: str, scopes: set) -> list[str]:
@@ -180,6 +201,29 @@ def test_numpy_stays_in_its_scopes_in_charts():
     defined = {qualname for _, qualname in _scoped(ast.parse(source))}
     assert NUMPY_SCOPE <= defined
     assert numpy_uses_outside(source, NUMPY_SCOPE) == []
+
+
+def test_the_rational_form_check_sees_every_reference():
+    source = ("from .exprs import _rational_form as form\n"
+              "def _format_expr(e):\n    return _rational_form(e)\n"
+              "class ModularExpr:\n"
+              "    def __init__(self, e):\n"
+              "        self.num, self.den = _rational_form(e)\n"
+              "def other(e):\n"
+              "    return exprs._rational_form(e), rational_form(e)\n")
+    assert rational_form_uses_outside(source, {"_format_expr"}) == [
+        "1: module", "6: ModularExpr.__init__", "8: other"]
+
+
+def test_only_printing_parsing_and_exact_evaluation_read_the_rational_form():
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        scopes = set()
+        if path.name == "exprs.py":
+            scopes = RATIONAL_FORM_READERS
+            defined = {qualname for _, qualname in _scoped(ast.parse(source))}
+            assert scopes <= defined
+        assert rational_form_uses_outside(source, scopes) == [], path.name
 
 
 def test_the_array_check_sees_reads_outside_its_scopes():

@@ -25,10 +25,10 @@ from curvzoo.metrics import (BUILTINS, MAX_DIM, MetricFileError, builtin,
                              save_metric_file)
 from curvzoo.operators import weyl_conformal
 from curvzoo.zoo import (ALL_TENSORS, DEFAULT_TENSORS, GRID_MAX,
-                         MAX_DENOMINATOR_RETRIES, ORACLE_PRIME, Identity,
-                         OracleSummary, _draw_point, check_identity_at,
-                         classify, oracle_crosscheck, render_report,
-                         report_to_dict)
+                         MAX_DENOMINATOR_RETRIES, MAX_SAMPLES, ORACLE_PRIME,
+                         Identity, OracleSummary, _draw_point,
+                         check_identity_at, classify, oracle_crosscheck,
+                         render_report, report_to_dict)
 
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference"
 
@@ -421,8 +421,8 @@ class TestOracle:
 
 def reference_oracle(report, chart, samples, seed):
     """The oracle as exact arithmetic states it: each value evaluated at
-    the rational point with evaluate_rational's Fraction branch, when first
-    needed, then reduced mod p with residue()."""
+    the rational point with evaluate_rational, when first needed, then
+    reduced mod p with residue()."""
     rng = random.Random(seed)
     disagreements = inconclusive = checked = 0
     for identity in report.identities:
@@ -517,6 +517,21 @@ class TestOracleDifferential:
                 for a in atoms}
 
 
+@pytest.mark.parametrize("name", list_builtins())
+def test_solver_rows_hold_no_zero_coefficient(unchecked_reports, name):
+    # Every identity but quasi_einstein's keeps rows of a solve, built
+    # without zero coefficients or cancelled sums: no retained row reads
+    # 0 = 0.  quasi_einstein's rows are the dense upper triangle of
+    # S = alpha g + beta eta (x) eta.
+    _, report = unchecked_reports[name, ALL_TENSORS]
+    for identity in report.identities:
+        if identity.name == "quasi_einstein":
+            continue
+        for coeffs, rhs in identity.rows:
+            assert coeffs or not rhs.is_zero, identity.name
+            assert not any(c.is_zero for c in coeffs.values()), identity.name
+
+
 class TestCLI:
     def test_list_builtins(self, capsys):
         assert main(["list-builtins"]) == 0
@@ -551,6 +566,14 @@ class TestCLI:
 
     def test_bad_tensor_exit_2(self, capsys):
         assert main(["classify", "flat3", "--tensor", "Q"]) == 2
+
+    def test_oracle_samples_past_the_limit_exit_2(self, capsys):
+        assert main(["classify", "flat3", "--oracle-samples",
+                     str(MAX_SAMPLES + 1)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: samples must be between 1 and {MAX_SAMPLES}\n")
 
     @pytest.mark.parametrize("flag", ["--check", "--tensor"])
     @pytest.mark.parametrize("value", [",", ""], ids=["comma", "empty"])
