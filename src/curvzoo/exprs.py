@@ -36,7 +36,7 @@ Reduction mod p is a ring homomorphism wherever the denominators it meets
 are units, so an identity that holds in the field holds mod p, and a
 nonzero value reads 0 only at a root of its numerator or when p divides it.
 
-Polynomial arithmetic is delegated to ``sympy.polys`` sparse rings; the
+Polynomial ring arithmetic is delegated to ``sympy.polys`` sparse rings; the
 chart ring has integer coefficients and grevlex order, the order that terms
 are printed in.  Rational coefficients live only in the content: a negation
 flips it, a quotient swaps numerator and denominator, a product of canonical
@@ -45,15 +45,19 @@ sum scales each side by its integer cofactor of the gcd of the two contents
 before it takes the content of the result.  Common factors are cancelled by
 ``_cancel``: when either side is a monomial the gcd is the exponent-wise
 minimum monomial and the cofactors follow by subtracting exponents, with no
-polynomial division; otherwise sympy's multivariate gcd and exact quotients
-run in a lex-ordered integer ring over only the generators that occur in the
-two polynomials (cached on the context): its heuristic gcd recurses once per
-ring generator and finds leading terms fastest in lex order.  A lex-ordered
-subring keeps lex-largest terms, so the gcd of two operands with positive
-lex-leading coefficients has one too, and so do both quotients; quotients
-of primitive polynomials by a primitive gcd are primitive.  Everything above
-that level (grammar, canonicalization policy, derivatives, evaluation,
-printing) lives here.
+polynomial division; otherwise ``gcd_cofactors`` computes the gcd and both
+cofactors at once by the heuristic gcd GCDHEU (Char, Geddes and Gonnet,
+1989) with one Kronecker substitution: each polynomial is packed into one
+Python int, so one integer gcd and two exact integer divisions, all run in
+C, give a candidate, which is accepted only with a certificate that it is
+the gcd.  Candidates that fail, and operands too large or too sparse to
+pack, take sympy's ``cofactors`` in the chart ring instead.  Either way
+the gcd of two primitive operands is primitive with a positive lex-leading
+coefficient, and so are both quotients when the operands have positive
+lex-leading coefficients.  Derivatives read each term's exponents at the
+known ring positions.  Everything above the ring arithmetic (grammar,
+canonicalization policy, cancellation, derivatives, evaluation, printing)
+lives here.
 
 The gcd path of ``_cancel`` is memoized on the ``Context``, so there is one
 memo per chart and it is freed with the chart: the key is the ordered pair
@@ -69,9 +73,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from math import comb, gcd, isqrt, lcm
-from operator import and_, itemgetter
+from operator import add, and_, mul
 from typing import Mapping, Optional, Sequence, Union
 
 from sympy.polys.domains import QQ, ZZ
@@ -125,7 +129,7 @@ class Context:
 
     __slots__ = ("coords", "params", "ring", "ring_one", "atoms",
                  "_atom_pos", "_coord_pos", "_param_pos", "_zero", "_one",
-                 "_ints", "_subrings", "_cancelled", "__weakref__")
+                 "_ints", "_cancelled", "__weakref__")
 
     def __init__(self, coords: Sequence[str], params: Sequence[str] = ()):
         coords = tuple(coords)
@@ -159,7 +163,6 @@ class Context:
         self._zero = Expr(self, QQ.zero, self.ring.zero, self.ring_one)
         self._one = Expr(self, QQ.one, self.ring_one, self.ring_one)
         self._ints = {0: self._zero, 1: self._one}
-        self._subrings: dict = {}
         # _cancel's memo: (f, g) -> (h, f/h, g/h).
         self._cancelled: dict = {}
 
@@ -244,28 +247,6 @@ class Context:
     def parse(self, src: str) -> "Expr":
         return parse_expression(src, self)
 
-    def _subring(self, occurring: tuple[int, ...]):
-        """The ring over the generators at the given ring positions, with
-        maps of exponent vectors into it and back into the chart ring;
-        cached per set of positions.
-
-        It has integer coefficients, as the chart ring does, and lex order,
-        also when every generator occurs: lex finds a leading term with a
-        plain max over exponent tuples."""
-        cached = self._subrings.get(occurring)
-        if cached is None:
-            sub = _sympy_ring([self.ring.symbols[i] for i in occurring], ZZ,
-                              order="lex")[0]
-            down = (itemgetter(*occurring) if len(occurring) > 1
-                    else lambda monom, i=occurring[0]: (monom[i],))
-            # Positions outside the subring read the zero appended to a
-            # subring exponent vector.
-            where = {pos: k for k, pos in enumerate(occurring)}
-            up = itemgetter(*[where.get(pos, len(occurring))
-                              for pos in range(self.ring.ngens)])
-            cached = self._subrings[occurring] = (sub, down, up)
-        return cached
-
 
 #: Equality of two polynomials of one chart ring.  PolyElement.__eq__ also
 #: checks the other operand's ring on every call, which costs more than the
@@ -279,6 +260,195 @@ _same = dict.__eq__
 #: memory for the chart's lifetime.
 CANCEL_MEMO_TERMS = 32
 
+#: Most bits that gcd_cofactors packs an operand into, prod(deg_v + 1) * k
+#: (see there); larger operands take the fallback.  The largest packed
+#: operands measured were 504 bits over the generated-pipeline benchmark
+#: charts and 59,160 bits in a full classify with every tensor of a
+#: generated warped chart, so the cap leaves a wide margin while it keeps
+#: hostile operands from packing into gigabytes.
+GCD_PACKED_BITS = 1 << 20
+
+#: Most fields, prod(deg_v + 1), per operand term that gcd_cofactors packs;
+#: sparser pairs take the fallback.  Packing lays each operand out densely,
+#: one field per monomial of the degree box, so a sparse pair packs into
+#: far more bits than its terms hold, and the integer gcd, quadratic in
+#: the bits, then costs more than sympy's sparse gcd.  Pairs measured on
+#: the generated-pipeline charts and in full classify runs of the generated
+#: templates had at most 3 fields per term; sparse pairs in five generators
+#: drawn by the kernel's property tests had up to 729, and ran up to 1,000
+#: times slower packed than in the fallback.
+GCD_FIELDS_PER_TERM = 16
+
+#: Candidates gcd_cofactors tries, doubling the field width k after each
+#: failed one, before it takes the fallback.
+GCD_ATTEMPTS = 4
+
+
+def gcd_cofactors(f, g):
+    """(h, f/h, g/h) for primitive integer polynomials f and g of one ring,
+    neither a monomial and with a generator in common, where h is their
+    gcd, primitive with a positive lex-leading coefficient; h is ring.one,
+    with f and g themselves as the quotients, when f and g are coprime.
+
+    GCDHEU (Char, Geddes and Gonnet, 1989) with one Kronecker substitution.
+    The exponent-wise minimum monomials of f and g are divided out first,
+    and their minimum is the monomial part of h.  Over the generators
+    occurring in the rest, with deg_v the higher of its two degrees in
+    generator v, a monomial with exponents e maps to y^K(e), where K(e) is
+    the mixed-radix index of e with radix deg_v + 1 and the first generator
+    in the most significant field; each side is divided by the power of y
+    at its lowest term, and packed at y = 2^k, where the field width k is
+    the least multiple of 8 with 2^(k-1) above twice the largest
+    coefficient of f and g plus 1.  The integer gcd of the two packed ints,
+    decoded in balanced base-2^k digits, gives a candidate h as its
+    primitive part, and exact divisions of the packed ints give the
+    cofactors a and b.  Each power y^t of a monomial dividing the lowest
+    terms of both sides is then tried as the power of y that was divided
+    out of h, and a candidate is accepted when both divisions leave no
+    remainder, |h|_1 |a|_inf and |h|_1 |b|_inf are below 2^(k-1), and
+    deg_v h plus deg_v of either cofactor is at most deg_v for every
+    generator: then no field of the packed products overflows, so h a and
+    h b are the two sides as polynomials, and by the GCDHEU lemma, with
+    neither side divisible by a monomial, h is their gcd.  A failed
+    candidate doubles k.  The answer is _cofactors_fallback's after
+    GCD_ATTEMPTS candidates, once the packed size prod(deg_v + 1) k exceeds
+    GCD_PACKED_BITS, or at once when there are more than
+    GCD_FIELDS_PER_TERM fields per term of f and g.
+    """
+    ring = f.ring
+    ngens = ring.ngens
+    f_columns, g_columns = list(zip(*f)), list(zip(*g))
+    f_low, g_low = list(map(min, f_columns)), list(map(min, g_columns))
+    degrees = [max(max(a) - la, max(b) - lb) for a, la, b, lb
+               in zip(f_columns, f_low, g_columns, g_low)]
+    weights = [0] * ngens
+    radix = []      # (ring position, field weight), most significant first
+    fields = 1
+    for pos in reversed(range(ngens)):
+        if degrees[pos]:
+            weights[pos] = fields
+            radix.insert(0, (pos, fields))
+            fields *= degrees[pos] + 1
+    if fields > GCD_FIELDS_PER_TERM * (len(f) + len(g)):
+        return _cofactors_fallback(f, g)
+    f_terms, f_shift = _indexed(f, f_low, weights)
+    g_terms, g_shift = _indexed(g, g_low, weights)
+    common = list(map(min, f_low, g_low))
+    f_low = [x - y for x, y in zip(f_low, common)]
+    g_low = [x - y for x, y in zip(g_low, common)]
+    bound = 2 * max(map(abs, chain(f.values(), g.values()))) + 1
+    k = (bound.bit_length() + 8) // 8 * 8
+    for _ in range(GCD_ATTEMPTS):
+        if fields * k > GCD_PACKED_BITS:
+            break
+        half = 1 << (k - 1)
+        F = sum(c << k * index for index, c in f_terms)
+        G = sum(c << k * index for index, c in g_terms)
+        packed_gcd = gcd(F, G)
+        if packed_gcd < half:
+            # The sides without their monomials are coprime.
+            if not any(common):
+                return ring.one, f, g
+            below = [-x for x in common]
+            return (ring.dtype([(tuple(common), 1)]),
+                    ring.dtype(_raised(f.items(), below)),
+                    ring.dtype(_raised(g.items(), below)))
+        digits = _balanced_digits(packed_gcd, k)
+        content = gcd(*(d for _, d in digits))
+        H = packed_gcd // content
+        A, ra = divmod(F, H)
+        B, rb = divmod(G, H)
+        if not (ra or rb):
+            h = [(index, d // content) for index, d in digits]
+            a, b = _balanced_digits(A, k), _balanced_digits(B, k)
+            if (sum(abs(d) for _, d in h)
+                    * max(abs(d) for _, d in chain(a, b)) < half):
+                # The indices of the monomials dividing the lowest terms of
+                # both sides: the powers of y that h may have lost.
+                lowest = (_unpacked([(shift, 1)], 0, radix, ngens)[0][0]
+                          for shift in (f_shift, g_shift))
+                for t in (sum(map(mul, e, weights)) for e in product(
+                        *(range(min(x, y) + 1) for x, y in zip(*lowest)))):
+                    parts = (_unpacked(h, t, radix, ngens),
+                             _unpacked(a, f_shift - t, radix, ngens),
+                             _unpacked(b, g_shift - t, radix, ngens))
+                    if all(x + max(y, z) <= d for x, y, z, d in zip(
+                            *map(_degrees, parts), degrees)):
+                        return tuple(ring.dtype(_raised(p, low)) for p, low
+                                     in zip(parts, (common, f_low, g_low)))
+        k *= 2
+    return _cofactors_fallback(f, g)
+
+
+def _indexed(p, low: list, weights: list) -> tuple[list, int]:
+    """(terms, shift) for a polynomial p over gcd_cofactors' mixed radix:
+    shift is the Kronecker index of p's lowest term once p is divided by
+    the monomial with exponents low, and terms pairs each term's index,
+    less that of the lowest term, with its coefficient."""
+    terms = [(sum(map(mul, monom, weights)), c) for monom, c in p.items()]
+    lowest = min(index for index, _ in terms)
+    if lowest:
+        terms = [(index - lowest, c) for index, c in terms]
+    return terms, lowest - sum(map(mul, low, weights))
+
+
+def _balanced_digits(n: int, k: int) -> list:
+    """The nonzero digits of n in balanced base 2^k, each in
+    [-2^(k-1), 2^(k-1)), as (index, digit) pairs by increasing index; k is
+    a multiple of 8."""
+    sign = 1
+    if n < 0:
+        n, sign = -n, -1
+    width = k // 8
+    data = n.to_bytes(n.bit_length() // 8 + 1 + width, "little")
+    half, full = 1 << (k - 1), 1 << k
+    digits = []
+    carry = 0
+    for index, start in enumerate(range(0, len(data), width)):
+        d = int.from_bytes(data[start:start + width], "little") + carry
+        carry = d >= half
+        if carry:
+            d -= full
+        if d:
+            digits.append((index, sign * d))
+    return digits
+
+
+def _unpacked(digits: list, offset: int, radix: list, ngens: int) -> list:
+    """The terms (exponents by ring position, coefficient) of Kronecker
+    digits whose indices are offset, for gcd_cofactors' mixed radix."""
+    terms = []
+    for index, c in digits:
+        index += offset
+        monom = [0] * ngens
+        for pos, weight in radix:
+            monom[pos], index = divmod(index, weight)
+        terms.append((tuple(monom), c))
+    return terms
+
+
+def _degrees(terms: list):
+    """The highest exponent at each ring position among the terms."""
+    return map(max, zip(*(monom for monom, _ in terms)))
+
+
+def _raised(terms, low: list):
+    """The terms, each multiplied by the monomial with exponents low (some
+    may be negative, for a quotient)."""
+    if not any(low):
+        return terms
+    return [(tuple(map(add, monom, low)), c) for monom, c in terms]
+
+
+def _cofactors_fallback(f, g):
+    """gcd_cofactors by sympy's cofactors in the ring of f and g.  sympy
+    makes the gcd's leading coefficient in the ring's order positive; the
+    signs are renormalized so that the lex-leading one is."""
+    h, a, b = f.cofactors(g)
+    if h[max(h)] < 0:
+        return -h, -a, -b
+    return h, a, b
+
 
 def _cancel(ctx: Context, f, g):
     """(h, f/h, g/h) for nonzero polynomials f, g of the chart ring, where h
@@ -288,9 +458,9 @@ def _cancel(ctx: Context, f, g):
     are h and both quotients.  A monomial on either side gives the
     exponent-wise minimum monomial with coefficient 1, and the cofactors by
     subtracting exponents.  Polynomials with no generator in common are
-    coprime.  Otherwise both are mapped into the integer, lex-ordered ring
-    over only the generators occurring in f or g, where the gcd and both
-    exact quotients are computed.
+    coprime.  Otherwise gcd_cofactors computes the gcd and both quotients:
+    our own Kronecker-substitution heuristic gcd, with sympy's cofactors as
+    its fallback.
 
     That last path is memoized on the context, so each pair is cancelled
     once per chart: the key is the ordered pair (f, g), compared by value
@@ -324,19 +494,9 @@ def _cancel(ctx: Context, f, g):
         cached = ctx._cancelled.get(key)
         if cached is not None:
             return cached
-    occurring = tuple(pos for pos, (a, b) in enumerate(zip(in_f, in_g))
-                      if a or b)
-    sub, down, up = ctx._subring(occurring)
-    fs = sub.dtype([(down(m), c) for m, c in f.items()])
-    gs = sub.dtype([(down(m), c) for m, c in g.items()])
-    h = fs.gcd(gs)
-    if h.is_ground:
+    result = gcd_cofactors(f, g)
+    if _same(result[0], ctx.ring_one):
         result = ctx.ring_one, f, g
-    else:
-        def back(p):
-            return ring.dtype([(up(m + (0,)), c) for m, c in p.items()])
-
-        result = back(h), back(fs.quo(h)), back(gs.quo(h))
     if key is not None:
         ctx._cancelled[key] = result
     return result
@@ -683,13 +843,21 @@ def _int_pow(a: Expr, k: int) -> Expr:
 
 
 def _poly_diff(ctx: Context, poly, i: int):
-    # Chain rule for the exponential atom: d(t)/dx = t.
-    d = poly.diff(ctx.coord_gen(i))
-    t = ctx.exp_gen(i)
-    dt = poly.diff(t)
-    if dt:
-        d = d + t * dt
-    return d
+    """d(poly)/dx for the coordinate x at ring position i, read at the
+    known positions of x and of its exponential atom t: a term c x^e t^s
+    gives e c x^(e-1) t^s and, by the chain rule d(t)/dx = t, s c x^e t^s."""
+    j = len(ctx.coords) + i
+    d: dict = {}
+    get = d.get
+    for monom, c in poly.items():
+        s = monom[j]
+        if s:
+            d[monom] = get(monom, 0) + s * c
+        e = monom[i]
+        if e:
+            monom = monom[:i] + (e - 1,) + monom[i + 1:]
+            d[monom] = get(monom, 0) + e * c
+    return poly.new([(monom, c) for monom, c in d.items() if c])
 
 
 def differentiate(e: Expr, coord: Union[int, str]) -> Expr:

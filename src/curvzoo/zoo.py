@@ -161,8 +161,11 @@ def classify(spec_or_chart: Union[MetricSpec, Chart],
     verdict, on failure); roter, generalized_roter and the Deszcz verdicts
     attach theirs without that guard, and recurrent and b2 carry none.
     Deszcz pseudosymmetry, B.T = L Q(W,T), is a solve for the one unknown
-    L.
+    L.  oracle_samples is checked before anything is computed (ValueError
+    outside 1..MAX_SAMPLES) when run_oracle is set.
     """
+    if run_oracle:
+        _check_samples(oracle_samples)
     chart = (spec_or_chart.to_chart()
              if isinstance(spec_or_chart, MetricSpec) else spec_or_chart)
     tensors = tuple(dict.fromkeys(tensors))  # first occurrences, in order
@@ -329,6 +332,11 @@ def check_identity_at(identity: Union[Identity, _CompiledIdentity],
     return True
 
 
+def _check_samples(samples: int) -> None:
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise ValueError(f"samples must be between 1 and {MAX_SAMPLES}")
+
+
 def oracle_crosscheck(report: Report, chart: Chart,
                       samples: int = DEFAULT_SAMPLES,
                       seed: int = DEFAULT_SEED) -> OracleSummary:
@@ -346,8 +354,7 @@ def oracle_crosscheck(report: Report, chart: Chart,
     Deterministic for a fixed seed.  Points assign every atom of the
     chart, whose context holds every identity's values.
     """
-    if not 1 <= samples <= MAX_SAMPLES:
-        raise ValueError(f"samples must be between 1 and {MAX_SAMPLES}")
+    _check_samples(samples)
     rng = random.Random(seed)
     atoms = chart.ctx.atoms
     disagreements = 0

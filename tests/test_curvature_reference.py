@@ -1,4 +1,5 @@
-"""Gamma, R, S and kappa recomputed with sympy's symbolic cancel.
+"""Gamma, R, S, kappa and, for generated charts, nabla R and the Deszcz
+identity recomputed with sympy's symbolic cancel.
 
 The reference below shares nothing with curvzoo's expression kernel: each
 metric entry is read into a sympy expression (every exp(k*x) becomes E_x^k,
@@ -8,7 +9,11 @@ out with sympy, and every component is cancelled with sympy.cancel.  Each
 reference component is then printed in the package grammar and read back
 with ctx.parse, and the parsed value must equal curvzoo's component
 exactly.  Covered: the 8 builtins and one metric of each generated template
-(warped, off-diagonal, conformal), written out here.
+(warped, off-diagonal, conformal), written out here.  For those three
+generated metrics nabla R is also compared at every orbit representative
+of its slot symmetries, and on the conformally flat one R.R - L Q(g,R) must
+cancel to 0 in sympy, component by component, for the L that
+classify_deszcz returns.
 
 The formulas, in the conventions of curvzoo.charts:
 
@@ -17,15 +22,23 @@ The formulas, in the conventions of curvzoo.charts:
                        - G^m_ja G^a_ik) e_m
     R[i, j, k, l] = -g_lm R(e_i, e_j) e_k ^m
     S[i, j] = g^ab R[a, i, j, b],   kappa = g^ij S[i, j]
+    (nabla R)[x, J] = d_x R[J] - sum_m Gamma^a_{x J_m} R[J, a at slot m]
+    (R.R)[I, h, l] = -sum_m R^a_{h l I_m} R[I, a at slot m],
+        R^a_{h l i} = g^ab R[h, l, i, b]
+    Q(g,R)[I, h, l] = -sum_m (g[l, I_m] R[I, h at slot m]
+                              - g[h, I_m] R[I, l at slot m])
 """
 
+import itertools
 import re
 import time
 
 import pytest
 import sympy
 
-from curvzoo.charts import christoffel, ricci, riemann, scalar_curvature
+from curvzoo.charts import (christoffel, nabla_riemann, ricci, riemann,
+                            scalar_curvature)
+from curvzoo.classifiers import classify_deszcz
 from curvzoo.metrics import MetricSpec, builtin, list_builtins
 
 #: One chart per generated template, written out.
@@ -61,16 +74,10 @@ class Reference:
     def __init__(self, spec: MetricSpec):
         self.coords = [sympy.Symbol(c) for c in spec.coords]
         self.exps = [sympy.Symbol(f"E_{c}") for c in spec.coords]
-        names = {str(s): s for s in self.coords + self.exps}
-        names.update({p: sympy.Symbol(p) for p in spec.params})
+        self.names = {str(s): s for s in self.coords + self.exps}
+        self.names.update({p: sympy.Symbol(p) for p in spec.params})
         n = self.n = spec.dim
-
-        def read(src):
-            text = _EXP.sub(lambda m: f"(E_{m[3]}**({m[1]}{m[2] or 1}))",
-                            src).replace("^", "**")
-            return sympy.sympify(text, locals=names)
-
-        self.g = sympy.Matrix(n, n, lambda i, j: read(spec.entry(i, j)))
+        self.g = sympy.Matrix(n, n, lambda i, j: self.read(spec.entry(i, j)))
         self.ginv = self.g.inv(method="LU").applyfunc(sympy.cancel)
         half = sympy.Rational(1, 2)
         self.gamma = {
@@ -100,6 +107,36 @@ class Reference:
         self.kappa = sympy.cancel(sum(self.ginv[i, j] * self.ricci[i, j]
                                       for i in range(n) for j in range(n)))
 
+    def read(self, src: str):
+        """An expression in the package grammar, as a sympy expression."""
+        text = _EXP.sub(lambda m: f"(E_{m[3]}**({m[1]}{m[2] or 1}))",
+                        src).replace("^", "**")
+        return sympy.sympify(text, locals=self.names)
+
+    def nabla_riemann(self, idx):
+        """(nabla R)[idx], cancelled."""
+        x, J = idx[0], idx[1:]
+        R, G = self.riemann, self.gamma
+        return sympy.cancel(self.d(R[J], x) - sum(
+            G[a, x, J[m]] * R[J[:m] + (a,) + J[m + 1:]]
+            for m in range(4) for a in range(self.n)))
+
+    def deszcz_residual(self, L):
+        """R.R - L Q(g,R) at every index, each component cancelled."""
+        n, R, g = self.n, self.riemann, self.g
+        raised = {(a, h, l, i): sympy.cancel(sum(
+            self.ginv[a, b] * R[h, l, i, b] for b in range(n)))
+            for a, h, l, i in itertools.product(range(n), repeat=4)}
+        for idx in itertools.product(range(n), repeat=6):
+            I, h, l = idx[:4], idx[4], idx[5]
+            total = 0
+            for m in range(4):
+                total -= sum(raised[a, h, l, I[m]]
+                             * R[I[:m] + (a,) + I[m + 1:]] for a in range(n))
+                total += L * (g[l, I[m]] * R[I[:m] + (h,) + I[m + 1:]]
+                              - g[h, I[m]] * R[I[:m] + (l,) + I[m + 1:]])
+            yield idx, sympy.cancel(total)
+
     def d(self, f, i):
         """d/dx_i, with d/dx_i E_x_i = E_x_i."""
         return (sympy.diff(f, self.coords[i])
@@ -127,6 +164,36 @@ def test_curvature_matches_sympy_cancel(spec):
         for idx, value in expected.items():
             assert tensor[idx] == parse(reference.text(value)), idx
     assert scalar_curvature(chart) == parse(reference.text(reference.kappa))
+    assert time.perf_counter() - start < TIME_LIMIT_S
+
+
+@pytest.mark.parametrize("spec", WRITTEN.values(), ids=lambda s: s.name)
+def test_nabla_riemann_matches_sympy_cancel(spec):
+    start = time.perf_counter()
+    reference = Reference(spec)
+    chart = spec.to_chart()
+    parse = chart.ctx.parse
+    nabla = nabla_riemann(chart)
+    representative = nabla.symmetry_group.is_representative
+    checked = 0
+    for idx in itertools.product(range(chart.n), repeat=5):
+        if representative(idx):
+            assert nabla[idx] == parse(
+                reference.text(reference.nabla_riemann(idx))), idx
+            checked += 1
+    assert checked
+    assert time.perf_counter() - start < TIME_LIMIT_S
+
+
+def test_conformal_deszcz_identity_cancels_in_sympy():
+    spec = WRITTEN["conformal"]
+    start = time.perf_counter()
+    verdict = classify_deszcz(spec.to_chart(), "R", "g")
+    assert verdict.outcome
+    reference = Reference(spec)
+    L = reference.read(str(verdict.witness))
+    for idx, value in reference.deszcz_residual(L):
+        assert value == 0, idx
     assert time.perf_counter() - start < TIME_LIMIT_S
 
 

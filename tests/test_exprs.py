@@ -14,13 +14,15 @@ from sympy.polys.domains import QQ, ZZ
 from sympy.polys.orderings import lex
 from sympy.polys.rings import PolyElement, ring
 
+from curvzoo import exprs
 from curvzoo.charts import riemann
-from curvzoo.exprs import (CANCEL_MEMO_TERMS, MAX_COEFF_BITS, MAX_DEGREE,
-                           MAX_NESTING, MAX_TERMS, Context,
-                           EvaluationError, ExpressionError, ModularExpr,
-                           ParseError, _cancel, _normalized, _primitive,
-                           _rational_form, differentiate,
-                           evaluate_rational, residue, residue_powers)
+from curvzoo.exprs import (CANCEL_MEMO_TERMS, GCD_FIELDS_PER_TERM,
+                           GCD_PACKED_BITS, MAX_COEFF_BITS, MAX_DEGREE,
+                           MAX_NESTING, MAX_TERMS, Context, EvaluationError,
+                           ExpressionError, ModularExpr, ParseError, _cancel,
+                           _cofactors_fallback, _normalized, _primitive,
+                           _rational_form, differentiate, evaluate_rational,
+                           gcd_cofactors, residue, residue_powers)
 from curvzoo.metrics import builtin
 from curvzoo.zoo import ORACLE_PRIME
 
@@ -256,10 +258,10 @@ def polynomials(draw, positions):
 
 
 @st.composite
-def fractions_with_common_factor(draw, families=GENERATOR_FAMILIES):
+def fractions_with_common_factor(draw):
     """(f*h, g*h) for polynomials f, g, h in one of the families of
     generators."""
-    positions = draw(st.sampled_from(families))
+    positions = draw(st.sampled_from(GENERATOR_FAMILIES))
     f, g, h = (draw(polynomials(positions)) for _ in range(3))
     return f * h, g * h
 
@@ -326,26 +328,24 @@ CANCEL_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
 
 
 @contextmanager
-def gcd_rings():
-    """The ring of every PolyElement.gcd call made inside the block."""
-    rings = []
-    gcd = PolyElement.gcd
+def calls_to(name):
+    """The argument tuples of every call of curvzoo.exprs.<name> made inside
+    the block; the kernel looks the function up by name, so the spy sees
+    every call."""
+    calls = []
+    original = getattr(exprs, name)
 
-    def spy(f, g):
-        rings.append(f.ring)
-        return gcd(f, g)
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(PolyElement, "gcd", spy)
-        yield rings
-
-
-def assert_integer_lex(rings):
-    assert all(r.domain == ZZ and r.order == lex for r in rings)
+        patch.setattr(exprs, name, spy)
+        yield calls
 
 
 def on_gcd_path(f, g):
-    """Whether _cancel(ctx, f, g) reaches the subring gcd: neither side is a
+    """Whether _cancel(ctx, f, g) reaches gcd_cofactors: neither side is a
     monomial and the two share a generator."""
     shared = [any(a) and any(b) for a, b in zip(zip(*f), zip(*g))]
     return len(f) > 1 and len(g) > 1 and any(shared)
@@ -366,8 +366,7 @@ PROPERTY_SETTINGS = settings(max_examples=100, deadline=None,
 
 class TestCancellation:
     """Cancellation of common factors against a full-ring reference: by
-    monomials, in the ring of the occurring generators, and over every
-    generator; gcds run over the integers in lex order."""
+    monomials, over some generators and over every generator."""
 
     @CANCEL_SETTINGS
     @given(FRACTIONS)
@@ -400,34 +399,134 @@ class TestCancellation:
             assert_invariants(e)
         assert (a * a).sqrt() in (a, -a)
 
-    def test_ex5_4_gcds_run_in_smaller_rings(self):
-        # g11 = exp(x1) + 1: no gcd should need the chart's other atoms.
-        with gcd_rings() as rings:
-            chart = builtin("ex5_4").to_chart()
-            riemann(chart)
-        assert rings
-        assert max(r.ngens for r in rings) < chart.ctx.ring.ngens
-        assert_integer_lex(rings)
-
-    @CANCEL_SETTINGS
-    @given(fractions_with_common_factor(families=[ALL_GENERATORS]))
-    def test_all_generator_gcds_run_over_integers_in_lex_order(self,
-                                                               fraction):
-        # Also when every generator occurs: not in the chart ring itself.
-        # A fresh context, so that no earlier example's memo entry answers.
-        with gcd_rings() as rings:
-            _normalized(cancel_context(), *fraction)
-        assert len(rings) == on_gcd_path(*fraction)
-        assert_integer_lex(rings)
-
     def test_disjoint_operands_skip_gcd(self, ctx):
         # 2 and 495 terms in 9 generators with none in common: coprime
         # without a gcd.
-        with gcd_rings() as rings:
+        with calls_to("gcd_cofactors") as calls:
             s8 = "(1+x1+x2+x3+x4+exp(x1)+exp(x2)+exp(x3)+exp(x4))"
             e = ctx.parse(f"(a+1)/{s8}^4")
-        assert rings == []
+        assert calls == []
         assert (len(e.num), len(e.den)) == (2, 495)
+
+
+#: CANCEL_CTX's generators over the integers in lex order: the ring of the
+#: gcd reference.  sympy makes a gcd's leading coefficient in its ring's
+#: order positive, so here the lex-leading one, as the kernel does.
+LEX_RING = ring([str(s) for s in CANCEL_CTX.ring.symbols], ZZ,
+                order=lex)[0]
+
+
+def reference_cofactors(f, g):
+    """(h, f/h, g/h) by sympy's cofactors in LEX_RING, as dicts."""
+    h, a, b = LEX_RING.from_dict(dict(f)).cofactors(
+        LEX_RING.from_dict(dict(g)))
+    return dict(h), dict(a), dict(b)
+
+
+def geometric(m, n):
+    """1 + m + ... + m^(n-1)."""
+    return sum((m ** i for i in range(n)), CANCEL_CTX.ring.zero)
+
+
+@st.composite
+def gcd_operands(draw):
+    """(f, g, dense): f and g are the primitive parts of h a and h b for
+    polynomials h, a and b in one family of generators, h with two terms or
+    more, so that neither f nor g is a monomial; f is negated in some
+    draws.  Some draws multiply h by (m - 1)(m^n - 1) and a by
+    (1 + m + ... + m^(n-1))^2, for one generator m of the family: then h a
+    has the factor (m^n - 1)^2 (1 + m + ... + m^(n-1)), with coefficients
+    of at most 2, while the cofactor's reach n.  dense is whether the
+    family has at most two generators: such operands have a few fields of
+    their degree box per term."""
+    positions = draw(st.sampled_from(GENERATOR_FAMILIES))
+    h = draw(polynomials(positions).filter(lambda p: len(p) > 1))
+    a, b = draw(polynomials(positions)), draw(polynomials(positions))
+    n = draw(st.sampled_from([0, 0, 8, 40]))
+    if n:
+        m = CANCEL_CTX.ring.gens[draw(st.sampled_from(positions))]
+        h = h * (m - 1) * (m ** n - 1)
+        a = a * geometric(m, n) ** 2
+    f, g = _primitive(h * a)[1], _primitive(h * b)[1]
+    return (-f if draw(st.booleans()) else f), g, len(positions) <= 2
+
+
+class TestGcdCofactors:
+    """gcd_cofactors against sympy's cofactors: the Kronecker heuristic gcd,
+    its retries and its fallback."""
+
+    @PROPERTY_SETTINGS
+    @given(gcd_operands())
+    def test_matches_sympy_cofactors(self, operands):
+        f, g, dense = operands
+        with calls_to("_cofactors_fallback") as fallbacks:
+            h, a, b = gcd_cofactors(f, g)
+        assert (dict(h), dict(a), dict(b)) == reference_cofactors(f, g)
+        assert h * a == f and h * b == g
+        if dense:
+            assert fallbacks == []
+
+    def test_a_failed_candidate_doubles_the_field_width(self):
+        x2, e1 = CANCEL_CTX.ring.gens[1:3]
+        # f = (e1^70 - 1)^2 (1 + ... + e1^69) has coefficients of at most 2
+        # and g of at most 3, so the first fields are 8 bits wide; the
+        # cofactor (1 + ... + e1^69)^2 has coefficients up to 70, and
+        # |h|_1 = 4 times 70 is past 2^7.
+        h = (e1 - 1) * (e1 ** 70 - 1)
+        f, g = h * geometric(e1, 70) ** 2, h * (x2 + 3)
+        expected = (h, geometric(e1, 70) ** 2, x2 + 3)
+        with calls_to("_cofactors_fallback") as fallbacks:
+            assert gcd_cofactors(f, g) == expected
+        assert fallbacks == []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exprs, "GCD_ATTEMPTS", 1)
+            with calls_to("_cofactors_fallback") as fallbacks:
+                assert gcd_cofactors(f, g) == expected
+        assert len(fallbacks) == 1
+
+    def test_operands_past_the_packing_cap_take_the_fallback(self):
+        x1, x2 = CANCEL_CTX.ring.gens[:2]
+        h = geometric(x1 + x2 + 2, 6)
+        f, g = h * (x1 - 3 * x2), h * (x1 * x2 + 1)
+        expected = (h, x1 - 3 * x2, x1 * x2 + 1)
+        with calls_to("_cofactors_fallback") as fallbacks:
+            assert gcd_cofactors(f, g) == expected
+        assert fallbacks == []
+        # Radix 7 for x1 and for x2, and fields of at least 8 bits.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exprs, "GCD_PACKED_BITS", 7 * 7 * 8 - 1)
+            with calls_to("_cofactors_fallback") as fallbacks:
+                assert gcd_cofactors(f, g) == expected
+        assert len(fallbacks) == 1
+        assert tuple(map(dict, expected)) == reference_cofactors(f, g)
+
+    def test_sparse_operands_take_the_fallback(self):
+        x1, x2, e1, e2, a = CANCEL_CTX.ring.gens
+        h = x1 ** 12 * x2 + e1 ** 12 * e2 * a ** 12 - 3
+        f, g = h * (x1 * e2 + 2), h * (x2 * a - 5)
+        # 14 * 3 * 13 * 3 * 14 fields for 12 terms, packed into fewer than
+        # GCD_PACKED_BITS bits.
+        assert 14 * 3 * 13 * 3 * 14 > GCD_FIELDS_PER_TERM * 12
+        assert 14 * 3 * 13 * 3 * 14 * 8 < GCD_PACKED_BITS
+        with calls_to("_cofactors_fallback") as fallbacks:
+            result = gcd_cofactors(f, g)
+        assert len(fallbacks) == 1
+        assert result == (h, x1 * e2 + 2, x2 * a - 5)
+        assert tuple(map(dict, result)) == reference_cofactors(f, g)
+
+    def test_fallback_makes_the_lex_leading_coefficient_positive(self):
+        x1, x2 = CANCEL_CTX.ring.gens[:2]
+        # x1 - x2^2 leads with x2^2 under grevlex and with x1 under lex.
+        h = x1 - x2 ** 2
+        f, g = h * (x1 + 1), h * (x2 + 3)
+        assert f.cofactors(g) == (-h, -(x1 + 1), -(x2 + 3))
+        assert _cofactors_fallback(f, g) == (h, x1 + 1, x2 + 3)
+
+    def test_coprime_operands_come_back_unchanged(self):
+        x1, x2, e1 = CANCEL_CTX.ring.gens[:3]
+        f, g = x1 * e1 + 2, x1 + x2
+        one, a, b = gcd_cofactors(f, g)
+        assert one == CANCEL_CTX.ring.one and a is f and b is g
 
 
 class TestCancellationMemo:
@@ -438,10 +537,10 @@ class TestCancellationMemo:
         ctx = cancel_context()
         x1, x2, e1, _, a = ctx.ring.gens
         f, g = (x1 + a) * (x2 + 1), (x1 + a) * (e1 - 2)
-        with gcd_rings() as rings:
+        with calls_to("gcd_cofactors") as calls:
             first = _cancel(ctx, f, g)
             second = _cancel(ctx, f * 1, g * 1)  # equal, not identical
-        assert len(rings) == 1
+        assert len(calls) == 1
         assert second == first == (x1 + a, x2 + 1, e1 - 2)
 
     @CANCEL_SETTINGS
@@ -452,9 +551,9 @@ class TestCancellationMemo:
         # _normalized cancels the primitive parts.
         key = _primitive(num)[1], _primitive(den)[1]
         _cancel(ctx, *key)
-        with gcd_rings() as rings:
+        with calls_to("gcd_cofactors") as calls:
             hit = _normalized(ctx, num, den)
-        assert rings == []
+        assert calls == []
         assert (key in ctx._cancelled) == on_gcd_path(num, den)
         fresh = _normalized(cancel_context(), num, den)
         assert (hit.num, hit.den) == (fresh.num, fresh.den)

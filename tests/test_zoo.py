@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curvzoo import zoo
 from curvzoo.charts import nabla_riemann, scalar_curvature
 from curvzoo.classifiers import classify_deszcz
 from curvzoo.cli import main
@@ -216,7 +217,20 @@ class TestReports:
             classify(builtin("ex5_1").to_chart(), run_oracle=False)
 
 
+def battery_must_not_run(*_):
+    raise AssertionError("a battery entry ran")
+
+
 class TestBattery:
+    def test_sample_count_is_checked_before_the_battery(self, monkeypatch):
+        # curvature_verdicts is the battery's first entry.
+        monkeypatch.setattr(zoo, "curvature_verdicts", battery_must_not_run)
+        with pytest.raises(ValueError,
+                           match=f"^samples must be between 1 and "
+                                 f"{MAX_SAMPLES}$"):
+            classify(builtin("ex5_5"), tensors=ALL_TENSORS,
+                     oracle_samples=0)
+
     @pytest.mark.parametrize("name", list_builtins())
     def test_all_tensors_match_reference(self, name):
         # Every branch of the battery: (0,4) and (0,2) tensors, gct_axioms
@@ -566,6 +580,17 @@ class TestCLI:
 
     def test_bad_tensor_exit_2(self, capsys):
         assert main(["classify", "flat3", "--tensor", "Q"]) == 2
+
+    @pytest.mark.parametrize("samples", [0, MAX_SAMPLES + 1])
+    def test_oracle_samples_out_of_range_exit_2_before_the_battery(
+            self, capsys, monkeypatch, samples):
+        monkeypatch.setattr(zoo, "curvature_verdicts", battery_must_not_run)
+        assert main(["classify", "ex5_5", "--tensor", ",".join(ALL_TENSORS),
+                     "--oracle-samples", str(samples)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: samples must be between 1 and {MAX_SAMPLES}\n")
 
     def test_oracle_samples_past_the_limit_exit_2(self, capsys):
         assert main(["classify", "flat3", "--oracle-samples",
