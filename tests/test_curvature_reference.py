@@ -11,9 +11,18 @@ with ctx.parse, and the parsed value must equal curvzoo's component
 exactly.  Covered: the 8 builtins and one metric of each generated template
 (warped, off-diagonal, conformal), written out here.  For those three
 generated metrics nabla R is also compared at every orbit representative
-of its slot symmetries, and on the conformally flat one R.R - L Q(g,R) must
-cancel to 0 in sympy, component by component, for the L that
-classify_deszcz returns.
+of its slot symmetries.
+
+Every positive decomposition verdict that a default classify reports on the
+builtins and on the conformal chart is also checked in sympy:
+B.T - L Q(W,T) must cancel to 0 for each positive deszcz[T;W] (B = R) with
+its witness L, and R - sum_k N_k G_k for each positive roter and
+generalized_roter with its particular solution, where G_k are the
+Kulkarni-Nomizu products the verdict names, and sum_k b_k G_k for each
+homogeneous basis vector b.  Both sides of a Deszcz identity share the
+slot symmetries of T in I and are skew in (h, l), so they are compared at
+the representatives of those symmetries; a decomposition at every
+component of R with i < j, k < l and (i, j) <= (k, l).
 
 The formulas, in the conventions of curvzoo.charts:
 
@@ -27,8 +36,12 @@ The formulas, in the conventions of curvzoo.charts:
         R^a_{h l i} = g^ab R[h, l, i, b]
     Q(g,R)[I, h, l] = -sum_m (g[l, I_m] R[I, h at slot m]
                               - g[h, I_m] R[I, l at slot m])
+    (A ^ D)[i, j, k, l] = A[i,l] D[j,k] + A[j,k] D[i,l]
+                          - A[i,k] D[j,l] - A[j,l] D[i,k]
+    S2[i, j] = g^ab S[b, i] S[a, j]
 """
 
+import functools
 import itertools
 import re
 import time
@@ -38,8 +51,9 @@ import sympy
 
 from curvzoo.charts import (christoffel, nabla_riemann, ricci, riemann,
                             scalar_curvature)
-from curvzoo.classifiers import classify_deszcz
+from curvzoo.classifiers import generalized_roter_generators, roter_generators
 from curvzoo.metrics import MetricSpec, builtin, list_builtins
+from curvzoo.zoo import classify
 
 #: One chart per generated template, written out.
 WRITTEN = {
@@ -121,21 +135,54 @@ class Reference:
             G[a, x, J[m]] * R[J[:m] + (a,) + J[m + 1:]]
             for m in range(4) for a in range(self.n)))
 
-    def deszcz_residual(self, L):
-        """R.R - L Q(g,R) at every index, each component cancelled."""
-        n, R, g = self.n, self.riemann, self.g
-        raised = {(a, h, l, i): sympy.cancel(sum(
+    def tensor(self, name: str) -> dict:
+        """R, S, g or S2 as a dict over every index."""
+        n = self.n
+        if name == "R":
+            return self.riemann
+        if name == "S":
+            return self.ricci
+        if name == "g":
+            return {(i, j): self.g[i, j]
+                    for i, j in itertools.product(range(n), repeat=2)}
+        assert name == "S2"
+        if not hasattr(self, "_ricci_square"):
+            S, ginv = self.ricci, self.ginv
+            self._ricci_square = {(i, j): sympy.cancel(sum(
+                ginv[a, b] * S[b, i] * S[a, j]
+                for a in range(n) for b in range(n)))
+                for i, j in itertools.product(range(n), repeat=2)}
+        return self._ricci_square
+
+    @functools.cached_property
+    def raised_riemann(self) -> dict:
+        """R^a_{h l i} = g^ab R[h, l, i, b], the endomorphism R(e_h, e_l)."""
+        n, R = self.n, self.riemann
+        return {(a, h, l, i): sympy.cancel(sum(
             self.ginv[a, b] * R[h, l, i, b] for b in range(n)))
             for a, h, l, i in itertools.product(range(n), repeat=4)}
-        for idx in itertools.product(range(n), repeat=6):
-            I, h, l = idx[:4], idx[4], idx[5]
+
+    def deszcz_residual(self, tname: str, wname: str, L, indices):
+        """(R.T - L Q(W,T))[I, h, l] at each (I, h, l) of indices, each
+        component cancelled."""
+        n, T, W = self.n, self.tensor(tname), self.tensor(wname)
+        raised = self.raised_riemann
+        for idx in indices:
+            I, h, l = idx[:-2], idx[-2], idx[-1]
             total = 0
-            for m in range(4):
+            for m in range(len(I)):
                 total -= sum(raised[a, h, l, I[m]]
-                             * R[I[:m] + (a,) + I[m + 1:]] for a in range(n))
-                total += L * (g[l, I[m]] * R[I[:m] + (h,) + I[m + 1:]]
-                              - g[h, I[m]] * R[I[:m] + (l,) + I[m + 1:]])
+                             * T[I[:m] + (a,) + I[m + 1:]] for a in range(n))
+                total += L * (W[l, I[m]] * T[I[:m] + (h,) + I[m + 1:]]
+                              - W[h, I[m]] * T[I[:m] + (l,) + I[m + 1:]])
             yield idx, sympy.cancel(total)
+
+    def kulkarni_nomizu(self, A: str, D: str, idx):
+        """(A ^ D)[idx]."""
+        A, D = self.tensor(A), self.tensor(D)
+        i, j, k, l = idx
+        return (A[i, l] * D[j, k] + A[j, k] * D[i, l]
+                - A[i, k] * D[j, l] - A[j, l] * D[i, k])
 
     def d(self, f, i):
         """d/dx_i, with d/dx_i E_x_i = E_x_i."""
@@ -151,10 +198,16 @@ class Reference:
         return text.replace("**", "^")
 
 
+@functools.lru_cache(maxsize=None)
+def reference_of(spec: MetricSpec) -> Reference:
+    """Reference(spec), built once per metric for every test below."""
+    return Reference(spec)
+
+
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
 def test_curvature_matches_sympy_cancel(spec):
     start = time.perf_counter()
-    reference = Reference(spec)
+    reference = reference_of(spec)
     chart = spec.to_chart()
     parse = chart.ctx.parse
     pairs = [(christoffel(chart), reference.gamma),
@@ -170,7 +223,7 @@ def test_curvature_matches_sympy_cancel(spec):
 @pytest.mark.parametrize("spec", WRITTEN.values(), ids=lambda s: s.name)
 def test_nabla_riemann_matches_sympy_cancel(spec):
     start = time.perf_counter()
-    reference = Reference(spec)
+    reference = reference_of(spec)
     chart = spec.to_chart()
     parse = chart.ctx.parse
     nabla = nabla_riemann(chart)
@@ -185,15 +238,86 @@ def test_nabla_riemann_matches_sympy_cancel(spec):
     assert time.perf_counter() - start < TIME_LIMIT_S
 
 
-def test_conformal_deszcz_identity_cancels_in_sympy():
-    spec = WRITTEN["conformal"]
+#: The charts whose positive decomposition verdicts are checked in sympy.
+DECOMPOSED = [builtin(name) for name in list_builtins()] + [
+    WRITTEN["conformal"]]
+
+_DESZCZ = re.compile(r"deszcz\[(\w+);(\w+)\]")
+
+#: The generators of each decomposition verdict, as Kulkarni-Nomizu factor
+#: pairs, in the order of the verdict's unknowns.
+_GENERATORS = {"roter": roter_generators,
+               "generalized_roter": generalized_roter_generators}
+_PRODUCTS = {"roter": (("g", "g"), ("g", "S"), ("S", "S")),
+             "generalized_roter": (("S", "S"), ("S", "S2"), ("g", "S"),
+                                   ("g", "S2"), ("g", "g"), ("S2", "S2"))}
+
+
+def _pairs(n: int) -> list:
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def deszcz_indices(n: int, rank: int) -> list:
+    """(I, h, l) at the representatives of the symmetries that B.T and
+    Q(W,T) share: those of T in I (skew pairs with pair symmetry for
+    rank 4, symmetric for rank 2), and skew in (h, l)."""
+    if rank == 4:
+        slots = [p + q for p in _pairs(n) for q in _pairs(n) if p <= q]
+    else:
+        slots = [(i, j) for i in range(n) for j in range(i, n)]
+    return [I + hl for I in slots for hl in _pairs(n)]
+
+
+def positive_decompositions(spec: MetricSpec) -> list:
+    """The positive deszcz, roter and generalized_roter verdicts of a
+    default classify."""
+    report = classify(spec, run_oracle=False)
+    return [v for v in report.verdicts if v.outcome
+            and (_DESZCZ.fullmatch(v.name) or v.name in _PRODUCTS)]
+
+
+def test_the_checked_charts_have_positive_decompositions():
+    names = {spec.name: sorted(v.name for v in positive_decompositions(spec))
+             for spec in DECOMPOSED}
+    assert names["ex5_2"] == ["deszcz[R;S]", "deszcz[R;g]", "deszcz[S;g]",
+                              "generalized_roter", "roter"]
+    assert names["conformal"] == ["deszcz[R;S]", "deszcz[R;g]",
+                                  "deszcz[S;g]", "generalized_roter",
+                                  "roter"]
+    assert "deszcz[R;g]" in names["ex5_5"]
+
+
+@pytest.mark.parametrize("spec", DECOMPOSED, ids=lambda s: s.name)
+def test_positive_decompositions_cancel_in_sympy(spec):
     start = time.perf_counter()
-    verdict = classify_deszcz(spec.to_chart(), "R", "g")
-    assert verdict.outcome
-    reference = Reference(spec)
-    L = reference.read(str(verdict.witness))
-    for idx, value in reference.deszcz_residual(L):
-        assert value == 0, idx
+    reference = reference_of(spec)
+    n = spec.dim
+    chart = spec.to_chart()
+    for verdict in positive_decompositions(spec):
+        deszcz = _DESZCZ.fullmatch(verdict.name)
+        if deszcz:
+            tname, wname = deszcz.groups()
+            L = reference.read(str(verdict.witness))
+            rank = len(next(iter(reference.tensor(tname))))
+            for idx, value in reference.deszcz_residual(
+                    tname, wname, L, deszcz_indices(n, rank)):
+                assert value == 0, (verdict.name, idx)
+            continue
+        generators, names = _GENERATORS[verdict.name](chart)
+        space = verdict.witness
+        assert space.names == tuple(names)
+        vectors = [(space.particular, True)] + [(b, False)
+                                                for b in space.basis]
+        for vector, particular in vectors:
+            coefficients = [reference.read(str(c)) for c in vector]
+            for idx in [p + q for p in _pairs(n) for q in _pairs(n)
+                        if p <= q]:
+                total = sum(c * reference.kulkarni_nomizu(A, D, idx)
+                            for c, (A, D) in zip(coefficients,
+                                                 _PRODUCTS[verdict.name]))
+                if particular:
+                    total = reference.riemann[idx] - total
+                assert sympy.cancel(total) == 0, (verdict.name, idx)
     assert time.perf_counter() - start < TIME_LIMIT_S
 
 
