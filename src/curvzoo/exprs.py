@@ -36,54 +36,61 @@ Reduction mod p is a ring homomorphism wherever the denominators it meets
 are units, so an identity that holds in the field holds mod p, and a
 nonzero value reads 0 only at a root of its numerator or when p divides it.
 
-Polynomial ring arithmetic is delegated to ``sympy.polys`` sparse rings; the
-chart ring has integer coefficients and grevlex order, the order that terms
-are printed in.  Rational coefficients live only in the content: a negation
-flips it, a quotient swaps numerator and denominator, a product of canonical
-parts multiplies contents and polynomials and needs no content pass, and a
-sum scales each side by its integer cofactor of the gcd of the two contents
-before it takes the content of the result.  Common factors are cancelled by
-``_cancel``: when either side is a monomial the gcd is the exponent-wise
-minimum monomial and the cofactors follow by subtracting exponents, with no
-polynomial division; otherwise ``gcd_cofactors`` computes the gcd and both
-cofactors at once by the heuristic gcd GCDHEU (Char, Geddes and Gonnet,
-1989) with one Kronecker substitution: each polynomial is packed into one
-Python int, so one integer gcd and two exact integer divisions, all run in
-C, give a candidate, which is accepted only with a certificate that it is
-the gcd.  Candidates that fail, and operands too large or too sparse to
-pack, take sympy's ``cofactors`` in the chart ring instead.  Either way
-the gcd of two primitive operands is primitive with a positive lex-leading
-coefficient, and so are both quotients when the operands have positive
-lex-leading coefficients.  Derivatives read each term's exponents at the
-known ring positions.  Everything above the ring arithmetic (grammar,
-canonicalization policy, cancellation, derivatives, evaluation, printing)
-lives here.
+Polynomials are plain dicts from exponent tuples, indexed by ring position
+(coordinates, exponential atoms, parameters), to nonzero Python ints; the
+zero polynomial is the empty dict.  Terms are printed in grevlex order.
+The content is a ``_Rational``, two ints in lowest terms that hash as the
+equal ``Fraction``.  Rational coefficients live only in the content: a
+negation flips it, a quotient swaps numerator and denominator, a product of
+canonical parts multiplies contents and polynomials and needs no content
+pass, and a sum scales each side by its integer cofactor of the gcd of the
+two contents before it takes the content of the result.  Products add
+exponent tuples with a function generated once per number of generators.
+Common factors are cancelled by ``_cancel``: when either side is a
+monomial the gcd is the exponent-wise minimum monomial and the cofactors
+follow by subtracting exponents, with no polynomial division; otherwise
+``gcd_cofactors`` computes the gcd and both cofactors at once by a chain
+of three methods, tried in order:
+
+1. the heuristic gcd GCDHEU (Char, Geddes and Gonnet, 1989) with one
+   Kronecker substitution: each polynomial is packed into one Python int,
+   so one integer gcd and two exact integer divisions, all run in C, give
+   a candidate, which is accepted only with a certificate that it is the
+   gcd;
+2. for operands too large or too sparse to pack, and candidates that fail,
+   the recursive heuristic gcd of Liao and Fateman (1995), which evaluates
+   one generator at a time at an integer and checks its candidates by
+   exact division;
+3. when that fails too, a primitive polynomial remainder sequence (Collins,
+   1967; Brown, 1971) in the lex-leading generator, with the contents in
+   the other generators taken recursively, which always answers.
+
+Either way the gcd of two primitive operands is primitive with a positive
+lex-leading coefficient, and so are both quotients when the operands have
+positive lex-leading coefficients.  Derivatives read each term's exponents
+at the known ring positions; square roots are taken term by term from the
+lex-leading one.  The grammar, canonicalization, cancellation, derivatives,
+evaluation and printing all live here.
 
 The gcd path of ``_cancel`` is memoized on the ``Context``, so there is one
 memo per chart and it is freed with the chart: the key is the ordered pair
 of operand polynomials, compared by value, and the value is the cancelled
 triple.  Only pairs with at most ``CANCEL_MEMO_TERMS`` terms together are
 kept, which bounds the memo's memory by that of the chart's small values.  A
-hit shares polynomials between expressions, as ``Context.ring_one`` does, so
-no code may mutate a polynomial in place; every operation here builds a new
-one.
+hit shares polynomials between expressions, as ``Context.unit`` does, so
+no code may mutate a polynomial in place once it is returned; every
+operation here builds a new one.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
 from math import comb, gcd, isqrt, lcm
-from operator import add, and_, mul
+from operator import add, and_, mul, sub
 from typing import Mapping, Optional, Sequence, Union
-
-from sympy.polys.domains import QQ, ZZ
-from sympy.polys.rings import ring as _sympy_ring
-
-#: The type of an Expr's content and of the rational form's coefficients:
-#: sympy's rational, the coefficient type of its QQ domain.
-_mpq = QQ.dtype
 
 
 class ExpressionError(ValueError):
@@ -118,18 +125,199 @@ class Atom:
 Number = Union[int, Fraction]
 
 
+_HASH_MODULUS = sys.hash_info.modulus
+_HASH_INF = sys.hash_info.inf
+
+
+class _Rational:
+    """An exact rational numerator/denominator in lowest terms, with a
+    positive denominator: an Expr's content and the coefficients of its
+    rational form.  Immutable by convention.  It combines with ints and
+    with itself, compares with ints, Fractions and itself, and hashes as
+    the equal Fraction, so sets and dicts of Exprs keep their order."""
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: int, denominator: int = 1):
+        if not denominator:
+            raise ZeroDivisionError("zero denominator")
+        if denominator < 0:
+            numerator, denominator = -numerator, -denominator
+        g = gcd(numerator, denominator)
+        if g != 1:
+            numerator //= g
+            denominator //= g
+        self.numerator = numerator
+        self.denominator = denominator
+
+    def __mul__(self, other):
+        if type(other) is _Rational:
+            ap, aq = self.numerator, self.denominator
+            bp, bq = other.numerator, other.denominator
+            x1, x2 = gcd(ap, bq), gcd(bp, aq)
+            return _rat((ap // x1) * (bp // x2), (aq // x2) * (bq // x1))
+        if type(other) is int:
+            x = gcd(other, self.denominator)
+            return _rat(self.numerator * (other // x), self.denominator // x)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        ap, aq = self.numerator, self.denominator
+        if type(other) is int:
+            return _rat(ap + other * aq, aq)
+        if type(other) is not _Rational:
+            return NotImplemented
+        bp, bq = other.numerator, other.denominator
+        g = gcd(aq, bq)
+        if g == 1:
+            return _rat(ap * bq + aq * bp, aq * bq)
+        q1, q2 = aq // g, bq // g
+        p = ap * q2 + bp * q1
+        g2 = gcd(p, g)
+        return _rat(p // g2, q1 * q2 * (g // g2))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _rat(-self.numerator, self.denominator)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __rtruediv__(self, other):
+        if type(other) is not int:
+            return NotImplemented
+        p, q = self.numerator, self.denominator
+        if not p:
+            raise ZeroDivisionError("division by zero")
+        x = gcd(p, other)
+        if p < 0:
+            return _rat(-q * (other // x), -p // x)
+        return _rat(q * (other // x), p // x)
+
+    def __truediv__(self, other):
+        if type(other) is int:
+            other = _rat(other, 1)
+        elif type(other) is not _Rational:
+            return NotImplemented
+        return self * (1 / other)
+
+    def __pow__(self, k: int):
+        if k < 0:
+            return (1 / self) ** -k
+        return _rat(self.numerator ** k, self.denominator ** k)
+
+    def __eq__(self, other):
+        if type(other) is _Rational:
+            return (self.numerator == other.numerator
+                    and self.denominator == other.denominator)
+        if type(other) is int:
+            return self.denominator == 1 and self.numerator == other
+        if isinstance(other, Fraction):
+            return (self.numerator == other.numerator
+                    and self.denominator == other.denominator)
+        return NotImplemented
+
+    def __lt__(self, other):
+        if type(other) is int:
+            return self.numerator < other * self.denominator
+        if type(other) is _Rational:
+            return (self.numerator * other.denominator
+                    < other.numerator * self.denominator)
+        return NotImplemented
+
+    def __gt__(self, other):
+        if type(other) is int:
+            return self.numerator > other * self.denominator
+        if type(other) is _Rational:
+            return (self.numerator * other.denominator
+                    > other.numerator * self.denominator)
+        return NotImplemented
+
+    def __hash__(self):
+        p, q = self.numerator, self.denominator
+        if q == 1:
+            return hash(p)
+        # Fraction.__hash__.
+        try:
+            inverse = pow(q, -1, _HASH_MODULUS)
+        except ValueError:
+            h = _HASH_INF
+        else:
+            h = hash(hash(abs(p)) * inverse)
+        h = h if p >= 0 else -h
+        return -2 if h == -1 else h
+
+    def __bool__(self):
+        return self.numerator != 0
+
+    def __str__(self):
+        p, q = self.numerator, self.denominator
+        return f"{p}" if q == 1 else f"{p}/{q}"
+
+    def __repr__(self):
+        return f"_Rational({self.numerator}, {self.denominator})"
+
+
+_new_object = object.__new__
+
+
+def _rat(p: int, q: int) -> _Rational:
+    """p/q for p and q already in lowest terms with q > 0."""
+    r = _new_object(_Rational)
+    r.numerator = p
+    r.denominator = q
+    return r
+
+
+_ONE = _rat(1, 1)
+_ZERO = _rat(0, 1)
+
+#: Generated monomial operations, by (name, number of generators).
+_MONOMIAL_OPS: dict = {}
+
+_MONOMIAL_TEMPLATES = {"add": "{a} + {b}", "sub": "{a} - {b}",
+                       "min": "min({a}, {b})"}
+
+
+def _monomial_op(name: str, n: int):
+    """The function of two exponent tuples of length n that applies the
+    named operation ("add", "sub" or "min") position by position, generated
+    once per (name, n) with the tuples unpacked, as sympy's monomial
+    operations are: about twice as fast as a map over the two tuples."""
+    op = _MONOMIAL_OPS.get((name, n))
+    if op is None:
+        a = [f"a{i}" for i in range(n)]
+        b = [f"b{i}" for i in range(n)]
+        body = ", ".join(_MONOMIAL_TEMPLATES[name].format(a=x, b=y)
+                         for x, y in zip(a, b))
+        code = (f"def op(A, B):\n    ({', '.join(a)},) = A\n"
+                f"    ({', '.join(b)},) = B\n    return ({body},)\n")
+        namespace: dict = {}
+        exec(code, namespace)
+        op = _MONOMIAL_OPS[name, n] = namespace["op"]
+    return op
+
+
 class Context:
-    """Declared coordinate and parameter names plus the polynomial ring.
+    """Declared coordinate and parameter names, and the chart's generators.
 
     Ring generators are ordered: coordinates, exponential atoms (one per
-    coordinate, in coordinate order), parameters.  ``ring`` has integer
-    coefficients and grevlex order.  Contexts with equal declarations
-    produce interoperable expressions.
+    coordinate, in coordinate order), parameters; ``gens`` names them, and
+    every exponent tuple is indexed by that order.  ``unit`` is the
+    polynomial 1, shared by every value with denominator 1, so it must
+    never be mutated.  Contexts with equal declarations produce
+    interoperable expressions.
     """
 
-    __slots__ = ("coords", "params", "ring", "ring_one", "atoms",
-                 "_atom_pos", "_coord_pos", "_param_pos", "_zero", "_one",
-                 "_ints", "_cancelled", "__weakref__")
+    __slots__ = ("coords", "params", "gens", "unit", "atoms", "_atom_pos",
+                 "_coord_pos", "_param_pos", "_zero", "_one", "_ints",
+                 "_cancelled", "_madd", "_mgcd", "_msub", "__weakref__")
 
     def __init__(self, coords: Sequence[str], params: Sequence[str] = ()):
         coords = tuple(coords)
@@ -145,14 +333,12 @@ class Context:
             seen.add(name)
         self.coords = coords
         self.params = params
-        gen_names = (list(coords)
-                     + [f"_exp_{c}" for c in coords]
-                     + list(params))
-        self.ring = _sympy_ring(gen_names, ZZ, order="grevlex")[0]
-        # The ring's unit, built once: PolyRing.one builds a new element on
-        # every access.  Shared by every value with denominator 1, so it
-        # must never be mutated in place.
-        self.ring_one = self.ring.one
+        self.gens = (coords + tuple(f"_exp_{c}" for c in coords) + params)
+        ngens = len(self.gens)
+        self.unit = {(0,) * ngens: 1}
+        self._madd = _monomial_op("add", ngens)
+        self._mgcd = _monomial_op("min", ngens)
+        self._msub = _monomial_op("sub", ngens)
         atoms = [Atom("coord", i, c) for i, c in enumerate(coords)]
         atoms += [Atom("exp", i, f"exp({c})") for i, c in enumerate(coords)]
         atoms += [Atom("param", j, p) for j, p in enumerate(params)]
@@ -160,10 +346,10 @@ class Context:
         self._atom_pos = {atom: pos for pos, atom in enumerate(atoms)}
         self._coord_pos = {c: i for i, c in enumerate(coords)}
         self._param_pos = {p: j for j, p in enumerate(params)}
-        self._zero = Expr(self, QQ.zero, self.ring.zero, self.ring_one)
-        self._one = Expr(self, QQ.one, self.ring_one, self.ring_one)
+        self._zero = Expr(self, _ZERO, {}, self.unit)
+        self._one = Expr(self, _ONE, self.unit, self.unit)
         self._ints = {0: self._zero, 1: self._one}
-        # _cancel's memo: (f, g) -> (h, f/h, g/h).
+        # _cancel's memo: _memo_key(f, g) -> (h, f/h, g/h).
         self._cancelled: dict = {}
 
     @property
@@ -181,16 +367,11 @@ class Context:
     def __repr__(self):
         return f"Context(coords={self.coords}, params={self.params})"
 
-    # -- atom positions in the ring -------------------------------------
-
-    def coord_gen(self, i: int):
-        return self.ring.gens[i]
-
-    def exp_gen(self, i: int):
-        return self.ring.gens[len(self.coords) + i]
-
-    def param_gen(self, j: int):
-        return self.ring.gens[2 * len(self.coords) + j]
+    def _generator(self, pos: int, k: int = 1) -> dict:
+        """The generator at ring position pos to the k-th power, k >= 0."""
+        monom = [0] * len(self.gens)
+        monom[pos] = k
+        return {tuple(monom): 1}
 
     # -- constructors ----------------------------------------------------
 
@@ -205,7 +386,7 @@ class Context:
     def integer(self, k: int) -> "Expr":
         cached = self._ints.get(k)
         if cached is None:
-            cached = self._constant(QQ(k))
+            cached = self._constant(_rat(k, 1))
             if -8 <= k <= 8:
                 self._ints[k] = cached
         return cached
@@ -213,45 +394,177 @@ class Context:
     def rational(self, p: int, q: int = 1) -> "Expr":
         if q == 0:
             raise ExpressionError("zero denominator in rational literal")
-        return self._constant(QQ(p, q))
+        return self._constant(_Rational(p, q))
 
-    def _constant(self, c) -> "Expr":
+    def _constant(self, c: _Rational) -> "Expr":
         if not c:
             return self._zero
-        return Expr(self, c, self.ring_one, self.ring_one)
+        return Expr(self, c, self.unit, self.unit)
 
     def term(self, exponents: Sequence[int], coeff: Number = 1) -> "Expr":
         """coeff times the product of the atoms raised to the exponents,
         which are listed by ring position (coordinates, exponential atoms,
         parameters)."""
-        monomial = self.ring.dtype([(tuple(exponents), 1)])
-        return _mul(Expr(self, QQ.one, monomial, self.ring_one),
+        return _mul(Expr(self, _ONE, {tuple(exponents): 1}, self.unit),
                     _coerce(self, coeff))
 
     def coordinate(self, which: Union[int, str]) -> "Expr":
         i = self._coord_pos[which] if isinstance(which, str) else which
-        return Expr(self, QQ.one, self.coord_gen(i), self.ring_one)
+        return Expr(self, _ONE, self._generator(i), self.unit)
 
     def exponential(self, which: Union[int, str], k: int = 1) -> "Expr":
         """exp(k * coordinate) as an expression; k may be negative."""
         i = self._coord_pos[which] if isinstance(which, str) else which
-        t = self.exp_gen(i)
+        t = self._generator(len(self.coords) + i, abs(k))
         if k >= 0:
-            return Expr(self, QQ.one, t ** k, self.ring_one)
-        return Expr(self, QQ.one, self.ring_one, t ** (-k))
+            return Expr(self, _ONE, t, self.unit)
+        return Expr(self, _ONE, self.unit, t)
 
     def parameter(self, which: Union[int, str]) -> "Expr":
         j = self._param_pos[which] if isinstance(which, str) else which
-        return Expr(self, QQ.one, self.param_gen(j), self.ring_one)
+        return Expr(self, _ONE, self._generator(2 * len(self.coords) + j),
+                    self.unit)
 
     def parse(self, src: str) -> "Expr":
         return parse_expression(src, self)
 
 
-#: Equality of two polynomials of one chart ring.  PolyElement.__eq__ also
-#: checks the other operand's ring on every call, which costs more than the
-#: comparison; every caller compares elements of ctx.ring.
-_same = dict.__eq__
+# ---------------------------------------------------------------------------
+# Integer polynomials: dicts from exponent tuples to nonzero ints.
+# ---------------------------------------------------------------------------
+
+
+def _poly_mul(f: dict, g: dict, madd) -> dict:
+    """f * g, with madd the monomial adder of their number of generators."""
+    p: dict = {}
+    get = p.get
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
+            m = madd(m1, m2)
+            p[m] = get(m, 0) + c1 * c2
+    if len(f) > 1 and len(g) > 1:
+        p = {m: c for m, c in p.items() if c}
+    return p
+
+
+def _poly_pow(p: dict, k: int, madd) -> dict:
+    """p^k for k >= 1, by repeated squaring."""
+    result = None
+    while True:
+        if k & 1:
+            result = p if result is None else _poly_mul(result, p, madd)
+        k >>= 1
+        if not k:
+            return result
+        p = _poly_mul(p, p, madd)
+
+
+def _poly_sub(f: dict, g: dict) -> dict:
+    """f - g."""
+    d = dict(f)
+    get = d.get
+    for m, c in g.items():
+        c = get(m, 0) - c
+        if c:
+            d[m] = c
+        else:
+            del d[m]
+    return d
+
+
+def _scaled(p: dict, k: int) -> dict:
+    """k * p for a nonzero int k."""
+    return {m: k * c for m, c in p.items()}
+
+
+def _adder_of(p: dict):
+    """The monomial adder for p's number of generators."""
+    return _monomial_op("add", len(next(iter(p))))
+
+
+def _grevlex(monom: tuple) -> tuple:
+    """The sort key of graded reverse lexicographic order."""
+    return sum(monom), tuple(-e for e in reversed(monom))
+
+
+def _quotient(f: dict, g: dict) -> Optional[dict]:
+    """f / g for integer polynomials with g nonzero, when g divides f
+    exactly; None otherwise.  Divides by g's lex-leading term, and gives
+    up as soon as a quotient term leaves the box that the degrees of f and
+    g leave for it, which bounds the work when g does not divide f."""
+    if not f:
+        return {}
+    madd = _adder_of(f)
+    lead = max(g)
+    lc = g[lead]
+    rest = [(m, c) for m, c in g.items() if m != lead]
+    f_columns, g_columns = list(zip(*f)), list(zip(*g))
+    low = [min(a) - min(b) for a, b in zip(f_columns, g_columns)]
+    high = [max(a) - max(b) for a, b in zip(f_columns, g_columns)]
+    if min(low) < 0:
+        return None
+    q: dict = {}
+    r = dict(f)
+    get = r.get
+    while r:
+        m = max(r)
+        c = r.pop(m)
+        e = tuple(map(sub, m, lead))
+        qc, rem = divmod(c, lc)
+        if rem or any(x < lo or x > hi for x, lo, hi in zip(e, low, high)):
+            return None
+        q[e] = qc
+        for mg, cg in rest:
+            mm = madd(e, mg)
+            v = get(mm, 0) - qc * cg
+            if v:
+                r[mm] = v
+            else:
+                del r[mm]
+    return q
+
+
+def _poly_sqrt(p: dict, madd) -> Optional[dict]:
+    """The square root of a primitive integer polynomial p with a positive
+    lex-leading coefficient, with the same two properties; None when p is
+    not a square.
+
+    The root's terms are found from the lex-leading one down: the root of
+    p's leading term first, then, while the remainder p - r^2 is nonzero,
+    its leading term divided by twice r's.  Each new term must lie inside
+    half of p's degree box (the Newton polytope of a square is twice its
+    root's), so the loop ends; it ends with a root when the remainder, kept
+    exact as each term is added, is zero."""
+    lead = max(p)
+    root_lc = isqrt(p[lead])
+    if root_lc * root_lc != p[lead] or any(e % 2 for e in lead):
+        return None
+    columns = list(zip(*p))
+    low, high = list(map(min, columns)), list(map(max, columns))
+    r_lead = tuple(e // 2 for e in lead)
+    r = {r_lead: root_lc}
+    remainder = dict(p)
+    del remainder[lead]
+    twice = 2 * root_lc
+    get = remainder.get
+    while remainder:
+        m = max(remainder)
+        e = tuple(map(sub, m, r_lead))
+        qc, rem = divmod(remainder[m], twice)
+        if rem or any(not lo <= 2 * x <= hi
+                      for x, lo, hi in zip(e, low, high)):
+            return None
+        # remainder -= qc x^e (2 r + qc x^e)
+        for mr, cr in chain(r.items(), [(e, qc)]):
+            factor = qc if mr == e else 2 * qc
+            mm = madd(e, mr)
+            v = get(mm, 0) - factor * cr
+            if v:
+                remainder[mm] = v
+            else:
+                del remainder[mm]
+        r[e] = qc
+    return r
 
 
 #: Most terms that the two operands of a polynomial-path cancellation may
@@ -265,29 +578,34 @@ CANCEL_MEMO_TERMS = 32
 #: operands measured were 504 bits over the generated-pipeline benchmark
 #: charts and 59,160 bits in a full classify with every tensor of a
 #: generated warped chart, so the cap leaves a wide margin while it keeps
-#: hostile operands from packing into gigabytes.
+#: hostile operands from packing into gigabytes.  The recursive heuristic
+#: gives up on an evaluation point past the same number of bits.
 GCD_PACKED_BITS = 1 << 20
 
 #: Most fields, prod(deg_v + 1), per operand term that gcd_cofactors packs;
 #: sparser pairs take the fallback.  Packing lays each operand out densely,
 #: one field per monomial of the degree box, so a sparse pair packs into
 #: far more bits than its terms hold, and the integer gcd, quadratic in
-#: the bits, then costs more than sympy's sparse gcd.  Pairs measured on
-#: the generated-pipeline charts and in full classify runs of the generated
-#: templates had at most 3 fields per term; sparse pairs in five generators
-#: drawn by the kernel's property tests had up to 729, and ran up to 1,000
-#: times slower packed than in the fallback.
+#: the bits, then costs more than the recursive heuristic.  Pairs measured
+#: on the generated-pipeline charts and in full classify runs of the
+#: generated templates had at most 3 fields per term; sparse pairs in five
+#: generators drawn by the kernel's property tests had up to 729, and ran
+#: up to 1,000 times slower packed than in the fallback.
 GCD_FIELDS_PER_TERM = 16
 
 #: Candidates gcd_cofactors tries, doubling the field width k after each
 #: failed one, before it takes the fallback.
 GCD_ATTEMPTS = 4
 
+#: Evaluation points the recursive heuristic gcd tries for each generator
+#: before it gives up, as in Liao and Fateman's algorithm.
+HEU_GCD_POINTS = 6
+
 
 def gcd_cofactors(f, g):
     """(h, f/h, g/h) for primitive integer polynomials f and g of one ring,
     neither a monomial and with a generator in common, where h is their
-    gcd, primitive with a positive lex-leading coefficient; h is ring.one,
+    gcd, primitive with a positive lex-leading coefficient; h is the unit,
     with f and g themselves as the quotients, when f and g are coprime.
 
     GCDHEU (Char, Geddes and Gonnet, 1989) with one Kronecker substitution.
@@ -315,8 +633,7 @@ def gcd_cofactors(f, g):
     GCD_PACKED_BITS, or at once when there are more than
     GCD_FIELDS_PER_TERM fields per term of f and g.
     """
-    ring = f.ring
-    ngens = ring.ngens
+    ngens = len(next(iter(f)))
     f_columns, g_columns = list(zip(*f)), list(zip(*g))
     f_low, g_low = list(map(min, f_columns)), list(map(min, g_columns))
     degrees = [max(max(a) - la, max(b) - lb) for a, la, b, lb
@@ -348,11 +665,10 @@ def gcd_cofactors(f, g):
         if packed_gcd < half:
             # The sides without their monomials are coprime.
             if not any(common):
-                return ring.one, f, g
+                return {(0,) * ngens: 1}, f, g
             below = [-x for x in common]
-            return (ring.dtype([(tuple(common), 1)]),
-                    ring.dtype(_raised(f.items(), below)),
-                    ring.dtype(_raised(g.items(), below)))
+            return ({tuple(common): 1}, dict(_raised(f.items(), below)),
+                    dict(_raised(g.items(), below)))
         digits = _balanced_digits(packed_gcd, k)
         content = gcd(*(d for _, d in digits))
         H = packed_gcd // content
@@ -374,7 +690,7 @@ def gcd_cofactors(f, g):
                              _unpacked(b, g_shift - t, radix, ngens))
                     if all(x + max(y, z) <= d for x, y, z, d in zip(
                             *map(_degrees, parts), degrees)):
-                        return tuple(ring.dtype(_raised(p, low)) for p, low
+                        return tuple(dict(_raised(p, low)) for p, low
                                      in zip(parts, (common, f_low, g_low)))
         k *= 2
     return _cofactors_fallback(f, g)
@@ -441,26 +757,250 @@ def _raised(terms, low: list):
 
 
 def _cofactors_fallback(f, g):
-    """gcd_cofactors by sympy's cofactors in the ring of f and g.  sympy
-    makes the gcd's leading coefficient in the ring's order positive; the
-    signs are renormalized so that the lex-leading one is."""
-    h, a, b = f.cofactors(g)
+    """gcd_cofactors' answer when the Kronecker heuristic gives none: the
+    recursive heuristic gcd's, else the remainder sequence's."""
+    result = _heugcd_cofactors(f, g)
+    if result is None:
+        result = _prs_cofactors(f, g)
+    return result
+
+
+def _lex_signed(h: dict, a: dict, b: dict) -> tuple:
+    """(h, a, b), all three negated when h's lex-leading coefficient is
+    negative."""
     if h[max(h)] < 0:
-        return -h, -a, -b
+        return _scaled(h, -1), _scaled(a, -1), _scaled(b, -1)
     return h, a, b
+
+
+def _heugcd_cofactors(f: dict, g: dict) -> Optional[tuple]:
+    """(h, f/h, g/h) by the recursive heuristic gcd, h with a positive
+    lex-leading coefficient; None when it fails."""
+    result = _heugcd(f, g)
+    return None if result is None else _lex_signed(*result)
+
+
+def _occurring(f: dict, g: dict) -> list:
+    """The ring positions of the generators occurring in f or g."""
+    return [pos for pos, column in enumerate(zip(*f, *g)) if any(column)]
+
+
+def _heugcd(f: dict, g: dict) -> Optional[tuple]:
+    """(h, f/h, g/h) with h a gcd of nonzero integer polynomials f and g,
+    or None: the heuristic gcd of Liao and Fateman (1995).
+
+    The integer content of both is divided out first.  The first generator
+    v occurring in either is evaluated at an integer x, and the gcd h' of
+    the images, with their cofactors, is taken recursively (the integer gcd
+    when no generator is left).  Reading the coefficients of h' as balanced
+    base-x digits gives a candidate in v, whose primitive part is h when it
+    divides both f and g; otherwise f and g divided by the cofactors read
+    the same way are tried.  x starts above twice the smaller norm and
+    grows after each failed point; the heuristic fails after HEU_GCD_POINTS
+    points, or at a point where an image would pass GCD_PACKED_BITS."""
+    occurring = _occurring(f, g)
+    if not occurring:
+        zero = next(iter(f))
+        a, b = f[zero], g[zero]
+        c = gcd(a, b)
+        return {zero: c}, {zero: a // c}, {zero: b // c}
+    content = gcd(*f.values(), *g.values())
+    if content != 1:
+        f = {m: c // content for m, c in f.items()}
+        g = {m: c // content for m, c in g.items()}
+    v = occurring[0]
+    f_norm = max(map(abs, f.values()))
+    g_norm = max(map(abs, g.values()))
+    bound = 2 * min(f_norm, g_norm) + 29
+    x = max(min(bound, 99 * isqrt(bound)),
+            2 * min(f_norm // abs(f[max(f)]), g_norm // abs(g[max(g)])) + 4)
+    degree = max(m[v] for m in chain(f, g))
+    for _ in range(HEU_GCD_POINTS):
+        if x.bit_length() * degree > GCD_PACKED_BITS:
+            return None
+        images = _evaluated(f, v, x), _evaluated(g, v, x)
+        result = _heugcd(*images) if all(images) else None
+        if result is not None:
+            h, a, b = result
+            h = _primitive(_interpolated(h, v, x))[1]
+            for candidate in _candidates(f, g, h, a, b, v, x):
+                if candidate is not None:
+                    h, a, b = candidate
+                    if content != 1:
+                        h = _scaled(h, content)
+                    return h, a, b
+        x = 73794 * x * isqrt(isqrt(x)) // 27011
+    return None
+
+
+def _candidates(f, g, h, a, b, v, x):
+    """_heugcd's candidates (h, f/h, g/h) at one point, None for each that
+    fails: from the interpolated gcd h, then from each image cofactor."""
+    a_h = _quotient(f, h)
+    yield None if a_h is None else _paired(g, h, a_h, first=True)
+    a = _interpolated(a, v, x)
+    h_a = _quotient(f, a)
+    yield None if h_a is None else _paired(g, h_a, a, first=True)
+    b = _interpolated(b, v, x)
+    h_b = _quotient(g, b)
+    yield None if h_b is None else _paired(f, h_b, b, first=False)
+
+
+def _paired(other: dict, h: dict, cofactor: dict, first: bool):
+    """(h, cofactor, other/h) when first, else (h, other/h, cofactor);
+    None when h does not divide other."""
+    quotient = _quotient(other, h)
+    if quotient is None:
+        return None
+    return (h, cofactor, quotient) if first else (h, quotient, cofactor)
+
+
+def _evaluated(p: dict, v: int, x: int) -> dict:
+    """p with the generator at ring position v replaced by the integer x."""
+    out: dict = {}
+    get = out.get
+    for m, c in p.items():
+        e = m[v]
+        if e:
+            m = m[:v] + (0,) + m[v + 1:]
+            c *= x ** e
+        out[m] = get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def _interpolated(p: dict, v: int, x: int) -> dict:
+    """The polynomial in the generator at ring position v whose value at x
+    is p (which has no term in that generator): each coefficient of p
+    written in balanced base-x digits, digit i the coefficient of v^i."""
+    out: dict = {}
+    half = x // 2
+    for m, c in p.items():
+        i = 0
+        while c:
+            d = c % x
+            if d > half:
+                d -= x
+            if d:
+                out[m[:v] + (i,) + m[v + 1:]] = d
+            c = (c - d) // x
+            i += 1
+    return out
+
+
+def _prs_cofactors(f: dict, g: dict) -> tuple:
+    """(h, f/h, g/h) with h the gcd of f and g by the remainder sequence,
+    with a positive lex-leading coefficient."""
+    h = _prs_gcd(f, g)
+    return h, _quotient(f, h), _quotient(g, h)
+
+
+def _prs_gcd(f: dict, g: dict) -> dict:
+    """The gcd of nonzero integer polynomials f and g, with a positive
+    lex-leading coefficient, by a primitive polynomial remainder sequence
+    (Collins, 1967; Brown, 1971).
+
+    With v the first generator occurring in either, each side is split into
+    its content, the gcd of its coefficients as a polynomial in v (taken by
+    _content_gcd on the other generators), and its primitive part.  The
+    gcd is the gcd of the contents times the last nonzero member of the
+    sequence of primitive parts of pseudo-remainders in v, or times 1 when
+    that member has degree 0 in v.  A monomial on either side gives a
+    monomial gcd at once."""
+    if len(f) == 1 or len(g) == 1:
+        # A monomial: the exponent-wise minimum over every term, times the
+        # gcd of every coefficient.
+        return {tuple(map(min, *f, *g)): gcd(*f.values(), *g.values())}
+    v = _occurring(f, g)[0]
+    f_content, f = _content_split(f, v)
+    g_content, g = _content_split(g, v)
+    h = _content_gcd(f_content, g_content)
+    if _degree_in(f, v) < _degree_in(g, v):
+        f, g = g, f
+    while _degree_in(g, v):
+        r = _pseudo_remainder(f, g, v)
+        if not r:
+            h = _poly_mul(h, g, _adder_of(g))
+            break
+        f, g = g, _content_split(r, v)[1]
+    return _lex_positive(h)
+
+
+def _lex_positive(p: dict) -> dict:
+    """p, negated when its lex-leading coefficient is negative."""
+    return _scaled(p, -1) if p[max(p)] < 0 else p
+
+
+def _degree_in(p: dict, v: int) -> int:
+    return max(m[v] for m in p)
+
+
+def _content_split(p: dict, v: int) -> tuple[dict, dict]:
+    """(c, p/c) with c the gcd, with a positive lex-leading coefficient, of
+    p's coefficients as a polynomial in the generator at position v.  The
+    coefficients are taken fewest terms first, and once their gcd is an
+    integer, the rest only through their integer coefficients."""
+    coefficients: dict = {}
+    for m, c in p.items():
+        coefficients.setdefault(m[v], {})[m[:v] + (0,) + m[v + 1:]] = c
+    ordered = sorted(coefficients.values(), key=len)
+    content = _lex_positive(ordered[0])
+    zero = (0,) * len(next(iter(p)))
+    for k, coefficient in enumerate(ordered[1:], 1):
+        if len(content) == 1 and zero in content:
+            content = {zero: gcd(content[zero], *chain.from_iterable(
+                c.values() for c in ordered[k:]))}
+            break
+        content = _content_gcd(content, coefficient)
+    return content, _quotient(p, content)
+
+
+def _content_gcd(f: dict, g: dict) -> dict:
+    """The gcd of nonzero integer polynomials f and g in fewer generators
+    than the remainder sequence that needs it, with a positive lex-leading
+    coefficient: the recursive heuristic's when it answers, which is far
+    faster on the remainders' coefficients than a nested sequence, else
+    the remainder sequence's."""
+    result = _heugcd(f, g)
+    if result is None:
+        return _prs_gcd(f, g)
+    return _lex_positive(result[0])
+
+
+def _pseudo_remainder(f: dict, g: dict, v: int) -> dict:
+    """A nonzero integer multiple of the pseudo-remainder of f by g as
+    polynomials in the generator at position v: the leading term in v is
+    cancelled, after scaling by g's leading coefficient, until the degree
+    falls below g's."""
+    madd = _adder_of(g)
+    dg = _degree_in(g, v)
+    lc_g = {m[:v] + (0,) + m[v + 1:]: c for m, c in g.items() if m[v] == dg}
+    r = f
+    while r:
+        dr = _degree_in(r, v)
+        if dr < dg:
+            break
+        shift = dr - dg
+        lc_r = {m[:v] + (shift,) + m[v + 1:]: c for m, c in r.items()
+                if m[v] == dr}
+        r = _poly_sub(_poly_mul(lc_g, r, madd), _poly_mul(lc_r, g, madd))
+    return r
+
+
+def _memo_key(f: dict, g: dict) -> tuple:
+    """The key of _cancel's memo for the ordered pair (f, g), compared by
+    value."""
+    return frozenset(f.items()), frozenset(g.items())
 
 
 def _cancel(ctx: Context, f, g):
     """(h, f/h, g/h) for nonzero polynomials f, g of the chart ring, where h
-    is a gcd of both; ctx.ring_one when f and g are coprime.
+    is a gcd of both; ctx.unit when f and g are coprime.
 
     When f and g are primitive with positive lex-leading coefficients, so
     are h and both quotients.  A monomial on either side gives the
     exponent-wise minimum monomial with coefficient 1, and the cofactors by
     subtracting exponents.  Polynomials with no generator in common are
-    coprime.  Otherwise gcd_cofactors computes the gcd and both quotients:
-    our own Kronecker-substitution heuristic gcd, with sympy's cofactors as
-    its fallback.
+    coprime.  Otherwise gcd_cofactors computes the gcd and both quotients.
 
     That last path is memoized on the context, so each pair is cancelled
     once per chart: the key is the ordered pair (f, g), compared by value
@@ -471,32 +1011,31 @@ def _cancel(ctx: Context, f, g):
     shares them with the earlier caller, which is sound because no code
     mutates a polynomial in place.
     """
-    ring = ctx.ring
     if len(f) == 1 or len(g) == 1:
         monomial, other = (f, g) if len(f) == 1 else (g, f)
-        monom_gcd = ring.monomial_gcd
-        zero = ring.zero_monom
+        monom_gcd = ctx._mgcd
+        zero = next(iter(ctx.unit))
         h = next(iter(monomial))
         for monom in other:
             h = monom_gcd(h, monom)
             if h == zero:
-                return ctx.ring_one, f, g
-        ldiv = ring.monomial_ldiv
-        return (ring.dtype([(h, 1)]),
-                ring.dtype([(ldiv(m, h), c) for m, c in f.items()]),
-                ring.dtype([(ldiv(m, h), c) for m, c in g.items()]))
+                return ctx.unit, f, g
+        ldiv = ctx._msub
+        return ({h: 1}, {ldiv(m, h): c for m, c in f.items()},
+                {ldiv(m, h): c for m, c in g.items()})
     in_f = [any(column) for column in zip(*f)]
     in_g = [any(column) for column in zip(*g)]
     if not any(map(and_, in_f, in_g)):
-        return ctx.ring_one, f, g
-    key = (f, g) if len(f) + len(g) <= CANCEL_MEMO_TERMS else None
+        return ctx.unit, f, g
+    key = (_memo_key(f, g) if len(f) + len(g) <= CANCEL_MEMO_TERMS
+           else None)
     if key is not None:
         cached = ctx._cancelled.get(key)
         if cached is not None:
             return cached
     result = gcd_cofactors(f, g)
-    if _same(result[0], ctx.ring_one):
-        result = ctx.ring_one, f, g
+    if result[0] == ctx.unit:
+        result = ctx.unit, f, g
     if key is not None:
         ctx._cancelled[key] = result
     return result
@@ -511,7 +1050,7 @@ def _primitive(p):
         k = -k
     if k == 1:
         return 1, p
-    return k, p.new([(m, c // k) for m, c in p.items()])
+    return k, {m: c // k for m, c in p.items()}
 
 
 def _lincomb(ca, f, cb, g):
@@ -524,10 +1063,11 @@ def _lincomb(ca, f, cb, g):
         c, ua, ub = ca, 1, (1 if pa == pb else -1)
     else:
         # Each side scaled by its integer cofactor of the gcd of the two
-        # contents, n/d.
+        # contents, n/d (coprime: a prime dividing n divides pa and pb, so
+        # neither qa nor qb).
         n, d = gcd(pa, pb), lcm(qa, qb)
-        c, ua, ub = _mpq(n, d), pa // n * (d // qa), pb // n * (d // qb)
-    s = f.copy() if ua == 1 else f.new([(m, ua * x) for m, x in f.items()])
+        c, ua, ub = _rat(n, d), pa // n * (d // qa), pb // n * (d // qb)
+    s = f.copy() if ua == 1 else _scaled(f, ua)
     get = s.get
     for m, x in g.items():
         x = get(m, 0) + ub * x
@@ -541,14 +1081,15 @@ def _lincomb(ca, f, cb, g):
     return (c if k == 1 else c * k), s
 
 
-def _times(f, g, one):
-    """f * g for polynomials of the chart ring with unit one; a unit factor
-    is not multiplied out."""
-    if _same(g, one):
+def _times(ctx: Context, f, g):
+    """f * g for polynomials of the chart ring; a unit factor is not
+    multiplied out."""
+    one = ctx.unit
+    if g == one:
         return f
-    if _same(f, one):
+    if f == one:
         return g
-    return f * g
+    return _poly_mul(f, g, ctx._madd)
 
 
 def _normalized(ctx: Context, num, den) -> "Expr":
@@ -560,9 +1101,9 @@ def _normalized(ctx: Context, num, den) -> "Expr":
         raise ExpressionError("division by zero expression")
     kn, num = _primitive(num)
     kd, den = _primitive(den)
-    if not _same(den, ctx.ring_one):
+    if den != ctx.unit:
         _, num, den = _cancel(ctx, num, den)
-    return Expr(ctx, _mpq(kn, kd), num, den)
+    return Expr(ctx, _Rational(kn, kd), num, den)
 
 
 def _rational_form(e: "Expr") -> tuple[dict, dict]:
@@ -572,10 +1113,10 @@ def _rational_form(e: "Expr") -> tuple[dict, dict]:
     coefficient-size bound read.  Built on each call, in the term order of
     e's polynomials."""
     den = e.den
-    lc = den.LC
+    lc = den[max(den, key=_grevlex)]
     scale = e.content / lc
     return ({m: scale * c for m, c in e.num.items()},
-            {m: _mpq(c, lc) for m, c in den.items()})
+            {m: _Rational(c, lc) for m, c in den.items()})
 
 
 class Expr:
@@ -605,15 +1146,14 @@ class Expr:
 
     @property
     def is_one(self) -> bool:
-        one = self.ctx.ring_one
-        return (self.content == 1 and _same(self.num, one)
-                and _same(self.den, one))
+        one = self.ctx.unit
+        return self.content == 1 and self.num == one and self.den == one
 
     def is_constant(self) -> bool:
         """True when no coordinate or exponential atom occurs (parameters ok)."""
         ncoord = 2 * len(self.ctx.coords)
         for poly in (self.num, self.den):
-            for monom in poly.monoms():
+            for monom in poly:
                 if any(monom[:ncoord]):
                     return False
         return True
@@ -621,7 +1161,7 @@ class Expr:
     def atoms(self) -> set[Atom]:
         present: set[Atom] = set()
         for poly in (self.num, self.den):
-            for monom in poly.monoms():
+            for monom in poly:
                 for pos, e in enumerate(monom):
                     if e:
                         present.add(self.ctx.atoms[pos])
@@ -630,7 +1170,7 @@ class Expr:
     def polynomial_terms(self) -> Optional[list]:
         """The terms of a polynomial value as (exponents by ring position,
         Fraction coefficient) pairs; None when the denominator is not 1."""
-        if not _same(self.den, self.ctx.ring_one):
+        if self.den != self.ctx.unit:
             return None
         p, q = self.content.numerator, self.content.denominator
         return [(monom, Fraction(p * c, q)) for monom, c in self.num.items()]
@@ -639,8 +1179,8 @@ class Expr:
         """Exact square root within the expression field, or None.
 
         A value is a square iff its content is the square of a rational and
-        its numerator and denominator have square-free decompositions with
-        even multiplicities throughout.  The root is the one with a positive
+        its numerator and denominator, coprime and primitive, are squares
+        of integer polynomials.  The root is the one with a positive
         content."""
         if self.is_zero:
             return self
@@ -650,28 +1190,26 @@ class Expr:
         pn, pd = isqrt(c.numerator), isqrt(c.denominator)
         if pn * pn != c.numerator or pd * pd != c.denominator:
             return None
-        num = _poly_sqrt(self.num)
+        ctx = self.ctx
+        num = _poly_sqrt(self.num, ctx._madd)
         if num is None:
             return None
         den = self.den
-        if not _same(den, self.ctx.ring_one):
-            den = _poly_sqrt(den)
+        if den != ctx.unit:
+            den = _poly_sqrt(den, ctx._madd)
             if den is None:
                 return None
-        return Expr(self.ctx, _mpq(pn, pd), num, den)
+        return Expr(ctx, _rat(pn, pd), num, den)
 
     # -- equality / hashing ----------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, Expr):
-            if self.ctx is other.ctx:
-                return (self.content == other.content
-                        and _same(self.num, other.num)
-                        and _same(self.den, other.den))
-            # Other contexts may have other rings: PolyElement.__eq__
-            # compares the rings, so x1 never equals y1 of another chart.
-            return (self.content == other.content and self.num == other.num
-                    and self.den == other.den)
+            # Polynomials carry no ring: x1 of one chart and y1 of another
+            # have equal dicts, and only their contexts tell them apart.
+            return ((self.ctx is other.ctx or self.ctx == other.ctx)
+                    and self.content == other.content
+                    and self.num == other.num and self.den == other.den)
         if isinstance(other, (int, Fraction)):
             return self == _coerce(self.ctx, other)
         return NotImplemented
@@ -748,21 +1286,6 @@ class Expr:
         return not self.is_zero
 
 
-def _poly_sqrt(p):
-    """The square root of a primitive integer polynomial p with a positive
-    lex-leading coefficient, with the same two properties; None when p is
-    not a square."""
-    content, factors = p.sqf_list()
-    if content != 1:
-        return None
-    root = p.ring.one
-    for base, mult in factors:
-        if mult % 2:
-            return None
-        root = root * base ** (mult // 2)
-    return root
-
-
 def _coerce(ctx: Context, value):
     if isinstance(value, Expr):
         return value
@@ -785,40 +1308,40 @@ def _add(a: Expr, b: Expr) -> Expr:
     if b.is_zero:
         return a
     ctx = a.ctx
-    one = ctx.ring_one
-    if _same(a.den, b.den):
+    one = ctx.unit
+    if a.den == b.den:
         c, num = _lincomb(a.content, a.num, b.content, b.num)
         if not num:
             return ctx._zero
         den = a.den
-        if not _same(den, one):
+        if den != one:
             _, num, den = _cancel(ctx, num, den)
         return Expr(ctx, c, num, den)
     # Henrici: split common denominator factor so only that factor can cancel.
     g, da, db = _cancel(ctx, a.den, b.den)
-    c, num = _lincomb(a.content, _times(a.num, db, one),
-                      b.content, _times(b.num, da, one))
+    c, num = _lincomb(a.content, _times(ctx, a.num, db),
+                      b.content, _times(ctx, b.num, da))
     if not num:
         return ctx._zero
-    if _same(g, one):
+    if g == one:
         # Coprime by construction.
-        return Expr(ctx, c, num, _times(a.den, b.den, one))
+        return Expr(ctx, c, num, _times(ctx, a.den, b.den))
     _, num, g = _cancel(ctx, num, g)
-    return Expr(ctx, c, num, _times(_times(g, da, one), db, one))
+    return Expr(ctx, c, num, _times(ctx, _times(ctx, g, da), db))
 
 
 def _mul(a: Expr, b: Expr) -> Expr:
     ctx = a.ctx
-    one = ctx.ring_one
+    one = ctx.unit
     if a.is_zero or b.is_zero:
         return ctx._zero
     n1, d1, n2, d2 = a.num, a.den, b.num, b.den
-    if not _same(d2, one):
+    if d2 != one:
         _, n1, d2 = _cancel(ctx, n1, d2)
-    if not _same(d1, one):
+    if d1 != one:
         _, n2, d1 = _cancel(ctx, n2, d1)
-    return Expr(ctx, a.content * b.content, _times(n1, n2, one),
-                _times(d1, d2, one))
+    return Expr(ctx, a.content * b.content, _times(ctx, n1, n2),
+                _times(ctx, d1, d2))
 
 
 def _div(a: Expr, b: Expr) -> Expr:
@@ -837,9 +1360,12 @@ def _int_pow(a: Expr, k: int) -> Expr:
         if k < 0:
             raise ExpressionError("division by zero expression")
         return ctx._zero
-    if k > 0:
-        return Expr(ctx, a.content ** k, a.num ** k, a.den ** k)
-    return Expr(ctx, (1 / a.content) ** (-k), a.den ** (-k), a.num ** (-k))
+    content, num, den = a.content, a.num, a.den
+    if k < 0:
+        content, num, den, k = 1 / content, den, num, -k
+    madd = ctx._madd
+    return Expr(ctx, content ** k, _poly_pow(num, k, madd),
+                _poly_pow(den, k, madd))
 
 
 def _poly_diff(ctx: Context, poly, i: int):
@@ -857,7 +1383,7 @@ def _poly_diff(ctx: Context, poly, i: int):
         if e:
             monom = monom[:i] + (e - 1,) + monom[i + 1:]
             d[monom] = get(monom, 0) + e * c
-    return poly.new([(monom, c) for monom, c in d.items() if c])
+    return {monom: c for monom, c in d.items() if c}
 
 
 def differentiate(e: Expr, coord: Union[int, str]) -> Expr:
@@ -870,16 +1396,18 @@ def differentiate(e: Expr, coord: Union[int, str]) -> Expr:
         raise ExpressionError(f"coordinate index {i} out of range")
     num, den = e.num, e.den
     dnum = _poly_diff(ctx, num, i)
-    if _same(den, ctx.ring_one):
+    if den == ctx.unit:
         if not dnum:
             return ctx._zero
         k, dnum = _primitive(dnum)
         return Expr(ctx, e.content * k, dnum, den)
-    num = dnum * den - num * _poly_diff(ctx, den, i)
+    madd = ctx._madd
+    num = _poly_sub(_poly_mul(dnum, den, madd),
+                    _poly_mul(num, _poly_diff(ctx, den, i), madd))
     if not num:
         return ctx._zero
     k, num = _primitive(num)
-    _, num, den = _cancel(ctx, num, den * den)
+    _, num, den = _cancel(ctx, num, _poly_mul(den, den, madd))
     return Expr(ctx, e.content * k, num, den)
 
 
@@ -896,9 +1424,9 @@ def evaluate_rational(e: Expr, assignment: Mapping[Atom, Number]) -> Fraction:
     values = _atom_values(ctx, assignment, None)
 
     def poly_value(poly):
-        total = QQ.zero
+        total = Fraction(0)
         for monom, coeff in poly.items():
-            term = coeff
+            term = Fraction(coeff.numerator, coeff.denominator)
             for pos, exp in enumerate(monom):
                 if exp:
                     v = values[pos]
@@ -913,8 +1441,7 @@ def evaluate_rational(e: Expr, assignment: Mapping[Atom, Number]) -> Fraction:
     den_val = poly_value(den)
     if not den_val:
         raise EvaluationError("denominator vanishes at the given point")
-    val = poly_value(num) / den_val
-    return Fraction(int(QQ.numer(val)), int(QQ.denom(val)))
+    return poly_value(num) / den_val
 
 
 def _atom_values(ctx: Context, assignment: Mapping[Atom, Number],
@@ -924,7 +1451,7 @@ def _atom_values(ctx: Context, assignment: Mapping[Atom, Number],
     for atom, val in assignment.items():
         pos = ctx._atom_pos.get(atom)
         if pos is not None:
-            values[pos] = (QQ(Fraction(val)) if modulus is None
+            values[pos] = (Fraction(val) if modulus is None
                            else residue(val, modulus))
     return values
 
@@ -952,13 +1479,13 @@ class ModularExpr:
         self.modulus = modulus
         self.degrees = tuple(map(max, zip(*e.num, *e.den)))
         try:
-            scale = _ratio_residue(QQ.numer(e.content), QQ.denom(e.content),
-                                   modulus)
+            scale = _ratio_residue(e.content.numerator,
+                                   e.content.denominator, modulus)
         except EvaluationError:
             self.num = None
         else:
             self.num = _compiled_poly(e.num, scale, modulus)
-        self.den = (None if _same(e.den, ctx.ring_one)
+        self.den = (None if e.den == ctx.unit
                     else _compiled_poly(e.den, 1, modulus))
 
     def at(self, powers: Sequence) -> tuple[int, int]:
@@ -1035,6 +1562,7 @@ def _ratio_residue(num, den, modulus: int) -> int:
     if not den:
         raise EvaluationError("denominator vanishes modulo p")
     return int(num) * pow(den, -1, modulus) % modulus
+
 
 
 # ---------------------------------------------------------------------------
@@ -1156,7 +1684,7 @@ class _Parser:
             if kind == "op" and op in "+-":
                 self.advance()
                 rhs = self.parse_product()
-                if not _same(value.den, rhs.den):
+                if value.den != rhs.den:
                     an, ad = _rational_form(value)
                     bn, bd = _rational_form(rhs)
                     _check_terms(len(an) * len(bd) + len(bn) * len(ad),
@@ -1298,8 +1826,8 @@ def _coeff_bits(p) -> int:
     """b(p) of MAX_COEFF_BITS, for a polynomial of a rational form: the bits
     of the largest numerator among p's coefficients plus those of their
     common denominator (0 for p = 0)."""
-    den = lcm(*(int(QQ.denom(c)) for c in p.values()))
-    return (max((int(QQ.numer(c)).bit_length() for c in p.values()),
+    den = lcm(*(c.denominator for c in p.values()))
+    return (max((c.numerator.bit_length() for c in p.values()),
                 default=0) + (den - 1).bit_length())
 
 
@@ -1356,11 +1884,6 @@ def parse_expression(src: str, ctx: Context) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-def _coeff_str(coeff) -> str:
-    p, q = QQ.numer(coeff), QQ.denom(coeff)
-    return f"{p}" if q == 1 else f"{p}/{q}"
-
-
 def _factor_strs(ctx: Context, monom) -> list[str]:
     factors = []
     for pos, e in enumerate(monom):
@@ -1386,15 +1909,14 @@ def _exp_str(coord: str, k: int) -> str:
 def _poly_str(ctx: Context, poly) -> str:
     if not poly:
         return "0"
-    order = ctx.ring.order
     parts: list[str] = []
-    for monom, coeff in sorted(poly.items(), key=lambda mc: order(mc[0]),
+    for monom, coeff in sorted(poly.items(), key=lambda mc: _grevlex(mc[0]),
                                reverse=True):
         negative = coeff < 0
         mag = -coeff if negative else coeff
         factors = _factor_strs(ctx, monom)
-        if not factors or mag != QQ.one:
-            factors.insert(0, _coeff_str(mag))
+        if not factors or mag != 1:
+            factors.insert(0, str(mag))
         body = " * ".join(factors)
         if not parts:
             parts.append(f"-{body}" if negative else body)
@@ -1408,7 +1930,7 @@ def _format_expr(e: Expr) -> str:
     if e.is_zero:
         return "0"
     num, den = _rational_form(e)
-    if _same(e.den, ctx.ring_one):
+    if e.den == ctx.unit:
         return _poly_str(ctx, num)
     if len(den) == 1:
         # Monic single-term denominator: fold exponential atoms into the

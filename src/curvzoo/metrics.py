@@ -21,6 +21,18 @@ from .exprs import Context, ExpressionError
 #: 262,144 at n = 8, and a metric with few zero entries can fill them.
 MAX_DIM = 8
 
+#: Most bytes of a metric file; load_metric_file reads at most one more.
+#: A dimension-8 file of 64 entries (a square matrix) at MAX_ENTRY_CHARS
+#: fits.
+MAX_FILE_BYTES = 1 << 20
+
+#: Most characters of one metric entry.  The entries of the builtins and
+#: the generated templates have under 40, and parentheses nested to the
+#: parser's MAX_NESTING fit with a wide margin.  Parsing takes about 9 us
+#: per character, so an entry at the cap parses in about 0.1 s and a
+#: dimension-8 file of them in a few seconds.
+MAX_ENTRY_CHARS = 10_000
+
 
 class MetricFileError(ValueError):
     """Malformed metric definition (schema or expression errors)."""
@@ -177,6 +189,11 @@ def metric_spec_from_dict(data: dict, origin: str = "metric") -> MetricSpec:
         cells += [(i, j) for i in range(dim) for j in range(i + 1, dim)]
     parsed = {}
     for i, j in cells:
+        if len(rows[i][j]) > MAX_ENTRY_CHARS:
+            raise _schema_error(
+                f"{origin}.metric[{i}][{j}]",
+                f"entry has {len(rows[i][j])} characters, more than "
+                f"{MAX_ENTRY_CHARS}")
         try:
             parsed[i, j] = ctx.parse(rows[i][j])
         except ExpressionError as err:
@@ -200,12 +217,17 @@ def metric_spec_to_dict(spec: MetricSpec) -> dict:
 
 
 def load_metric_file(path: str) -> MetricSpec:
-    """Load and validate a metric definition file."""
+    """Load and validate a metric definition file of at most
+    MAX_FILE_BYTES bytes, each entry at most MAX_ENTRY_CHARS characters."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read(MAX_FILE_BYTES + 1)
+        text = data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as err:
         raise MetricFileError(f"cannot read {path}: {err}") from err
+    if len(data) > MAX_FILE_BYTES:
+        raise MetricFileError(f"{path}: file is larger than "
+                              f"{MAX_FILE_BYTES} bytes")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as err:

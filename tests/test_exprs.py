@@ -5,14 +5,16 @@ import random
 import weakref
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
+from sympy import Poly, symbols
 from sympy.polys.domains import QQ, ZZ
 from sympy.polys.orderings import lex
-from sympy.polys.rings import PolyElement, ring
+from sympy.polys.polyerrors import HeuristicGCDFailed
+from sympy.polys.rings import ring
 
 from curvzoo import exprs
 from curvzoo.charts import riemann
@@ -20,9 +22,10 @@ from curvzoo.exprs import (CANCEL_MEMO_TERMS, GCD_FIELDS_PER_TERM,
                            GCD_PACKED_BITS, MAX_COEFF_BITS, MAX_DEGREE,
                            MAX_NESTING, MAX_TERMS, Context, EvaluationError,
                            ExpressionError, ModularExpr, ParseError, _cancel,
-                           _cofactors_fallback, _normalized, _primitive,
-                           _rational_form, differentiate, evaluate_rational,
-                           gcd_cofactors, residue, residue_powers)
+                           _cofactors_fallback, _memo_key, _normalized,
+                           _poly_sqrt, _primitive, _Rational, _rational_form,
+                           differentiate, evaluate_rational, gcd_cofactors,
+                           residue, residue_powers)
 from curvzoo.metrics import builtin
 from curvzoo.zoo import ORACLE_PRIME
 
@@ -230,10 +233,13 @@ def cancel_context():
 
 # Ring positions of CANCEL_CTX's generators: x1, x2, exp(x1), exp(x2), a.
 CANCEL_CTX = cancel_context()
+#: CANCEL_CTX's generators over Z in grevlex order: a sympy ring in which
+#: the tests build operands with arithmetic, handing the kernel plain
+#: dicts (dict(p)).
+TEST_RING = ring(CANCEL_CTX.gens, ZZ, order="grevlex")[0]
 #: CANCEL_CTX's generators over Q, in grevlex order: the ring of the
 #: reference, built here rather than taken from the kernel.
-REFERENCE_RING = ring([str(s) for s in CANCEL_CTX.ring.symbols], QQ,
-                      order="grevlex")[0]
+REFERENCE_RING = ring(CANCEL_CTX.gens, QQ, order="grevlex")[0]
 ALL_GENERATORS = (0, 1, 2, 3, 4)
 GENERATOR_FAMILIES = [(2,), (0, 2), (1, 4), ALL_GENERATORS]
 #: Numerator and denominator generators with none in common.
@@ -244,33 +250,35 @@ DISJOINT_FAMILIES = [((0,), (2,)), ((0, 2), (1, 3)), ((4,), (0, 1, 2, 3))]
 def polynomials(draw, positions):
     """A nonzero integer polynomial of 1 to 3 terms in the given generators;
     one term is a monomial.  Over every generator, each one occurs.  The
-    coefficients need not be coprime, and any of them may be negative."""
-    chart_ring = CANCEL_CTX.ring
+    coefficients need not be coprime, and any of them may be negative.
+    An element of TEST_RING."""
     terms = {}
     for t in range(draw(st.integers(1, 3))):
-        monom = [0] * chart_ring.ngens
+        monom = [0] * TEST_RING.ngens
         for pos in positions:
             low = 1 if positions == ALL_GENERATORS and t == 0 else 0
             monom[pos] = draw(st.integers(low, 2))
         terms[tuple(monom)] = draw(st.sampled_from([1, 2, 3, 4, 6, 12])) \
             * draw(st.integers(-5, 5).filter(bool))
-    return chart_ring.from_dict(terms)
+    return TEST_RING.from_dict(terms)
 
 
 @st.composite
 def fractions_with_common_factor(draw):
-    """(f*h, g*h) for polynomials f, g, h in one of the families of
-    generators."""
+    """(f*h, g*h) as dicts for polynomials f, g, h in one of the families
+    of generators."""
     positions = draw(st.sampled_from(GENERATOR_FAMILIES))
     f, g, h = (draw(polynomials(positions)) for _ in range(3))
-    return f * h, g * h
+    return dict(f * h), dict(g * h)
 
 
 @st.composite
 def fractions_without_common_generator(draw):
-    """(f, g) for polynomials f, g in disjoint families of generators."""
+    """(f, g) as dicts for polynomials f, g in disjoint families of
+    generators."""
     num_positions, den_positions = draw(st.sampled_from(DISJOINT_FAMILIES))
-    return draw(polynomials(num_positions)), draw(polynomials(den_positions))
+    return (dict(draw(polynomials(num_positions))),
+            dict(draw(polynomials(den_positions))))
 
 
 FRACTIONS = st.one_of(fractions_with_common_factor(),
@@ -278,14 +286,29 @@ FRACTIONS = st.one_of(fractions_with_common_factor(),
 
 
 def over_q(p):
-    """A chart-ring polynomial or a rational form's dict, in
-    REFERENCE_RING."""
-    return REFERENCE_RING.from_dict(dict(p))
+    """A kernel polynomial, a rational form's dict or a sympy polynomial,
+    in REFERENCE_RING."""
+    return REFERENCE_RING.from_dict({m: QQ(c.numerator, c.denominator)
+                                     for m, c in dict(p).items()})
+
+
+def as_fractions(p) -> dict:
+    """A polynomial's coefficients as Fractions, whatever their rational
+    type."""
+    return {m: Fraction(c.numerator, c.denominator)
+            for m, c in dict(p).items()}
+
+
+@lru_cache(maxsize=None)
+def lex_ring(gens: tuple):
+    """A context's generators over Z in lex order: the sympy ring that
+    checks the kernel's canonical form."""
+    return ring(gens, ZZ, order=lex)[0]
 
 
 def reference_canonical(num, den):
     """Cancel with PolyElement.gcd and quo in the full ring over Q, then make
-    the denominator monic: num and den may be chart-ring or REFERENCE_RING
+    the denominator monic: num and den may be kernel or REFERENCE_RING
     polynomials."""
     num, den = over_q(num), over_q(den)
     if not num:
@@ -297,21 +320,29 @@ def reference_canonical(num, den):
 
 
 def assert_invariants(e):
-    """e is stored as content * num / den with num and den integer
-    polynomials of the chart ring, primitive, coprime and with positive
-    coefficients at their lex-largest exponent tuples; zero is 0 * 0 / 1."""
+    """e is stored as content * num / den: content a rational in lowest
+    terms, num and den dicts from exponent tuples of the context's length
+    to nonzero ints, primitive, coprime and with positive coefficients at
+    their lex-largest exponent tuples; zero is 0 * 0 / 1.  The polynomial
+    properties are checked by sympy in the context's lex ring."""
     ctx = e.ctx
-    assert e.num.ring == e.den.ring == ctx.ring and ctx.ring.domain == ZZ
-    assert isinstance(e.content, QQ.dtype)
+    content = e.content
+    assert type(content) is _Rational
+    assert content.denominator > 0
+    assert Fraction(content.numerator, content.denominator) == content
+    assert type(e.num) is dict and type(e.den) is dict
     if not e.num:
-        assert (e.content, e.den) == (0, ctx.ring.one)
+        assert (content, e.den) == (0, ctx.unit)
         return
-    assert e.content
-    for p in (e.num, e.den):
-        assert all(ZZ.of_type(c) for c in p.values())
+    assert content
+    lex_gens = lex_ring(ctx.gens)
+    num, den = (lex_gens.from_dict(p) for p in (e.num, e.den))
+    for p, stored in ((num, e.num), (den, e.den)):
+        assert all(type(c) is int and c for c in stored.values())
+        assert all(len(m) == len(ctx.gens) for m in stored)
         assert p.content() == 1                        # primitive
-        assert p[max(p)] > 0                           # lex-leading > 0
-    assert e.num.gcd(e.den) == ctx.ring.one            # coprime over Z
+        assert p.LC > 0                                # lex-leading > 0
+    assert num.gcd(den) == lex_gens.one                # coprime over Z
 
 
 def assert_canonical(e, num, den):
@@ -319,7 +350,8 @@ def assert_canonical(e, num, den):
     under grevlex) is (num, den)."""
     assert_invariants(e)
     form = _rational_form(e)
-    assert form == (dict(num), dict(den))
+    assert tuple(map(as_fractions, form)) == (as_fractions(num),
+                                              as_fractions(den))
     assert over_q(form[1]).LC == QQ.one
 
 
@@ -412,28 +444,26 @@ class TestCancellation:
 #: CANCEL_CTX's generators over the integers in lex order: the ring of the
 #: gcd reference.  sympy makes a gcd's leading coefficient in its ring's
 #: order positive, so here the lex-leading one, as the kernel does.
-LEX_RING = ring([str(s) for s in CANCEL_CTX.ring.symbols], ZZ,
-                order=lex)[0]
+LEX_RING = lex_ring(CANCEL_CTX.gens)
 
 
 def reference_cofactors(f, g):
     """(h, f/h, g/h) by sympy's cofactors in LEX_RING, as dicts."""
-    h, a, b = LEX_RING.from_dict(dict(f)).cofactors(
-        LEX_RING.from_dict(dict(g)))
+    h, a, b = LEX_RING.from_dict(f).cofactors(LEX_RING.from_dict(g))
     return dict(h), dict(a), dict(b)
 
 
 def geometric(m, n):
-    """1 + m + ... + m^(n-1)."""
-    return sum((m ** i for i in range(n)), CANCEL_CTX.ring.zero)
+    """1 + m + ... + m^(n-1), in TEST_RING."""
+    return sum((m ** i for i in range(n)), TEST_RING.zero)
 
 
 @st.composite
 def gcd_operands(draw):
-    """(f, g, dense): f and g are the primitive parts of h a and h b for
-    polynomials h, a and b in one family of generators, h with two terms or
-    more, so that neither f nor g is a monomial; f is negated in some
-    draws.  Some draws multiply h by (m - 1)(m^n - 1) and a by
+    """(f, g, dense): f and g, as dicts, are the primitive parts of h a and
+    h b for polynomials h, a and b in one family of generators, h with two
+    terms or more, so that neither f nor g is a monomial; f is negated in
+    some draws.  Some draws multiply h by (m - 1)(m^n - 1) and a by
     (1 + m + ... + m^(n-1))^2, for one generator m of the family: then h a
     has the factor (m^n - 1)^2 (1 + m + ... + m^(n-1)), with coefficients
     of at most 2, while the cofactor's reach n.  dense is whether the
@@ -444,11 +474,23 @@ def gcd_operands(draw):
     a, b = draw(polynomials(positions)), draw(polynomials(positions))
     n = draw(st.sampled_from([0, 0, 8, 40]))
     if n:
-        m = CANCEL_CTX.ring.gens[draw(st.sampled_from(positions))]
+        m = TEST_RING.gens[draw(st.sampled_from(positions))]
         h = h * (m - 1) * (m ** n - 1)
         a = a * geometric(m, n) ** 2
-    f, g = _primitive(h * a)[1], _primitive(h * b)[1]
-    return (-f if draw(st.booleans()) else f), g, len(positions) <= 2
+    f, g = _primitive(dict(h * a))[1], _primitive(dict(h * b))[1]
+    if draw(st.booleans()):
+        f = {m: -c for m, c in f.items()}
+    return f, g, len(positions) <= 2
+
+
+def as_test_ring(*polys):
+    """Kernel polynomials as elements of TEST_RING."""
+    return tuple(TEST_RING.from_dict(p) for p in polys)
+
+
+def as_dicts(*polys):
+    """TEST_RING polynomials as the kernel's dicts."""
+    return tuple(map(dict, polys))
 
 
 class TestGcdCofactors:
@@ -461,20 +503,21 @@ class TestGcdCofactors:
         f, g, dense = operands
         with calls_to("_cofactors_fallback") as fallbacks:
             h, a, b = gcd_cofactors(f, g)
-        assert (dict(h), dict(a), dict(b)) == reference_cofactors(f, g)
-        assert h * a == f and h * b == g
+        assert (h, a, b) == reference_cofactors(f, g)
+        H, A, B, F, G = as_test_ring(h, a, b, f, g)
+        assert H * A == F and H * B == G
         if dense:
             assert fallbacks == []
 
     def test_a_failed_candidate_doubles_the_field_width(self):
-        x2, e1 = CANCEL_CTX.ring.gens[1:3]
+        x2, e1 = TEST_RING.gens[1:3]
         # f = (e1^70 - 1)^2 (1 + ... + e1^69) has coefficients of at most 2
         # and g of at most 3, so the first fields are 8 bits wide; the
         # cofactor (1 + ... + e1^69)^2 has coefficients up to 70, and
         # |h|_1 = 4 times 70 is past 2^7.
         h = (e1 - 1) * (e1 ** 70 - 1)
-        f, g = h * geometric(e1, 70) ** 2, h * (x2 + 3)
-        expected = (h, geometric(e1, 70) ** 2, x2 + 3)
+        f, g = as_dicts(h * geometric(e1, 70) ** 2, h * (x2 + 3))
+        expected = as_dicts(h, geometric(e1, 70) ** 2, x2 + 3)
         with calls_to("_cofactors_fallback") as fallbacks:
             assert gcd_cofactors(f, g) == expected
         assert fallbacks == []
@@ -485,10 +528,10 @@ class TestGcdCofactors:
         assert len(fallbacks) == 1
 
     def test_operands_past_the_packing_cap_take_the_fallback(self):
-        x1, x2 = CANCEL_CTX.ring.gens[:2]
+        x1, x2 = TEST_RING.gens[:2]
         h = geometric(x1 + x2 + 2, 6)
-        f, g = h * (x1 - 3 * x2), h * (x1 * x2 + 1)
-        expected = (h, x1 - 3 * x2, x1 * x2 + 1)
+        f, g = as_dicts(h * (x1 - 3 * x2), h * (x1 * x2 + 1))
+        expected = as_dicts(h, x1 - 3 * x2, x1 * x2 + 1)
         with calls_to("_cofactors_fallback") as fallbacks:
             assert gcd_cofactors(f, g) == expected
         assert fallbacks == []
@@ -498,12 +541,12 @@ class TestGcdCofactors:
             with calls_to("_cofactors_fallback") as fallbacks:
                 assert gcd_cofactors(f, g) == expected
         assert len(fallbacks) == 1
-        assert tuple(map(dict, expected)) == reference_cofactors(f, g)
+        assert expected == reference_cofactors(f, g)
 
     def test_sparse_operands_take_the_fallback(self):
-        x1, x2, e1, e2, a = CANCEL_CTX.ring.gens
+        x1, x2, e1, e2, a = TEST_RING.gens
         h = x1 ** 12 * x2 + e1 ** 12 * e2 * a ** 12 - 3
-        f, g = h * (x1 * e2 + 2), h * (x2 * a - 5)
+        f, g = as_dicts(h * (x1 * e2 + 2), h * (x2 * a - 5))
         # 14 * 3 * 13 * 3 * 14 fields for 12 terms, packed into fewer than
         # GCD_PACKED_BITS bits.
         assert 14 * 3 * 13 * 3 * 14 > GCD_FIELDS_PER_TERM * 12
@@ -511,22 +554,136 @@ class TestGcdCofactors:
         with calls_to("_cofactors_fallback") as fallbacks:
             result = gcd_cofactors(f, g)
         assert len(fallbacks) == 1
-        assert result == (h, x1 * e2 + 2, x2 * a - 5)
-        assert tuple(map(dict, result)) == reference_cofactors(f, g)
+        assert result == as_dicts(h, x1 * e2 + 2, x2 * a - 5)
+        assert result == reference_cofactors(f, g)
 
     def test_fallback_makes_the_lex_leading_coefficient_positive(self):
-        x1, x2 = CANCEL_CTX.ring.gens[:2]
-        # x1 - x2^2 leads with x2^2 under grevlex and with x1 under lex.
+        x1, x2 = TEST_RING.gens[:2]
+        # x1 - x2^2 leads with x2^2 under grevlex and with x1 under lex:
+        # sympy's grevlex ring makes the other sign positive.
         h = x1 - x2 ** 2
         f, g = h * (x1 + 1), h * (x2 + 3)
         assert f.cofactors(g) == (-h, -(x1 + 1), -(x2 + 3))
-        assert _cofactors_fallback(f, g) == (h, x1 + 1, x2 + 3)
+        expected = as_dicts(h, x1 + 1, x2 + 3)
+        assert _cofactors_fallback(*as_dicts(f, g)) == expected
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exprs, "HEU_GCD_POINTS", 0)
+            assert _cofactors_fallback(*as_dicts(f, g)) == expected
 
     def test_coprime_operands_come_back_unchanged(self):
-        x1, x2, e1 = CANCEL_CTX.ring.gens[:3]
-        f, g = x1 * e1 + 2, x1 + x2
+        x1, x2, e1 = TEST_RING.gens[:3]
+        f, g = as_dicts(x1 * e1 + 2, x1 + x2)
         one, a, b = gcd_cofactors(f, g)
-        assert one == CANCEL_CTX.ring.one and a is f and b is g
+        assert one == CANCEL_CTX.unit and a is f and b is g
+
+
+class TestGcdChain:
+    """Each later link of gcd_cofactors' chain on its own, with the links
+    above it switched off (GCD_ATTEMPTS, then HEU_GCD_POINTS, set to 0),
+    against sympy's cofactors in LEX_RING; and a pair that both heuristics
+    reject."""
+
+    @PROPERTY_SETTINGS
+    @given(gcd_operands())
+    def test_recursive_heuristic_matches_sympy_cofactors(self, operands):
+        f, g, _ = operands
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exprs, "GCD_ATTEMPTS", 0)
+            with calls_to("_prs_cofactors") as remainder_sequences:
+                result = gcd_cofactors(f, g)
+        assert remainder_sequences == []
+        assert result == reference_cofactors(f, g)
+
+    @PROPERTY_SETTINGS
+    @given(gcd_operands())
+    def test_remainder_sequence_matches_sympy_cofactors(self, operands):
+        f, g, _ = operands
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exprs, "GCD_ATTEMPTS", 0)
+            patch.setattr(exprs, "HEU_GCD_POINTS", 0)
+            with calls_to("_prs_cofactors") as remainder_sequences:
+                result = gcd_cofactors(f, g)
+        assert len(remainder_sequences) == 1
+        assert result == reference_cofactors(f, g)
+
+    def test_a_pair_both_heuristics_reject_reaches_the_remainder_sequence(
+            self):
+        x1, x2, e1, _, a = TEST_RING.gens
+        # g h has coefficients of 1, so the recursive heuristic (sympy's
+        # and ours) evaluates x1 at these HEU_GCD_POINTS points, each a
+        # root of f: every image of f h is 0.
+        roots = [31, 169, 1385, 22702, 744261, 58966268]
+        assert len(roots) == exprs.HEU_GCD_POINTS
+        f = TEST_RING.one
+        for r in roots:
+            f *= x1 - r
+        g, h = x1 * x2 + e1 ** 12 + 1, x2 + a + 1
+        F, G = as_dicts(f * h, g * h)
+        # 7 * 3 * 13 * 2 fields for 30 terms: too sparse to pack.
+        assert 7 * 3 * 13 * 2 > GCD_FIELDS_PER_TERM * (len(F) + len(G))
+        with pytest.raises(HeuristicGCDFailed):
+            LEX_RING.from_dict(F).cofactors(LEX_RING.from_dict(G))
+        assert exprs._heugcd(F, G) is None
+        with calls_to("_prs_cofactors") as remainder_sequences:
+            result = gcd_cofactors(F, G)
+        assert len(remainder_sequences) == 1
+        assert result == as_dicts(h, f, g)
+        # sympy's dense gcd falls back to its own remainder sequence.
+        gens = symbols(CANCEL_CTX.gens)
+        dense = Poly.from_dict(F, gens).cofactors(Poly.from_dict(G, gens))
+        assert result == tuple(p.as_dict() for p in dense)
+
+
+class TestSquareRoot:
+    def test_squares_and_non_squares(self):
+        x1, x2, e1, _, a = TEST_RING.gens
+        madd = CANCEL_CTX._madd
+        for root in (x1 - x2, 3 * x1 * e1 ** 2 + a - 7, x1 ** 3 + x2 ** 3
+                     + 2 * e1 * a + 1, TEST_RING.one):
+            (p,) = as_dicts(root * root)
+            assert _poly_sqrt(p, madd) == dict(root)
+        # Leading terms that are squares, with a remainder whose leading
+        # term leaves the root's box or is not divisible by twice the
+        # root's leading coefficient.
+        for p in (x1 ** 2 + x2, x1 ** 2 + 2 * x1 + 2, 4 * x1 ** 2 + x1 + 1,
+                  (x1 + 1) ** 2 * (x2 + 1), x1 ** 2 * x2 + 1,
+                  9 * x1 ** 2 - a ** 4):
+            assert _poly_sqrt(dict(p), madd) is None
+
+
+class TestRational:
+    """The content type against Fraction."""
+
+    RATIONALS = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30),
+                          st.integers(1, 10 ** 12))
+
+    @PROPERTY_SETTINGS
+    @given(RATIONALS, RATIONALS, st.integers(-50, 50), st.integers(-4, 4))
+    def test_operations_match_fraction(self, x, y, k, e):
+        a, b = (_Rational(v.numerator, v.denominator) for v in (x, y))
+        results = [(a * b, x * y), (a + b, x + y), (a - b, x - y),
+                   (-a, -x), (a * k, x * k), (k * a, k * x),
+                   (a + k, x + k), (k - a, k - x)]
+        if x:
+            results += [(1 / a, 1 / x), (k / a, k / x), (a ** e, x ** e)]
+        if k:
+            results.append((a / k, x / k))
+        for got, want in results:
+            assert type(got) is _Rational
+            assert (got.numerator, got.denominator) == (want.numerator,
+                                                        want.denominator)
+            assert got == want and hash(got) == hash(want)
+        assert (a == b) == (x == y) and (a < b) == (x < y)
+        assert (a > k) == (x > k) and (a < k) == (x < k)
+        assert str(a) == str(x) and bool(a) == bool(x)
+
+    def test_hash_matches_fraction_at_the_modulus(self):
+        modulus = 2 ** 61 - 1
+        for p, q in ((1, modulus), (-3, modulus), (modulus, 1), (-1, 1),
+                     (-1, 2)):
+            assert hash(_Rational(p, q)) == hash(Fraction(p, q))
+        with pytest.raises(ZeroDivisionError):
+            _Rational(1, 0)
 
 
 class TestCancellationMemo:
@@ -535,13 +692,13 @@ class TestCancellationMemo:
 
     def test_repeated_pair_runs_one_gcd(self):
         ctx = cancel_context()
-        x1, x2, e1, _, a = ctx.ring.gens
-        f, g = (x1 + a) * (x2 + 1), (x1 + a) * (e1 - 2)
+        x1, x2, e1, _, a = TEST_RING.gens
+        f, g = as_dicts((x1 + a) * (x2 + 1), (x1 + a) * (e1 - 2))
         with calls_to("gcd_cofactors") as calls:
             first = _cancel(ctx, f, g)
-            second = _cancel(ctx, f * 1, g * 1)  # equal, not identical
+            second = _cancel(ctx, dict(f), dict(g))  # equal, not identical
         assert len(calls) == 1
-        assert second == first == (x1 + a, x2 + 1, e1 - 2)
+        assert second == first == as_dicts(x1 + a, x2 + 1, e1 - 2)
 
     @CANCEL_SETTINGS
     @given(FRACTIONS)
@@ -554,7 +711,7 @@ class TestCancellationMemo:
         with calls_to("gcd_cofactors") as calls:
             hit = _normalized(ctx, num, den)
         assert calls == []
-        assert (key in ctx._cancelled) == on_gcd_path(num, den)
+        assert (_memo_key(*key) in ctx._cancelled) == on_gcd_path(num, den)
         fresh = _normalized(cancel_context(), num, den)
         assert (hit.num, hit.den) == (fresh.num, fresh.den)
         assert_canonical(hit, *reference_canonical(num, den))
@@ -563,20 +720,20 @@ class TestCancellationMemo:
         # (x1 + 1) * (1 + x2 + ... + x2^(m-1)) has 2m terms; against x1 + 1
         # the pair has 2m + 2.  Stored up to CANCEL_MEMO_TERMS terms.
         ctx = cancel_context()
-        x1, x2 = ctx.ring.gens[:2]
+        x1, x2 = TEST_RING.gens[:2]
 
         def pair(total):
             m = (total - 2) // 2
-            f = (x1 + 1) * sum((x2 ** k for k in range(m)), ctx.ring.zero)
+            f = (x1 + 1) * geometric(x2, m)
             assert len(f) + 2 == total
-            return f, x1 + 1
+            return as_dicts(f, x1 + 1)
 
         within = pair(CANCEL_MEMO_TERMS)
         _cancel(ctx, *within)
-        assert list(ctx._cancelled) == [within]
+        assert list(ctx._cancelled) == [_memo_key(*within)]
         h, _, unit = _cancel(ctx, *pair(CANCEL_MEMO_TERMS + 2))
-        assert (h, unit) == (x1 + 1, ctx.ring.one)
-        assert list(ctx._cancelled) == [within]
+        assert (h, unit) == (dict(x1 + 1), ctx.unit)
+        assert list(ctx._cancelled) == [_memo_key(*within)]
 
     def test_memo_dies_with_its_chart(self):
         chart = builtin("ex5_4").to_chart()
@@ -884,20 +1041,37 @@ class TestContext:
         assert c1.parse("exp(u)/(1 + w)") == c2.parse("exp(u)/(1 + w)")
 
     def test_same_position_in_other_contexts_differs(self):
-        # x1 and y1 are the first generator of their rings, with equal
-        # monomial dicts; only the rings tell them apart.
+        # x1 and y1 are the first generator of their contexts, with equal
+        # monomial dicts; only the contexts tell them apart.
         x1 = Context(["x1", "x2", "x3"]).parse("x1")
         y1 = Context(["y1", "y2", "y3"]).parse("y1")
         assert dict(x1.num) == dict(y1.num)
         assert x1 != y1 and not x1 == y1
 
+    def test_values_of_other_contexts_differ(self):
+        # One generator each: equal dicts, equal contents.
+        x1 = Context(["x1"]).parse("x1")
+        y1 = Context(["y1"]).parse("y1")
+        assert (x1.num, x1.den, x1.content) == (y1.num, y1.den, y1.content)
+        assert x1 != y1 and not x1 == y1
+        # Equal coordinates, other parameters: exp(x1)/(x1 + 1) has the same
+        # dicts in both, and so has the parameter a against b.
+        plain, with_a, with_b = (Context(["x1"], params) for params in
+                                 ((), ("a",), ("b",)))
+        text = "exp(x1)/(x1 + 1)"
+        assert plain.parse(text) != with_a.parse(text)
+        assert with_a.parse("a") != with_b.parse("b")
+        assert with_a.parse(text) == Context(["x1"], ["a"]).parse(text)
+
     def test_one_context_compares_without_ring_check(self, ctx,
                                                      monkeypatch):
+        # Values of one context compare without Context.__eq__, the check
+        # that tells other contexts' values apart.
         a, b = ctx.parse("x1/(1 + x2)"), ctx.parse("x1/(1 + x2)")
         c = ctx.parse("x1/(2 + x2)")
 
-        def ring_check(*_):
-            raise AssertionError("PolyElement.__eq__ called")
+        def context_check(*_):
+            raise AssertionError("Context.__eq__ called")
 
-        monkeypatch.setattr(PolyElement, "__eq__", ring_check)
+        monkeypatch.setattr(Context, "__eq__", context_check)
         assert a == b and a != c and not a == ctx.parse("x1")

@@ -8,12 +8,13 @@ read-only view built on demand, which imports it inside itself.  These
 static checks fail when a module imports numpy at module level, uses `np.`
 outside that view or reads `.array` outside charts.py, and when tests or
 demos read the view outside its own test; a subprocess check confirms that
-a fresh `import curvzoo` and a classification leave numpy unloaded.
+a fresh `import curvzoo` and a classification of every builtin leave numpy
+and sympy unloaded.
 
-Polynomial storage is confined the same way: only curvzoo.exprs imports
-sympy, so the other modules reach polynomials only through Expr and
-Context methods.  Within exprs, the rational form that is rebuilt on
-demand (_rational_form) is read only by the printer, the parser's size
+Polynomials are curvzoo.exprs' own dicts, and no module imports sympy: it
+is a test-only reference.  The other modules reach polynomials only through
+Expr and Context methods.  Within exprs, the rational form that is rebuilt
+on demand (_rational_form) is read only by the printer, the parser's size
 bounds and the exact reference evaluation; modular evaluation reads the
 stored form.
 """
@@ -162,8 +163,9 @@ def test_the_import_check_sees_every_form():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
                          ids=lambda p: p.name)
 def test_only_exprs_imports_sympy(path):
-    uses = "sympy" in imported_packages(path.read_text(encoding="utf-8"))
-    assert uses == (path.name == "exprs.py")
+    # Named from when exprs.py alone imported sympy; with its own integer
+    # polynomials no module does.
+    assert "sympy" not in imported_packages(path.read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -245,12 +247,14 @@ def test_tests_and_demos_do_not_read_the_array_view(path):
 
 
 def test_classify_leaves_numpy_unloaded():
-    # A fresh interpreter: importing curvzoo and classifying a builtin
-    # loads no numpy; reading the array view then does.
+    # A fresh interpreter: importing curvzoo and classifying every builtin
+    # loads neither numpy nor sympy; reading the array view then loads
+    # numpy.
     code = ("import sys\n"
             "import curvzoo\n"
-            "report = curvzoo.classify(curvzoo.builtin('ex5_4'))\n"
-            "print('numpy' in sys.modules)\n"
+            "for name in curvzoo.list_builtins():\n"
+            "    curvzoo.classify(curvzoo.builtin(name))\n"
+            "print('numpy' in sys.modules, 'sympy' in sys.modules)\n"
             "curvzoo.riemann(curvzoo.builtin('ex5_4').to_chart()).array\n"
             "print('numpy' in sys.modules)\n")
     env = dict(os.environ)
@@ -259,4 +263,4 @@ def test_classify_leaves_numpy_unloaded():
     done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["False", "True"]
+    assert done.stdout.split() == ["False", "False", "True"]

@@ -20,10 +20,12 @@ from curvzoo.classifiers import classify_deszcz
 from curvzoo.cli import main
 from curvzoo.exprs import (MAX_DEGREE, EvaluationError, ModularExpr,
                            evaluate_rational, residue)
-from curvzoo.metrics import (BUILTINS, MAX_DIM, MetricFileError, builtin,
+from curvzoo import metrics
+from curvzoo.metrics import (BUILTINS, MAX_DIM, MAX_ENTRY_CHARS,
+                             MAX_FILE_BYTES, MetricFileError, builtin,
                              list_builtins, load_metric_file,
-                             metric_spec_from_dict, resolve_metric,
-                             save_metric_file)
+                             metric_spec_from_dict, metric_spec_to_dict,
+                             resolve_metric, save_metric_file)
 from curvzoo.operators import weyl_conformal
 from curvzoo.zoo import (ALL_TENSORS, DEFAULT_TENSORS, GRID_MAX,
                          MAX_DENOMINATOR_RETRIES, MAX_SAMPLES, ORACLE_PRIME,
@@ -716,6 +718,62 @@ class TestCLI:
         assert main(["classify", str(path)]) == 2
         assert str(path) in capsys.readouterr().err
 
+    def test_file_byte_cap(self, tmp_path, capsys, monkeypatch):
+        # flat3 padded with trailing spaces to exactly MAX_FILE_BYTES bytes
+        # loads; one byte more exits 2, naming the file, after reading
+        # MAX_FILE_BYTES + 1 bytes however large the file is.
+        text = json.dumps(metric_spec_to_dict(builtin("flat3")))
+        at_cap, over = tmp_path / "at_cap.json", tmp_path / "over.json"
+        at_cap.write_text(text.ljust(MAX_FILE_BYTES))
+        over.write_text(text.ljust(MAX_FILE_BYTES + 1))
+        assert load_metric_file(str(at_cap)) == builtin("flat3")
+        assert main(["classify", str(over), "--oracle-samples", "1"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {over}: file is larger than {MAX_FILE_BYTES} bytes\n")
+        reads = []
+
+        class Recorded:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def read(self, size=-1):
+                reads.append(size)
+                return self.fh.read(size)
+
+        monkeypatch.setattr(metrics, "open",
+                            lambda *args: Recorded(open(*args)),
+                            raising=False)
+        huge = tmp_path / "huge.json"
+        huge.write_text(text.ljust(4 * MAX_FILE_BYTES))
+        with pytest.raises(MetricFileError, match="larger than"):
+            load_metric_file(str(huge))
+        assert reads == [MAX_FILE_BYTES + 1]
+
+    def test_entry_length_cap(self, tmp_path, capsys):
+        # An entry of MAX_ENTRY_CHARS characters parses; one more exits 2,
+        # naming the file and the entry.
+        def entry_file(name, entry):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({
+                "name": name, "dim": 3, "coords": ["x1", "x2", "x3"],
+                "metric": [["1"], ["0", entry], ["0", "0", "1"]]}))
+            return str(path)
+
+        at_cap = entry_file("at_cap", "x1".ljust(MAX_ENTRY_CHARS))
+        over = entry_file("over", "x1".ljust(MAX_ENTRY_CHARS + 1))
+        assert load_metric_file(at_cap).entry(1, 1) == "x1".ljust(
+            MAX_ENTRY_CHARS)
+        assert main(["classify", over, "--oracle-samples", "1"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {over}.metric[1][1]: entry has {MAX_ENTRY_CHARS + 1} "
+            f"characters, more than {MAX_ENTRY_CHARS}\n")
+
     @settings(max_examples=120, deadline=timedelta(seconds=20),
               derandomize=True, database=None)
     @given(st.one_of(entry_documents(), malformed_documents()))
@@ -761,16 +819,16 @@ class TestRingUnit:
         path.write_text(json.dumps(WARPED))
         zoo_chart = builtin("ex5_4").to_chart()
         warped = load_metric_file(str(path)).to_chart()
-        units = [(c.ctx, c.ctx.ring_one) for c in (zoo_chart, warped)]
+        units = [(c.ctx, c.ctx.unit) for c in (zoo_chart, warped)]
         classify(zoo_chart)
         scalar_curvature(warped)
         nabla_riemann(warped)
         classify_deszcz(warped, "R", "g")
         weyl_conformal(warped)
         for ctx, unit in units:
-            assert ctx.ring_one is unit
-            assert dict(unit) == dict(ctx.ring.one) == {
-                ctx.ring.zero_monom: 1}
+            assert ctx.unit is unit
+            assert unit == {(0,) * len(ctx.gens): 1}
+            assert ctx.one.den is unit
 
 
 class TestResolveMetric:
