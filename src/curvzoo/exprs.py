@@ -132,9 +132,10 @@ _HASH_INF = sys.hash_info.inf
 class _Rational:
     """An exact rational numerator/denominator in lowest terms, with a
     positive denominator: an Expr's content and the coefficients of its
-    rational form.  Immutable by convention.  It combines with ints and
-    with itself, compares with ints, Fractions and itself, and hashes as
-    the equal Fraction, so sets and dicts of Exprs keep their order."""
+    rational form.  Immutable by convention.  It adds, multiplies and
+    orders with ints and with itself, compares equal with ints, Fractions
+    and itself, and hashes as the equal Fraction, so sets and dicts of
+    Exprs keep their order."""
 
     __slots__ = ("numerator", "denominator")
 
@@ -183,12 +184,6 @@ class _Rational:
     def __neg__(self):
         return _rat(-self.numerator, self.denominator)
 
-    def __sub__(self, other):
-        return self + -other
-
-    def __rsub__(self, other):
-        return -self + other
-
     def __rtruediv__(self, other):
         if type(other) is not int:
             return NotImplemented
@@ -200,27 +195,17 @@ class _Rational:
             return _rat(-q * (other // x), -p // x)
         return _rat(q * (other // x), p // x)
 
-    def __truediv__(self, other):
-        if type(other) is int:
-            other = _rat(other, 1)
-        elif type(other) is not _Rational:
-            return NotImplemented
-        return self * (1 / other)
-
     def __pow__(self, k: int):
         if k < 0:
             return (1 / self) ** -k
         return _rat(self.numerator ** k, self.denominator ** k)
 
     def __eq__(self, other):
-        if type(other) is _Rational:
+        if type(other) is _Rational or isinstance(other, Fraction):
             return (self.numerator == other.numerator
                     and self.denominator == other.denominator)
         if type(other) is int:
             return self.denominator == 1 and self.numerator == other
-        if isinstance(other, Fraction):
-            return (self.numerator == other.numerator
-                    and self.denominator == other.denominator)
         return NotImplemented
 
     def __lt__(self, other):
@@ -229,14 +214,6 @@ class _Rational:
         if type(other) is _Rational:
             return (self.numerator * other.denominator
                     < other.numerator * self.denominator)
-        return NotImplemented
-
-    def __gt__(self, other):
-        if type(other) is int:
-            return self.numerator > other * self.denominator
-        if type(other) is _Rational:
-            return (self.numerator * other.denominator
-                    > other.numerator * self.denominator)
         return NotImplemented
 
     def __hash__(self):
@@ -288,8 +265,8 @@ _MONOMIAL_TEMPLATES = {"add": "{a} + {b}", "sub": "{a} - {b}",
 def _monomial_op(name: str, n: int):
     """The function of two exponent tuples of length n that applies the
     named operation ("add", "sub" or "min") position by position, generated
-    once per (name, n) with the tuples unpacked, as sympy's monomial
-    operations are: about twice as fast as a map over the two tuples."""
+    once per (name, n) with the tuples unpacked, which is faster than a map
+    over the two tuples."""
     op = _MONOMIAL_OPS.get((name, n))
     if op is None:
         a = [f"a{i}" for i in range(n)]
@@ -491,9 +468,20 @@ def _quotient(f: dict, g: dict) -> Optional[dict]:
     """f / g for integer polynomials with g nonzero, when g divides f
     exactly; None otherwise.  Divides by g's lex-leading term, and gives
     up as soon as a quotient term leaves the box that the degrees of f and
-    g leave for it, which bounds the work when g does not divide f."""
+    g leave for it, which bounds the work when g does not divide f.  A
+    monomial g divides term by term."""
     if not f:
         return {}
+    if len(g) == 1:
+        ((lead, lc),) = g.items()
+        q = {}
+        for m, c in f.items():
+            e = tuple(map(sub, m, lead))
+            qc, rem = divmod(c, lc)
+            if rem or min(e) < 0:
+                return None
+            q[e] = qc
+        return q
     madd = _adder_of(f)
     lead = max(g)
     lc = g[lead]
@@ -758,26 +746,15 @@ def _raised(terms, low: list):
 
 def _cofactors_fallback(f, g):
     """gcd_cofactors' answer when the Kronecker heuristic gives none: the
-    recursive heuristic gcd's, else the remainder sequence's."""
-    result = _heugcd_cofactors(f, g)
-    if result is None:
-        result = _prs_cofactors(f, g)
-    return result
-
-
-def _lex_signed(h: dict, a: dict, b: dict) -> tuple:
-    """(h, a, b), all three negated when h's lex-leading coefficient is
-    negative."""
-    if h[max(h)] < 0:
-        return _scaled(h, -1), _scaled(a, -1), _scaled(b, -1)
-    return h, a, b
-
-
-def _heugcd_cofactors(f: dict, g: dict) -> Optional[tuple]:
-    """(h, f/h, g/h) by the recursive heuristic gcd, h with a positive
-    lex-leading coefficient; None when it fails."""
+    recursive heuristic gcd's, with the gcd's lex-leading coefficient made
+    positive, else the remainder sequence's."""
     result = _heugcd(f, g)
-    return None if result is None else _lex_signed(*result)
+    if result is None:
+        return _prs_cofactors(f, g)
+    h = result[0]
+    if h[max(h)] < 0:
+        return tuple(_scaled(p, -1) for p in result)
+    return result
 
 
 def _occurring(f: dict, g: dict) -> list:
@@ -821,38 +798,24 @@ def _heugcd(f: dict, g: dict) -> Optional[tuple]:
         images = _evaluated(f, v, x), _evaluated(g, v, x)
         result = _heugcd(*images) if all(images) else None
         if result is not None:
-            h, a, b = result
-            h = _primitive(_interpolated(h, v, x))[1]
-            for candidate in _candidates(f, g, h, a, b, v, x):
-                if candidate is not None:
-                    h, a, b = candidate
-                    if content != 1:
-                        h = _scaled(h, content)
-                    return h, a, b
+            for h in _candidates(f, g, result, v, x):
+                a = None if h is None else _quotient(f, h)
+                b = None if a is None else _quotient(g, h)
+                if b is not None:
+                    return (h if content == 1 else _scaled(h, content)), a, b
         x = 73794 * x * isqrt(isqrt(x)) // 27011
     return None
 
 
-def _candidates(f, g, h, a, b, v, x):
-    """_heugcd's candidates (h, f/h, g/h) at one point, None for each that
-    fails: from the interpolated gcd h, then from each image cofactor."""
-    a_h = _quotient(f, h)
-    yield None if a_h is None else _paired(g, h, a_h, first=True)
-    a = _interpolated(a, v, x)
-    h_a = _quotient(f, a)
-    yield None if h_a is None else _paired(g, h_a, a, first=True)
-    b = _interpolated(b, v, x)
-    h_b = _quotient(g, b)
-    yield None if h_b is None else _paired(f, h_b, b, first=False)
-
-
-def _paired(other: dict, h: dict, cofactor: dict, first: bool):
-    """(h, cofactor, other/h) when first, else (h, other/h, cofactor);
-    None when h does not divide other."""
-    quotient = _quotient(other, h)
-    if quotient is None:
-        return None
-    return (h, cofactor, quotient) if first else (h, quotient, cofactor)
+def _candidates(f: dict, g: dict, images: tuple, v: int, x: int):
+    """_heugcd's candidate gcds at one point, from the gcd of the images
+    and its cofactors: the primitive part of the interpolated gcd, then f
+    and g each divided by its interpolated cofactor (None when that does
+    not divide)."""
+    h, a, b = images
+    yield _primitive(_interpolated(h, v, x))[1]
+    yield _quotient(f, _interpolated(a, v, x))
+    yield _quotient(g, _interpolated(b, v, x))
 
 
 def _evaluated(p: dict, v: int, x: int) -> dict:
@@ -1114,7 +1077,7 @@ def _rational_form(e: "Expr") -> tuple[dict, dict]:
     e's polynomials."""
     den = e.den
     lc = den[max(den, key=_grevlex)]
-    scale = e.content / lc
+    scale = _Rational(e.content.numerator, e.content.denominator * lc)
     return ({m: scale * c for m, c in e.num.items()},
             {m: _Rational(c, lc) for m, c in den.items()})
 
