@@ -930,9 +930,9 @@ def _content_gcd(f: dict, g: dict) -> dict:
 
 
 def _pseudo_remainder(f: dict, g: dict, v: int) -> dict:
-    """A nonzero integer multiple of the pseudo-remainder of f by g as
-    polynomials in the generator at position v: the leading term in v is
-    cancelled, after scaling by g's leading coefficient, until the degree
+    """The remainder of f by g as polynomials in the generator at position
+    v, times a power of g's leading coefficient in v: the leading term in
+    v is cancelled, after scaling by that coefficient, until the degree
     falls below g's."""
     madd = _adder_of(g)
     dg = _degree_in(g, v)

@@ -221,13 +221,14 @@ def load_metric_file(path: str) -> MetricSpec:
     MAX_FILE_BYTES bytes, each entry at most MAX_ENTRY_CHARS characters."""
     try:
         with open(path, "rb") as fh:
-            data = fh.read(MAX_FILE_BYTES + 1)
-        text = data.decode("utf-8")
+            raw = fh.read(MAX_FILE_BYTES + 1)
+        # Checked before decoding: the cut may split a character.
+        if len(raw) > MAX_FILE_BYTES:
+            raise MetricFileError(f"{path}: file is larger than "
+                                  f"{MAX_FILE_BYTES} bytes")
+        text = raw.decode("utf-8")
     except (OSError, UnicodeDecodeError) as err:
         raise MetricFileError(f"cannot read {path}: {err}") from err
-    if len(data) > MAX_FILE_BYTES:
-        raise MetricFileError(f"{path}: file is larger than "
-                              f"{MAX_FILE_BYTES} bytes")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as err:

@@ -730,6 +730,11 @@ class TestCLI:
         assert main(["classify", str(over), "--oracle-samples", "1"]) == 2
         assert capsys.readouterr().err == (
             f"error: {over}: file is larger than {MAX_FILE_BYTES} bytes\n")
+        # The cap is checked before decoding: here the cut splits "é".
+        split = tmp_path / "split.json"
+        split.write_bytes(text.encode().ljust(MAX_FILE_BYTES) + "é".encode())
+        with pytest.raises(MetricFileError, match="larger than"):
+            load_metric_file(str(split))
         reads = []
 
         class Recorded:
