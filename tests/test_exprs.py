@@ -23,7 +23,8 @@ from curvzoo.exprs import (CANCEL_MEMO_TERMS, GCD_FIELDS_PER_TERM,
                            MAX_NESTING, MAX_TERMS, Context, EvaluationError,
                            ExpressionError, ModularExpr, ParseError, _cancel,
                            _cofactors_fallback, _memo_key, _normalized,
-                           _poly_sqrt, _primitive, _Rational, _rational_form,
+                           _poly_sqrt, _primitive, _quotient, _Rational,
+                           _rational_form,
                            differentiate, evaluate_rational, gcd_cofactors,
                            residue, residue_powers)
 from curvzoo.metrics import builtin
@@ -634,6 +635,21 @@ class TestGcdChain:
         assert result == tuple(p.as_dict() for p in dense)
 
 
+class TestExactQuotient:
+    def test_quotients_and_non_divisors(self):
+        x1, x2, e1, _, a = TEST_RING.gens
+        for q, g in ((x1 - 2, x1 + 1), (3 * x2 * a - e1, 2 * x1 * e1 - 5),
+                     (x1 * x2 + 7, TEST_RING(4)), (x1 ** 3 - a, 6 * x1 * e1)):
+            f, g, q = as_dicts(q * g, g, q)
+            assert _quotient(f, g) == q
+        # A remainder, a coefficient that does not divide, an exponent
+        # below the divisor's, each by a polynomial and by a monomial.
+        for f, g in ((x1 ** 2 + 1, x1 + 1), (3 * x1 + 2, 2 * x1 + 2),
+                     (x1 * x2 + 1, x2 ** 2 + x1), (2 * x1 ** 2, 3 * x1),
+                     (x1 + x2, x1), (x1 ** 2 * e1, x1 ** 3)):
+            assert _quotient(*as_dicts(f, g)) is None
+
+
 class TestSquareRoot:
     def test_squares_and_non_squares(self):
         x1, x2, e1, _, a = TEST_RING.gens
@@ -1046,10 +1062,10 @@ class TestContext:
         assert x1 != y1 and not x1 == y1
 
     def test_values_of_other_contexts_differ(self):
-        # One generator each: equal dicts, equal contents.
+        # One generator each: equal monomial dicts, equal contents.
         x1 = Context(["x1"]).parse("x1")
         y1 = Context(["y1"]).parse("y1")
-        assert (x1.num, x1.den, x1.content) == (y1.num, y1.den, y1.content)
+        assert dict(x1.num) == dict(y1.num) and x1.content == y1.content
         assert x1 != y1 and not x1 == y1
         # Equal coordinates, other parameters: exp(x1)/(x1 + 1) has the same
         # dicts in both, and so has the parameter a against b.
