@@ -32,7 +32,7 @@ Index conventions, fixed throughout the package:
   (operators) that of T plus skew in the trailing pair, and sums and
   scalings of tensors sharing a group keep it.  Those kernels compute each
   orbit's representative (its least index) only and fill the rest by sign
-  (Tensor.from_representative_terms); permuted() drops the group.
+  (Tensor.from_terms with the group's specs); permuted() drops the group.
 * nabla T, B.T, Q(A,T) and mu.T are derivations acting on one slot of T
   at a time.  They share one walk over the support of T,
   _derivation_terms; each operator only lists, for each index a, the
@@ -190,7 +190,7 @@ class Tensor:
     declared_symmetries holds slot-symmetry specs ("skew:p,q", "sym:p,q",
     "block:p,q,r,s") that generate the tensor's symmetry_group.  Specs
     passed to the constructor are checked on the components; tensors that
-    inherit specs (from_representative_terms) are filled from them.
+    inherit specs (from_terms with symmetries) are filled from them.
     """
 
     __slots__ = ("chart", "valence", "declared_symmetries", "_components")
@@ -220,29 +220,23 @@ class Tensor:
 
     @classmethod
     def from_terms(cls, chart: "Chart", valence: tuple[int, int],
-                   terms: Iterable[tuple[tuple[int, ...], Expr]]) -> "Tensor":
+                   terms: Iterable[tuple[tuple[int, ...], Expr]],
+                   symmetries: Sequence[str] = ()) -> "Tensor":
         """The tensor whose component at each index is the sum of the values
-        that terms, (index, Expr) pairs, give for it; zero elsewhere."""
-        return cls._of_support(chart, valence, sorted(
-            ((idx, v) for idx, v in _summed(terms).items() if not v.is_zero),
-            key=itemgetter(0)))
-
-    @classmethod
-    def from_representative_terms(
-            cls, chart: "Chart", valence: tuple[int, int],
-            symmetries: Sequence[str],
-            terms: Iterable[tuple[tuple[int, ...], Expr]]) -> "Tensor":
-        """The tensor with the slot symmetries `symmetries` whose component
-        at each orbit representative is the sum of the values terms give for
-        it; every other index of the orbit gets that sum times its sign.
-        Terms may sit at representatives only (ValueError otherwise).  The
-        symmetries are inherited, not checked."""
+        that terms, (index, Expr) pairs, give for it; zero elsewhere.  With
+        slot symmetries, terms may sit at orbit representatives only
+        (ValueError otherwise), and every other index of an orbit gets its
+        representative's sum times its sign; the symmetries are inherited,
+        not checked."""
         symmetries = tuple(symmetries)
+        sums = _summed(terms)
         if not symmetries:
-            return cls.from_terms(chart, valence, terms)
+            return cls._of_support(chart, valence, sorted(
+                ((idx, v) for idx, v in sums.items() if not v.is_zero),
+                key=itemgetter(0)))
         group = _slot_group(sum(valence), symmetries)
         support = []
-        for idx, v in _summed(terms).items():
+        for idx, v in sums.items():
             if not group.is_representative(idx):
                 raise ValueError(f"index {idx} is not a representative of "
                                  f"its orbit under {symmetries}")
@@ -289,7 +283,10 @@ class Tensor:
         return [(idx, v) for idx, v in self.nonzero_items() if rep(idx)]
 
     def __getitem__(self, idx: tuple[int, ...]) -> Expr:
-        value = self._components.get(idx)
+        try:
+            value = self._components.get(idx)
+        except TypeError:  # an unhashable index, such as a list
+            value = None
         if value is None:
             # Only a miss is checked, so reading the support costs no more.
             rank, n = self.rank, self.chart.n
@@ -317,9 +314,8 @@ class Tensor:
             mine, theirs = self.nonzero_items(), other.nonzero_items()
         if sign < 0:
             theirs = ((idx, -v) for idx, v in theirs)
-        return Tensor.from_representative_terms(
-            self.chart, self.valence, symmetries,
-            itertools.chain(mine, theirs))
+        return Tensor.from_terms(self.chart, self.valence,
+                                 itertools.chain(mine, theirs), symmetries)
 
     def __add__(self, other: "Tensor") -> "Tensor":
         return self._combined(other, 1)
@@ -334,9 +330,10 @@ class Tensor:
                                   self.declared_symmetries)
 
     def scaled(self, factor) -> "Tensor":
-        return Tensor.from_representative_terms(
-            self.chart, self.valence, self.declared_symmetries,
-            ((idx, factor * v) for idx, v in self.representative_items()))
+        return Tensor.from_terms(
+            self.chart, self.valence,
+            ((idx, factor * v) for idx, v in self.representative_items()),
+            self.declared_symmetries)
 
     def is_zero(self) -> bool:
         return not self._components
@@ -576,11 +573,11 @@ def christoffel(chart: Chart) -> Tensor:
         half = Fraction(1, 2)
         raising = [[(k, half * gi) for k, gi in row.items()]
                    for row in chart.g_inv_rows]
-        return Tensor.from_representative_terms(
-            chart, (1, 2), ("sym:1,2",), (
+        return Tensor.from_terms(
+            chart, (1, 2), (
                 ((k, i, j), hg * v)
                 for (l, i, j), v in _summed(doubled_first_kind()).items()
-                if not v.is_zero for k, hg in raising[l]))
+                if not v.is_zero for k, hg in raising[l]), ("sym:1,2",))
 
     return chart.cached("christoffel", compute)
 
@@ -626,11 +623,11 @@ def riemann(chart: Chart) -> Tensor:
         lowering = [[] for _ in range(n)]   # lowering[m]: (l, sign * g_lm)
         for (m, l), e in chart.g.nonzero_items():
             lowering[m].append((l, CURVATURE_SIGN * e))
-        return Tensor.from_representative_terms(
-            chart, (0, 4), ("skew:0,1",), (
+        return Tensor.from_terms(
+            chart, (0, 4), (
                 ((i, j, k, l), ge * u)
                 for (m, i, j, k), u in _summed(upper()).items()
-                if not u.is_zero for l, ge in lowering[m])
+                if not u.is_zero for l, ge in lowering[m]), ("skew:0,1",)
         ).with_symmetries(CURVATURE_SYMMETRIES)
 
     return chart.cached("riemann", compute)
@@ -766,11 +763,11 @@ def covariant_derivative(chart: Chart, T: Tensor) -> Tensor:
                 if not d.is_zero:
                     yield (x,) + J, d
 
-    return Tensor.from_representative_terms(
+    return Tensor.from_terms(
         chart, (0, k + 1),
-        tuple(_shifted_spec(spec, 1) for spec in T.declared_symmetries),
         itertools.chain(derivatives(),
-                        _derivation_terms(T, columns, extra_first=True)))
+                        _derivation_terms(T, columns, extra_first=True)),
+        tuple(_shifted_spec(spec, 1) for spec in T.declared_symmetries))
 
 
 def nabla_riemann(chart: Chart) -> Tensor:

@@ -19,19 +19,19 @@ mathematical equality, which is the zero-test every classifier in this
 package ultimately rests on: ``e.is_zero``.  Values are combined only
 through the arithmetic operators (``+ - * /`` and integer ``**``), against
 Expr, int and Fraction operands.  The same value over Q with a denominator that
-is monic under grevlex (``_rational_form``) is rebuilt on demand for
-printing, for the exact reference evaluation and for the parser's
-coefficient-size bound; it is never stored.
+is monic under grevlex (``_rational_form``) is rebuilt on demand for its two
+readers, printing and the parser's coefficient-size bound; it is never
+stored.
 
 Differentiation uses d(x)/dx = 1, d(exp(x))/dx = exp(x) and kills parameters;
 it is extended by linearity and the product/quotient rules.  Because atoms are
 independent, substituting independent values for them (including the
 exponential atoms) is a sound Schwartz-Zippel style zero test.
-``evaluate_rational`` substitutes exact rationals, and is the reference.
-``ModularExpr`` substitutes residues modulo a prime p: it reduces the
-integer coefficients of the stored form once, with the content's residue
-folded into the numerator, so that the value can be evaluated at many
-points, each given as per-atom power tables (``residue_powers``).
+``evaluate_rational`` substitutes exact rationals into the stored form, and
+is the reference.  ``ModularExpr`` substitutes residues modulo a prime p: it
+reduces the integer coefficients of the stored form once, with the content's
+residue folded into the numerator, so that the value can be evaluated at
+many points, each given as per-atom power tables (``residue_powers``).
 Reduction mod p is a ring homomorphism wherever the denominators it meets
 are units, so an identity that holds in the field holds mod p, and a
 nonzero value reads 0 only at a root of its numerator or when p divides it.
@@ -50,7 +50,7 @@ Common factors are cancelled by ``_cancel``: when either side is a
 monomial the gcd is the exponent-wise minimum monomial and the cofactors
 follow by subtracting exponents, with no polynomial division; otherwise
 ``gcd_cofactors`` computes the gcd and both cofactors at once by a chain
-of three methods, tried in order:
+of three methods, composed there alone and tried in order:
 
 1. the heuristic gcd GCDHEU (Char, Geddes and Gonnet, 1989) with one
    Kronecker substitution: each polynomial is packed into one Python int,
@@ -63,11 +63,13 @@ of three methods, tried in order:
    exact division;
 3. when that fails too, a primitive polynomial remainder sequence (Collins,
    1967; Brown, 1971) in the lex-leading generator, with the contents in
-   the other generators taken recursively, which always answers.
+   the other generators taken by the same sequence, which always answers;
+   the cofactors then follow by exact division.
 
-Either way the gcd of two primitive operands is primitive with a positive
-lex-leading coefficient, and so are both quotients when the operands have
-positive lex-leading coefficients.  Derivatives read each term's exponents
+``gcd_cofactors`` then makes the gcd's lex-leading coefficient positive, so
+the gcd of two primitive operands is primitive with a positive lex-leading
+coefficient, and so are both quotients when the operands have positive
+lex-leading coefficients.  Derivatives read each term's exponents
 at the known ring positions; square roots are taken term by term from the
 lex-leading one.  The grammar, canonicalization, cancellation, derivatives,
 evaluation and printing all live here.
@@ -87,6 +89,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import chain, product
 from math import comb, gcd, isqrt, lcm
 from operator import add, and_, mul, sub
@@ -561,28 +564,29 @@ def _poly_sqrt(p: dict, madd) -> Optional[dict]:
 #: memory for the chart's lifetime.
 CANCEL_MEMO_TERMS = 32
 
-#: Most bits that gcd_cofactors packs an operand into, prod(deg_v + 1) * k
-#: (see there); larger operands take the fallback.  The largest packed
-#: operands measured were 504 bits over the generated-pipeline benchmark
-#: charts and 59,160 bits in a full classify with every tensor of a
-#: generated warped chart, so the cap leaves a wide margin while it keeps
-#: hostile operands from packing into gigabytes.  The recursive heuristic
-#: gives up on an evaluation point past the same number of bits.
+#: Most bits that _kronecker_cofactors packs an operand into,
+#: prod(deg_v + 1) * k (see there); larger operands go on to the recursive
+#: heuristic.  The largest packed operands measured were 504 bits over the
+#: generated-pipeline benchmark charts and 59,160 bits in a full classify
+#: with every tensor of a generated warped chart, so the cap leaves a wide
+#: margin while it keeps hostile operands from packing into gigabytes.  The
+#: recursive heuristic gives up on an evaluation point past the same number
+#: of bits.
 GCD_PACKED_BITS = 1 << 20
 
-#: Most fields, prod(deg_v + 1), per operand term that gcd_cofactors packs;
-#: sparser pairs take the fallback.  Packing lays each operand out densely,
-#: one field per monomial of the degree box, so a sparse pair packs into
-#: far more bits than its terms hold, and the integer gcd, quadratic in
-#: the bits, then costs more than the recursive heuristic.  Pairs measured
-#: on the generated-pipeline charts and in full classify runs of the
-#: generated templates had at most 3 fields per term; sparse pairs in five
-#: generators drawn by the kernel's property tests had up to 729, and ran
-#: up to 1,000 times slower packed than in the fallback.
+#: Most fields, prod(deg_v + 1), per operand term that _kronecker_cofactors
+#: packs; sparser pairs go on to the recursive heuristic.  Packing lays each
+#: operand out densely, one field per monomial of the degree box, so a
+#: sparse pair packs into far more bits than its terms hold, and the integer
+#: gcd, quadratic in the bits, then costs more than the recursive heuristic.
+#: Pairs measured on the generated-pipeline charts and in full classify runs
+#: of the generated templates had at most 3 fields per term; sparse pairs in
+#: five generators drawn by the kernel's property tests had up to 729, and
+#: ran up to 1,000 times slower packed than in the recursive heuristic.
 GCD_FIELDS_PER_TERM = 16
 
-#: Candidates gcd_cofactors tries, doubling the field width k after each
-#: failed one, before it takes the fallback.
+#: Candidates _kronecker_cofactors tries, doubling the field width k after
+#: each failed one, before it gives up.
 GCD_ATTEMPTS = 4
 
 #: Evaluation points the recursive heuristic gcd tries for each generator
@@ -596,7 +600,26 @@ def gcd_cofactors(f, g):
     gcd, primitive with a positive lex-leading coefficient; h is the unit,
     with f and g themselves as the quotients, when f and g are coprime.
 
-    GCDHEU (Char, Geddes and Gonnet, 1989) with one Kronecker substitution.
+    The one place the chain is composed: the Kronecker heuristic
+    (_kronecker_cofactors), else the recursive heuristic (_heugcd), else
+    the remainder sequence (_prs_gcd) with the quotients by exact division.
+    The gcd's lex-leading coefficient is made positive here, and the
+    quotients' with it."""
+    result = _kronecker_cofactors(f, g)
+    if result is None:
+        result = _heugcd(f, g)
+    if result is None:
+        h = _prs_gcd(f, g)
+        result = h, _quotient(f, h), _quotient(g, h)
+    h = result[0]
+    if h[max(h)] < 0:
+        return tuple(_scaled(p, -1) for p in result)
+    return result
+
+
+def _kronecker_cofactors(f, g):
+    """gcd_cofactors' first link, or None: GCDHEU (Char, Geddes and Gonnet,
+    1989) with one Kronecker substitution.
     The exponent-wise minimum monomials of f and g are divided out first,
     and their minimum is the monomial part of h.  Over the generators
     occurring in the rest, with deg_v the higher of its two degrees in
@@ -615,11 +638,11 @@ def gcd_cofactors(f, g):
     deg_v h plus deg_v of either cofactor is at most deg_v for every
     generator: then no field of the packed products overflows, so h a and
     h b are the two sides as polynomials, and by the GCDHEU lemma, with
-    neither side divisible by a monomial, h is their gcd.  A failed
-    candidate doubles k.  The answer is _cofactors_fallback's after
-    GCD_ATTEMPTS candidates, once the packed size prod(deg_v + 1) k exceeds
-    GCD_PACKED_BITS, or at once when there are more than
-    GCD_FIELDS_PER_TERM fields per term of f and g.
+    neither side divisible by a monomial, h is their gcd, with a positive
+    lex-leading coefficient.  A failed candidate doubles k.  The answer is
+    None after GCD_ATTEMPTS candidates, once the packed size
+    prod(deg_v + 1) k exceeds GCD_PACKED_BITS, or at once when there are
+    more than GCD_FIELDS_PER_TERM fields per term of f and g.
     """
     ngens = len(next(iter(f)))
     f_columns, g_columns = list(zip(*f)), list(zip(*g))
@@ -635,7 +658,7 @@ def gcd_cofactors(f, g):
             radix.insert(0, (pos, fields))
             fields *= degrees[pos] + 1
     if fields > GCD_FIELDS_PER_TERM * (len(f) + len(g)):
-        return _cofactors_fallback(f, g)
+        return None
     f_terms, f_shift = _indexed(f, f_low, weights)
     g_terms, g_shift = _indexed(g, g_low, weights)
     common = list(map(min, f_low, g_low))
@@ -681,7 +704,7 @@ def gcd_cofactors(f, g):
                         return tuple(dict(_raised(p, low)) for p, low
                                      in zip(parts, (common, f_low, g_low)))
         k *= 2
-    return _cofactors_fallback(f, g)
+    return None
 
 
 def _indexed(p, low: list, weights: list) -> tuple[list, int]:
@@ -742,19 +765,6 @@ def _raised(terms, low: list):
     if not any(low):
         return terms
     return [(tuple(map(add, monom, low)), c) for monom, c in terms]
-
-
-def _cofactors_fallback(f, g):
-    """gcd_cofactors' answer when the Kronecker heuristic gives none: the
-    recursive heuristic gcd's, with the gcd's lex-leading coefficient made
-    positive, else the remainder sequence's."""
-    result = _heugcd(f, g)
-    if result is None:
-        return _prs_cofactors(f, g)
-    h = result[0]
-    if h[max(h)] < 0:
-        return tuple(_scaled(p, -1) for p in result)
-    return result
 
 
 def _occurring(f: dict, g: dict) -> list:
@@ -850,47 +860,35 @@ def _interpolated(p: dict, v: int, x: int) -> dict:
     return out
 
 
-def _prs_cofactors(f: dict, g: dict) -> tuple:
-    """(h, f/h, g/h) with h the gcd of f and g by the remainder sequence,
-    with a positive lex-leading coefficient."""
-    h = _prs_gcd(f, g)
-    return h, _quotient(f, h), _quotient(g, h)
-
-
 def _prs_gcd(f: dict, g: dict) -> dict:
-    """The gcd of nonzero integer polynomials f and g, with a positive
-    lex-leading coefficient, by a primitive polynomial remainder sequence
-    (Collins, 1967; Brown, 1971).
+    """A gcd of nonzero integer polynomials f and g by a primitive
+    polynomial remainder sequence (Collins, 1967; Brown, 1971).
 
     With v the first generator occurring in either, each side is split into
     its content, the gcd of its coefficients as a polynomial in v (taken by
-    _content_gcd on the other generators), and its primitive part.  The
+    this function on the other generators), and its primitive part.  The
     gcd is the gcd of the contents times the last nonzero member of the
     sequence of primitive parts of pseudo-remainders in v, or times 1 when
-    that member has degree 0 in v.  A monomial on either side gives a
-    monomial gcd at once."""
-    if len(f) == 1 or len(g) == 1:
-        # A monomial: the exponent-wise minimum over every term, times the
-        # gcd of every coefficient.
-        return {tuple(map(min, *f, *g)): gcd(*f.values(), *g.values())}
-    v = _occurring(f, g)[0]
+    that member has degree 0 in v.  Two constants give their integer gcd.
+    The contents are not taken by the recursive heuristic, whose images of
+    the remainders' coefficients can grow to GCD_PACKED_BITS bits at each
+    level of its recursion."""
+    occurring = _occurring(f, g)
+    if not occurring:
+        zero = next(iter(f))
+        return {zero: gcd(f[zero], g[zero])}
+    v = occurring[0]
     f_content, f = _content_split(f, v)
     g_content, g = _content_split(g, v)
-    h = _content_gcd(f_content, g_content)
+    h = _prs_gcd(f_content, g_content)
     if _degree_in(f, v) < _degree_in(g, v):
         f, g = g, f
     while _degree_in(g, v):
         r = _pseudo_remainder(f, g, v)
         if not r:
-            h = _poly_mul(h, g, _adder_of(g))
-            break
+            return _poly_mul(h, g, _adder_of(g))
         f, g = g, _content_split(r, v)[1]
-    return _lex_positive(h)
-
-
-def _lex_positive(p: dict) -> dict:
-    """p, negated when its lex-leading coefficient is negative."""
-    return _scaled(p, -1) if p[max(p)] < 0 else p
+    return h
 
 
 def _degree_in(p: dict, v: int) -> int:
@@ -898,35 +896,13 @@ def _degree_in(p: dict, v: int) -> int:
 
 
 def _content_split(p: dict, v: int) -> tuple[dict, dict]:
-    """(c, p/c) with c the gcd, with a positive lex-leading coefficient, of
-    p's coefficients as a polynomial in the generator at position v.  The
-    coefficients are taken fewest terms first, and once their gcd is an
-    integer, the rest only through their integer coefficients."""
+    """(c, p/c) with c a gcd of p's coefficients as a polynomial in the
+    generator at position v."""
     coefficients: dict = {}
     for m, c in p.items():
         coefficients.setdefault(m[v], {})[m[:v] + (0,) + m[v + 1:]] = c
-    ordered = sorted(coefficients.values(), key=len)
-    content = _lex_positive(ordered[0])
-    zero = (0,) * len(next(iter(p)))
-    for k, coefficient in enumerate(ordered[1:], 1):
-        if len(content) == 1 and zero in content:
-            content = {zero: gcd(content[zero], *chain.from_iterable(
-                c.values() for c in ordered[k:]))}
-            break
-        content = _content_gcd(content, coefficient)
+    content = reduce(_prs_gcd, coefficients.values())
     return content, _quotient(p, content)
-
-
-def _content_gcd(f: dict, g: dict) -> dict:
-    """The gcd of nonzero integer polynomials f and g in fewer generators
-    than the remainder sequence that needs it, with a positive lex-leading
-    coefficient: the recursive heuristic's when it answers, which is far
-    faster on the remainders' coefficients than a nested sequence, else
-    the remainder sequence's."""
-    result = _heugcd(f, g)
-    if result is None:
-        return _prs_gcd(f, g)
-    return _lex_positive(result[0])
 
 
 def _pseudo_remainder(f: dict, g: dict, v: int) -> dict:
@@ -1072,9 +1048,8 @@ def _normalized(ctx: Context, num, den) -> "Expr":
 def _rational_form(e: "Expr") -> tuple[dict, dict]:
     """(num, den) of e over Q as dicts from exponent tuples to rational
     coefficients, coprime, with den monic under grevlex: the form that
-    printing, exact evaluation (evaluate_rational) and the parser's
-    coefficient-size bound read.  Built on each call, in the term order of
-    e's polynomials."""
+    printing and the parser's coefficient-size bound read.  Built on each
+    call, in the term order of e's polynomials."""
     den = e.den
     lc = den[max(den, key=_grevlex)]
     scale = _Rational(e.content.numerator, e.content.denominator * lc)
@@ -1359,19 +1334,14 @@ def differentiate(e: Expr, coord: Union[int, str]) -> Expr:
         raise ExpressionError(f"coordinate index {i} out of range")
     num, den = e.num, e.den
     dnum = _poly_diff(ctx, num, i)
-    if den == ctx.unit:
-        if not dnum:
-            return ctx._zero
-        k, dnum = _primitive(dnum)
-        return Expr(ctx, e.content * k, dnum, den)
-    madd = ctx._madd
-    num = _poly_sub(_poly_mul(dnum, den, madd),
-                    _poly_mul(num, _poly_diff(ctx, den, i), madd))
-    if not num:
-        return ctx._zero
-    k, num = _primitive(num)
-    _, num, den = _cancel(ctx, num, _poly_mul(den, den, madd))
-    return Expr(ctx, e.content * k, num, den)
+    if den != ctx.unit:
+        madd = ctx._madd
+        dnum = _poly_sub(_poly_mul(dnum, den, madd),
+                         _poly_mul(num, _poly_diff(ctx, den, i), madd))
+        if dnum:
+            den = _poly_mul(den, den, madd)
+    d = _normalized(ctx, dnum, den)
+    return Expr(ctx, e.content * d.content, d.num, d.den) if d.num else d
 
 
 def evaluate_rational(e: Expr, assignment: Mapping[Atom, Number]) -> Fraction:
@@ -1379,17 +1349,18 @@ def evaluate_rational(e: Expr, assignment: Mapping[Atom, Number]) -> Fraction:
 
     The exponential atoms are substituted independently of their coordinates:
     atoms are algebraically independent, so this is exactly the substitution
-    a randomized zero test needs.  Reads the rational form (_rational_form).
-    Raises EvaluationError when the denominator vanishes at the point and
-    ExpressionError when an occurring atom has no value.
+    a randomized zero test needs.  Reads the stored form content * num / den,
+    as ModularExpr does.  Raises EvaluationError when the denominator
+    vanishes at the point and ExpressionError when an occurring atom has no
+    value.
     """
     ctx = e.ctx
-    values = _atom_values(ctx, assignment, None)
+    values = [None if v is None else Fraction(v)
+              for v in _atom_values(ctx, assignment)]
 
     def poly_value(poly):
         total = Fraction(0)
-        for monom, coeff in poly.items():
-            term = Fraction(coeff.numerator, coeff.denominator)
+        for monom, term in poly.items():
             for pos, exp in enumerate(monom):
                 if exp:
                     v = values[pos]
@@ -1400,22 +1371,21 @@ def evaluate_rational(e: Expr, assignment: Mapping[Atom, Number]) -> Fraction:
             total = total + term
         return total
 
-    num, den = _rational_form(e)
-    den_val = poly_value(den)
+    den_val = poly_value(e.den)
     if not den_val:
         raise EvaluationError("denominator vanishes at the given point")
-    return poly_value(num) / den_val
+    content = e.content
+    return (Fraction(content.numerator, content.denominator)
+            * poly_value(e.num) / den_val)
 
 
-def _atom_values(ctx: Context, assignment: Mapping[Atom, Number],
-                 modulus: Optional[int]) -> list:
+def _atom_values(ctx: Context, assignment: Mapping[Atom, Number]) -> list:
     """The assignment as a list indexed by ring position (None: no value)."""
     values: list = [None] * len(ctx.atoms)
     for atom, val in assignment.items():
         pos = ctx._atom_pos.get(atom)
         if pos is not None:
-            values[pos] = (Fraction(val) if modulus is None
-                           else residue(val, modulus))
+            values[pos] = val
     return values
 
 
@@ -1490,7 +1460,8 @@ def residue_powers(ctx: Context, assignment: Mapping[Atom, Number],
     reduced, so EvaluationError is raised when p divides one's
     denominator, and ExpressionError for the first atom with a positive
     degree and no value."""
-    values = _atom_values(ctx, assignment, modulus)
+    values = [None if v is None else residue(v, modulus)
+              for v in _atom_values(ctx, assignment)]
     tables: list = []
     for pos, top in enumerate(degrees):
         v = values[pos]
@@ -1589,9 +1560,10 @@ def _tokenize(src: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
+            # ASCII only: str.isdigit also accepts superscripts and others.
             j = i
-            while j < size and src[j].isdigit():
+            while j < size and "0" <= src[j] <= "9":
                 j += 1
             # d significant digits make at least 10^(d-1) > 2^(3(d-1)), so
             # only a literal that may be within the bound is converted.

@@ -202,9 +202,9 @@ def dot_action(B: Tensor, T: Tensor) -> Tensor:
     for (a, h, l, i), v in lowered_to_operator(B).nonzero_items():
         if h < l:
             columns[a].setdefault(i, []).append(((h, l), 1, (a, h, l, i), -v))
-    return Tensor.from_representative_terms(
-        B.chart, (0, k + 2), _acted_symmetries(T),
-        _derivation_terms(T, columns))
+    return Tensor.from_terms(B.chart, (0, k + 2),
+                             _derivation_terms(T, columns),
+                             _acted_symmetries(T))
 
 
 def tachibana(A: Tensor, T: Tensor) -> Tensor:
@@ -231,9 +231,9 @@ def tachibana(A: Tensor, T: Tensor) -> Tensor:
             if a != c:
                 pair, sign = ((c, a), 1) if c < a else ((a, c), -1)
                 columns[a].setdefault(i, []).append((pair, sign, (c, i), av))
-    return Tensor.from_representative_terms(
-        A.chart, (0, k + 2), _acted_symmetries(T),
-        _derivation_terms(T, columns))
+    return Tensor.from_terms(A.chart, (0, k + 2),
+                             _derivation_terms(T, columns),
+                             _acted_symmetries(T))
 
 
 def oneform_dot(mu: OneForm, T: Tensor) -> Tensor:
@@ -254,9 +254,9 @@ def oneform_dot(mu: OneForm, T: Tensor) -> Tensor:
         if not mv.is_zero:
             for a in range(n):
                 columns[a][i] = [((a,), -1, i, mv)]
-    return Tensor.from_representative_terms(
-        mu.chart, (0, k + 1), T.declared_symmetries,
-        _derivation_terms(T, columns))
+    return Tensor.from_terms(mu.chart, (0, k + 1),
+                             _derivation_terms(T, columns),
+                             T.declared_symmetries)
 
 
 def check_gct(B: Tensor) -> dict[str, bool]:

@@ -363,8 +363,7 @@ class TestSlotSymmetries:
         # One representative per unordered pair of ordered pairs i < j:
         # N(N+1)/2 with N = n(n-1)/2; orbits with i = j are forced to zero.
         chart = build_chart([f"x{i + 1}" for i in range(n)], delta_entries(n))
-        T = Tensor.from_representative_terms(chart, (0, 4),
-                                             CURVATURE_SYMMETRIES, ())
+        T = Tensor.from_terms(chart, (0, 4), (), CURVATURE_SYMMETRIES)
         reps = [idx for idx in itertools.product(range(n), repeat=4)
                 if T.symmetry_group.is_representative(idx)]
         pairs = n * (n - 1) // 2
@@ -374,8 +373,8 @@ class TestSlotSymmetries:
 
     def test_fill_matches_a_full_computation(self, godel):
         R = riemann(godel)
-        filled = Tensor.from_representative_terms(
-            godel, (0, 4), CURVATURE_SYMMETRIES, R.representative_items())
+        filled = Tensor.from_terms(godel, (0, 4), R.representative_items(),
+                                   CURVATURE_SYMMETRIES)
         assert filled == R
         assert list(filled.nonzero_items()) == [
             (idx, v) for idx, v in R.items() if not v.is_zero]
@@ -384,20 +383,19 @@ class TestSlotSymmetries:
     def test_fill_sums_terms_and_rejects_non_representatives(self, flat4):
         ctx = flat4.ctx
         x1 = ctx.parse("x1")
-        T = Tensor.from_representative_terms(
-            flat4, (0, 2), ("skew:0,1",),
-            [((0, 1), x1), ((0, 1), x1), ((1, 2), x1), ((1, 2), -x1)])
+        T = Tensor.from_terms(
+            flat4, (0, 2),
+            [((0, 1), x1), ((0, 1), x1), ((1, 2), x1), ((1, 2), -x1)],
+            ("skew:0,1",))
         assert list(T.nonzero_items()) == [((0, 1), ctx.parse("2*x1")),
                                            ((1, 0), ctx.parse("-2*x1"))]
         for idx in ((1, 0), (2, 2)):
             with pytest.raises(ValueError, match="not a representative"):
-                Tensor.from_representative_terms(flat4, (0, 2),
-                                                 ("skew:0,1",), [(idx, x1)])
+                Tensor.from_terms(flat4, (0, 2), [(idx, x1)], ("skew:0,1",))
 
     def test_contradictory_specs_raise(self, flat4):
         with pytest.raises(ValueError, match="force every component"):
-            Tensor.from_representative_terms(
-                flat4, (0, 2), ("skew:0,1", "sym:0,1"), ())
+            Tensor.from_terms(flat4, (0, 2), (), ("skew:0,1", "sym:0,1"))
 
     def test_operations_keep_or_drop_the_group(self, godel):
         R, S = riemann(godel), ricci(godel)
@@ -539,6 +537,13 @@ class TestSupport:
             T[idx]
         # An index that fits but is off the support still reads zero.
         assert T[(0, 1) + (0,) * (T.rank - 2)].is_zero
+
+    def test_unhashable_index_raises_index_error(self, conformal4):
+        # A list misses the component dict like any index that does not
+        # fit, and the fit check names it.
+        R = riemann(conformal4)
+        with pytest.raises(IndexError, match=re.escape("[0, 1, 0, 1]")):
+            R[[0, 1, 0, 1]]
 
     def test_construction_freezes_only_on_success(self, flat4):
         # A failed construction leaves the caller's mapping usable, and a

@@ -1,5 +1,5 @@
-"""Gamma, R, S, kappa and, for generated charts, nabla R and the Deszcz
-identity recomputed with sympy's symbolic cancel.
+"""Gamma, R, S, kappa, the derived curvature tensors and, for generated
+charts, nabla R and the Deszcz identity recomputed with sympy.
 
 The reference below shares nothing with curvzoo's expression kernel: each
 metric entry is read into a sympy expression (every exp(k*x) becomes E_x^k,
@@ -11,7 +11,11 @@ with ctx.parse, and the parsed value must equal curvzoo's component
 exactly.  Covered: the 8 builtins and one metric of each generated template
 (warped, off-diagonal, conformal), written out here.  For those three
 generated metrics nabla R is also compared at every orbit representative
-of its slot symmetries.
+of its slot symmetries.  On every one of those charts, the named
+Kulkarni-Nomizu products (g^g, g^S, S^S, g^S2, S^S2, S2^S2) and C, K, conh
+and P are compared at every component: the reference forms each at the
+representatives of its symmetries in sympy's field of rational functions,
+which keeps every value cancelled, and extends it by sign.
 
 Every positive decomposition verdict that a default classify reports on the
 builtins and on the conformal chart is also checked in sympy:
@@ -39,6 +43,9 @@ The formulas, in the conventions of curvzoo.charts:
     (A ^ D)[i, j, k, l] = A[i,l] D[j,k] + A[j,k] D[i,l]
                           - A[i,k] D[j,l] - A[j,l] D[i,k]
     S2[i, j] = g^ab S[b, i] S[a, j]
+    C = R - g^S/(n-2) + kappa g^g/(2(n-1)(n-2))
+    K = R - kappa g^g/(2n(n-1)),   conh = R - g^S/(n-2)
+    P[i, j, k, l] = R[i, j, k, l] - (S[j,k] g[i,l] - S[i,k] g[j,l])/(n-2)
 """
 
 import functools
@@ -48,11 +55,13 @@ import time
 
 import pytest
 import sympy
+import sympy.polys.fields
 
 from curvzoo.charts import (christoffel, nabla_riemann, ricci, riemann,
                             scalar_curvature)
 from curvzoo.classifiers import generalized_roter_generators, roter_generators
 from curvzoo.metrics import MetricSpec, builtin, list_builtins
+from curvzoo.operators import named_tensor
 from curvzoo.zoo import classify
 
 #: One chart per generated template, written out.
@@ -184,14 +193,57 @@ class Reference:
         return (A[i, l] * D[j, k] + A[j, k] * D[i, l]
                 - A[i, k] * D[j, l] - A[j, l] * D[i, k])
 
+    @functools.cached_property
+    def in_field(self) -> dict:
+        """g, S, S2 and R by name, and "kappa", as elements of sympy's field
+        of rational functions in the reference's symbols over Q, which keeps
+        each value cancelled as it is formed: a sum of products of them
+        costs far less there than one sympy.cancel of the sum."""
+        field = sympy.polys.fields.field(list(self.names.values()),
+                                         sympy.QQ)[0]
+        values = {name: {idx: field.from_expr(value)
+                         for idx, value in self.tensor(name).items()}
+                  for name in ("g", "S", "S2", "R")}
+        values["kappa"] = field.from_expr(self.kappa)
+        return values
+
+    def derived(self, name: str, idx):
+        """The Kulkarni-Nomizu product "A^D", or C, K, conh or P, at idx,
+        formed in the field of in_field."""
+        n, T = self.n, self.in_field
+        i, j, k, l = idx
+
+        def kulkarni_nomizu(A, D):
+            A, D = T[A], T[D]
+            return (A[i, l] * D[j, k] + A[j, k] * D[i, l]
+                    - A[i, k] * D[j, l] - A[j, l] * D[i, k])
+
+        if "^" in name:
+            return kulkarni_nomizu(*name.split("^"))
+        R, S, g = T["R"][idx], T["S"], T["g"]
+        if name == "P":
+            return R - (S[j, k] * g[i, l] - S[i, k] * g[j, l]) / (n - 2)
+        gg = T["kappa"] * kulkarni_nomizu("g", "g")
+        if name == "K":
+            return R - gg / (2 * n * (n - 1))
+        conh = R - kulkarni_nomizu("g", "S") / (n - 2)
+        if name == "conh":
+            return conh
+        assert name == "C"
+        return conh + gg / (2 * (n - 1) * (n - 2))
+
     def d(self, f, i):
         """d/dx_i, with d/dx_i E_x_i = E_x_i."""
         return (sympy.diff(f, self.coords[i])
                 + self.exps[i] * sympy.diff(f, self.exps[i]))
 
     def text(self, value) -> str:
-        """value in the package grammar."""
-        num, den = sympy.fraction(sympy.cancel(value))
+        """value, a sympy expression or a field element (see in_field), in
+        the package grammar."""
+        if isinstance(value, sympy.polys.fields.FracElement):
+            num, den = value.numer.as_expr(), value.denom.as_expr()
+        else:
+            num, den = sympy.fraction(sympy.cancel(value))
         text = f"({num}) / ({den})"
         for c, e in zip(self.coords, self.exps):
             text = re.sub(rf"\b{e}\b", f"exp({c})", text)
@@ -235,6 +287,53 @@ def test_nabla_riemann_matches_sympy_cancel(spec):
                 reference.text(reference.nabla_riemann(idx))), idx
             checked += 1
     assert checked
+    assert time.perf_counter() - start < TIME_LIMIT_S
+
+
+#: The derived tensors compared at every component: the named
+#: Kulkarni-Nomizu products, then C, K, conh and P.
+DERIVED = ("g^g", "g^S", "S^S", "g^S2", "S^S2", "S2^S2", "C", "K", "conh",
+           "P")
+
+
+def representative(name: str, idx):
+    """(rep, sign) with T[idx] = sign T[rep] for the derived tensor `name`,
+    or (None, 0) where its symmetries force T[idx] = 0: every one is skew
+    in its first pair, and all but P are also skew in the second and
+    symmetric under the exchange of the pairs, as algebraic curvature
+    tensors are."""
+    i, j, k, l = idx
+    sign = 1
+    if i > j:
+        i, j, sign = j, i, -sign
+    if name == "P":
+        return ((i, j, k, l), sign) if i != j else (None, 0)
+    if k > l:
+        k, l, sign = l, k, -sign
+    if i == j or k == l:
+        return None, 0
+    if (i, j) > (k, l):
+        i, j, k, l = k, l, i, j
+    return (i, j, k, l), sign
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
+def test_derived_tensors_match_sympy(spec):
+    # The reference is computed and cancelled at representatives only, and
+    # every component of curvzoo's tensor is compared with it.
+    start = time.perf_counter()
+    reference = reference_of(spec)
+    chart = spec.to_chart()
+    parse, zero = chart.ctx.parse, chart.ctx.zero
+    for name in DERIVED:
+        tensor = named_tensor(chart, name)
+        expected = {None: zero}
+        for idx in itertools.product(range(chart.n), repeat=4):
+            rep, sign = representative(name, idx)
+            if rep not in expected:
+                expected[rep] = parse(reference.text(
+                    reference.derived(name, rep)))
+            assert tensor[idx] == sign * expected[rep], (name, idx)
     assert time.perf_counter() - start < TIME_LIMIT_S
 
 

@@ -22,9 +22,9 @@ from curvzoo.exprs import (CANCEL_MEMO_TERMS, GCD_FIELDS_PER_TERM,
                            GCD_PACKED_BITS, MAX_COEFF_BITS, MAX_DEGREE,
                            MAX_NESTING, MAX_TERMS, Context, EvaluationError,
                            ExpressionError, ModularExpr, ParseError, _cancel,
-                           _cofactors_fallback, _memo_key, _normalized,
-                           _poly_sqrt, _primitive, _quotient, _Rational,
-                           _rational_form,
+                           _heugcd, _kronecker_cofactors, _memo_key,
+                           _normalized, _poly_sqrt, _primitive, _prs_gcd,
+                           _quotient, _Rational, _rational_form,
                            differentiate, evaluate_rational, gcd_cofactors,
                            residue, residue_powers)
 from curvzoo.metrics import builtin
@@ -154,6 +154,16 @@ class TestParsing:
         with pytest.raises(ParseError) as err:
             ctx.parse("x1 + + x2")
         assert err.value.position == 5
+
+    @pytest.mark.parametrize("src, position", [("2\u2075*x1", 1),
+                                               ("\u0663", 0)])
+    def test_only_ascii_digits_make_integer_literals(self, ctx, src,
+                                                     position):
+        # A superscript five is a digit to str.isdigit, but not to int();
+        # an Arabic-Indic three is one to both.
+        with pytest.raises(ParseError, match="unexpected character") as err:
+            ctx.parse(src)
+        assert err.value.position == position
 
     def test_unknown_identifier(self, ctx):
         with pytest.raises(ParseError, match="unknown identifier"):
@@ -443,15 +453,22 @@ class TestCancellation:
 
 
 #: CANCEL_CTX's generators over the integers in lex order: the ring of the
-#: gcd reference.  sympy makes a gcd's leading coefficient in its ring's
-#: order positive, so here the lex-leading one, as the kernel does.
+#: gcd reference, where a polynomial's leading coefficient is its
+#: lex-leading one, which the kernel makes positive.
 LEX_RING = lex_ring(CANCEL_CTX.gens)
 
 
-def reference_cofactors(f, g):
-    """(h, f/h, g/h) by sympy's cofactors in LEX_RING, as dicts."""
-    h, a, b = LEX_RING.from_dict(f).cofactors(LEX_RING.from_dict(g))
-    return dict(h), dict(a), dict(b)
+def reference_cofactors(f, g, h):
+    """(h, f/h, g/h) as dicts, once sympy has confirmed in LEX_RING that h
+    is the gcd of f and g with a positive lex-leading coefficient: h is
+    primitive and divides both, and the two quotients are coprime.  A gcd
+    of the quotients costs sympy far less than one of f and g: its
+    heuristic gcd took 50 s on a drawn pair of 720 and 12 terms."""
+    F, G, H = (LEX_RING.from_dict(p) for p in (f, g, h))
+    A, B = F.exquo(H), G.exquo(H)
+    assert H.content() == 1 and H.LC > 0
+    assert A.gcd(B) == LEX_RING.one
+    return dict(H), dict(A), dict(B)
 
 
 def geometric(m, n):
@@ -461,15 +478,13 @@ def geometric(m, n):
 
 @st.composite
 def gcd_operands(draw):
-    """(f, g, dense): f and g, as dicts, are the primitive parts of h a and
+    """(f, g): f and g, as dicts, are the primitive parts of h a and
     h b for polynomials h, a and b in one family of generators, h with two
     terms or more, so that neither f nor g is a monomial; f is negated in
     some draws.  Some draws multiply h by (m - 1)(m^n - 1) and a by
     (1 + m + ... + m^(n-1))^2, for one generator m of the family: then h a
     has the factor (m^n - 1)^2 (1 + m + ... + m^(n-1)), with coefficients
-    of at most 2, while the cofactor's reach n.  dense is whether the
-    family has at most two generators: such operands have a few fields of
-    their degree box per term."""
+    of at most 2, while the cofactor's reach n."""
     positions = draw(st.sampled_from(GENERATOR_FAMILIES))
     h = draw(polynomials(positions).filter(lambda p: len(p) > 1))
     a, b = draw(polynomials(positions)), draw(polynomials(positions))
@@ -481,7 +496,7 @@ def gcd_operands(draw):
     f, g = _primitive(dict(h * a))[1], _primitive(dict(h * b))[1]
     if draw(st.booleans()):
         f = {m: -c for m, c in f.items()}
-    return f, g, len(positions) <= 2
+    return f, g
 
 
 def as_test_ring(*polys):
@@ -494,21 +509,30 @@ def as_dicts(*polys):
     return tuple(map(dict, polys))
 
 
+def lex_positive(*polys):
+    """The polynomials, each negated when the first one's lex-leading
+    coefficient is negative: a link's answer signed as gcd_cofactors signs
+    it."""
+    sign = -1 if polys[0][max(polys[0])] < 0 else 1
+    return tuple({m: sign * c for m, c in p.items()} for p in polys)
+
+
 class TestGcdCofactors:
-    """gcd_cofactors against sympy's cofactors: the Kronecker heuristic gcd,
-    its retries and its fallback."""
+    """gcd_cofactors checked in sympy (reference_cofactors): the Kronecker
+    heuristic gcd, its retries, the pairs it leaves to the later links, and
+    the sign the chain's driver gives the answer."""
 
     @PROPERTY_SETTINGS
     @given(gcd_operands())
     def test_matches_sympy_cofactors(self, operands):
-        f, g, dense = operands
-        with calls_to("_cofactors_fallback") as fallbacks:
-            h, a, b = gcd_cofactors(f, g)
-        assert (h, a, b) == reference_cofactors(f, g)
+        f, g = operands
+        h, a, b = gcd_cofactors(f, g)
+        assert (h, a, b) == reference_cofactors(f, g, h)
         H, A, B, F, G = as_test_ring(h, a, b, f, g)
         assert H * A == F and H * B == G
-        if dense:
-            assert fallbacks == []
+        # The Kronecker link answers right or not at all; it may leave even
+        # a dense pair to the next link (see the test of a shared factor).
+        assert _kronecker_cofactors(f, g) in (None, (h, a, b))
 
     def test_a_failed_candidate_doubles_the_field_width(self):
         x2, e1 = TEST_RING.gens[1:3]
@@ -519,30 +543,24 @@ class TestGcdCofactors:
         h = (e1 - 1) * (e1 ** 70 - 1)
         f, g = as_dicts(h * geometric(e1, 70) ** 2, h * (x2 + 3))
         expected = as_dicts(h, geometric(e1, 70) ** 2, x2 + 3)
-        with calls_to("_cofactors_fallback") as fallbacks:
-            assert gcd_cofactors(f, g) == expected
-        assert fallbacks == []
+        assert _kronecker_cofactors(f, g) == expected
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(exprs, "GCD_ATTEMPTS", 1)
-            with calls_to("_cofactors_fallback") as fallbacks:
-                assert gcd_cofactors(f, g) == expected
-        assert len(fallbacks) == 1
+            assert _kronecker_cofactors(f, g) is None
+            assert gcd_cofactors(f, g) == expected
 
     def test_operands_past_the_packing_cap_take_the_fallback(self):
         x1, x2 = TEST_RING.gens[:2]
         h = geometric(x1 + x2 + 2, 6)
         f, g = as_dicts(h * (x1 - 3 * x2), h * (x1 * x2 + 1))
         expected = as_dicts(h, x1 - 3 * x2, x1 * x2 + 1)
-        with calls_to("_cofactors_fallback") as fallbacks:
-            assert gcd_cofactors(f, g) == expected
-        assert fallbacks == []
+        assert _kronecker_cofactors(f, g) == expected
         # Radix 7 for x1 and for x2, and fields of at least 8 bits.
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(exprs, "GCD_PACKED_BITS", 7 * 7 * 8 - 1)
-            with calls_to("_cofactors_fallback") as fallbacks:
-                assert gcd_cofactors(f, g) == expected
-        assert len(fallbacks) == 1
-        assert expected == reference_cofactors(f, g)
+            assert _kronecker_cofactors(f, g) is None
+            assert gcd_cofactors(f, g) == expected
+        assert expected == reference_cofactors(f, g, expected[0])
 
     def test_sparse_operands_take_the_fallback(self):
         x1, x2, e1, e2, a = TEST_RING.gens
@@ -552,11 +570,25 @@ class TestGcdCofactors:
         # GCD_PACKED_BITS bits.
         assert 14 * 3 * 13 * 3 * 14 > GCD_FIELDS_PER_TERM * 12
         assert 14 * 3 * 13 * 3 * 14 * 8 < GCD_PACKED_BITS
-        with calls_to("_cofactors_fallback") as fallbacks:
-            result = gcd_cofactors(f, g)
-        assert len(fallbacks) == 1
+        assert _kronecker_cofactors(f, g) is None
+        result = gcd_cofactors(f, g)
         assert result == as_dicts(h, x1 * e2 + 2, x2 * a - 5)
-        assert result == reference_cofactors(f, g)
+        assert result == reference_cofactors(f, g, result[0])
+
+    def test_substitution_may_share_a_factor_the_operands_do_not(self):
+        x1, e1 = TEST_RING.gens[0], TEST_RING.gens[2]
+        # Packing maps x1 to y^5 and e1 to y: b(y) = y^2 + 1 divides
+        # a(y) = (1 + y^5 + ... + y^35)^2, since y^4 = 1 modulo y^2 + 1.
+        # Every candidate then fails its certificate, at every width, and
+        # the recursive heuristic answers.
+        h = (e1 ** 2 + 1) * (x1 - 1) * (x1 ** 8 - 1)
+        a, b = geometric(x1, 8) ** 2, e1 ** 2 + 1
+        f, g = as_dicts(h * a, h * b)
+        assert _kronecker_cofactors(f, g) is None
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exprs, "GCD_ATTEMPTS", 8)
+            assert _kronecker_cofactors(f, g) is None
+        assert gcd_cofactors(f, g) == as_dicts(h, a, b)
 
     def test_fallback_makes_the_lex_leading_coefficient_positive(self):
         x1, x2 = TEST_RING.gens[:2]
@@ -565,11 +597,20 @@ class TestGcdCofactors:
         h = x1 - x2 ** 2
         f, g = h * (x1 + 1), h * (x2 + 3)
         assert f.cofactors(g) == (-h, -(x1 + 1), -(x2 + 3))
-        expected = as_dicts(h, x1 + 1, x2 + 3)
-        assert _cofactors_fallback(*as_dicts(f, g)) == expected
+        # The remainder sequence answers -k for the second pair.
+        k = 2 * x1 ** 2 - 3 * x2 + 3
+        pairs = [(as_dicts(f, g), as_dicts(h, x1 + 1, x2 + 3)),
+                 (as_dicts(x1 ** 2 * k, k * (2 * x1 ** 2 + x2)),
+                  as_dicts(k, x1 ** 2, 2 * x1 ** 2 + x2))]
+        assert _prs_gcd(*pairs[1][0]) == dict(-k)
+        # The driver signs the answer of whichever link gives it.
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(exprs, "HEU_GCD_POINTS", 0)
-            assert _cofactors_fallback(*as_dicts(f, g)) == expected
+            patch.setattr(exprs, "_kronecker_cofactors", lambda f, g: None)
+            for operands, expected in pairs:
+                assert gcd_cofactors(*operands) == expected
+            patch.setattr(exprs, "_heugcd", lambda f, g: None)
+            for operands, expected in pairs:
+                assert gcd_cofactors(*operands) == expected
 
     def test_coprime_operands_come_back_unchanged(self):
         x1, x2, e1 = TEST_RING.gens[:3]
@@ -579,33 +620,25 @@ class TestGcdCofactors:
 
 
 class TestGcdChain:
-    """Each later link of gcd_cofactors' chain on its own, with the links
-    above it switched off (GCD_ATTEMPTS, then HEU_GCD_POINTS, set to 0),
-    against sympy's cofactors in LEX_RING; and a pair that both heuristics
-    reject."""
+    """The later links of gcd_cofactors' chain, each called on its own and
+    checked in sympy (reference_cofactors) once signed as the driver signs
+    it; and a pair that both heuristics reject."""
 
     @PROPERTY_SETTINGS
     @given(gcd_operands())
     def test_recursive_heuristic_matches_sympy_cofactors(self, operands):
-        f, g, _ = operands
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(exprs, "GCD_ATTEMPTS", 0)
-            with calls_to("_prs_cofactors") as remainder_sequences:
-                result = gcd_cofactors(f, g)
-        assert remainder_sequences == []
-        assert result == reference_cofactors(f, g)
+        f, g = operands
+        result = _heugcd(f, g)
+        assert result is not None
+        result = lex_positive(*result)
+        assert result == reference_cofactors(f, g, result[0])
 
     @PROPERTY_SETTINGS
     @given(gcd_operands())
     def test_remainder_sequence_matches_sympy_cofactors(self, operands):
-        f, g, _ = operands
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(exprs, "GCD_ATTEMPTS", 0)
-            patch.setattr(exprs, "HEU_GCD_POINTS", 0)
-            with calls_to("_prs_cofactors") as remainder_sequences:
-                result = gcd_cofactors(f, g)
-        assert len(remainder_sequences) == 1
-        assert result == reference_cofactors(f, g)
+        f, g = operands
+        (h,) = lex_positive(_prs_gcd(f, g))
+        reference_cofactors(f, g, h)
 
     def test_a_pair_both_heuristics_reject_reaches_the_remainder_sequence(
             self):
@@ -624,10 +657,11 @@ class TestGcdChain:
         assert 7 * 3 * 13 * 2 > GCD_FIELDS_PER_TERM * (len(F) + len(G))
         with pytest.raises(HeuristicGCDFailed):
             LEX_RING.from_dict(F).cofactors(LEX_RING.from_dict(G))
-        assert exprs._heugcd(F, G) is None
-        with calls_to("_prs_cofactors") as remainder_sequences:
+        assert _kronecker_cofactors(F, G) is None
+        assert _heugcd(F, G) is None
+        with calls_to("_prs_gcd") as remainder_sequences:
             result = gcd_cofactors(F, G)
-        assert len(remainder_sequences) == 1
+        assert remainder_sequences[0] == (F, G)
         assert result == as_dicts(h, f, g)
         # sympy's dense gcd falls back to its own remainder sequence.
         gens = symbols(CANCEL_CTX.gens)

@@ -14,9 +14,11 @@ and sympy unloaded.
 Polynomials are curvzoo.exprs' own dicts, and no module imports sympy: it
 is a test-only reference.  The other modules reach polynomials only through
 Expr and Context methods.  Within exprs, the rational form that is rebuilt
-on demand (_rational_form) is read only by the printer, the parser's size
-bounds and the exact reference evaluation; modular evaluation reads the
-stored form.
+on demand (_rational_form) is read only by the printer and the parser's
+size bounds; exact and modular evaluation read the stored form.
+
+Every module-level private function of the package is referenced from the
+package itself, so none is kept alive by the tests alone.
 """
 
 import ast
@@ -38,9 +40,8 @@ READERS = sorted(p for p in [*(ROOT / "tests").glob("*.py"),
 #: The only definition in charts.py that may use numpy.
 NUMPY_SCOPE = {"Tensor.array"}
 #: The only definitions in exprs.py that may reference _rational_form.
-RATIONAL_FORM_READERS = {"_format_expr", "evaluate_rational",
-                         "_Parser.parse_sum", "_Parser.parse_product",
-                         "_Parser.parse_power"}
+RATIONAL_FORM_READERS = {"_format_expr", "_Parser.parse_sum",
+                         "_Parser.parse_product", "_Parser.parse_power"}
 #: The only definition in tests and demos that may read `.array`: the test
 #: of the view itself.
 ARRAY_READERS = {"test_charts.py":
@@ -217,7 +218,7 @@ def test_the_rational_form_check_sees_every_reference():
         "1: module", "6: ModularExpr.__init__", "8: other"]
 
 
-def test_only_printing_parsing_and_exact_evaluation_read_the_rational_form():
+def test_only_printing_and_parsing_read_the_rational_form():
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text(encoding="utf-8")
         scopes = set()
@@ -226,6 +227,47 @@ def test_only_printing_parsing_and_exact_evaluation_read_the_rational_form():
             defined = {qualname for _, qualname in _scoped(ast.parse(source))}
             assert scopes <= defined
         assert rational_form_uses_outside(source, scopes) == [], path.name
+
+
+def unreferenced_private_functions(sources: list[str]) -> list[str]:
+    """The module-level functions named with a leading underscore in any
+    of sources that no source references (by name, attribute or import)
+    outside their own body."""
+    defined, referenced = set(), set()
+    for source in sources:
+        for top in ast.parse(source).body:
+            own = None
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                own = top.name
+                if own.startswith("_"):
+                    defined.add(own)
+            for node in ast.walk(top):
+                name = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute)
+                        else node.name if isinstance(node, ast.alias)
+                        else None)
+                if name is not None and name != own:
+                    referenced.add(name)
+    return sorted(defined - referenced)
+
+
+def test_the_private_function_check_sees_unreferenced_ones():
+    sources = ["def _used():\n    pass\n"
+               "def _unused():\n    return _used()\n"
+               "def _recursive(n):\n    return _recursive(n - 1)\n"
+               "class A:\n    def _method(self):\n        pass\n",
+               "from .a import _imported\n"
+               "def _imported():\n    pass\n"
+               "def _as_attribute():\n    pass\n"
+               "def public(m):\n    return m._as_attribute\n"]
+    assert unreferenced_private_functions(sources) == ["_recursive",
+                                                       "_unused"]
+
+
+def test_every_private_function_is_referenced_from_the_package():
+    sources = [path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))]
+    assert unreferenced_private_functions(sources) == []
 
 
 def test_the_array_check_sees_reads_outside_its_scopes():

@@ -695,6 +695,8 @@ class TestCLI:
 
     @pytest.mark.parametrize("entry, reason", [
         ("x1 $ 2", "unexpected character '$'"),
+        # A superscript five passes str.isdigit but not int().
+        ("2\u2075*x1", "unexpected character '\u2075' (at position 1)"),
         (f"x1^{MAX_DEGREE + 1}", f"exceeds {MAX_DEGREE}")])
     def test_square_upper_entry_error_names_its_location(self, tmp_path,
                                                         capsys, entry,
