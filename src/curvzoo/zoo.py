@@ -6,10 +6,14 @@ positive verdict carries the linear identity that certifies it (see
 linsolve.certify); oracle_crosscheck() re-evaluates those identities at
 seeded random rational points reduced modulo the prime p = 2^61 - 1 and
 counts disagreements.  The values of every identity lie in the chart's
-context; the oracle numbers the distinct ones and compiles each once per
-call (exprs.ModularExpr: every coefficient reduced mod p), draws each point
-straight as residues over the chart's atoms, and inverts all the
-denominators of a point with a single modular inversion.  Atoms are
+context; the oracle numbers the distinct ones once over all the report's
+identities and compiles each once per call (exprs.ModularExpr: every
+coefficient reduced mod p).  It draws each point straight as residues over
+the chart's atoms and shares it between every identity not yet finished:
+at each point each distinct value is evaluated once and all its
+denominators are inverted with a single modular inversion, and each
+identity's rows are then compared against those residues.  Every identity
+is still checked at its own count of independent uniform points.  Atoms are
 algebraically independent, so independent substitution is a sound
 randomized zero test, and reduction mod p is a ring homomorphism: a true
 identity never disagrees, so a nonzero count means a canonicalization or
@@ -26,7 +30,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .charts import Chart, OneForm, riemann, scalar_curvature
 # The *_verdicts functions are the entries of BATTERY, looked up by name.
@@ -36,8 +40,8 @@ from .classifiers import (ClassifierVerdict, QuasiEinsteinResult,
                           recurrence_verdicts, roter_verdicts,
                           theorem_verdicts, weak_symmetry_verdicts,
                           weak_Z_verdicts, weyl_verdicts)
-from .exprs import (Atom, EvaluationError, Expr, ExpressionError,
-                    ModularExpr, Number, residue_powers)
+from .exprs import (Atom, EvaluationError, Expr, ModularExpr, Number,
+                    residue_powers)
 from .linsolve import Identity, SolutionSpace
 from .metrics import MetricSpec
 from .operators import (check_gct, check_second_bianchi, named_tensor,
@@ -47,9 +51,11 @@ from .operators import (check_gct, check_second_bianchi, named_tensor,
 #: and denominator drawn uniformly from [1, 10^6], compared modulo
 #: ORACLE_PRIME.
 DEFAULT_SAMPLES = 50
-#: Most samples per identity that oracle_crosscheck accepts.  One sample of
-#: every identity of ex5_4 with every tensor takes 1.5-2.3 ms of CPU, so the
-#: limit bounds that oracle at about 15-23 s.
+#: Most samples per identity that oracle_crosscheck accepts.  One shared
+#: point for every identity of ex5_4 with every tensor takes 0.5-0.7 ms of
+#: CPU, so the limit bounds that oracle at about 5-7 s.  An identity that
+#: retries keeps drawing points, each evaluating every value of the report,
+#: for at most MAX_DENOMINATOR_RETRIES rounds past the others.
 MAX_SAMPLES = 10_000
 DEFAULT_SEED = 42
 GRID_MAX = 10 ** 6
@@ -161,11 +167,13 @@ def classify(spec_or_chart: Union[MetricSpec, Chart],
     verdict, on failure); roter, generalized_roter and the Deszcz verdicts
     attach theirs without that guard, and recurrent and b2 carry none.
     Deszcz pseudosymmetry, B.T = L Q(W,T), is a solve for the one unknown
-    L.  oracle_samples is checked before anything is computed (ValueError
-    outside 1..MAX_SAMPLES) when run_oracle is set.
+    L.  oracle_samples and seed are checked before anything is computed
+    (ValueError outside 1..MAX_SAMPLES, or for a negative seed) when
+    run_oracle is set.
     """
     if run_oracle:
         _check_samples(oracle_samples)
+        _check_seed(seed)
     chart = (spec_or_chart.to_chart()
              if isinstance(spec_or_chart, MetricSpec) else spec_or_chart)
     tensors = tuple(dict.fromkeys(tensors))  # first occurrences, in order
@@ -204,43 +212,38 @@ def classify(spec_or_chart: Union[MetricSpec, Chart],
 
 @dataclass
 class _CompiledIdentity:
-    """An Identity with every distinct Expr numbered and compiled mod
-    ORACLE_PRIME.
+    """An Identity whose Exprs are numbered among the distinct Exprs of
+    every identity compiled with it (in oracle_crosscheck, the report's).
 
-    values[k] is the ModularExpr of the k-th distinct Expr, numbered in
-    the order lazy evaluation first needs them: the solution values, then
-    each row's coefficients and rhs.  slots gives the number of each
-    solution value, and rows each row as ([(coefficient number, value
-    position)], rhs number).  degrees is the highest exponent of each ring
-    position of the chart's context over values."""
+    values[k] is the ModularExpr of the k-th distinct Expr, and degrees
+    the highest exponent of each ring position of the chart's context over
+    values; identities compiled together share both lists.  slots gives the
+    number of each solution value, and rows each row as ([(coefficient
+    number, value position)], rhs number)."""
 
     values: list
+    degrees: list
     slots: list
     rows: list
-    degrees: list
 
 
-def _compile(identity: Identity, compiled: dict) -> _CompiledIdentity:
-    """Number and compile the distinct Exprs of identity, each compiled
-    once; compiled (Expr -> ModularExpr) is shared with the other
-    identities of one oracle_crosscheck call.  Every value lies in the
-    context of one chart."""
+def _compile(identities: Sequence[Identity]) -> list[_CompiledIdentity]:
+    """Number the distinct Exprs of identities once, over all of them, and
+    compile each mod ORACLE_PRIME once.  Every value lies in the context of
+    one chart."""
     index: dict[Expr, int] = {}
 
     def slot(e: Expr) -> int:
         return index.setdefault(e, len(index))
 
-    slots = [slot(v) for v in identity.values]
-    rows = [([(slot(c), j) for j, c in coeffs.items()], slot(rhs))
-            for coeffs, rhs in identity.rows]
-    values = []
-    for e in index:
-        m = compiled.get(e)
-        if m is None:
-            m = compiled[e] = ModularExpr(e, ORACLE_PRIME)
-        values.append(m)
+    shapes = [([slot(v) for v in identity.values],
+               [([(slot(c), j) for j, c in coeffs.items()], slot(rhs))
+                for coeffs, rhs in identity.rows])
+              for identity in identities]
+    values = [ModularExpr(e, ORACLE_PRIME) for e in index]
     degrees = [max(column) for column in zip(*(m.degrees for m in values))]
-    return _CompiledIdentity(values, slots, rows, degrees)
+    return [_CompiledIdentity(values, degrees, slots, rows)
+            for slots, rows in shapes]
 
 
 def _inverses(residues: Sequence[int]) -> list[int]:
@@ -272,39 +275,36 @@ def _draw_point(rng: random.Random, atoms: Sequence[Atom]) -> dict[Atom, int]:
             for a, (num, _), inv in zip(atoms, pairs, inverses)}
 
 
-def check_identity_at(identity: Union[Identity, _CompiledIdentity],
-                      point: Mapping[Atom, Number]) -> bool:
-    """Evaluate every retained row at the point modulo ORACLE_PRIME.
+class _Evaluation(NamedTuple):
+    """Compiled values at one point: residues[k] is the residue of value
+    k, or None when it failed there, and failures[k] its EvaluationError."""
 
-    identity is an Identity, compiled here, or one compiled by
-    oracle_crosscheck; the point gives atom values, rationals or residues
-    mod p.  Each distinct Expr is evaluated once, from its compiled form and
-    power tables of the point's residues, and the denominators other than 1
-    are inverted together with one modular inversion.  The rows are then
-    compared in order, stopping at the first disagreement.  The result is
-    the one lazy evaluation would give: when a value fails (it has no
-    residue, or its denominator vanishes mod p), the rows are still checked
-    in order, and the failure is raised only at the first row that needs
-    that value; a row that disagrees before it makes the result False.
-    Raises EvaluationError when a denominator vanishes mod p, and
-    ExpressionError before any row when an occurring atom has no value.
-    """
-    if isinstance(identity, Identity):
-        identity = _compile(identity, {})
-    if not identity.values:
-        return True     # no Exprs, so no rows
+    residues: list
+    failures: dict
+
+
+def _evaluate(values: Sequence[ModularExpr], degrees: Sequence[int],
+              point: Mapping[Atom, Number]) -> _Evaluation:
+    """Every value at the point, each once: one residue_powers table, one
+    at() per value, and the denominators other than 1 inverted together
+    with one modular inversion.  A value fails on its own (it has no
+    residue, or its denominator vanishes mod p); the others are still
+    evaluated.  Raises ExpressionError when an occurring atom has no
+    value."""
+    if not values:
+        return _Evaluation([], {})
     p = ORACLE_PRIME
-    table = residue_powers(identity.values[0].ctx, point, p,
-                           identity.degrees)
+    table = residue_powers(values[0].ctx, point, p, degrees)
     residues = []
+    failures = {}
     fractions = []      # (position, numerator, denominator != 1)
-    failure = None
-    for m in identity.values:
+    for m in values:
         try:
             num, den = m.at(table)
-        except ExpressionError as exc:
-            failure = exc
-            break
+        except EvaluationError as exc:
+            failures[len(residues)] = exc
+            residues.append(None)
+            continue
         if den != 1:
             fractions.append((len(residues), num, den))
         residues.append(num)
@@ -312,22 +312,47 @@ def check_identity_at(identity: Union[Identity, _CompiledIdentity],
         inverses = _inverses([den for _, _, den in fractions])
         for (k, num, _), inv in zip(fractions, inverses):
             residues[k] = num * inv % p
-    # Distinct values are numbered in the order lazy evaluation first
-    # needs them, so the values before a failure are exactly those a lazy
-    # check computes before it reaches the failing one.
-    known = len(residues)
-    if any(k >= known for k in identity.slots):
-        raise failure
+    return _Evaluation(residues, failures)
+
+
+def check_identity_at(identity: Union[Identity, _CompiledIdentity],
+                      point: Union[Mapping[Atom, Number], _Evaluation]
+                      ) -> bool:
+    """Evaluate every retained row at the point modulo ORACLE_PRIME.
+
+    identity is an Identity, compiled here, or one compiled by
+    oracle_crosscheck.  The point gives atom values (rationals or residues
+    mod p), and each distinct value is then evaluated once (_evaluate); or
+    it is the point's evaluation that oracle_crosscheck shares between the
+    identities of a report.  The rows are compared in order, stopping at
+    the first disagreement.  The result is the one lazy evaluation would
+    give: a value that fails (it has no residue, or its denominator
+    vanishes mod p) fails on its own, and its failure is raised at the
+    first use, by the solution values or else by the first row that reads
+    it; a row that disagrees before that makes the result False.  Raises
+    EvaluationError when a denominator vanishes mod p, and ExpressionError
+    before any row when an occurring atom has no value.
+    """
+    if isinstance(identity, Identity):
+        identity, = _compile([identity])
+    if not isinstance(point, _Evaluation):
+        point = _evaluate(identity.values, identity.degrees, point)
+    residues, failures = point
+    p = ORACLE_PRIME
     values = [residues[k] for k in identity.slots]
+    if None in values:
+        raise failures[identity.slots[values.index(None)]]
     for coeffs, rhs in identity.rows:
         total = 0
         for k, j in coeffs:
-            if k >= known:
-                raise failure
-            total += residues[k] * values[j]
-        if rhs >= known:
-            raise failure
-        if total % p != residues[rhs]:
+            r = residues[k]
+            if r is None:
+                raise failures[k]
+            total += r * values[j]
+        r = residues[rhs]
+        if r is None:
+            raise failures[rhs]
+        if total % p != r:
             return False
     return True
 
@@ -337,53 +362,71 @@ def _check_samples(samples: int) -> None:
         raise ValueError(f"samples must be between 1 and {MAX_SAMPLES}")
 
 
+def _check_seed(seed: int) -> None:
+    # random.Random seeds an int by its absolute value, so -s would draw
+    # the points of s while the report prints -s.
+    if seed < 0:
+        raise ValueError("seed must not be negative")
+
+
 def oracle_crosscheck(report: Report, chart: Chart,
                       samples: int = DEFAULT_SAMPLES,
                       seed: int = DEFAULT_SEED) -> OracleSummary:
     """Re-evaluate every certified identity at seeded random rational points.
 
-    Each distinct value of the report's identities is compiled mod
-    ORACLE_PRIME once per call (its coefficients reduced, shared between
-    identities by Expr); the compiled forms are dropped when the call
-    returns.  Points are drawn straight as residues (_draw_point: the
-    seeded sequence of numerator and denominator pairs of the rational
-    points), and both sides of every row are compared in F_p (see
-    check_identity_at, called once per point).  Points are resampled on
-    denominators that vanish mod p, up to MAX_DENOMINATOR_RETRIES per
-    identity, after which that identity is marked inconclusive.
-    Deterministic for a fixed seed.  Points assign every atom of the
-    chart, whose context holds every identity's values.
+    The distinct values of the report's identities are numbered once, over
+    all identities, and each is compiled mod ORACLE_PRIME once per call;
+    the compiled forms are dropped when the call returns.  Points are drawn
+    straight as residues (_draw_point: the seeded sequence of numerator and
+    denominator pairs of the rational points), one point per round, and
+    each point serves every identity not yet finished: its power tables
+    are built once, each distinct value is evaluated once and all its
+    denominators are inverted together (_evaluate), and each identity's
+    rows are then compared in F_p against those shared residues
+    (check_identity_at, called once per identity per point).  An identity
+    whose values fail at a point (a denominator vanishes mod p) counts a
+    retry there and waits for the next point.  An identity is finished
+    after samples points that decided it, or after MAX_DENOMINATOR_RETRIES
+    retries, when it is marked inconclusive.  So each identity is still
+    checked at samples independent uniform points, and a report with one
+    identity draws the points it always drew.  Deterministic for a fixed
+    seed; ValueError for samples outside 1..MAX_SAMPLES or a negative seed.
+    Points assign every atom of the chart, whose context holds every
+    identity's values.
     """
     _check_samples(samples)
+    _check_seed(seed)
     rng = random.Random(seed)
     atoms = chart.ctx.atoms
+    programs = _compile(report.identities)
+    done = [0] * len(programs)
+    retries = [0] * len(programs)
+    pending = list(range(len(programs)))
     disagreements = 0
     inconclusive = 0
-    checked = 0
-    compiled: dict = {}
-    for identity in report.identities:
-        program = _compile(identity, compiled)
-        retries = 0
-        done = 0
-        while done < samples:
-            point = _draw_point(rng, atoms)
+    while pending:
+        point = _draw_point(rng, atoms)
+        shared = _evaluate(programs[0].values, programs[0].degrees, point)
+        unfinished = []
+        for i in pending:
             try:
-                ok = check_identity_at(program, point)
+                ok = check_identity_at(programs[i], shared)
             except EvaluationError:
-                retries += 1
-                if retries >= MAX_DENOMINATOR_RETRIES:
+                retries[i] += 1
+                if retries[i] >= MAX_DENOMINATOR_RETRIES:
                     inconclusive += 1
-                    break
+                else:
+                    unfinished.append(i)
                 continue
-            done += 1
-            if not ok:
-                disagreements += 1
-        checked += len(identity.rows)
-    summary = OracleSummary(samples=samples, seed=seed,
-                            identities=len(report.identities),
-                            checked_components=checked,
-                            disagreements=disagreements,
-                            inconclusive=inconclusive)
+            disagreements += not ok
+            done[i] += 1
+            if done[i] < samples:
+                unfinished.append(i)
+        pending = unfinished
+    summary = OracleSummary(
+        samples=samples, seed=seed, identities=len(report.identities),
+        checked_components=sum(len(i.rows) for i in report.identities),
+        disagreements=disagreements, inconclusive=inconclusive)
     report.oracle = summary
     return summary
 

@@ -6,6 +6,7 @@ import json
 import random
 import subprocess
 import sys
+from collections import Counter
 from datetime import timedelta
 from fractions import Fraction
 from pathlib import Path
@@ -233,6 +234,13 @@ class TestBattery:
             classify(builtin("ex5_5"), tensors=ALL_TENSORS,
                      oracle_samples=0)
 
+    def test_negative_seed_is_rejected_before_the_battery(self, monkeypatch):
+        # random.Random(-3) draws the points of Random(3): a negative seed
+        # would check the points of its absolute value under its own name.
+        monkeypatch.setattr(zoo, "curvature_verdicts", battery_must_not_run)
+        with pytest.raises(ValueError, match="^seed must not be negative$"):
+            classify(builtin("ex5_2"), seed=-3)
+
     @pytest.mark.parametrize("name", list_builtins())
     def test_all_tensors_match_reference(self, name):
         # Every branch of the battery: (0,4) and (0,2) tensors, gct_axioms
@@ -353,6 +361,98 @@ class TestOracle:
             assert check_identity_at(identity, _draw_point(rng, ctx.atoms))
         assert len(calls) == 6
 
+    def test_report_values_evaluated_once_per_shared_point(self,
+                                                            monkeypatch):
+        # Two identities that share x1 and 1 + x2: each point serves both,
+        # and each of the report's three distinct values is evaluated once
+        # there, so three samples cost three points and nine evaluations.
+        chart = builtin("flat3").to_chart()
+        ctx = chart.ctx
+        x1, y = ctx.parse("x1"), ctx.parse("1 + x2")
+        report = classify(chart, run_oracle=False)
+        report.identities = [
+            Identity("product", [({0: x1}, x1 * y)], [y]),
+            Identity("swapped", [({0: y}, y * x1)], [x1])]
+        calls = []
+        evaluate = ModularExpr.at
+        draw = zoo._draw_point
+        draws = []
+
+        def counting(compiled, powers):
+            calls.append(compiled)
+            return evaluate(compiled, powers)
+
+        def counting_draw(rng, atoms):
+            draws.append(rng)
+            return draw(rng, atoms)
+
+        monkeypatch.setattr(ModularExpr, "at", counting)
+        monkeypatch.setattr(zoo, "_draw_point", counting_draw)
+        summary = oracle_crosscheck(report, chart, samples=3, seed=5)
+        assert (summary.disagreements, summary.inconclusive) == (0, 0)
+        assert len(draws) == 3
+        assert len(calls) == 9
+
+    def test_one_check_per_identity_per_point(self, monkeypatch):
+        # oracle_crosscheck calls the module attribute check_identity_at,
+        # which the benchmark's tracer wraps to count oracle points: once
+        # per identity per point, so ex5_4's default report makes
+        # identities x samples calls, samples for each identity.
+        chart = builtin("ex5_4").to_chart()
+        report = classify(chart, run_oracle=False)
+        calls = []
+        check = zoo.check_identity_at
+
+        def counting(identity, point):
+            calls.append(identity)      # held, so each id stays distinct
+            return check(identity, point)
+
+        monkeypatch.setattr(zoo, "check_identity_at", counting)
+        summary = oracle_crosscheck(report, chart, samples=50, seed=42)
+        assert (summary.disagreements, summary.inconclusive) == (0, 0)
+        assert len(report.identities) > 1
+        assert len(calls) == len(report.identities) * 50
+        assert sorted(Counter(map(id, calls)).values()) == \
+            [50] * len(report.identities)
+
+    def test_retries_are_one_check_per_point(self, monkeypatch):
+        # An identity forced onto its pole at every point is checked once
+        # per point until the retry bound, and every check raises; a sound
+        # identity sharing the points stops after its samples.
+        chart = builtin("flat3").to_chart()
+        ctx = chart.ctx
+        pole = ctx.parse("1/(x1 - x2)")
+        poleful = Identity("poleful", [({0: pole}, pole)], [ctx.one])
+        sound = Identity("sound", [({0: ctx.one}, ctx.parse("x3"))],
+                         [ctx.parse("x3")])
+        report = classify(chart, run_oracle=False)
+        calls = []
+        check = zoo.check_identity_at
+
+        def counting(identity, point):
+            try:
+                result = check(identity, point)
+            except EvaluationError:
+                calls.append((identity, "raised"))
+                raise
+            calls.append((identity, result))
+            return result
+
+        monkeypatch.setattr(zoo, "check_identity_at", counting)
+        monkeypatch.setattr(zoo, "_draw_point",
+                            lambda rng, atoms: {a: 1 for a in atoms})
+        for identities in ([poleful], [poleful, sound]):
+            calls.clear()
+            report.identities = identities
+            summary = oracle_crosscheck(report, chart, samples=5, seed=1)
+            assert (summary.disagreements, summary.inconclusive) == (0, 1)
+            outcomes = {}
+            for identity, result in calls:
+                outcomes.setdefault(id(identity), []).append(result)
+            checks = sorted(outcomes.values(), key=len)
+            assert checks[-1] == ["raised"] * MAX_DENOMINATOR_RETRIES
+            assert checks[:-1] == [[True] * 5] * (len(identities) - 1)
+
     def test_random_point_range(self):
         # Each atom's residue is that of a numerator and a denominator drawn
         # in [1, GRID_MAX], in that order, atom by atom.
@@ -370,6 +470,11 @@ class TestOracle:
         chart = builtin("ex5_2").to_chart()
         with pytest.raises(ValueError):
             oracle_crosscheck(ex52_report, chart, samples=0)
+
+    def test_negative_seed(self, ex52_report):
+        chart = builtin("ex5_2").to_chart()
+        with pytest.raises(ValueError, match="^seed must not be negative$"):
+            oracle_crosscheck(ex52_report, chart, seed=-3)
 
     def test_persistent_denominator_hits_mark_inconclusive(self, monkeypatch):
         # Force every sampled point onto the pole of 1/(x1 - x2): after the
@@ -436,25 +541,33 @@ class TestOracle:
 
 
 def reference_oracle(report, chart, samples, seed):
-    """The oracle as exact arithmetic states it: each value evaluated at
-    the rational point with evaluate_rational, when first needed, then
-    reduced mod p with residue()."""
+    """The oracle as exact arithmetic states it: one rational point per
+    round, shared by every identity not yet finished, and each value
+    evaluated at it with evaluate_rational when an identity first needs
+    it, then reduced mod p with residue().  An identity that meets a
+    vanishing denominator counts a retry and waits for the next point; it
+    is finished after samples decided points or MAX_DENOMINATOR_RETRIES
+    retries."""
     rng = random.Random(seed)
-    disagreements = inconclusive = checked = 0
-    for identity in report.identities:
-        retries = done = 0
-        while done < samples:
-            point = {a: Fraction(rng.randint(1, GRID_MAX),
-                                 rng.randint(1, GRID_MAX))
-                     for a in chart.ctx.atoms}
-            memo = {}
+    disagreements = inconclusive = 0
+    done = [0] * len(report.identities)
+    retries = [0] * len(report.identities)
+    pending = list(range(len(report.identities)))
+    while pending:
+        point = {a: Fraction(rng.randint(1, GRID_MAX),
+                             rng.randint(1, GRID_MAX))
+                 for a in chart.ctx.atoms}
+        memo = {}
 
-            def value(e):
-                if e not in memo:
-                    memo[e] = residue(evaluate_rational(e, point),
-                                      ORACLE_PRIME)
-                return memo[e]
+        def value(e):
+            if e not in memo:
+                memo[e] = residue(evaluate_rational(e, point),
+                                  ORACLE_PRIME)
+            return memo[e]
 
+        unfinished = []
+        for i in pending:
+            identity = report.identities[i]
             try:
                 values = [value(v) for v in identity.values]
                 ok = all(
@@ -462,14 +575,18 @@ def reference_oracle(report, chart, samples, seed):
                     % ORACLE_PRIME == value(rhs)
                     for coeffs, rhs in identity.rows)
             except EvaluationError:
-                retries += 1
-                if retries >= MAX_DENOMINATOR_RETRIES:
+                retries[i] += 1
+                if retries[i] < MAX_DENOMINATOR_RETRIES:
+                    unfinished.append(i)
+                else:
                     inconclusive += 1
-                    break
                 continue
-            done += 1
+            done[i] += 1
             disagreements += not ok
-        checked += len(identity.rows)
+            if done[i] < samples:
+                unfinished.append(i)
+        pending = unfinished
+    checked = sum(len(identity.rows) for identity in report.identities)
     return OracleSummary(samples, seed, len(report.identities), checked,
                          disagreements, inconclusive)
 
@@ -490,7 +607,8 @@ def unchecked_reports():
 
 
 class TestOracleDifferential:
-    """The compiled oracle against exact evaluation at the same points."""
+    """The compiled oracle against exact evaluation on the same shared
+    point stream."""
 
     @pytest.mark.parametrize("tensors", [DEFAULT_TENSORS, ALL_TENSORS],
                              ids=["default", "all"])
@@ -519,6 +637,28 @@ class TestOracleDifferential:
                 compiled = oracle_crosscheck(fake, chart, 50, seed)
                 assert compiled.disagreements >= 1, identity.name
                 assert compiled == reference_oracle(fake, chart, 50, seed)
+
+    def test_two_corrupted_identities_in_one_report(self, unchecked_reports):
+        # Two identities of one ex5_2 report corrupted, the others sound:
+        # every point is shared by all of them, and the counts are those of
+        # exact evaluation on the same stream, seed by seed.
+        chart, report = unchecked_reports["ex5_2", DEFAULT_TENSORS]
+        identities = list(report.identities)
+        for i in (0, 1):
+            identity = identities[i]
+            j = min(j for coeffs, _ in identity.rows
+                    for j, c in coeffs.items() if not c.is_zero)
+            values = list(identity.values)
+            values[j] = values[j] + 1
+            identities[i] = Identity(identity.name + "~corrupt",
+                                     identity.rows, values)
+        fake = classify(chart, run_oracle=False)
+        fake.identities = identities
+        for seed in SEEDS:
+            compiled = oracle_crosscheck(fake, chart, 50, seed)
+            assert compiled.disagreements >= 2
+            assert compiled.inconclusive == 0
+            assert compiled == reference_oracle(fake, chart, 50, seed)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_point_stream_is_pinned(self, seed):
@@ -601,6 +741,19 @@ class TestCLI:
         assert captured.out == ""
         assert captured.err == (
             f"error: samples must be between 1 and {MAX_SAMPLES}\n")
+
+    def test_negative_seed_exit_2_before_the_battery(self, capsys,
+                                                    monkeypatch):
+        monkeypatch.setattr(zoo, "curvature_verdicts", battery_must_not_run)
+        assert main(["classify", "ex5_2", "--seed", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must not be negative\n"
+
+    def test_seed_zero_is_accepted(self, capsys):
+        assert main(["classify", "flat3", "--seed", "0",
+                     "--oracle-samples", "1"]) == 0
+        assert "seed 0:" in capsys.readouterr().out
 
     @pytest.mark.parametrize("flag", ["--check", "--tensor"])
     @pytest.mark.parametrize("value", [",", ""], ids=["comma", "empty"])
