@@ -16,10 +16,11 @@ Index conventions, fixed throughout the package:
   identities through T.permuted(order) and T.cyclic_sum(width).
 * Every tensor operation walks the nonzero support
   (nonzero_items()), never the zero components, and forms each product of
-  two nonzero entries once, scattering it to every component it feeds.
-  So does the curvature pipeline: the Christoffel symbols are the (1,2)
-  Tensor Gamma[k, i, j] = Gamma^k_ij, built from the support of g, and R,
-  S, kappa and S2 are walks over the supports of Gamma, R and S.
+  two nonzero entries once, scattering it to every component it feeds or
+  to its orbit representatives only (below).  So does the curvature
+  pipeline: the Christoffel symbols are the (1,2) Tensor Gamma[k, i, j] =
+  Gamma^k_ij, built from the support of g, and R, S, kappa and S2 are
+  walks over the supports of Gamma, R and S.
 * A tensor may carry a slot-symmetry group, generated by the specs in
   T.declared_symmetries ("skew:p,q", "sym:p,q", "block:p,q,r,s").  Specs
   given to the constructor are checked on the components: riemann declares
@@ -29,10 +30,15 @@ Index conventions, fixed throughout the package:
   Results inherit groups and are filled, not checked: Gamma is filled from
   i <= j ("sym:1,2"), nabla T has the group of T shifted one slot, the
   1-form action mu.T (operators) that of T, the actions B.T and Q(A,T)
-  (operators) that of T plus skew in the trailing pair, and sums and
-  scalings of tensors sharing a group keep it.  Those kernels compute each
-  orbit's representative (its least index) only and fill the rest by sign
-  (Tensor.from_terms with the group's specs); permuted() drops the group.
+  (operators) that of T plus skew in the trailing pair, the
+  Kulkarni-Nomizu product of two (checked) symmetric tensors
+  CURVATURE_SYMMETRIES, and sums and scalings of tensors sharing a group
+  keep it.  Those kernels compute each orbit's representative (its least
+  index) only and fill the rest by sign (Tensor.from_terms with the
+  group's specs); permuted() drops the group.  cyclic_sum() is formed at
+  the representatives of the group it derives from T's and declares none,
+  and the linear systems of the classifiers solve only the rows at the
+  representatives of a group all their operands declare.
 * nabla T, B.T, Q(A,T) and mu.T are derivations acting on one slot of T
   at a time.  They share one walk over the support of T,
   _derivation_terms; each operator only lists, for each index a, the
@@ -97,7 +103,7 @@ def _shifted_spec(spec: str, by: int) -> str:
 
 
 class _SlotGroup:
-    """The group that slot-symmetry specs generate on rank-k index tuples.
+    """The group that (order, sign) generators generate on index tuples.
 
     An element (order, sign) says T[idx[order[0]], .., idx[order[k-1]]] =
     sign * T[idx].  An index is its orbit's representative when it is the
@@ -108,8 +114,7 @@ class _SlotGroup:
 
     __slots__ = ("elements", "_representative", "_orbit")
 
-    def __init__(self, rank: int, specs: tuple[str, ...]):
-        generators = [_spec_generator(spec, rank) for spec in specs]
+    def __init__(self, rank: int, generators):
         signs = {tuple(range(rank)): 1}
         frontier = list(signs.items())
         while frontier:
@@ -122,8 +127,8 @@ class _SlotGroup:
                     signs[new] = new_sign
                     frontier.append((new, new_sign))
                 elif known != new_sign:
-                    raise ValueError(f"symmetries {specs} force every "
-                                     "component to vanish")
+                    raise ValueError(f"slot symmetries {generators} force "
+                                     "every component to vanish")
         self.elements = tuple(signs.items())
         self._representative: dict = {}
         self._orbit: dict = {}
@@ -157,8 +162,27 @@ _GROUPS: dict = {}
 def _slot_group(rank: int, specs: tuple[str, ...]) -> _SlotGroup:
     group = _GROUPS.get((rank, specs))
     if group is None:
-        group = _GROUPS[rank, specs] = _SlotGroup(rank, specs)
+        group = _GROUPS[rank, specs] = _SlotGroup(
+            rank, [_spec_generator(spec, rank) for spec in specs])
     return group
+
+
+def _cyclic_group(rank: int, specs: tuple[str, ...],
+                  shift: tuple[int, ...]) -> _SlotGroup:
+    """The symmetries of C = T + T o shift + T o shift^2 (T o s being
+    T.permuted(s), shift of order 3) for T with the group of specs: shift,
+    and each element (rho, sign) of T's group with shift^-t rho shift^t in
+    it with the same sign for t = 1, 2 (then T o shift^t o rho = sign *
+    T o shift^t).  A power of shift in T's group has sign 1 there."""
+    key = (rank, specs, shift)
+    if key not in _GROUPS:
+        signs = dict(_slot_group(rank, specs).elements)
+        powers = (tuple(range(rank)), shift, tuple(shift[m] for m in shift))
+        kept = [(order, sign) for order, sign in signs.items() if all(
+            signs.get(tuple(powers[3 - t][order[powers[t][m]]]
+                            for m in range(rank))) == sign for t in (1, 2))]
+        _GROUPS[key] = _SlotGroup(rank, [(shift, 1)] + kept)
+    return _GROUPS[key]
 
 
 def _summed(terms: Iterable[tuple[tuple[int, ...], Expr]]) -> dict:
@@ -229,12 +253,20 @@ class Tensor:
         representative's sum times its sign; the symmetries are inherited,
         not checked."""
         symmetries = tuple(symmetries)
+        return cls._filled(chart, valence, terms,
+                           _slot_group(sum(valence), symmetries), symmetries)
+
+    @classmethod
+    def _filled(cls, chart: "Chart", valence: tuple[int, int],
+                terms: Iterable[tuple[tuple[int, ...], Expr]],
+                group: _SlotGroup, symmetries: tuple[str, ...]) -> "Tensor":
+        # from_terms with the group that fills the representatives' sums,
+        # declaring symmetries.
         sums = _summed(terms)
-        if not symmetries:
+        if len(group.elements) == 1:
             return cls._of_support(chart, valence, sorted(
                 ((idx, v) for idx, v in sums.items() if not v.is_zero),
-                key=itemgetter(0)))
-        group = _slot_group(sum(valence), symmetries)
+                key=itemgetter(0)), symmetries)
         support = []
         for idx, v in sums.items():
             if not group.is_representative(idx):
@@ -370,12 +402,18 @@ class Tensor:
     def cyclic_sum(self, width: int = 1) -> "Tensor":
         """T plus its two cyclic shifts of the first three slot groups, each
         `width` slots wide; for width 1,
-        C[i, j, k, ..] = T[i, j, k, ..] + T[j, k, i, ..] + T[k, i, j, ..]."""
+        C[i, j, k, ..] = T[i, j, k, ..] + T[j, k, i, ..] + T[k, i, j, ..],
+        formed at the representatives of the symmetries that T's declared
+        group gives C (_cyclic_group) and filled.  C declares none."""
         slots, w = tuple(range(self.rank)), width
-        g0, g1, g2, rest = (slots[:w], slots[w:2 * w], slots[2 * w:3 * w],
-                            slots[3 * w:])
-        return (self + self.permuted(g1 + g2 + g0 + rest)
-                + self.permuted(g2 + g0 + g1 + rest))
+        shift = slots[w:3 * w] + slots[:w] + slots[3 * w:]
+        powers = (slots, shift, tuple(shift[m] for m in shift))
+        group = _cyclic_group(self.rank, self.declared_symmetries, shift)
+        # T[J] feeds C at J o s for s in powers.
+        terms = ((I, t) for J, t in self.nonzero_items()
+                 for I in (tuple(J[m] for m in s) for s in powers)
+                 if group.is_representative(I))
+        return Tensor._filled(self.chart, self.valence, terms, group, ())
 
     def _symmetry_holds(self, sym: str) -> bool:
         # T == sign * T.permuted(order) entrywise.  The permutation is a

@@ -20,12 +20,13 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from heapq import heappop, heappush
+from typing import Callable, Optional, Sequence, Union
 
-from .charts import (Chart, OneForm, Tensor, christoffel,
-                     covariant_derivative_oneform, exterior_derivative_oneform,
-                     is_closed, oneform, rank_at_most, ricci, riemann,
-                     scalar_curvature)
+from .charts import (Chart, OneForm, Tensor, _shifted_spec, _slot_group,
+                     christoffel, covariant_derivative_oneform,
+                     exterior_derivative_oneform, is_closed, oneform,
+                     rank_at_most, ricci, riemann, scalar_curvature)
 from .exprs import Expr
 from .linsolve import (Identity, InternalInconsistencyError, SolutionSpace,
                        certify, satisfies, solve_linear_system)
@@ -38,13 +39,17 @@ from .operators import (_by_name, dot_named, is_proper_gct, kulkarni_nomizu,
 class SolverOutcome:
     """Affine solution set plus degeneracy information for one condition.
 
-    rows are the rows the solver consumed: all of them when consistent.
+    rows are the rows the solver consumed, all of them when consistent:
+    the rows at orbit representatives (see _solve).  system() gives the
+    system's rows that have a coefficient or a nonzero rhs, in index
+    order, building the others as they are read.
     """
 
     space: Optional[SolutionSpace] = None
     degenerate: bool = False
     degenerate_set: str = ""
     rows: list = field(default_factory=list)
+    system: Optional[Callable] = None
 
     @property
     def consistent(self) -> bool:
@@ -82,34 +87,54 @@ def _outcome_verdict(name: str, out: SolverOutcome, *notes: str,
                                 notes=" ".join(filter(None, notes)))
     if certified and out.consistent:
         verdict.identity = certify(name, out.rows, out.space.particular,
-                                   out.space)
+                                   out.space, out.system())
     return verdict
 
 
-def _solve(chart: Chart, rows, names: Sequence[str],
+def _solve(chart: Chart, system, names: Sequence[str],
            outside: str = "") -> SolverOutcome:
-    """Solve rows for the named unknowns, keeping the rows the solver
-    consumed; a nonempty `outside` marks the input degenerate."""
-    consumed: list = []
+    """Solve a system for the named unknowns, keeping the rows the solver
+    consumed; a nonempty `outside` marks the input degenerate.
 
-    def recorded():
-        for row in rows:
-            consumed.append(row)
+    system is (group, indices, row_at): row_at(I) is the row at each index
+    I of indices, in index order, and the row at sigma(I) is sign(sigma)
+    times the row at I for sigma in group.  So only the rows at group's
+    representatives are built and solved: they span the same row space,
+    which alone fixes the solver's reduced echelon basis.  The builders
+    take a group that all operands declare, else the trivial group."""
+    group, indices, row_at = system
+    built: dict = {}
+
+    def solved():
+        trivial = len(group.elements) == 1
+        for idx in indices if trivial else filter(group.is_representative,
+                                                  indices):
+            row = built[idx] = row_at(idx)
             yield row
 
-    space = solve_linear_system(recorded(), len(names), chart.ctx, names)
-    return SolverOutcome(space, degenerate=bool(outside),
-                         degenerate_set=outside, rows=consumed)
+    def whole():
+        # The orbit of each representative whose row has a coefficient or
+        # a nonzero rhs waits on a heap until the next representative
+        # passes it (an image is at least its representative); every other
+        # row is zero, as a sign times such a row or on an orbit forced to
+        # zero.
+        waiting: list = []
+        for rep, row in itertools.chain(built.items(), [(None, None)]):
+            while waiting and (rep is None or waiting[0] < rep):
+                image = heappop(waiting)
+                yield built.get(image) or row_at(image)
+            if rep is not None and (row[0] or not row[1].is_zero):
+                for image, _ in group.orbit(rep):
+                    heappush(waiting, image)
+
+    space = solve_linear_system(solved(), len(names), chart.ctx, names)
+    return SolverOutcome(space, bool(outside), outside, list(built.values()),
+                         whole)
 
 
 # ---------------------------------------------------------------------------
 # Proportionality and semisymmetry.
 # ---------------------------------------------------------------------------
-
-
-def _support_union(*tensors: Tensor) -> list[tuple[int, ...]]:
-    """Every index where some tensor is nonzero, in index order."""
-    return sorted({idx for T in tensors for idx, _ in T.nonzero_items()})
 
 
 def check_semisymmetric(chart: Chart, T: Union[Tensor, str],
@@ -132,7 +157,7 @@ def classify_deszcz(chart: Chart, T: Union[Tensor, str],
     Tname = T if isinstance(T, str) else ""
     lhs = dot_named(chart, acting, T)
     rhs = tachibana_named(chart, W, T)
-    out = _solve(chart, _combination_rows(lhs, [rhs]), ("L",))
+    out = _solve(chart, _combination_system(lhs, [rhs]), ("L",))
     label = name or f"deszcz[{Tname or 'T'};{Wname}]"
     uset = "U_T" if Wname == "g" else "U_G"
     if not out.consistent:
@@ -145,7 +170,8 @@ def classify_deszcz(chart: Chart, T: Union[Tensor, str],
                                        "and B.T = 0 identically")
     values = out.space.particular
     return ClassifierVerdict(label, True, witness=values[0],
-                             identity=certify(label, out.rows, values))
+                             identity=certify(label, out.rows, values,
+                                              system=out.system()))
 
 
 def deszcz_verdicts(chart: Chart, tname: str) -> list[ClassifierVerdict]:
@@ -184,40 +210,50 @@ def _sparse(terms) -> dict[int, Expr]:
     return {col: c for col, c in coeffs.items() if not c.is_zero}
 
 
-def _slot_rows(chart: Chart, T: Tensor, nablaT: Tensor, first: int,
-               blocks: Sequence[int]):
-    """Rows of nabla_x T_I = first a_x T_I + sum_m b_{blocks[m]}(I_m)
-    T_{I[m->x]}, in unknowns of n columns per block; a is block 0.
+def _slot_system(chart: Chart, T: Tensor, nablaT: Tensor, first: int,
+                 blocks: Sequence[int]):
+    """The system (see _solve) of nabla_x T_I = first a_x T_I +
+    sum_m b_{blocks[m]}(I_m) T_{I[m->x]}, in unknowns of n columns per
+    block; a is block 0.
 
     Rows are produced in index order, only where nabla T, T_I or some
     T_{I[m->x]} is nonzero; columns whose terms cancel are dropped
-    (_sparse), so a row whose terms all cancel has no coefficient."""
+    (_sparse), so a row whose terms all cancel has no coefficient.  When
+    every slot is in block 0 (or there are none), a permutation of I only
+    permutes the slot terms, and the group is that of nabla T when it is
+    T's shifted one slot."""
     n = chart.n
+    shifted = tuple(_shifted_spec(spec, 1) for spec in T.declared_symmetries)
+    shared = not any(blocks) and nablaT.declared_symmetries == shifted
+    group = _slot_group(nablaT.rank, shifted if shared else ())
     firstT = T if first == 1 else T.scaled(first)
     live = {idx for idx, _ in nablaT.nonzero_items()}
     for J, _ in T.nonzero_items():
         live.update((x,) + J for x in range(n))
         for m in range(len(blocks)):  # T_J = T_{I[m->x]} for x = J[m]
             live.update((J[m],) + J[:m] + (y,) + J[m + 1:] for y in range(n))
-    for idx in sorted(live):
+
+    def row_at(idx):
         x, I = idx[0], idx[1:]
-        terms = [(x, firstT[I])] + [(b * n + I[m], T[I[:m] + (x,) + I[m + 1:]])
-                                    for m, b in enumerate(blocks)]
-        yield _sparse(terms), nablaT[idx]
+        return _sparse([(x, firstT[I])] + [
+            (b * n + I[m], T[I[:m] + (x,) + I[m + 1:]])
+            for m, b in enumerate(blocks)]), nablaT[idx]
+
+    return group, sorted(live), row_at
 
 
 def _solve_family(chart: Chart, T: Union[Tensor, str],
                   prefixes: Sequence[str], first: int,
                   blocks: Sequence[int], uset: str) -> SolverOutcome:
-    """Solve the family condition (see _slot_rows) for the 1-forms named by
+    """Solve the family condition (see _slot_system) for the 1-forms named by
     prefixes.  Degenerate (outside uset) when nabla T = 0 for U_L, and when
     T is recurrent (parallel included) for U_J and U_Q."""
     nablaT = nabla_cached(chart, T)
     names = tuple(f"{p}_{c}" for p in prefixes for c in chart.ctx.coords)
     outside = (nablaT.is_zero() if uset == "U_L"
                else solve_recurrence(chart, T).consistent)
-    return _solve(chart, _slot_rows(chart, named_tensor(chart, T), nablaT,
-                                    first, blocks),
+    return _solve(chart, _slot_system(chart, named_tensor(chart, T), nablaT,
+                                      first, blocks),
                   names, uset if outside else "")
 
 
@@ -480,9 +516,11 @@ def _cyclic3_rows(chart: Chart, T: Tensor, nablaT: Tensor):
     for (p, q, k, l), _ in T.nonzero_items():
         for y in range(chart.n):  # T_pqkl as T_ijkl, T_jhkl and T_hikl
             live.update(((y, p, q, k, l), (q, y, p, k, l), (p, q, y, k, l)))
-    for h, i, j, k, l in sorted(live):
-        yield (_sparse(((h, T[i, j, k, l]), (i, T[j, h, k, l]),
-                        (j, T[h, i, k, l]))), cyclic[h, i, j, k, l])
+    return {(h, i, j, k, l): (_sparse(((h, T[i, j, k, l]),
+                                       (i, T[j, h, k, l]),
+                                       (j, T[h, i, k, l]))),
+                              cyclic[h, i, j, k, l])
+            for h, i, j, k, l in sorted(live)}
 
 
 def form_recurrence_checks(chart: Chart, T: Union[Tensor, str]
@@ -502,18 +540,19 @@ def form_recurrence_checks(chart: Chart, T: Union[Tensor, str]
         return {name: ClassifierVerdict(f"{name}[{label}]", None, notes=note)
                 for name in ("b1", "b2", "b3")}
 
-    rows = list(_cyclic3_rows(chart, tensor, nabla_cached(chart, T)))
+    rows = _cyclic3_rows(chart, tensor, nabla_cached(chart, T))
     names = tuple(f"alpha_{c}" for c in chart.ctx.coords)
     zero = chart.ctx.zero
-    hom = solve_linear_system([(coeffs, zero) for coeffs, _ in rows],
-                              chart.n, chart.ctx, names)
+    hom = solve_linear_system([(coeffs, zero) for coeffs, _ in
+                               rows.values()], chart.n, chart.ctx, names)
     b2_holds = hom.consistent and hom.dimension >= 1
     return {
         "b1": ClassifierVerdict(f"b1[{label}]",
-                                all(rhs.is_zero for _, rhs in rows)),
+                                all(rhs.is_zero for _, rhs in rows.values())),
         "b2": ClassifierVerdict(f"b2[{label}]", b2_holds,
                                 witness=hom if b2_holds else None),
-        "b3": _outcome_verdict(f"b3[{label}]", _solve(chart, rows, names)),
+        "b3": _outcome_verdict(f"b3[{label}]", _solve(
+            chart, (_slot_group(5, ()), rows, rows.get), names)),
     }
 
 
@@ -529,11 +568,12 @@ def form_recurrence_b4(chart: Chart,
     if Z.is_zero():
         return ClassifierVerdict(f"b4[{label}]", None, notes="degenerate: Z = 0")
     n = chart.n
-    rows = ((_sparse(((i, Z[k, l]), (k, -Z[i, l]))),
-             nablaZ[i, k, l] - nablaZ[k, i, l])
-            for i in range(n) for k in range(i + 1, n) for l in range(n))
+    rows = {(i, k, l): (_sparse(((i, Z[k, l]), (k, -Z[i, l]))),
+                        nablaZ[i, k, l] - nablaZ[k, i, l])
+            for i in range(n) for k in range(i + 1, n) for l in range(n)}
     names = tuple(f"alpha_{c}" for c in chart.ctx.coords)
-    return _outcome_verdict(f"b4[{label}]", _solve(chart, rows, names))
+    return _outcome_verdict(f"b4[{label}]", _solve(
+        chart, (_slot_group(3, ()), rows, rows.get), names))
 
 
 # ---------------------------------------------------------------------------
@@ -555,17 +595,26 @@ def solve_linear_combination(target: Tensor, generators: Sequence[Tensor],
     for gen in generators:
         if gen.valence != target.valence:
             raise ValueError("generators must match the target valence")
-    return solve_linear_system(_combination_rows(target, generators),
-                               len(generators), chart.ctx, names)
+    group, indices, row_at = _combination_system(target, generators)
+    return solve_linear_system(
+        map(row_at, filter(group.is_representative, indices)),
+        len(generators), chart.ctx, names)
 
 
-def _combination_rows(target: Tensor, generators: Sequence[Tensor]):
-    """Rows of target = sum_i c_i generator_i, one per component where
-    some operand is nonzero, in index order."""
-    for idx in _support_union(target, *generators):
-        coeffs = {i: g[idx] for i, g in enumerate(generators)
-                  if not g[idx].is_zero}
-        yield coeffs, target[idx]
+def _combination_system(target: Tensor, generators: Sequence[Tensor]):
+    """The system (see _solve) of target = sum_i c_i generator_i, one row
+    per component where some operand is nonzero, in index order, with the
+    group that every operand declares."""
+    operands = (target, *generators)
+    specs = {T.declared_symmetries for T in operands}
+
+    def row_at(idx):
+        return ({i: g[idx] for i, g in enumerate(generators)
+                 if not g[idx].is_zero}, target[idx])
+
+    return (_slot_group(target.rank, specs.pop() if len(specs) == 1 else ()),
+            sorted({idx for T in operands for idx, _ in T.nonzero_items()}),
+            row_at)
 
 
 def roter_generators(chart: Chart) -> tuple[list[Tensor], list[str]]:
@@ -595,10 +644,12 @@ def classify_generalized_roter(chart: Chart) -> ClassifierVerdict:
 def _decomposition_verdict(chart: Chart, name: str,
                            generators: Sequence[Tensor],
                            names: Sequence[str]) -> ClassifierVerdict:
-    out = _solve(chart, _combination_rows(riemann(chart), generators), names)
+    out = _solve(chart, _combination_system(riemann(chart), generators),
+                 names)
     verdict = _outcome_verdict(name, out, certified=False)
     if out.consistent:  # certified without the back-substitution guard
-        verdict.identity = certify(name, out.rows, out.space.particular)
+        verdict.identity = certify(name, out.rows, out.space.particular,
+                                   system=out.system())
     return verdict
 
 

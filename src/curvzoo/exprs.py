@@ -639,8 +639,9 @@ def _kronecker_cofactors(f, g):
     generator: then no field of the packed products overflows, so h a and
     h b are the two sides as polynomials, and by the GCDHEU lemma, with
     neither side divisible by a monomial, h is their gcd, with a positive
-    lex-leading coefficient.  A failed candidate doubles k.  The answer is
-    None after GCD_ATTEMPTS candidates, once the packed size
+    lex-leading coefficient.  A candidate that fails only the degrees ends
+    the link at once (see there); another failed candidate doubles k.  The
+    answer is None after GCD_ATTEMPTS candidates, once the packed size
     prod(deg_v + 1) k exceeds GCD_PACKED_BITS, or at once when there are
     more than GCD_FIELDS_PER_TERM fields per term of f and g.
     """
@@ -703,6 +704,15 @@ def _kronecker_cofactors(f, g):
                             *map(_degrees, parts), degrees)):
                         return tuple(dict(_raised(p, low)) for p, low
                                      in zip(parts, (common, f_low, g_low)))
+                # Proof that no wider field helps: with F(y), G(y) the
+                # packed sides, h(y) a(y) and F(y) have coefficients below
+                # 2^(k-1) (|h|_1 |a|_inf bounds the product's) and one value
+                # at 2^k, whose balanced digits are unique, so h a = F and
+                # h b = G: h(y) is a factor F(y) and G(y) share, and no y^t
+                # times a common factor of the sides (that would pass the
+                # degrees).  Widths only move the point, so h(2^k') divides
+                # both packed ints at every k'; the next link answers.
+                return None
         k *= 2
     return None
 

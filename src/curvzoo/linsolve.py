@@ -196,21 +196,30 @@ def satisfies(rows: Iterable[tuple[dict[int, Expr], Expr]],
 
 
 def certify(name: str, rows: Iterable[tuple[dict[int, Expr], Expr]],
-            values: Sequence[Expr],
-            guard: Optional[SolutionSpace] = None) -> Identity:
-    """The identity that certifies verdict `name`: its first
-    MAX_IDENTITY_COMPONENTS rows that have a coefficient or a nonzero rhs,
-    with values.  A stored zero coefficient counts, so a kept row reads
-    0 = 0 only when its builder stores zero coefficients: the solver rows
-    of the classifiers store none, the dense quasi_einstein rows do.
+            values: Sequence[Expr], guard: Optional[SolutionSpace] = None,
+            system: Optional[Iterable[tuple[dict[int, Expr], Expr]]] = None
+            ) -> Identity:
+    """The identity that certifies verdict `name`: the first
+    MAX_IDENTITY_COMPONENTS rows of system (by default rows, the rows
+    solved; read lazily) that have a coefficient or a nonzero rhs, with
+    values.  A stored zero coefficient counts, so a kept row reads 0 = 0
+    only when its builder stores zero coefficients: the solver rows of the
+    classifiers store none, the dense quasi_einstein rows do.
 
     With a guard space (a consistent one), its particular solution and
-    every basis vector are first back-substituted into every row, which by
-    linearity certifies every member of the space
-    (InternalInconsistencyError, naming the verdict, on a nonzero residual).
+    every basis vector are first back-substituted into every row of rows
+    and every kept row not among them, which by linearity certifies every
+    member of the space (InternalInconsistencyError, naming the verdict,
+    on a nonzero residual).
     """
+    rows = list(rows)
+    kept = list(islice((row for row in (rows if system is None else system)
+                        if row[0] or not row[1].is_zero),
+                       MAX_IDENTITY_COMPONENTS))
     if guard is not None:
-        rows = list(rows)
+        if system is not None:
+            solved = {id(row) for row in rows}
+            rows += [row for row in kept if id(row) not in solved]
         if not satisfies(rows, guard.particular):
             raise InternalInconsistencyError(
                 f"{name}: particular solution fails back-substitution")
@@ -218,6 +227,4 @@ def certify(name: str, rows: Iterable[tuple[dict[int, Expr], Expr]],
                    for vec in guard.basis):
             raise InternalInconsistencyError(
                 f"{name}: homogeneous basis vector fails back-substitution")
-    kept = ((c, r) for c, r in rows if c or not r.is_zero)
-    return Identity(name, list(islice(kept, MAX_IDENTITY_COMPONENTS)),
-                    list(values))
+    return Identity(name, kept, list(values))

@@ -18,6 +18,7 @@ FOURTH slot, consistent with B(X1,X2,X3,X4) = g(B(X1,X2)X3, X4), and from
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Union
 
@@ -29,25 +30,31 @@ from .charts import (CURVATURE_SYMMETRIES, Chart, OneForm, Tensor,
 
 
 def kulkarni_nomizu(A: Tensor, D: Tensor) -> Tensor:
-    """Four-term Kulkarni-Nomizu product of two (0,2) tensors:
+    """Four-term Kulkarni-Nomizu product of two symmetric (0,2) tensors:
 
     (A ^ D)(X1,X2,Y1,Y2) = A(X1,Y2) D(X2,Y1) + A(X2,Y1) D(X1,Y2)
                          - A(X1,Y1) D(X2,Y2) - A(X2,Y2) D(X1,Y1).
 
-    Each product A[p,q] D[r,s] of nonzero entries is formed once and lands,
-    signed, on the four components it contributes to.
+    Both factors must be symmetric (ValueError otherwise), so the product
+    is an algebraic curvature tensor: it is formed at the representatives
+    i < j, k < l, (i, j) <= (k, l) of CURVATURE_SYMMETRIES only, from the
+    nonzero factor entries, and filled by sign, declaring them.
     """
-    def terms():
-        for (p, q), a in A.nonzero_items():
-            for (r, s), d in D.nonzero_items():
-                ad = a * d
-                yield (p, r, s, q), ad
-                yield (r, p, q, s), ad
-                neg = -ad
-                yield (p, r, q, s), neg
-                yield (r, p, s, q), neg
+    if not (A._symmetry_holds("sym:0,1") and D._symmetry_holds("sym:0,1")):
+        raise ValueError("Kulkarni-Nomizu factors must be symmetric")
+    a, d = dict(A.nonzero_items()), dict(D.nonzero_items())
 
-    return Tensor.from_terms(A.chart, (0, 4), terms())
+    def terms():
+        pairs = itertools.combinations(range(A.chart.n), 2)
+        for (i, j), (k, l) in itertools.combinations_with_replacement(pairs,
+                                                                      2):
+            for sign, p, q in ((1, (i, l), (j, k)), (1, (j, k), (i, l)),
+                               (-1, (i, k), (j, l)), (-1, (j, l), (i, k))):
+                if p in a and q in d:
+                    v = a[p] * d[q]
+                    yield (i, j, k, l), v if sign > 0 else -v
+
+    return Tensor.from_terms(A.chart, (0, 4), terms(), CURVATURE_SYMMETRIES)
 
 
 def gaussian_tensor(chart: Chart) -> Tensor:
@@ -139,11 +146,8 @@ def named_tensor(chart: Chart, T: Union[Tensor, str]) -> Tensor:
     A, hat, B = T.partition("^")
     if not hat or A not in _KN_FACTORS or B not in _KN_FACTORS:
         raise ValueError(f"unknown tensor name {T!r}")
-    # A product of two symmetric tensors is an algebraic curvature tensor;
-    # the constructor checks the declared symmetries on the full product.
     return chart.cached(T, lambda: kulkarni_nomizu(
-        named_tensor(chart, A), named_tensor(chart, B)).with_symmetries(
-            CURVATURE_SYMMETRIES))
+        named_tensor(chart, A), named_tensor(chart, B)))
 
 
 def _by_name(chart: Chart, kind: str, compute, *operands):

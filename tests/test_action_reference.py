@@ -138,12 +138,18 @@ def reference_nabla(T):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_kulkarni_nomizu_matches_reference(chart, seed):
-    # Non-symmetric factors: the four terms are not interchangeable.
+    # Symmetric factors, A != D and A = D; a factor that is not symmetric
+    # is rejected, since the product is formed at the representatives of
+    # the curvature symmetries that symmetric factors give it.
     rng = random.Random(400 + seed)
-    A, D = random_tensor(chart, 2, rng), random_tensor(chart, 2, rng)
-    assert A != A.permuted((1, 0))
+    A, D = random_symmetric(chart, rng), random_symmetric(chart, rng)
+    assert A != D
     assert kulkarni_nomizu(A, D) == reference_kulkarni_nomizu(A, D)
     assert kulkarni_nomizu(A, A) == reference_kulkarni_nomizu(A, A)
+    skewed = random_tensor(chart, 2, rng)
+    assert skewed != skewed.permuted((1, 0))
+    with pytest.raises(ValueError, match="must be symmetric"):
+        kulkarni_nomizu(skewed, D)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

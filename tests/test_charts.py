@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from curvzoo.charts import (CURVATURE_SYMMETRIES, Chart, ChartError,
-                            Tensor, build_chart,
+                            Tensor, _cyclic_group, build_chart,
                             christoffel, covariant_derivative,
                             covariant_derivative_oneform, determinant,
                             exterior_derivative_oneform, generic_rank,
@@ -17,6 +17,7 @@ from curvzoo.charts import (CURVATURE_SYMMETRIES, Chart, ChartError,
 from curvzoo.classifiers import solve_quasi_einstein
 from curvzoo.exprs import Context
 from curvzoo.metrics import builtin, list_builtins
+from curvzoo.operators import dot_named, nabla_cached, tachibana_named
 
 
 def delta_entries(n):
@@ -482,6 +483,89 @@ class TestPermutedAndCyclic:
             a, b, c, rest = i[:w], i[w:2 * w], i[2 * w:3 * w], i[3 * w:]
             assert val == T[a + b + c + rest] + T[b + c + a + rest] \
                 + T[c + a + b + rest]
+
+    @staticmethod
+    def three_copies(T, width):
+        """T plus its two cyclic shifts as three full permuted copies of a
+        copy of T that declares no symmetries."""
+        plain = Tensor.from_terms(T.chart, T.valence, T.nonzero_items())
+        slots, w = tuple(range(T.rank)), width
+        shift = slots[w:3 * w] + slots[:w] + slots[3 * w:]
+        return (plain + plain.permuted(shift)
+                + plain.permuted(tuple(shift[m] for m in shift)))
+
+    @staticmethod
+    def cyclic_operands(chart):
+        """(T, width) for every cyclic sum the battery takes, and more."""
+        return [(riemann(chart), 1), (nabla_cached(chart, "R"), 1),
+                (nabla_cached(chart, "S"), 1), (nabla_cached(chart, "C"), 1),
+                (dot_named(chart, "R", "R"), 2),
+                (tachibana_named(chart, "g", "R"), 2),
+                (dot_named(chart, "R", "S"), 1)]
+
+    @pytest.mark.parametrize("name", list_builtins())
+    def test_representatives_match_three_copies(self, name):
+        chart = builtin(name).to_chart()
+        for T, width in self.cyclic_operands(chart):
+            C = T.cyclic_sum(width)
+            assert C == self.three_copies(T, width)
+            assert not C.declared_symmetries
+
+    @pytest.mark.parametrize("name", ["ex5_2", "ex5_4", "ex5_5"])
+    def test_perturbed_representatives_match_three_copies(self, name):
+        # One representative changed and the tensor refilled keeps its
+        # group but breaks the cyclic identities, so a group derived with
+        # an element too many shows in the sum.
+        chart = builtin(name).to_chart()
+        one = chart.ctx.one
+        rng = random.Random(name)
+        for T, width in self.cyclic_operands(chart):
+            reps = [idx for idx, _ in T.representative_items()]
+            group = T.symmetry_group
+            reps += [idx for idx in itertools.product(
+                range(chart.n), repeat=T.rank)
+                if group.is_representative(idx) and T[idx].is_zero][:3]
+            for idx in rng.sample(reps, min(6, len(reps))):
+                items = dict(T.representative_items())
+                items[idx] = T[idx] + one
+                P = Tensor.from_terms(chart, T.valence, items.items(),
+                                      T.declared_symmetries)
+                assert P.cyclic_sum(width) == self.three_copies(P, width)
+
+    def test_derived_groups(self):
+        # R: the cycle and the three double transpositions, all of sign 1
+        # and normalized by the cycle (the alternating group A4); nabla R:
+        # the cycle and the skew last pair; R.R with its pairs cycled: the
+        # cycle and the three pair skews.
+        nabla = ("skew:1,2", "skew:3,4", "block:1,2,3,4")
+        for rank, specs, shift, size in (
+                (4, CURVATURE_SYMMETRIES, (1, 2, 0, 3), 12),
+                (5, nabla, (1, 2, 0, 3, 4), 6),
+                (6, CURVATURE_SYMMETRIES + ("skew:4,5",),
+                 (2, 3, 4, 5, 0, 1), 24),
+                (3, ("sym:1,2",), (1, 2, 0), 3),
+                (3, (), (1, 2, 0), 3),
+                # The transposition of slots 1 and 3 conjugates to that of
+                # 0 and 3 under the shift, which is in the group, and to
+                # that of 2 and 3 under its square, which is not.
+                (4, ("skew:0,1", "skew:0,3"), (1, 2, 0, 3), 3)):
+            group = _cyclic_group(rank, specs, shift)
+            assert len(group.elements) == size
+            assert dict(group.elements)[shift] == 1
+
+    @pytest.mark.parametrize("specs", [("skew:0,1", "skew:0,3"),
+                                       ("sym:0,1", "sym:0,3"),
+                                       ("skew:0,1", "sym:2,3"),
+                                       ("sym:0,1", "sym:1,2")])
+    def test_filled_random_tensors_match_three_copies(self, specs):
+        chart = build_chart(["x1", "x2", "x3"], delta_entries(3))
+        for seed in range(3):
+            T = random_tensor(chart, 4, random.Random(seed))
+            group = Tensor.from_terms(chart, (0, 4), (), specs).symmetry_group
+            T = Tensor.from_terms(chart, (0, 4), [
+                (idx, v) for idx, v in T.nonzero_items()
+                if group.is_representative(idx)], specs)
+            assert T.cyclic_sum() == self.three_copies(T, 1)
 
     def test_items_in_index_order(self, godel):
         S = ricci(godel)

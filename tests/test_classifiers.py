@@ -5,9 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from curvzoo import classifiers
 from curvzoo.charts import (Tensor, build_chart, oneform, ricci, riemann,
                             scalar_curvature)
-from curvzoo.classifiers import (_common_roots, _minor_quadratics,
+from curvzoo.classifiers import (_combination_system, _common_roots,
+                                 _minor_quadratics, _slot_system, _solve,
+                                 generalized_roter_generators,
+                                 roter_generators,
                                  check_semisymmetric,
                                  check_torseforming,
                                  classify_deszcz, compute_J,
@@ -19,12 +23,12 @@ from curvzoo.classifiers import (_common_roots, _minor_quadratics,
                                  solve_quasi_einstein,
                                  solve_recurrence, solve_weak_Z,
                                  solve_weak_symmetry_04, theorem_residual)
-from curvzoo.linsolve import satisfies
+from curvzoo.linsolve import certify, satisfies, solve_linear_system
 from curvzoo.metrics import builtin, list_builtins
 from curvzoo.operators import (dot_action, dot_named, kulkarni_nomizu,
-                               projective, tachibana, tachibana_named,
-                               weyl_conformal)
-from curvzoo.zoo import ALL_TENSORS
+                               nabla_cached, named_tensor, projective,
+                               tachibana, tachibana_named, weyl_conformal)
+from curvzoo.zoo import ALL_TENSORS, classify
 
 
 def delta_entries(n):
@@ -676,3 +680,220 @@ class TestCodazziCyclic:
     def test_conformal_ricci_neither(self, conformal4):
         assert not is_codazzi(conformal4, "S")
         assert not is_cyclic_parallel(conformal4, "S")
+
+
+# ---------------------------------------------------------------------------
+# Solves at orbit representatives against the whole systems.
+# ---------------------------------------------------------------------------
+
+
+def plain(T):
+    """A copy of T that declares no symmetries."""
+    return Tensor.from_terms(T.chart, T.valence, T.nonzero_items())
+
+
+def full_combination_rows(target, generators):
+    """Every row of target = sum_i c_i generator_i where some operand is
+    nonzero, in index order, with no symmetry group."""
+    support = sorted({idx for T in (target, *generators)
+                      for idx, _ in T.nonzero_items()})
+    return [({i: g[idx] for i, g in enumerate(generators)
+              if not g[idx].is_zero}, target[idx]) for idx in support]
+
+
+def full_slot_rows(chart, T, nablaT, first, blocks):
+    """Every row of nabla_x T_I = first a_x T_I + sum_m b_{blocks[m]}(I_m)
+    T_{I[m->x]} where a term is nonzero, in index order, with no symmetry
+    group; the columns whose terms cancel are dropped."""
+    n, rows = chart.n, []
+    for idx in itertools.product(range(n), repeat=T.rank + 1):
+        x, I = idx[0], idx[1:]
+        coeffs = {}
+        for col, v in [(x, first * T[I])] + [
+                (b * n + I[m], T[I[:m] + (x,) + I[m + 1:]])
+                for m, b in enumerate(blocks)]:
+            coeffs[col] = coeffs[col] + v if col in coeffs else v
+        coeffs = {col: c for col, c in coeffs.items() if not c.is_zero}
+        live = [T[I]] + [T[I[:m] + (x,) + I[m + 1:]]
+                         for m in range(len(blocks))] + [nablaT[idx]]
+        if not all(v.is_zero for v in live):
+            rows.append((coeffs, nablaT[idx]))
+    return rows
+
+
+def same_space(a, b):
+    return (a.consistent == b.consistent and a.particular == b.particular
+            and a.basis == b.basis and a.free_columns == b.free_columns)
+
+
+def combination_systems(chart):
+    """(target, generators) of the Deszcz, Weyl and Roter solves."""
+    systems = [(dot_named(chart, "R", T), [tachibana_named(chart, W, T)])
+               for T in ("R", "S", "C", "P") for W in ("g", "S")]
+    systems.append((dot_named(chart, "C", "C"),
+                    [tachibana_named(chart, "g", "C")]))
+    for generators, _ in (roter_generators(chart),
+                          generalized_roter_generators(chart)):
+        systems.append((riemann(chart), generators))
+    # A target outside the span: R against g^g alone; and operands that
+    # declare different groups (P declares none), whose rows all stay.
+    systems.append((riemann(chart), [named_tensor(chart, "g^g")]))
+    systems.append((riemann(chart), [named_tensor(chart, "P")]))
+    systems.append((named_tensor(chart, "P"), [riemann(chart)]))
+    return systems
+
+
+class TestRepresentativeRows:
+    """Rows restricted to orbit representatives give the whole system's
+    solution space, and the identities keep the whole system's rows."""
+
+    @pytest.mark.parametrize("name", list_builtins())
+    def test_combination_solves_match_full_solves(self, name):
+        chart = builtin(name).to_chart()
+        for target, generators in combination_systems(chart):
+            group, indices, row_at = _combination_system(target, generators)
+            full = full_combination_rows(target, generators)
+            assert [row_at(idx) for idx in indices] == full
+            solved = list(filter(group.is_representative, indices))
+            if len({T.declared_symmetries
+                    for T in (target, *generators)}) == 1:
+                assert len(solved) < len(full) or not full
+            else:
+                assert solved == indices
+            space = solve_linear_combination(target, generators)
+            assert same_space(space, solve_linear_combination(
+                plain(target), [plain(g) for g in generators]))
+            assert same_space(space, solve_linear_system(
+                full, len(generators), chart.ctx))
+
+    def test_inconsistent_restricted_solve(self, conformal4):
+        # A perturbed target, refilled by its group, leaves the span.
+        R = riemann(conformal4)
+        items = dict(R.representative_items())
+        idx = next(iter(items))
+        items[idx] = items[idx] + conformal4.ctx.one
+        bent = Tensor.from_terms(conformal4, (0, 4), items.items(),
+                                 R.declared_symmetries)
+        generators, _ = roter_generators(conformal4)
+        assert solve_linear_combination(R, generators).consistent
+        space = solve_linear_combination(bent, generators)
+        assert not space.consistent
+        assert same_space(space, solve_linear_combination(
+            plain(bent), [plain(g) for g in generators]))
+
+    @pytest.mark.parametrize("name", list_builtins())
+    def test_slot_solves_match_full_solves(self, name):
+        chart = builtin(name).to_chart()
+        names = tuple(f"phi_{c}" for c in chart.ctx.coords)
+        for tname in ("R", "S", "C"):
+            T, nablaT = named_tensor(chart, tname), nabla_cached(chart, tname)
+            for first, blocks in ((2, (0,) * T.rank), (1, ())):
+                system = _slot_system(chart, T, nablaT, first, blocks)
+                assert len(system[0].elements) > 1
+                out = _solve(chart, system, names)
+                full_system = _slot_system(chart, plain(T), plain(nablaT),
+                                           first, blocks)
+                assert len(full_system[0].elements) == 1
+                full = _solve(chart, full_system, names)
+                assert same_space(out.space, full.space)
+                reference = full_slot_rows(chart, T, nablaT, first, blocks)
+                assert same_space(out.space, solve_linear_system(
+                    reference, chart.n, chart.ctx))
+                if not out.space.consistent:
+                    continue  # the solver stopped at the inconsistency
+                assert len(out.rows) < len(full.rows) or not full.rows
+                # Off the representatives, rows with no coefficient and a
+                # zero rhs are left out.
+                solved = {id(row) for row in out.rows}
+                kept = [row for row in out.system()
+                        if id(row) in solved or row[0] or not row[1].is_zero]
+                assert kept == list(out.system())
+                assert [row for row in kept if row[0] or not row[1].is_zero
+                        ] == [row for row in reference
+                              if row[0] or not row[1].is_zero]
+
+    @pytest.mark.parametrize("name", list_builtins())
+    def test_identities_keep_the_full_systems_rows(self, name):
+        # Each identity is the first rows of the whole system, in index
+        # order, as when every row was built and solved.
+        chart = builtin(name).to_chart()
+        report = classify(chart, tensors=ALL_TENSORS, run_oracle=False)
+        checked = 0
+        for identity in report.identities:
+            label, _, args = identity.name.partition("[")
+            args = args.rstrip("]").split(";")
+            if label == "deszcz":
+                T, W = args
+                rows = full_combination_rows(
+                    dot_named(chart, "R", T), [tachibana_named(chart, W, T)])
+            elif label == "weyl_pseudosymmetric":
+                rows = full_combination_rows(
+                    dot_named(chart, "C", "C"),
+                    [tachibana_named(chart, "g", "C")])
+            elif label in ("roter", "generalized_roter"):
+                generators, _ = (roter_generators if label == "roter"
+                                 else generalized_roter_generators)(chart)
+                rows = full_combination_rows(riemann(chart), generators)
+            elif label == "chaki":
+                T = named_tensor(chart, args[0])
+                rows = full_slot_rows(chart, T, nabla_cached(chart, args[0]),
+                                      2, (0,) * T.rank)
+            else:
+                continue
+            n_unknowns = len(identity.values)
+            space = solve_linear_system(rows, n_unknowns, chart.ctx)
+            expected = certify(identity.name, rows, space.particular)
+            assert identity.rows == expected.rows, identity.name
+            assert identity.values == expected.values, identity.name
+            checked += 1
+        assert checked >= 1
+
+    def test_no_row_built_off_a_representative_without_terms(self, flat4):
+        # (0, 1) represents the orbit {(0, 1), (1, 0)} under "sym:0,1"; its
+        # row has no coefficient and a zero rhs, so (1, 0) is never built.
+        ctx = flat4.ctx
+        group = Tensor.from_terms(flat4, (0, 2), (),
+                                  ("sym:0,1",)).symmetry_group
+        rows = {(0, 0): ({0: ctx.one}, ctx.one), (0, 1): ({}, ctx.zero),
+                (1, 0): ({}, ctx.zero), (1, 1): ({0: ctx.one}, ctx.one)}
+        read = []
+
+        def row_at(idx):
+            read.append(idx)
+            return rows[idx]
+
+        out = _solve(flat4, (group, list(rows), row_at), ("u",))
+        assert list(out.system()) == [rows[0, 0], rows[1, 1]]
+        assert read == [(0, 0), (0, 1), (1, 1)]
+
+    @pytest.mark.parametrize("name", list_builtins())
+    def test_few_rows_built_off_the_representatives(self, name,
+                                                    monkeypatch):
+        # A system builds at most MAX_IDENTITY_COMPONENTS rows off its
+        # group's representatives, for its identity, and each of them has
+        # a coefficient or a nonzero rhs.
+        built = []
+
+        def counting(builder):
+            def counted_builder(*args):
+                group, indices, row_at = builder(*args)
+                off = []
+                built.append((len(group.elements), off))
+
+                def counted(idx):
+                    row = row_at(idx)
+                    if not group.is_representative(idx):
+                        off.append(row[0] or not row[1].is_zero)
+                    return row
+
+                return group, indices, counted
+            return counted_builder
+
+        for builder in ("_combination_system", "_slot_system"):
+            monkeypatch.setattr(classifiers, builder,
+                                counting(getattr(classifiers, builder)))
+        classify(builtin(name).to_chart(), tensors=ALL_TENSORS,
+                 run_oracle=False)
+        assert all(len(off) <= 48 and all(off) for _, off in built)
+        assert all(not off for size, off in built if size == 1)
+        assert any(off for _, off in built)

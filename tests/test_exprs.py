@@ -579,13 +579,23 @@ class TestGcdCofactors:
         x1, e1 = TEST_RING.gens[0], TEST_RING.gens[2]
         # Packing maps x1 to y^5 and e1 to y: b(y) = y^2 + 1 divides
         # a(y) = (1 + y^5 + ... + y^35)^2, since y^4 = 1 modulo y^2 + 1.
-        # Every candidate then fails its certificate, at every width, and
-        # the recursive heuristic answers.
+        # Every candidate then fails its certificate, at every width, so
+        # the first one ends the link after a single packing, and the
+        # recursive heuristic answers.
         h = (e1 ** 2 + 1) * (x1 - 1) * (x1 ** 8 - 1)
         a, b = geometric(x1, 8) ** 2, e1 ** 2 + 1
         f, g = as_dicts(h * a, h * b)
-        assert _kronecker_cofactors(f, g) is None
+        widths = []
+
+        def decoding(n, k):
+            widths.append(k)
+            return original(n, k)
+
+        original = exprs._balanced_digits
         with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exprs, "_balanced_digits", decoding)
+            assert _kronecker_cofactors(f, g) is None
+            assert len(set(widths)) == 1
             patch.setattr(exprs, "GCD_ATTEMPTS", 8)
             assert _kronecker_cofactors(f, g) is None
         assert gcd_cofactors(f, g) == as_dicts(h, a, b)

@@ -90,6 +90,39 @@ def test_verify_catches_corruption(ctx):
         certify("corrupt", [({0: ctx.one}, x1)], space.particular, space)
 
 
+def test_identity_rows_are_read_lazily_from_the_system(ctx):
+    # The identity keeps the first kept rows of the system, in its order;
+    # rows past them are never read.
+    x1 = ctx.parse("x1")
+    space = solve_dense([[ctx.one]], [x1], ctx)
+    solved = [({0: ctx.one}, x1)]
+
+    def system():
+        yield ({}, ctx.zero)
+        for _ in range(linsolve.MAX_IDENTITY_COMPONENTS):
+            yield solved[0]
+        raise AssertionError("read past the identity's rows")
+
+    identity = certify("lazy", solved, space.particular, space, system())
+    assert identity.rows == solved * linsolve.MAX_IDENTITY_COMPONENTS
+    assert all(row is solved[0] for row in identity.rows)
+
+
+def test_guard_covers_kept_rows_off_the_solved_ones(ctx):
+    # A kept row of the system that is not one of the solved rows is
+    # back-substituted too.
+    x1 = ctx.parse("x1")
+    space = solve_dense([[ctx.one]], [x1], ctx)
+    solved = [({0: ctx.one}, x1)]
+    negated = ({0: -ctx.one}, -x1)
+    assert certify("negated", solved, space.particular, space,
+                   [negated] + solved).rows == [negated] + solved
+    with pytest.raises(InternalInconsistencyError,
+                       match="^wrong: particular solution fails"):
+        certify("wrong", solved, space.particular, space,
+                solved + [({0: ctx.one}, x1 + 1)])
+
+
 def test_duplicate_rows_skipped(ctx):
     x1 = ctx.parse("x1")
     rows = [({0: ctx.one, 1: x1}, x1)] * 50 + [({1: ctx.one}, ctx.one)]

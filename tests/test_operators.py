@@ -4,6 +4,7 @@ import itertools
 import random
 from datetime import timedelta
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from curvzoo.charts import (CURVATURE_SYMMETRIES, Tensor, build_chart,
                             christoffel, covariant_derivative,
                             lowered_to_operator, nabla_riemann, oneform,
                             ricci, riemann, scalar_curvature)
-from curvzoo.metrics import BUILTINS, builtin
+from curvzoo.metrics import BUILTINS, builtin, load_metric_file
 from curvzoo.operators import (check_gct, check_second_bianchi,
                                dot_action, gaussian_tensor,
                                is_gct, kulkarni_nomizu, named_tensor,
@@ -74,6 +75,27 @@ def with_entries(T, added):
     return Tensor(T.chart, T.valence, components)
 
 
+#: One chart per generated template, as committed metric files.
+GENERATED = Path(__file__).resolve().parent / "generated"
+TEMPLATE_FILES = ("conformal_0.json", "warped_0.json", "off_diagonal_0.json")
+
+
+def scatter_kulkarni_nomizu(A, D):
+    """The Kulkarni-Nomizu product with no symmetry group: each product of
+    nonzero entries A[p,q] D[r,s] scattered, signed, to the four
+    components it feeds."""
+    def terms():
+        for (p, q), a in A.nonzero_items():
+            for (r, s), d in D.nonzero_items():
+                ad = a * d
+                yield (p, r, s, q), ad
+                yield (r, p, q, s), ad
+                yield (p, r, q, s), -ad
+                yield (r, p, s, q), -ad
+
+    return Tensor.from_terms(A.chart, (0, 4), terms())
+
+
 def random_symmetric(chart, rng):
     n = chart.n
     pool = ["0", "1", "x1", "exp(x1)", "2", "x2", "x3", "-1"]
@@ -102,6 +124,37 @@ class TestKulkarniNomizu:
         A = random_symmetric(conformal4, rng)
         D = random_symmetric(conformal4, rng)
         assert is_gct(kulkarni_nomizu(A, D))
+
+    def test_factors_must_be_symmetric(self, conformal4):
+        A = random_symmetric(conformal4, random.Random(4))
+        skewed = with_entries(A, {(0, 1): 1})
+        for X, Y in ((A, skewed), (skewed, A), (skewed, skewed)):
+            with pytest.raises(ValueError, match="must be symmetric"):
+                kulkarni_nomizu(X, Y)
+
+
+class TestKulkarniNomizuDualRoute:
+    """The product at representatives, filled by CURVATURE_SYMMETRIES,
+    equals the group-free scatter product, and declares the group."""
+
+    @staticmethod
+    def assert_matches_scatter(chart):
+        for name in ("g^g", "g^S", "S^S", "S^S2", "g^S2", "S2^S2"):
+            A, _, D = name.partition("^")
+            A, D = named_tensor(chart, A), named_tensor(chart, D)
+            product = kulkarni_nomizu(A, D)
+            assert product == scatter_kulkarni_nomizu(A, D), name
+            assert product.declared_symmetries == CURVATURE_SYMMETRIES
+            assert named_tensor(chart, name) == product
+
+    @pytest.mark.parametrize("name", sorted(BUILTINS))
+    def test_builtins(self, name):
+        self.assert_matches_scatter(builtin(name).to_chart())
+
+    @pytest.mark.parametrize("filename", TEMPLATE_FILES)
+    def test_generated_templates(self, filename):
+        self.assert_matches_scatter(
+            load_metric_file(GENERATED / filename).to_chart())
 
 
 #: Entries drawn for symmetric (0,2) tensors on a curved chart.
@@ -141,6 +194,14 @@ class TestKulkarniNomizuProperties:
         assert all(check_gct(AD).values())
         assert AD == kulkarni_nomizu(D, A)
 
+    @settings(max_examples=25, deadline=timedelta(seconds=10),
+              derandomize=True, database=None)
+    @given(PICKS, PICKS)
+    def test_representatives_match_the_scatter(self, curved3, a, d):
+        A, D = symmetric_from(curved3, a), symmetric_from(curved3, d)
+        for X, Y in ((A, D), (A, A)):
+            assert kulkarni_nomizu(X, Y) == scatter_kulkarni_nomizu(X, Y)
+
 
 class TestKernelWork:
     """Each product of two nonzero entries is formed once."""
@@ -163,14 +224,24 @@ class TestKernelWork:
 
     def test_kulkarni_nomizu_multiplies_each_pair_once(self, godel,
                                                        mul_calls):
+        # One product per term of the four-term sum at each curvature
+        # representative i < j, k < l, (i, j) <= (k, l) whose two entries
+        # are nonzero: fewer than the |A| |D| products of the scatter.
+        pairs = itertools.combinations(range(godel.n), 2)
+        reps = list(itertools.combinations_with_replacement(pairs, 2))
         for A, D in ((godel.metric_tensor(), ricci(godel)),
                      (ricci(godel), ricci(godel)),
                      (random_symmetric(godel, random.Random(8)),
                       godel.metric_tensor())):
+            expected = sum(
+                1 for (i, j), (k, l) in reps
+                for p, q in (((i, l), (j, k)), ((j, k), (i, l)),
+                             ((i, k), (j, l)), ((j, l), (i, k)))
+                if not A[p].is_zero and not D[q].is_zero)
             del mul_calls[:]
             kulkarni_nomizu(A, D)
-            assert len(mul_calls) == (self.support_size(A)
-                                      * self.support_size(D))
+            assert len(mul_calls) == expected
+            assert expected < self.support_size(A) * self.support_size(D)
 
     @staticmethod
     def lands(T, J, m, i):
