@@ -38,7 +38,8 @@ Index conventions, fixed throughout the package:
   group's specs); permuted() drops the group.  cyclic_sum() is formed at
   the representatives of the group it derives from T's and declares none,
   and the linear systems of the classifiers solve only the rows at the
-  representatives of a group all their operands declare.
+  representatives of a group all their operands declare (for the b1-b3
+  rows, the group cyclic_sum gives nabla T).
 * nabla T, B.T, Q(A,T) and mu.T are derivations acting on one slot of T
   at a time.  They share one walk over the support of T,
   _derivation_terms; each operator only lists, for each index a, the

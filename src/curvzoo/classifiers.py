@@ -23,8 +23,8 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from typing import Callable, Optional, Sequence, Union
 
-from .charts import (Chart, OneForm, Tensor, _shifted_spec, _slot_group,
-                     christoffel, covariant_derivative_oneform,
+from .charts import (Chart, OneForm, Tensor, _cyclic_group, _shifted_spec,
+                     _slot_group, christoffel, covariant_derivative_oneform,
                      exterior_derivative_oneform, is_closed, oneform,
                      rank_at_most, ricci, riemann, scalar_curvature)
 from .exprs import Expr
@@ -101,7 +101,8 @@ def _solve(chart: Chart, system, names: Sequence[str],
     times the row at I for sigma in group.  So only the rows at group's
     representatives are built and solved: they span the same row space,
     which alone fixes the solver's reduced echelon basis.  The builders
-    take a group that all operands declare, else the trivial group."""
+    take a group that all operands declare (for b1-b3, the group of a
+    cyclic sum, see _cyclic3_system), else the trivial group."""
     group, indices, row_at = system
     built: dict = {}
 
@@ -506,21 +507,29 @@ def _weakZ_reductions(chart: Chart, Z: Tensor, outcome: SolverOutcome,
 # ---------------------------------------------------------------------------
 
 
-def _cyclic3_rows(chart: Chart, T: Tensor, nablaT: Tensor):
-    """Rows alpha_h T_ijkl + alpha_i T_jhkl + alpha_j T_hikl
-    = nabla_h T_ijkl + nabla_i T_jhkl + nabla_j T_hikl, in index order,
-    only where some term is nonzero; columns whose terms cancel are
-    dropped (_sparse)."""
-    cyclic = nablaT.cyclic_sum()
+def _cyclic3_system(chart: Chart, T: Tensor, nablaT: Tensor, cyclic: Tensor):
+    """The system (see _solve) of alpha_h T_ijkl + alpha_i T_jhkl +
+    alpha_j T_hikl = cyclic_hijkl, with cyclic the cyclic sum of nabla T,
+    in index order, only where some term is nonzero; columns whose terms
+    cancel are dropped (_sparse).  The coefficients are the cyclic sum of
+    alpha (x) T, which has T's specs shifted one slot: when nabla T
+    declares them too, both sides have the group that cyclic_sum gives
+    nabla T (_cyclic_group), else that of the shift alone."""
+    shift = (1, 2, 0, 3, 4)
+    shifted = tuple(_shifted_spec(spec, 1) for spec in T.declared_symmetries)
+    specs = nablaT.declared_symmetries
+    group = _cyclic_group(5, specs if specs == shifted else (), shift)
     live = {idx for idx, _ in cyclic.nonzero_items()}
     for (p, q, k, l), _ in T.nonzero_items():
         for y in range(chart.n):  # T_pqkl as T_ijkl, T_jhkl and T_hikl
             live.update(((y, p, q, k, l), (q, y, p, k, l), (p, q, y, k, l)))
-    return {(h, i, j, k, l): (_sparse(((h, T[i, j, k, l]),
-                                       (i, T[j, h, k, l]),
-                                       (j, T[h, i, k, l]))),
-                              cyclic[h, i, j, k, l])
-            for h, i, j, k, l in sorted(live)}
+
+    def row_at(idx):
+        h, i, j, k, l = idx
+        return (_sparse(((h, T[i, j, k, l]), (i, T[j, h, k, l]),
+                         (j, T[h, i, k, l]))), cyclic[idx])
+
+    return group, sorted(live), row_at
 
 
 def form_recurrence_checks(chart: Chart, T: Union[Tensor, str]
@@ -530,6 +539,10 @@ def form_recurrence_checks(chart: Chart, T: Union[Tensor, str]
     b1: the cyclic derivative sum vanishes;
     b2: some nonzero 1-form alpha has vanishing cyclic alpha-sum against T;
     b3: cyclic derivative sum equals the cyclic alpha-sum for a solved alpha.
+
+    b2 and b3 solve the rows of one system (_cyclic3_system) at the
+    representatives of its group, each built once; b3's identity keeps the
+    first rows of the whole system, built as they are read (see _solve).
     """
     label = T if isinstance(T, str) else "T"
     tensor = named_tensor(chart, T)
@@ -540,19 +553,24 @@ def form_recurrence_checks(chart: Chart, T: Union[Tensor, str]
         return {name: ClassifierVerdict(f"{name}[{label}]", None, notes=note)
                 for name in ("b1", "b2", "b3")}
 
-    rows = _cyclic3_rows(chart, tensor, nabla_cached(chart, T))
+    nablaT = nabla_cached(chart, T)
+    cyclic = nablaT.cyclic_sum()
+    group, indices, row_at = _cyclic3_system(chart, tensor, nablaT, cyclic)
+    rows = {idx: row_at(idx)
+            for idx in filter(group.is_representative, indices)}
     names = tuple(f"alpha_{c}" for c in chart.ctx.coords)
     zero = chart.ctx.zero
     hom = solve_linear_system([(coeffs, zero) for coeffs, _ in
                                rows.values()], chart.n, chart.ctx, names)
     b2_holds = hom.consistent and hom.dimension >= 1
     return {
-        "b1": ClassifierVerdict(f"b1[{label}]",
-                                all(rhs.is_zero for _, rhs in rows.values())),
+        "b1": ClassifierVerdict(f"b1[{label}]", cyclic.is_zero()),
         "b2": ClassifierVerdict(f"b2[{label}]", b2_holds,
                                 witness=hom if b2_holds else None),
         "b3": _outcome_verdict(f"b3[{label}]", _solve(
-            chart, (_slot_group(5, ()), rows, rows.get), names)),
+            chart, (group, list(rows),
+                    lambda idx: rows[idx] if idx in rows else row_at(idx)),
+            names)),
     }
 
 

@@ -12,14 +12,15 @@ coefficient reduced mod p).  It draws each point straight as residues over
 the chart's atoms and shares it between every identity not yet finished:
 at each point each distinct value is evaluated once and all its
 denominators are inverted with a single modular inversion, and each
-identity's rows are then compared against those residues.  Every identity
-is still checked at its own count of independent uniform points.  Atoms are
-algebraically independent, so independent substitution is a sound
-randomized zero test, and reduction mod p is a ring homomorphism: a true
-identity never disagrees, so a nonzero count means a canonicalization or
-solver bug, never a sampling artifact.  A false identity escapes one sample
-only when the point is a root of its residual or p divides the residual's
-value (Schwartz-Zippel).
+identity's distinct rows are then compared against those residues (a
+repeated row reads the same residues, so it cannot change the result).
+Every identity is still checked at its own count of independent uniform
+points.  Atoms are algebraically independent, so independent substitution
+is a sound randomized zero test, and reduction mod p is a ring
+homomorphism: a true identity never disagrees, so a nonzero count means a
+canonicalization or solver bug, never a sampling artifact.  A false
+identity escapes one sample only when the point is a root of its residual
+or p divides the residual's value (Schwartz-Zippel).
 
 Reports are plain data: rendering to text or JSON is stable and
 deterministic, so repeated runs with the same seed are byte-identical.
@@ -218,8 +219,9 @@ class _CompiledIdentity:
     values[k] is the ModularExpr of the k-th distinct Expr, and degrees
     the highest exponent of each ring position of the chart's context over
     values; identities compiled together share both lists.  slots gives the
-    number of each solution value, and rows each row as ([(coefficient
-    number, value position)], rhs number)."""
+    number of each solution value, and rows each distinct row once, in the
+    order rows first occur, as (((coefficient number, value position),
+    ...), rhs number)."""
 
     values: list
     degrees: list
@@ -229,16 +231,20 @@ class _CompiledIdentity:
 
 def _compile(identities: Sequence[Identity]) -> list[_CompiledIdentity]:
     """Number the distinct Exprs of identities once, over all of them, and
-    compile each mod ORACLE_PRIME once.  Every value lies in the context of
-    one chart."""
+    compile each mod ORACLE_PRIME once.  Each identity keeps each distinct
+    compiled row once, where it first occurs: a repeated row reads the same
+    residues at every point, so it can neither disagree nor fail where its
+    first occurrence did not.  Every value lies in the context of one
+    chart."""
     index: dict[Expr, int] = {}
 
     def slot(e: Expr) -> int:
         return index.setdefault(e, len(index))
 
     shapes = [([slot(v) for v in identity.values],
-               [([(slot(c), j) for j, c in coeffs.items()], slot(rhs))
-                for coeffs, rhs in identity.rows])
+               list(dict.fromkeys(
+                   (tuple((slot(c), j) for j, c in coeffs.items()), slot(rhs))
+                   for coeffs, rhs in identity.rows)))
               for identity in identities]
     values = [ModularExpr(e, ORACLE_PRIME) for e in index]
     degrees = [max(column) for column in zip(*(m.degrees for m in values))]
@@ -318,20 +324,22 @@ def _evaluate(values: Sequence[ModularExpr], degrees: Sequence[int],
 def check_identity_at(identity: Union[Identity, _CompiledIdentity],
                       point: Union[Mapping[Atom, Number], _Evaluation]
                       ) -> bool:
-    """Evaluate every retained row at the point modulo ORACLE_PRIME.
+    """Evaluate every distinct retained row at the point modulo ORACLE_PRIME.
 
     identity is an Identity, compiled here, or one compiled by
     oracle_crosscheck.  The point gives atom values (rationals or residues
     mod p), and each distinct value is then evaluated once (_evaluate); or
     it is the point's evaluation that oracle_crosscheck shares between the
-    identities of a report.  The rows are compared in order, stopping at
-    the first disagreement.  The result is the one lazy evaluation would
-    give: a value that fails (it has no residue, or its denominator
-    vanishes mod p) fails on its own, and its failure is raised at the
-    first use, by the solution values or else by the first row that reads
-    it; a row that disagrees before that makes the result False.  Raises
-    EvaluationError when a denominator vanishes mod p, and ExpressionError
-    before any row when an occurring atom has no value.
+    identities of a report.  The distinct rows are compared in the order
+    they first occur (_compile), stopping at the first disagreement; a
+    repeated row would read the same residues again.  The result is the
+    one lazy evaluation of every row would give: a value that fails (it
+    has no residue, or its denominator vanishes mod p) fails on its own,
+    and its failure is raised at the first use, by the solution values or
+    else by the first row that reads it; a row that disagrees before that
+    makes the result False.  Raises EvaluationError when a denominator
+    vanishes mod p, and ExpressionError before any row when an occurring
+    atom has no value.
     """
     if isinstance(identity, Identity):
         identity, = _compile([identity])
@@ -382,14 +390,15 @@ def oracle_crosscheck(report: Report, chart: Chart,
     each point serves every identity not yet finished: its power tables
     are built once, each distinct value is evaluated once and all its
     denominators are inverted together (_evaluate), and each identity's
-    rows are then compared in F_p against those shared residues
-    (check_identity_at, called once per identity per point).  An identity
-    whose values fail at a point (a denominator vanishes mod p) counts a
-    retry there and waits for the next point.  An identity is finished
-    after samples points that decided it, or after MAX_DENOMINATOR_RETRIES
-    retries, when it is marked inconclusive.  So each identity is still
-    checked at samples independent uniform points, and a report with one
-    identity draws the points it always drew.  Deterministic for a fixed
+    distinct rows are then compared in F_p against those shared residues
+    (check_identity_at, called once per identity per point);
+    checked_components still counts every row.  An identity whose values
+    fail at a point (a denominator vanishes mod p) counts a retry there and
+    waits for the next point.  An identity is finished after samples
+    points that decided it, or after MAX_DENOMINATOR_RETRIES retries, when
+    it is marked inconclusive.  So each identity is still checked at
+    samples independent uniform points, and a report with one identity
+    draws the points it always drew.  Deterministic for a fixed
     seed; ValueError for samples outside 1..MAX_SAMPLES or a negative seed.
     Points assign every atom of the chart, whose context holds every
     identity's values.

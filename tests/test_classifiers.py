@@ -9,7 +9,8 @@ from curvzoo import classifiers
 from curvzoo.charts import (Tensor, build_chart, oneform, ricci, riemann,
                             scalar_curvature)
 from curvzoo.classifiers import (_combination_system, _common_roots,
-                                 _minor_quadratics, _slot_system, _solve,
+                                 _cyclic3_system, _minor_quadratics,
+                                 _slot_system, _solve,
                                  generalized_roter_generators,
                                  roter_generators,
                                  check_semisymmetric,
@@ -721,6 +722,25 @@ def full_slot_rows(chart, T, nablaT, first, blocks):
     return rows
 
 
+def full_cyclic3_rows(chart, T, nablaT):
+    """Every row of alpha_h T_ijkl + alpha_i T_jhkl + alpha_j T_hikl =
+    nabla_h T_ijkl + nabla_i T_jhkl + nabla_j T_hikl where a term or the
+    rhs is nonzero, in index order, with no symmetry group; the columns
+    whose terms cancel are dropped."""
+    rows = []
+    for h, i, j, k, l in itertools.product(range(chart.n), repeat=5):
+        terms = [(h, T[i, j, k, l]), (i, T[j, h, k, l]), (j, T[h, i, k, l])]
+        rhs = (nablaT[h, i, j, k, l] + nablaT[i, j, h, k, l]
+               + nablaT[j, h, i, k, l])
+        coeffs = {}
+        for col, v in terms:
+            coeffs[col] = coeffs[col] + v if col in coeffs else v
+        coeffs = {col: c for col, c in coeffs.items() if not c.is_zero}
+        if not all(v.is_zero for _, v in terms) or not rhs.is_zero:
+            rows.append((coeffs, rhs))
+    return rows
+
+
 def same_space(a, b):
     return (a.consistent == b.consistent and a.particular == b.particular
             and a.basis == b.basis and a.free_columns == b.free_columns)
@@ -813,6 +833,43 @@ class TestRepresentativeRows:
                               if row[0] or not row[1].is_zero]
 
     @pytest.mark.parametrize("name", list_builtins())
+    def test_cyclic3_solves_match_full_solves(self, name):
+        # The b1-b3 system of each (0,4) tensor reads the same row at every
+        # index as the system of copies that declare no group, whose group
+        # is the shift alone (R, C, K and conh add their shifted pair
+        # skew), and b2 and b3, solved at its representatives, have the
+        # spaces of the solves over every row.
+        chart = builtin(name).to_chart()
+        names = tuple(f"alpha_{c}" for c in chart.ctx.coords)
+        zero = chart.ctx.zero
+        for tname in ("R", "C", "K", "conh", "P"):
+            T, nablaT = named_tensor(chart, tname), nabla_cached(chart, tname)
+            group, indices, row_at = _cyclic3_system(
+                chart, T, nablaT, nablaT.cyclic_sum())
+            bare, bare_nabla = plain(T), plain(nablaT)
+            plain_group, plain_indices, plain_row_at = _cyclic3_system(
+                chart, bare, bare_nabla, bare_nabla.cyclic_sum())
+            assert len(plain_group.elements) == 3
+            assert len(group.elements) == (3 if tname == "P" else 6)
+            assert indices == plain_indices
+            for idx in itertools.product(range(chart.n), repeat=5):
+                assert row_at(idx) == plain_row_at(idx), (tname, idx)
+            full = full_cyclic3_rows(chart, T, nablaT)
+            assert [row_at(idx) for idx in indices] == full
+            if T.is_zero():
+                continue
+            checks = form_recurrence_checks(chart, tname)
+            hom = solve_linear_system([(coeffs, zero) for coeffs, _ in full],
+                                      chart.n, chart.ctx, names)
+            assert checks["b2"].outcome == (hom.dimension >= 1)
+            if checks["b2"].outcome:
+                assert same_space(checks["b2"].witness, hom)
+            space = solve_linear_system(full, chart.n, chart.ctx, names)
+            assert checks["b3"].outcome == space.consistent
+            if space.consistent:
+                assert same_space(checks["b3"].witness, space)
+
+    @pytest.mark.parametrize("name", list_builtins())
     def test_identities_keep_the_full_systems_rows(self, name):
         # Each identity is the first rows of the whole system, in index
         # order, as when every row was built and solved.
@@ -838,6 +895,9 @@ class TestRepresentativeRows:
                 T = named_tensor(chart, args[0])
                 rows = full_slot_rows(chart, T, nabla_cached(chart, args[0]),
                                       2, (0,) * T.rank)
+            elif label == "b3":
+                rows = full_cyclic3_rows(chart, named_tensor(chart, args[0]),
+                                         nabla_cached(chart, args[0]))
             else:
                 continue
             n_unknowns = len(identity.values)
@@ -869,31 +929,43 @@ class TestRepresentativeRows:
     @pytest.mark.parametrize("name", list_builtins())
     def test_few_rows_built_off_the_representatives(self, name,
                                                     monkeypatch):
-        # A system builds at most MAX_IDENTITY_COMPONENTS rows off its
-        # group's representatives, for its identity, and each of them has
-        # a coefficient or a nonzero rhs.
+        # A system builds each representative's row at most once, and at
+        # most MAX_IDENTITY_COMPONENTS rows off its group's
+        # representatives, for its identity, each of them with a
+        # coefficient or a nonzero rhs.
         built = []
 
         def counting(builder):
             def counted_builder(*args):
                 group, indices, row_at = builder(*args)
-                off = []
-                built.append((len(group.elements), off))
+                reps, off = [], []
+                built.append((builder.__name__, len(group.elements), reps,
+                              off))
 
                 def counted(idx):
                     row = row_at(idx)
-                    if not group.is_representative(idx):
+                    if group.is_representative(idx):
+                        reps.append(idx)
+                    else:
                         off.append(row[0] or not row[1].is_zero)
                     return row
 
                 return group, indices, counted
             return counted_builder
 
-        for builder in ("_combination_system", "_slot_system"):
+        for builder in ("_combination_system", "_slot_system",
+                        "_cyclic3_system"):
             monkeypatch.setattr(classifiers, builder,
                                 counting(getattr(classifiers, builder)))
-        classify(builtin(name).to_chart(), tensors=ALL_TENSORS,
-                 run_oracle=False)
-        assert all(len(off) <= 48 and all(off) for _, off in built)
-        assert all(not off for size, off in built if size == 1)
-        assert any(off for _, off in built)
+        chart = builtin(name).to_chart()
+        classify(chart, tensors=ALL_TENSORS, run_oracle=False)
+        assert all(len(set(reps)) == len(reps) for _, _, reps, _ in built)
+        assert all(len(off) <= 48 and all(off) for *_, off in built)
+        assert all(not off for _, size, _, off in built if size == 1)
+        assert any(off for *_, off in built)
+        # b1-b3 build one system for each nonzero (0,4) tensor.
+        cyclic = [reps for builder, _, reps, _ in built
+                  if builder == "_cyclic3_system"]
+        assert len(cyclic) == sum(not named_tensor(chart, t).is_zero()
+                                  for t in ("R", "C", "K", "conh", "P"))
+        assert all(cyclic)

@@ -28,6 +28,14 @@ slot symmetries of T in I and are skew in (h, l), so they are compared at
 the representatives of those symmetries; a decomposition at every
 component of R with i < j, k < l and (i, j) <= (k, l).
 
+Every positive b3 answer that classify reports on the builtins with every
+tensor is checked in sympy too: alpha_h T_ijkl + alpha_i T_jhkl +
+alpha_j T_hikl - (nabla_h T_ijkl + nabla_i T_jhkl + nabla_j T_hikl) must
+cancel to 0 for its particular alpha (and the alpha-sum alone for each
+homogeneous basis vector), at every representative row of its system and
+at every row its identity keeps, with nabla T formed from the reference's
+Gamma and T in the field of rational functions.
+
 The formulas, in the conventions of curvzoo.charts:
 
     Gamma^k_ij = 1/2 g^kl (d_i g_jl + d_j g_il - d_l g_ij)
@@ -59,10 +67,13 @@ import sympy.polys.fields
 
 from curvzoo.charts import (christoffel, nabla_riemann, ricci, riemann,
                             scalar_curvature)
-from curvzoo.classifiers import generalized_roter_generators, roter_generators
+from curvzoo.classifiers import (_cyclic3_system,
+                                 generalized_roter_generators,
+                                 roter_generators)
+from curvzoo.linsolve import MAX_IDENTITY_COMPONENTS
 from curvzoo.metrics import MetricSpec, builtin, list_builtins
-from curvzoo.operators import named_tensor
-from curvzoo.zoo import classify
+from curvzoo.operators import nabla_cached, named_tensor
+from curvzoo.zoo import ALL_TENSORS, classify
 
 #: One chart per generated template, written out.
 WRITTEN = {
@@ -82,7 +93,8 @@ WRITTEN = {
                         ("0", "0", "0", "6+3*x1^2"))),
 }
 
-SPECS = [builtin(name) for name in list_builtins()] + list(WRITTEN.values())
+BUILTIN_SPECS = [builtin(name) for name in list_builtins()]
+SPECS = BUILTIN_SPECS + list(WRITTEN.values())
 
 #: Most seconds the whole comparison may take for one metric: the slowest,
 #: a five-dimensional builtin, takes about 2 s on a 2-core machine.
@@ -129,6 +141,7 @@ class Reference:
             for i in range(n) for j in range(n)}
         self.kappa = sympy.cancel(sum(self.ginv[i, j] * self.ricci[i, j]
                                       for i in range(n) for j in range(n)))
+        self._components = {}   # memo of component() and nabla()
 
     def read(self, src: str):
         """An expression in the package grammar, as a sympy expression."""
@@ -194,17 +207,25 @@ class Reference:
                 - A[i, k] * D[j, l] - A[j, l] * D[i, k])
 
     @functools.cached_property
+    def field(self):
+        """sympy's field of rational functions in the reference's symbols
+        over Q: coordinates, then their exponentials, then parameters."""
+        return sympy.polys.fields.field(list(self.names.values()),
+                                        sympy.QQ)[0]
+
+    @functools.cached_property
     def in_field(self) -> dict:
         """g, S, S2 and R by name, and "kappa", as elements of sympy's field
         of rational functions in the reference's symbols over Q, which keeps
         each value cancelled as it is formed: a sum of products of them
         costs far less there than one sympy.cancel of the sum."""
-        field = sympy.polys.fields.field(list(self.names.values()),
-                                         sympy.QQ)[0]
+        field = self.field
         values = {name: {idx: field.from_expr(value)
                          for idx, value in self.tensor(name).items()}
                   for name in ("g", "S", "S2", "R")}
         values["kappa"] = field.from_expr(self.kappa)
+        values["Gamma"] = {idx: field.from_expr(value)
+                           for idx, value in self.gamma.items()}
         return values
 
     def derived(self, name: str, idx):
@@ -231,6 +252,50 @@ class Reference:
             return conh
         assert name == "C"
         return conh + gg / (2 * (n - 1) * (n - 2))
+
+    def component(self, name: str, idx):
+        """R, C, K, conh or P at idx, in the field of in_field; memoized."""
+        key = (name, idx)
+        if key not in self._components:
+            self._components[key] = (self.in_field["R"][idx] if name == "R"
+                                     else self.derived(name, idx))
+        return self._components[key]
+
+    def nabla(self, name: str, idx):
+        """(nabla T)[x, J] = d_x T[J] - sum_m Gamma^a_{x J_m} T[J, a at
+        slot m] for T = R, C, K, conh or P, in the field of in_field.  It
+        is formed at J's representative (see representative()) and
+        memoized there: nabla_x inherits T's symmetries."""
+        x, J = idx[0], idx[1:]
+        rep, sign = representative(name, J)
+        if rep is None:
+            return self.field.zero
+        key = ("nabla", name, x, rep)
+        if key not in self._components:
+            n, G = self.n, self.in_field["Gamma"]
+            X, E = self.field.gens[x], self.field.gens[n + x]
+            t = self.component(name, rep)
+            self._components[key] = (
+                t.diff(X) + E * t.diff(E) - sum(
+                    G[a, x, rep[m]] * self.component(
+                        name, rep[:m] + (a,) + rep[m + 1:])
+                    for m in range(4) for a in range(n) if G[a, x, rep[m]]))
+        return sign * self._components[key]
+
+    def cyclic3_row(self, name: str, idx):
+        """The b3 row of T at (h, i, j, k, l): the coefficients of
+        alpha_h T_ijkl + alpha_i T_jhkl + alpha_j T_hikl by column, without
+        the columns that cancel, and the cyclic sum nabla_h T_ijkl +
+        nabla_i T_jhkl + nabla_j T_hikl, in the field of in_field."""
+        h, i, j, k, l = idx
+        coeffs = {}
+        for col, J in ((h, (i, j, k, l)), (i, (j, h, k, l)),
+                       (j, (h, i, k, l))):
+            coeffs[col] = coeffs.get(col, self.field.zero) + self.component(
+                name, J)
+        rhs = (self.nabla(name, idx) + self.nabla(name, (i, j, h, k, l))
+               + self.nabla(name, (j, h, i, k, l)))
+        return {col: c for col, c in coeffs.items() if c}, rhs
 
     def d(self, f, i):
         """d/dx_i, with d/dx_i E_x_i = E_x_i."""
@@ -417,6 +482,74 @@ def test_positive_decompositions_cancel_in_sympy(spec):
                 if particular:
                     total = reference.riemann[idx] - total
                 assert sympy.cancel(total) == 0, (verdict.name, idx)
+    assert time.perf_counter() - start < TIME_LIMIT_S
+
+
+@functools.lru_cache(maxsize=None)
+def positive_b3(spec: MetricSpec):
+    """The chart and the positive b3 verdicts of classify with every
+    tensor, computed once per metric."""
+    chart = spec.to_chart()
+    report = classify(chart, tensors=ALL_TENSORS, run_oracle=False)
+    return chart, [v for v in report.verdicts
+                   if v.name.startswith("b3[") and v.outcome]
+
+
+def test_the_checked_charts_have_positive_b3():
+    names = {spec.name: [v.name for v in positive_b3(spec)[1]]
+             for spec in BUILTIN_SPECS}
+    assert names == {
+        "ex5_1": ["b3[R]"],
+        "ex5_2": ["b3[R]", "b3[K]", "b3[conh]", "b3[P]"],
+        "ex5_3": ["b3[R]", "b3[K]"],
+        "ex5_4": ["b3[R]", "b3[K]", "b3[conh]", "b3[P]"],
+        "ex5_5": ["b3[R]", "b3[K]"],
+        "flat3": [], "flat4": [], "flat5": []}
+
+
+@pytest.mark.parametrize("spec", BUILTIN_SPECS, ids=lambda s: s.name)
+def test_positive_b3_cancels_in_sympy(spec):
+    # Each positive b3 answer, with every tensor, at every representative
+    # row of its system and at every row its identity keeps: the reference
+    # finds those as the first rows, in index order, with a coefficient or
+    # a nonzero rhs, and the identity's rows must equal them.  The system
+    # (curvzoo's) only chooses the representative indices.
+    start = time.perf_counter()
+    reference = reference_of(spec)
+    field, n = reference.field, spec.dim
+    chart, verdicts = positive_b3(spec)
+    parse = chart.ctx.parse
+    for verdict in verdicts:
+        tname = verdict.name[3:-1]
+        nabla = nabla_cached(chart, tname)
+        group, indices, _ = _cyclic3_system(
+            chart, named_tensor(chart, tname), nabla, nabla.cyclic_sum())
+        kept = []
+        for idx in itertools.product(range(n), repeat=5):
+            coeffs, rhs = reference.cyclic3_row(tname, idx)
+            if coeffs or rhs:
+                kept.append(idx)
+                if len(kept) == MAX_IDENTITY_COMPONENTS:
+                    break
+        assert len(verdict.identity.rows) == len(kept), verdict.name
+        for (coeffs, rhs), idx in zip(verdict.identity.rows, kept):
+            expected, expected_rhs = reference.cyclic3_row(tname, idx)
+            assert coeffs == {col: parse(reference.text(c))
+                              for col, c in expected.items()}, idx
+            assert rhs == parse(reference.text(expected_rhs)), idx
+        space = verdict.witness
+        vectors = [(space.particular, True)] + [(b, False)
+                                                for b in space.basis]
+        rows = dict.fromkeys(
+            [*filter(group.is_representative, indices), *kept])
+        for vector, particular in vectors:
+            alpha = [field.from_expr(reference.read(str(a))) for a in vector]
+            for idx in rows:
+                coeffs, rhs = reference.cyclic3_row(tname, idx)
+                total = sum(c * alpha[col] for col, c in coeffs.items())
+                if particular:
+                    total -= rhs
+                assert total == 0, (verdict.name, idx)
     assert time.perf_counter() - start < TIME_LIMIT_S
 
 

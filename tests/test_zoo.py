@@ -331,6 +331,33 @@ class TestBattery:
             i.name for i in once.identities]
 
 
+def undeduplicated(identity):
+    """(compiled, every_row): identity compiled alone, and the same program
+    with every row compiled in order, repeats included.  The values are
+    numbered as _compile numbers them, in the order they first occur, the
+    solution values first."""
+    compiled, = zoo._compile([identity])
+    index = {}
+    for v in identity.values:
+        index.setdefault(v, len(index))
+    rows = []
+    for coeffs, rhs in identity.rows:
+        row = tuple((index.setdefault(c, len(index)), j)
+                    for j, c in coeffs.items())
+        rows.append((row, index.setdefault(rhs, len(index))))
+    return compiled, zoo._CompiledIdentity(compiled.values, compiled.degrees,
+                                           compiled.slots, rows)
+
+
+def outcome_at(identity, evaluation):
+    """check_identity_at's verdict at a shared evaluation, or the
+    EvaluationError it raises."""
+    try:
+        return check_identity_at(identity, evaluation)
+    except EvaluationError as exc:
+        return exc
+
+
 class TestOracle:
     def test_zero_disagreements_on_sound_report(self, ex52_report):
         assert ex52_report.oracle.disagreements == 0
@@ -393,6 +420,36 @@ class TestOracle:
         for _ in range(2):
             assert check_identity_at(identity, _draw_point(rng, ctx.atoms))
         assert len(calls) == 6
+
+    def test_repeated_rows_compile_once(self):
+        # Equal rows, built separately, are compiled once, where they first
+        # occur; checked_components still counts every row.
+        chart = builtin("flat3").to_chart()
+        ctx = chart.ctx
+
+        def rows():
+            # The last two share the first's rhs, or its coefficient in
+            # another column.
+            x1, x2 = ctx.parse("x1"), ctx.parse("x2")
+            return [({0: x1}, x1), ({1: x2}, x2 * x2),
+                    ({0: x2, 1: x1}, x2 + x1 * x2), ({1: x1 / x2}, x1),
+                    ({1: x1}, x1 * x2)]
+
+        a, b, c, d, e = rows()
+        values = [ctx.one, ctx.parse("x2")]
+        repeated = Identity("repeated", [a, b, rows()[0], c, d, rows()[1],
+                                         e, a, rows()[3]], values)
+        compiled, every_row = undeduplicated(repeated)
+        distinct, = zoo._compile([Identity("distinct", [a, b, c, d, e],
+                                           values)])
+        assert compiled.rows == distinct.rows
+        assert compiled.rows == list(dict.fromkeys(every_row.rows))
+        assert len(every_row.rows) == 9 and len(compiled.rows) == 5
+        report = classify(chart, run_oracle=False)
+        report.identities = [repeated]
+        summary = oracle_crosscheck(report, chart, samples=5, seed=1)
+        assert (summary.checked_components, summary.disagreements,
+                summary.inconclusive) == (9, 0, 0)
 
     def test_report_values_evaluated_once_per_shared_point(self,
                                                             monkeypatch):
@@ -534,16 +591,23 @@ class TestOracle:
         # Values are evaluated together, but the verdict is the lazy one: a
         # row that disagrees before any row needs the vanishing 1/(x1 - x2)
         # decides the point; a pole reached first, or in the solution
-        # values, makes it a retry.
+        # values, makes it a retry.  Repeated rows give the verdict, or
+        # raise the very failure, that comparing every row would.
         chart = builtin("flat3").to_chart()
         ctx = chart.ctx
         pole = ctx.parse("1/(x1 - x2)")
         wrong = ({0: ctx.one}, ctx.integer(2))      # 1 * 1 != 2
+        right = ({0: ctx.one}, ctx.one)
+        twice = ({0: ctx.integer(2)}, ctx.one)      # right's rhs, wrong
         poleful = ({0: pole}, pole)
         point = {a: 1 for a in ctx.atoms}
         cases = [([wrong, poleful], [ctx.one], False),
                  ([poleful, wrong], [ctx.one], None),
-                 ([wrong], [pole], None)]
+                 ([wrong], [pole], None),
+                 ([right, wrong, right, poleful, wrong], [ctx.one], False),
+                 ([right, right, poleful, wrong], [ctx.one], None),
+                 ([poleful, wrong, poleful], [ctx.one], None),
+                 ([right, poleful, twice], [ctx.one], None)]
         monkeypatch.setattr("curvzoo.zoo._draw_point",
                             lambda rng, atoms: dict(point))
         report = classify(chart, run_oracle=False)
@@ -554,6 +618,11 @@ class TestOracle:
                     check_identity_at(identity, point)
             else:
                 assert check_identity_at(identity, point) is verdict
+            compiled, every_row = undeduplicated(identity)
+            evaluation = zoo._evaluate(compiled.values, compiled.degrees,
+                                       point)
+            assert outcome_at(compiled, evaluation) is outcome_at(
+                every_row, evaluation)
             report.identities = [identity]
             summary = oracle_crosscheck(report, chart, samples=5, seed=1)
             assert (summary.disagreements, summary.inconclusive) == (
@@ -655,21 +724,30 @@ class TestOracleDifferential:
 
     def test_corrupted_identities_match_exact_evaluation(
             self, unchecked_reports):
-        # One corrupted value per identity of ex5_2: the same disagreement
-        # count as exact evaluation, seed by seed.
+        # One corrupted value per identity of ex5_2, then one corrupted row
+        # that repeats: the same disagreement count as exact evaluation of
+        # every row, seed by seed.
         chart, report = unchecked_reports["ex5_2", DEFAULT_TENSORS]
         for identity in report.identities:
             j = min(j for coeffs, _ in identity.rows
                     for j, c in coeffs.items() if not c.is_zero)
             values = list(identity.values)
             values[j] = values[j] + 1
+            # A corrupted row that repeats, among repeated sound rows.
+            coeffs, rhs = identity.rows[0]
+            bad = (coeffs, rhs + 1)
+            repeated = [(coeffs, rhs), bad, *identity.rows, bad]
             fake = classify(chart, run_oracle=False)
-            fake.identities = [Identity(identity.name + "~corrupt",
-                                        identity.rows, values)]
-            for seed in SEEDS:
-                compiled = oracle_crosscheck(fake, chart, 50, seed)
-                assert compiled.disagreements >= 1, identity.name
-                assert compiled == reference_oracle(fake, chart, 50, seed)
+            for corrupted in (Identity(identity.name + "~corrupt",
+                                       identity.rows, values),
+                              Identity(identity.name + "~repeated",
+                                       repeated, identity.values)):
+                fake.identities = [corrupted]
+                for seed in SEEDS:
+                    compiled = oracle_crosscheck(fake, chart, 50, seed)
+                    assert compiled.disagreements >= 1, corrupted.name
+                    assert compiled == reference_oracle(fake, chart, 50,
+                                                        seed)
 
     def test_two_corrupted_identities_in_one_report(self, unchecked_reports):
         # Two identities of one ex5_2 report corrupted, the others sound:
