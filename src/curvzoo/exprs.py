@@ -49,8 +49,8 @@ exponent tuples with a function generated once per number of generators.
 Common factors are cancelled by ``_cancel``: when either side is a
 monomial the gcd is the exponent-wise minimum monomial and the cofactors
 follow by subtracting exponents, with no polynomial division; otherwise
-``gcd_cofactors`` computes the gcd and both cofactors at once by a chain
-of three methods, composed there alone and tried in order:
+``gcd_cofactors`` computes the gcd and both cofactors at once by two
+methods, composed there alone and tried in order:
 
 1. the heuristic gcd GCDHEU (Char, Geddes and Gonnet, 1989) with one
    Kronecker substitution: each polynomial is packed into one Python int,
@@ -58,18 +58,13 @@ of three methods, composed there alone and tried in order:
    a candidate, which is accepted only with a certificate that it is the
    gcd;
 2. for operands too large or too sparse to pack, and candidates that fail,
-   the recursive heuristic gcd of Liao and Fateman (1995), which evaluates
-   one generator at a time at an integer and checks its candidates by
-   exact division;
-3. when that fails too, a primitive polynomial remainder sequence (Collins,
-   1967; Brown, 1971) in the lex-leading generator, with the contents in
-   the other generators taken by the same sequence, which always answers;
-   the cofactors then follow by exact division.
+   Brown's dense modular gcd (1971), certified by exact division and a
+   degree bound, whose work the degrees and a fixed list of primes bound,
+   whatever the size of the coefficients.
 
-``gcd_cofactors`` then makes the gcd's lex-leading coefficient positive, so
-the gcd of two primitive operands is primitive with a positive lex-leading
-coefficient, and so are both quotients when the operands have positive
-lex-leading coefficients.  Derivatives read each term's exponents
+For two primitive operands either method gives a primitive gcd with a
+positive lex-leading coefficient, and so positive lex-leading quotients
+when the operands have them.  Derivatives read each term's exponents
 at the known ring positions; square roots are taken term by term from the
 lex-leading one.  The grammar, canonicalization, cancellation, derivatives,
 evaluation and printing all live here.
@@ -86,11 +81,12 @@ operation here builds a new one.
 
 from __future__ import annotations
 
+import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, product
+from itertools import accumulate, chain, product, zip_longest
 from math import comb, gcd, isqrt, lcm
 from operator import add, and_, mul, sub
 from typing import Mapping, Optional, Sequence, Union
@@ -565,33 +561,28 @@ def _poly_sqrt(p: dict, madd) -> Optional[dict]:
 CANCEL_MEMO_TERMS = 32
 
 #: Most bits that _kronecker_cofactors packs an operand into,
-#: prod(deg_v + 1) * k (see there); larger operands go on to the recursive
-#: heuristic.  The largest packed operands measured were 504 bits over the
+#: prod(deg_v + 1) * k (see there); larger operands go on to the modular
+#: gcd.  The largest packed operands measured were 504 bits over the
 #: generated-pipeline benchmark charts and 59,160 bits in a full classify
 #: with every tensor of a generated warped chart, so the cap leaves a wide
-#: margin while it keeps hostile operands from packing into gigabytes.  The
-#: recursive heuristic gives up on an evaluation point past the same number
-#: of bits.
+#: margin while it keeps hostile operands from packing into gigabytes.
 GCD_PACKED_BITS = 1 << 20
 
 #: Most fields, prod(deg_v + 1), per operand term that _kronecker_cofactors
-#: packs; sparser pairs go on to the recursive heuristic.  Packing lays each
+#: packs; sparser pairs go on to the modular gcd.  Packing lays each
 #: operand out densely, one field per monomial of the degree box, so a
 #: sparse pair packs into far more bits than its terms hold, and the integer
-#: gcd, quadratic in the bits, then costs more than the recursive heuristic.
-#: Pairs measured on the generated-pipeline charts and in full classify runs
-#: of the generated templates had at most 3 fields per term; sparse pairs in
-#: five generators drawn by the kernel's property tests had up to 729, and
-#: ran up to 1,000 times slower packed than in the recursive heuristic.
+#: gcd is quadratic in the bits.  Pairs measured on the generated-pipeline
+#: charts and in full classify runs of the generated templates had at most
+#: 3 fields per term.  Pairs drawn by the kernel's tests had up to 1,911;
+#: packed, they took 1/9 of the modular gcd's time in the median but up to
+#: 3.8 times it, so the cap gives up speed on most such pairs to bound the
+#: worst.
 GCD_FIELDS_PER_TERM = 16
 
 #: Candidates _kronecker_cofactors tries, doubling the field width k after
 #: each failed one, before it gives up.
 GCD_ATTEMPTS = 4
-
-#: Evaluation points the recursive heuristic gcd tries for each generator
-#: before it gives up, as in Liao and Fateman's algorithm.
-HEU_GCD_POINTS = 6
 
 
 def gcd_cofactors(f, g):
@@ -601,20 +592,10 @@ def gcd_cofactors(f, g):
     with f and g themselves as the quotients, when f and g are coprime.
 
     The one place the chain is composed: the Kronecker heuristic
-    (_kronecker_cofactors), else the recursive heuristic (_heugcd), else
-    the remainder sequence (_prs_gcd) with the quotients by exact division.
-    The gcd's lex-leading coefficient is made positive here, and the
-    quotients' with it."""
-    result = _kronecker_cofactors(f, g)
-    if result is None:
-        result = _heugcd(f, g)
-    if result is None:
-        h = _prs_gcd(f, g)
-        result = h, _quotient(f, h), _quotient(g, h)
-    h = result[0]
-    if h[max(h)] < 0:
-        return tuple(_scaled(p, -1) for p in result)
-    return result
+    (_kronecker_cofactors), else the modular gcd (_modular_cofactors),
+    whose work the degrees and a fixed list of primes bound.  Both give h
+    with a positive lex-leading coefficient."""
+    return _kronecker_cofactors(f, g) or _modular_cofactors(f, g)
 
 
 def _kronecker_cofactors(f, g):
@@ -777,162 +758,179 @@ def _raised(terms, low: list):
     return [(tuple(map(add, monom, low)), c) for monom, c in terms]
 
 
-def _occurring(f: dict, g: dict) -> list:
-    """The ring positions of the generators occurring in f or g."""
-    return [pos for pos, column in enumerate(zip(*f, *g)) if any(column)]
+def _modular_cofactors(f, g):
+    """gcd_cofactors' second link: Brown's dense modular gcd (J. ACM, 1971).
+
+    f and g are reduced modulo the first Mersenne prime p above twice the
+    gcd c of their lex-leading coefficients and dividing neither, and
+    _gcd_mod gives their gcd over Z/p or a polynomial of larger lex-leading
+    monomial: at least that of their gcd G, as p does not divide G's
+    lex-leading coefficient.  Of degree 0, it makes f and g coprime; else
+    the primitive part h of c times it, in balanced residues (which keep c
+    as the lex-leading coefficient), signed positive there, is G if it
+    divides f and g: it then divides G with a lex-leading monomial at least
+    G's, so G/h is a constant, 1.  Otherwise the next prime is tried; past
+    2^44497 - 1, ExpressionError.  With d_v the lower degree in generator
+    v, a prime costs at most prod 2(2 d_v + 1), over the generators but
+    the first, gcds in the first one, with the evaluations and
+    interpolations."""
+    f_lc, g_lc = f[max(f)], g[max(g)]
+    lc = gcd(f_lc, g_lc)
+    for e in (61, 127, 521, 1279, 2281, 4423, 9941, 19937, 44497):
+        p = 2 ** e - 1
+        if p <= 2 * lc or not (f_lc % p and g_lc % p):
+            continue
+        image = _gcd_mod(*({m: c % p for m, c in side.items() if c % p}
+                           for side in (f, g)), p, random.Random(p))
+        if image is None:
+            continue
+        if not any(max(image)):
+            return image, f, g
+        h = _primitive({m: (c * lc + p // 2) % p - p // 2
+                        for m, c in image.items()})[1]
+        a = _quotient(f, h)
+        if a is not None and (b := _quotient(g, h)) is not None:
+            return h, a, b
+    raise ExpressionError("no prime of the modular gcd answered")
 
 
-def _heugcd(f: dict, g: dict) -> Optional[tuple]:
-    """(h, f/h, g/h) with h a gcd of nonzero integer polynomials f and g,
-    or None: the heuristic gcd of Liao and Fateman (1995).
+def _gcd_mod(f: dict, g: dict, p: int, rng) -> Optional[dict]:
+    """The gcd over Z/p, with a lex-leading coefficient of 1, of nonzero
+    polynomials f and g, or a polynomial of larger lex-leading monomial, or
+    None when a level gives up (after 2(n + 1) points).
 
-    The integer content of both is divided out first.  The first generator
-    v occurring in either is evaluated at an integer x, and the gcd h' of
-    the images, with their cofactors, is taken recursively (the integer gcd
-    when no generator is left).  Reading the coefficients of h' as balanced
-    base-x digits gives a candidate in v, whose primitive part is h when it
-    divides both f and g; otherwise f and g divided by the cofactors read
-    the same way are tried.  x starts above twice the smaller norm and
-    grows after each failed point; the heuristic fails after HEU_GCD_POINTS
-    points, or at a point where an image would pass GCD_PACKED_BITS."""
-    occurring = _occurring(f, g)
-    if not occurring:
-        zero = next(iter(f))
-        a, b = f[zero], g[zero]
-        c = gcd(a, b)
-        return {zero: c}, {zero: a // c}, {zero: b // c}
-    content = gcd(*f.values(), *g.values())
-    if content != 1:
-        f = {m: c // content for m, c in f.items()}
-        g = {m: c // content for m, c in g.items()}
-    v = occurring[0]
-    f_norm = max(map(abs, f.values()))
-    g_norm = max(map(abs, g.values()))
-    bound = 2 * min(f_norm, g_norm) + 29
-    x = max(min(bound, 99 * isqrt(bound)),
-            2 * min(f_norm // abs(f[max(f)]), g_norm // abs(g[max(g)])) + 4)
-    degree = max(m[v] for m in chain(f, g))
-    for _ in range(HEU_GCD_POINTS):
-        if x.bit_length() * degree > GCD_PACKED_BITS:
+    Read over Z/p[v], v the last generator that occurs, f and g lose their
+    contents in v, and gamma is the gcd of their lex-leading coefficients.
+    Each x from rng with gamma(x) != 0 gives an image, gamma(x) times the
+    gcd at v = x.  The images of the least lex-leading monomial L met are
+    interpolated in v; after n + 1, n = deg gamma + d (Brown's bound; d is
+    the lower degree in v, or the gcd's at a point of the other generators
+    keeping both), the answer is the contents' gcd times the interpolant's
+    primitive part, or the former after an image of degree 0.  It is the
+    gcd or has a larger lex-leading monomial, by induction: gamma(x) != 0
+    keeps the gcd's at v = x, so L is at least that; if equal, each image
+    is gamma(x) times the gcd at x, and the interpolant, of degree at most
+    n in v, is gamma times the gcd over its lex-leading coefficient."""
+    zero = (0,) * len(next(iter(f)))
+    if max(f) == zero or max(g) == zero:
+        return {zero: 1}
+    if not any(m[-1] for m in chain(f, g)):
+        h = _gcd_mod(*({m[:-1]: c for m, c in side.items()}
+                       for side in (f, g)), p, rng)
+        return None if h is None else {m + (0,): c for m, c in h.items()}
+    F, G = _in_last(f), _in_last(g)
+    if len(zero) == 1:
+        return _from_last({(): _ugcd(F[()], G[()], p)})
+    contents = [_ucontent(F, p), _ucontent(G, p)]
+    F, G = ({m: _uquo(h, c, p) for m, h in side.items()}
+            for side, c in zip((F, G), contents))
+    gamma = _ugcd(F[max(F)], G[max(G)], p)
+    beta = [rng.randrange(p) for _ in zero[1:]]
+    images = [_at_others(side, beta, p) for side in (F, G)]
+    degrees = [len(image) - 1 for image in images]
+    if images[0][-1] and images[1][-1]:
+        degrees.append(len(_ugcd(*images, p)) - 1)
+    n = len(gamma) - 1 + min(degrees)
+    lead, points = None, set()
+    for _ in range(2 * n + 2):
+        x = rng.randrange(p)
+        powers = list(accumulate([x] * max(n + 1, *degrees),
+                                 lambda a, b: a * b % p, initial=1))
+        scale = sum(map(mul, gamma, powers)) % p
+        if not scale or x in points:
+            continue
+        image = _gcd_mod(*({m: v for m, h in side.items()
+                            if (v := sum(map(mul, h, powers)) % p)}
+                           for side in (F, G)), p, rng)
+        if image is None:
             return None
-        images = _evaluated(f, v, x), _evaluated(g, v, x)
-        result = _heugcd(*images) if all(images) else None
-        if result is not None:
-            for h in _candidates(f, g, result, v, x):
-                a = None if h is None else _quotient(f, h)
-                b = None if a is None else _quotient(g, h)
-                if b is not None:
-                    return (h if content == 1 else _scaled(h, content)), a, b
-        x = 73794 * x * isqrt(isqrt(x)) // 27011
-    return None
-
-
-def _candidates(f: dict, g: dict, images: tuple, v: int, x: int):
-    """_heugcd's candidate gcds at one point, from the gcd of the images
-    and its cofactors: the primitive part of the interpolated gcd, then f
-    and g each divided by its interpolated cofactor (None when that does
-    not divide)."""
-    h, a, b = images
-    yield _primitive(_interpolated(h, v, x))[1]
-    yield _quotient(f, _interpolated(a, v, x))
-    yield _quotient(g, _interpolated(b, v, x))
-
-
-def _evaluated(p: dict, v: int, x: int) -> dict:
-    """p with the generator at ring position v replaced by the integer x."""
-    out: dict = {}
-    get = out.get
-    for m, c in p.items():
-        e = m[v]
-        if e:
-            m = m[:v] + (0,) + m[v + 1:]
-            c *= x ** e
-        out[m] = get(m, 0) + c
-    return {m: c for m, c in out.items() if c}
-
-
-def _interpolated(p: dict, v: int, x: int) -> dict:
-    """The polynomial in the generator at ring position v whose value at x
-    is p (which has no term in that generator): each coefficient of p
-    written in balanced base-x digits, digit i the coefficient of v^i."""
-    out: dict = {}
-    half = x // 2
-    for m, c in p.items():
-        i = 0
-        while c:
-            d = c % x
-            if d > half:
-                d -= x
-            if d:
-                out[m[:v] + (i,) + m[v + 1:]] = d
-            c = (c - d) // x
-            i += 1
-    return out
-
-
-def _prs_gcd(f: dict, g: dict) -> dict:
-    """A gcd of nonzero integer polynomials f and g by a primitive
-    polynomial remainder sequence (Collins, 1967; Brown, 1971).
-
-    With v the first generator occurring in either, each side is split into
-    its content, the gcd of its coefficients as a polynomial in v (taken by
-    this function on the other generators), and its primitive part.  The
-    gcd is the gcd of the contents times the last nonzero member of the
-    sequence of primitive parts of pseudo-remainders in v, or times 1 when
-    that member has degree 0 in v.  Two constants give their integer gcd.
-    The contents are not taken by the recursive heuristic, whose images of
-    the remainders' coefficients can grow to GCD_PACKED_BITS bits at each
-    level of its recursion."""
-    occurring = _occurring(f, g)
-    if not occurring:
-        zero = next(iter(f))
-        return {zero: gcd(f[zero], g[zero])}
-    v = occurring[0]
-    f_content, f = _content_split(f, v)
-    g_content, g = _content_split(g, v)
-    h = _prs_gcd(f_content, g_content)
-    if _degree_in(f, v) < _degree_in(g, v):
-        f, g = g, f
-    while _degree_in(g, v):
-        r = _pseudo_remainder(f, g, v)
-        if not r:
-            return _poly_mul(h, g, _adder_of(g))
-        f, g = g, _content_split(r, v)[1]
-    return h
-
-
-def _degree_in(p: dict, v: int) -> int:
-    return max(m[v] for m in p)
-
-
-def _content_split(p: dict, v: int) -> tuple[dict, dict]:
-    """(c, p/c) with c a gcd of p's coefficients as a polynomial in the
-    generator at position v."""
-    coefficients: dict = {}
-    for m, c in p.items():
-        coefficients.setdefault(m[v], {})[m[:v] + (0,) + m[v + 1:]] = c
-    content = reduce(_prs_gcd, coefficients.values())
-    return content, _quotient(p, content)
-
-
-def _pseudo_remainder(f: dict, g: dict, v: int) -> dict:
-    """The remainder of f by g as polynomials in the generator at position
-    v, times a power of g's leading coefficient in v: the leading term in
-    v is cancelled, after scaling by that coefficient, until the degree
-    falls below g's."""
-    madd = _adder_of(g)
-    dg = _degree_in(g, v)
-    lc_g = {m[:v] + (0,) + m[v + 1:]: c for m, c in g.items() if m[v] == dg}
-    r = f
-    while r:
-        dr = _degree_in(r, v)
-        if dr < dg:
+        top = max(image)
+        if lead is None or top < lead:
+            if not any(top):
+                break
+            lead, points, H, q = top, set(), {}, [1]
+        elif top > lead:
+            continue
+        # Newton's step: H += q (scale image - H(x)) / q(x).
+        inv = pow(sum(map(mul, q, powers)) % p, -1, p)
+        for m in H.keys() | image.keys():
+            h = H.get(m, [])
+            r = (scale * image.get(m, 0) - sum(map(mul, h, powers))) * inv % p
+            if r:
+                H[m] = [(u + r * w) % p
+                        for u, w in zip_longest(h, q, fillvalue=0)]
+        q = [(u - x * w) % p for u, w in zip([0] + q, q + [0])]
+        points.add(x)
+        if len(points) > n:
             break
-        shift = dr - dg
-        lc_r = {m[:v] + (shift,) + m[v + 1:]: c for m, c in r.items()
-                if m[v] == dr}
-        r = _poly_sub(_poly_mul(lc_g, r, madd), _poly_mul(lc_r, g, madd))
-    return r
+    else:
+        return None
+    content = _from_last({zero[1:]: _ugcd(*contents, p)})
+    if not any(top):
+        return content
+    H_content = _ucontent(H, p)
+    h = _poly_mul(_from_last({m: _uquo(h, H_content, p)
+                              for m, h in H.items()}), content, _adder_of(f))
+    inverse = pow(H[lead][-1], -1, p)
+    return {m: v for m, c in h.items() if (v := c * inverse % p)}
+
+
+def _in_last(f: dict) -> dict:
+    """f as a dict from exponents of the generators but the last to
+    polynomials in the last, in the form of _ugcd."""
+    out: dict = {}
+    for m, c in f.items():
+        out.setdefault(m[:-1], {})[m[-1]] = c
+    return {m: [d.get(i, 0) for i in range(max(d) + 1)]
+            for m, d in out.items()}
+
+
+def _from_last(F: dict) -> dict:
+    """The inverse of _in_last."""
+    return {m + (i,): c for m, h in F.items() for i, c in enumerate(h) if c}
+
+
+def _at_others(F: dict, beta: list, p: int) -> list:
+    """F, in the form of _in_last, with the generators but the last at
+    beta, mod p, as a list as long as F's longest value."""
+    out = [0] * max(map(len, F.values()))
+    for m, h in F.items():
+        w = reduce(mul, map(pow, beta, m, [p] * len(m)), 1)
+        out = [u + w * c for u, c in zip(out, h + [0] * len(out))]
+    return [c % p for c in out]
+
+
+def _ugcd(a: list, b: list, p: int) -> list:
+    """The monic gcd of polynomials over Z/p in one generator, not both 0,
+    as lists of coefficients by increasing degree with no trailing zero."""
+    while b:
+        lc, low = b[-1], b[:-1]
+        while len(a) >= len(b):
+            c, s = a[-1], len(a) - len(b)
+            a = [u * lc % p for u in a[:s]] + [
+                (u * lc - c * w) % p for u, w in zip(a[s:-1], low)]
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    inverse = pow(a[-1], -1, p)
+    return [c * inverse % p for c in a]
+
+
+def _uquo(a: list, b: list, p: int) -> list:
+    """a / b, in the form of _ugcd, for a monic b that divides a."""
+    a, db = a[:], len(b) - 1
+    q = [0] * (len(a) - db)
+    for i in reversed(range(len(q))):
+        c = q[i] = a[i + db]
+        if c:
+            a[i:i + db] = [(u - c * w) % p for u, w in zip(a[i:i + db], b)]
+    return q
+
+
+def _ucontent(F: dict, p: int) -> list:
+    """The monic gcd of the values of F, in the form of _ugcd."""
+    return reduce(lambda a, b: a if len(a) == 1 else _ugcd(a, b, p),
+                  F.values(), [])
 
 
 def _memo_key(f: dict, g: dict) -> tuple:

@@ -1,7 +1,10 @@
 """Expression kernel: parsing, canonical arithmetic, derivatives, evaluation."""
 
+import ast
 import gc
 import random
+import subprocess
+import sys
 import weakref
 from contextlib import contextmanager
 from fractions import Fraction
@@ -22,9 +25,9 @@ from curvzoo.exprs import (CANCEL_MEMO_TERMS, GCD_FIELDS_PER_TERM,
                            GCD_PACKED_BITS, MAX_COEFF_BITS, MAX_DEGREE,
                            MAX_NESTING, MAX_TERMS, Context, EvaluationError,
                            ExpressionError, ModularExpr, ParseError, _cancel,
-                           _heugcd, _kronecker_cofactors, _memo_key,
-                           _normalized, _poly_sqrt, _primitive, _prs_gcd,
-                           _quotient, _Rational, _rational_form,
+                           _kronecker_cofactors, _memo_key,
+                           _modular_cofactors, _normalized, _poly_sqrt,
+                           _primitive, _quotient, _Rational, _rational_form,
                            differentiate, evaluate_rational, gcd_cofactors,
                            residue, residue_powers)
 from curvzoo.metrics import builtin
@@ -509,18 +512,10 @@ def as_dicts(*polys):
     return tuple(map(dict, polys))
 
 
-def lex_positive(*polys):
-    """The polynomials, each negated when the first one's lex-leading
-    coefficient is negative: a link's answer signed as gcd_cofactors signs
-    it."""
-    sign = -1 if polys[0][max(polys[0])] < 0 else 1
-    return tuple({m: sign * c for m, c in p.items()} for p in polys)
-
-
 class TestGcdCofactors:
     """gcd_cofactors checked in sympy (reference_cofactors): the Kronecker
-    heuristic gcd, its retries, the pairs it leaves to the later links, and
-    the sign the chain's driver gives the answer."""
+    heuristic gcd, its retries, the pairs it leaves to the modular link,
+    and the sign of the answer."""
 
     @PROPERTY_SETTINGS
     @given(gcd_operands())
@@ -559,7 +554,9 @@ class TestGcdCofactors:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(exprs, "GCD_PACKED_BITS", 7 * 7 * 8 - 1)
             assert _kronecker_cofactors(f, g) is None
-            assert gcd_cofactors(f, g) == expected
+            with calls_to("_modular_cofactors") as modular:
+                assert gcd_cofactors(f, g) == expected
+        assert modular == [(f, g)]
         assert expected == reference_cofactors(f, g, expected[0])
 
     def test_sparse_operands_take_the_fallback(self):
@@ -571,7 +568,9 @@ class TestGcdCofactors:
         assert 14 * 3 * 13 * 3 * 14 > GCD_FIELDS_PER_TERM * 12
         assert 14 * 3 * 13 * 3 * 14 * 8 < GCD_PACKED_BITS
         assert _kronecker_cofactors(f, g) is None
-        result = gcd_cofactors(f, g)
+        with calls_to("_modular_cofactors") as modular:
+            result = gcd_cofactors(f, g)
+        assert modular == [(f, g)]
         assert result == as_dicts(h, x1 * e2 + 2, x2 * a - 5)
         assert result == reference_cofactors(f, g, result[0])
 
@@ -581,7 +580,7 @@ class TestGcdCofactors:
         # a(y) = (1 + y^5 + ... + y^35)^2, since y^4 = 1 modulo y^2 + 1.
         # Every candidate then fails its certificate, at every width, so
         # the first one ends the link after a single packing, and the
-        # recursive heuristic answers.
+        # modular link answers.
         h = (e1 ** 2 + 1) * (x1 - 1) * (x1 ** 8 - 1)
         a, b = geometric(x1, 8) ** 2, e1 ** 2 + 1
         f, g = as_dicts(h * a, h * b)
@@ -598,7 +597,9 @@ class TestGcdCofactors:
             assert len(set(widths)) == 1
             patch.setattr(exprs, "GCD_ATTEMPTS", 8)
             assert _kronecker_cofactors(f, g) is None
-        assert gcd_cofactors(f, g) == as_dicts(h, a, b)
+        with calls_to("_modular_cofactors") as modular:
+            assert gcd_cofactors(f, g) == as_dicts(h, a, b)
+        assert modular == [(f, g)]
 
     def test_fallback_makes_the_lex_leading_coefficient_positive(self):
         x1, x2 = TEST_RING.gens[:2]
@@ -607,18 +608,14 @@ class TestGcdCofactors:
         h = x1 - x2 ** 2
         f, g = h * (x1 + 1), h * (x2 + 3)
         assert f.cofactors(g) == (-h, -(x1 + 1), -(x2 + 3))
-        # The remainder sequence answers -k for the second pair.
+        # k leads with 2 x1^2 under lex and with -3 x2 under grevlex.
         k = 2 * x1 ** 2 - 3 * x2 + 3
         pairs = [(as_dicts(f, g), as_dicts(h, x1 + 1, x2 + 3)),
                  (as_dicts(x1 ** 2 * k, k * (2 * x1 ** 2 + x2)),
                   as_dicts(k, x1 ** 2, 2 * x1 ** 2 + x2))]
-        assert _prs_gcd(*pairs[1][0]) == dict(-k)
-        # The driver signs the answer of whichever link gives it.
+        # The modular link signs its answer as the Kronecker link does.
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(exprs, "_kronecker_cofactors", lambda f, g: None)
-            for operands, expected in pairs:
-                assert gcd_cofactors(*operands) == expected
-            patch.setattr(exprs, "_heugcd", lambda f, g: None)
             for operands, expected in pairs:
                 assert gcd_cofactors(*operands) == expected
 
@@ -630,34 +627,24 @@ class TestGcdCofactors:
 
 
 class TestGcdChain:
-    """The later links of gcd_cofactors' chain, each called on its own and
-    checked in sympy (reference_cofactors) once signed as the driver signs
-    it; and a pair that both heuristics reject."""
+    """The modular link of gcd_cofactors' chain, called on its own and
+    checked in sympy (reference_cofactors); a pair that sympy's heuristic
+    gcd rejects; its error past the last prime; and a pair large enough to
+    stall a link whose work the degrees do not bound."""
 
     @PROPERTY_SETTINGS
     @given(gcd_operands())
-    def test_recursive_heuristic_matches_sympy_cofactors(self, operands):
+    def test_modular_gcd_matches_sympy_cofactors(self, operands):
         f, g = operands
-        result = _heugcd(f, g)
-        assert result is not None
-        result = lex_positive(*result)
+        result = _modular_cofactors(f, g)
         assert result == reference_cofactors(f, g, result[0])
 
-    @PROPERTY_SETTINGS
-    @given(gcd_operands())
-    def test_remainder_sequence_matches_sympy_cofactors(self, operands):
-        f, g = operands
-        (h,) = lex_positive(_prs_gcd(f, g))
-        reference_cofactors(f, g, h)
-
-    def test_a_pair_both_heuristics_reject_reaches_the_remainder_sequence(
-            self):
+    def test_a_pair_both_heuristics_reject_takes_the_modular_gcd(self):
         x1, x2, e1, _, a = TEST_RING.gens
-        # g h has coefficients of 1, so the recursive heuristic (sympy's
-        # and ours) evaluates x1 at these HEU_GCD_POINTS points, each a
-        # root of f: every image of f h is 0.
+        # g h has coefficients of 1, so sympy's recursive heuristic gcd
+        # evaluates x1 at these six points, each a root of f: every image
+        # of f h is 0.
         roots = [31, 169, 1385, 22702, 744261, 58966268]
-        assert len(roots) == exprs.HEU_GCD_POINTS
         f = TEST_RING.one
         for r in roots:
             f *= x1 - r
@@ -668,15 +655,53 @@ class TestGcdChain:
         with pytest.raises(HeuristicGCDFailed):
             LEX_RING.from_dict(F).cofactors(LEX_RING.from_dict(G))
         assert _kronecker_cofactors(F, G) is None
-        assert _heugcd(F, G) is None
-        with calls_to("_prs_gcd") as remainder_sequences:
+        with calls_to("_modular_cofactors") as modular:
             result = gcd_cofactors(F, G)
-        assert remainder_sequences[0] == (F, G)
+        assert modular == [(F, G)]
         assert result == as_dicts(h, f, g)
         # sympy's dense gcd falls back to its own remainder sequence.
         gens = symbols(CANCEL_CTX.gens)
         dense = Poly.from_dict(F, gens).cofactors(Poly.from_dict(G, gens))
         assert result == tuple(p.as_dict() for p in dense)
+
+    def test_a_leading_coefficient_past_every_prime_is_an_error(self):
+        # The lifted gcd needs a prime above twice the gcd of the
+        # lex-leading coefficients, here past the last one, 2^44497 - 1.
+        x1, x2 = TEST_RING.gens[:2]
+        f, g = as_dicts(2 ** 44497 * x1 + x2, 2 ** 44497 * x1 - x2)
+        with pytest.raises(ExpressionError):
+            _modular_cofactors(f, g)
+
+    def test_a_large_dense_pair_answers_within_its_bound(self):
+        # A seeded pair in four generators: a planted gcd of 8 terms times
+        # cofactors of 24 terms, each of degree up to 8 in every generator
+        # with 68-bit coefficients, so about 190 terms of 136 bits a side.
+        # The modular gcd answers it in about 1 s on one core of an Intel
+        # Xeon server, where the recursive heuristic and the remainder
+        # sequence it replaced each ran for more than 180 s.  A subprocess
+        # with a timeout turns a regression into a failure, not a hang.
+        rng = random.Random(7)
+
+        def draw(terms):
+            p = {}
+            while len(p) < terms:
+                monom = tuple(rng.randint(0, 8) for _ in range(4)) + (0,)
+                p[monom] = rng.choice([-1, 1]) * rng.getrandbits(68)
+            return TEST_RING.from_dict(p)
+
+        h, a, b = draw(8), draw(24), draw(24)
+        f, g = (_primitive(dict(h * c))[1] for c in (a, b))
+        assert 180 < min(len(f), len(g)) and max(len(f), len(g)) <= 192
+        assert max(map(abs, f.values())).bit_length() >= 136
+        code = ("import ast, sys; from curvzoo.exprs import gcd_cofactors; "
+                "print(gcd_cofactors(*ast.literal_eval(sys.stdin.read())))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              input=repr((f, g)), capture_output=True,
+                              text=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        result = ast.literal_eval(proc.stdout)
+        assert result[0] == _primitive(dict(h))[1]
+        assert result == reference_cofactors(f, g, result[0])
 
 
 class TestExactQuotient:

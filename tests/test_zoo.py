@@ -304,6 +304,23 @@ class TestBattery:
         for op, ceiling in WORK_CEILING.items():
             assert 0 < counts[op] <= ceiling, (op, counts[op])
 
+    def test_default_classify_needs_no_gcd_fallback(self, monkeypatch):
+        # gcd_cofactors asks the Kronecker link first, and it answers every
+        # gcd of a default classify of the builtins and the generated
+        # charts (1,349 calls), so none of them reaches the modular gcd.
+        answers = []
+
+        def kronecker(f, g, original=exprs._kronecker_cofactors):
+            answers.append(original(f, g))
+            return answers[-1]
+
+        monkeypatch.setattr(exprs, "_kronecker_cofactors", kronecker)
+        for name in list_builtins():
+            classify(builtin(name))
+        for path in sorted(GENERATED.glob("*_0.json")):
+            classify(load_metric_file(str(path)))
+        assert answers and None not in answers
+
     def test_checks_select_a_prefix_filtered_run(self):
         chart = builtin("ex5_1").to_chart()
         full = report_to_dict(classify(chart, run_oracle=False))["verdicts"]
