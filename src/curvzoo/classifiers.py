@@ -627,8 +627,8 @@ def _combination_system(target: Tensor, generators: Sequence[Tensor]):
     specs = {T.declared_symmetries for T in operands}
 
     def row_at(idx):
-        return ({i: g[idx] for i, g in enumerate(generators)
-                 if not g[idx].is_zero}, target[idx])
+        entries = ((i, g[idx]) for i, g in enumerate(generators))
+        return {i: e for i, e in entries if not e.is_zero}, target[idx]
 
     return (_slot_group(target.rank, specs.pop() if len(specs) == 1 else ()),
             sorted({idx for T in operands for idx, _ in T.nonzero_items()}),

@@ -57,10 +57,10 @@ methods, composed there alone and tried in order:
    so one integer gcd and two exact integer divisions, all run in C, give
    a candidate, which is accepted only with a certificate that it is the
    gcd;
-2. for operands too large or too sparse to pack, and candidates that fail,
-   Brown's dense modular gcd (1971), certified by exact division and a
-   degree bound, whose work the degrees and a fixed list of primes bound,
-   whatever the size of the coefficients.
+2. for operands too large to pack (``GCD_PACKED_BITS``) and candidates
+   that fail, Brown's dense modular gcd (1971), certified by exact
+   division and a degree bound, whose work the degrees and a fixed list
+   of primes bound, whatever the size of the coefficients.
 
 For two primitive operands either method gives a primitive gcd with a
 positive lex-leading coefficient, and so positive lex-leading quotients
@@ -561,28 +561,16 @@ def _poly_sqrt(p: dict, madd) -> Optional[dict]:
 CANCEL_MEMO_TERMS = 32
 
 #: Most bits that _kronecker_cofactors packs an operand into,
-#: prod(deg_v + 1) * k (see there); larger operands go on to the modular
-#: gcd.  The largest packed operands measured were 504 bits over the
-#: generated-pipeline benchmark charts and 59,160 bits in a full classify
-#: with every tensor of a generated warped chart, so the cap leaves a wide
-#: margin while it keeps hostile operands from packing into gigabytes.
-GCD_PACKED_BITS = 1 << 20
-
-#: Most fields, prod(deg_v + 1), per operand term that _kronecker_cofactors
-#: packs; sparser pairs go on to the modular gcd.  Packing lays each
-#: operand out densely, one field per monomial of the degree box, so a
-#: sparse pair packs into far more bits than its terms hold, and the integer
-#: gcd is quadratic in the bits.  Pairs measured on the generated-pipeline
-#: charts and in full classify runs of the generated templates had at most
-#: 3 fields per term.  Pairs drawn by the kernel's tests had up to 1,911;
-#: packed, they took 1/9 of the modular gcd's time in the median but up to
-#: 3.8 times it, so the cap gives up speed on most such pairs to bound the
-#: worst.
-GCD_FIELDS_PER_TERM = 16
-
-#: Candidates _kronecker_cofactors tries, doubling the field width k after
-#: each failed one, before it gives up.
-GCD_ATTEMPTS = 4
+#: prod(deg_v + 1) * k (see there), and the one bound on its work: larger
+#: operands go on to the modular gcd.  Packing lays each operand out
+#: densely, so a sparse pair packs into far more bits than its terms hold,
+#: and the integer gcd is quadratic in the bits.  The largest first
+#: packings measured were 504 bits over the generated-pipeline benchmark
+#: charts, 59,160 bits in a full classify with every tensor of a builtin
+#: or generated chart, and 183,456 bits over the pairs of the kernel's
+#: tests.  math.gcd of two random ints of 2^18 bits takes 0.1 s on one
+#: core of an Intel Xeon server, against 1.4 s at 2^20.
+GCD_PACKED_BITS = 1 << 18
 
 
 def gcd_cofactors(f, g):
@@ -611,20 +599,19 @@ def _kronecker_cofactors(f, g):
     the least multiple of 8 with 2^(k-1) above twice the largest
     coefficient of f and g plus 1.  The integer gcd of the two packed ints,
     decoded in balanced base-2^k digits, gives a candidate h as its
-    primitive part, and exact divisions of the packed ints give the
-    cofactors a and b.  Each power y^t of a monomial dividing the lowest
-    terms of both sides is then tried as the power of y that was divided
-    out of h, and a candidate is accepted when both divisions leave no
-    remainder, |h|_1 |a|_inf and |h|_1 |b|_inf are below 2^(k-1), and
+    primitive part, and the packed ints divided by h(2^k), which divides
+    their gcd and so both of them, give the cofactors a and b.  Each power
+    y^t of a monomial dividing the lowest terms of both sides is then tried
+    as the power of y that was divided out of h, and a candidate is
+    accepted when |h|_1 |a|_inf and |h|_1 |b|_inf are below 2^(k-1), and
     deg_v h plus deg_v of either cofactor is at most deg_v for every
     generator: then no field of the packed products overflows, so h a and
     h b are the two sides as polynomials, and by the GCDHEU lemma, with
     neither side divisible by a monomial, h is their gcd, with a positive
     lex-leading coefficient.  A candidate that fails only the degrees ends
     the link at once (see there); another failed candidate doubles k.  The
-    answer is None after GCD_ATTEMPTS candidates, once the packed size
-    prod(deg_v + 1) k exceeds GCD_PACKED_BITS, or at once when there are
-    more than GCD_FIELDS_PER_TERM fields per term of f and g.
+    answer is None once the packed size prod(deg_v + 1) k exceeds
+    GCD_PACKED_BITS, the link's one bound.
     """
     ngens = len(next(iter(f)))
     f_columns, g_columns = list(zip(*f)), list(zip(*g))
@@ -639,8 +626,6 @@ def _kronecker_cofactors(f, g):
             weights[pos] = fields
             radix.insert(0, (pos, fields))
             fields *= degrees[pos] + 1
-    if fields > GCD_FIELDS_PER_TERM * (len(f) + len(g)):
-        return None
     f_terms, f_shift = _indexed(f, f_low, weights)
     g_terms, g_shift = _indexed(g, g_low, weights)
     common = list(map(min, f_low, g_low))
@@ -648,9 +633,7 @@ def _kronecker_cofactors(f, g):
     g_low = [x - y for x, y in zip(g_low, common)]
     bound = 2 * max(map(abs, chain(f.values(), g.values()))) + 1
     k = (bound.bit_length() + 8) // 8 * 8
-    for _ in range(GCD_ATTEMPTS):
-        if fields * k > GCD_PACKED_BITS:
-            break
+    while fields * k <= GCD_PACKED_BITS:
         half = 1 << (k - 1)
         F = sum(c << k * index for index, c in f_terms)
         G = sum(c << k * index for index, c in g_terms)
@@ -665,35 +648,32 @@ def _kronecker_cofactors(f, g):
         digits = _balanced_digits(packed_gcd, k)
         content = gcd(*(d for _, d in digits))
         H = packed_gcd // content
-        A, ra = divmod(F, H)
-        B, rb = divmod(G, H)
-        if not (ra or rb):
-            h = [(index, d // content) for index, d in digits]
-            a, b = _balanced_digits(A, k), _balanced_digits(B, k)
-            if (sum(abs(d) for _, d in h)
-                    * max(abs(d) for _, d in chain(a, b)) < half):
-                # The indices of the monomials dividing the lowest terms of
-                # both sides: the powers of y that h may have lost.
-                lowest = (_unpacked([(shift, 1)], 0, radix, ngens)[0][0]
-                          for shift in (f_shift, g_shift))
-                for t in (sum(map(mul, e, weights)) for e in product(
-                        *(range(min(x, y) + 1) for x, y in zip(*lowest)))):
-                    parts = (_unpacked(h, t, radix, ngens),
-                             _unpacked(a, f_shift - t, radix, ngens),
-                             _unpacked(b, g_shift - t, radix, ngens))
-                    if all(x + max(y, z) <= d for x, y, z, d in zip(
-                            *map(_degrees, parts), degrees)):
-                        return tuple(dict(_raised(p, low)) for p, low
-                                     in zip(parts, (common, f_low, g_low)))
-                # Proof that no wider field helps: with F(y), G(y) the
-                # packed sides, h(y) a(y) and F(y) have coefficients below
-                # 2^(k-1) (|h|_1 |a|_inf bounds the product's) and one value
-                # at 2^k, whose balanced digits are unique, so h a = F and
-                # h b = G: h(y) is a factor F(y) and G(y) share, and no y^t
-                # times a common factor of the sides (that would pass the
-                # degrees).  Widths only move the point, so h(2^k') divides
-                # both packed ints at every k'; the next link answers.
-                return None
+        h = [(index, d // content) for index, d in digits]
+        a, b = _balanced_digits(F // H, k), _balanced_digits(G // H, k)
+        if (sum(abs(d) for _, d in h)
+                * max(abs(d) for _, d in chain(a, b)) < half):
+            # The indices of the monomials dividing the lowest terms of
+            # both sides: the powers of y that h may have lost.
+            lowest = (_unpacked([(shift, 1)], 0, radix, ngens)[0][0]
+                      for shift in (f_shift, g_shift))
+            for t in (sum(map(mul, e, weights)) for e in product(
+                    *(range(min(x, y) + 1) for x, y in zip(*lowest)))):
+                parts = (_unpacked(h, t, radix, ngens),
+                         _unpacked(a, f_shift - t, radix, ngens),
+                         _unpacked(b, g_shift - t, radix, ngens))
+                if all(x + max(y, z) <= d for x, y, z, d in zip(
+                        *map(_degrees, parts), degrees)):
+                    return tuple(dict(_raised(p, low)) for p, low
+                                 in zip(parts, (common, f_low, g_low)))
+            # Proof that no wider field helps: with F(y), G(y) the
+            # packed sides, h(y) a(y) and F(y) have coefficients below
+            # 2^(k-1) (|h|_1 |a|_inf bounds the product's) and one value
+            # at 2^k, whose balanced digits are unique, so h a = F and
+            # h b = G: h(y) is a factor F(y) and G(y) share, and no y^t
+            # times a common factor of the sides (that would pass the
+            # degrees).  Widths only move the point, so h(2^k') divides
+            # both packed ints at every k'; the next link answers.
+            return None
         k *= 2
     return None
 

@@ -152,17 +152,14 @@ def named_tensor(chart: Chart, T: Union[Tensor, str]) -> Tensor:
 
 def _by_name(chart: Chart, kind: str, compute, *operands):
     """compute(), cached on the chart under kind:A.B.. when every operand
-    is a tensor name or the chart's R (named "R"); computed afresh
-    otherwise."""
-    operands = tuple("R" if isinstance(X, Tensor) and X is riemann(chart)
-                     else X for X in operands)
+    is a tensor name; computed afresh otherwise."""
     if all(isinstance(X, str) for X in operands):
         return chart.cached(f"{kind}:{'.'.join(operands)}", compute)
     return compute()
 
 
 def nabla_cached(chart: Chart, T: Union[Tensor, str]) -> Tensor:
-    """nabla T, chart-cached for a tensor name and for the chart's R."""
+    """nabla T, chart-cached for a tensor name."""
     return _by_name(chart, "nabla", lambda: covariant_derivative(
         chart, named_tensor(chart, T)), T)
 

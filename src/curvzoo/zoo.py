@@ -109,14 +109,13 @@ def curvature_verdicts(chart: Chart, tensors) -> list[ClassifierVerdict]:
     """kappa, then the algebraic (GCT) axioms, the second Bianchi identity
     and Walker's cyclic identity of R."""
     kappa = scalar_curvature(chart)
-    R = riemann(chart)
-    axioms = check_gct(R)
+    axioms = check_gct(riemann(chart))
     return [ClassifierVerdict("kappa", True, witness=kappa),
             ClassifierVerdict("gct_axioms[R]", all(axioms.values()),
                               witness=dict(axioms)),
             ClassifierVerdict("second_bianchi[R]",
-                              check_second_bianchi(chart, R)),
-            ClassifierVerdict("walker[R]", walker_cyclic_check(chart, R))]
+                              check_second_bianchi(chart, "R")),
+            ClassifierVerdict("walker[R]", walker_cyclic_check(chart, "R"))]
 
 
 def gct_verdicts(chart: Chart, tname: str) -> list[ClassifierVerdict]:

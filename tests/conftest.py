@@ -1,13 +1,30 @@
-"""Shared test configuration: acceptance criterion summary lines.
+"""Shared test configuration: acceptance criterion summary lines, and the
+environment of tests that run curvzoo in a child interpreter.
 
 Acceptance tests are named test_criterion_<N>_<slug>; after the run, one
 pass/fail line per criterion is printed, aggregating all of its sub-tests.
 """
 
+import os
 import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
 
 _CRITERION = re.compile(r"test_criterion_(\d+)")
 _results: dict[int, list] = {}
+
+
+@pytest.fixture
+def src_env() -> dict:
+    """os.environ with this checkout's src first on PYTHONPATH, for a child
+    interpreter that imports curvzoo as a user would from a checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return env
 
 
 def pytest_runtest_logreport(report):

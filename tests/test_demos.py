@@ -8,7 +8,6 @@ a deliberate change to what a demo prints, rewrite its file with
     PYTHONPATH=src python demos/<name>.py > tests/demo_output/<name>.txt
 """
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -27,11 +26,8 @@ def test_demos_are_found():
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
-def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+def test_demo_runs(demo, src_env):
+    done = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=src_env,
                           capture_output=True, timeout=300)
     assert done.returncode == 0, done.stderr.decode(errors="replace")
     assert done.stdout.strip()

@@ -21,9 +21,9 @@ from sympy.polys.rings import ring
 
 from curvzoo import exprs
 from curvzoo.charts import riemann
-from curvzoo.exprs import (CANCEL_MEMO_TERMS, GCD_FIELDS_PER_TERM,
-                           GCD_PACKED_BITS, MAX_COEFF_BITS, MAX_DEGREE,
-                           MAX_NESTING, MAX_TERMS, Context, EvaluationError,
+from curvzoo.exprs import (CANCEL_MEMO_TERMS, GCD_PACKED_BITS,
+                           MAX_COEFF_BITS, MAX_DEGREE, MAX_NESTING,
+                           MAX_TERMS, Context, EvaluationError,
                            ExpressionError, ModularExpr, ParseError, _cancel,
                            _kronecker_cofactors, _memo_key,
                            _modular_cofactors, _normalized, _poly_sqrt,
@@ -390,6 +390,18 @@ def calls_to(name):
         yield calls
 
 
+def cofactors_in_subprocess(f, g, env):
+    """gcd_cofactors(f, g), computed in a child interpreter with the
+    environment env, which must answer within 30 s."""
+    code = ("import ast, sys; from curvzoo.exprs import gcd_cofactors; "
+            "print(gcd_cofactors(*ast.literal_eval(sys.stdin.read())))")
+    proc = subprocess.run([sys.executable, "-c", code], input=repr((f, g)),
+                          env=env, capture_output=True, text=True,
+                          timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout)
+
+
 def on_gcd_path(f, g):
     """Whether _cancel(ctx, f, g) reaches gcd_cofactors: neither side is a
     monomial and the two share a generator."""
@@ -514,8 +526,9 @@ def as_dicts(*polys):
 
 class TestGcdCofactors:
     """gcd_cofactors checked in sympy (reference_cofactors): the Kronecker
-    heuristic gcd, its retries, the pairs it leaves to the modular link,
-    and the sign of the answer."""
+    heuristic gcd, its retries, the sparse pairs it packs up to its one
+    bound, the pairs it leaves to the modular link, and the sign of the
+    answer."""
 
     @PROPERTY_SETTINGS
     @given(gcd_operands())
@@ -538,11 +551,9 @@ class TestGcdCofactors:
         h = (e1 - 1) * (e1 ** 70 - 1)
         f, g = as_dicts(h * geometric(e1, 70) ** 2, h * (x2 + 3))
         expected = as_dicts(h, geometric(e1, 70) ** 2, x2 + 3)
-        assert _kronecker_cofactors(f, g) == expected
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(exprs, "GCD_ATTEMPTS", 1)
-            assert _kronecker_cofactors(f, g) is None
-            assert gcd_cofactors(f, g) == expected
+        with calls_to("_balanced_digits") as decoded:
+            assert _kronecker_cofactors(f, g) == expected
+        assert sorted({k for _, k in decoded}) == [8, 16]
 
     def test_operands_past_the_packing_cap_take_the_fallback(self):
         x1, x2 = TEST_RING.gens[:2]
@@ -559,20 +570,40 @@ class TestGcdCofactors:
         assert modular == [(f, g)]
         assert expected == reference_cofactors(f, g, expected[0])
 
-    def test_sparse_operands_take_the_fallback(self):
+    def test_sparse_operands_pack(self):
         x1, x2, e1, e2, a = TEST_RING.gens
         h = x1 ** 12 * x2 + e1 ** 12 * e2 * a ** 12 - 3
         f, g = as_dicts(h * (x1 * e2 + 2), h * (x2 * a - 5))
+        expected = as_dicts(h, x1 * e2 + 2, x2 * a - 5)
         # 14 * 3 * 13 * 3 * 14 fields for 12 terms, packed into fewer than
-        # GCD_PACKED_BITS bits.
-        assert 14 * 3 * 13 * 3 * 14 > GCD_FIELDS_PER_TERM * 12
+        # GCD_PACKED_BITS bits, so the Kronecker link answers.
         assert 14 * 3 * 13 * 3 * 14 * 8 < GCD_PACKED_BITS
-        assert _kronecker_cofactors(f, g) is None
+        assert _kronecker_cofactors(f, g) == expected
         with calls_to("_modular_cofactors") as modular:
-            result = gcd_cofactors(f, g)
-        assert modular == [(f, g)]
-        assert result == as_dicts(h, x1 * e2 + 2, x2 * a - 5)
+            assert gcd_cofactors(f, g) == expected
+        assert modular == []
+        assert expected == reference_cofactors(f, g, expected[0])
+        assert _modular_cofactors(f, g) == expected
+
+    def test_a_sparse_pair_at_the_packing_bound_answers_within_its_bound(
+            self, src_env):
+        # 8 * 9 * 5 * 7 * 13 fields of 8 bits: the first packing takes
+        # 262,080 bits, just under GCD_PACKED_BITS, for 12 terms.  The
+        # Kronecker link answers at that width in about 0.07 s on one core
+        # of an Intel Xeon server, where the modular gcd takes 0.8 s.  A
+        # subprocess with a timeout turns a regression into a failure, not
+        # a hang.
+        x1, x2, e1, e2, a = TEST_RING.gens
+        h = x1 ** 6 * x2 ** 7 + e1 ** 4 * e2 ** 6 * a ** 12 - 3
+        f, g = as_dicts(h * (x1 * x2 + 2), h * (x1 - 5))
+        fields = 8 * 9 * 5 * 7 * 13
+        assert GCD_PACKED_BITS - 64 <= fields * 8 <= GCD_PACKED_BITS
+        result = cofactors_in_subprocess(f, g, src_env)
+        assert result == as_dicts(h, x1 * x2 + 2, x1 - 5)
         assert result == reference_cofactors(f, g, result[0])
+        with calls_to("_balanced_digits") as decoded:
+            assert _kronecker_cofactors(f, g) == result
+        assert {k for _, k in decoded} == {8}
 
     def test_substitution_may_share_a_factor_the_operands_do_not(self):
         x1, e1 = TEST_RING.gens[0], TEST_RING.gens[2]
@@ -584,19 +615,9 @@ class TestGcdCofactors:
         h = (e1 ** 2 + 1) * (x1 - 1) * (x1 ** 8 - 1)
         a, b = geometric(x1, 8) ** 2, e1 ** 2 + 1
         f, g = as_dicts(h * a, h * b)
-        widths = []
-
-        def decoding(n, k):
-            widths.append(k)
-            return original(n, k)
-
-        original = exprs._balanced_digits
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(exprs, "_balanced_digits", decoding)
+        with calls_to("_balanced_digits") as decoded:
             assert _kronecker_cofactors(f, g) is None
-            assert len(set(widths)) == 1
-            patch.setattr(exprs, "GCD_ATTEMPTS", 8)
-            assert _kronecker_cofactors(f, g) is None
+        assert len({k for _, k in decoded}) == 1
         with calls_to("_modular_cofactors") as modular:
             assert gcd_cofactors(f, g) == as_dicts(h, a, b)
         assert modular == [(f, g)]
@@ -629,8 +650,9 @@ class TestGcdCofactors:
 class TestGcdChain:
     """The modular link of gcd_cofactors' chain, called on its own and
     checked in sympy (reference_cofactors); a pair that sympy's heuristic
-    gcd rejects; its error past the last prime; and a pair large enough to
-    stall a link whose work the degrees do not bound."""
+    gcd rejects, which the Kronecker link packs; its error past the last
+    prime; and a pair large enough to stall a link whose work the degrees
+    do not bound."""
 
     @PROPERTY_SETTINGS
     @given(gcd_operands())
@@ -639,7 +661,7 @@ class TestGcdChain:
         result = _modular_cofactors(f, g)
         assert result == reference_cofactors(f, g, result[0])
 
-    def test_a_pair_both_heuristics_reject_takes_the_modular_gcd(self):
+    def test_a_pair_sympys_heuristic_rejects_packs(self):
         x1, x2, e1, _, a = TEST_RING.gens
         # g h has coefficients of 1, so sympy's recursive heuristic gcd
         # evaluates x1 at these six points, each a root of f: every image
@@ -650,15 +672,16 @@ class TestGcdChain:
             f *= x1 - r
         g, h = x1 * x2 + e1 ** 12 + 1, x2 + a + 1
         F, G = as_dicts(f * h, g * h)
-        # 7 * 3 * 13 * 2 fields for 30 terms: too sparse to pack.
-        assert 7 * 3 * 13 * 2 > GCD_FIELDS_PER_TERM * (len(F) + len(G))
         with pytest.raises(HeuristicGCDFailed):
             LEX_RING.from_dict(F).cofactors(LEX_RING.from_dict(G))
-        assert _kronecker_cofactors(F, G) is None
-        with calls_to("_modular_cofactors") as modular:
-            result = gcd_cofactors(F, G)
-        assert modular == [(F, G)]
+        # 7 * 3 * 13 * 2 fields for 30 terms: sparse, but within
+        # GCD_PACKED_BITS, so the Kronecker link answers.
+        result = _kronecker_cofactors(F, G)
         assert result == as_dicts(h, f, g)
+        with calls_to("_modular_cofactors") as modular:
+            assert gcd_cofactors(F, G) == result
+        assert modular == []
+        assert _modular_cofactors(F, G) == result
         # sympy's dense gcd falls back to its own remainder sequence.
         gens = symbols(CANCEL_CTX.gens)
         dense = Poly.from_dict(F, gens).cofactors(Poly.from_dict(G, gens))
@@ -672,7 +695,7 @@ class TestGcdChain:
         with pytest.raises(ExpressionError):
             _modular_cofactors(f, g)
 
-    def test_a_large_dense_pair_answers_within_its_bound(self):
+    def test_a_large_dense_pair_answers_within_its_bound(self, src_env):
         # A seeded pair in four generators: a planted gcd of 8 terms times
         # cofactors of 24 terms, each of degree up to 8 in every generator
         # with 68-bit coefficients, so about 190 terms of 136 bits a side.
@@ -693,13 +716,7 @@ class TestGcdChain:
         f, g = (_primitive(dict(h * c))[1] for c in (a, b))
         assert 180 < min(len(f), len(g)) and max(len(f), len(g)) <= 192
         assert max(map(abs, f.values())).bit_length() >= 136
-        code = ("import ast, sys; from curvzoo.exprs import gcd_cofactors; "
-                "print(gcd_cofactors(*ast.literal_eval(sys.stdin.read())))")
-        proc = subprocess.run([sys.executable, "-c", code],
-                              input=repr((f, g)), capture_output=True,
-                              text=True, timeout=30)
-        assert proc.returncode == 0, proc.stderr
-        result = ast.literal_eval(proc.stdout)
+        result = cofactors_in_subprocess(f, g, src_env)
         assert result[0] == _primitive(dict(h))[1]
         assert result == reference_cofactors(f, g, result[0])
 

@@ -22,7 +22,6 @@ package itself, so none is kept alive by the tests alone.
 """
 
 import ast
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -288,7 +287,7 @@ def test_tests_and_demos_do_not_read_the_array_view(path):
     assert array_reads_outside(source, scopes) == []
 
 
-def test_classify_leaves_numpy_unloaded():
+def test_classify_leaves_numpy_unloaded(src_env):
     # A fresh interpreter: importing curvzoo and classifying every builtin
     # loads neither numpy nor sympy; reading the array view then loads
     # numpy.
@@ -299,10 +298,7 @@ def test_classify_leaves_numpy_unloaded():
             "print('numpy' in sys.modules, 'sympy' in sys.modules)\n"
             "curvzoo.riemann(curvzoo.builtin('ex5_4').to_chart()).array\n"
             "print('numpy' in sys.modules)\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+    done = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=src_env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False", "False", "True"]

@@ -898,7 +898,7 @@ class TestCLI:
         assert main(["classify", str(path)]) == 2
         assert f"{path}.dim" in capsys.readouterr().err
 
-    def test_deeply_nested_entry_exit_2(self, tmp_path):
+    def test_deeply_nested_entry_exit_2(self, tmp_path, src_env):
         # Parenthesis depth far past the recursion limit: a ParseError with
         # a position, not a traceback.
         deep = "(" * 3000 + "x1" + ")" * 3000
@@ -907,30 +907,33 @@ class TestCLI:
             "name": "deep", "dim": 3, "coords": ["x1", "x2", "x3"],
             "metric": [[deep], ["0", "1"], ["0", "0", "1"]]}))
         cmd = [sys.executable, "-m", "curvzoo.cli", "classify", str(path)]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
+        proc = subprocess.run(cmd, capture_output=True, text=True,
+                              env=src_env)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "position" in proc.stderr
 
-    def test_deeply_nested_json_exit_2(self, tmp_path):
+    def test_deeply_nested_json_exit_2(self, tmp_path, src_env):
         # JSON nesting past the recursion limit is an input error naming
         # the file, not an internal error.
         path = tmp_path / "nested.json"
         path.write_text("[" * 100_000)
         cmd = [sys.executable, "-m", "curvzoo.cli", "classify", str(path)]
-        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60,
+                              env=src_env)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith(f"error: {path}: invalid JSON")
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
-    def test_lone_surrogate_name_exit_2(self, tmp_path, fmt):
+    def test_lone_surrogate_name_exit_2(self, tmp_path, fmt, src_env):
         # "\ud800" is valid JSON but cannot be written to a UTF-8 stdout.
         path = tmp_path / "surrogate.json"
         path.write_text(json.dumps(dict(FUZZ_DOCUMENT, name="\ud800")))
         cmd = [sys.executable, "-m", "curvzoo.cli", "classify", str(path),
                "--format", fmt, "--oracle-samples", "1"]
-        proc = subprocess.run(cmd, capture_output=True, timeout=60)
+        proc = subprocess.run(cmd, capture_output=True, timeout=60,
+                              env=src_env)
         assert proc.returncode == 2
         assert proc.stdout == b""
         assert b"Traceback" not in proc.stderr
@@ -942,7 +945,7 @@ class TestCLI:
         ("(1+x1+x2+x3+x4+exp(x1)+exp(x2)+exp(x3)+exp(x4))^32", "terms"),
         pytest.param(" + ".join(f"1/(2^500*x1 + {i})" for i in range(1, 31)),
                      "bits", id="sum_of_30_fractions-bits")])
-    def test_blowup_entry_exit_2(self, tmp_path, entry, reason):
+    def test_blowup_entry_exit_2(self, tmp_path, entry, reason, src_env):
         # Rejected before the power or sum is expanded, so the command
         # returns at once; the timeout turns a hang into a failure.
         path = tmp_path / "blowup.json"
@@ -951,7 +954,8 @@ class TestCLI:
             "metric": [[entry], ["0", "1"], ["0", "0", "1"],
                        ["0", "0", "0", "1"]]}))
         cmd = [sys.executable, "-m", "curvzoo.cli", "classify", str(path)]
-        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=60,
+                              env=src_env)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert reason in proc.stderr and "position" in proc.stderr
@@ -1083,12 +1087,14 @@ class TestCLI:
         if code == 2:
             assert err.getvalue().startswith("error: ")
 
-    def test_subprocess_determinism(self, tmp_path):
+    def test_subprocess_determinism(self, src_env):
         # End-to-end: two separate processes, byte-identical reports.
         cmd = [sys.executable, "-m", "curvzoo.cli", "classify", "ex5_2",
                "--format", "json", "--seed", "42", "--oracle-samples", "10"]
-        p1 = subprocess.run(cmd, capture_output=True, text=True, check=True)
-        p2 = subprocess.run(cmd, capture_output=True, text=True, check=True)
+        p1 = subprocess.run(cmd, capture_output=True, text=True, check=True,
+                            env=src_env)
+        p2 = subprocess.run(cmd, capture_output=True, text=True, check=True,
+                            env=src_env)
         assert p1.stdout == p2.stdout
 
 
