@@ -110,7 +110,8 @@ class _SlotGroup:
     sign * T[idx].  An index is its orbit's representative when it is the
     orbit's least tuple and no element fixes it with sign -1 (such orbits
     are forced to zero and have no representative).  Both answers are
-    memoized per index.
+    memoized per index, but the trivial group answers is_representative
+    (every index is one) without a memo.
     """
 
     __slots__ = ("elements", "_representative", "_orbit")
@@ -137,6 +138,8 @@ class _SlotGroup:
     def is_representative(self, idx: tuple[int, ...]) -> bool:
         rep = self._representative.get(idx)
         if rep is None:
+            if len(self.elements) == 1:
+                return True
             rep = True
             for order, sign in self.elements:
                 image = tuple(idx[m] for m in order)

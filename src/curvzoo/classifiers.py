@@ -16,11 +16,11 @@ determinant do not vanish.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from heapq import heappop, heappush
 from typing import Callable, Optional, Sequence, Union
 
 from .charts import (Chart, OneForm, Tensor, _cyclic_group, _shifted_spec,
@@ -40,9 +40,9 @@ class SolverOutcome:
     """Affine solution set plus degeneracy information for one condition.
 
     rows are the rows the solver consumed, all of them when consistent:
-    the rows at orbit representatives (see _solve).  system() gives the
-    system's rows that have a coefficient or a nonzero rhs, in index
-    order, building the others as they are read.
+    the rows at orbit representatives (see _solve).  system() walks the
+    system's indices in order, reusing those rows and building the others
+    as they are read.
     """
 
     space: Optional[SolutionSpace] = None
@@ -98,39 +98,28 @@ def _solve(chart: Chart, system, names: Sequence[str],
 
     system is (group, indices, row_at): row_at(I) is the row at each index
     I of indices, in index order, and the row at sigma(I) is sign(sigma)
-    times the row at I for sigma in group.  So only the rows at group's
-    representatives are built and solved: they span the same row space,
-    which alone fixes the solver's reduced echelon basis.  The builders
-    take a group that all operands declare (for b1-b3, the group of a
-    cyclic sum, see _cyclic3_system), else the trivial group."""
+    times the row at I for sigma in group; every other index has a zero
+    row.  So only the rows at group's representatives are built and
+    solved: they span the same row space, which alone fixes the solver's
+    reduced echelon basis.  The builders take a group that all operands
+    declare (for b1-b3, the group of a cyclic sum, see _cyclic3_system),
+    else the trivial group, whose every index is a representative.  The
+    outcome's system() walks indices in order, reusing the rows solved and
+    building the others as they are read; so the identity (see certify)
+    keeps the first rows of the whole system.  Every system is read here
+    and nowhere else."""
     group, indices, row_at = system
     built: dict = {}
 
     def solved():
-        trivial = len(group.elements) == 1
-        for idx in indices if trivial else filter(group.is_representative,
-                                                  indices):
+        for idx in filter(group.is_representative, indices):
             row = built[idx] = row_at(idx)
             yield row
 
-    def whole():
-        # The orbit of each representative whose row has a coefficient or
-        # a nonzero rhs waits on a heap until the next representative
-        # passes it (an image is at least its representative); every other
-        # row is zero, as a sign times such a row or on an orbit forced to
-        # zero.
-        waiting: list = []
-        for rep, row in itertools.chain(built.items(), [(None, None)]):
-            while waiting and (rep is None or waiting[0] < rep):
-                image = heappop(waiting)
-                yield built.get(image) or row_at(image)
-            if rep is not None and (row[0] or not row[1].is_zero):
-                for image, _ in group.orbit(rep):
-                    heappush(waiting, image)
-
     space = solve_linear_system(solved(), len(names), chart.ctx, names)
     return SolverOutcome(space, bool(outside), outside, list(built.values()),
-                         whole)
+                         lambda: (built.get(idx) or row_at(idx)
+                                  for idx in indices))
 
 
 # ---------------------------------------------------------------------------
@@ -540,9 +529,10 @@ def form_recurrence_checks(chart: Chart, T: Union[Tensor, str]
     b2: some nonzero 1-form alpha has vanishing cyclic alpha-sum against T;
     b3: cyclic derivative sum equals the cyclic alpha-sum for a solved alpha.
 
-    b2 and b3 solve the rows of one system (_cyclic3_system) at the
-    representatives of its group, each built once; b3's identity keeps the
-    first rows of the whole system, built as they are read (see _solve).
+    b2 (with a zero rhs) and b3 solve one system (_cyclic3_system) through
+    _solve, which builds the rows at the representatives of its group; each
+    row is built once and read by both.  b3's identity keeps the first rows
+    of the whole system (see _solve).
     """
     label = T if isinstance(T, str) else "T"
     tensor = named_tensor(chart, T)
@@ -556,21 +546,18 @@ def form_recurrence_checks(chart: Chart, T: Union[Tensor, str]
     nablaT = nabla_cached(chart, T)
     cyclic = nablaT.cyclic_sum()
     group, indices, row_at = _cyclic3_system(chart, tensor, nablaT, cyclic)
-    rows = {idx: row_at(idx)
-            for idx in filter(group.is_representative, indices)}
+    row_at = functools.cache(row_at)
     names = tuple(f"alpha_{c}" for c in chart.ctx.coords)
     zero = chart.ctx.zero
-    hom = solve_linear_system([(coeffs, zero) for coeffs, _ in
-                               rows.values()], chart.n, chart.ctx, names)
-    b2_holds = hom.consistent and hom.dimension >= 1
+    hom = _solve(chart, (group, indices, lambda idx: (row_at(idx)[0], zero)),
+                 names).space
+    b2_holds = hom.dimension >= 1
     return {
         "b1": ClassifierVerdict(f"b1[{label}]", cyclic.is_zero()),
         "b2": ClassifierVerdict(f"b2[{label}]", b2_holds,
                                 witness=hom if b2_holds else None),
-        "b3": _outcome_verdict(f"b3[{label}]", _solve(
-            chart, (group, list(rows),
-                    lambda idx: rows[idx] if idx in rows else row_at(idx)),
-            names)),
+        "b3": _outcome_verdict(f"b3[{label}]",
+                               _solve(chart, (group, indices, row_at), names)),
     }
 
 
@@ -609,14 +596,16 @@ def solve_linear_combination(target: Tensor, generators: Sequence[Tensor],
     """
     if not generators:
         raise ValueError("need at least one generator")
-    chart = target.chart
+    if names is None:
+        names = tuple(f"u{j}" for j in range(len(generators)))
+    elif len(names) != len(generators):
+        raise ValueError(f"{len(names)} names for {len(generators)} "
+                         "generators")
     for gen in generators:
         if gen.valence != target.valence:
             raise ValueError("generators must match the target valence")
-    group, indices, row_at = _combination_system(target, generators)
-    return solve_linear_system(
-        map(row_at, filter(group.is_representative, indices)),
-        len(generators), chart.ctx, names)
+    return _solve(target.chart, _combination_system(target, generators),
+                  names).space
 
 
 def _combination_system(target: Tensor, generators: Sequence[Tensor]):

@@ -97,12 +97,15 @@ def solve_linear_system(rows: Iterable[tuple[dict[int, Expr], Expr]],
 
     rows yields (coefficients, rhs) pairs with coefficients as a sparse
     {column: Expr} mapping.  Returns the full affine solution set, or an
-    inconsistent SolutionSpace.
+    inconsistent SolutionSpace.  names, one per unknown, default to u0,
+    u1, ...; a names of another length is a ValueError.
     """
     if names is None:
         names = tuple(f"u{j}" for j in range(n_unknowns))
     else:
         names = tuple(names)
+        if len(names) != n_unknowns:
+            raise ValueError(f"{len(names)} names for {n_unknowns} unknowns")
 
     # pivots: column -> reduced row (dict incl. rhs under key n_unknowns).
     RHS = n_unknowns
@@ -201,10 +204,13 @@ def certify(name: str, rows: Iterable[tuple[dict[int, Expr], Expr]],
             ) -> Identity:
     """The identity that certifies verdict `name`: the first
     MAX_IDENTITY_COMPONENTS rows of system (by default rows, the rows
-    solved; read lazily) that have a coefficient or a nonzero rhs, with
-    values.  A stored zero coefficient counts, so a kept row reads 0 = 0
-    only when its builder stores zero coefficients: the solver rows of the
-    classifiers store none, the dense quasi_einstein rows do.
+    solved) that have a coefficient or a nonzero rhs, with values.  system
+    is read lazily and no further than its last kept row: the classifiers
+    pass a walk over every index of their system, which builds the rows
+    off the solved ones only as far as that.  A stored zero coefficient
+    counts, so a kept row reads 0 = 0 only when its builder stores zero
+    coefficients: the solver rows of the classifiers store none, the dense
+    quasi_einstein rows do.
 
     With a guard space (a consistent one), its particular solution and
     every basis vector are first back-substituted into every row of rows

@@ -372,6 +372,15 @@ class TestSlotSymmetries:
         for i, j, k, l in reps:
             assert i < j and k < l and (i, j) <= (k, l)
 
+    def test_trivial_group_keeps_no_memo(self, flat4):
+        # Every index represents its own orbit, answered without a memo
+        # entry.
+        group = Tensor.from_terms(flat4, (0, 3), ()).symmetry_group
+        assert len(group.elements) == 1
+        assert all(group.is_representative(idx)
+                   for idx in itertools.product(range(4), repeat=3))
+        assert not group._representative
+
     def test_fill_matches_a_full_computation(self, godel):
         R = riemann(godel)
         filled = Tensor.from_terms(godel, (0, 4), R.representative_items(),

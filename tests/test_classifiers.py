@@ -24,7 +24,8 @@ from curvzoo.classifiers import (_combination_system, _common_roots,
                                  solve_quasi_einstein,
                                  solve_recurrence, solve_weak_Z,
                                  solve_weak_symmetry_04, theorem_residual)
-from curvzoo.linsolve import certify, satisfies, solve_linear_system
+from curvzoo.linsolve import (MAX_IDENTITY_COMPONENTS, certify, satisfies,
+                              solve_linear_system)
 from curvzoo.metrics import builtin, list_builtins
 from curvzoo.operators import (dot_action, dot_named, kulkarni_nomizu,
                                nabla_cached, named_tensor, projective,
@@ -386,6 +387,17 @@ class TestLinearCombination:
                 kulkarni_nomizu(S, S)]
         space = solve_linear_combination(riemann(exp5), gens)
         assert not space.consistent
+
+    def test_names_must_match_the_generators(self, conformal4):
+        # A short names list would drop columns from the solve.
+        gens, names = roter_generators(conformal4)
+        R = riemann(conformal4)
+        for wrong in (names[:1], names + ["N4"]):
+            with pytest.raises(ValueError):
+                solve_linear_combination(R, gens, names=wrong)
+        space = solve_linear_combination(R, gens)
+        assert space.names == ("u0", "u1", "u2")
+        assert space.consistent
 
 
 class TestQuasiEinstein:
@@ -822,15 +834,11 @@ class TestRepresentativeRows:
                 if not out.space.consistent:
                     continue  # the solver stopped at the inconsistency
                 assert len(out.rows) < len(full.rows) or not full.rows
-                # Off the representatives, rows with no coefficient and a
-                # zero rhs are left out.
-                solved = {id(row) for row in out.rows}
-                kept = [row for row in out.system()
-                        if id(row) in solved or row[0] or not row[1].is_zero]
-                assert kept == list(out.system())
-                assert [row for row in kept if row[0] or not row[1].is_zero
-                        ] == [row for row in reference
-                              if row[0] or not row[1].is_zero]
+                # The rows with a coefficient or a nonzero rhs are those of
+                # the whole system, in index order.
+                assert [row for row in out.system()
+                        if row[0] or not row[1].is_zero] == [
+                    row for row in reference if row[0] or not row[1].is_zero]
 
     @pytest.mark.parametrize("name", list_builtins())
     def test_cyclic3_solves_match_full_solves(self, name):
@@ -908,9 +916,11 @@ class TestRepresentativeRows:
             checked += 1
         assert checked >= 1
 
-    def test_no_row_built_off_a_representative_without_terms(self, flat4):
-        # (0, 1) represents the orbit {(0, 1), (1, 0)} under "sym:0,1"; its
-        # row has no coefficient and a zero rhs, so (1, 0) is never built.
+    def test_system_reuses_the_solved_rows_in_index_order(self, flat4):
+        # (0, 1) represents the orbit {(0, 1), (1, 0)} under "sym:0,1".  The
+        # solve builds the representatives' rows; system() walks every
+        # index in order, reusing those rows and building the row at
+        # (1, 0).  Each read gives a fresh row.
         ctx = flat4.ctx
         group = Tensor.from_terms(flat4, (0, 2), (),
                                   ("sym:0,1",)).symmetry_group
@@ -920,34 +930,36 @@ class TestRepresentativeRows:
 
         def row_at(idx):
             read.append(idx)
-            return rows[idx]
+            coeffs, rhs = rows[idx]
+            return dict(coeffs), rhs
 
         out = _solve(flat4, (group, list(rows), row_at), ("u",))
-        assert list(out.system()) == [rows[0, 0], rows[1, 1]]
         assert read == [(0, 0), (0, 1), (1, 1)]
+        system = list(out.system())
+        assert read == [(0, 0), (0, 1), (1, 1), (1, 0)]
+        assert system == list(rows.values())
+        assert len(out.rows) == 3
+        assert all(walked is solved for walked, solved in
+                   zip([system[0], system[1], system[3]], out.rows))
 
     @pytest.mark.parametrize("name", list_builtins())
     def test_few_rows_built_off_the_representatives(self, name,
                                                     monkeypatch):
-        # A system builds each representative's row at most once, and at
-        # most MAX_IDENTITY_COMPONENTS rows off its group's
-        # representatives, for its identity, each of them with a
-        # coefficient or a nonzero rhs.
+        # A system builds each representative's row at most once, and each
+        # row off its group's representatives at most once, in index
+        # order, for its identity: none past the identity's last row when
+        # that holds MAX_IDENTITY_COMPONENTS rows.
         built = []
 
         def counting(builder):
             def counted_builder(*args):
                 group, indices, row_at = builder(*args)
-                reps, off = [], []
-                built.append((builder.__name__, len(group.elements), reps,
-                              off))
+                reads = []
+                built.append((builder.__name__, group, reads))
 
                 def counted(idx):
                     row = row_at(idx)
-                    if group.is_representative(idx):
-                        reps.append(idx)
-                    else:
-                        off.append(row[0] or not row[1].is_zero)
+                    reads.append((idx, row))
                     return row
 
                 return group, indices, counted
@@ -958,13 +970,30 @@ class TestRepresentativeRows:
             monkeypatch.setattr(classifiers, builder,
                                 counting(getattr(classifiers, builder)))
         chart = builtin(name).to_chart()
-        classify(chart, tensors=ALL_TENSORS, run_oracle=False)
-        assert all(len(set(reps)) == len(reps) for _, _, reps, _ in built)
-        assert all(len(off) <= 48 and all(off) for *_, off in built)
-        assert all(not off for _, size, _, off in built if size == 1)
-        assert any(off for *_, off in built)
+        report = classify(chart, tensors=ALL_TENSORS, run_oracle=False)
+        # Every row read stays alive in reads, so ids are unique.
+        where = {id(row): (k, idx) for k, (_, _, reads) in enumerate(built)
+                 for idx, row in reads}
+        last = {}
+        for identity in report.identities:
+            if identity.rows and id(identity.rows[-1]) in where:
+                k, idx = where[id(identity.rows[-1])]
+                last[k] = idx, len(identity.rows)
+        off_any = False
+        for k, (_, group, reads) in enumerate(built):
+            reps = [idx for idx, _ in reads if group.is_representative(idx)]
+            off = [idx for idx, _ in reads
+                   if not group.is_representative(idx)]
+            assert len(set(reps)) == len(reps)
+            assert off == sorted(set(off))
+            if off:
+                off_any = True
+                idx, size = last[k]
+                if size == MAX_IDENTITY_COMPONENTS:
+                    assert off[-1] <= idx
+        assert off_any
         # b1-b3 build one system for each nonzero (0,4) tensor.
-        cyclic = [reps for builder, _, reps, _ in built
+        cyclic = [reads for builder, _, reads in built
                   if builder == "_cyclic3_system"]
         assert len(cyclic) == sum(not named_tensor(chart, t).is_zero()
                                   for t in ("R", "C", "K", "conh", "P"))

@@ -49,6 +49,16 @@ def test_inconsistent(ctx):
     assert not space.particular and not space.basis
 
 
+def test_names_must_match_the_unknowns(ctx):
+    rows = dense_rows([[ctx.one, ctx.one, ctx.one]], [ctx.one])
+    for names in (["a"], ["a", "b", "c", "d"]):
+        with pytest.raises(ValueError):
+            solve_linear_system(rows, 3, ctx, names)
+    space = solve_linear_system(rows, 3, ctx, ["a", "b", "c"])
+    assert space.names == ("a", "b", "c")
+    assert space.dimension == 2
+
+
 def test_overdetermined_consistent(ctx):
     x1 = ctx.parse("x1")
     matrix = [[ctx.one, x1], [2 * ctx.one, 2 * x1], [ctx.one, ctx.zero]]
