@@ -633,8 +633,10 @@ def riemann(chart: Chart) -> Tensor:
                            + G^m_ia G^a_jk - G^m_ja G^a_ik ) e_m,
     differentiating each G^m_pq (p <= q) once and forming each product of
     two nonzero symbols once, then lowers m with g and fills j < i by skew
-    symmetry.  The other curvature symmetries are declared through the
-    checking constructor, so they are tested on computed components.
+    symmetry.  The tensor stored is CURVATURE_SIGN (-1) times this
+    commutator form lowered with g: the lowering carries the sign.  The
+    other curvature symmetries are declared through the checking
+    constructor, so they are tested on computed components.
     """
 
     def compute():

@@ -21,15 +21,16 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
-from .charts import (Chart, OneForm, Tensor, _cyclic_group, _shifted_spec,
-                     _slot_group, christoffel, covariant_derivative_oneform,
+from .charts import (Chart, OneForm, Tensor, _cyclic_group, _slot_group,
+                     christoffel, covariant_derivative_oneform,
                      exterior_derivative_oneform, is_closed, oneform,
                      rank_at_most, ricci, riemann, scalar_curvature)
 from .exprs import Expr
-from .linsolve import (Identity, InternalInconsistencyError, SolutionSpace,
-                       certify, satisfies, solve_linear_system)
+from .linsolve import (MAX_IDENTITY_COMPONENTS, Identity,
+                       InternalInconsistencyError, SolutionSpace, certify,
+                       satisfies, solve_linear_system)
 from .operators import (_by_name, dot_named, is_proper_gct, kulkarni_nomizu,
                         nabla_cached, named_tensor, oneform_dot,
                         tachibana_named)
@@ -39,17 +40,15 @@ from .operators import (_by_name, dot_named, is_proper_gct, kulkarni_nomizu,
 class SolverOutcome:
     """Affine solution set plus degeneracy information for one condition.
 
-    rows are the rows the solver consumed, all of them when consistent:
-    the rows at orbit representatives (see _solve).  system() walks the
-    system's indices in order, reusing those rows and building the others
-    as they are read.
+    rows are every row the solve built, the rows solved first; kept are
+    the rows its identity keeps, none unless consistent (see _solve).
     """
 
     space: Optional[SolutionSpace] = None
     degenerate: bool = False
     degenerate_set: str = ""
     rows: list = field(default_factory=list)
-    system: Optional[Callable] = None
+    kept: list = field(default_factory=list)
 
     @property
     def consistent(self) -> bool:
@@ -87,14 +86,14 @@ def _outcome_verdict(name: str, out: SolverOutcome, *notes: str,
                                 notes=" ".join(filter(None, notes)))
     if certified and out.consistent:
         verdict.identity = certify(name, out.rows, out.space.particular,
-                                   out.space, out.system())
+                                   out.space, out.kept)
     return verdict
 
 
 def _solve(chart: Chart, system, names: Sequence[str],
            outside: str = "") -> SolverOutcome:
-    """Solve a system for the named unknowns, keeping the rows the solver
-    consumed; a nonempty `outside` marks the input degenerate.
+    """Solve a system for the named unknowns, keeping the rows it built;
+    a nonempty `outside` marks the input degenerate.
 
     system is (group, indices, row_at): row_at(I) is the row at each index
     I of indices, in index order, and the row at sigma(I) is sign(sigma)
@@ -103,11 +102,12 @@ def _solve(chart: Chart, system, names: Sequence[str],
     solved: they span the same row space, which alone fixes the solver's
     reduced echelon basis.  The builders take a group that all operands
     declare (for b1-b3, the group of a cyclic sum, see _cyclic3_system),
-    else the trivial group, whose every index is a representative.  The
-    outcome's system() walks indices in order, reusing the rows solved and
-    building the others as they are read; so the identity (see certify)
-    keeps the first rows of the whole system.  Every system is read here
-    and nowhere else."""
+    else the trivial group, whose every index is a representative.  When
+    the space is consistent, kept holds the first MAX_IDENTITY_COMPONENTS
+    rows of the whole system with a term (a coefficient or a nonzero rhs),
+    in index order: a walk over indices reuses the rows solved and builds
+    each other row once, none past the last kept row.  Every system is
+    read here and nowhere else."""
     group, indices, row_at = system
     built: dict = {}
 
@@ -117,9 +117,17 @@ def _solve(chart: Chart, system, names: Sequence[str],
             yield row
 
     space = solve_linear_system(solved(), len(names), chart.ctx, names)
+    kept = []
+    for idx in indices if space.consistent else ():
+        if idx not in built:
+            built[idx] = row_at(idx)
+        row = built[idx]
+        if row[0] or not row[1].is_zero:
+            kept.append(row)
+            if len(kept) == MAX_IDENTITY_COMPONENTS:
+                break
     return SolverOutcome(space, bool(outside), outside, list(built.values()),
-                         lambda: (built.get(idx) or row_at(idx)
-                                  for idx in indices))
+                         kept)
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +168,7 @@ def classify_deszcz(chart: Chart, T: Union[Tensor, str],
                                        "and B.T = 0 identically")
     values = out.space.particular
     return ClassifierVerdict(label, True, witness=values[0],
-                             identity=certify(label, out.rows, values,
-                                              system=out.system()))
+                             identity=certify(label, out.kept, values))
 
 
 def deszcz_verdicts(chart: Chart, tname: str) -> list[ClassifierVerdict]:
@@ -210,12 +217,11 @@ def _slot_system(chart: Chart, T: Tensor, nablaT: Tensor, first: int,
     T_{I[m->x]} is nonzero; columns whose terms cancel are dropped
     (_sparse), so a row whose terms all cancel has no coefficient.  When
     every slot is in block 0 (or there are none), a permutation of I only
-    permutes the slot terms, and the group is that of nabla T when it is
-    T's shifted one slot."""
+    permutes the slot terms, and the group is the one nabla T declares
+    (T's specs shifted one slot, see covariant_derivative); else none."""
     n = chart.n
-    shifted = tuple(_shifted_spec(spec, 1) for spec in T.declared_symmetries)
-    shared = not any(blocks) and nablaT.declared_symmetries == shifted
-    group = _slot_group(nablaT.rank, shifted if shared else ())
+    group = _slot_group(nablaT.rank,
+                        () if any(blocks) else nablaT.declared_symmetries)
     firstT = T if first == 1 else T.scaled(first)
     live = {idx for idx, _ in nablaT.nonzero_items()}
     for J, _ in T.nonzero_items():
@@ -408,8 +414,7 @@ def normalize_weak_solution(chart: Chart, outcome: SolverOutcome,
 
 def is_codazzi(chart: Chart, Z: Union[Tensor, str]) -> bool:
     """(nabla_X Z)(Y, W) = (nabla_Y Z)(X, W)."""
-    nablaZ = nabla_cached(chart, Z)
-    return nablaZ == nablaZ.permuted((1, 0, 2))
+    return nabla_cached(chart, Z)._symmetry_holds("sym:0,1")
 
 
 def is_cyclic_parallel(chart: Chart, Z: Union[Tensor, str]) -> bool:
@@ -442,7 +447,7 @@ def solve_weak_Z(chart: Chart, Z: Union[Tensor, str]) -> WeakZResult:
                          codazzi=is_codazzi(chart, Z),
                          cyclic_parallel=is_cyclic_parallel(chart, Z))
     Z = named_tensor(chart, Z)
-    symmetric = Z == Z.permuted((1, 0))
+    symmetric = Z._symmetry_holds("sym:0,1")
     if outcome.consistent and symmetric and not Z.is_zero():
         result.reductions = _weakZ_reductions(chart, Z, outcome,
                                               result.codazzi,
@@ -501,13 +506,10 @@ def _cyclic3_system(chart: Chart, T: Tensor, nablaT: Tensor, cyclic: Tensor):
     alpha_j T_hikl = cyclic_hijkl, with cyclic the cyclic sum of nabla T,
     in index order, only where some term is nonzero; columns whose terms
     cancel are dropped (_sparse).  The coefficients are the cyclic sum of
-    alpha (x) T, which has T's specs shifted one slot: when nabla T
-    declares them too, both sides have the group that cyclic_sum gives
-    nabla T (_cyclic_group), else that of the shift alone."""
+    alpha (x) T, with the specs nabla T declares (T's shifted one slot):
+    both sides have the group cyclic_sum gives nabla T (_cyclic_group)."""
     shift = (1, 2, 0, 3, 4)
-    shifted = tuple(_shifted_spec(spec, 1) for spec in T.declared_symmetries)
-    specs = nablaT.declared_symmetries
-    group = _cyclic_group(5, specs if specs == shifted else (), shift)
+    group = _cyclic_group(5, nablaT.declared_symmetries, shift)
     live = {idx for idx, _ in cyclic.nonzero_items()}
     for (p, q, k, l), _ in T.nonzero_items():
         for y in range(chart.n):  # T_pqkl as T_ijkl, T_jhkl and T_hikl
@@ -655,8 +657,7 @@ def _decomposition_verdict(chart: Chart, name: str,
                  names)
     verdict = _outcome_verdict(name, out, certified=False)
     if out.consistent:  # certified without the back-substitution guard
-        verdict.identity = certify(name, out.rows, out.space.particular,
-                                   system=out.system())
+        verdict.identity = certify(name, out.kept, out.space.particular)
     return verdict
 
 

@@ -200,32 +200,27 @@ def satisfies(rows: Iterable[tuple[dict[int, Expr], Expr]],
 
 def certify(name: str, rows: Iterable[tuple[dict[int, Expr], Expr]],
             values: Sequence[Expr], guard: Optional[SolutionSpace] = None,
-            system: Optional[Iterable[tuple[dict[int, Expr], Expr]]] = None
+            kept: Optional[Sequence[tuple[dict[int, Expr], Expr]]] = None
             ) -> Identity:
-    """The identity that certifies verdict `name`: the first
-    MAX_IDENTITY_COMPONENTS rows of system (by default rows, the rows
-    solved) that have a coefficient or a nonzero rhs, with values.  system
-    is read lazily and no further than its last kept row: the classifiers
-    pass a walk over every index of their system, which builds the rows
-    off the solved ones only as far as that.  A stored zero coefficient
-    counts, so a kept row reads 0 = 0 only when its builder stores zero
-    coefficients: the solver rows of the classifiers store none, the dense
-    quasi_einstein rows do.
+    """The identity that certifies verdict `name`: the rows kept, with
+    values.  kept defaults to the first MAX_IDENTITY_COMPONENTS rows of
+    rows that have a coefficient or a nonzero rhs, as the kept rows of a
+    classifier's solve are (see classifiers._solve).  A stored zero
+    coefficient counts, so a kept row reads 0 = 0 only when its builder
+    stores zero coefficients: the solver rows of the classifiers store
+    none, the dense quasi_einstein rows do.
 
     With a guard space (a consistent one), its particular solution and
-    every basis vector are first back-substituted into every row of rows
-    and every kept row not among them, which by linearity certifies every
-    member of the space (InternalInconsistencyError, naming the verdict,
-    on a nonzero residual).
+    every basis vector are first back-substituted into every row of rows,
+    which hold the kept rows, and by linearity that certifies every member
+    of the space (InternalInconsistencyError, naming the verdict, on a
+    nonzero residual).
     """
     rows = list(rows)
-    kept = list(islice((row for row in (rows if system is None else system)
-                        if row[0] or not row[1].is_zero),
-                       MAX_IDENTITY_COMPONENTS))
+    if kept is None:
+        kept = islice((row for row in rows if row[0] or not row[1].is_zero),
+                      MAX_IDENTITY_COMPONENTS)
     if guard is not None:
-        if system is not None:
-            solved = {id(row) for row in rows}
-            rows += [row for row in kept if id(row) not in solved]
         if not satisfies(rows, guard.particular):
             raise InternalInconsistencyError(
                 f"{name}: particular solution fails back-substitution")
@@ -233,4 +228,4 @@ def certify(name: str, rows: Iterable[tuple[dict[int, Expr], Expr]],
                    for vec in guard.basis):
             raise InternalInconsistencyError(
                 f"{name}: homogeneous basis vector fails back-substitution")
-    return Identity(name, kept, list(values))
+    return Identity(name, list(kept), list(values))

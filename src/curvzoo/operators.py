@@ -269,8 +269,8 @@ def check_gct(B: Tensor) -> dict[str, bool]:
     """
     return {
         "first_bianchi": B.cyclic_sum().is_zero(),
-        "skew_first_pair": B == -B.permuted((1, 0, 2, 3)),
-        "block_interchange": B == B.permuted((2, 3, 0, 1)),
+        "skew_first_pair": B._symmetry_holds("skew:0,1"),
+        "block_interchange": B._symmetry_holds("block:0,1,2,3"),
     }
 
 

@@ -24,7 +24,8 @@ from curvzoo.classifiers import (_combination_system, _common_roots,
                                  solve_quasi_einstein,
                                  solve_recurrence, solve_weak_Z,
                                  solve_weak_symmetry_04, theorem_residual)
-from curvzoo.linsolve import (MAX_IDENTITY_COMPONENTS, certify, satisfies,
+from curvzoo.linsolve import (MAX_IDENTITY_COMPONENTS,
+                              InternalInconsistencyError, certify, satisfies,
                               solve_linear_system)
 from curvzoo.metrics import builtin, list_builtins
 from curvzoo.operators import (dot_action, dot_named, kulkarni_nomizu,
@@ -619,7 +620,6 @@ class TestCorollaryDecomposition:
 
 class TestNormalizationGuard:
     def test_doctored_space_rejected(self, exp5):
-        from curvzoo.linsolve import InternalInconsistencyError
         out = solve_weak_symmetry_04(exp5, "R")
         out.space.particular[0] = out.space.particular[0] + 1
         with pytest.raises(InternalInconsistencyError):
@@ -753,6 +753,35 @@ def full_cyclic3_rows(chart, T, nablaT):
     return rows
 
 
+def kept_rows(rows):
+    """The first MAX_IDENTITY_COMPONENTS of rows with a coefficient or a
+    nonzero rhs: the rows an identity of a solve over every row keeps."""
+    return [row for row in rows
+            if row[0] or not row[1].is_zero][:MAX_IDENTITY_COMPONENTS]
+
+
+def spy_solves(monkeypatch):
+    """Record each _solve as (group, {index: row read}, outcome), reading
+    every row through a wrapper that fails on a second read."""
+    solves, solve = [], classifiers._solve
+
+    def spied(chart, system, names, outside=""):
+        group, indices, row_at = system
+        reads = {}
+
+        def counted(idx):
+            assert idx not in reads, idx
+            row = reads[idx] = row_at(idx)
+            return row
+
+        out = solve(chart, (group, indices, counted), names, outside)
+        solves.append((group, reads, out))
+        return out
+
+    monkeypatch.setattr(classifiers, "_solve", spied)
+    return solves
+
+
 def same_space(a, b):
     return (a.consistent == b.consistent and a.particular == b.particular
             and a.basis == b.basis and a.free_columns == b.free_columns)
@@ -834,11 +863,10 @@ class TestRepresentativeRows:
                 if not out.space.consistent:
                     continue  # the solver stopped at the inconsistency
                 assert len(out.rows) < len(full.rows) or not full.rows
-                # The rows with a coefficient or a nonzero rhs are those of
-                # the whole system, in index order.
-                assert [row for row in out.system()
-                        if row[0] or not row[1].is_zero] == [
-                    row for row in reference if row[0] or not row[1].is_zero]
+                # The kept rows are the whole system's first rows with a
+                # coefficient or a nonzero rhs, in index order, also for
+                # the recurrence solve, which is not certified.
+                assert out.kept == kept_rows(reference)
 
     @pytest.mark.parametrize("name", list_builtins())
     def test_cyclic3_solves_match_full_solves(self, name):
@@ -876,6 +904,31 @@ class TestRepresentativeRows:
             assert checks["b3"].outcome == space.consistent
             if space.consistent:
                 assert same_space(checks["b3"].witness, space)
+
+    @pytest.mark.parametrize("name", [f"ex5_{k}" for k in range(1, 6)])
+    def test_b2_keeps_the_full_systems_rows(self, name, monkeypatch):
+        # b2's homogeneous solve is not certified, but when consistent it
+        # keeps the whole system's first rows with a coefficient, some of
+        # them off its group's representatives.
+        chart = builtin(name).to_chart()
+        zero = chart.ctx.zero
+        solves = spy_solves(monkeypatch)
+        off_kept = 0
+        for tname in ("R", "C", "K", "conh", "P"):
+            T, nablaT = named_tensor(chart, tname), nabla_cached(chart, tname)
+            if T.is_zero():
+                continue
+            del solves[:]
+            form_recurrence_checks(chart, tname)
+            group, reads, hom = solves[0]  # b2 solves first, then b3
+            full = full_cyclic3_rows(chart, T, nablaT)
+            assert hom.consistent
+            assert hom.kept == kept_rows([(coeffs, zero)
+                                          for coeffs, _ in full])
+            at = {id(row): idx for idx, row in reads.items()}
+            off_kept += sum(not group.is_representative(at[id(row)])
+                            for row in hom.kept)
+        assert off_kept
 
     @pytest.mark.parametrize("name", list_builtins())
     def test_identities_keep_the_full_systems_rows(self, name):
@@ -916,16 +969,18 @@ class TestRepresentativeRows:
             checked += 1
         assert checked >= 1
 
-    def test_system_reuses_the_solved_rows_in_index_order(self, flat4):
+    def test_kept_rows_reuse_the_solved_rows_in_index_order(self, flat4):
         # (0, 1) represents the orbit {(0, 1), (1, 0)} under "sym:0,1".  The
-        # solve builds the representatives' rows; system() walks every
-        # index in order, reusing those rows and building the row at
-        # (1, 0).  Each read gives a fresh row.
+        # solve builds the representatives' rows, then walks every index in
+        # order for the kept rows, reusing those rows and building the row
+        # at (1, 0) once.  rows hold every row built, the solved ones
+        # first.  Each read gives a fresh row.
         ctx = flat4.ctx
+        x1 = ctx.coordinate(0)
         group = Tensor.from_terms(flat4, (0, 2), (),
                                   ("sym:0,1",)).symmetry_group
-        rows = {(0, 0): ({0: ctx.one}, ctx.one), (0, 1): ({}, ctx.zero),
-                (1, 0): ({}, ctx.zero), (1, 1): ({0: ctx.one}, ctx.one)}
+        rows = {(0, 0): ({0: ctx.one}, ctx.one), (0, 1): ({0: x1}, x1),
+                (1, 0): ({0: x1}, x1), (1, 1): ({0: ctx.one}, ctx.one)}
         read = []
 
         def row_at(idx):
@@ -933,22 +988,28 @@ class TestRepresentativeRows:
             coeffs, rhs = rows[idx]
             return dict(coeffs), rhs
 
-        out = _solve(flat4, (group, list(rows), row_at), ("u",))
-        assert read == [(0, 0), (0, 1), (1, 1)]
-        system = list(out.system())
+        system = (group, list(rows), row_at)
+        out = _solve(flat4, system, ("u",))
         assert read == [(0, 0), (0, 1), (1, 1), (1, 0)]
-        assert system == list(rows.values())
-        assert len(out.rows) == 3
-        assert all(walked is solved for walked, solved in
-                   zip([system[0], system[1], system[3]], out.rows))
+        assert out.kept == list(rows.values())
+        assert all(kept is built for kept, built in
+                   zip(out.kept, [out.rows[k] for k in (0, 1, 3, 2)]))
+        # The guard back-substitutes into the kept row off the
+        # representatives.
+        rows[1, 0] = ({0: x1}, x1 + 1)
+        with pytest.raises(InternalInconsistencyError,
+                           match="^toy: particular solution fails"):
+            classifiers._outcome_verdict("toy", _solve(flat4, system,
+                                                       ("u",)))
 
     @pytest.mark.parametrize("name", list_builtins())
     def test_few_rows_built_off_the_representatives(self, name,
                                                     monkeypatch):
-        # A system builds each representative's row at most once, and each
-        # row off its group's representatives at most once, in index
-        # order, for its identity: none past the identity's last row when
-        # that holds MAX_IDENTITY_COMPONENTS rows.
+        # A system builds each row at most once, b2 and b3 sharing theirs,
+        # and rows off its group's representatives in index order.  Each
+        # solve reads each row at most once, and each row off the
+        # representatives only for its kept rows: none past its last kept
+        # row once it keeps MAX_IDENTITY_COMPONENTS rows.
         built = []
 
         def counting(builder):
@@ -958,9 +1019,8 @@ class TestRepresentativeRows:
                 built.append((builder.__name__, group, reads))
 
                 def counted(idx):
-                    row = row_at(idx)
-                    reads.append((idx, row))
-                    return row
+                    reads.append(idx)
+                    return row_at(idx)
 
                 return group, indices, counted
             return counted_builder
@@ -969,28 +1029,23 @@ class TestRepresentativeRows:
                         "_cyclic3_system"):
             monkeypatch.setattr(classifiers, builder,
                                 counting(getattr(classifiers, builder)))
+        solves = spy_solves(monkeypatch)
         chart = builtin(name).to_chart()
-        report = classify(chart, tensors=ALL_TENSORS, run_oracle=False)
-        # Every row read stays alive in reads, so ids are unique.
-        where = {id(row): (k, idx) for k, (_, _, reads) in enumerate(built)
-                 for idx, row in reads}
-        last = {}
-        for identity in report.identities:
-            if identity.rows and id(identity.rows[-1]) in where:
-                k, idx = where[id(identity.rows[-1])]
-                last[k] = idx, len(identity.rows)
+        classify(chart, tensors=ALL_TENSORS, run_oracle=False)
+        for _, group, reads in built:
+            assert len(set(reads)) == len(reads)
+            off = [idx for idx in reads if not group.is_representative(idx)]
+            assert off == sorted(off)
         off_any = False
-        for k, (_, group, reads) in enumerate(built):
-            reps = [idx for idx, _ in reads if group.is_representative(idx)]
-            off = [idx for idx, _ in reads
-                   if not group.is_representative(idx)]
-            assert len(set(reps)) == len(reps)
-            assert off == sorted(set(off))
-            if off:
-                off_any = True
-                idx, size = last[k]
-                if size == MAX_IDENTITY_COMPONENTS:
-                    assert off[-1] <= idx
+        for group, reads, out in solves:
+            off = [idx for idx in reads if not group.is_representative(idx)]
+            assert off == sorted(off)
+            if not off:
+                continue
+            off_any = True
+            at = {id(row): idx for idx, row in reads.items()}
+            if len(out.kept) == MAX_IDENTITY_COMPONENTS:
+                assert off[-1] <= at[id(out.kept[-1])]
         assert off_any
         # b1-b3 build one system for each nonzero (0,4) tensor.
         cyclic = [reads for builder, _, reads in built

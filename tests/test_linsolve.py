@@ -100,37 +100,36 @@ def test_verify_catches_corruption(ctx):
         certify("corrupt", [({0: ctx.one}, x1)], space.particular, space)
 
 
-def test_identity_rows_are_read_lazily_from_the_system(ctx):
-    # The identity keeps the first kept rows of the system, in its order;
-    # rows past them are never read.
+def test_identity_keeps_the_first_rows_with_a_term(ctx):
+    # By default the identity keeps the first MAX_IDENTITY_COMPONENTS rows
+    # with a coefficient or a nonzero rhs, in order; given kept rows, it
+    # keeps exactly those.
     x1 = ctx.parse("x1")
     space = solve_dense([[ctx.one]], [x1], ctx)
-    solved = [({0: ctx.one}, x1)]
-
-    def system():
-        yield ({}, ctx.zero)
-        for _ in range(linsolve.MAX_IDENTITY_COMPONENTS):
-            yield solved[0]
-        raise AssertionError("read past the identity's rows")
-
-    identity = certify("lazy", solved, space.particular, space, system())
-    assert identity.rows == solved * linsolve.MAX_IDENTITY_COMPONENTS
-    assert all(row is solved[0] for row in identity.rows)
+    row = ({0: ctx.one}, x1)
+    rows = [({}, ctx.zero)] + [row] * (linsolve.MAX_IDENTITY_COMPONENTS + 1)
+    identity = certify("first", rows, space.particular, space)
+    assert identity.rows == [row] * linsolve.MAX_IDENTITY_COMPONENTS
+    assert all(kept is row for kept in identity.rows)
+    negated = ({0: -ctx.one}, -x1)
+    assert certify("given", rows + [negated], space.particular, space,
+                   [negated]).rows == [negated]
 
 
 def test_guard_covers_kept_rows_off_the_solved_ones(ctx):
-    # A kept row of the system that is not one of the solved rows is
-    # back-substituted too.
+    # A kept row after the solved ones is back-substituted too: the guard
+    # reads every row of rows.
     x1 = ctx.parse("x1")
     space = solve_dense([[ctx.one]], [x1], ctx)
     solved = [({0: ctx.one}, x1)]
     negated = ({0: -ctx.one}, -x1)
-    assert certify("negated", solved, space.particular, space,
+    assert certify("negated", solved + [negated], space.particular, space,
                    [negated] + solved).rows == [negated] + solved
+    wrong = ({0: ctx.one}, x1 + 1)
     with pytest.raises(InternalInconsistencyError,
                        match="^wrong: particular solution fails"):
-        certify("wrong", solved, space.particular, space,
-                solved + [({0: ctx.one}, x1 + 1)])
+        certify("wrong", solved + [wrong], space.particular, space,
+                solved + [wrong])
 
 
 def test_duplicate_rows_skipped(ctx):

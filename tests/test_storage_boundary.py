@@ -19,6 +19,10 @@ size bounds; exact and modular evaluation read the stored form.
 
 Every module-level private function of the package is referenced from the
 package itself, so none is kept alive by the tests alone.
+
+No dataclass of the package declares a Callable field, so the results that
+a chart caches (solver outcomes among them) stay plain data and keep no
+closure, and with it no builder's state, alive.
 """
 
 import ast
@@ -267,6 +271,63 @@ def test_every_private_function_is_referenced_from_the_package():
     sources = [path.read_text(encoding="utf-8")
                for path in sorted(PACKAGE.glob("*.py"))]
     assert unreferenced_private_functions(sources) == []
+
+
+def _mentions(node: ast.AST, name: str) -> bool:
+    # Whether an annotation names `name`, as a name, an attribute or inside
+    # a string annotation.
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            try:
+                sub = ast.parse(sub.value, mode="eval")
+            except SyntaxError:
+                continue
+            if _mentions(sub, name):
+                return True
+        elif (isinstance(sub, ast.Name) and sub.id == name) or (
+                isinstance(sub, ast.Attribute) and sub.attr == name):
+            return True
+    return False
+
+
+def callable_dataclass_fields(source: str) -> list[str]:
+    """The fields of the dataclasses in source whose annotation names
+    Callable, as 'line: Class.field'."""
+    return [f"{stmt.lineno}: {node.name}.{ast.unparse(stmt.target)}"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef)
+            and any(_mentions(dec, "dataclass")
+                    for dec in node.decorator_list)
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign)
+            and _mentions(stmt.annotation, "Callable")]
+
+
+def test_the_callable_field_check_sees_every_form():
+    source = ("@dataclass\n"
+              "class Outcome:\n"
+              "    rows: list\n"
+              "    system: Optional[Callable] = None\n"
+              "    walk: typing.Callable[[], list] = None\n"
+              "    later: 'Callable[[int], int]' = None\n"
+              "    def method(self) -> Callable:\n"
+              "        pass\n"
+              "@dataclasses.dataclass(frozen=True)\n"
+              "class Frozen:\n"
+              "    hook: 'Optional[Callable]'\n"
+              "class Plain:\n"
+              "    hook: Callable\n")
+    assert callable_dataclass_fields(source) == [
+        "4: Outcome.system", "5: Outcome.walk", "6: Outcome.later",
+        "11: Frozen.hook"]
+    assert callable_dataclass_fields("@dataclass\nclass A:\n"
+                                     "    callables: list\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_dataclass_declares_a_callable_field(path):
+    assert callable_dataclass_fields(path.read_text(encoding="utf-8")) == []
 
 
 def test_the_array_check_sees_reads_outside_its_scopes():
