@@ -1,12 +1,12 @@
 """The randomized identity oracle.
 
 Every positive verdict carries the exact linear identity that certifies it.
-The oracle substitutes independent random rationals for the atoms, reduces
-them modulo the prime p = 2^61 - 1 and compares both sides of every row in
-F_p.  The atoms are algebraically independent and reduction mod p is a ring
+The oracle substitutes independent random points of F_p, for the prime
+p = 2^61 - 1, for the atoms and compares both sides of every row in F_p.
+The atoms are algebraically independent and reduction mod p is a ring
 homomorphism, so a *sound* report never disagrees; a corrupted coefficient
-escapes a sample only if the point is a root of the residual or p divides
-its value, so it is caught with overwhelming probability.
+escapes a sample only if the point is a root of the residual mod p, so it
+is caught with overwhelming probability.
 """
 
 from curvzoo import builtin, classify, render_report

@@ -903,31 +903,12 @@ def check_torseforming(chart: Chart, V: Sequence[Expr]) -> TorseformingResult:
     if h is not None:
         result.concircular = True
         result.potential = h
-        exp_h = _exp_of(h)
+        exp_h = h.exp()
         if exp_h is not None:
             # convergent means a is a constant multiple of e^h; decidable
             # whenever e^h lies in the expression field.
             result.convergent = (a / exp_h).is_constant()
     return result
-
-
-def _exp_of(h: Expr) -> Optional[Expr]:
-    """e^h within the expression field: h must be an integer-coefficient
-    linear combination of coordinates."""
-    ctx = h.ctx
-    terms = h.polynomial_terms()
-    if terms is None:
-        return None
-    n = len(ctx.coords)
-    out = ctx.one
-    for monom, k in terms:
-        active = [pos for pos, e in enumerate(monom) if e]
-        if len(active) != 1 or active[0] >= n or monom[active[0]] != 1:
-            return None
-        if k.denominator != 1:
-            return None
-        out = out * ctx.exponential(active[0], int(k))
-    return out
 
 
 def gradient_potential(chart: Chart, tau: OneForm) -> Optional[Expr]:
@@ -948,33 +929,11 @@ def gradient_potential(chart: Chart, tau: OneForm) -> Optional[Expr]:
         for j in range(n):
             if j != i and not comp.diff(j).is_zero:
                 return None
-        piece = _integrate_single_coordinate(comp, i)
+        piece = comp.integral(i)
         if piece is None:
             return None
         total = total + piece
     return total
-
-
-def _integrate_single_coordinate(e: Expr, i: int) -> Optional[Expr]:
-    ctx = e.ctx
-    terms = e.polynomial_terms()
-    if terms is None:
-        return None
-    xpos, tpos = i, len(ctx.coords) + i
-    acc = ctx.zero
-    for monom, coeff in terms:
-        kx, kt = monom[xpos], monom[tpos]
-        if kx and kt:
-            return None  # mixed x * exp(x) monomials need integration by parts
-        rest_expr = ctx.term([0 if p in (xpos, tpos) else m
-                              for p, m in enumerate(monom)], coeff)
-        if kt:
-            piece = rest_expr * ctx.exponential(i, kt) * Fraction(1, kt)
-        else:
-            piece = rest_expr * ctx.coordinate(i) ** (kx + 1) \
-                * Fraction(1, kx + 1)
-        acc = acc + piece
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -65,9 +65,13 @@ methods, composed there alone and tried in order:
 For two primitive operands either method gives a primitive gcd with a
 positive lex-leading coefficient, and so positive lex-leading quotients
 when the operands have them.  Derivatives read each term's exponents
-at the known ring positions; square roots are taken term by term from the
-lex-leading one.  The grammar, canonicalization, cancellation, derivatives,
-evaluation and printing all live here.
+at the known ring positions; so do ``Expr.exp``, which finds the
+exponential of an integer combination of coordinates, and
+``Expr.integral``, which integrates term by term in one coordinate; square
+roots are taken term by term from the lex-leading one.  The grammar,
+canonicalization, cancellation, derivatives, antiderivatives, evaluation
+and printing all live here, and no other module of the package reads
+the stored form.
 
 The gcd path of ``_cancel`` is memoized on the ``Context``, so there is one
 memo per chart and it is freed with the chart: the key is the ordered pair
@@ -131,9 +135,9 @@ _HASH_INF = sys.hash_info.inf
 class _Rational:
     """An exact rational numerator/denominator in lowest terms, with a
     positive denominator: an Expr's content and the coefficients of its
-    rational form.  Immutable by convention.  It adds, multiplies and
-    orders with ints and with itself, compares equal with ints, Fractions
-    and itself, and hashes as the equal Fraction, so sets and dicts of
+    rational form.  Immutable by convention.  It multiplies and orders
+    with ints and with itself, compares equal with ints, Fractions and
+    itself, and hashes as the equal Fraction, so sets and dicts of
     Exprs keep their order."""
 
     __slots__ = ("numerator", "denominator")
@@ -162,23 +166,6 @@ class _Rational:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __add__(self, other):
-        ap, aq = self.numerator, self.denominator
-        if type(other) is int:
-            return _rat(ap + other * aq, aq)
-        if type(other) is not _Rational:
-            return NotImplemented
-        bp, bq = other.numerator, other.denominator
-        g = gcd(aq, bq)
-        if g == 1:
-            return _rat(ap * bq + aq * bp, aq * bq)
-        q1, q2 = aq // g, bq // g
-        p = ap * q2 + bp * q1
-        g2 = gcd(p, g)
-        return _rat(p // g2, q1 * q2 * (g // g2))
-
-    __radd__ = __add__
 
     def __neg__(self):
         return _rat(-self.numerator, self.denominator)
@@ -376,13 +363,6 @@ class Context:
         if not c:
             return self._zero
         return Expr(self, c, self.unit, self.unit)
-
-    def term(self, exponents: Sequence[int], coeff: Number = 1) -> "Expr":
-        """coeff times the product of the atoms raised to the exponents,
-        which are listed by ring position (coordinates, exponential atoms,
-        parameters)."""
-        return _mul(Expr(self, _ONE, {tuple(exponents): 1}, self.unit),
-                    _coerce(self, coeff))
 
     def coordinate(self, which: Union[int, str]) -> "Expr":
         i = self._coord_pos[which] if isinstance(which, str) else which
@@ -1093,14 +1073,6 @@ class Expr:
                         present.add(self.ctx.atoms[pos])
         return present
 
-    def polynomial_terms(self) -> Optional[list]:
-        """The terms of a polynomial value as (exponents by ring position,
-        Fraction coefficient) pairs; None when the denominator is not 1."""
-        if self.den != self.ctx.unit:
-            return None
-        p, q = self.content.numerator, self.content.denominator
-        return [(monom, Fraction(p * c, q)) for monom, c in self.num.items()]
-
     def sqrt(self) -> Optional["Expr"]:
         """Exact square root within the expression field, or None.
 
@@ -1126,6 +1098,58 @@ class Expr:
             if den is None:
                 return None
         return Expr(ctx, _rat(pn, pd), num, den)
+
+    def exp(self) -> Optional["Expr"]:
+        """exp(self) within the expression field, or None.
+
+        The exponential is in the field exactly when the value is an integer
+        combination k_1 x_1 + ... + k_n x_n of coordinates (zero included),
+        and then it is the product of the exponential atoms to the powers
+        k_i.  Constant terms, fractional coefficients, parameters, exp atoms,
+        products and denominators give None."""
+        ctx = self.ctx
+        if self.den != ctx.unit or self.content.denominator != 1:
+            return None
+        n = len(ctx.coords)
+        up, down = [0] * len(ctx.gens), [0] * len(ctx.gens)
+        for monom, c in self.num.items():
+            # num is primitive, so an integer content gives integer k.
+            if sum(monom) != 1 or not any(monom[:n]):
+                return None
+            k = self.content.numerator * c
+            (up if k > 0 else down)[n + monom.index(1)] = abs(k)
+        return Expr(ctx, _ONE, {tuple(up): 1},
+                    {tuple(down): 1} if any(down) else ctx.unit)
+
+    def integral(self, coord: Union[int, str]) -> Optional["Expr"]:
+        """An antiderivative in a coordinate x, the other atoms held
+        constant, or None.
+
+        Decided for polynomial values none of whose terms holds both x and
+        exp(x): c x^e t^s integrates to c x^(e+1) t^s / (e+1) without the
+        exponential atom t = exp(x) of x and to c t^s / s with it.  A
+        mixed term (it needs integration by parts) or a denominator other
+        than 1 gives None."""
+        ctx = self.ctx
+        i = _coordinate_index(ctx, coord)
+        if self.den != ctx.unit:
+            return None
+        j = len(ctx.coords) + i
+        # Distinct terms integrate to distinct terms, each over its divisor.
+        terms = []
+        for monom, c in self.num.items():
+            if monom[j]:
+                if monom[i]:
+                    return None
+                terms.append((monom, c, monom[j]))
+            else:
+                e = monom[i] + 1
+                terms.append((monom[:i] + (e,) + monom[i + 1:], c, e))
+        scale = lcm(*(k for _, _, k in terms))
+        d = _normalized(ctx, {m: c * (scale // k) for m, c, k in terms},
+                        ctx.unit)
+        return Expr(ctx, self.content * d.content * _rat(1, scale), d.num,
+                    d.den) if d.num else d
 
     # -- equality / hashing ----------------------------------------------
 
@@ -1312,14 +1336,20 @@ def _poly_diff(ctx: Context, poly, i: int):
     return {monom: c for monom, c in d.items() if c}
 
 
-def differentiate(e: Expr, coord: Union[int, str]) -> Expr:
-    """Partial derivative with respect to a coordinate, in canonical form."""
-    ctx = e.ctx
+def _coordinate_index(ctx: Context, coord: Union[int, str]) -> int:
+    """The position of a coordinate given by name or index."""
     i = ctx._coord_pos.get(coord) if isinstance(coord, str) else coord
     if i is None:
         raise ExpressionError(f"{coord!r} is not a coordinate")
     if not 0 <= i < len(ctx.coords):
         raise ExpressionError(f"coordinate index {i} out of range")
+    return i
+
+
+def differentiate(e: Expr, coord: Union[int, str]) -> Expr:
+    """Partial derivative with respect to a coordinate, in canonical form."""
+    ctx = e.ctx
+    i = _coordinate_index(ctx, coord)
     num, den = e.num, e.den
     dnum = _poly_diff(ctx, num, i)
     if den != ctx.unit:

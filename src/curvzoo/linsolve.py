@@ -80,7 +80,7 @@ class Identity:
 
     rows hold (coefficient-map, rhs) pairs exactly as the generating linear
     system produced them; values is the certified solution vector.  The
-    oracle checks each retained row at random rational points by evaluating
+    oracle checks each retained row at random points of F_p by evaluating
     coefficients, values and rhs independently.
     """
 

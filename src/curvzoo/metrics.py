@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .charts import Chart, build_chart
+from .charts import Chart
 from .exprs import Context, ExpressionError
 
 
@@ -52,15 +52,17 @@ class MetricSpec:
         return (self.lower_triangle[i][j] if j <= i
                 else self.lower_triangle[j][i])
 
-    def full_matrix(self) -> list[list[str]]:
-        return [[self.entry(i, j) for j in range(self.dim)]
-                for i in range(self.dim)]
-
     def context(self) -> Context:
         return Context(self.coords, self.params)
 
     def to_chart(self) -> Chart:
-        return build_chart(self.context(), self.full_matrix(), name=self.name)
+        """The chart of the metric: each lower-triangle entry is parsed
+        once and mirrored above the diagonal."""
+        ctx = self.context()
+        lower = [[ctx.parse(e) for e in row] for row in self.lower_triangle]
+        return Chart(ctx, [[lower[max(i, j)][min(i, j)]
+                            for j in range(self.dim)]
+                           for i in range(self.dim)], name=self.name)
 
 
 def _diagonal(entries: Sequence[str]) -> tuple[tuple[str, ...], ...]:

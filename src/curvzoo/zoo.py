@@ -4,14 +4,14 @@ classify() runs the classifier battery declared in BATTERY, in its fixed
 order, on a chart and collects verdicts with symbolic witnesses.  Every
 positive verdict carries the linear identity that certifies it (see
 linsolve.certify); oracle_crosscheck() re-evaluates those identities at
-seeded random rational points reduced modulo the prime p = 2^61 - 1 and
-counts disagreements.  The values of every identity lie in the chart's
-context; the oracle numbers the distinct ones once over all the report's
-identities and compiles each once per call (exprs.ModularExpr: every
-coefficient reduced mod p).  It draws each point straight as residues over
-the chart's atoms and shares it between every identity not yet finished:
-at each point each distinct value is evaluated once and all its
-denominators are inverted with a single modular inversion, and each
+seeded random points of F_p, for the prime p = 2^61 - 1, and counts
+disagreements.  The values of every identity lie in the chart's context;
+the oracle numbers the distinct ones once over all the report's identities
+and compiles each once per call (exprs.ModularExpr: every coefficient
+reduced mod p).  It draws each point as residues, one uniform in
+[1, p) per atom of the chart, and shares it between every identity not
+yet finished: at each point each distinct value is evaluated once and all
+its denominators are inverted with a single modular inversion, and each
 identity's distinct rows are then compared against those residues (a
 repeated row reads the same residues, so it cannot change the result).
 Every identity is still checked at its own count of independent uniform
@@ -19,8 +19,9 @@ points.  Atoms are algebraically independent, so independent substitution
 is a sound randomized zero test, and reduction mod p is a ring
 homomorphism: a true identity never disagrees, so a nonzero count means a
 canonicalization or solver bug, never a sampling artifact.  A false
-identity escapes one sample only when the point is a root of its residual
-or p divides the residual's value (Schwartz-Zippel).
+identity escapes one sample only when the point is a root of its
+residual's numerator mod p, or p divides the numerator of the residual's
+rational content (Schwartz-Zippel).
 
 Reports are plain data: rendering to text or JSON is stable and
 deterministic, so repeated runs with the same seed are byte-identical.
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 from .charts import Chart, OneForm, riemann, scalar_curvature
@@ -48,9 +49,8 @@ from .metrics import MetricSpec
 from .operators import (check_gct, check_second_bianchi, named_tensor,
                         walker_cyclic_check)
 
-#: Default oracle parameters: seeded random rational points with numerator
-#: and denominator drawn uniformly from [1, 10^6], compared modulo
-#: ORACLE_PRIME.
+#: Default oracle parameters: seeded random points of F_p, each atom's
+#: residue drawn uniformly from [1, ORACLE_PRIME), compared in F_p.
 DEFAULT_SAMPLES = 50
 #: Most samples per identity that oracle_crosscheck accepts.  One shared
 #: point for every identity of ex5_4 with every tensor takes 0.5-0.7 ms of
@@ -59,7 +59,6 @@ DEFAULT_SAMPLES = 50
 #: for at most MAX_DENOMINATOR_RETRIES rounds past the others.
 MAX_SAMPLES = 10_000
 DEFAULT_SEED = 42
-GRID_MAX = 10 ** 6
 MAX_DENOMINATOR_RETRIES = 1000
 #: The Mersenne prime 2^61 - 1; the oracle compares both sides in F_p.
 ORACLE_PRIME = 2 ** 61 - 1
@@ -78,11 +77,7 @@ class OracleSummary:
     inconclusive: int
 
     def to_dict(self) -> dict:
-        return {"samples": self.samples, "seed": self.seed,
-                "identities": self.identities,
-                "checked_components": self.checked_components,
-                "disagreements": self.disagreements,
-                "inconclusive": self.inconclusive}
+        return asdict(self)
 
 
 @dataclass
@@ -159,8 +154,8 @@ def classify(spec_or_chart: Union[MetricSpec, Chart],
     checks filters verdicts by name prefix (None = everything); tensors
     selects which of R, C, K, conh, P, S the tensor-parameterized classifiers
     run on, each once however often it is named.  The oracle re-evaluates
-    every positive identity at oracle_samples seeded random rational points,
-    modulo ORACLE_PRIME.
+    every positive identity at oracle_samples seeded random points of F_p,
+    p = ORACLE_PRIME.
     The solution spaces of chaki, weak_symmetry, weak_Z, b3, b4 and
     quasi_einstein are back-substituted into their rows before their
     identities are attached (InternalInconsistencyError, naming the
@@ -270,14 +265,9 @@ def _inverses(residues: Sequence[int]) -> list[int]:
 
 
 def _draw_point(rng: random.Random, atoms: Sequence[Atom]) -> dict[Atom, int]:
-    """A seeded random point as residues mod ORACLE_PRIME: atom by atom, a
-    numerator and a denominator uniform in [1, GRID_MAX], drawn in that
-    order, give the residue of their quotient."""
-    pairs = [(rng.randint(1, GRID_MAX), rng.randint(1, GRID_MAX))
-             for _ in atoms]
-    inverses = _inverses([den for _, den in pairs])
-    return {a: num * inv % ORACLE_PRIME
-            for a, (num, _), inv in zip(atoms, pairs, inverses)}
+    """A seeded random point of F_p: atom by atom, a residue uniform in
+    [1, ORACLE_PRIME)."""
+    return {a: rng.randrange(1, ORACLE_PRIME) for a in atoms}
 
 
 class _Evaluation(NamedTuple):
@@ -379,13 +369,13 @@ def _check_seed(seed: int) -> None:
 def oracle_crosscheck(report: Report, chart: Chart,
                       samples: int = DEFAULT_SAMPLES,
                       seed: int = DEFAULT_SEED) -> OracleSummary:
-    """Re-evaluate every certified identity at seeded random rational points.
+    """Re-evaluate every certified identity at seeded random points of F_p.
 
     The distinct values of the report's identities are numbered once, over
     all identities, and each is compiled mod ORACLE_PRIME once per call;
     the compiled forms are dropped when the call returns.  Points are drawn
-    straight as residues (_draw_point: the seeded sequence of numerator and
-    denominator pairs of the rational points), one point per round, and
+    as residues (_draw_point: one uniform in [1, p) per atom, in atom
+    order, from the seeded stream), one point per round, and
     each point serves every identity not yet finished: its power tables
     are built once, each distinct value is evaluated once and all its
     denominators are inverted together (_evaluate), and each identity's
@@ -397,7 +387,8 @@ def oracle_crosscheck(report: Report, chart: Chart,
     points that decided it, or after MAX_DENOMINATOR_RETRIES retries, when
     it is marked inconclusive.  So each identity is still checked at
     samples independent uniform points, and a report with one identity
-    draws the points it always drew.  Deterministic for a fixed
+    draws the points an oracle that checks it alone would draw.
+    Deterministic for a fixed
     seed; ValueError for samples outside 1..MAX_SAMPLES or a negative seed.
     Points assign every atom of the chart, whose context holds every
     identity's values.

@@ -14,7 +14,10 @@ charts nabla R is also compared at every orbit representative of its slot
 symmetries, and the named Kulkarni-Nomizu products (g^g, g^S, S^S, g^S2,
 S^S2, S2^S2) and C, K, conh and P at every component: the reference forms
 each at the representatives of its symmetries in sympy's field of rational
-functions, which keeps every value cancelled, and extends it by sign.
+functions, which keeps every value cancelled, and extends it by sign.  The
+actions R.R and Q(g,R) are formed in that field too, from R and g alone
+with no symmetry assumed, and compared at every component for n <= 4 and
+at every orbit representative of their slot symmetries for n = 5.
 
 Every positive decomposition verdict that a default classify reports on the
 builtins and on the conformal chart is also checked in sympy:
@@ -71,7 +74,8 @@ from curvzoo.classifiers import (_cyclic3_system,
                                  roter_generators)
 from curvzoo.linsolve import MAX_IDENTITY_COMPONENTS
 from curvzoo.metrics import MetricSpec, builtin, list_builtins
-from curvzoo.operators import nabla_cached, named_tensor
+from curvzoo.operators import (dot_named, nabla_cached, named_tensor,
+                               tachibana_named)
 from curvzoo.zoo import ALL_TENSORS, classify
 
 #: One chart per generated template, written out.
@@ -225,7 +229,45 @@ class Reference:
         values["kappa"] = field.from_expr(self.kappa)
         values["Gamma"] = {idx: field.from_expr(value)
                            for idx, value in self.gamma.items()}
+        values["ginv"] = {(i, j): field.from_expr(self.ginv[i, j])
+                          for i, j in itertools.product(range(self.n),
+                                                        repeat=2)}
         return values
+
+    @functools.cached_property
+    def raised_in_field(self) -> dict:
+        """R^a_{h l i} = g^ab R[h, l, i, b], in the field of in_field, at
+        its nonzero entries."""
+        n, T = self.n, self.in_field
+        R, ginv = T["R"], T["ginv"]
+        raised = {}
+        for a, h, l, i in itertools.product(range(n), repeat=4):
+            value = sum((ginv[a, b] * R[h, l, i, b] for b in range(n)
+                         if ginv[a, b] and R[h, l, i, b]), self.field.zero)
+            if value:
+                raised[a, h, l, i] = value
+        return raised
+
+    def action(self, name: str, idx):
+        """(R.R)[I, h, l] for name "R.R", or Q(g,R)[I, h, l] for "Q(g,R)",
+        at idx = (I, h, l), in the field of in_field: every slot m of I
+        and every a, with no symmetry assumed."""
+        assert name in ("R.R", "Q(g,R)")
+        T = self.in_field
+        R, g = T["R"], T["g"]
+        I, h, l = idx[:4], idx[4], idx[5]
+        total = self.field.zero
+        for m, i in enumerate(I):
+            def at(a):
+                return R[I[:m] + (a,) + I[m + 1:]]
+            if name == "Q(g,R)":
+                total -= g[l, i] * at(h) - g[h, i] * at(l)
+                continue
+            raised = self.raised_in_field
+            for a in range(self.n):
+                if (a, h, l, i) in raised:
+                    total -= raised[a, h, l, i] * at(a)
+        return total
 
     def derived(self, name: str, idx):
         """The Kulkarni-Nomizu product "A^D", or C, K, conh or P, at idx,
@@ -398,6 +440,32 @@ def test_derived_tensors_match_sympy(spec):
                 expected[rep] = parse(reference.text(
                     reference.derived(name, rep)))
             assert tensor[idx] == sign * expected[rep], (name, idx)
+    assert time.perf_counter() - start < TIME_LIMIT_S
+
+
+#: The actions compared at every component for n <= 4 and at every orbit
+#: representative of their slot symmetries otherwise, with curvzoo's
+#: tensor of each.
+ACTIONS = {"R.R": lambda chart: dot_named(chart, "R", "R"),
+           "Q(g,R)": lambda chart: tachibana_named(chart, "g", "R")}
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.name)
+def test_actions_match_sympy(spec):
+    start = time.perf_counter()
+    reference = reference_of(spec)
+    chart = spec.to_chart()
+    parse, n = chart.ctx.parse, chart.n
+    for name, compute in ACTIONS.items():
+        tensor = compute(chart)
+        indices = itertools.product(range(n), repeat=6)
+        if n > 4:
+            indices = filter(tensor.symmetry_group.is_representative,
+                             indices)
+        for idx in indices:
+            value = reference.action(name, idx)
+            assert tensor[idx] == (parse(reference.text(value)) if value
+                                   else chart.ctx.zero), (name, idx)
     assert time.perf_counter() - start < TIME_LIMIT_S
 
 

@@ -13,7 +13,8 @@ and sympy unloaded.
 
 Polynomials are curvzoo.exprs' own dicts, and no module imports sympy: it
 is a test-only reference.  The other modules reach polynomials only through
-Expr and Context methods.  Within exprs, the rational form that is rebuilt
+Expr and Context methods: none reads an attribute named num, den or
+content, the parts of an Expr's stored form content * num / den.  Within exprs, the rational form that is rebuilt
 on demand (_rational_form) is read only by the printer and the parser's
 size bounds; exact and modular evaluation read the stored form.
 
@@ -219,6 +220,38 @@ def test_the_rational_form_check_sees_every_reference():
               "    return exprs._rational_form(e), rational_form(e)\n")
     assert rational_form_uses_outside(source, {"_format_expr"}) == [
         "1: module", "6: ModularExpr.__init__", "8: other"]
+
+
+#: The attributes that hold an Expr's stored form content * num / den.
+STORED_FORM = {"num", "den", "content"}
+
+
+def stored_form_reads(source: str) -> list[str]:
+    """Attributes named num, den or content in source, read or written, as
+    'line: .name' in source order."""
+    return [f"{line}: .{attr}" for line, _, attr in sorted(
+        (node.lineno, node.col_offset, node.attr)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in STORED_FORM)]
+
+
+def test_the_stored_form_check_sees_every_part():
+    source = ("def kernel(e):\n"
+              "    return e.num, e.den\n"
+              "x = f(a).content.numerator\n"
+              "y = e.numerator, e.dens, content, e.contents\n"
+              "class Form:\n"
+              "    def __init__(self, e):\n"
+              "        self.num = e\n")
+    assert stored_form_reads(source) == ["2: .num", "2: .den",
+                                         "3: .content", "7: .num"]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py"))
+                                  if p.name != "exprs.py"],
+                         ids=lambda p: p.name)
+def test_only_exprs_reads_the_stored_form(path):
+    assert stored_form_reads(path.read_text(encoding="utf-8")) == []
 
 
 def test_only_printing_and_parsing_read_the_rational_form():

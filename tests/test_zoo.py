@@ -8,7 +8,6 @@ import subprocess
 import sys
 from collections import Counter
 from datetime import timedelta
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -28,7 +27,7 @@ from curvzoo.metrics import (BUILTINS, MAX_DIM, MAX_ENTRY_CHARS,
                              metric_spec_from_dict, metric_spec_to_dict,
                              resolve_metric, save_metric_file)
 from curvzoo.operators import weyl_conformal
-from curvzoo.zoo import (ALL_TENSORS, DEFAULT_TENSORS, GRID_MAX,
+from curvzoo.zoo import (ALL_TENSORS, DEFAULT_TENSORS,
                          MAX_DENOMINATOR_RETRIES, MAX_SAMPLES, ORACLE_PRIME,
                          Identity, OracleSummary, _draw_point,
                          check_identity_at, classify, oracle_crosscheck,
@@ -561,16 +560,14 @@ class TestOracle:
             assert checks[:-1] == [[True] * 5] * (len(identities) - 1)
 
     def test_random_point_range(self):
-        # Each atom's residue is that of a numerator and a denominator drawn
-        # in [1, GRID_MAX], in that order, atom by atom.
+        # Each atom's residue is drawn in [1, ORACLE_PRIME), atom by atom.
         chart = builtin("flat3").to_chart()
         rng, twin = random.Random(0), random.Random(0)
         point = _draw_point(rng, chart.ctx.atoms)
         assert list(point) == list(chart.ctx.atoms)
         for val in point.values():
-            num, den = twin.randint(1, GRID_MAX), twin.randint(1, GRID_MAX)
             assert 0 < val < ORACLE_PRIME
-            assert val == residue(Fraction(num, den), ORACLE_PRIME)
+            assert val == twin.randrange(1, ORACLE_PRIME)
         assert rng.random() == twin.random()
 
     def test_invalid_samples(self, ex52_report):
@@ -660,22 +657,20 @@ class TestOracle:
 
 
 def reference_oracle(report, chart, samples, seed):
-    """The oracle as exact arithmetic states it: one rational point per
-    round, shared by every identity not yet finished, and each value
-    evaluated at it with evaluate_rational when an identity first needs
-    it, then reduced mod p with residue().  An identity that meets a
-    vanishing denominator counts a retry and waits for the next point; it
-    is finished after samples decided points or MAX_DENOMINATOR_RETRIES
-    retries."""
+    """The oracle as exact arithmetic states it: one point per round, each
+    atom an exact integer in [1, p), shared by every identity not yet
+    finished, and each value evaluated at it with evaluate_rational when an
+    identity first needs it, then reduced mod p with residue().  An
+    identity that meets a vanishing denominator counts a retry and waits
+    for the next point; it is finished after samples decided points or
+    MAX_DENOMINATOR_RETRIES retries."""
     rng = random.Random(seed)
     disagreements = inconclusive = 0
     done = [0] * len(report.identities)
     retries = [0] * len(report.identities)
     pending = list(range(len(report.identities)))
     while pending:
-        point = {a: Fraction(rng.randint(1, GRID_MAX),
-                             rng.randint(1, GRID_MAX))
-                 for a in chart.ctx.atoms}
+        point = {a: rng.randrange(1, ORACLE_PRIME) for a in chart.ctx.atoms}
         memo = {}
 
         def value(e):
@@ -790,15 +785,13 @@ class TestOracleDifferential:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_point_stream_is_pinned(self, seed):
-        # The first residues drawn from Random(seed) are those of the
-        # rational points the oracle always drew.
+        # The first points drawn from Random(seed) are residues in
+        # [1, ORACLE_PRIME), atom by atom, in atom order.
         atoms = builtin("ex5_5").to_chart().ctx.atoms
         rng, twin = random.Random(seed), random.Random(seed)
         for _ in range(3):
             assert _draw_point(rng, atoms) == {
-                a: residue(Fraction(twin.randint(1, GRID_MAX),
-                                    twin.randint(1, GRID_MAX)), ORACLE_PRIME)
-                for a in atoms}
+                a: twin.randrange(1, ORACLE_PRIME) for a in atoms}
 
 
 @pytest.mark.parametrize("name", list_builtins())
